@@ -1,9 +1,10 @@
 //! Embedding tables behind the look-ahead ORAM: batch-windowed serving
 //! plus the oblivious write path that makes protected *training* possible.
 
+use crate::oram_table::{bits_into_row, table_rows_as_bits};
 use crate::{EmbeddingGenerator, Technique};
 use rand::rngs::StdRng;
-use secemb_laoram::{LaConfig, LaStats, LookAheadOram, WindowOp};
+use secemb_laoram::{add_f32, LaConfig, LaStats, LookAheadOram};
 use secemb_oram::Oram;
 use secemb_tensor::Matrix;
 
@@ -46,14 +47,11 @@ impl LaOramTable {
         assert!(!table.is_empty(), "LaOramTable: empty table");
         let dim = table.cols();
         assert_eq!(config.block_words, dim, "LaOramTable: block width != dim");
-        let blocks: Vec<Vec<u32>> = table
-            .iter_rows()
-            .map(|row| row.iter().map(|v| v.to_bits()).collect())
-            .collect();
+        let rows = table.rows() as u64;
         LaOramTable {
-            la: LookAheadOram::new(&blocks, config, rng),
+            la: LookAheadOram::from_fn(rows, config, rng, &mut table_rows_as_bits(table)),
             dim,
-            rows: table.rows() as u64,
+            rows,
         }
     }
 
@@ -81,16 +79,28 @@ impl LaOramTable {
         self.la.max_window()
     }
 
-    fn run_windows(&mut self, ops: Vec<WindowOp>) -> Matrix {
-        let mut out = Matrix::zeros(ops.len(), self.dim);
-        let mut row = 0usize;
-        for chunk in ops.chunks(self.la.max_window()) {
-            for words in self.la.process_window(chunk) {
-                for (o, w) in out.row_mut(row).iter_mut().zip(words) {
-                    *o = f32::from_bits(w);
+    /// Serves `indices` as look-ahead windows, adding `delta(k)` (when
+    /// there is one) to the `k`-th accessed row in place and writing each
+    /// post-operation row straight into the output matrix.
+    fn run_windows<'d>(
+        &mut self,
+        indices: &[u64],
+        delta: impl Fn(usize) -> Option<&'d [f32]>,
+    ) -> Matrix {
+        for &idx in indices {
+            assert!(idx < self.rows, "LaOramTable: index {idx} out of range");
+        }
+        let mut out = Matrix::zeros(indices.len(), self.dim);
+        let window = self.la.max_window();
+        for (c, chunk) in indices.chunks(window).enumerate() {
+            self.la.stage_window(chunk);
+            self.la.serve_window_with(&mut |k, words| {
+                let row = c * window + k;
+                if let Some(delta) = delta(row) {
+                    add_f32(words, delta);
                 }
-                row += 1;
-            }
+                bits_into_row(out.row_mut(row), words);
+            });
         }
         out
     }
@@ -106,29 +116,15 @@ impl EmbeddingGenerator for LaOramTable {
     }
 
     fn generate_batch(&mut self, indices: &[u64]) -> Matrix {
-        for &idx in indices {
-            assert!(idx < self.rows, "LaOramTable: index {idx} out of range");
-        }
-        self.run_windows(indices.iter().map(|&i| WindowOp::Read(i)).collect())
+        self.run_windows(indices, |_| None)
     }
 
     fn generate_window(&mut self, indices: &[u64], updates: &[Option<&[f32]>]) -> Matrix {
         assert_eq!(indices.len(), updates.len(), "generate_window: shape");
-        for &idx in indices {
-            assert!(idx < self.rows, "LaOramTable: index {idx} out of range");
+        for delta in updates.iter().flatten() {
+            assert_eq!(delta.len(), self.dim, "generate_window: delta width");
         }
-        let ops: Vec<WindowOp> = indices
-            .iter()
-            .zip(updates.iter())
-            .map(|(&i, upd)| match upd {
-                None => WindowOp::Read(i),
-                Some(delta) => {
-                    assert_eq!(delta.len(), self.dim, "generate_window: delta width");
-                    WindowOp::AddF32(i, delta.to_vec())
-                }
-            })
-            .collect();
-        self.run_windows(ops)
+        self.run_windows(indices, |k| updates[k])
     }
 
     fn technique(&self) -> Technique {

@@ -16,6 +16,8 @@ pub struct OramTable {
     technique: Technique,
     dim: usize,
     rows: u64,
+    /// Receives each accessed block before its words become output floats.
+    row_words: Vec<u32>,
 }
 
 impl std::fmt::Debug for OramTable {
@@ -50,22 +52,26 @@ impl OramTable {
     fn build(table: &Matrix, rng: StdRng, technique: Technique) -> Self {
         assert!(!table.is_empty(), "OramTable: empty table");
         let dim = table.cols();
-        let blocks: Vec<Vec<u32>> = table
-            .iter_rows()
-            .map(|row| row.iter().map(|v| v.to_bits()).collect())
-            .collect();
+        let rows = table.rows() as u64;
+        let fill = &mut table_rows_as_bits(table);
         let oram: Box<dyn Oram + Send> = match technique {
-            Technique::PathOram => Box::new(PathOram::new(&blocks, OramConfig::path(dim), rng)),
-            Technique::CircuitOram => {
-                Box::new(CircuitOram::new(&blocks, OramConfig::circuit(dim), rng))
+            Technique::PathOram => {
+                Box::new(PathOram::from_fn(rows, OramConfig::path(dim), rng, fill))
             }
+            Technique::CircuitOram => Box::new(CircuitOram::from_fn(
+                rows,
+                OramConfig::circuit(dim),
+                rng,
+                fill,
+            )),
             other => panic!("OramTable: {other} is not an ORAM technique"),
         };
         OramTable {
             oram,
             technique,
             dim,
-            rows: table.rows() as u64,
+            rows,
+            row_words: vec![0; dim],
         }
     }
 
@@ -77,6 +83,23 @@ impl OramTable {
     /// Resets the controller's statistics.
     pub fn reset_stats(&mut self) {
         self.oram.reset_stats();
+    }
+}
+
+/// The ORAM constructors' `fill` callback for an `f32` table: row `id`'s
+/// bit patterns, written straight into the block's arena slot.
+pub(crate) fn table_rows_as_bits(table: &Matrix) -> impl FnMut(u64, &mut [u32]) + '_ {
+    |id, words| {
+        for (w, v) in words.iter_mut().zip(table.row(id as usize)) {
+            *w = v.to_bits();
+        }
+    }
+}
+
+/// Writes a block's words into an output row as the floats they encode.
+pub(crate) fn bits_into_row(row: &mut [f32], words: &[u32]) {
+    for (o, &w) in row.iter_mut().zip(words) {
+        *o = f32::from_bits(w);
     }
 }
 
@@ -93,10 +116,8 @@ impl EmbeddingGenerator for OramTable {
         let mut out = Matrix::zeros(indices.len(), self.dim);
         for (b, &idx) in indices.iter().enumerate() {
             assert!(idx < self.rows, "OramTable: index {idx} out of range");
-            let words = self.oram.read(idx);
-            for (o, w) in out.row_mut(b).iter_mut().zip(words) {
-                *o = f32::from_bits(w);
-            }
+            self.oram.access_into(idx, &mut |_| {}, &mut self.row_words);
+            bits_into_row(out.row_mut(b), &self.row_words);
         }
         out
     }

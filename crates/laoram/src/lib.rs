@@ -70,17 +70,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 
 use rand::rngs::StdRng;
 use rand::Rng;
 use secemb_obliv::Choice;
-use secemb_oram::block::Block;
+use secemb_oram::block::{Block, Slots};
 use secemb_oram::posmap::PosMap;
-use secemb_oram::setup::{bit_reverse, initial_layout};
+use secemb_oram::setup::{bit_reverse, check_residency, fill_from_blocks, initial_layout};
 use secemb_oram::stash::Stash;
 use secemb_oram::tree::Tree;
-use secemb_oram::{AccessStats, Oram, OramConfig};
+use secemb_oram::{AccessStats, Oram, OramConfig, DUMMY_ID};
 use secemb_trace::tracer::RegionId;
 
 /// Trace region of the look-ahead ORAM's bucket tree.
@@ -208,6 +208,10 @@ pub struct LaStats {
 /// operation payloads (the serve engine stages while the batch is still
 /// being assembled). Single accesses via the [`Oram`] trait degrade to
 /// windows of one.
+///
+/// Staging scrubs the fetched buckets in place in the tree arena; the only
+/// block copies are the fixed scratch buffers below, sized once from the
+/// tree depth and `max_window`.
 #[derive(Debug)]
 pub struct LookAheadOram {
     tree: Tree,
@@ -219,8 +223,24 @@ pub struct LookAheadOram {
     evict_counter: u64,
     stats: AccessStats,
     la: LaStats,
-    /// Indices staged for the pending window, in request order.
-    staged: Option<Vec<u64>>,
+    /// Indices staged for the pending window, in request order (valid
+    /// while `window_staged`).
+    staged: Vec<u64>,
+    window_staged: bool,
+    /// Staging: distinct indices in first-occurrence order, and the set
+    /// that detects repeats.
+    distinct: Vec<u64>,
+    seen: HashSet<u64>,
+    /// Staging: the `W` leaves whose paths are fetched.
+    leaves: Vec<u64>,
+    /// Staging: sorted, deduplicated bucket indices of those `W` paths.
+    union: Vec<usize>,
+    /// Staging: the block being lifted out of the fetched buckets.
+    lifted: Block,
+    /// Eviction: a private copy of the evicted path (`(levels+1)·Z` slots).
+    path: Slots,
+    /// Eviction: the bucket being assembled for write-back (`Z` slots).
+    to_write: Slots,
 }
 
 impl LookAheadOram {
@@ -230,18 +250,50 @@ impl LookAheadOram {
     ///
     /// Panics if `blocks` is empty, any block's width differs from
     /// `config.block_words`, or the config is invalid.
-    pub fn new(blocks: &[Vec<u32>], config: LaConfig, mut rng: StdRng) -> Self {
+    pub fn new(blocks: &[Vec<u32>], config: LaConfig, rng: StdRng) -> Self {
+        Self::from_fn(
+            blocks.len() as u64,
+            config,
+            rng,
+            &mut fill_from_blocks(blocks),
+        )
+    }
+
+    /// Builds a look-ahead ORAM of `n_blocks` blocks whose contents come
+    /// from `fill(id, payload)`, called once per block with the block's
+    /// own arena slot — the block set is never materialised a second time.
+    /// Draws from `rng` exactly as [`LookAheadOram::new`] does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_blocks` is zero or the config is invalid.
+    pub fn from_fn(
+        n_blocks: u64,
+        config: LaConfig,
+        mut rng: StdRng,
+        fill: &mut dyn FnMut(u64, &mut [u32]),
+    ) -> Self {
         config.validate();
-        assert!(!blocks.is_empty(), "LookAheadOram: empty block set");
+        assert!(n_blocks > 0, "LookAheadOram: empty block set");
         let oram_cfg = config.oram_config();
-        let n_blocks = blocks.len() as u64;
         let mut tree = Tree::new(n_blocks, &oram_cfg, LAORAM_TREE);
         let mut stash = Stash::new(&oram_cfg, LAORAM_STASH);
-        let labels = initial_layout(blocks, &mut tree, &mut stash, &mut rng);
-        let posmap = PosMap::build(labels, &oram_cfg, LAORAM_POSMAP, &mut |_, _| {
+        let labels = initial_layout(n_blocks, &mut tree, &mut stash, &mut rng, fill);
+        let posmap = PosMap::build(labels, &oram_cfg, LAORAM_POSMAP, &mut |_, _, _| {
             unreachable!("LAORAM position map never recurses")
         });
+        let path_len = tree.levels() as usize + 1;
+        let w = config.max_window;
         LookAheadOram {
+            staged: Vec::with_capacity(w),
+            window_staged: false,
+            distinct: Vec::with_capacity(w),
+            seen: HashSet::with_capacity(w),
+            leaves: Vec::with_capacity(w),
+            union: Vec::with_capacity(w * path_len),
+            lifted: Block::dummy(config.block_words),
+            path: Slots::dummy(path_len * config.bucket_size, config.block_words),
+            to_write: Slots::dummy(config.bucket_size, config.block_words),
             tree,
             stash,
             posmap,
@@ -251,7 +303,6 @@ impl LookAheadOram {
             evict_counter: 0,
             stats: AccessStats::default(),
             la: LaStats::default(),
-            staged: None,
         }
     }
 
@@ -271,7 +322,7 @@ impl LookAheadOram {
     /// `max_window`, or any index is out of range.
     pub fn stage_window(&mut self, indices: &[u64]) {
         assert!(
-            self.staged.is_none(),
+            !self.window_staged,
             "stage_window: previous window not yet served"
         );
         assert!(
@@ -283,91 +334,89 @@ impl LookAheadOram {
         for &id in indices {
             assert!(id < self.n_blocks, "stage_window: id {id} out of range");
         }
+        self.staged.clear();
+        self.staged.extend_from_slice(indices);
+        self.window_staged = true;
         if indices.is_empty() {
-            self.staged = Some(Vec::new());
             return;
         }
         let w = indices.len();
         let levels = self.tree.levels();
 
         // Distinct indices in first-occurrence order.
-        let mut distinct: Vec<u64> = Vec::with_capacity(w);
-        let mut seen: HashSet<u64> = HashSet::with_capacity(w);
+        self.distinct.clear();
+        self.seen.clear();
         for &id in indices {
-            if seen.insert(id) {
-                distinct.push(id);
+            if self.seen.insert(id) {
+                self.distinct.push(id);
             }
         }
-        let d = distinct.len();
+        let d = self.distinct.len();
 
         // Exactly W position-map read scans. Slots past the distinct set
         // re-scan id 0 (every Plain lookup is a whole-region scan, so which
         // id is irrelevant) and fetch a fresh uniform dummy path instead.
-        let mut leaves: Vec<u64> = Vec::with_capacity(w);
-        for &id in &distinct {
-            leaves.push(self.posmap.get(id, &mut self.stats));
+        self.leaves.clear();
+        for &id in &self.distinct {
+            self.leaves.push(self.posmap.get(id, &mut self.stats));
         }
         for _ in d..w {
             let _ = self.posmap.get(0, &mut self.stats);
-            leaves.push(self.rng.gen_range(0..self.tree.leaves()));
+            self.leaves.push(self.rng.gen_range(0..self.tree.leaves()));
         }
 
         // Deduplicate the W paths' buckets (sorted by bucket index so the
         // read order is a deterministic function of the leaf set).
-        let mut union: BTreeMap<usize, (u32, u64)> = BTreeMap::new();
-        for &leaf in &leaves {
+        self.union.clear();
+        for &leaf in &self.leaves {
             for level in 0..=levels {
-                union
-                    .entry(self.tree.bucket_index(level, leaf))
-                    .or_insert((level, leaf));
+                self.union.push(self.tree.bucket_index(level, leaf));
             }
         }
+        self.union.sort_unstable();
+        self.union.dedup();
 
-        // Read each distinct bucket once into local scratch.
-        let mut scratch: Vec<((u32, u64), Vec<Block>)> = Vec::with_capacity(union.len());
-        for &(level, leaf) in union.values() {
-            let bucket = self.tree.read_bucket(level, leaf);
+        // Fetch each distinct bucket once.
+        for &idx in &self.union {
+            self.tree.read_bucket(idx);
             self.stats.bucket_reads += 1;
             self.stats.bytes_moved += self.tree.bucket_bytes();
-            scratch.push(((level, leaf), bucket));
         }
 
         // Exactly W oblivious stash inserts: slot k lifts distinct[k] out of
-        // the scratch buckets (constant-time scan over every fetched slot);
-        // pad slots insert a dummy (a no-op that still scans the whole
-        // stash) without re-scanning scratch — the duplicate count is
-        // already public through `staged_fetches`/`prefetch_hits` and the
-        // traced size of the deduplicated bucket union, so only the
+        // the fetched buckets where they lie (constant-time scan over every
+        // fetched slot); pad slots insert a dummy (a no-op that still scans
+        // the whole stash) without re-scanning the buckets — the duplicate
+        // count is already public through `staged_fetches`/`prefetch_hits`
+        // and the traced size of the deduplicated bucket union, so only the
         // per-slot scan shape needs to be constant, not the slot count.
-        let words = self.tree.block_words();
-        let pad = Block::dummy(words);
-        for &target in &distinct {
-            let mut lifted = Block::dummy(words);
-            for (_, bucket) in scratch.iter_mut() {
-                for slot in bucket.iter_mut() {
+        for &target in &self.distinct {
+            self.lifted.id = DUMMY_ID;
+            for &idx in &self.union {
+                for mut slot in self.tree.bucket_mut(idx).slots_mut() {
                     let take = slot.ct_is(target);
-                    lifted.ct_assign_from(take, slot);
-                    slot.ct_clear(take);
+                    self.lifted.as_mut().ct_take_from(take, &mut slot);
                 }
             }
-            self.stash.insert(&lifted, &mut self.stats);
+            self.stash.insert(self.lifted.as_ref(), &mut self.stats);
         }
+        self.lifted.id = DUMMY_ID;
         for _ in d..w {
-            self.stash.insert(&pad, &mut self.stats);
+            self.stash.insert(self.lifted.as_ref(), &mut self.stats);
         }
 
-        // Write the scrubbed buckets back (same deterministic order).
-        for ((level, leaf), bucket) in scratch {
-            self.tree.write_bucket(level, leaf, bucket);
+        // Report the scrubbed buckets' write-back (same deterministic
+        // order; the scrubbing above already happened in place).
+        for &idx in &self.union {
+            self.tree.write_bucket(idx);
             self.stats.bucket_writes += 1;
             self.stats.bytes_moved += self.tree.bucket_bytes();
         }
 
         self.la.prefetch_hits += (w - d) as u64;
         self.la.staged_fetches += d as u64;
-        self.la.bucket_reads_saved += (w * (levels as usize + 1) - union.len()) as u64;
+        self.la.bucket_reads_saved += (w * (levels as usize + 1) - self.union.len()) as u64;
         self.update_high_water();
-        self.staged = Some(indices.to_vec());
     }
 
     /// Serves a staged window and runs its combined evictions.
@@ -385,59 +434,80 @@ impl LookAheadOram {
     /// Panics if no window is staged or `ops` does not match the staged
     /// index sequence.
     pub fn serve_window(&mut self, ops: &[WindowOp]) -> Vec<Vec<u32>> {
-        let staged = self
-            .staged
-            .take()
-            .expect("serve_window: no window staged — call stage_window first");
+        assert!(
+            self.window_staged,
+            "serve_window: no window staged — call stage_window first"
+        );
         assert_eq!(
-            staged.len(),
+            self.staged.len(),
             ops.len(),
             "serve_window: ops length differs from the staged window"
         );
-        for (op, &id) in ops.iter().zip(staged.iter()) {
+        let words = self.tree.block_words();
+        for (op, &id) in ops.iter().zip(self.staged.iter()) {
             assert_eq!(
                 op.index(),
                 id,
                 "serve_window: ops must target the staged indices in order"
             );
+            match op {
+                WindowOp::Read(_) => {}
+                WindowOp::Write(_, val) => {
+                    assert_eq!(val.len(), words, "WindowOp::Write: wrong width")
+                }
+                WindowOp::AddF32(_, delta) => {
+                    assert_eq!(delta.len(), words, "WindowOp::AddF32: wrong width")
+                }
+            }
         }
-        if ops.is_empty() {
-            return Vec::new();
-        }
-        let words = self.tree.block_words();
         let mut out = Vec::with_capacity(ops.len());
-        for op in ops {
-            let data = match op {
-                WindowOp::Read(id) => self.serve_one(*id, &mut |_| {}),
-                WindowOp::Write(id, val) => {
-                    assert_eq!(val.len(), words, "WindowOp::Write: wrong width");
-                    self.serve_one(*id, &mut |d| d.copy_from_slice(val))
-                }
-                WindowOp::AddF32(id, delta) => {
-                    assert_eq!(delta.len(), words, "WindowOp::AddF32: wrong width");
-                    self.serve_one(*id, &mut |d| {
-                        for (wd, g) in d.iter_mut().zip(delta.iter()) {
-                            *wd = (f32::from_bits(*wd) + g).to_bits();
-                        }
-                    })
-                }
-            };
-            out.push(data);
+        self.serve_window_with(&mut |k, data| {
+            match &ops[k] {
+                WindowOp::Read(_) => {}
+                WindowOp::Write(_, val) => data.copy_from_slice(val),
+                WindowOp::AddF32(_, delta) => add_f32(data, delta),
+            }
+            out.push(data.to_vec());
+        });
+        out
+    }
+
+    /// Serves a staged window through a visitor: `visit(k, block)` is
+    /// handed the `k`-th staged index's payload in place — whatever it
+    /// leaves there is stored — so callers can apply their update and copy
+    /// the result wherever it is wanted without any intermediate buffer.
+    /// Runs the window's combined evictions afterwards; same trace as
+    /// [`Self::serve_window`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if no window is staged.
+    pub fn serve_window_with(&mut self, visit: &mut dyn FnMut(usize, &mut [u32])) {
+        assert!(
+            self.window_staged,
+            "serve_window: no window staged — call stage_window first"
+        );
+        self.window_staged = false;
+        let w = self.staged.len();
+        if w == 0 {
+            return;
+        }
+        for k in 0..w {
+            self.serve_one(self.staged[k], &mut |data| visit(k, data));
         }
 
         // Combined evictions: ceil(W / evict_ratio) deterministic
         // reverse-lexicographic paths for the whole window.
-        let e = ops.len().div_ceil(self.config.evict_ratio).max(1);
+        let e = w.div_ceil(self.config.evict_ratio).max(1);
         for _ in 0..e {
             self.evict_once();
         }
 
         self.la.windows += 1;
-        self.la.ops += ops.len() as u64;
+        self.la.ops += w as u64;
         self.la.combined_evictions += e as u64;
-        self.la.evictions_saved += (ops.len() - e) as u64;
+        self.la.evictions_saved += (w - e) as u64;
         self.update_high_water();
-        out
     }
 
     /// Stages and serves `ops` as one window. See [`Self::stage_window`]
@@ -451,18 +521,17 @@ impl LookAheadOram {
     /// One serve step: position-map remap + two-scan stash visit. The block
     /// *must* already be in the stash (staged, or retained from an earlier
     /// window and not yet evicted).
-    fn serve_one(&mut self, id: u64, mutate: &mut dyn FnMut(&mut [u32])) -> Vec<u32> {
+    fn serve_one(&mut self, id: u64, mutate: &mut dyn FnMut(&mut [u32])) {
         self.stats.accesses += 1;
         let new_leaf = self.rng.gen_range(0..self.tree.leaves());
         let _old = self.posmap.get_and_set(id, new_leaf, &mut self.stats);
-        let (found, data) = self
+        let found = self
             .stash
             .find_update(id, new_leaf, mutate, &mut self.stats);
         assert!(
             found,
             "LookAheadOram invariant violated: block {id} not in stash at serve time"
         );
-        data
     }
 
     /// One combined eviction along the next reverse-lexicographic path,
@@ -485,46 +554,43 @@ impl LookAheadOram {
         let leaf = bit_reverse(self.evict_counter % self.tree.leaves(), self.tree.levels());
         self.evict_counter += 1;
         let levels = self.tree.levels();
-        let mut scratch: Vec<Block> =
-            Vec::with_capacity((levels as usize + 1) * self.tree.bucket_size());
+        let z = self.tree.bucket_size();
         for level in 0..=levels {
-            let bucket = self.tree.read_bucket(level, leaf);
+            let bucket = self.tree.read_bucket(self.tree.bucket_index(level, leaf));
             self.stats.bucket_reads += 1;
             self.stats.bytes_moved += self.tree.bucket_bytes();
-            scratch.extend(bucket);
+            let at = level as usize * z;
+            self.path.view_mut(at..at + z).copy_from(bucket);
         }
-        let z = self.tree.bucket_size();
-        let words = self.tree.block_words();
         for level in (0..=levels).rev() {
-            let mut bucket = Vec::with_capacity(z);
-            for _ in 0..z {
+            for mut picked in self.to_write.all_mut().slots_mut() {
                 // Joint selection, constant shape: every scratch slot is
                 // visited, then the whole stash, whatever gets taken.
-                let mut picked = Block::dummy(words);
+                picked.set_dummy();
                 let mut done = Choice::FALSE;
-                for slot in scratch.iter_mut() {
+                for mut slot in self.path.all_mut().slots_mut() {
                     let eligible = !slot.ct_is_dummy()
-                        & Choice::from_bool(self.tree.deepest_legal(slot.leaf, leaf) >= level);
+                        & Choice::from_bool(self.tree.deepest_legal(*slot.leaf, leaf) >= level);
                     let take = eligible & !done;
-                    picked.ct_assign_from(take, slot);
-                    slot.ct_clear(take);
+                    picked.ct_take_from(take, &mut slot);
                     done = done | take;
                 }
-                let from_stash = self.stash.extract_eligible_if(
+                self.stash.extract_eligible_if(
                     !done,
                     level,
                     |bl| self.tree.deepest_legal(bl, leaf),
+                    picked,
                     &mut self.stats,
                 );
-                picked.ct_assign_from(!done, &from_stash);
-                bucket.push(picked);
             }
-            self.tree.write_bucket(level, leaf, bucket);
+            self.tree
+                .write_bucket(self.tree.bucket_index(level, leaf))
+                .copy_from(self.to_write.all());
             self.stats.bucket_writes += 1;
             self.stats.bytes_moved += self.tree.bucket_bytes();
         }
         assert!(
-            scratch.iter().all(Block::is_dummy),
+            self.path.all().slots().all(|b| b.is_dummy()),
             "eviction invariant violated: a path block was stranded"
         );
         self.stats.evictions += 1;
@@ -555,55 +621,23 @@ impl LookAheadOram {
     /// Exhaustively checks the structural invariants between windows:
     /// every block exists exactly once (tree or stash), tree residents sit
     /// on the path to their mapped leaf, and every resident's leaf agrees
-    /// with the position map. Untraced debugging/testing aid — quadratic,
-    /// never called on a serving path.
+    /// with the position map. Untraced debugging/testing aid — linear in
+    /// the tree, never called on a serving path.
     ///
     /// # Panics
     ///
     /// Panics on any violation, or if a window is currently staged (the
     /// intermediate state intentionally breaks the leaf-agreement check).
-    pub fn check_invariants(&mut self) {
+    pub fn check_invariants(&self) {
         assert!(
-            self.staged.is_none(),
+            !self.window_staged,
             "check_invariants: call between windows, not mid-window"
         );
-        let labels: Vec<u64> = match &self.posmap {
-            PosMap::Plain { labels, .. } => labels.clone(),
-            PosMap::Recursive { .. } => unreachable!("LAORAM posmap is always flat"),
-        };
-        let levels = self.tree.levels();
-        let mut copies = vec![0u32; self.n_blocks as usize];
-        for level in 0..=levels {
-            for b in 0..(1u64 << level) {
-                let leaf = b << (levels - level);
-                let bucket = self.tree.bucket_mut_untraced(level, leaf).clone();
-                for blk in bucket.iter().filter(|blk| !blk.is_dummy()) {
-                    copies[blk.id as usize] += 1;
-                    assert_eq!(
-                        labels[blk.id as usize], blk.leaf,
-                        "block {} leaf disagrees with posmap",
-                        blk.id
-                    );
-                    assert_eq!(
-                        self.tree.bucket_index(level, blk.leaf),
-                        self.tree.bucket_index(level, leaf),
-                        "block {} resides off its mapped path",
-                        blk.id
-                    );
-                }
-            }
-        }
-        for blk in self.stash.slots().iter().filter(|blk| !blk.is_dummy()) {
-            copies[blk.id as usize] += 1;
-            assert_eq!(
-                labels[blk.id as usize], blk.leaf,
-                "stashed block {} leaf disagrees with posmap",
-                blk.id
-            );
-        }
-        for (id, &c) in copies.iter().enumerate() {
-            assert_eq!(c, 1, "block {id} has {c} copies (must be exactly 1)");
-        }
+        let labels = self
+            .posmap
+            .plain_labels()
+            .expect("LAORAM posmap is always flat");
+        check_residency(&self.tree, &self.stash, self.n_blocks, Some(labels));
         assert!(
             self.stash.occupancy() <= self.stash.capacity(),
             "stash over capacity"
@@ -611,17 +645,32 @@ impl LookAheadOram {
     }
 }
 
+/// [`WindowOp::AddF32`]'s payload arithmetic: `data[i] += delta[i]` on
+/// `f32` bit patterns.
+pub fn add_f32(data: &mut [u32], delta: &[f32]) {
+    for (w, g) in data.iter_mut().zip(delta) {
+        *w = (f32::from_bits(*w) + g).to_bits();
+    }
+}
+
 impl Oram for LookAheadOram {
-    fn access_mut(&mut self, id: u64, mutate: &mut dyn FnMut(&mut [u32])) -> Vec<u32> {
+    fn access_into(&mut self, id: u64, mutate: &mut dyn FnMut(&mut [u32]), out: &mut [u32]) {
+        assert_eq!(
+            out.len(),
+            self.config.block_words,
+            "LookAheadOram: out length != block_words"
+        );
         self.stage_window(&[id]);
-        self.staged = None;
-        let data = self.serve_one(id, mutate);
+        self.window_staged = false;
+        self.serve_one(id, &mut |data| {
+            mutate(data);
+            out.copy_from_slice(data);
+        });
         self.evict_once();
         self.la.windows += 1;
         self.la.ops += 1;
         self.la.combined_evictions += 1;
         self.update_high_water();
-        data
     }
 
     fn len(&self) -> u64 {

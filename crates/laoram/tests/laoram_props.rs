@@ -4,6 +4,10 @@
 //! exactly once (no duplicate copies across tree and stash), and every
 //! resident leaf agreeing with the position map.
 
+#[path = "../../oram/tests/support/fnv.rs"]
+mod fnv;
+
+use fnv::{trace_hash, Fnv};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -88,4 +92,130 @@ proptest! {
         };
         prop_assert_eq!(shape(&ids_a), shape(&ids_b));
     }
+}
+
+/// Golden trace: the exact tracer event stream, returned payloads and
+/// final counters of 40 seeded mixed windows, recorded on the
+/// `Vec<Vec<Block>>` implementation before the flat-arena rewrite. Any
+/// drift means the algorithm (not just where the bytes live) changed.
+#[test]
+fn golden_trace_forty_windows() {
+    use rand::Rng;
+    use secemb_oram::Oram;
+
+    let blocks: Vec<Vec<u32>> = (0..96u32).map(|i| vec![i, !i]).collect();
+    let mut la = LookAheadOram::new(&blocks, LaConfig::new(2), StdRng::seed_from_u64(2025));
+    let mut rng = StdRng::seed_from_u64(0x5ec_e4b);
+    let mut data_hash = Fnv::new();
+    let ((), trace) = secemb_trace::tracer::record_trace(|| {
+        for _ in 0..40 {
+            let w = rng.gen_range(1..=16usize);
+            let ops: Vec<WindowOp> = (0..w)
+                .map(|_| {
+                    let id = rng.gen_range(0..96u64);
+                    match rng.gen_range(0..3u32) {
+                        0 => WindowOp::Read(id),
+                        1 => WindowOp::Write(id, vec![rng.gen(), rng.gen()]),
+                        _ => WindowOp::AddF32(id, vec![rng.gen_range(-4..4) as f32; 2]),
+                    }
+                })
+                .collect();
+            for row in la.process_window(&ops) {
+                for word in row {
+                    data_hash.write(&word.to_le_bytes());
+                }
+            }
+        }
+    });
+    assert_eq!(
+        trace_hash(&trace),
+        0x49a3_6047_ac9d_7d53,
+        "event stream drifted"
+    );
+    assert_eq!(
+        data_hash.0, 0x7152_8fcb_0f1b_fe0f,
+        "returned payloads drifted"
+    );
+    assert_eq!(
+        la.stats(),
+        secemb_oram::AccessStats {
+            accesses: 345,
+            bucket_reads: 2590,
+            bucket_writes: 2590,
+            stash_scans: 6131,
+            stash_slots_scanned: 784_768,
+            posmap_accesses: 690,
+            bytes_moved: 497_280,
+            evictions: 182,
+        }
+    );
+    assert_eq!(
+        la.la_stats(),
+        secemb_laoram::LaStats {
+            windows: 40,
+            ops: 345,
+            prefetch_hits: 14,
+            staged_fetches: 331,
+            bucket_reads_saved: 1099,
+            combined_evictions: 182,
+            evictions_saved: 163,
+            stash_high_water: 16,
+        }
+    );
+}
+
+/// Soak: 20 000 seeded accesses in mixed windows against a plain model,
+/// the stash bound checked after every window and the full structural
+/// invariants periodically.
+#[test]
+fn soak_20k_accesses() {
+    use rand::Rng;
+    use secemb_oram::Oram;
+    use std::collections::HashMap;
+
+    let blocks: Vec<Vec<u32>> = (0..N as u32).map(|i| vec![i; WORDS]).collect();
+    let config = LaConfig::new(WORDS);
+    let mut la = LookAheadOram::new(&blocks, config, StdRng::seed_from_u64(77));
+    let mut model: HashMap<u64, Vec<u32>> = HashMap::new();
+    let mut rng = StdRng::seed_from_u64(0xdecade);
+    let mut served = 0usize;
+    let mut window = 0u32;
+    while served < 20_000 {
+        let w = rng.gen_range(1..=la.max_window());
+        let mut expect = Vec::with_capacity(w);
+        let ops: Vec<WindowOp> = (0..w)
+            .map(|_| {
+                let id = rng.gen_range(0..N);
+                let row = model.entry(id).or_insert_with(|| vec![id as u32; WORDS]);
+                let op = match rng.gen_range(0..3u32) {
+                    0 => WindowOp::Read(id),
+                    1 => {
+                        *row = (0..WORDS).map(|_| rng.gen()).collect();
+                        WindowOp::Write(id, row.clone())
+                    }
+                    _ => {
+                        let delta = vec![rng.gen_range(-4..4) as f32; WORDS];
+                        for (word, g) in row.iter_mut().zip(&delta) {
+                            *word = (f32::from_bits(*word) + g).to_bits();
+                        }
+                        WindowOp::AddF32(id, delta)
+                    }
+                };
+                expect.push(row.clone());
+                op
+            })
+            .collect();
+        assert_eq!(la.process_window(&ops), expect, "window {window}");
+        assert!(
+            la.stash_occupancy() <= config.stash_capacity,
+            "window {window}: stash over capacity"
+        );
+        if window.is_multiple_of(50) {
+            la.check_invariants();
+        }
+        served += w;
+        window += 1;
+    }
+    la.check_invariants();
+    assert!(la.la_stats().stash_high_water <= config.stash_capacity);
 }

@@ -72,6 +72,31 @@ pub fn assign_slice_f32(cond: Choice, dst: &mut [f32], src: &[f32]) {
     }
 }
 
+/// Conditional assignment of a `u32` slice, element-wise: the payload
+/// kernel under every ORAM block move (tree ↔ stash ↔ eviction scratch).
+/// Reads and rewrites every word of `dst` whatever `cond` is.
+///
+/// # Panics
+///
+/// Panics if the slices have different lengths (lengths are public).
+///
+/// ```
+/// use secemb_obliv::{select, Choice};
+/// let mut out = [9u32; 3];
+/// select::assign_slice_u32(Choice::FALSE, &mut out, &[1, 2, 3]);
+/// assert_eq!(out, [9, 9, 9]);
+/// select::assign_slice_u32(Choice::TRUE, &mut out, &[1, 2, 3]);
+/// assert_eq!(out, [1, 2, 3]);
+/// ```
+#[inline]
+pub fn assign_slice_u32(cond: Choice, dst: &mut [u32], src: &[u32]) {
+    assert_eq!(dst.len(), src.len(), "assign_slice_u32: length mismatch");
+    let m = cond.mask() as u32;
+    for (d, s) in dst.iter_mut().zip(src.iter()) {
+        *d = (*s & m) | (*d & !m);
+    }
+}
+
 /// Conditional assignment of a single `u64`: `*dst = cond ? src : *dst`.
 #[inline]
 pub fn assign_u64(cond: Choice, dst: &mut u64, src: u64) {
@@ -126,6 +151,21 @@ mod tests {
         assert_eq!(dst, vec![1, 2, 3]);
         assign_slice_u8(Choice::FALSE, &mut dst, &[7, 8, 9]);
         assert_eq!(dst, vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn word_assign() {
+        let mut dst = vec![0u32; 3];
+        assign_slice_u32(Choice::TRUE, &mut dst, &[1, 2, u32::MAX]);
+        assert_eq!(dst, vec![1, 2, u32::MAX]);
+        assign_slice_u32(Choice::FALSE, &mut dst, &[7, 8, 9]);
+        assert_eq!(dst, vec![1, 2, u32::MAX]);
+    }
+
+    #[test]
+    #[should_panic(expected = "assign_slice_u32: length mismatch")]
+    fn word_assign_len_mismatch_panics() {
+        assign_slice_u32(Choice::TRUE, &mut [0u32; 2], &[1]);
     }
 
     #[test]

@@ -1,9 +1,12 @@
 //! Circuit ORAM (Wang, Chan & Shi, CCS'15), recursive.
 
-use crate::block::Block;
+use crate::block::{Block, DUMMY_ID};
 use crate::config::OramConfig;
 use crate::posmap::PosMap;
-use crate::setup::{bit_reverse, initial_layout, posmap_region, stash_region, tree_region};
+use crate::setup::{
+    bit_reverse, check_residency, fill_from_blocks, initial_layout, posmap_region, stash_region,
+    tree_region,
+};
 use crate::stash::Stash;
 use crate::stats::AccessStats;
 use crate::tree::Tree;
@@ -25,6 +28,9 @@ const STASH_LEVEL: i64 = -1;
 /// in a single sweep with one "held" block — the design that lets Circuit
 /// ORAM work with a stash 15× smaller than Path ORAM's and far fewer
 /// oblivious stash iterations (§IV-A2).
+///
+/// Buckets are mutated in place in the tree arena; the only blocks that
+/// ever leave it are the three single-block scratch buffers below.
 #[derive(Debug)]
 pub struct CircuitOram {
     tree: Tree,
@@ -36,6 +42,16 @@ pub struct CircuitOram {
     stats: AccessStats,
     /// Reverse-lexicographic eviction counter.
     evict_counter: u64,
+    /// The block being served.
+    found: Block,
+    /// Eviction: the block in flight down the path.
+    hold: Block,
+    /// Eviction: the block being dropped at the current level.
+    to_write: Block,
+    /// Eviction metadata, one entry per level.
+    deepest: Vec<Option<i64>>,
+    target: Vec<Option<i64>>,
+    has_empty: Vec<bool>,
 }
 
 impl CircuitOram {
@@ -46,32 +62,62 @@ impl CircuitOram {
     /// Panics if `blocks` is empty, if any block's width differs from
     /// `config.block_words`, or if the config is invalid.
     pub fn new(blocks: &[Vec<u32>], config: OramConfig, rng: StdRng) -> Self {
-        Self::with_depth(blocks, config, rng, 0)
+        Self::from_fn(
+            blocks.len() as u64,
+            config,
+            rng,
+            &mut fill_from_blocks(blocks),
+        )
     }
 
-    fn with_depth(blocks: &[Vec<u32>], config: OramConfig, mut rng: StdRng, depth: u32) -> Self {
+    /// Builds an ORAM of `n_blocks` blocks whose contents come from
+    /// `fill(id, payload)`, called once per block with the block's own
+    /// arena slot — the block set is never materialised a second time.
+    /// Draws from `rng` exactly as [`CircuitOram::new`] does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_blocks` is zero or the config is invalid.
+    pub fn from_fn(
+        n_blocks: u64,
+        config: OramConfig,
+        rng: StdRng,
+        fill: &mut dyn FnMut(u64, &mut [u32]),
+    ) -> Self {
+        Self::with_depth(n_blocks, config, rng, 0, fill)
+    }
+
+    fn with_depth(
+        n_blocks: u64,
+        config: OramConfig,
+        mut rng: StdRng,
+        depth: u32,
+        fill: &mut dyn FnMut(u64, &mut [u32]),
+    ) -> Self {
         config.validate();
-        assert!(!blocks.is_empty(), "CircuitOram: empty block set");
-        let n_blocks = blocks.len() as u64;
+        assert!(n_blocks > 0, "CircuitOram: empty block set");
         let mut tree = Tree::new(n_blocks, &config, tree_region(depth));
         let mut stash = Stash::new(&config, stash_region(depth));
-        let labels = initial_layout(blocks, &mut tree, &mut stash, &mut rng);
+        let labels = initial_layout(n_blocks, &mut tree, &mut stash, &mut rng, fill);
         let inner_seed: u64 = rng.gen();
         let posmap = PosMap::build(
             labels,
             &config,
             posmap_region(depth),
-            &mut |pm_blocks, fanout| {
+            &mut |n_inner, fanout, fill_inner| {
                 let mut inner_cfg = config;
                 inner_cfg.block_words = fanout;
                 Box::new(CircuitOram::with_depth(
-                    &pm_blocks,
+                    n_inner,
                     inner_cfg,
                     StdRng::seed_from_u64(inner_seed),
                     depth + 1,
+                    fill_inner,
                 ))
             },
         );
+        let path_len = tree.levels() as usize + 1;
+        let words = config.block_words;
         CircuitOram {
             tree,
             stash,
@@ -81,6 +127,12 @@ impl CircuitOram {
             rng,
             stats: AccessStats::default(),
             evict_counter: 0,
+            found: Block::dummy(words),
+            hold: Block::dummy(words),
+            to_write: Block::dummy(words),
+            deepest: vec![None; path_len],
+            target: vec![None; path_len],
+            has_empty: vec![false; path_len],
         }
     }
 
@@ -94,6 +146,23 @@ impl CircuitOram {
         self.tree.levels()
     }
 
+    /// Exhaustively checks, between accesses, that every block exists
+    /// exactly once — on the path to its own leaf or in the stash — at
+    /// this level and every position-map recursion level below it that is
+    /// flat enough to read. Untraced testing aid, linear in the tree.
+    ///
+    /// # Panics
+    ///
+    /// Panics on any violation.
+    pub fn check_invariants(&self) {
+        check_residency(
+            &self.tree,
+            &self.stash,
+            self.n_blocks,
+            self.posmap.plain_labels(),
+        );
+    }
+
     fn next_evict_leaf(&mut self) -> u64 {
         let leaves = self.tree.leaves();
         let leaf = bit_reverse(self.evict_counter % leaves, self.tree.levels());
@@ -103,34 +172,46 @@ impl CircuitOram {
 
     /// One metadata-prepared single-pass eviction along the path to `leaf`.
     fn evict(&mut self, leaf: u64) {
-        let levels = self.tree.levels() as usize;
-        let score = |l: u64| self.tree.deepest_legal(l, leaf);
+        let CircuitOram {
+            tree,
+            stash,
+            stats,
+            hold,
+            to_write,
+            deepest,
+            target,
+            has_empty,
+            ..
+        } = self;
+        let levels = tree.levels() as usize;
+        let bucket_bytes = tree.bucket_bytes();
 
-        // Read the full path (data + metadata in one transfer).
-        let mut path: Vec<Vec<Block>> = (0..=levels)
-            .map(|i| self.tree.read_bucket(i as u32, leaf))
-            .collect();
-        self.stats.bucket_reads += (levels + 1) as u64;
-        self.stats.bytes_moved += (levels as u64 + 1) * self.tree.bucket_bytes();
-
-        // --- PrepareDeepest: deepest[i] = source level of the deepest
-        // block above level i that can legally move to level i or below.
-        let mut deepest: Vec<Option<i64>> = vec![None; levels + 1];
+        // --- PrepareDeepest, fused with the path read (data + metadata in
+        // one transfer): deepest[i] = source level of the deepest block
+        // above level i that can legally move to level i or below. Reads
+        // only the dense id/leaf arrays.
+        deepest.fill(None);
         let mut src: Option<i64> = None;
         let mut goal: i64 = -1;
-        if let Some(l) = self.stash.deepest_level(score) {
+        if let Some(l) = stash.deepest_level(|l| tree.deepest_legal(l, leaf)) {
             goal = l as i64;
             src = Some(STASH_LEVEL);
         }
         for i in 0..=levels {
+            let bucket = tree.read_bucket(tree.bucket_index(i as u32, leaf));
             if goal >= i as i64 {
                 deepest[i] = src;
             }
-            let l = path[i]
-                .iter()
-                .filter(|b| !b.is_dummy())
-                .map(|b| score(b.leaf) as i64)
-                .max();
+            let mut l: Option<i64> = None;
+            let mut empty = false;
+            for (&id, &block_leaf) in bucket.ids.iter().zip(bucket.leaves) {
+                if id == DUMMY_ID {
+                    empty = true;
+                } else {
+                    l = l.max(Some(tree.deepest_legal(block_leaf, leaf) as i64));
+                }
+            }
+            has_empty[i] = empty;
             if let Some(l) = l {
                 if l > goal {
                     goal = l;
@@ -138,10 +219,12 @@ impl CircuitOram {
                 }
             }
         }
+        stats.bucket_reads += (levels + 1) as u64;
+        stats.bytes_moved += (levels as u64 + 1) * bucket_bytes;
 
         // --- PrepareTarget: target[i] = level the block picked up at i
         // will be dropped at.
-        let mut target: Vec<Option<i64>> = vec![None; levels + 1];
+        target.fill(None);
         let mut target_stash: Option<i64> = None;
         let mut dest: Option<i64> = None;
         let mut src2: Option<i64> = None;
@@ -151,8 +234,7 @@ impl CircuitOram {
                 dest = None;
                 src2 = None;
             }
-            let has_empty = path[i].iter().any(|b| b.is_dummy());
-            if ((dest.is_none() && has_empty) || target[i].is_some()) && deepest[i].is_some() {
+            if ((dest.is_none() && has_empty[i]) || target[i].is_some()) && deepest[i].is_some() {
                 src2 = deepest[i];
                 dest = Some(i as i64);
             }
@@ -161,109 +243,101 @@ impl CircuitOram {
             target_stash = dest;
         }
 
-        // --- EvictOnceFast: single root-to-leaf sweep with one held block.
-        let words = self.config.block_words;
-        let mut hold = Block::dummy(words);
+        // --- EvictOnceFast: single root-to-leaf sweep with one held block,
+        // each bucket rewritten in place as the sweep passes it.
+        debug_assert!(hold.is_dummy() && to_write.is_dummy());
         let mut hold_dest: Option<i64> = None;
         if let Some(d) = target_stash {
-            hold = self.stash.extract_deepest(score, &mut self.stats);
+            stash.extract_deepest(|l| tree.deepest_legal(l, leaf), hold.as_mut(), stats);
             debug_assert!(!hold.is_dummy(), "target_stash implies an eligible block");
             hold_dest = Some(d);
         }
-        for i in 0..=levels {
-            let mut to_write = Block::dummy(words);
+        for (i, &drop_at) in target.iter().enumerate() {
             if !hold.is_dummy() && hold_dest == Some(i as i64) {
-                to_write = std::mem::replace(&mut hold, Block::dummy(words));
+                std::mem::swap(hold, to_write);
                 hold_dest = None;
             }
-            if target[i].is_some() {
+            let idx = tree.bucket_index(i as u32, leaf);
+            if drop_at.is_some() {
                 // Remove the deepest block of this bucket into the hold.
+                let bucket = tree.bucket(idx);
                 let mut best: Option<(u32, usize)> = None;
-                for (s, b) in path[i].iter().enumerate() {
-                    if b.is_dummy() {
+                for (s, (&id, &block_leaf)) in bucket.ids.iter().zip(bucket.leaves).enumerate() {
+                    if id == DUMMY_ID {
                         continue;
                     }
-                    let d = score(b.leaf);
+                    let d = tree.deepest_legal(block_leaf, leaf);
                     if best.is_none_or(|(bd, _)| d > bd) {
                         best = Some((d, s));
                     }
                 }
                 let (_, slot) = best.expect("target level must hold a block");
                 // Constant-time removal by slot index.
-                for (s, b) in path[i].iter_mut().enumerate() {
+                for (s, mut b) in tree.bucket_mut(idx).slots_mut().enumerate() {
                     let take = Choice::from_bool(s == slot);
-                    hold.ct_assign_from(take, b);
-                    b.ct_clear(take);
+                    hold.as_mut().ct_take_from(take, &mut b);
                 }
-                hold_dest = target[i];
+                hold_dest = drop_at;
             }
+            let mut bucket = tree.write_bucket(idx);
             if !to_write.is_dummy() {
-                // Place into a free slot (constant-time assignment).
-                let mut placed = Choice::FALSE;
-                for b in path[i].iter_mut() {
-                    let take = b.ct_is_dummy() & !placed;
-                    b.ct_assign_from(take, &to_write);
-                    placed = placed | take;
-                }
+                let placed = bucket.ct_place(to_write.as_ref());
                 assert!(placed.to_bool(), "eviction targeted a full bucket");
+                to_write.id = DUMMY_ID;
             }
         }
         debug_assert!(hold.is_dummy(), "held block must be dropped by the leaf");
-
-        // Write the full path back.
-        for (i, bucket) in path.into_iter().enumerate() {
-            self.tree.write_bucket(i as u32, leaf, bucket);
-        }
-        self.stats.bucket_writes += (levels + 1) as u64;
-        self.stats.bytes_moved += (levels as u64 + 1) * self.tree.bucket_bytes();
-        self.stats.evictions += 1;
+        stats.bucket_writes += (levels + 1) as u64;
+        stats.bytes_moved += (levels as u64 + 1) * bucket_bytes;
+        stats.evictions += 1;
     }
 }
 
 impl Oram for CircuitOram {
-    fn access_mut(&mut self, id: u64, mutate: &mut dyn FnMut(&mut [u32])) -> Vec<u32> {
+    fn access_into(&mut self, id: u64, mutate: &mut dyn FnMut(&mut [u32]), out: &mut [u32]) {
         assert!(id < self.n_blocks, "CircuitOram: id {id} out of range");
+        assert_eq!(
+            out.len(),
+            self.config.block_words,
+            "CircuitOram: out length != block_words"
+        );
         self.stats.accesses += 1;
         let new_leaf = self.rng.gen_range(0..self.tree.leaves());
         let old_leaf = self.posmap.get_and_set(id, new_leaf, &mut self.stats);
 
-        // Scan the path, lifting only the requested block.
-        let levels = self.tree.levels();
-        let words = self.config.block_words;
-        let mut found = Block::dummy(words);
-        for level in 0..=levels {
-            let mut bucket = self.tree.read_bucket(level, old_leaf);
+        // Scan the path, lifting only the requested block out of the
+        // buckets where they lie.
+        let found = &mut self.found;
+        found.id = DUMMY_ID;
+        for level in 0..=self.tree.levels() {
+            let idx = self.tree.bucket_index(level, old_leaf);
+            self.tree.read_bucket(idx);
             self.stats.bucket_reads += 1;
             self.stats.bytes_moved += self.tree.bucket_bytes();
-            for b in bucket.iter_mut() {
+            for mut b in self.tree.write_bucket(idx).slots_mut() {
                 let take = b.ct_is(id);
-                found.ct_assign_from(take, b);
-                b.ct_clear(take);
+                found.as_mut().ct_take_from(take, &mut b);
             }
-            self.tree.write_bucket(level, old_leaf, bucket);
             self.stats.bucket_writes += 1;
             self.stats.bytes_moved += self.tree.bucket_bytes();
         }
         // The block may instead be waiting in the stash.
-        let from_stash = self.stash.extract(id, &mut self.stats);
-        let take = from_stash.ct_is(id);
-        found.ct_assign_from(take, &from_stash);
+        self.stash.extract(id, found.as_mut(), &mut self.stats);
         assert!(
-            found.ct_is(id).to_bool(),
+            found.as_ref().ct_is(id).to_bool(),
             "CircuitOram invariant violated: block {id} not found"
         );
 
         found.leaf = new_leaf;
         mutate(&mut found.data);
-        let result = found.data.clone();
-        self.stash.insert(&found, &mut self.stats);
+        out.copy_from_slice(&found.data);
+        self.stash.insert(found.as_ref(), &mut self.stats);
 
         // Two deterministic evictions per access.
         for _ in 0..2 {
             let leaf = self.next_evict_leaf();
             self.evict(leaf);
         }
-        result
     }
 
     fn len(&self) -> u64 {

@@ -24,6 +24,12 @@
 //! assumed: the structural access pattern is input-independent, and fetched
 //! paths are uniformly distributed regardless of the request sequence.
 //!
+//! Storage is a flat arena ([`block::Slots`]: an id array, a leaf array and
+//! one contiguous payload array) per tree and per stash, plus fixed scratch
+//! per controller. Controllers mutate buckets in place through borrowed
+//! views, so a steady-state access performs no heap allocation
+//! ([`Oram::access_into`]).
+//!
 //! The building blocks ([`tree`], [`stash`], [`posmap`], [`block`],
 //! [`setup`]) are public so sibling controllers — notably the look-ahead
 //! ORAM in `secemb-laoram` — can compose them without re-implementing the
@@ -93,7 +99,20 @@ pub trait Oram {
     /// # Panics
     ///
     /// Panics if `id` is out of range.
-    fn access_mut(&mut self, id: u64, mutate: &mut dyn FnMut(&mut [u32])) -> Vec<u32>;
+    fn access_mut(&mut self, id: u64, mutate: &mut dyn FnMut(&mut [u32])) -> Vec<u32> {
+        let mut out = vec![0; self.block_words()];
+        self.access_into(id, mutate, &mut out);
+        out
+    }
+
+    /// The access primitive: reads block `id`, lets `mutate` edit it in
+    /// place, stores the result, and copies the block contents *after*
+    /// mutation into `out`. Performs no heap allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of range or `out.len() != block_words()`.
+    fn access_into(&mut self, id: u64, mutate: &mut dyn FnMut(&mut [u32]), out: &mut [u32]);
 
     /// Number of addressable blocks.
     fn len(&self) -> u64;

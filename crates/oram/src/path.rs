@@ -1,8 +1,11 @@
 //! Path ORAM (Stefanov et al., CCS'13), recursive, stash-hardened.
 
+use crate::block::Slots;
 use crate::config::OramConfig;
 use crate::posmap::PosMap;
-use crate::setup::{initial_layout, posmap_region, stash_region, tree_region};
+use crate::setup::{
+    check_residency, fill_from_blocks, initial_layout, posmap_region, stash_region, tree_region,
+};
 use crate::stash::Stash;
 use crate::stats::AccessStats;
 use crate::tree::Tree;
@@ -27,6 +30,8 @@ pub struct PathOram {
     n_blocks: u64,
     rng: StdRng,
     stats: AccessStats,
+    /// The bucket being assembled for write-back (`Z` slots).
+    to_write: Slots,
 }
 
 impl PathOram {
@@ -37,29 +42,57 @@ impl PathOram {
     /// Panics if `blocks` is empty, if any block's width differs from
     /// `config.block_words`, or if the config is invalid.
     pub fn new(blocks: &[Vec<u32>], config: OramConfig, rng: StdRng) -> Self {
-        Self::with_depth(blocks, config, rng, 0)
+        Self::from_fn(
+            blocks.len() as u64,
+            config,
+            rng,
+            &mut fill_from_blocks(blocks),
+        )
     }
 
-    fn with_depth(blocks: &[Vec<u32>], config: OramConfig, mut rng: StdRng, depth: u32) -> Self {
+    /// Builds an ORAM of `n_blocks` blocks whose contents come from
+    /// `fill(id, payload)`, called once per block with the block's own
+    /// arena slot — the block set is never materialised a second time.
+    /// Draws from `rng` exactly as [`PathOram::new`] does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_blocks` is zero or the config is invalid.
+    pub fn from_fn(
+        n_blocks: u64,
+        config: OramConfig,
+        rng: StdRng,
+        fill: &mut dyn FnMut(u64, &mut [u32]),
+    ) -> Self {
+        Self::with_depth(n_blocks, config, rng, 0, fill)
+    }
+
+    fn with_depth(
+        n_blocks: u64,
+        config: OramConfig,
+        mut rng: StdRng,
+        depth: u32,
+        fill: &mut dyn FnMut(u64, &mut [u32]),
+    ) -> Self {
         config.validate();
-        assert!(!blocks.is_empty(), "PathOram: empty block set");
-        let n_blocks = blocks.len() as u64;
+        assert!(n_blocks > 0, "PathOram: empty block set");
         let mut tree = Tree::new(n_blocks, &config, tree_region(depth));
         let mut stash = Stash::new(&config, stash_region(depth));
-        let labels = initial_layout(blocks, &mut tree, &mut stash, &mut rng);
+        let labels = initial_layout(n_blocks, &mut tree, &mut stash, &mut rng, fill);
         let inner_seed: u64 = rng.gen();
         let posmap = PosMap::build(
             labels,
             &config,
             posmap_region(depth),
-            &mut |pm_blocks, fanout| {
+            &mut |n_inner, fanout, fill_inner| {
                 let mut inner_cfg = config;
                 inner_cfg.block_words = fanout;
                 Box::new(PathOram::with_depth(
-                    &pm_blocks,
+                    n_inner,
                     inner_cfg,
                     StdRng::seed_from_u64(inner_seed),
                     depth + 1,
+                    fill_inner,
                 ))
             },
         );
@@ -71,6 +104,7 @@ impl PathOram {
             n_blocks,
             rng,
             stats: AccessStats::default(),
+            to_write: Slots::dummy(config.bucket_size, config.block_words),
         }
     }
 
@@ -83,51 +117,81 @@ impl PathOram {
     pub fn levels(&self) -> u32 {
         self.tree.levels()
     }
+
+    /// Exhaustively checks, between accesses, that every block exists
+    /// exactly once — on the path to its own leaf or in the stash — and,
+    /// when the position map is flat, that its leaf agrees with the map.
+    /// Untraced testing aid, linear in the tree.
+    ///
+    /// # Panics
+    ///
+    /// Panics on any violation.
+    pub fn check_invariants(&self) {
+        check_residency(
+            &self.tree,
+            &self.stash,
+            self.n_blocks,
+            self.posmap.plain_labels(),
+        );
+    }
 }
 
 impl Oram for PathOram {
-    fn access_mut(&mut self, id: u64, mutate: &mut dyn FnMut(&mut [u32])) -> Vec<u32> {
+    fn access_into(&mut self, id: u64, mutate: &mut dyn FnMut(&mut [u32]), out: &mut [u32]) {
         assert!(id < self.n_blocks, "PathOram: id {id} out of range");
+        assert_eq!(
+            out.len(),
+            self.config.block_words,
+            "PathOram: out length != block_words"
+        );
         self.stats.accesses += 1;
         let new_leaf = self.rng.gen_range(0..self.tree.leaves());
         let old_leaf = self.posmap.get_and_set(id, new_leaf, &mut self.stats);
 
-        // Read the whole path into the stash.
+        // Read the whole path into the stash, straight from the arena.
         let levels = self.tree.levels();
         for level in 0..=levels {
-            let bucket = self.tree.read_bucket(level, old_leaf);
+            let bucket = self
+                .tree
+                .read_bucket(self.tree.bucket_index(level, old_leaf));
             self.stats.bucket_reads += 1;
             self.stats.bytes_moved += self.tree.bucket_bytes();
-            for block in &bucket {
+            for block in bucket.slots() {
                 // Dummy inserts are no-ops but still scan: constant shape.
                 self.stash.insert(block, &mut self.stats);
             }
         }
 
         // Serve the request from the stash.
-        let (found, data) = self
-            .stash
-            .find_update(id, new_leaf, mutate, &mut self.stats);
+        let found = self.stash.find_update(
+            id,
+            new_leaf,
+            &mut |data| {
+                mutate(data);
+                out.copy_from_slice(data);
+            },
+            &mut self.stats,
+        );
         assert!(found, "PathOram invariant violated: block {id} not found");
 
         // Greedy deepest-first write-back.
-        let z = self.tree.bucket_size();
         for level in (0..=levels).rev() {
-            let mut bucket = Vec::with_capacity(z);
-            for _ in 0..z {
-                let picked = self.stash.extract_eligible(
+            for mut slot in self.to_write.all_mut().slots_mut() {
+                slot.set_dummy();
+                self.stash.extract_eligible(
                     level,
                     |leaf| self.tree.deepest_legal(leaf, old_leaf),
+                    slot,
                     &mut self.stats,
                 );
-                bucket.push(picked);
             }
-            self.tree.write_bucket(level, old_leaf, bucket);
+            self.tree
+                .write_bucket(self.tree.bucket_index(level, old_leaf))
+                .copy_from(self.to_write.all());
             self.stats.bucket_writes += 1;
             self.stats.bytes_moved += self.tree.bucket_bytes();
         }
         self.stats.evictions += 1;
-        data
     }
 
     fn len(&self) -> u64 {

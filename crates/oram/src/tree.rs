@@ -1,40 +1,48 @@
 //! The bucket tree shared by both controllers.
 
-use crate::block::Block;
+use crate::block::{BucketMut, BucketRef, Slots};
 use crate::config::OramConfig;
+use crate::setup::trace_len;
 use secemb_trace::tracer::{self, RegionId};
 
 /// A complete binary tree of buckets, each holding `Z` (possibly dummy)
-/// blocks.
+/// blocks, stored as one flat [`Slots`] arena: bucket `b` is slots
+/// `b·Z .. (b+1)·Z`.
 ///
 /// Levels are numbered from the root (level 0) to the leaves (level
-/// `levels`). Leaf labels are `0..leaves`. Every bucket read/write reports a
-/// whole-bucket access to the tracer under this tree's region id — buckets
-/// are always moved in their entirety, exactly like the encrypted bucket
-/// transfers of a real controller.
+/// `levels`). Leaf labels are `0..leaves`. [`Tree::read_bucket`] and
+/// [`Tree::write_bucket`] report a whole-bucket access to the tracer under
+/// this tree's region id — buckets are always moved in their entirety,
+/// exactly like the encrypted bucket transfers of a real controller — and
+/// hand back a borrowed view; nothing is copied.
 #[derive(Clone, Debug)]
 pub struct Tree {
     levels: u32,
     z: usize,
-    words: usize,
-    buckets: Vec<Vec<Block>>,
+    slots: Slots,
     region: RegionId,
+    /// `bucket_bytes()` as a trace event length, validated once.
+    bucket_len: u32,
 }
 
 impl Tree {
     /// Builds an empty tree able to hold `n_blocks` real blocks at ~25%
     /// occupancy (leaves = next power of two of `n_blocks / 2`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if one bucket's byte size does not fit a trace event length.
     pub fn new(n_blocks: u64, config: &OramConfig, region: RegionId) -> Self {
+        let bucket_len = trace_len(config.bucket_size as u64 * config.block_bytes());
         let leaves = (n_blocks.div_ceil(2)).next_power_of_two().max(1);
         let levels = leaves.trailing_zeros();
         let bucket_count = (2 * leaves - 1) as usize;
-        let bucket = vec![Block::dummy(config.block_words); config.bucket_size];
         Tree {
             levels,
             z: config.bucket_size,
-            words: config.block_words,
-            buckets: vec![bucket; bucket_count],
+            slots: Slots::dummy(bucket_count * config.bucket_size, config.block_words),
             region,
+            bucket_len,
         }
     }
 
@@ -51,12 +59,17 @@ impl Tree {
 
     /// Payload words per block.
     pub fn block_words(&self) -> usize {
-        self.words
+        self.slots.words()
     }
 
     /// Blocks per bucket.
     pub fn bucket_size(&self) -> usize {
         self.z
+    }
+
+    /// Number of buckets.
+    pub fn bucket_count(&self) -> usize {
+        self.slots.len() / self.z
     }
 
     /// Flat index of the bucket at `level` on the path to `leaf`.
@@ -82,51 +95,43 @@ impl Tree {
         }
     }
 
-    /// Reads (a clone of) the bucket at `level` on the path to `leaf`,
-    /// reporting the access.
-    pub fn read_bucket(&self, level: u32, leaf: u64) -> Vec<Block> {
-        let idx = self.bucket_index(level, leaf);
-        self.trace(idx, true);
-        self.buckets[idx].clone()
+    /// Reports a whole-bucket read of bucket `idx` (see
+    /// [`Tree::bucket_index`]) and returns a view of it.
+    pub fn read_bucket(&self, idx: usize) -> BucketRef<'_> {
+        tracer::read(self.region, self.offset(idx), self.bucket_len);
+        self.bucket(idx)
     }
 
-    /// Writes the bucket at `level` on the path to `leaf`, reporting the
-    /// access.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bucket` does not contain exactly `Z` blocks.
-    pub fn write_bucket(&mut self, level: u32, leaf: u64, bucket: Vec<Block>) {
-        assert_eq!(bucket.len(), self.z, "write_bucket: wrong bucket size");
-        let idx = self.bucket_index(level, leaf);
-        self.trace(idx, false);
-        self.buckets[idx] = bucket;
+    /// Reports a whole-bucket write of bucket `idx` and returns a view to
+    /// mutate it through.
+    pub fn write_bucket(&mut self, idx: usize) -> BucketMut<'_> {
+        tracer::write(self.region, self.offset(idx), self.bucket_len);
+        self.bucket_mut(idx)
     }
 
-    /// Direct slot access for initial placement (no trace: setup time).
-    pub fn bucket_mut_untraced(&mut self, level: u32, leaf: u64) -> &mut Vec<Block> {
-        let idx = self.bucket_index(level, leaf);
-        &mut self.buckets[idx]
+    /// Untraced view of bucket `idx`: setup, invariant checks, and
+    /// controller work on a bucket whose transfer is already reported.
+    pub fn bucket(&self, idx: usize) -> BucketRef<'_> {
+        self.slots.view(idx * self.z..(idx + 1) * self.z)
+    }
+
+    /// Untraced mutable view of bucket `idx` (see [`Tree::bucket`]).
+    pub fn bucket_mut(&mut self, idx: usize) -> BucketMut<'_> {
+        self.slots.view_mut(idx * self.z..(idx + 1) * self.z)
     }
 
     /// Bytes per bucket on the (simulated) wire.
     pub fn bucket_bytes(&self) -> u64 {
-        self.z as u64 * (self.words as u64 * 4 + 16)
+        self.bucket_len as u64
     }
 
-    /// Total tree memory in bytes.
+    /// Total tree memory in bytes: what the arena really holds.
     pub fn memory_bytes(&self) -> u64 {
-        self.buckets.len() as u64 * self.bucket_bytes()
+        self.slots.memory_bytes()
     }
 
-    fn trace(&self, bucket_idx: usize, read: bool) {
-        let offset = bucket_idx as u64 * self.bucket_bytes();
-        let len = self.bucket_bytes() as u32;
-        if read {
-            tracer::read(self.region, offset, len);
-        } else {
-            tracer::write(self.region, offset, len);
-        }
+    fn offset(&self, bucket_idx: usize) -> u64 {
+        bucket_idx as u64 * self.bucket_bytes()
     }
 }
 
@@ -172,24 +177,52 @@ mod tests {
     #[test]
     fn read_write_round_trip() {
         let mut t = tree(8);
-        let mut bucket = t.read_bucket(0, 0);
-        bucket[0] = Block {
-            id: 42,
-            leaf: 1,
-            data: vec![1, 2, 3, 4],
-        };
-        t.write_bucket(0, 0, bucket);
-        assert_eq!(t.read_bucket(0, 3)[0].id, 42, "root visible from all paths");
+        let root = t.bucket_index(0, 0);
+        let slot = t.write_bucket(root).into_slot(0);
+        *slot.id = 42;
+        *slot.leaf = 1;
+        slot.data.copy_from_slice(&[1, 2, 3, 4]);
+        let seen = t.read_bucket(t.bucket_index(0, 3)).slot(0);
+        assert_eq!(seen.id, 42, "root visible from all paths");
+        assert_eq!(seen.data, &[1, 2, 3, 4]);
     }
 
     #[test]
     fn traces_whole_buckets() {
-        let t = tree(8);
+        let mut t = tree(8);
+        let idx = t.bucket_index(1, 0);
         let ((), trace) = secemb_trace::tracer::record_trace(|| {
-            t.read_bucket(1, 0);
+            t.read_bucket(idx);
+            t.write_bucket(idx);
+            t.bucket(idx);
+            t.bucket_mut(idx);
         });
-        assert_eq!(trace.len(), 1);
-        assert_eq!(trace.events()[0].len as u64, t.bucket_bytes());
+        assert_eq!(trace.len(), 2, "one read, one write, untraced views silent");
+        for e in trace.events() {
+            assert_eq!(e.offset, idx as u64 * t.bucket_bytes());
+            assert_eq!(e.len as u64, t.bucket_bytes());
+        }
+    }
+
+    #[test]
+    fn memory_bytes_is_what_the_arena_holds() {
+        for (n, words) in [(1u64, 1usize), (64, 4), (1000, 64)] {
+            let cfg = OramConfig::circuit(words);
+            let t = Tree::new(n, &cfg, RegionId(2));
+            assert_eq!(t.memory_bytes(), t.slots.memory_bytes());
+            assert_eq!(
+                t.memory_bytes(),
+                t.bucket_count() as u64 * t.bucket_bytes(),
+                "modelled footprint must equal the resident arrays"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "trace event length exceeds u32")]
+    fn rejects_buckets_too_wide_for_a_trace_event() {
+        // 4 slots x 1 GiB payload: validated before anything is allocated.
+        Tree::new(8, &OramConfig::circuit(1 << 28), RegionId(2));
     }
 
     #[test]

@@ -2,10 +2,14 @@
 //! plain array under arbitrary read/write workloads, keep their stash
 //! bounded, and keep their access pattern structurally input-independent.
 
+#[path = "support/fnv.rs"]
+mod fnv;
+
+use fnv::{trace_hash, Fnv};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use secemb_oram::{CircuitOram, Oram, OramConfig, PathOram};
+use secemb_oram::{AccessStats, CircuitOram, Oram, OramConfig, PathOram};
 use secemb_trace::tracer::record_trace;
 
 /// A workload step: read or overwrite one block.
@@ -124,4 +128,146 @@ proptest! {
             last = s.bytes_moved;
         }
     }
+}
+
+// ----------------------------------------------------------------------
+// Golden trace: the exact tracer event stream and final counters for a
+// fixed seed, recorded on the `Vec<Vec<Block>>` implementation before the
+// flat-arena rewrite. Any drift means the algorithm (not just where the
+// bytes live) changed.
+// ----------------------------------------------------------------------
+
+/// Both controllers serve the same request stream, so the payloads they
+/// return hash alike.
+const GOLDEN_DATA_HASH: u64 = 0xc4a0_c88d_36b9_3405;
+
+/// 300 seeded mixed read/write accesses under the tracer; returns
+/// (hash of every event's region/kind/offset/len, hash of every returned
+/// payload, final stats).
+fn golden_run(oram: &mut dyn Oram) -> (u64, u64, AccessStats) {
+    use rand::Rng;
+    let n = oram.len();
+    let words = oram.block_words();
+    let mut rng = StdRng::seed_from_u64(0x5ec_e4b);
+    let mut data_hash = Fnv::new();
+    let ((), trace) = record_trace(|| {
+        for _ in 0..300 {
+            let id = rng.gen_range(0..n);
+            if rng.gen_bool(0.5) {
+                let val: Vec<u32> = (0..words).map(|_| rng.gen()).collect();
+                oram.write(id, &val);
+            } else {
+                for w in oram.read(id) {
+                    data_hash.write(&w.to_le_bytes());
+                }
+            }
+        }
+    });
+    (trace_hash(&trace), data_hash.0, oram.stats())
+}
+
+/// 200 three-word blocks with a tiny recursion threshold so the golden
+/// run crosses several position-map levels.
+fn golden_config(mut cfg: OramConfig) -> (Vec<Vec<u32>>, OramConfig) {
+    cfg.recursion_threshold = 8;
+    cfg.posmap_fanout = 4;
+    let blocks = (0..200u32).map(|i| vec![i, i ^ 0xa5a5, !i]).collect();
+    (blocks, cfg)
+}
+
+#[test]
+fn golden_trace_circuit() {
+    let (blocks, cfg) = golden_config(OramConfig::circuit(3));
+    let mut oram = CircuitOram::new(&blocks, cfg, StdRng::seed_from_u64(2025));
+    let (trace_hash, data_hash, stats) = golden_run(&mut oram);
+    assert_eq!(trace_hash, 0x5f69_50d8_832b_400d, "event stream drifted");
+    assert_eq!(data_hash, GOLDEN_DATA_HASH);
+    assert_eq!(
+        stats,
+        AccessStats {
+            accesses: 1200,
+            bucket_reads: 18000,
+            bucket_writes: 18000,
+            stash_scans: 3600,
+            stash_slots_scanned: 36000,
+            posmap_accesses: 1200,
+            bytes_moved: 4_377_600,
+            evictions: 2400,
+        }
+    );
+}
+
+#[test]
+fn golden_trace_path() {
+    let (blocks, cfg) = golden_config(OramConfig::path(3));
+    let mut oram = PathOram::new(&blocks, cfg, StdRng::seed_from_u64(2025));
+    let (trace_hash, data_hash, stats) = golden_run(&mut oram);
+    assert_eq!(trace_hash, 0x07e9_6423_58dc_7ecd, "event stream drifted");
+    assert_eq!(data_hash, GOLDEN_DATA_HASH);
+    assert_eq!(
+        stats,
+        AccessStats {
+            accesses: 1200,
+            bucket_reads: 6000,
+            bucket_writes: 6000,
+            stash_scans: 50400,
+            stash_slots_scanned: 7_560_000,
+            posmap_accesses: 1200,
+            bytes_moved: 1_459_200,
+            evictions: 1200,
+        }
+    );
+}
+
+// ----------------------------------------------------------------------
+// Soak: a long seeded run against a plain model, with the stash bound
+// checked at every step and the full residency invariants periodically.
+// ----------------------------------------------------------------------
+
+fn soak<O: Oram>(oram: &mut O, stash_capacity: usize, check_invariants: impl Fn(&O)) {
+    use rand::Rng;
+    use std::collections::HashMap;
+    let n = oram.len();
+    let words = oram.block_words();
+    let mut model: HashMap<u64, Vec<u32>> = HashMap::new();
+    let mut rng = StdRng::seed_from_u64(0xdecade);
+    let mut out = vec![0u32; words];
+    for step in 0..20_000u32 {
+        let id = rng.gen_range(0..n);
+        if rng.gen_bool(0.5) {
+            let val: Vec<u32> = (0..words).map(|_| rng.gen()).collect();
+            oram.access_into(id, &mut |d| d.copy_from_slice(&val), &mut out);
+            assert_eq!(out, val, "step {step}: write must echo the new contents");
+            model.insert(id, val);
+        } else {
+            oram.access_into(id, &mut |_| {}, &mut out);
+            let initial = vec![id as u32; words];
+            assert_eq!(&out, model.get(&id).unwrap_or(&initial), "step {step}");
+        }
+        assert!(
+            oram.stash_occupancy() <= stash_capacity,
+            "step {step}: stash {} over capacity {stash_capacity}",
+            oram.stash_occupancy()
+        );
+        if step.is_multiple_of(500) {
+            check_invariants(oram);
+        }
+    }
+    check_invariants(oram);
+}
+
+#[test]
+fn soak_circuit_20k_accesses() {
+    let blocks: Vec<Vec<u32>> = (0..96u32).map(|i| vec![i; 2]).collect();
+    let cfg = OramConfig::circuit(2);
+    let mut oram = CircuitOram::new(&blocks, cfg, StdRng::seed_from_u64(77));
+    soak(&mut oram, cfg.stash_capacity, CircuitOram::check_invariants);
+}
+
+#[test]
+fn soak_path_20k_accesses() {
+    let blocks: Vec<Vec<u32>> = (0..96u32).map(|i| vec![i; 2]).collect();
+    let cfg = OramConfig::path(2);
+    let mut oram = PathOram::new(&blocks, cfg, StdRng::seed_from_u64(77));
+    soak(&mut oram, cfg.stash_capacity, PathOram::check_invariants);
 }
