@@ -8,7 +8,7 @@
 //!                     [--stats-interval S] [--no-telemetry]
 //!                     [--adaptive] [--adapt-profile FILE]
 //!                     [--adapt-dwell-ms N] [--adapt-cooldown-ms N]
-//!                     [--run-secs N] [--threaded] [--conn-idle-ms N]
+//!                     [--run-secs N] [--conn-idle-ms N]
 //!                     [--trace-sample N] [--trace-host NAME]
 //!                     [--trace-out FILE]
 //! ```
@@ -32,13 +32,10 @@
 //! tears the controller and server down and exits 0 — the CI smoke-test
 //! mode; without it the server runs until killed.
 //!
-//! Connections are served from one epoll reactor thread by default
-//! (nonblocking sockets, per-connection state machines) — same wire
-//! protocol, same responses, O(1) threads regardless of connection
-//! count. `--threaded` falls back to two threads per connection
-//! (`--reactor` is still accepted as a no-op for old scripts);
-//! `--conn-idle-ms N` reaps connections idle for N ms (reactor backend
-//! only; default: never).
+//! Connections are served from one epoll reactor thread (nonblocking
+//! sockets, per-connection state machines) — O(1) threads regardless of
+//! connection count. `--conn-idle-ms N` reaps connections idle for N ms
+//! (default: never).
 //!
 //! `--trace-sample N` collects distributed-tracing spans for every N-th
 //! traced request (head-sampled on the public trace id alone; 0, the
@@ -51,8 +48,7 @@
 use secemb::GeneratorSpec;
 use secemb_adapt::{AdaptConfig, AdaptiveController, Crossovers, ProfileArtifact};
 use secemb_serve::{
-    BatchPolicy, ConnectionBackend, Engine, EngineConfig, Server, ServerOptions, TableConfig,
-    TraceSettings,
+    BatchPolicy, Engine, EngineConfig, Server, ServerOptions, TableConfig, TraceSettings,
 };
 use secemb_telemetry::JsonlExporter;
 use std::path::PathBuf;
@@ -75,7 +71,6 @@ struct Args {
     adapt_dwell: Duration,
     adapt_cooldown: Duration,
     run_secs: Option<Duration>,
-    backend: ConnectionBackend,
     conn_idle: Option<Duration>,
     trace_sample: u64,
     trace_host: String,
@@ -88,7 +83,7 @@ fn usage() -> ! {
          [--max-batch N] [--max-wait-us N] [--queue N] [--seed N] [--replicas N] \
          [--telemetry-out FILE] [--stats-interval S] [--no-telemetry] \
          [--adaptive] [--adapt-profile FILE] [--adapt-dwell-ms N] \
-         [--adapt-cooldown-ms N] [--run-secs N] [--threaded] [--conn-idle-ms N] \
+         [--adapt-cooldown-ms N] [--run-secs N] [--conn-idle-ms N] \
          [--trace-sample N] [--trace-host NAME] [--trace-out FILE]\n\
          SPEC: lookup|scan|path|circuit|dhe:ROWSxDIM, or hybrid:ROWSxDIM:THRESHOLD"
     );
@@ -112,7 +107,6 @@ fn parse_args() -> Args {
         adapt_dwell: Duration::from_millis(500),
         adapt_cooldown: Duration::from_secs(2),
         run_secs: None,
-        backend: ConnectionBackend::Reactor,
         conn_idle: None,
         trace_sample: 0,
         trace_host: "server".to_string(),
@@ -168,9 +162,6 @@ fn parse_args() -> Args {
                 }
                 args.run_secs = Some(Duration::from_secs_f64(secs));
             }
-            "--threaded" => args.backend = ConnectionBackend::Threaded,
-            // The reactor is the default now; kept for old scripts.
-            "--reactor" => args.backend = ConnectionBackend::Reactor,
             "--conn-idle-ms" => {
                 let ms: u64 = value().parse().unwrap_or_else(|_| usage());
                 args.conn_idle = (ms > 0).then(|| Duration::from_millis(ms));
@@ -308,7 +299,6 @@ fn main() {
     };
 
     let options = ServerOptions {
-        backend: args.backend,
         conn_idle: args.conn_idle,
     };
     let server = match Server::start_opts(Arc::clone(&engine), &args.listen, options) {
@@ -319,12 +309,8 @@ fn main() {
         }
     };
     eprintln!(
-        "listening on {} ({} connection backend)",
-        server.addr(),
-        match args.backend {
-            ConnectionBackend::Threaded => "threaded",
-            ConnectionBackend::Reactor => "reactor",
-        }
+        "listening on {} (reactor connection backend)",
+        server.addr()
     );
 
     // Periodic JSONL registry snapshots, if requested. The exporter runs

@@ -4,7 +4,7 @@
 //! ```text
 //! secemb-router [--bind ADDR] --backend [NAME=]ADDR...
 //!               [--gossip-ms N] [--profile-out FILE] [--run-secs N]
-//!               [--threaded] [--backend-idle-ms N] [--conn-idle-ms N]
+//!               [--backend-idle-ms N] [--conn-idle-ms N]
 //!               [--trace-sample N] [--trace-host NAME]
 //!               [--health-trip N] [--health-probe-ms N]
 //!               [--reconnect-base-ms N] [--reconnect-max-ms N]
@@ -23,12 +23,10 @@
 //! router runs until killed.
 //!
 //! Client connections run on the epoll reactor (one thread for every
-//! connection) by default; `--threaded` falls back to two threads per
-//! connection (`--reactor` is still accepted as a no-op for old
-//! scripts). `--backend-idle-ms N` declares a backend dead when
+//! connection). `--backend-idle-ms N` declares a backend dead when
 //! requests are in flight and no byte arrives for N ms (default: wait
 //! forever); `--conn-idle-ms N` reaps *client* connections idle for N
-//! ms (reactor frontend only; default: never).
+//! ms (default: never).
 //!
 //! `--trace-sample N` collects distributed-tracing spans for every
 //! N-th trace id (head-sampled on the public trace id alone; 0, the
@@ -61,7 +59,6 @@ struct Args {
     gossip: Option<Duration>,
     profile_out: Option<PathBuf>,
     run_secs: Option<Duration>,
-    threaded: bool,
     backend_idle: Option<Duration>,
     conn_idle: Option<Duration>,
     trace_sample: u64,
@@ -75,7 +72,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: secemb-router [--bind ADDR] --backend [NAME=]ADDR... \
          [--gossip-ms N] [--profile-out FILE] [--run-secs N] \
-         [--threaded] [--backend-idle-ms N] [--conn-idle-ms N] \
+         [--backend-idle-ms N] [--conn-idle-ms N] \
          [--trace-sample N] [--trace-host NAME] \
          [--health-trip N] [--health-probe-ms N] \
          [--reconnect-base-ms N] [--reconnect-max-ms N] \
@@ -91,7 +88,6 @@ fn parse_args() -> Args {
         gossip: Some(Duration::from_millis(500)),
         profile_out: None,
         run_secs: None,
-        threaded: false,
         backend_idle: None,
         conn_idle: None,
         trace_sample: 0,
@@ -123,9 +119,6 @@ fn parse_args() -> Args {
                     value().parse().unwrap_or_else(|_| usage()),
                 ));
             }
-            "--threaded" => args.threaded = true,
-            // The reactor is the default now; kept for old scripts.
-            "--reactor" => args.threaded = false,
             "--backend-idle-ms" => {
                 let ms: u64 = value().parse().unwrap_or_else(|_| usage());
                 args.backend_idle = (ms > 0).then(|| Duration::from_millis(ms));
@@ -168,7 +161,6 @@ fn main() {
         backends: args.backends,
         gossip_interval: args.gossip,
         profile_out: args.profile_out,
-        reactor: !args.threaded,
         backend_idle_timeout: args.backend_idle,
         conn_idle: args.conn_idle,
         trace: (args.trace_sample > 0)

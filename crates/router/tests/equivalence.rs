@@ -83,6 +83,35 @@ fn routed_lookups_match_single_host_bit_for_bit() {
         };
         assert_eq!(bits(&r), bits(&l), "table {table} indices {indices:?}");
     }
+
+    // The same holds with requests pipelined on one connection and
+    // answered in completion order, and for the table inventory.
+    let rows = [128u64, 96, 64];
+    let pipelined = |client: &mut Client| -> Vec<Vec<u32>> {
+        let mut ids = Vec::new();
+        for slot in 0..12usize {
+            let table = slot % 3;
+            let indices: Vec<u64> = (0..3)
+                .map(|k| ((slot * 11 + k * 5) as u64) % rows[table])
+                .collect();
+            ids.push(client.call_async(table, &indices, None).expect("send"));
+        }
+        let mut out = vec![Vec::new(); ids.len()];
+        for _ in 0..ids.len() {
+            let (id, msg) = client.drain_next().expect("drain");
+            let slot = ids.iter().position(|&i| i == id).expect("known id");
+            match msg {
+                ServerMsg::Embeddings(m, _) => out[slot] = bits(&m),
+                other => panic!("slot {slot}: {other:?}"),
+            }
+        }
+        out
+    };
+    assert_eq!(pipelined(&mut via_router), pipelined(&mut direct));
+    assert_eq!(
+        via_router.tables().expect("routed tables").len(),
+        direct.tables().expect("direct tables").len()
+    );
 }
 
 /// A multi-table request whose parts land on different hosts merges

@@ -1,16 +1,21 @@
 //! Router resilience: replica failover, probe-based recovery, tolerant
-//! startup, reconnect budgets, and the gossip-thread fallback — the
-//! guarantees that keep the protected serving tier up when a backend
-//! dies, without weakening the trace-equivalence argument.
+//! startup, reconnect budgets, half-open backend detection, and the
+//! gossip-thread fallback — the guarantees that keep the protected
+//! serving tier up when a backend dies, without weakening the
+//! trace-equivalence argument.
 
 use secemb::GeneratorSpec;
 use secemb_router::{Backend, BackendOptions, LinkState, ReconnectPolicy, Router, RouterConfig};
-use secemb_serve::protocol::ServerMsg;
-use secemb_serve::{execute_batch, Client, Engine, EngineConfig, Server, TableConfig};
+use secemb_serve::protocol::{decode_client, encode_table_list, ClientMsg, ServerMsg};
+use secemb_serve::{
+    execute_batch, Client, Engine, EngineConfig, RejectReason, Server, TableConfig,
+};
 use secemb_tensor::Matrix;
 use secemb_trace::tracer::record_trace;
+use secemb_wire::frame::{read_frame, write_frame};
+use std::io::{BufReader, BufWriter};
 use std::net::TcpListener;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 fn bits(m: &Matrix) -> Vec<u32> {
@@ -340,6 +345,59 @@ fn reconnect_budget_exhausts_against_a_dead_address() {
         "both budgeted dials must be counted"
     );
     backend.shutdown();
+}
+
+/// A backend that completes the handshake and then goes silent while
+/// requests are in flight is declared dead after the idle timeout: the
+/// pending callback fires with `Rejected(Internal)` instead of the
+/// reader thread blocking forever on the half-open connection.
+#[test]
+fn backend_idle_timeout_orphan_rejects_pending_requests() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let silent = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().expect("accept");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        let mut writer = BufWriter::new(stream.try_clone().expect("clone"));
+        // Answer the hello so connect_with succeeds, then say nothing.
+        let payload = read_frame(&mut reader).expect("hello");
+        let (id, msg) = decode_client(&payload).expect("decodable hello");
+        assert!(matches!(msg, ClientMsg::Hello(_)));
+        let inventory = vec![(128u64, 8usize, 100.0f64, "scan".to_string())];
+        write_frame(&mut writer, &encode_table_list(id, &inventory)).expect("inventory");
+        // Hold the socket open until the test ends.
+        let mut sink = Vec::new();
+        let _ = std::io::Read::read_to_end(&mut reader, &mut sink);
+    });
+
+    let backend =
+        Backend::connect_with("silent", addr, Some(Duration::from_millis(100))).expect("handshake");
+    let (tx, rx) = mpsc::channel();
+    let t0 = Instant::now();
+    backend
+        .generate(
+            0,
+            &[1, 2, 3],
+            None,
+            None,
+            Box::new(move |msg, _| {
+                let _ = tx.send(msg);
+            }),
+        )
+        .expect("submit");
+    let msg = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("idle detection must answer the orphan");
+    assert!(
+        matches!(msg, ServerMsg::Rejected(RejectReason::Internal)),
+        "expected Rejected(Internal), got {msg:?}"
+    );
+    assert!(
+        t0.elapsed() >= Duration::from_millis(90),
+        "rejected before the idle window elapsed"
+    );
+    backend.shutdown();
+    silent.join().expect("silent backend thread");
 }
 
 /// The gossip-thread spawn-failure path: the router starts anyway,

@@ -20,8 +20,8 @@
 //! with gradient-sized random deltas) — a mixed training/inference
 //! schedule over the wire, meaningful against look-ahead ORAM tables;
 //! `--idle-conns N` additionally holds N open-but-silent connections for
-//! the whole sweep — the mostly-idle fleet that separates the epoll
-//! reactor backend from thread-per-connection. `--hosts` lists
+//! the whole sweep — the mostly-idle fleet the server's reactor holds
+//! at O(1) threads. `--hosts` lists
 //! several interchangeable front-ends (servers, or `secemb-router`
 //! instances); connections round-robin over the list and the inventory
 //! probe (plus any post-sweep scrape) uses the first entry. `--out FILE`

@@ -34,9 +34,10 @@
 //! - [`Server`]/[`Client`]: a length-prefixed binary protocol over
 //!   plain TCP. Every frame carries a client-chosen request id, so one
 //!   connection can pipeline many requests and match out-of-order
-//!   responses; the server runs a reader + writer thread per connection
-//!   and joins them all on shutdown. [`loadgen`] drives paced/Poisson
-//!   latency-throughput sweeps with a `pipeline_depth` knob.
+//!   responses; the server multiplexes every connection onto one
+//!   [`FrameReactor`] thread, joined on shutdown. [`loadgen`] drives
+//!   paced/Poisson latency-throughput sweeps with a `pipeline_depth`
+//!   knob.
 //!
 //! Security note: the serving layer never branches on index *values* —
 //! only on public quantities (counts, deadlines, table ids) — so the
@@ -72,7 +73,7 @@ mod stats;
 ///
 /// Every mutex in this crate guards state that stays consistent across
 /// a panicking critical section (registries of `Arc` handles, sample
-/// rings, connection lists), so a sibling thread's panic must degrade to
+/// rings, reply outboxes), so a sibling thread's panic must degrade to
 /// that thread's death — never cascade into wedging the whole server
 /// through poisoned-lock unwraps.
 pub(crate) fn lock_unpoisoned<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
@@ -87,5 +88,5 @@ pub use engine::{
 pub use reactor::{FrameReactor, ReactorConfig, ReplySender};
 pub use request::{RejectReason, Request, Response};
 pub use secemb_telemetry::{Registry, SpanCollector, Stage, StageBreakdown, TraceCtx};
-pub use server::{bind_reusable, ConnectionBackend, Server, ServerOptions};
+pub use server::{bind_reusable, Server, ServerOptions};
 pub use stats::{ServerStats, StatsSnapshot, WorkerBatches};

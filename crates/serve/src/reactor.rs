@@ -1,5 +1,7 @@
-//! Event-driven connection layer: one reactor thread multiplexing every
-//! connection over epoll, replacing two OS threads per connection.
+//! The connection layer: one reactor thread multiplexing every
+//! connection over epoll. It is the only code that accepts client
+//! sockets (`run_loop`) and the only code that writes reply frames to
+//! them (`flush`), for `secemb-serve` and `secemb-router` alike.
 //!
 //! [`FrameReactor`] owns a nonblocking listener plus a per-connection
 //! state machine: read-accumulate → decode length-prefixed frames with
@@ -7,21 +9,14 @@
 //! connection's [`Dispatch`] → queue encoded replies on a
 //! completion-ordered write queue flushed on writability, with
 //! backpressure (reading pauses while a connection's write queue is over
-//! [`WQ_HIGH_WATER`] bytes). Wire behavior is identical to the threaded
-//! path: responses leave in completion order under the caller's request
-//! id, and a connection that hits EOF still drains every in-flight
-//! reply before closing — exactly what the per-connection writer thread
-//! did.
+//! [`WQ_HIGH_WATER`] bytes). Responses leave in completion order under
+//! the caller's request id, and a connection that hits EOF still drains
+//! every in-flight reply before closing.
 //!
 //! Replies can complete on any engine worker thread; they cross into the
 //! reactor through the [`Outbox`] (a mutexed staging vector plus the
-//! reactor's wakeup fd). The wakeup fd also replaces the old
-//! "self-connect to the listener" shutdown hack.
-//!
-//! The dispatch layer talks to connections only through [`ReplySender`],
-//! which abstracts over the threaded path's per-connection channel and
-//! the reactor's outbox — so `secemb-serve` and `secemb-router` share
-//! one dispatch implementation across both backends.
+//! reactor's wakeup fd, which shutdown also uses). Dispatch code talks
+//! to a connection only through its [`ReplySender`].
 
 use mio::{Events, Interest, Poll, Token, Waker};
 use secemb_telemetry::{Counter, Histogram, Registry};
@@ -30,7 +25,7 @@ use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -62,8 +57,8 @@ pub type ConnFactory = Box<dyn FnMut(usize) -> Dispatch + Send>;
 /// each flushed reply frame.
 pub type WriteRecorder = Box<dyn Fn(u64) + Send>;
 
-/// Optional reactor behavior beyond the defaults of
-/// [`FrameReactor::start`].
+/// Optional [`FrameReactor::start`] behavior; the default is no metrics
+/// and no idle reaping.
 #[derive(Default)]
 pub struct ReactorConfig {
     /// Registry for the reactor's event-loop metrics (poll-wait and
@@ -72,7 +67,7 @@ pub struct ReactorConfig {
     pub registry: Option<Arc<Registry>>,
     /// Reap connections idle (no bytes read or written) longer than
     /// this. `None` (the default) never reaps — the server waits for
-    /// peers to close, as before.
+    /// peers to close.
     pub idle_timeout: Option<Duration>,
 }
 
@@ -119,33 +114,20 @@ impl ReactorMetrics {
     }
 }
 
-/// Where a dispatched request's encoded reply goes: the threaded
-/// backend's per-connection writer channel, or the reactor's outbox.
-/// Both stamp the enqueue instant so the write stage can be attributed.
+/// Where a dispatched request's encoded reply goes: the reactor's
+/// outbox, tagged with the owning connection id. The outbox stamps the
+/// enqueue instant so the write stage can be attributed.
 #[derive(Clone)]
-pub enum ReplySender {
-    /// Per-connection writer-thread channel (threaded backend).
-    Thread(mpsc::Sender<(Instant, Vec<u8>)>),
-    /// Reactor outbox, tagged with the owning connection id.
-    Reactor {
-        /// Shared staging queue into the reactor thread.
-        outbox: Arc<Outbox>,
-        /// Connection the reply belongs to.
-        conn: usize,
-    },
+pub struct ReplySender {
+    outbox: Arc<Outbox>,
+    conn: usize,
 }
 
 impl ReplySender {
     /// Queues one encoded reply frame for this connection. Never fails:
-    /// a closed connection silently drops the frame, matching the
-    /// threaded path's `let _ = tx.send(..)`.
+    /// a closed connection silently drops the frame.
     pub fn send(&self, frame: Vec<u8>) {
-        match self {
-            ReplySender::Thread(tx) => {
-                let _ = tx.send((Instant::now(), frame));
-            }
-            ReplySender::Reactor { outbox, conn } => outbox.push(*conn, frame),
-        }
+        self.outbox.push(self.conn, frame);
     }
 }
 
@@ -226,8 +208,7 @@ impl Conn {
     }
 
     /// Frames `payload` (length prefix + bytes) onto the write queue —
-    /// dispatch hands over raw payloads, exactly as it does to the
-    /// threaded writer thread.
+    /// dispatch hands over raw payloads.
     fn enqueue(&mut self, enqueued: Instant, payload: &[u8]) {
         let mut bytes = Vec::with_capacity(4 + payload.len());
         encode_frame_into(&mut bytes, payload);
@@ -260,27 +241,14 @@ pub struct FrameReactor {
 impl FrameReactor {
     /// Takes ownership of `listener` and starts the reactor thread.
     /// `factory` builds each accepted connection's [`Dispatch`];
-    /// `on_write_ns` receives each flushed reply's enqueue→write time.
+    /// `on_write_ns` receives each flushed reply's enqueue→write time;
+    /// event-loop metrics land in `config.registry`, and
+    /// `config.idle_timeout` arms the idle-connection sweep.
     ///
     /// # Errors
     ///
     /// Returns setup errors (epoll creation, registration, spawn).
     pub fn start(
-        listener: TcpListener,
-        factory: ConnFactory,
-        on_write_ns: WriteRecorder,
-    ) -> io::Result<FrameReactor> {
-        FrameReactor::start_with(listener, factory, on_write_ns, ReactorConfig::default())
-    }
-
-    /// [`FrameReactor::start`] with explicit [`ReactorConfig`]: event-loop
-    /// metrics land in `config.registry`, and `config.idle_timeout` arms
-    /// the idle-connection sweep.
-    ///
-    /// # Errors
-    ///
-    /// Returns setup errors (epoll creation, registration, spawn).
-    pub fn start_with(
         listener: TcpListener,
         factory: ConnFactory,
         on_write_ns: WriteRecorder,
@@ -332,8 +300,7 @@ impl FrameReactor {
     }
 
     /// Stops the reactor thread and closes every connection. Replies
-    /// already queued are not flushed — callers quiesce first, exactly
-    /// like the threaded server's shutdown.
+    /// already queued are not flushed — callers quiesce first.
     pub fn shutdown(mut self) {
         self.stop_and_join();
     }
@@ -461,7 +428,7 @@ fn run_loop(
                         continue; // already removed this batch
                     };
                     if event.is_readable() && !conn.closing {
-                        let outbox_handle = ReplySender::Reactor {
+                        let outbox_handle = ReplySender {
                             outbox: Arc::clone(&outbox),
                             conn: id,
                         };
@@ -591,8 +558,7 @@ fn read_and_dispatch(
                             if (conn.dispatch)(&payload, replies) {
                                 conn.dispatched += 1;
                             } else {
-                                // Malformed frame: unrecoverable framing,
-                                // same as the threaded reader breaking.
+                                // Malformed frame: unrecoverable framing.
                                 conn.closing = true;
                                 return true;
                             }
@@ -675,6 +641,7 @@ mod tests {
                 })
             }),
             Box::new(|_ns| {}),
+            ReactorConfig::default(),
         )
         .unwrap()
     }
@@ -732,7 +699,7 @@ mod tests {
     fn idle_sweep_reaps_quiet_connections_and_counts_them() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let registry = Arc::new(Registry::new());
-        let reactor = FrameReactor::start_with(
+        let reactor = FrameReactor::start(
             listener,
             Box::new(|_conn| {
                 Box::new(|payload: &[u8], replies: &ReplySender| {
@@ -778,7 +745,7 @@ mod tests {
     #[test]
     fn active_connections_survive_the_idle_sweep() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let reactor = FrameReactor::start_with(
+        let reactor = FrameReactor::start(
             listener,
             Box::new(|_conn| {
                 Box::new(|payload: &[u8], replies: &ReplySender| {

@@ -1,95 +1,42 @@
-//! The TCP front end: length-prefixed frames over `std::net`, on either
-//! of two connection backends sharing one dispatch layer.
+//! The TCP front end: length-prefixed frames over `std::net`, every
+//! connection multiplexed onto one
+//! [`FrameReactor`](crate::reactor::FrameReactor) thread (nonblocking
+//! sockets, incremental frame decode, completion-ordered write queues) —
+//! thread count is O(workers), not O(connections).
 //!
-//! - [`ConnectionBackend::Threaded`]: a **reader** thread (the handler)
-//!   and a **writer** thread per connection around a reply channel. The
-//!   accept loop polls a nonblocking listener through the epoll stand-in
-//!   and is woken for shutdown by a wakeup fd — no self-connection.
-//! - [`ConnectionBackend::Reactor`]: every connection multiplexed onto
-//!   one [`FrameReactor`](crate::reactor::FrameReactor) thread
-//!   (nonblocking sockets, incremental frame decode, completion-ordered
-//!   write queues) — thread count is O(workers), not O(connections).
-//!
-//! Both backends answer in *completion* order, not arrival order —
-//! clients match responses by request id — and both route every decoded
-//! frame through the same [`dispatch_frame`], so wire behavior (traces,
-//! stage breakdowns, STATS/METRICS frames) is bit-identical across them.
+//! Replies leave in *completion* order, not arrival order — clients
+//! match responses by request id — and every decoded frame goes through
+//! [`dispatch_frame`], the one place a wire request becomes an engine
+//! request.
 
 use crate::engine::Engine;
 use crate::lock_unpoisoned;
 use crate::protocol::{
-    decode_client_traced, encode_metrics, encode_plan, encode_plan_ack, encode_response,
-    encode_response_traced, encode_stats, encode_tables, encode_traces, ClientMsg,
+    decode_client_traced, encode_metrics, encode_plan, encode_plan_ack, encode_response_traced,
+    encode_stats, encode_tables, encode_traces, ClientMsg,
 };
 use crate::reactor::{Dispatch, FrameReactor, ReactorConfig, ReplySender};
 use crate::request::{RejectReason, Request, Response};
-use crate::stats::ServerStats;
-use mio::{Events, Interest, Poll, Token, Waker};
 use secemb::hybrid::AllocationPlan;
 use secemb_telemetry::{StageBreakdown, TraceCtx};
 use secemb_tensor::Matrix;
-use secemb_wire::frame::{read_frame, write_frame, FrameError};
-use std::io::{self, BufReader, BufWriter, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-
-/// How the server maps connections onto OS resources. Wire behavior is
-/// identical; only the concurrency model differs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum ConnectionBackend {
-    /// Two threads per connection (reader + writer). Simple, but caps
-    /// out at a few thousand sockets.
-    #[default]
-    Threaded,
-    /// One epoll reactor thread for all connections.
-    Reactor,
-}
+use std::io;
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 /// Everything [`Server::start_opts`] can tune beyond the bind address.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ServerOptions {
-    /// Connection backend (see [`ConnectionBackend`]).
-    pub backend: ConnectionBackend,
-    /// Reap connections idle longer than this (reactor backend only —
-    /// the threaded backend's blocking readers wait for peer close).
-    /// `None`, the default, never reaps.
+    /// Reap connections idle longer than this. `None`, the default,
+    /// never reaps.
     pub conn_idle: Option<Duration>,
 }
 
-/// One live connection: its handler thread plus a server-side handle on
-/// the stream so shutdown can force a blocked read to return.
-struct Connection {
-    handle: JoinHandle<()>,
-    stream: TcpStream,
-}
-
-const ACCEPT_LISTENER: Token = Token(0);
-const ACCEPT_WAKE: Token = Token(1);
-
-/// A running TCP server over a shared [`Engine`], on either connection
-/// backend. All of its threads are joined on shutdown.
+/// A running TCP server over a shared [`Engine`]: one reactor thread,
+/// stopped and joined on shutdown or drop.
 pub struct Server {
-    inner: ServerImpl,
-}
-
-enum ServerImpl {
-    Threaded(ThreadedServer),
-    Reactor(Option<FrameReactor>),
-}
-
-/// Thread-per-connection backend state.
-struct ThreadedServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    waker: Arc<Waker>,
-    accept_handle: Option<JoinHandle<()>>,
-    connections: Arc<Mutex<Vec<Connection>>>,
-    /// Test hook: pretend the next N handler spawns failed (thread
-    /// exhaustion is otherwise unreproducible in a test).
-    inject_spawn_failures: Arc<AtomicU64>,
+    reactor: FrameReactor,
 }
 
 /// Binds a listener with `SO_REUSEADDR` set, so a restarted server can
@@ -118,38 +65,17 @@ pub fn bind_reusable(bind: &str) -> io::Result<TcpListener> {
 
 impl Server {
     /// Binds `bind` (use port 0 for an ephemeral port) and starts
-    /// accepting on the default ([`ConnectionBackend::Threaded`])
-    /// backend.
-    ///
-    /// # Errors
-    ///
-    /// Returns the bind error.
-    pub fn start(engine: Arc<Engine>, bind: &str) -> io::Result<Server> {
-        Self::start_with(engine, bind, ConnectionBackend::default())
-    }
-
-    /// Binds `bind` and starts accepting on the chosen backend.
+    /// accepting.
     ///
     /// # Errors
     ///
     /// Returns bind/reactor-setup errors.
-    pub fn start_with(
-        engine: Arc<Engine>,
-        bind: &str,
-        backend: ConnectionBackend,
-    ) -> io::Result<Server> {
-        Self::start_opts(
-            engine,
-            bind,
-            ServerOptions {
-                backend,
-                ..ServerOptions::default()
-            },
-        )
+    pub fn start(engine: Arc<Engine>, bind: &str) -> io::Result<Server> {
+        Self::start_opts(engine, bind, ServerOptions::default())
     }
 
-    /// Binds `bind` and starts accepting with full [`ServerOptions`]
-    /// (backend choice plus idle-connection reaping).
+    /// [`Server::start`] with [`ServerOptions`] (idle-connection
+    /// reaping).
     ///
     /// # Errors
     ///
@@ -160,278 +86,46 @@ impl Server {
         options: ServerOptions,
     ) -> io::Result<Server> {
         let listener = bind_reusable(bind)?;
-        match options.backend {
-            ConnectionBackend::Threaded => Ok(Server {
-                inner: ServerImpl::Threaded(ThreadedServer::start(engine, listener)?),
+        let stats = engine.stats();
+        let config = ReactorConfig {
+            registry: Some(engine.metrics()),
+            idle_timeout: options.conn_idle,
+        };
+        let reactor = FrameReactor::start(
+            listener,
+            Box::new(move |_conn| {
+                let engine = Arc::clone(&engine);
+                Box::new(move |payload: &[u8], replies: &ReplySender| {
+                    dispatch_frame(&engine, payload, replies)
+                }) as Dispatch
             }),
-            ConnectionBackend::Reactor => {
-                let stats = engine.stats();
-                let config = ReactorConfig {
-                    registry: Some(engine.metrics()),
-                    idle_timeout: options.conn_idle,
-                };
-                let reactor = FrameReactor::start_with(
-                    listener,
-                    Box::new(move |_conn| {
-                        let engine = Arc::clone(&engine);
-                        Box::new(move |payload: &[u8], replies: &ReplySender| {
-                            dispatch_frame(&engine, payload, replies)
-                        }) as Dispatch
-                    }),
-                    Box::new(move |ns| stats.record_write_ns(ns)),
-                    config,
-                )?;
-                Ok(Server {
-                    inner: ServerImpl::Reactor(Some(reactor)),
-                })
-            }
-        }
+            Box::new(move |ns| stats.record_write_ns(ns)),
+            config,
+        )?;
+        Ok(Server { reactor })
     }
 
     /// The bound address (resolves ephemeral ports).
     pub fn addr(&self) -> SocketAddr {
-        match &self.inner {
-            ServerImpl::Threaded(t) => t.addr,
-            ServerImpl::Reactor(r) => r.as_ref().expect("reactor running").addr(),
-        }
+        self.reactor.addr()
     }
 
-    /// Connections currently open (reactor: exact; threaded: live
-    /// handler threads).
+    /// Connections currently open.
     pub fn connections(&self) -> u64 {
-        match &self.inner {
-            ServerImpl::Threaded(t) => lock_unpoisoned(&t.connections)
-                .iter()
-                .filter(|c| !c.handle.is_finished())
-                .count() as u64,
-            ServerImpl::Reactor(r) => r.as_ref().map_or(0, FrameReactor::connections),
-        }
+        self.reactor.connections()
     }
 
-    /// Test hook: make the threaded accept loop treat the next `n`
-    /// handler spawns as failed, exercising the spawn-failure reject
-    /// path. No-op on the reactor backend (it never spawns per
-    /// connection).
-    pub fn inject_spawn_failures(&self, n: u64) {
-        if let ServerImpl::Threaded(t) = &self.inner {
-            t.inject_spawn_failures.fetch_add(n, Ordering::SeqCst);
-        }
-    }
-
-    /// Stops accepting, closes every live connection, and joins every
-    /// server thread — no detached threads outlive the server.
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
-        match &mut self.inner {
-            ServerImpl::Threaded(t) => t.stop_and_join(),
-            ServerImpl::Reactor(r) => {
-                if let Some(reactor) = r.take() {
-                    reactor.shutdown();
-                }
-            }
-        }
+    /// Stops accepting, closes every live connection, and joins the
+    /// reactor thread — no detached threads outlive the server.
+    pub fn shutdown(self) {
+        self.reactor.shutdown();
     }
 }
 
-impl Drop for Server {
-    fn drop(&mut self) {
-        self.stop_and_join();
-    }
-}
-
-impl ThreadedServer {
-    fn start(engine: Arc<Engine>, listener: TcpListener) -> io::Result<ThreadedServer> {
-        let addr = listener.local_addr()?;
-        // The accept loop polls the listener alongside a wakeup fd, so
-        // shutdown is a waker call — not the old throwaway
-        // self-connection to the listener.
-        listener.set_nonblocking(true)?;
-        let poll = Poll::new()?;
-        poll.registry()
-            .register(&listener, ACCEPT_LISTENER, Interest::READABLE)?;
-        let waker = Arc::new(Waker::new(poll.registry(), ACCEPT_WAKE)?);
-        let stop = Arc::new(AtomicBool::new(false));
-        let connections = Arc::new(Mutex::new(Vec::<Connection>::new()));
-        let inject_spawn_failures = Arc::new(AtomicU64::new(0));
-        let accept_handle = {
-            let stop = Arc::clone(&stop);
-            let waker = Arc::clone(&waker);
-            let connections = Arc::clone(&connections);
-            let inject = Arc::clone(&inject_spawn_failures);
-            std::thread::Builder::new()
-                .name("secemb-accept".into())
-                .spawn(move || {
-                    accept_loop(poll, listener, engine, &stop, &waker, &connections, &inject);
-                })?
-        };
-        Ok(ThreadedServer {
-            addr,
-            stop,
-            waker,
-            accept_handle: Some(accept_handle),
-            connections,
-            inject_spawn_failures,
-        })
-    }
-
-    fn stop_and_join(&mut self) {
-        if self.stop.swap(true, Ordering::SeqCst) {
-            return; // already shut down
-        }
-        let _ = self.waker.wake();
-        if let Some(handle) = self.accept_handle.take() {
-            let _ = handle.join();
-        }
-        let mut conns = lock_unpoisoned(&self.connections);
-        for conn in conns.iter() {
-            // Force blocked reads (and writes) on the handler to return;
-            // its reader then drains and the writer flushes what it can.
-            let _ = conn.stream.shutdown(Shutdown::Both);
-        }
-        for conn in conns.drain(..) {
-            let _ = conn.handle.join();
-        }
-    }
-}
-
-/// Threaded backend's accept loop: blocks in epoll (zero idle CPU),
-/// wakes on listener readiness or the shutdown waker, accepts until the
-/// backlog drains, and spawns a handler per connection.
-fn accept_loop(
-    mut poll: Poll,
-    listener: TcpListener,
-    engine: Arc<Engine>,
-    stop: &AtomicBool,
-    waker: &Waker,
-    connections: &Arc<Mutex<Vec<Connection>>>,
-    inject_spawn_failures: &AtomicU64,
-) {
-    let mut events = Events::with_capacity(64);
-    loop {
-        if poll.poll(&mut events, None).is_err() {
-            if stop.load(Ordering::SeqCst) {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-            continue;
-        }
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
-        if events.iter().any(|e| e.token() == ACCEPT_WAKE) {
-            waker.drain();
-        }
-        loop {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    // Handler threads expect blocking I/O; inheritance of
-                    // the listener's nonblocking flag is unspecified.
-                    if stream.set_nonblocking(false).is_err() {
-                        continue;
-                    }
-                    let mut conns = lock_unpoisoned(connections);
-                    // Reap naturally finished connections so the
-                    // registry tracks live handlers, not history.
-                    conns.retain(|c| !c.handle.is_finished());
-                    let Ok(server_side) = stream.try_clone() else {
-                        continue;
-                    };
-                    let spawned = if take_injected_failure(inject_spawn_failures) {
-                        Err(io::Error::other("injected spawn failure"))
-                    } else {
-                        let engine = Arc::clone(&engine);
-                        std::thread::Builder::new()
-                            .name("secemb-conn".into())
-                            .spawn(move || {
-                                let _ = handle_connection(engine, stream);
-                            })
-                    };
-                    match spawned {
-                        Ok(handle) => conns.push(Connection {
-                            handle,
-                            stream: server_side,
-                        }),
-                        Err(_) => {
-                            // Thread exhaustion: the client gets a
-                            // best-effort reject and a close rather than
-                            // a silent hang, and the drop is counted.
-                            engine.stats().record_accept_spawn_failure();
-                            let mut w = &server_side;
-                            let _ = write_frame(
-                                &mut w,
-                                &encode_response(0, &Response::Rejected(RejectReason::Internal)),
-                            );
-                            let _ = server_side.shutdown(Shutdown::Both);
-                        }
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                // Transient accept failure (fd exhaustion, aborted
-                // handshake): leave it to the next readiness event.
-                Err(_) => break,
-            }
-        }
-    }
-}
-
-/// Consumes one injected spawn failure if any are pending.
-fn take_injected_failure(counter: &AtomicU64) -> bool {
-    counter
-        .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
-        .is_ok()
-}
-
-/// Reader half of one threaded connection. Decodes frames and routes
-/// them through [`dispatch_frame`]; responses flow through the reply
-/// channel to the writer thread, each already encoded under its request
-/// id. Joins the writer before returning, so joining the handler thread
-/// joins the whole connection.
-fn handle_connection(engine: Arc<Engine>, stream: TcpStream) -> Result<(), FrameError> {
-    stream.set_nodelay(true)?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    // Replies carry their enqueue instant so the writer can attribute the
-    // `write` stage (reply enqueue → socket flush) after the fact.
-    let (reply_tx, reply_rx) = mpsc::channel::<(Instant, Vec<u8>)>();
-    let writer_handle = {
-        let stats = engine.stats();
-        std::thread::Builder::new()
-            .name("secemb-conn-wr".into())
-            .spawn(move || write_replies(stream, &reply_rx, &stats))
-            .map_err(FrameError::Io)?
-    };
-    let replies = ReplySender::Thread(reply_tx.clone());
-    let result = loop {
-        let payload = match read_frame(&mut reader) {
-            Ok(p) => p,
-            Err(FrameError::Closed) => break Ok(()), // client hung up
-            // Shutdown closes the stream under us; either way the
-            // connection is over.
-            Err(FrameError::Io(_)) => break Ok(()),
-            Err(e) => break Err(e),
-        };
-        if !dispatch_frame(&engine, &payload, &replies) {
-            // A malformed frame is unrecoverable mid-stream: drop the
-            // connection rather than guess at framing.
-            break Ok(());
-        }
-    };
-    // Dropping our sender lets the writer exit once every in-flight
-    // request's closure has fired (or been dropped by a stopping engine).
-    drop(replies);
-    drop(reply_tx);
-    let _ = writer_handle.join();
-    result
-}
-
-/// Decodes and serves one request frame — the single dispatch layer
-/// under both connection backends (and the router's reactor mode).
-/// Returns `false` when the frame is malformed and the connection should
-/// close; every `true` return produces exactly one reply through
-/// `replies`, now or on whatever thread completes the request.
+/// Decodes and serves one request frame. Returns `false` when the frame
+/// is malformed and the connection should close; every `true` return
+/// produces exactly one reply through `replies`, now or on whatever
+/// thread completes the request.
 pub(crate) fn dispatch_frame(engine: &Arc<Engine>, payload: &[u8], replies: &ReplySender) -> bool {
     match decode_client_traced(payload) {
         Ok((
@@ -609,37 +303,4 @@ fn merge_part_responses(parts: Vec<Response>) -> Response {
         }
     }
     Response::Embeddings(Matrix::from_vec(rows, cols, data), stages)
-}
-
-/// Writer half of one threaded connection: drains encoded reply frames
-/// until every sender (the reader plus all in-flight reply closures) is
-/// gone or the socket dies. Flushes once per drained burst, not per
-/// frame. Each frame's reply-enqueue → flush time feeds the `write`
-/// stage histogram.
-fn write_replies(
-    stream: TcpStream,
-    reply_rx: &mpsc::Receiver<(Instant, Vec<u8>)>,
-    stats: &ServerStats,
-) {
-    let mut writer = BufWriter::new(stream);
-    let mut burst: Vec<Instant> = Vec::new();
-    while let Ok((t0, frame)) = reply_rx.recv() {
-        burst.clear();
-        if write_frame(&mut writer, &frame).is_err() {
-            return;
-        }
-        burst.push(t0);
-        while let Ok((t0, frame)) = reply_rx.try_recv() {
-            if write_frame(&mut writer, &frame).is_err() {
-                return;
-            }
-            burst.push(t0);
-        }
-        if writer.flush().is_err() {
-            return;
-        }
-        for t0 in &burst {
-            stats.record_write_ns(t0.elapsed().as_nanos() as u64);
-        }
-    }
 }

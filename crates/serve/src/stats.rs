@@ -45,7 +45,6 @@ pub struct ServerStats {
     stage_hists: [Arc<Histogram>; Stage::ALL.len()],
     swaps_applied: Arc<Counter>,
     worker_deaths: Arc<Counter>,
-    accept_spawn_failures: Arc<Counter>,
     batch_hist: [AtomicU64; HIST_BUCKETS],
     queue_depth: AtomicU64,
     plan_version: AtomicU64,
@@ -91,7 +90,6 @@ impl ServerStats {
             stage_hists,
             swaps_applied: registry.counter("plan_swaps_total"),
             worker_deaths: registry.counter("worker_deaths_total"),
-            accept_spawn_failures: registry.counter("accept_spawn_failures_total"),
             batch_hist: Default::default(),
             queue_depth: AtomicU64::new(0),
             plan_version: AtomicU64::new(0),
@@ -137,8 +135,8 @@ impl ServerStats {
     /// submission-to-reply latency, and per-stage attribution.
     ///
     /// The write stage is excluded here (it has not happened yet when the
-    /// worker completes the request) — the connection's writer thread
-    /// reports it via [`ServerStats::record_write_ns`].
+    /// worker completes the request) — the reactor reports it via
+    /// [`ServerStats::record_write_ns`] once the reply is on the socket.
     pub fn record_completed(
         &self,
         technique: Technique,
@@ -159,7 +157,7 @@ impl ServerStats {
     }
 
     /// Records one reply frame's write stage: reply enqueue to socket
-    /// flush, on the connection's writer thread.
+    /// write, on the reactor thread.
     pub fn record_write_ns(&self, ns: u64) {
         self.stage_hists[Stage::Write.index()].record(ns);
     }
@@ -185,13 +183,6 @@ impl ServerStats {
                 slot.alive = false;
             }
         }
-    }
-
-    /// Records one accepted connection the server could not serve because
-    /// spawning its handler thread failed (thread exhaustion). The client
-    /// got a best-effort reject frame and a close, not a silent hang.
-    pub fn record_accept_spawn_failure(&self) {
-        self.accept_spawn_failures.inc();
     }
 
     /// Records the engine's replication factor (worker threads per table).
@@ -290,7 +281,6 @@ impl ServerStats {
             epoch: self.epoch.load(Ordering::SeqCst),
             swaps_applied: self.swaps_applied.get(),
             worker_deaths: self.worker_deaths.get(),
-            accept_spawn_failures: self.accept_spawn_failures.get(),
             replicas: self.replicas.load(Ordering::Relaxed),
             worker_batches: lock_unpoisoned(&self.worker_batches)
                 .iter()
@@ -351,9 +341,6 @@ pub struct StatsSnapshot {
     pub swaps_applied: u64,
     /// Workers that died to a panicking generator since startup.
     pub worker_deaths: u64,
-    /// Accepted connections dropped (with a best-effort reject) because
-    /// their handler thread failed to spawn.
-    pub accept_spawn_failures: u64,
     /// Worker threads per table (the engine's replication factor).
     pub replicas: u64,
     /// Batches dispatched per worker, one entry per `(table, replica)`.
@@ -423,10 +410,6 @@ impl StatsSnapshot {
             ("queue_depth", Value::Num(self.queue_depth as f64)),
             ("replicas", Value::Num(self.replicas as f64)),
             ("worker_deaths", Value::Num(self.worker_deaths as f64)),
-            (
-                "accept_spawn_failures",
-                Value::Num(self.accept_spawn_failures as f64),
-            ),
             (
                 "worker_batches",
                 Value::Arr(

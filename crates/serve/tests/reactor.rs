@@ -1,18 +1,15 @@
-//! End-to-end tests for the epoll reactor connection backend: soak
-//! behavior at ≥1024 mostly-idle connections with O(workers) threads,
-//! bit-identical responses vs the threaded backend under interleaved
-//! pipelining, the multi-part worker-death regression, accept-time
-//! spawn-failure accounting, and client-side idle detection.
+//! End-to-end tests for the connection layer: soak behavior at ≥1024
+//! mostly-idle connections with O(workers) threads, responses under
+//! interleaved pipelining bit-identical to in-process `Engine` calls,
+//! the multi-part worker-death regression, a peer that vanishes with
+//! replies in flight, and client-side idle detection.
 
 use secemb::GeneratorSpec;
-use secemb_serve::protocol::{decode_server, ServerMsg};
-use secemb_serve::{
-    Client, ConnectionBackend, Engine, EngineConfig, RejectReason, Server, TableConfig,
-};
+use secemb_serve::protocol::{encode_generate, ServerMsg};
+use secemb_serve::{Client, Engine, EngineConfig, RejectReason, Request, Server, TableConfig};
 use secemb_tensor::Matrix;
-use secemb_wire::frame::read_frame;
+use secemb_wire::frame::write_frame;
 use std::collections::HashMap;
-use std::io::{BufReader, Read};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -58,11 +55,29 @@ fn wait_for(mut cond: impl FnMut() -> bool, what: &str) {
     }
 }
 
-/// Runs the same interleaved pipelined request mix against one server and
+const CONNS: usize = 4;
+const REQUESTS: usize = 24;
+
+/// The `(table, indices)` request `slot` of connection `conn` sends in
+/// the pipelined mix.
+fn mix_request(conn: usize, slot: usize) -> (usize, Vec<u64>) {
+    let table = (conn + slot) % 2;
+    let rows = if table == 0 { 128 } else { 96 };
+    let indices = (0..4)
+        .map(|k| ((conn * 31 + slot * 7 + k * 13) as u64) % rows)
+        .collect();
+    (table, indices)
+}
+
+/// The oracle: what `engine` answers in-process, no sockets involved.
+fn oracle(engine: &Engine, table: usize, indices: Vec<u64>) -> Vec<u32> {
+    let response = engine.call(Request::new(table, indices));
+    bits(response.embeddings().expect("oracle embeddings"))
+}
+
+/// Runs the interleaved pipelined request mix against one server and
 /// returns the per-request embedding bits keyed by `(conn, slot)`.
 fn pipelined_mix(addr: std::net::SocketAddr) -> HashMap<(usize, usize), Vec<u32>> {
-    const CONNS: usize = 4;
-    const REQUESTS: usize = 24;
     let mut out = HashMap::new();
     let mut clients: Vec<Client> = (0..CONNS)
         .map(|_| Client::connect(addr).expect("connect"))
@@ -72,11 +87,7 @@ fn pipelined_mix(addr: std::net::SocketAddr) -> HashMap<(usize, usize), Vec<u32>
     let mut ids: Vec<Vec<u64>> = vec![Vec::new(); CONNS];
     for slot in 0..REQUESTS {
         for (conn, client) in clients.iter_mut().enumerate() {
-            let table = (conn + slot) % 2;
-            let rows = if table == 0 { 128 } else { 96 };
-            let indices: Vec<u64> = (0..4)
-                .map(|k| ((conn * 31 + slot * 7 + k * 13) as u64) % rows)
-                .collect();
+            let (table, indices) = mix_request(conn, slot);
             ids[conn].push(client.call_async(table, &indices, None).expect("send"));
         }
     }
@@ -95,30 +106,21 @@ fn pipelined_mix(addr: std::net::SocketAddr) -> HashMap<(usize, usize), Vec<u32>
     out
 }
 
-/// The tentpole's soak criterion: ≥1024 concurrently open, mostly-idle
-/// connections served by O(workers) threads — opening them adds no
-/// threads at all on the reactor backend — while interleaved pipelined
-/// traffic through the same reactor stays bit-identical to a threaded
-/// server built from the same seed.
+/// The soak criterion: ≥1024 concurrently open, mostly-idle connections
+/// served by O(workers) threads — opening them adds no threads at all —
+/// while interleaved pipelined traffic through the same reactor stays
+/// bit-identical to in-process calls on an engine built from the same
+/// seed.
 #[test]
 fn soak_1024_idle_connections_o1_threads_and_bit_identical_replies() {
-    let reactor_server =
-        Server::start_with(small_engine(42), "127.0.0.1:0", ConnectionBackend::Reactor)
-            .expect("bind reactor");
-    let threaded_server =
-        Server::start_with(small_engine(42), "127.0.0.1:0", ConnectionBackend::Threaded)
-            .expect("bind threaded");
+    let server = Server::start(small_engine(42), "127.0.0.1:0").expect("bind");
+    let reference = small_engine(42);
 
     let before = thread_count();
     let idle: Vec<TcpStream> = (0..1024)
-        .map(|i| {
-            TcpStream::connect(reactor_server.addr()).unwrap_or_else(|e| panic!("conn {i}: {e}"))
-        })
+        .map(|i| TcpStream::connect(server.addr()).unwrap_or_else(|e| panic!("conn {i}: {e}")))
         .collect();
-    wait_for(
-        || reactor_server.connections() >= 1024,
-        "1024 accepted connections",
-    );
+    wait_for(|| server.connections() >= 1024, "1024 accepted connections");
     let after = thread_count();
     assert!(
         after <= before + 2,
@@ -127,17 +129,25 @@ fn soak_1024_idle_connections_o1_threads_and_bit_identical_replies() {
     );
 
     // Pipelined traffic interleaved with the idle fleet still held open.
-    let via_reactor = pipelined_mix(reactor_server.addr());
-    let via_threads = pipelined_mix(threaded_server.addr());
-    assert_eq!(via_reactor, via_threads, "backends disagree on embeddings");
+    let via_reactor = pipelined_mix(server.addr());
+    let mut expected = HashMap::new();
+    for conn in 0..CONNS {
+        for slot in 0..REQUESTS {
+            let (table, indices) = mix_request(conn, slot);
+            expected.insert((conn, slot), oracle(&reference, table, indices));
+        }
+    }
+    assert_eq!(
+        via_reactor, expected,
+        "served replies differ from the engine"
+    );
 
     drop(idle);
     wait_for(
-        || reactor_server.connections() == 0,
+        || server.connections() == 0,
         "idle fleet reaped after close",
     );
-    reactor_server.shutdown();
-    threaded_server.shutdown();
+    server.shutdown();
 }
 
 /// Regression for the multi-part merge panic: killing the worker that
@@ -146,62 +156,95 @@ fn soak_1024_idle_connections_o1_threads_and_bit_identical_replies() {
 /// connection — and the connection must keep serving afterwards.
 #[test]
 fn multi_part_with_dead_worker_rejects_instead_of_hanging() {
-    for backend in [ConnectionBackend::Threaded, ConnectionBackend::Reactor] {
-        let engine = small_engine(7);
-        let server = Server::start_with(Arc::clone(&engine), "127.0.0.1:0", backend).expect("bind");
-        let mut client = Client::connect(server.addr()).expect("connect");
+    let engine = small_engine(7);
+    let server = Server::start(Arc::clone(&engine), "127.0.0.1:0").expect("bind");
+    let mut client = Client::connect(server.addr()).expect("connect");
 
-        // Poison table 1's only replica: its next batch (our part) is
-        // answered Internal and the worker dies.
-        assert!(engine.inject_worker_panic(1, 0));
-        let parts = vec![(0usize, vec![1u64, 2, 3]), (1usize, vec![4u64, 5])];
-        match client.generate_multi(&parts, None).expect("round trip") {
-            ServerMsg::Rejected(RejectReason::Internal) => {}
-            other => panic!("{backend:?}: expected Rejected(Internal), got {other:?}"),
-        }
-
-        // The connection survived the partial failure.
-        match client.generate(0, &[9, 10], None).expect("round trip") {
-            ServerMsg::Embeddings(m, _) => assert_eq!(m.shape(), (2, 8)),
-            other => panic!("{backend:?}: healthy table failed: {other:?}"),
-        }
-        server.shutdown();
+    // Poison table 1's only replica: its next batch (our part) is
+    // answered Internal and the worker dies.
+    assert!(engine.inject_worker_panic(1, 0));
+    let parts = vec![(0usize, vec![1u64, 2, 3]), (1usize, vec![4u64, 5])];
+    match client.generate_multi(&parts, None).expect("round trip") {
+        ServerMsg::Rejected(RejectReason::Internal) => {}
+        other => panic!("expected Rejected(Internal), got {other:?}"),
     }
+
+    // The connection survived the partial failure.
+    match client.generate(0, &[9, 10], None).expect("round trip") {
+        ServerMsg::Embeddings(m, _) => assert_eq!(m.shape(), (2, 8)),
+        other => panic!("healthy table failed: {other:?}"),
+    }
+    server.shutdown();
 }
 
-/// A connection the threaded server cannot staff (thread-spawn failure)
-/// is counted in `ServerStats` and receives a best-effort
-/// `Rejected(Internal)` frame before the close — never a silent drop.
+/// A peer that pipelines a burst and vanishes without reading a byte:
+/// its requests still run, their replies are dropped with the dead
+/// connection, and nothing else notices — a second connection keeps
+/// getting oracle-exact answers, the connection count returns to the
+/// survivor, and shutdown releases every handle on the engine.
 #[test]
-fn spawn_failure_is_counted_and_rejected_not_silently_dropped() {
-    let engine = small_engine(3);
-    let server = Server::start_with(
-        Arc::clone(&engine),
-        "127.0.0.1:0",
-        ConnectionBackend::Threaded,
-    )
-    .expect("bind");
-    server.inject_spawn_failures(1);
+fn peer_vanishing_with_replies_in_flight_harms_nobody() {
+    const BURST: u64 = 48;
+    // A scan wide enough that the burst is still queued when the socket
+    // goes away.
+    let start_engine = || {
+        Engine::start(EngineConfig::new(vec![TableConfig {
+            spec: GeneratorSpec::Scan {
+                rows: 4096,
+                dim: 32,
+            },
+            seed: 11,
+            queue_capacity: 4096,
+            cost_override_ns: None,
+        }]))
+    };
+    let engine = Arc::new(start_engine());
+    let reference = start_engine();
+    let server = Server::start(Arc::clone(&engine), "127.0.0.1:0").expect("bind");
 
-    let stream = TcpStream::connect(server.addr()).expect("connect");
-    let mut reader = BufReader::new(stream);
-    let payload = read_frame(&mut reader).expect("reject frame before close");
-    let (id, msg) = decode_server(&payload).expect("decodable reject");
-    assert_eq!(id, 0, "pre-request reject carries the reserved id 0");
-    assert!(
-        matches!(msg, ServerMsg::Rejected(RejectReason::Internal)),
-        "expected Rejected(Internal), got {msg:?}"
+    let mut survivor = Client::connect(server.addr()).expect("connect survivor");
+    let check_survivor = |survivor: &mut Client, round: u64| {
+        let indices = vec![round, 4095 - round, 17];
+        match survivor.generate(0, &indices, None).expect("round trip") {
+            ServerMsg::Embeddings(m, _) => {
+                assert_eq!(bits(&m), oracle(&reference, 0, indices), "round {round}");
+            }
+            other => panic!("survivor round {round}: {other:?}"),
+        }
+    };
+    check_survivor(&mut survivor, 0);
+
+    let mut doomed = TcpStream::connect(server.addr()).expect("connect doomed");
+    for id in 0..BURST {
+        let indices: Vec<u64> = (0..8).map(|k| (id * 8 + k) % 4096).collect();
+        write_frame(&mut doomed, &encode_generate(id, 0, &indices, None)).expect("send");
+    }
+    drop(doomed);
+
+    // Served concurrently with the orphaned burst and after it.
+    for round in 1..=8 {
+        check_survivor(&mut survivor, round);
+    }
+    // The dead connection is reaped, and every request the server had
+    // read from it still runs to completion: nothing is left wedged in
+    // the engine behind a reply that has nowhere to go.
+    wait_for(|| server.connections() == 1, "dead connection reaped");
+    wait_for(
+        || {
+            let stats = engine.stats().snapshot();
+            stats.accepted == stats.completed
+        },
+        "orphaned burst to finish",
     );
-    // And nothing but the reject: the connection is closed.
-    let mut rest = Vec::new();
-    let _ = reader.read_to_end(&mut rest);
-    assert!(rest.is_empty(), "bytes after the reject frame: {rest:?}");
-    assert_eq!(engine.stats().snapshot().accept_spawn_failures, 1);
+    assert!(engine.stats().snapshot().completed > 9, "burst never ran");
+    check_survivor(&mut survivor, 9);
 
-    // The failure was transient: the next connection is served normally.
-    let mut client = Client::connect(server.addr()).expect("connect");
-    assert_eq!(client.tables().expect("tables").len(), 2);
     server.shutdown();
+    assert_eq!(
+        Arc::strong_count(&engine),
+        1,
+        "a connection or reply closure still holds the engine"
+    );
 }
 
 /// `Client::connect_with` idle detection: a half-open peer (accepts,

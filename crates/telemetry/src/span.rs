@@ -4,8 +4,8 @@
 ///
 /// Admission (validation + enqueue) happens on the accepting thread;
 /// queue/batch/generate/reply on the shard worker; write on the
-/// connection's writer thread (server-side only — in-process callers
-/// see a zero write stage).
+/// reactor thread (server-side only — in-process callers see a zero
+/// write stage).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Stage {
     /// Validation and admission control, up to enqueue.
