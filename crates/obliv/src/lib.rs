@@ -15,7 +15,7 @@
 //!    bitwise select, never with `if`/`match` on a secret.
 //! 2. **No secret-dependent addresses.** Routines touch the same sequence of
 //!    memory locations regardless of secret values (e.g.
-//!    [`scan::scan_copy_row`] reads *every* row of a table).
+//!    [`scan::scan_copy_rows`] reads *every* row of a table).
 //!
 //! The compiler is prevented from re-introducing branches by routing masks
 //! through [`core::hint::black_box`], the same role the inline-assembly
@@ -31,7 +31,9 @@
 //! assert_eq!(x, 7);
 //! ```
 
-#![forbid(unsafe_code)]
+// `deny`, not `forbid`: the one exception is the call through the cached
+// ISA dispatch pointer in `scan::run`, `#[allow]`ed there.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod choice;

@@ -1,19 +1,38 @@
 //! Oblivious whole-table scans: copy-out, max, and argmax.
 //!
-//! These routines visit *every* element of their input exactly once, in
-//! index order, so the memory access sequence is a public function of the
-//! (public) input shape alone. They implement:
+//! These routines visit *every* element of their input, in an order that
+//! is a public function of the (public) input shape alone. They
+//! implement:
 //!
 //! - the paper's **linear scan** embedding generation (§IV-A1, §V-A2), and
 //! - the **oblivious argmax** used for greedy LLM decoding (§V-C).
 
 use crate::{cmp, select};
+use std::sync::OnceLock;
 
-/// Obliviously copies row `secret_index` of a row-major `table` into `out`.
+/// Bytes of table one tile of [`scan_copy_rows`] covers. A tile is read
+/// once per index of the batch, so it has to stay cache-resident between
+/// those reads. The measured sweep (EXPERIMENTS.md, "Scan kernel") has two
+/// plateaus: flat across L2-sized tiles (64 KiB – 512 KiB), and a quarter
+/// faster again while the tile sits in L1d (16 KiB – 32 KiB on this host's
+/// 48 KiB L1d). 24 KiB is inside the fast plateau and also leaves room
+/// beside the tile in a 32 KiB L1d.
+pub const TILE_BYTES: usize = 24 * 1024;
+
+/// Rows per tile of a table whose rows are `dim` `f32`s: as many whole
+/// rows as fit in [`TILE_BYTES`], at least one. The tiling — and with it
+/// the access order of [`scan_copy_rows`] — depends on the row width only.
 ///
-/// Every row of the table is read; the matching row is blended into `out`
-/// with a mask, exactly like the AVX-512 `blend` implementation in the
-/// paper. Rows are `dim` consecutive `f32`s.
+/// # Panics
+///
+/// Panics if `dim` is zero.
+pub fn tile_rows(dim: usize) -> usize {
+    assert!(dim > 0, "tile_rows: dim must be positive");
+    (TILE_BYTES / 4 / dim).max(1)
+}
+
+/// Obliviously copies row `secret_index` of a row-major `table` into `out`:
+/// [`scan_copy_rows`] for a batch of one.
 ///
 /// # Panics
 ///
@@ -29,38 +48,215 @@ use crate::{cmp, select};
 /// assert_eq!(out, [5.0, 6.0]);
 /// ```
 pub fn scan_copy_row(table: &[f32], dim: usize, secret_index: u64, out: &mut [f32]) {
-    assert!(dim > 0, "scan_copy_row: dim must be positive");
-    assert_eq!(
-        table.len() % dim,
-        0,
-        "scan_copy_row: table not a multiple of dim"
-    );
-    assert_eq!(out.len(), dim, "scan_copy_row: out length != dim");
-    let n = (table.len() / dim) as u64;
-    assert!(secret_index < n, "scan_copy_row: index out of range");
-    for (row, chunk) in table.chunks_exact(dim).enumerate() {
-        let hit = cmp::eq_u64(row as u64, secret_index);
-        select::assign_slice_f32(hit, out, chunk);
-    }
+    scan_copy_rows(table, dim, &[secret_index], out);
 }
 
-/// Obliviously copies one row for each index in a batch.
+/// Obliviously copies one row of a row-major `table` for each index of a
+/// batch: `out` row `b` becomes table row `indices[b]`, bit for bit.
 ///
-/// The scan order is batch-major: for each index, the whole table is
-/// scanned (matching the paper's implementation, which scans the table per
-/// input in a batch and benefits from cache reuse across the batch).
+/// The scan is tile-major. The table is walked once, in tiles of
+/// [`tile_rows`]`(dim)` rows; within a tile every index of the batch, in
+/// batch order, reads every row of the tile and ORs `row & mask` into
+/// register accumulators (the mask is all-ones on the one matching row —
+/// the role `vpblendm` plays in the paper's AVX-512 scan), and the
+/// accumulators are merged into `out` once per tile. So the table comes
+/// from DRAM once per batch instead of once per index, and which
+/// addresses are touched in which order is fixed by `(rows, dim, batch)`:
+/// no index decides what is read, only what the masks keep.
 ///
 /// # Panics
 ///
-/// Same conditions as [`scan_copy_row`], with `out.len() == indices.len() * dim`.
+/// Panics if `dim` is zero, if `table.len()` is not a multiple of `dim`, if
+/// `out.len() != indices.len() * dim`, or if any index is out of range (the
+/// range bound is public; a caller-side bug, not a secret leak).
+///
+/// ```
+/// use secemb_obliv::scan;
+/// let table = [1.0f32, 2.0, /* row 1 */ 3.0, 4.0, /* row 2 */ 5.0, 6.0];
+/// let mut out = [0.0f32; 4];
+/// scan::scan_copy_rows(&table, 2, &[2, 0], &mut out);
+/// assert_eq!(out, [5.0, 6.0, 1.0, 2.0]);
+/// ```
 pub fn scan_copy_rows(table: &[f32], dim: usize, indices: &[u64], out: &mut [f32]) {
+    static BEST: OnceLock<Kernel> = OnceLock::new();
+    let best = *BEST.get_or_init(|| {
+        (Isa::ALL.iter().rev())
+            .find_map(|isa| isa.kernel())
+            .expect("the baseline kernel runs everywhere")
+    });
+    run(best, table, dim, indices, out);
+}
+
+/// [`scan_copy_rows`] through the kernel compiled for `isa` rather than
+/// the best one the CPU offers, so tests and benches can reach every
+/// instantiation. Returns `false`, leaving `out` untouched, if this CPU
+/// cannot run that level.
+#[doc(hidden)]
+pub fn scan_copy_rows_at(
+    isa: Isa,
+    table: &[f32],
+    dim: usize,
+    indices: &[u64],
+    out: &mut [f32],
+) -> bool {
+    match isa.kernel() {
+        Some(kernel) => {
+            run(kernel, table, dim, indices, out);
+            true
+        }
+        None => false,
+    }
+}
+
+/// The instruction-set levels the scan kernel is compiled for.
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Isa {
+    /// Whatever the crate's target guarantees (SSE2 on x86-64).
+    Baseline,
+    /// 256-bit integer vectors.
+    Avx2,
+    /// 512-bit vectors; `row & mask | acc` is one `vpternlog`.
+    Avx512f,
+}
+
+impl Isa {
+    /// Every level, narrowest first.
+    pub const ALL: [Isa; 3] = [Isa::Baseline, Isa::Avx2, Isa::Avx512f];
+
+    /// The kernel compiled for this level — only if this CPU reports the
+    /// feature it was compiled with, which is what makes [`run`] sound.
+    fn kernel(self) -> Option<Kernel> {
+        match self {
+            Isa::Baseline => Some(kernel_baseline),
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => std::is_x86_feature_detected!("avx2").then_some(kernel_avx2 as Kernel),
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512f => {
+                std::is_x86_feature_detected!("avx512f").then_some(kernel_avx512f as Kernel)
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            Isa::Avx2 | Isa::Avx512f => None,
+        }
+    }
+}
+
+/// One compiled instantiation of [`kernel_body`]. `unsafe` because the
+/// `#[target_feature]` ones may only be called on a CPU with that feature;
+/// values of this type come from [`Isa::kernel`] alone.
+type Kernel = unsafe fn(&[f32], usize, &[u64], &mut [f32]);
+
+/// Checks the public shape, then runs `kernel`.
+fn run(kernel: Kernel, table: &[f32], dim: usize, indices: &[u64], out: &mut [f32]) {
+    assert!(dim > 0, "scan_copy_rows: dim must be positive");
+    assert_eq!(
+        table.len() % dim,
+        0,
+        "scan_copy_rows: table not a multiple of dim"
+    );
     assert_eq!(
         out.len(),
         indices.len() * dim,
         "scan_copy_rows: out length != batch * dim"
     );
-    for (idx, out_row) in indices.iter().zip(out.chunks_exact_mut(dim)) {
-        scan_copy_row(table, dim, *idx, out_row);
+    let n = (table.len() / dim) as u64;
+    assert!(
+        indices.iter().all(|&idx| idx < n),
+        "scan_copy_rows: index out of range"
+    );
+    // SAFETY: `kernel` came from `Isa::kernel`, which hands out a
+    // `#[target_feature]` instantiation only after
+    // `is_x86_feature_detected!` confirmed that feature on the running CPU
+    // (the baseline one needs none). The body is safe Rust, so the CPU
+    // feature is the kernel's only precondition.
+    #[allow(unsafe_code)]
+    unsafe {
+        kernel(table, dim, indices, out)
+    }
+}
+
+// The instantiations stay out of line so each is a symbol of its own: CI
+// disassembles the wide ones and fails if the compiler stopped
+// vectorising them.
+
+#[inline(never)]
+fn kernel_baseline(table: &[f32], dim: usize, indices: &[u64], out: &mut [f32]) {
+    kernel_body(table, dim, indices, out);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[inline(never)]
+#[target_feature(enable = "avx2")]
+fn kernel_avx2(table: &[f32], dim: usize, indices: &[u64], out: &mut [f32]) {
+    kernel_body(table, dim, indices, out);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[inline(never)]
+#[target_feature(enable = "avx512f")]
+fn kernel_avx512f(table: &[f32], dim: usize, indices: &[u64], out: &mut [f32]) {
+    kernel_body(table, dim, indices, out);
+}
+
+/// The scan itself, written once in safe Rust and compiled once per
+/// [`Isa`] level: inlined into a `#[target_feature]` wrapper, the fixed-
+/// width accumulator loops of [`accumulate`] vectorise to that level's
+/// registers.
+#[inline(always)]
+fn kernel_body(table: &[f32], dim: usize, indices: &[u64], out: &mut [f32]) {
+    out.fill(0.0);
+    let tile_rows = tile_rows(dim);
+    for (tile_no, tile) in table.chunks(tile_rows * dim).enumerate() {
+        let first_row = (tile_no * tile_rows) as u64;
+        for (&secret_index, out_row) in indices.iter().zip(out.chunks_exact_mut(dim)) {
+            // A row is cut into accumulator blocks, widest first: 64
+            // words fill the sixteen SSE2 registers exactly (eight AVX2,
+            // four AVX-512), the narrower steps cover rows and remainders
+            // below that.
+            let mut col = 0;
+            while col + 64 <= dim {
+                accumulate::<64>(tile, dim, col, first_row, secret_index, out_row);
+                col += 64;
+            }
+            while col + 16 <= dim {
+                accumulate::<16>(tile, dim, col, first_row, secret_index, out_row);
+                col += 16;
+            }
+            while col + 4 <= dim {
+                accumulate::<4>(tile, dim, col, first_row, secret_index, out_row);
+                col += 4;
+            }
+            while col < dim {
+                accumulate::<1>(tile, dim, col, first_row, secret_index, out_row);
+                col += 1;
+            }
+        }
+    }
+}
+
+/// ORs columns `col..col + W` of the tile row numbered `secret_index` (if
+/// it is in this tile; nothing otherwise) into the same columns of
+/// `out_row`. Every row of the tile is read; the loop over rows has no
+/// store.
+#[inline(always)]
+fn accumulate<const W: usize>(
+    tile: &[f32],
+    dim: usize,
+    col: usize,
+    first_row: u64,
+    secret_index: u64,
+    out_row: &mut [f32],
+) {
+    let mut acc = [0u32; W];
+    for (r, row) in tile.chunks_exact(dim).enumerate() {
+        let hit = cmp::eq_u64(first_row + r as u64, secret_index).mask() as u32;
+        let words: &[f32; W] = row[col..col + W].try_into().expect("W words");
+        for (a, word) in acc.iter_mut().zip(words) {
+            *a |= word.to_bits() & hit;
+        }
+    }
+    for (o, a) in out_row[col..col + W].iter_mut().zip(acc) {
+        *o = f32::from_bits(o.to_bits() | a);
     }
 }
 

@@ -2,7 +2,34 @@
 //! straightforward (branching) reference implementation on all inputs.
 
 use proptest::prelude::*;
+use secemb_obliv::scan::Isa;
 use secemb_obliv::{cmp, scan, select, sort, Choice};
+
+/// Bit patterns a float-typed copy could mangle: both zeros, quiet and
+/// signalling NaNs of either sign with payloads, subnormals, infinities.
+const AWKWARD_BITS: [u32; 10] = [
+    0x0000_0000,
+    0x8000_0000,
+    0x7fc0_0001,
+    0xffc1_2345,
+    0x7f80_0001,
+    0xff80_0001,
+    0x0000_0001,
+    0x807f_ffff,
+    0x7f80_0000,
+    0xff80_0000,
+];
+
+fn bits(xs: &[f32]) -> Vec<u32> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
+fn xorshift(state: &mut u64) -> u64 {
+    *state ^= *state << 13;
+    *state ^= *state >> 7;
+    *state ^= *state << 17;
+    *state
+}
 
 proptest! {
     #[test]
@@ -121,5 +148,58 @@ proptest! {
         scan::onehot_matmul_row(&table, dim, idx, &mut a);
         scan::scan_copy_row(&table, dim, idx, &mut b);
         prop_assert_eq!(a, b);
+    }
+}
+
+proptest! {
+    // Each case scans up to 3000 x 130 words 70 times per ISA level.
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn scan_kernels_match_direct_indexing(
+        rows in 1usize..=3000,
+        dim in 1usize..=130,
+        batch in 0usize..=70,
+        seed in any::<u64>(),
+    ) {
+        let mut state = seed | 1;
+        let table: Vec<f32> = (0..rows * dim)
+            .map(|_| {
+                let word = xorshift(&mut state);
+                let bits = if word & 3 == 0 {
+                    AWKWARD_BITS[(word >> 8) as usize % AWKWARD_BITS.len()]
+                } else {
+                    (word >> 16) as u32
+                };
+                f32::from_bits(bits)
+            })
+            .collect();
+        // Row 0, row n-1 and a duplicate are always in a batch that has
+        // room for them.
+        let mut indices: Vec<u64> =
+            (0..batch).map(|_| xorshift(&mut state) % rows as u64).collect();
+        for (slot, idx) in indices.iter_mut().zip([0, rows as u64 - 1, 0]) {
+            *slot = idx;
+        }
+        let expected: Vec<u32> = indices
+            .iter()
+            .flat_map(|&idx| bits(&table[idx as usize * dim..(idx as usize + 1) * dim]))
+            .collect();
+
+        for isa in Isa::ALL {
+            // Pre-filled: the kernel must overwrite, not merge.
+            let mut out = vec![f32::from_bits(0xdead_beef); batch * dim];
+            if !scan::scan_copy_rows_at(isa, &table, dim, &indices, &mut out) {
+                static ONCE: [std::sync::Once; 3] =
+                    [const { std::sync::Once::new() }; 3];
+                ONCE[isa as usize].call_once(|| println!("host lacks {isa:?}: not tested"));
+                continue;
+            }
+            prop_assert_eq!(&bits(&out), &expected, "{:?}", isa);
+        }
+        // The dispatched entry point, whichever level it picked.
+        let mut out = vec![f32::from_bits(0xdead_beef); batch * dim];
+        scan::scan_copy_rows(&table, dim, &indices, &mut out);
+        prop_assert_eq!(bits(&out), expected);
     }
 }
