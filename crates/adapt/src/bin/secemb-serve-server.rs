@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! secemb-serve-server [--listen ADDR] [--table SPEC]... [--max-batch N]
-//!                     [--max-wait-us N] [--queue N] [--seed N]
+//!                     [--queue N] [--seed N]
 //!                     [--replicas N] [--telemetry-out FILE]
 //!                     [--stats-interval S] [--no-telemetry]
 //!                     [--adaptive] [--adapt-profile FILE]
@@ -16,6 +16,8 @@
 //! `SPEC` is `TECH:ROWSxDIM` (`lookup|scan|path|circuit|dhe`) or
 //! `hybrid:ROWSxDIM:THRESHOLD`; repeat `--table` for multiple shards.
 //! Defaults serve a scan+DHE hybrid pair resembling a small DLRM.
+//! A shard worker runs whatever is queued when it becomes free, up to
+//! `--max-batch` queries per generator call; it never waits for more.
 //! `--telemetry-out FILE` appends a JSONL registry snapshot every
 //! `--stats-interval` seconds; `--no-telemetry` disables the metrics
 //! registry entirely (responses still carry stage breakdowns).
@@ -47,9 +49,7 @@
 
 use secemb::GeneratorSpec;
 use secemb_adapt::{AdaptConfig, AdaptiveController, Crossovers, ProfileArtifact};
-use secemb_serve::{
-    BatchPolicy, Engine, EngineConfig, Server, ServerOptions, TableConfig, TraceSettings,
-};
+use secemb_serve::{Engine, EngineConfig, Server, ServerOptions, TableConfig, TraceSettings};
 use secemb_telemetry::JsonlExporter;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -59,7 +59,6 @@ struct Args {
     listen: String,
     specs: Vec<GeneratorSpec>,
     max_batch: usize,
-    max_wait: Duration,
     queue: usize,
     seed: u64,
     replicas: usize,
@@ -80,7 +79,7 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: secemb-serve-server [--listen ADDR] [--table SPEC]... \
-         [--max-batch N] [--max-wait-us N] [--queue N] [--seed N] [--replicas N] \
+         [--max-batch N] [--queue N] [--seed N] [--replicas N] \
          [--telemetry-out FILE] [--stats-interval S] [--no-telemetry] \
          [--adaptive] [--adapt-profile FILE] [--adapt-dwell-ms N] \
          [--adapt-cooldown-ms N] [--run-secs N] [--conn-idle-ms N] \
@@ -95,7 +94,6 @@ fn parse_args() -> Args {
         listen: "127.0.0.1:7878".to_string(),
         specs: Vec::new(),
         max_batch: 64,
-        max_wait: Duration::from_micros(500),
         queue: 1024,
         seed: 42,
         replicas: 1,
@@ -125,9 +123,6 @@ fn parse_args() -> Args {
                 }
             },
             "--max-batch" => args.max_batch = value().parse().unwrap_or_else(|_| usage()),
-            "--max-wait-us" => {
-                args.max_wait = Duration::from_micros(value().parse().unwrap_or_else(|_| usage()))
-            }
             "--queue" => args.queue = value().parse().unwrap_or_else(|_| usage()),
             "--seed" => args.seed = value().parse().unwrap_or_else(|_| usage()),
             "--replicas" => {
@@ -252,10 +247,7 @@ fn main() {
         })
         .collect();
     let mut config = EngineConfig::new(tables);
-    config.policy = BatchPolicy {
-        max_batch: args.max_batch,
-        max_wait: args.max_wait,
-    };
+    config.policy.max_batch = args.max_batch;
     config.shard.replicas = args.replicas;
     config.telemetry = args.telemetry;
     config.tracing =

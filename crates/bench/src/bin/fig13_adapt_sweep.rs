@@ -44,7 +44,7 @@ use secemb_adapt::{AdaptConfig, AdaptiveController};
 use secemb_bench::{drift_gauges_json, print_table, SCALE_NOTE};
 use secemb_dlrm::colocate::{start_disturbance, Workload};
 use secemb_serve::loadgen::{run_load, LoadConfig, LoadReport, Schedule};
-use secemb_serve::{BatchPolicy, Engine, EngineConfig, Request, Server, TableConfig};
+use secemb_serve::{Engine, EngineConfig, Request, Server, TableConfig};
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
@@ -107,12 +107,7 @@ fn start_engine(rows: [u64; 2], threshold: u64) -> Arc<Engine> {
             cost_override_ns: None,
         })
         .collect();
-    let mut config = EngineConfig::new(tables);
-    config.policy = BatchPolicy {
-        max_batch: 64,
-        max_wait: Duration::from_micros(500),
-    };
-    Arc::new(Engine::start(config))
+    Arc::new(Engine::start(EngineConfig::new(tables)))
 }
 
 fn drive(addr: SocketAddr, p: &Params, seed: u64) -> LoadReport {

@@ -29,7 +29,7 @@ use secemb::GeneratorSpec;
 use secemb_adapt::{AdaptConfig, AdaptiveController};
 use secemb_bench::{drift_gauges_json, print_table, SCALE_NOTE};
 use secemb_serve::loadgen::{run_load, LoadConfig, Schedule};
-use secemb_serve::{BatchPolicy, Engine, EngineConfig, Server, TableConfig};
+use secemb_serve::{Engine, EngineConfig, Server, TableConfig};
 use secemb_telemetry::JsonlExporter;
 use std::sync::Arc;
 use std::time::Duration;
@@ -96,10 +96,6 @@ fn main() {
             })
             .collect(),
     );
-    config.policy = BatchPolicy {
-        max_batch: 64,
-        max_wait: Duration::from_micros(500),
-    };
     config.shard.replicas = replicas;
     config.telemetry = telemetry;
 

@@ -1,31 +1,31 @@
-//! Adaptive batching: coalescing queued requests into one generator call.
+//! Arrival-driven batching: coalescing queued requests into one
+//! generator call.
 //!
 //! Amortizing fixed per-call overheads over a coalesced batch is where the
 //! paper's batch-scaling results (Fig. 12) translate into serving
-//! throughput. The coalescing itself is a pure function
-//! ([`execute_batch`]) so its correctness and obliviousness can be tested
-//! on the caller's thread, outside the worker machinery.
+//! throughput — and those results are about requests that pile up *while
+//! the generator is busy*. So there is one rule and no timer: a worker
+//! blocks for the first queued request, takes whatever else is already
+//! queued up to [`BatchPolicy::max_batch`] queries, and runs. An idle
+//! worker therefore dispatches a lone request at once; a busy worker
+//! finds its backlog waiting and drains it in one call. The coalescing
+//! itself is a pure function ([`execute_batch`]) so its correctness and
+//! obliviousness can be tested on the caller's thread, outside the worker
+//! machinery.
 
 use secemb::EmbeddingGenerator;
 use secemb_tensor::Matrix;
-use std::time::Duration;
 
-/// When a worker stops coalescing and runs the batch.
+/// How much of its backlog a worker coalesces into one generator call.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BatchPolicy {
     /// Coalesce at most this many *queries* (summed over requests).
     pub max_batch: usize,
-    /// Wait at most this long after the first queued request before
-    /// dispatching, even if the batch is not full.
-    pub max_wait: Duration,
 }
 
 impl Default for BatchPolicy {
     fn default() -> Self {
-        BatchPolicy {
-            max_batch: 64,
-            max_wait: Duration::from_micros(500),
-        }
+        BatchPolicy { max_batch: 64 }
     }
 }
 
@@ -88,7 +88,7 @@ pub fn execute_batch(generator: &mut dyn EmbeddingGenerator, groups: &[Vec<u64>]
 /// oblivious write path (the engine gates all three at admission).
 pub fn execute_batch_ops(
     generator: &mut dyn EmbeddingGenerator,
-    groups: &[(Vec<u64>, Option<Matrix>)],
+    groups: &[(&[u64], Option<&Matrix>)],
 ) -> Vec<Matrix> {
     if groups.is_empty() {
         return Vec::new();
@@ -96,7 +96,7 @@ pub fn execute_batch_ops(
     let total: usize = groups.iter().map(|(ix, _)| ix.len()).sum();
     let mut flat = Vec::with_capacity(total);
     let mut updates: Vec<Option<&[f32]>> = Vec::with_capacity(total);
-    for (indices, deltas) in groups {
+    for &(indices, deltas) in groups {
         assert!(!indices.is_empty(), "execute_batch_ops: empty group");
         flat.extend_from_slice(indices);
         match deltas {
@@ -137,7 +137,6 @@ mod tests {
     fn default_policy_is_sane() {
         let p = BatchPolicy::default();
         assert!(p.max_batch > 0);
-        assert!(p.max_wait > Duration::ZERO);
     }
 
     #[test]
@@ -172,8 +171,8 @@ mod tests {
         let mut via_ops = spec.build(9);
         let mut via_batch = spec.build(9);
         let groups = vec![vec![5u64, 99], vec![0], vec![41, 41, 7]];
-        let op_groups: Vec<(Vec<u64>, Option<Matrix>)> =
-            groups.iter().map(|g| (g.clone(), None)).collect();
+        let op_groups: Vec<(&[u64], Option<&Matrix>)> =
+            groups.iter().map(|g| (g.as_slice(), None)).collect();
         assert_eq!(
             execute_batch_ops(via_ops.as_mut(), &op_groups),
             execute_batch(via_batch.as_mut(), &groups)
@@ -186,9 +185,9 @@ mod tests {
         let mut g = spec.build(3);
         let deltas = Matrix::from_fn(2, 4, |_, c| (c as f32) + 1.0);
         let before = g.generate_batch(&[6, 7]);
-        let groups = vec![
-            (vec![6u64, 7], Some(deltas.clone())),
-            (vec![6u64], None), // reads in a later group see the update
+        let groups: [(&[u64], Option<&Matrix>); 2] = [
+            (&[6, 7], Some(&deltas)),
+            (&[6], None), // reads in a later group see the update
         ];
         let outs = execute_batch_ops(g.as_mut(), &groups);
         assert_eq!(outs.len(), 2);
@@ -204,6 +203,6 @@ mod tests {
     #[should_panic(expected = "update row count")]
     fn mismatched_update_shape_is_a_bug() {
         let mut g = GeneratorSpec::LaOram { rows: 16, dim: 4 }.build(0);
-        execute_batch_ops(g.as_mut(), &[(vec![1, 2], Some(Matrix::zeros(1, 4)))]);
+        execute_batch_ops(g.as_mut(), &[(&[1, 2], Some(&Matrix::zeros(1, 4)))]);
     }
 }

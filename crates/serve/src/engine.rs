@@ -6,8 +6,12 @@
 //! generator built from the same [`GeneratorSpec`] and seed (generation
 //! takes `&mut self` — ORAM mutates on every access, so stash and
 //! position-map state is strictly per-replica and each replica's access
-//! trace stays input-independent on its own). Workers coalesce requests
-//! per [`BatchPolicy`]. Admission control uses a profiled per-query cost
+//! trace stays input-independent on its own). A worker blocks for its
+//! first job, takes whatever backlog is already queued up to
+//! [`BatchPolicy::max_batch`] queries and runs it as one batch: an idle
+//! worker dispatches at once, a busy one drains what arrived while it
+//! computed — batch composition is a function of arrival times and public
+//! shape only. Admission control uses a profiled per-query cost
 //! to predict queue delay and sheds load *explicitly*: a request the
 //! server cannot serve in time is answered `Rejected`, never silently
 //! dropped and never allowed to grow the queue without bound.
@@ -246,9 +250,6 @@ struct Job {
     enqueued: Instant,
     /// Time spent in validation + admission control before enqueue.
     admit_ns: u64,
-    /// When a worker popped this job off the shard queue (initialized to
-    /// `enqueued`; overwritten at dequeue).
-    dequeued: Instant,
     /// The sampled trace context, if this request is being traced. Set
     /// at admission by a test keyed only on the public trace id.
     trace: Option<TraceCtx>,
@@ -407,7 +408,6 @@ impl Ticket {
 /// client threads; dropping the last handle stops and joins the workers.
 pub struct Engine {
     shards: Vec<Shard>,
-    policy: BatchPolicy,
     replicas: usize,
     stats: Arc<ServerStats>,
     /// Epoch of the active allocation; bumped exactly once per applied
@@ -737,7 +737,6 @@ impl Engine {
         }
         Engine {
             shards,
-            policy: config.policy,
             replicas,
             stats,
             epoch: AtomicU64::new(0),
@@ -1005,16 +1004,16 @@ impl Engine {
             reply(Response::Rejected(RejectReason::Internal));
             return;
         }
-        // SLA gate: predicted queue delay + own compute + worst-case
-        // coalescing wait, against the caller's budget. The cost is the
-        // *active plan's* estimate, refreshed on every reallocation; the
-        // queue drains `replicas`-wide, so the per-replica backlog is the
-        // shard backlog divided by the replica count.
+        // SLA gate: predicted queue delay + own compute, against the
+        // caller's budget. The cost is the *active plan's* estimate,
+        // refreshed on every reallocation; the queue drains
+        // `replicas`-wide, so the per-replica backlog is the shard backlog
+        // divided by the replica count.
         if let Some(deadline) = request.deadline {
             let per_query_ns = f64::from_bits(shard.cost_ns_bits.load(Ordering::SeqCst));
             let queued = shard.pending_queries.load(Ordering::Relaxed);
             let backlog = (queued + n as u64) as f64 / self.replicas as f64;
-            let estimate_ns = backlog * per_query_ns + self.policy.max_wait.as_nanos() as f64;
+            let estimate_ns = backlog * per_query_ns;
             if estimate_ns > deadline.as_nanos() as f64 {
                 self.stats
                     .record_rejected(RejectReason::DeadlineUnmeetable, 0);
@@ -1029,7 +1028,6 @@ impl Engine {
             update: request.update,
             enqueued,
             admit_ns: enqueued.saturating_duration_since(t0).as_nanos() as u64,
-            dequeued: enqueued,
             // The sampling decision reads only the wire-level trace id —
             // never the table, the indices, or any other request content.
             trace: request.trace.filter(|t| self.spans.sampled(t.trace_id)),
@@ -1152,29 +1150,22 @@ fn spawn_worker(setup: WorkerSetup) -> JoinHandle<()> {
                 &mut poisoned,
                 &stats,
             );
-            let mut first = match rx.recv_timeout(IDLE_CONTROL_POLL) {
+            let first = match rx.recv_timeout(IDLE_CONTROL_POLL) {
                 Ok(job) => job,
                 Err(RecvTimeoutError::Timeout) => continue, // idle: re-check control
                 Err(RecvTimeoutError::Disconnected) => return, // engine dropped
             };
-            first.dequeued = Instant::now();
-            let window_end = first.enqueued + policy.max_wait;
+            // The one batching rule: take what is already queued, never
+            // wait for more. An idle worker runs a lone request at once; a
+            // busy one finds here whatever arrived while it computed.
+            let mut queries = first.indices.len();
             let mut jobs = vec![first];
-            let mut queries = jobs[0].indices.len();
             while queries < policy.max_batch {
-                let now = Instant::now();
-                if now >= window_end {
-                    break;
-                }
-                match rx.recv_timeout(window_end - now) {
-                    Ok(mut job) => {
-                        job.dequeued = Instant::now();
-                        queries += job.indices.len();
-                        jobs.push(job);
-                    }
-                    Err(_) => break, // window elapsed or engine dropped
-                }
+                let Ok(job) = rx.try_recv() else { break };
+                queries += job.indices.len();
+                jobs.push(job);
             }
+            let dequeued = Instant::now();
             let live = shed_stale(jobs, &pending, &stats);
             if live.is_empty() {
                 continue;
@@ -1216,9 +1207,9 @@ fn spawn_worker(setup: WorkerSetup) -> JoinHandle<()> {
                 }
                 ok
             };
-            let groups: Vec<(Vec<u64>, Option<Matrix>)> = live
+            let groups: Vec<(&[u64], Option<&Matrix>)> = live
                 .iter()
-                .map(|j| (j.indices.clone(), j.update.clone()))
+                .map(|j| (j.indices.as_slice(), j.update.as_ref()))
                 .collect();
             let total_queries: usize = groups.iter().map(|(ix, _)| ix.len()).sum();
             stats.record_batch(total_queries);
@@ -1275,52 +1266,34 @@ fn spawn_worker(setup: WorkerSetup) -> JoinHandle<()> {
                     / total_queries as f64,
             );
             let batch_jobs = live.len();
+            let [dequeued, dispatch, generated] =
+                [dequeued, dispatch, generated].map(|t| spans.ns_of(t));
             for (job, out) in live.into_iter().zip(outputs) {
                 pending.fetch_sub(job.indices.len() as u64, Ordering::Relaxed);
-                let done = Instant::now();
-                // Per-stage attribution: the stages telescope, so their
-                // sum equals the recorded latency exactly (the `write`
-                // stage belongs to the transport and is recorded by the
-                // connection writer, not here).
+                // The job's instants on the span clock, written out once:
+                // the breakdown is their successive differences and the
+                // stage spans the intervals between them, so the stages
+                // telescope to the recorded latency and each span's
+                // duration equals its `StageBreakdown` entry exactly (the
+                // `write` stage is the transport's, recorded by the
+                // connection writer).
+                let enqueued = spans.ns_of(job.enqueued);
+                let marks = [
+                    enqueued.saturating_sub(job.admit_ns),
+                    enqueued,
+                    dequeued,
+                    dispatch,
+                    generated,
+                    spans.now_ns(),
+                ];
                 let mut stages = StageBreakdown::default();
-                stages.set(Stage::Admit, job.admit_ns);
-                stages.set(
-                    Stage::Queue,
-                    job.dequeued
-                        .saturating_duration_since(job.enqueued)
-                        .as_nanos() as u64,
-                );
-                stages.set(
-                    Stage::Batch,
-                    dispatch.saturating_duration_since(job.dequeued).as_nanos() as u64,
-                );
-                stages.set(
-                    Stage::Generate,
-                    generated.saturating_duration_since(dispatch).as_nanos() as u64,
-                );
-                stages.set(
-                    Stage::Reply,
-                    done.saturating_duration_since(generated).as_nanos() as u64,
-                );
-                let latency_ns =
-                    job.admit_ns + done.saturating_duration_since(job.enqueued).as_nanos() as u64;
+                for (i, &stage) in Stage::ALL.iter().take(5).enumerate() {
+                    stages.set(stage, marks[i + 1].saturating_sub(marks[i]));
+                }
+                let latency_ns = marks[5].saturating_sub(marks[0]);
                 stats.record_completed(technique, job.indices.len(), latency_ns as f64, &stages);
                 if let Some(ctx) = job.trace {
-                    // Spans are derived from the SAME instants as the
-                    // breakdown above: each stage span's duration equals
-                    // the corresponding `StageBreakdown` entry exactly
-                    // (`ns_of` is a fixed-anchor shift, so differences
-                    // reproduce `saturating_duration_since` verbatim).
                     let root_id = spans.fresh_span_id();
-                    let root_start = spans.ns_of(job.enqueued).saturating_sub(job.admit_ns);
-                    let marks = [
-                        root_start,
-                        spans.ns_of(job.enqueued),
-                        spans.ns_of(job.dequeued),
-                        spans.ns_of(dispatch),
-                        spans.ns_of(generated),
-                        spans.ns_of(done),
-                    ];
                     spans.record(SpanRecord {
                         trace_id: ctx.trace_id,
                         span_id: root_id,
@@ -1328,7 +1301,7 @@ fn spawn_worker(setup: WorkerSetup) -> JoinHandle<()> {
                         host: spans.host().to_string(),
                         component: "server",
                         name: "request",
-                        start_ns: root_start,
+                        start_ns: marks[0],
                         end_ns: marks[5],
                         attrs: vec![
                             ("table", table as u64),

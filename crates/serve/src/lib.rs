@@ -9,9 +9,9 @@
 //! - [`Request`]/[`Response`]: a batch of secret indices against one
 //!   table, answered with an embedding matrix or an explicit
 //!   [`Rejected`](Response::Rejected) — load shedding is never silent.
-//! - [`BatchPolicy`]/[`execute_batch`]: adaptive coalescing of queued
-//!   requests up to a batch-size/latency budget, as a single generator
-//!   call per dispatch.
+//! - [`BatchPolicy`]/[`execute_batch`]: arrival-driven coalescing — a
+//!   free worker runs whatever is queued, up to a batch-size cap, as a
+//!   single generator call per dispatch; it never waits for more.
 //! - [`Engine`]: [`ShardPolicy::replicas`] worker threads per table
 //!   shard draining one shared MPMC queue, each owning an independent
 //!   generator (built from the same [`secemb::GeneratorSpec`] and seed,

@@ -120,10 +120,7 @@ fn stale_requests_are_rejected_not_dropped() {
         // genuinely slow scans then make queued deadlines expire.
         cost_override_ns: Some(0.0),
     }]);
-    config.policy = BatchPolicy {
-        max_batch: 4,
-        max_wait: Duration::ZERO,
-    };
+    config.policy = BatchPolicy { max_batch: 4 };
     config.probe_repeats = 1;
     let engine = Engine::start(config);
 
@@ -154,6 +151,91 @@ fn stale_requests_are_rejected_not_dropped() {
 
     let snap = engine.stats().snapshot();
     assert_eq!(snap.completed + snap.total_rejected(), 7);
+}
+
+/// A backlog that builds while the worker is busy rides in one coalesced
+/// batch — the regime Fig. 12's batch scaling is about. The followers are
+/// submitted once the blocker's batch is dispatched, and the blocker's
+/// reply callback holds the worker until all eight (32 queries, under the
+/// default `max_batch`) are queued; the slow scan makes that backlog
+/// milliseconds old, which must not split it up.
+#[test]
+fn backlog_behind_a_busy_worker_is_coalesced() {
+    let spec = GeneratorSpec::Scan {
+        rows: 1 << 17,
+        dim: 64,
+    };
+    let engine = Engine::start(EngineConfig::new(vec![TableConfig {
+        spec,
+        seed: 1,
+        queue_capacity: 64,
+        cost_override_ns: Some(0.0),
+    }]));
+    let batches = || engine.stats().snapshot().worker_batches[0].batches;
+
+    let mut groups: Vec<Vec<u64>> = vec![vec![1, 2, 3, 4]];
+    groups.extend((0..8u64).map(|i| vec![i, 1000 + i, (1 << 17) - 1 - i, 7]));
+
+    let (gate_tx, gate_rx) = std::sync::mpsc::channel::<()>();
+    let (blocker_tx, blocker_rx) = std::sync::mpsc::channel();
+    engine.submit_with(
+        Request::new(0, groups[0].clone()),
+        Box::new(move |response| {
+            let _ = gate_rx.recv();
+            let _ = blocker_tx.send(response);
+        }),
+    );
+    while batches() == 0 {
+        std::thread::yield_now();
+    }
+    let followers: Vec<_> = groups[1..]
+        .iter()
+        .map(|g| engine.submit(Request::new(0, g.clone())))
+        .collect();
+    gate_tx.send(()).expect("worker waits at the gate");
+
+    let mut responses = vec![blocker_rx.recv().expect("blocker answered")];
+    responses.extend(followers.into_iter().map(|t| t.wait()));
+    let expected = execute_batch(spec.build(1).as_mut(), &groups);
+    for ((response, want), indices) in responses.iter().zip(&expected).zip(&groups) {
+        let served = response.embeddings().expect("request served");
+        assert_eq!(bits(served), bits(want), "indices {indices:?}");
+    }
+
+    assert_eq!(batches(), 2, "the blocker, then its whole backlog at once");
+    let hist = engine.stats().snapshot().batch_hist;
+    let of_size = |upper: usize| hist.iter().find(|b| b.0 == upper).map(|b| b.1);
+    assert_eq!((of_size(4), of_size(32)), (Some(1), Some(1)), "{hist:?}");
+}
+
+/// A lone request on an idle engine is dispatched at once: no coalescing
+/// window in its `batch` stage, none in the admission estimate.
+#[test]
+fn lone_request_pays_no_window() {
+    let engine = Engine::start(EngineConfig::new(vec![TableConfig {
+        spec: GeneratorSpec::Scan { rows: 64, dim: 8 },
+        seed: 5,
+        queue_capacity: 8,
+        cost_override_ns: Some(0.0),
+    }]));
+    let mut batch_ns: Vec<u64> = (0..50)
+        .map(|i| {
+            let response = engine.call(Request::new(0, vec![i % 64]));
+            response.stages().expect("request served").get(Stage::Batch)
+        })
+        .collect();
+    batch_ns.sort_unstable();
+    assert!(
+        batch_ns[25] < 100_000,
+        "median batch stage of a lone request: {} ns",
+        batch_ns[25]
+    );
+
+    let tight = Request::new(0, vec![3]).with_deadline(Duration::from_micros(300));
+    match engine.call(tight) {
+        Response::Embeddings(..) | Response::Rejected(RejectReason::DeadlineExceeded) => {}
+        Response::Rejected(other) => panic!("idle engine, zero cost, 300 us budget: {other}"),
+    }
 }
 
 /// Overload pushes back with `Rejected(QueueFull)` instead of queueing
