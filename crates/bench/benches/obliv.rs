@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use secemb_bench::{synthetic_indices, synthetic_table};
-use secemb_obliv::scan::Isa;
+use secemb_obliv::isa::Isa;
 use secemb_obliv::{cmp, ct_relu_slice, scan, select};
 
 fn bench_scan_variants(c: &mut Criterion) {

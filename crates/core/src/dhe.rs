@@ -109,6 +109,9 @@ pub struct Dhe {
     hash: UniversalHashFamily,
     layers: Vec<Linear>,
     relus: Vec<Relu>,
+    /// Bytes of weights and bias each layer reads, as the tracer reports
+    /// them.
+    fc_trace_lens: Vec<u32>,
     config: DheConfig,
     /// Domain size reported through [`EmbeddingGenerator::num_embeddings`];
     /// DHE itself accepts any `u64`.
@@ -120,7 +123,8 @@ impl Dhe {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid.
+    /// Panics if the configuration is invalid, or if a layer's parameter
+    /// bytes do not fit the tracer's `u32` event length.
     pub fn new(config: DheConfig, rng: &mut impl Rng) -> Self {
         config.validate();
         let hash = UniversalHashFamily::new(
@@ -128,17 +132,26 @@ impl Dhe {
             config.buckets,
             &mut rand::rngs::StdRng::seed_from_u64(config.hash_seed),
         );
-        let mut layers = Vec::new();
-        let mut prev = config.k;
-        for &h in config.hidden.iter().chain(std::iter::once(&config.dim)) {
-            layers.push(Linear::new(prev, h, rng));
-            prev = h;
-        }
+        let outs = config.hidden.iter().chain(std::iter::once(&config.dim));
+        let ins = std::iter::once(&config.k).chain(&config.hidden);
+        let shapes: Vec<(usize, usize)> = ins.zip(outs).map(|(&i, &o)| (i, o)).collect();
+        // Before any layer is allocated: a layer too large to report is
+        // too large to build in a test.
+        let fc_trace_lens = (shapes.iter())
+            .map(|&(i, o)| {
+                u32::try_from(i.saturating_mul(o).saturating_add(o).saturating_mul(4))
+                    .expect("Dhe: layer parameter bytes exceed a u32 trace length")
+            })
+            .collect();
+        let layers: Vec<Linear> = (shapes.iter())
+            .map(|&(i, o)| Linear::new(i, o, rng))
+            .collect();
         let relus = vec![Relu::new(); layers.len().saturating_sub(1)];
         Dhe {
             hash,
             layers,
             relus,
+            fc_trace_lens,
             config,
             domain: u64::MAX,
         }
@@ -156,20 +169,23 @@ impl Dhe {
         &self.config
     }
 
+    /// The hash encoding of a batch, one row per index, written straight
+    /// into the decoder's input.
+    fn encode(&self, indices: &[u64]) -> Matrix {
+        let mut x = Matrix::zeros(indices.len(), self.config.k);
+        for (&idx, row) in (indices.iter()).zip(x.as_mut_slice().chunks_exact_mut(self.config.k)) {
+            self.hash.encode_into(idx, row);
+        }
+        x
+    }
+
     /// Encoder + decoder inference by shared reference (thread-safe, no
     /// training caches), with branchless activations.
     pub fn infer(&self, indices: &[u64]) -> Matrix {
-        // Encode the whole batch.
-        let mut enc = Vec::with_capacity(indices.len() * self.config.k);
-        for &idx in indices {
-            self.hash.encode_into(idx, &mut enc);
-        }
-        let mut x = Matrix::from_vec(indices.len(), self.config.k, enc);
+        let mut x = self.encode(indices);
         // Decode through the MLP; weight reads have a fixed pattern.
         let mut fc_offset = 0u64;
-        for (i, layer) in self.layers.iter().enumerate() {
-            let bytes =
-                ((layer.in_features() * layer.out_features() + layer.out_features()) * 4) as u32;
+        for (i, (layer, &bytes)) in self.layers.iter().zip(&self.fc_trace_lens).enumerate() {
             tracer::read(regions::DHE_FC, fc_offset, bytes);
             fc_offset += bytes as u64;
             x = layer.apply(&x);
@@ -215,11 +231,7 @@ impl Dhe {
     /// Training-mode forward: caches activations for
     /// [`Dhe::backward_indices`].
     pub fn forward_indices(&mut self, indices: &[u64]) -> Matrix {
-        let mut enc = Vec::with_capacity(indices.len() * self.config.k);
-        for &idx in indices {
-            self.hash.encode_into(idx, &mut enc);
-        }
-        let mut x = Matrix::from_vec(indices.len(), self.config.k, enc);
+        let mut x = self.encode(indices);
         let n = self.layers.len();
         for i in 0..n {
             x = self.layers[i].forward(&x);
@@ -341,6 +353,29 @@ mod tests {
     }
 
     #[test]
+    fn rows_are_batch_and_position_invariant() {
+        // The server coalesces requests into whatever batch is queued and
+        // the benchmark oracle bit-compares the replies, so a row's value
+        // must not depend on the batch it rode in or its position there.
+        // Odd widths put every tile edge of the GEMM under the test.
+        let d = Dhe::new(
+            DheConfig::new(5, 19, vec![13, 7]),
+            &mut StdRng::seed_from_u64(1),
+        );
+        let ids: Vec<u64> = (0..70u64)
+            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .collect();
+        let bits = |row: &[f32]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let singles: Vec<Vec<u32>> = ids.iter().map(|&id| bits(d.infer(&[id]).row(0))).collect();
+        for batch in 1..=ids.len() {
+            let out = d.infer(&ids[..batch]);
+            for (r, single) in singles[..batch].iter().enumerate() {
+                assert_eq!(&bits(out.row(r)), single, "batch {batch} row {r}");
+            }
+        }
+    }
+
+    #[test]
     fn trace_is_input_independent() {
         let mut d = dhe();
         let v = check::compare_traces(&[0u64, 123456789], |&idx| {
@@ -395,6 +430,17 @@ mod tests {
         let t = d.to_table(10);
         assert_eq!(t.shape(), (10, 4));
         assert_eq!(t.row(7), d.infer(&[7]).row(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed a u32 trace length")]
+    fn layer_bytes_beyond_a_trace_length_are_rejected() {
+        // 32768 x 32768 weights are 4 GiB: `((in * out + out) * 4) as u32`
+        // wrapped to 131072. Rejected before the layer is allocated.
+        Dhe::new(
+            DheConfig::new(4, 1 << 15, vec![1 << 15]),
+            &mut StdRng::seed_from_u64(0),
+        );
     }
 
     #[test]

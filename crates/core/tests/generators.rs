@@ -5,9 +5,16 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use secemb::{footprint, Dhe, DheConfig, EmbeddingGenerator, IndexLookup, LinearScan, OramTable};
+use secemb::{
+    footprint, Dhe, DheConfig, EmbeddingGenerator, GeneratorSpec, IndexLookup, LinearScan,
+    OramTable,
+};
 use secemb_oram::OramConfig;
 use secemb_tensor::Matrix;
+
+#[allow(dead_code)] // `trace_hash` serves the ORAM golden tests
+#[path = "../../oram/tests/support/fnv.rs"]
+mod fnv;
 
 fn table(rows: usize, dim: usize, seed: u64) -> Matrix {
     Matrix::from_fn(rows, dim, |r, c| {
@@ -131,5 +138,46 @@ proptest! {
             EmbeddingGenerator::memory_bytes(&oram),
             footprint::tree_oram_bytes(rows as u64, &OramConfig::circuit(dim))
         );
+    }
+}
+
+/// The output bits of the served DHE shapes, recorded before the tiled
+/// GEMM went in under `Matrix::matmul_transpose_b`: a kernel change that
+/// reorders one addition moves these, and with them every checkpoint and
+/// `to_table` a trained DHE was exported through.
+#[test]
+fn dhe_outputs_match_the_recorded_bits() {
+    for (spec, golden) in [
+        (
+            "dhe:10000000x64",
+            [
+                0x2b4e_7bb6_6837_442e_u64,
+                0x8f52_cd18_521b_22f7,
+                0x39f5_c243_9368_2bcf,
+                0x843a_b40a_20f3_d53d,
+            ],
+        ),
+        (
+            "dhe:100000x64",
+            [
+                0xe34d_44f3_af0f_143c,
+                0xf1bd_0901_6637_daa9,
+                0x49cc_cafc_3ca1_416e,
+                0x5def_0db8_3d12_ce2a,
+            ],
+        ),
+    ] {
+        let spec: GeneratorSpec = spec.parse().unwrap();
+        let mut dhe = spec.build(42);
+        for (batch, want) in [1usize, 8, 16, 64].into_iter().zip(golden) {
+            let ids: Vec<u64> = (0..batch as u64)
+                .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % spec.rows())
+                .collect();
+            let mut h = fnv::Fnv::new();
+            for v in dhe.generate_batch(&ids).as_slice() {
+                h.write(&v.to_bits().to_le_bytes());
+            }
+            assert_eq!(h.0, want, "{spec} batch {batch}: {:#018x}", h.0);
+        }
     }
 }

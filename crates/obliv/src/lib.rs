@@ -38,6 +38,7 @@
 
 mod choice;
 pub mod cmp;
+pub mod isa;
 pub mod scan;
 pub mod select;
 pub mod sort;

@@ -7,6 +7,7 @@
 //! - the paper's **linear scan** embedding generation (§IV-A1, §V-A2), and
 //! - the **oblivious argmax** used for greedy LLM decoding (§V-C).
 
+use crate::isa::Isa;
 use crate::{cmp, select};
 use std::sync::OnceLock;
 
@@ -79,11 +80,7 @@ pub fn scan_copy_row(table: &[f32], dim: usize, secret_index: u64, out: &mut [f3
 /// ```
 pub fn scan_copy_rows(table: &[f32], dim: usize, indices: &[u64], out: &mut [f32]) {
     static BEST: OnceLock<Kernel> = OnceLock::new();
-    let best = *BEST.get_or_init(|| {
-        (Isa::ALL.iter().rev())
-            .find_map(|isa| isa.kernel())
-            .expect("the baseline kernel runs everywhere")
-    });
+    let best = *BEST.get_or_init(|| kernel(Isa::best()).expect("the best level is available"));
     run(best, table, dim, indices, out);
 }
 
@@ -99,7 +96,7 @@ pub fn scan_copy_rows_at(
     indices: &[u64],
     out: &mut [f32],
 ) -> bool {
-    match isa.kernel() {
+    match kernel(isa) {
         Some(kernel) => {
             run(kernel, table, dim, indices, out);
             true
@@ -108,42 +105,24 @@ pub fn scan_copy_rows_at(
     }
 }
 
-/// The instruction-set levels the scan kernel is compiled for.
-#[doc(hidden)]
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Isa {
-    /// Whatever the crate's target guarantees (SSE2 on x86-64).
-    Baseline,
-    /// 256-bit integer vectors.
-    Avx2,
-    /// 512-bit vectors; `row & mask | acc` is one `vpternlog`.
-    Avx512f,
-}
-
-impl Isa {
-    /// Every level, narrowest first.
-    pub const ALL: [Isa; 3] = [Isa::Baseline, Isa::Avx2, Isa::Avx512f];
-
-    /// The kernel compiled for this level — only if this CPU reports the
-    /// feature it was compiled with, which is what makes [`run`] sound.
-    fn kernel(self) -> Option<Kernel> {
-        match self {
-            Isa::Baseline => Some(kernel_baseline),
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx2 => std::is_x86_feature_detected!("avx2").then_some(kernel_avx2 as Kernel),
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx512f => {
-                std::is_x86_feature_detected!("avx512f").then_some(kernel_avx512f as Kernel)
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            Isa::Avx2 | Isa::Avx512f => None,
-        }
+/// The instantiation of [`kernel_body`] compiled for `isa` — only if this
+/// CPU runs that level, which is what makes [`run`] sound.
+fn kernel(isa: Isa) -> Option<Kernel> {
+    if !isa.available() {
+        return None;
     }
+    Some(match isa {
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 => kernel_avx2,
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512f => kernel_avx512f,
+        _ => kernel_baseline,
+    })
 }
 
 /// One compiled instantiation of [`kernel_body`]. `unsafe` because the
 /// `#[target_feature]` ones may only be called on a CPU with that feature;
-/// values of this type come from [`Isa::kernel`] alone.
+/// values of this type come from [`kernel`] alone.
 type Kernel = unsafe fn(&[f32], usize, &[u64], &mut [f32]);
 
 /// Checks the public shape, then runs `kernel`.
@@ -164,10 +143,10 @@ fn run(kernel: Kernel, table: &[f32], dim: usize, indices: &[u64], out: &mut [f3
         indices.iter().all(|&idx| idx < n),
         "scan_copy_rows: index out of range"
     );
-    // SAFETY: `kernel` came from `Isa::kernel`, which hands out a
-    // `#[target_feature]` instantiation only after
-    // `is_x86_feature_detected!` confirmed that feature on the running CPU
-    // (the baseline one needs none). The body is safe Rust, so the CPU
+    // SAFETY: `kernel` came from `scan::kernel`, which hands out a
+    // `#[target_feature]` instantiation only after `Isa::available`
+    // (`is_x86_feature_detected!`) confirmed that feature on the running
+    // CPU (the baseline one needs none). The body is safe Rust, so the CPU
     // feature is the kernel's only precondition.
     #[allow(unsafe_code)]
     unsafe {

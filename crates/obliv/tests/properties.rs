@@ -2,7 +2,7 @@
 //! straightforward (branching) reference implementation on all inputs.
 
 use proptest::prelude::*;
-use secemb_obliv::scan::Isa;
+use secemb_obliv::isa::Isa;
 use secemb_obliv::{cmp, scan, select, sort, Choice};
 
 /// Bit patterns a float-typed copy could mangle: both zeros, quiet and

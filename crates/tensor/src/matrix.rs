@@ -1,5 +1,6 @@
 //! The [`Matrix`] type and its core linear-algebra kernels.
 
+use crate::gemm;
 use std::fmt;
 
 /// A dense, row-major `f32` matrix.
@@ -186,11 +187,12 @@ impl Matrix {
 
     /// Matrix product `self · rhsᵀ` without materializing the transpose.
     ///
-    /// The inner dot product uses eight independent accumulators so the
-    /// floating-point dependency chain does not serialize the loop — this
-    /// stands in for the AVX-512 kernels PyTorch would use on the paper's
-    /// testbed and keeps the compute/memory cost ratio between DHE and the
-    /// storage-based generators realistic.
+    /// This is the product of every `Linear` forward (`rhs` is the
+    /// `out × in` weight), so it runs on the register-tiled kernel of
+    /// [`crate::gemm`], compiled per instruction-set level the way the
+    /// paper's testbed runs AVX-512 GEMMs: `rhs` is streamed once per call,
+    /// whatever `self.rows` is. Each element is the same eight-lane dot
+    /// product at every level, batch size and row position, bit for bit.
     ///
     /// # Panics
     ///
@@ -201,12 +203,14 @@ impl Matrix {
             "matmul_transpose_b: inner dimensions mismatch"
         );
         let mut out = Matrix::zeros(self.rows, rhs.rows);
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            for j in 0..rhs.rows {
-                out.data[i * rhs.rows + j] = dot(a_row, rhs.row(j));
-            }
-        }
+        gemm::gemm_nt(
+            &self.data,
+            &rhs.data,
+            self.rows,
+            rhs.rows,
+            self.cols,
+            &mut out.data,
+        );
         out
     }
 
@@ -363,27 +367,6 @@ impl Matrix {
                 .zip(rhs.data.iter())
                 .all(|(&a, &b)| (a - b).abs() <= tol)
     }
-}
-
-/// Dot product with eight independent accumulator lanes (autovectorizes).
-#[inline]
-fn dot(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    const LANES: usize = 8;
-    let chunks = a.len() / LANES;
-    let mut acc = [0.0f32; LANES];
-    for c in 0..chunks {
-        let ac = &a[c * LANES..(c + 1) * LANES];
-        let bc = &b[c * LANES..(c + 1) * LANES];
-        for l in 0..LANES {
-            acc[l] += ac[l] * bc[l];
-        }
-    }
-    let mut sum: f32 = acc.iter().sum();
-    for i in chunks * LANES..a.len() {
-        sum += a[i] * b[i];
-    }
-    sum
 }
 
 impl fmt::Debug for Matrix {

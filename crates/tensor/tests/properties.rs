@@ -1,6 +1,8 @@
 //! Property-based tests for the matrix kernels.
 
 use proptest::prelude::*;
+use secemb_obliv::isa::Isa;
+use secemb_tensor::gemm::{dot, gemm_nt_at};
 use secemb_tensor::{ops, Matrix};
 
 fn matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
@@ -96,5 +98,74 @@ proptest! {
         let r1 = ops::relu(&a);
         prop_assert!(r1.as_slice().iter().all(|&x| x >= 0.0));
         prop_assert_eq!(ops::relu(&r1), r1);
+    }
+}
+
+/// A dimension at or beside every tile edge of every level (`MR` is 2 or
+/// 4, `NR` 2, 4 or 6, a chunk is 8 lanes), or anything up to 40.
+fn edge_dim() -> impl Strategy<Value = usize> {
+    const EDGES: [usize; 12] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 129];
+    prop_oneof![(0..EDGES.len()).prop_map(|i| EDGES[i]), 0usize..=40,]
+}
+
+/// Values whose sums and products exercise signed zeros, subnormals and NaN
+/// propagation. One quiet NaN pattern and no infinity, so that every NaN
+/// result carries that pattern whichever operand order the compiler picks
+/// and bit equality is well defined.
+fn awkward_values(len: usize, seed: u64) -> Vec<f32> {
+    const AWKWARD_BITS: [u32; 7] = [
+        0x8000_0000, // -0.0
+        0x0000_0000,
+        0x7fc0_0000, // NaN
+        0x0000_0001, // smallest subnormal
+        0x807f_ffff, // largest subnormal, negative
+        0x0080_0000, // smallest normal
+        0x3f80_0000,
+    ];
+    let mut state = seed | 1;
+    (0..len)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            match state & 7 {
+                0 => f32::from_bits(AWKWARD_BITS[(state >> 8) as usize % AWKWARD_BITS.len()]),
+                _ => (state >> 40) as f32 / (1u64 << 21) as f32 - 4.0,
+            }
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    #[test]
+    fn gemm_is_bit_identical_to_dot(
+        m in edge_dim(),
+        n in edge_dim(),
+        k in edge_dim(),
+        seed in any::<u64>(),
+    ) {
+        let a = awkward_values(m * k, seed);
+        let b = awkward_values(n * k, !seed);
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let expected: Vec<u32> = (0..m * n)
+            .map(|e| dot(&a[e / n * k..][..k], &b[e % n * k..][..k]).to_bits())
+            .collect();
+
+        for isa in Isa::ALL {
+            // Pre-filled: the kernel must overwrite, not accumulate.
+            let mut out = vec![f32::from_bits(0xdead_beef); m * n];
+            if !gemm_nt_at(isa, &a, &b, m, n, k, &mut out) {
+                static ONCE: [std::sync::Once; 3] = [const { std::sync::Once::new() }; 3];
+                ONCE[isa as usize].call_once(|| println!("host lacks {isa:?}: not tested"));
+                continue;
+            }
+            prop_assert_eq!(&bits(&out), &expected, "{:?} {}x{}x{}", isa, m, n, k);
+        }
+        // The dispatched entry point, whichever level it picked.
+        let out = Matrix::from_vec(m, k, a).matmul_transpose_b(&Matrix::from_vec(n, k, b));
+        prop_assert_eq!(out.shape(), (m, n));
+        prop_assert_eq!(bits(out.as_slice()), expected);
     }
 }
