@@ -20,11 +20,10 @@
 
 use crate::lock_unpoisoned;
 use secemb_serve::protocol::{
-    decode_server, decode_server_traced, encode_generate_multi, encode_generate_traced,
-    encode_hello, encode_metrics_request, encode_plan_pull, encode_plan_push, encode_stats_request,
-    encode_traces_request, encode_update_traced, ServerMsg,
+    decode_server, decode_server_traced, encode_hello, encode_metrics_request, encode_plan_pull,
+    encode_plan_push, encode_stats_request, encode_traces_request, ServerMsg,
 };
-use secemb_serve::{RejectReason, TraceCtx};
+use secemb_serve::RejectReason;
 use secemb_wire::frame::{read_frame, write_frame, FrameError};
 use std::collections::HashMap;
 use std::io::{self, BufReader, BufWriter};
@@ -402,23 +401,14 @@ pub struct Backend {
 impl Backend {
     /// Connects to `addr`, performs the `Hello` handshake (which
     /// returns the backend's table inventory), and starts the reader
-    /// thread. No reconnection: the first link death is final.
-    ///
-    /// # Errors
-    ///
-    /// Returns connect/handshake errors.
-    pub fn connect<A: ToSocketAddrs>(name: &str, addr: A) -> io::Result<Arc<Backend>> {
-        Self::connect_with(name, addr, None)
-    }
-
-    /// [`Backend::connect`] with an optional idle timeout on the reader:
-    /// when set, a backend that stops responding **while requests are in
-    /// flight** for longer than `idle_timeout` is declared dead — the
+    /// thread. No reconnection: the first link death is final. With an
+    /// `idle_timeout`, a backend that stops responding **while requests
+    /// are in flight** for longer than that is declared dead — the
     /// connection closes and every pending callback fires with
     /// `Rejected(Internal)` — instead of the reader thread blocking
     /// forever on a half-open peer. Timeouts with nothing in flight are
-    /// benign idleness and keep the connection open. `None` (the
-    /// [`Backend::connect`] path) keeps the old block-forever behavior.
+    /// benign idleness and keep the connection open. `None` blocks
+    /// forever, trusting TCP.
     ///
     /// # Errors
     ///
@@ -596,64 +586,6 @@ impl Backend {
             return Err(e);
         }
         Ok(id)
-    }
-
-    /// Submits a traced `Generate` for one table.
-    ///
-    /// # Errors
-    ///
-    /// As [`Backend::call`].
-    pub fn generate(
-        &self,
-        table: usize,
-        indices: &[u64],
-        deadline: Option<Duration>,
-        trace: Option<TraceCtx>,
-        callback: ReplyCallback,
-    ) -> io::Result<u64> {
-        self.call(
-            |id| encode_generate_traced(id, table, indices, deadline, trace),
-            callback,
-        )
-    }
-
-    /// Submits a traced `Update` (oblivious read-modify-write) for one
-    /// table.
-    ///
-    /// # Errors
-    ///
-    /// As [`Backend::call`].
-    pub fn update(
-        &self,
-        table: usize,
-        indices: &[u64],
-        deltas: &secemb_tensor::Matrix,
-        deadline: Option<Duration>,
-        trace: Option<TraceCtx>,
-        callback: ReplyCallback,
-    ) -> io::Result<u64> {
-        self.call(
-            |id| encode_update_traced(id, table, indices, deltas, deadline, trace),
-            callback,
-        )
-    }
-
-    /// Submits a traced `GenerateMulti` covering several tables.
-    ///
-    /// # Errors
-    ///
-    /// As [`Backend::call`].
-    pub fn generate_multi(
-        &self,
-        parts: &[(usize, Vec<u64>)],
-        deadline: Option<Duration>,
-        trace: Option<TraceCtx>,
-        callback: ReplyCallback,
-    ) -> io::Result<u64> {
-        self.call(
-            |id| encode_generate_multi(id, parts, deadline, trace),
-            callback,
-        )
     }
 
     fn round_trip_timeout(

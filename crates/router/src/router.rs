@@ -4,10 +4,12 @@
 //! Client connections run on the serving layer's
 //! [`FrameReactor`](secemb_serve::reactor::FrameReactor) — the router
 //! has no socket code of its own on the client side — but dispatch
-//! resolves against the [`Placement`] instead of a local engine: a
-//! `Generate` goes to the host owning its table; a `GenerateMulti` is
-//! split into per-host groups, fanned out concurrently, and re-assembled
-//! **in part order** when the last group lands. `Tables`, `Stats`,
+//! resolves against the [`Placement`] instead of a local engine. A
+//! lookup frame is N ≥ 1 parts; its parts become one *hop* per serving
+//! host (`Generate`/`Update`: one), every hop is sent by [`route`], and
+//! the replies come home through the serving layer's
+//! [`Gather`](secemb_serve::Gather) and part-order merge — the same
+//! pair the server uses for its own parts. `Tables`, `Stats`,
 //! `Metrics`, and the plan frames are merged across the whole fleet, so
 //! a scrape through the router sees every backend.
 //!
@@ -22,22 +24,20 @@ use crate::lock_unpoisoned;
 use crate::placement::Placement;
 use secemb::hybrid::AllocationPlan;
 use secemb_serve::protocol::{
-    decode_client_traced, encode_metrics, encode_plan, encode_plan_ack, encode_response_traced,
-    encode_stats, encode_table_list, encode_traces, ClientMsg, ServerMsg,
+    decode_client_traced, encode_generate_multi, encode_generate_traced, encode_metrics,
+    encode_plan, encode_plan_ack, encode_response_traced, encode_stats, encode_table_list,
+    encode_traces, encode_update_traced, ClientMsg, ServerMsg,
 };
 use secemb_serve::reactor::{Dispatch, FrameReactor, ReactorConfig};
-use secemb_serve::{RejectReason, ReplySender, Response, TraceSettings};
-use secemb_telemetry::{
-    Counter, Gauge, Histogram, Registry, SpanCollector, SpanRecord, StageBreakdown, TraceCtx,
-};
-use secemb_tensor::Matrix;
+use secemb_serve::{Fill, Gather, Landed, RejectReason, ReplySender, Response, TraceSettings};
+use secemb_telemetry::{Counter, Gauge, Histogram, Registry, SpanCollector, TraceCtx};
 use secemb_wire::json::{self, Value};
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::io;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -123,9 +123,9 @@ struct RouterMetrics {
     health_trips_total: Arc<Counter>,
     health_recoveries_total: Arc<Counter>,
     /// Backend frames that violated the protocol contract (unexpected
-    /// kind where embeddings were due, duplicate part fills, missing
-    /// merge slots) — each degraded to `Rejected(Internal)` instead of
-    /// a panic.
+    /// kind where embeddings were due, a hop answered twice, a reply
+    /// whose rows do not fit its parts) — each degraded to
+    /// `Rejected(Internal)` instead of a panic.
     protocol_violations: Arc<Counter>,
 }
 
@@ -184,10 +184,6 @@ struct Inner {
 }
 
 impl Inner {
-    fn fresh_trace(&self) -> u64 {
-        self.next_trace.fetch_add(1, Ordering::Relaxed)
-    }
-
     fn gossip(&self) -> io::Result<GossipReport> {
         let report = gossip_once(&self.backends, self.profile_out.as_deref())?;
         self.metrics.gossip_rounds_total.inc();
@@ -289,13 +285,33 @@ pub struct Router {
     _background: Background,
 }
 
-/// The router's own threads plus its backend links. Dropping it joins
-/// the threads, then disconnects the backends.
+/// The router's own threads plus its backend links. Dropping it stops
+/// and joins the threads, then disconnects the backends.
 struct Background {
     inner: Arc<Inner>,
-    stop: Arc<AtomicBool>,
-    gossip_handle: Option<JoinHandle<()>>,
-    health_handle: Option<JoinHandle<()>>,
+    /// Each ticker's stop handle (dropping it wakes and ends the
+    /// thread) and join handle.
+    tickers: Vec<(mpsc::Sender<()>, JoinHandle<()>)>,
+}
+
+/// Runs `tick` on a named thread, at once and then every `interval`,
+/// until the returned sender is dropped. Between rounds the thread is
+/// parked on the channel, so an idle router wakes once per round and
+/// shutdown never waits out a sleep.
+fn spawn_ticker(
+    name: &str,
+    interval: Duration,
+    mut tick: impl FnMut() + Send + 'static,
+) -> io::Result<(mpsc::Sender<()>, JoinHandle<()>)> {
+    let (stop, stopped) = mpsc::channel::<()>();
+    let ticker = std::thread::Builder::new().name(name.into());
+    let handle = ticker.spawn(move || loop {
+        tick();
+        if stopped.recv_timeout(interval) != Err(mpsc::RecvTimeoutError::Timeout) {
+            return;
+        }
+    })?;
+    Ok((stop, handle))
 }
 
 impl Router {
@@ -413,13 +429,7 @@ impl Router {
             Box::new(move |_conn| {
                 let inner = Arc::clone(&inner_factory);
                 Box::new(move |payload: &[u8], replies: &ReplySender| {
-                    match decode_client_traced(payload) {
-                        Ok((id, msg, trace)) => {
-                            dispatch(&inner, replies, id, msg, trace);
-                            true
-                        }
-                        Err(_) => false,
-                    }
+                    dispatch(&inner, payload, replies)
                 }) as Dispatch
             }),
             Box::new(move |ns| write_ns.record(ns)),
@@ -428,69 +438,41 @@ impl Router {
                 idle_timeout: config.conn_idle,
             },
         )?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let gossip_handle = match config.gossip_interval {
-            Some(interval) => {
-                let spawned = if config.inject_gossip_spawn_failure {
-                    Err(io::Error::new(io::ErrorKind::WouldBlock, "injected"))
-                } else {
-                    let inner = Arc::clone(&inner);
-                    let stop = Arc::clone(&stop);
-                    std::thread::Builder::new()
-                        .name("secemb-rt-gossip".into())
-                        .spawn(move || {
-                            while !stop.load(Ordering::Relaxed) {
-                                let _ = inner.gossip();
-                                let deadline = Instant::now() + interval;
-                                while !stop.load(Ordering::Relaxed) && Instant::now() < deadline {
-                                    std::thread::sleep(interval.min(Duration::from_millis(10)));
-                                }
-                            }
-                        })
-                };
-                match spawned {
-                    Ok(handle) => Some(handle),
-                    Err(_) => {
-                        // Thread exhaustion must not abort a router that
-                        // can otherwise serve: count it and degrade to
-                        // inline gossip on the stats/metrics tick.
-                        inner.metrics.gossip_spawn_failures.inc();
-                        inner.inline_gossip.store(true, Ordering::Relaxed);
-                        None
-                    }
+        let mut tickers = Vec::new();
+        if let Some(interval) = config.gossip_interval {
+            let spawned = if config.inject_gossip_spawn_failure {
+                Err(io::Error::new(io::ErrorKind::WouldBlock, "injected"))
+            } else {
+                let inner = Arc::clone(&inner);
+                spawn_ticker("secemb-rt-gossip", interval, move || {
+                    let _ = inner.gossip();
+                })
+            };
+            match spawned {
+                Ok(ticker) => tickers.push(ticker),
+                Err(_) => {
+                    // Thread exhaustion must not abort a router that
+                    // can otherwise serve: count it and degrade to
+                    // inline gossip on the stats/metrics tick.
+                    inner.metrics.gossip_spawn_failures.inc();
+                    inner.inline_gossip.store(true, Ordering::Relaxed);
                 }
             }
-            None => None,
-        };
-        let health_handle = match config.health_probe {
-            Some(interval) => {
-                let inner = Arc::clone(&inner);
-                let stop = Arc::clone(&stop);
-                let spawned = std::thread::Builder::new()
-                    .name("secemb-rt-health".into())
-                    .spawn(move || {
-                        while !stop.load(Ordering::Relaxed) {
-                            health_tick(&inner);
-                            let deadline = Instant::now() + interval;
-                            while !stop.load(Ordering::Relaxed) && Instant::now() < deadline {
-                                std::thread::sleep(interval.min(Duration::from_millis(10)));
-                            }
-                        }
-                    });
-                // Same degradation as gossip: without the probe thread
-                // the router still serves, it just cannot auto-recover
-                // tripped backends.
-                spawned.ok()
-            }
-            None => None,
-        };
+        }
+        if let Some(interval) = config.health_probe {
+            let inner = Arc::clone(&inner);
+            // Same degradation as gossip: without the probe thread the
+            // router still serves, it just cannot auto-recover tripped
+            // backends.
+            tickers.extend(
+                spawn_ticker("secemb-rt-health", interval, move || health_tick(&inner)).ok(),
+            );
+        }
         Ok(Router {
             reactor,
             _background: Background {
                 inner: Arc::clone(&inner),
-                stop,
-                gossip_handle,
-                health_handle,
+                tickers,
             },
             inner,
         })
@@ -547,11 +529,11 @@ impl Router {
 
 impl Drop for Background {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.gossip_handle.take() {
-            let _ = handle.join();
-        }
-        if let Some(handle) = self.health_handle.take() {
+        // Stop every ticker before joining any: a round in flight on
+        // one must not hold up the other's exit.
+        let (stops, handles): (Vec<_>, Vec<_>) = self.tickers.drain(..).unzip();
+        drop(stops);
+        for handle in handles {
             let _ = handle.join();
         }
         for backend in &self.inner.backends {
@@ -595,122 +577,115 @@ fn health_tick(inner: &Arc<Inner>) {
     }
 }
 
-fn reject(inner: &Inner, replies: &ReplySender, id: u64, reason: RejectReason, trace: Option<u64>) {
-    inner.metrics.rejected_local_total.inc();
-    replies.send(encode_response_traced(
-        id,
-        &Response::Rejected(reason),
-        trace,
-    ));
+/// One backend hop of a routed request.
+struct Hop {
+    /// The serving host resolved at admission.
+    host: usize,
+    /// The hop's first table, whose candidate list a failed send walks
+    /// down (every backend is a full replica, so any live host can
+    /// serve the whole hop).
+    table: usize,
+}
+
+impl Hop {
+    /// A hop to `table`'s highest-ranked live candidate.
+    fn pick(inner: &Inner, table: usize) -> Result<Hop, RejectReason> {
+        let host = inner.pick_host(table, &[]);
+        host.map(|host| Hop { host, table })
+            .ok_or(RejectReason::Internal)
+    }
 }
 
 /// Span bookkeeping for one sampled routed request. Span ids are
 /// allocated eagerly at admission so each backend hop can be told its
-/// parent (`fanout_ids[g]`) *before* the hop's reply — that forwarded id
-/// is what joins the router's timeline to the backends'. Sampling is
+/// parent (`fanout_ids[slot]`) *before* the hop's reply — that forwarded
+/// id is what joins the router's timeline to the backends'. Sampling is
 /// keyed on the public trace id alone, so none of this branches on
 /// tables or indices beyond putting their public counts in attrs.
 struct RouteSpans {
     spans: Arc<SpanCollector>,
-    trace_id: u64,
-    /// The client's own parent span, if the client is itself traced.
-    client_parent: Option<u64>,
+    /// The request's trace id, under the client's own parent span if
+    /// the client is itself traced: the root span's context.
+    ctx: TraceCtx,
     root_id: u64,
     /// One eagerly-allocated "fanout" span id per backend hop.
     fanout_ids: Vec<u64>,
-    /// Serving host index per hop (span attr). Atomic because failover
-    /// can move a hop to a replica after the spans were allocated.
-    hosts: Vec<AtomicU64>,
     start: Instant,
     queries: u64,
 }
 
 impl RouteSpans {
-    /// Starts bookkeeping if `hop_trace` is sampled; `hosts` is the
-    /// placement host index per hop (one per fan-out group).
+    /// Starts bookkeeping for `hops` hops if `hop_trace` is sampled.
     fn begin(
         inner: &Inner,
         trace: Option<TraceCtx>,
         hop_trace: u64,
-        hosts: Vec<u64>,
+        hops: usize,
         queries: u64,
-    ) -> Option<Arc<RouteSpans>> {
+    ) -> Option<RouteSpans> {
         if !inner.spans.sampled(hop_trace) {
             return None;
         }
         let spans = Arc::clone(&inner.spans);
-        let root_id = spans.fresh_span_id();
-        let fanout_ids = hosts.iter().map(|_| spans.fresh_span_id()).collect();
-        Some(Arc::new(RouteSpans {
+        Some(RouteSpans {
+            ctx: TraceCtx {
+                trace_id: hop_trace,
+                parent_span: trace.and_then(|t| t.parent_span),
+            },
+            root_id: spans.fresh_span_id(),
+            fanout_ids: (0..hops).map(|_| spans.fresh_span_id()).collect(),
             spans,
-            trace_id: hop_trace,
-            client_parent: trace.and_then(|t| t.parent_span),
-            root_id,
-            fanout_ids,
-            hosts: hosts.into_iter().map(AtomicU64::new).collect(),
             start: Instant::now(),
             queries,
-        }))
+        })
     }
 
-    /// Re-labels hop `g` with the host that actually served it (set
-    /// when failover moved the hop off its primary candidate).
-    fn set_host(&self, g: usize, host: u64) {
-        self.hosts[g].store(host, Ordering::Relaxed);
+    /// The trace context forwarded to hop `slot`'s backend: same trace
+    /// id, parented under that hop's fanout span.
+    fn forward(&self, slot: usize) -> TraceCtx {
+        TraceCtx::with_parent(self.ctx.trace_id, self.fanout_ids[slot])
     }
 
-    /// The trace context forwarded to hop `g`'s backend: same trace id,
-    /// parented under that hop's fanout span.
-    fn forward(&self, g: usize) -> TraceCtx {
-        TraceCtx::with_parent(self.trace_id, self.fanout_ids[g])
+    /// Records span `span_id`, from the request's start until now.
+    fn record(
+        &self,
+        ctx: TraceCtx,
+        span_id: u64,
+        name: &'static str,
+        attrs: Vec<(&'static str, u64)>,
+    ) {
+        let now = Instant::now();
+        let mut span = self
+            .spans
+            .span_between(ctx, span_id, "router", name, self.start, now);
+        span.attrs = attrs;
+        self.spans.record(span);
     }
 
-    fn span(&self, span_id: u64, parent: Option<u64>, name: &'static str) -> SpanRecord {
-        SpanRecord {
-            trace_id: self.trace_id,
-            span_id,
-            parent_span: parent,
-            host: self.spans.host().to_string(),
-            component: "router",
-            name,
-            start_ns: 0,
-            end_ns: 0,
-            attrs: Vec::new(),
-        }
+    /// The context of the root's children.
+    fn under_root(&self) -> TraceCtx {
+        TraceCtx::with_parent(self.ctx.trace_id, self.root_id)
     }
 
-    /// Records the admission span: decode → every hop sent.
-    fn record_admit(&self, sent: Instant) {
-        let mut s = self.span(self.spans.fresh_span_id(), Some(self.root_id), "admit");
-        s.start_ns = self.spans.ns_of(self.start);
-        s.end_ns = self.spans.ns_of(sent);
-        self.spans.record(s);
+    /// Records a childless span under the root (`admit`: decode → every
+    /// hop sent; `merge`: the reassembly, multi-hop requests only).
+    fn record_child(&self, name: &'static str, start: Instant, end: Instant) {
+        let (ctx, id) = (self.under_root(), self.spans.fresh_span_id());
+        self.spans
+            .record(self.spans.span_between(ctx, id, "router", name, start, end));
     }
 
-    /// Records hop `g`'s fanout span when its backend reply lands.
-    fn record_fanout(&self, g: usize) {
-        let mut s = self.span(self.fanout_ids[g], Some(self.root_id), "fanout");
-        s.start_ns = self.spans.ns_of(self.start);
-        s.end_ns = self.spans.now_ns();
-        s.attrs = vec![("host", self.hosts[g].load(Ordering::Relaxed))];
-        self.spans.record(s);
-    }
-
-    /// Records the reassembly span (multi-host requests only).
-    fn record_merge(&self, m0: Instant, m1: Instant) {
-        let mut s = self.span(self.spans.fresh_span_id(), Some(self.root_id), "merge");
-        s.start_ns = self.spans.ns_of(m0);
-        s.end_ns = self.spans.ns_of(m1);
-        self.spans.record(s);
+    /// Records hop `slot`'s fanout span when `host`'s reply lands.
+    fn record_fanout(&self, slot: usize, host: usize) {
+        let attrs = vec![("host", host as u64)];
+        self.record(self.under_root(), self.fanout_ids[slot], "fanout", attrs);
     }
 
     /// Records the root request span once the reply is on its way.
     fn record_root(&self) {
-        let mut s = self.span(self.root_id, self.client_parent, "request");
-        s.start_ns = self.spans.ns_of(self.start);
-        s.end_ns = self.spans.now_ns();
-        s.attrs = vec![("queries", self.queries), ("hops", self.hosts.len() as u64)];
-        self.spans.record(s);
+        let hops = self.fanout_ids.len() as u64;
+        let attrs = vec![("queries", self.queries), ("hops", hops)];
+        self.record(self.ctx, self.root_id, "request", attrs);
     }
 }
 
@@ -729,174 +704,290 @@ fn to_response(msg: ServerMsg, violations: &Counter) -> Response {
     }
 }
 
-/// Feeds one backend reply into the health machine: an internal
-/// rejection (which is also what a died-mid-flight link orphan-rejects
-/// with) counts toward the consecutive-failure trip; anything else —
-/// including *legitimate* rejections like `QueueFull` — resets it.
-fn note_outcome(inner: &Inner, host: usize, msg: &ServerMsg) {
-    match msg {
-        ServerMsg::Rejected(RejectReason::Internal) => inner.note_failure(host),
-        _ => inner.note_success(host),
-    }
-}
-
-/// Sends one request to the highest-ranked live candidate for `table`,
-/// walking down the candidate list while the *send* itself fails. A
-/// failed send never put a complete frame on the wire, so retrying on a
-/// replica is duplicate-safe even for `Update` traffic (in-flight
+/// Sends one hop to `first` — the host picked for it at admission —
+/// walking down `table`'s candidate list while the *send* itself fails.
+/// A failed send never put a complete frame on the wire, so retrying on
+/// a replica is duplicate-safe even for `Update` traffic (in-flight
 /// requests whose link dies after a successful send are rejected, not
-/// replayed). Returns the serving host, or `None` when no replica is
-/// live.
+/// replayed). Returns whether some replica took the hop.
 fn send_with_failover(
     inner: &Inner,
     table: usize,
-    initial: Option<usize>,
+    first: usize,
     mut send: impl FnMut(usize) -> io::Result<u64>,
-) -> Option<usize> {
+) -> bool {
     let mut tried: Vec<usize> = Vec::new();
-    let mut next = initial.or_else(|| inner.pick_host(table, &tried));
+    let mut next = Some(first);
     while let Some(host) = next {
-        match send(host) {
-            Ok(_) => return Some(host),
-            Err(_) => {
-                inner.note_failure(host);
-                tried.push(host);
-                next = inner.pick_host(table, &tried);
-            }
+        if send(host).is_ok() {
+            return true;
         }
+        inner.note_failure(host);
+        tried.push(host);
+        next = inner.pick_host(table, &tried);
     }
-    None
+    false
 }
 
-fn dispatch(
-    inner: &Arc<Inner>,
-    replies: &ReplySender,
+/// One decoded client frame's return address: which router core took
+/// it, and where, under which id and trace context, its one reply goes.
+#[derive(Clone, Copy)]
+struct Frame<'a> {
+    inner: &'a Arc<Inner>,
+    replies: &'a ReplySender,
     id: u64,
-    msg: ClientMsg,
     trace: Option<TraceCtx>,
+}
+
+/// One routed request in flight: what its hops' replies complete into.
+/// Shared by the hops' reply callbacks.
+struct Route {
+    inner: Arc<Inner>,
+    replies: ReplySender,
+    id: u64,
+    /// The client's own trace id, echoed only if it sent one.
+    echo: Option<u64>,
+    t0: Instant,
+    spans: Option<RouteSpans>,
+    gather: Gather,
+}
+
+impl Route {
+    /// The one completion. Hop `slot` is answered with `msg` — by
+    /// backend `host`, or by the router itself (`None`) when no live
+    /// replica could take the hop — and on the last one home the slots
+    /// merge in part order and the client is answered exactly once.
+    fn land(&self, slot: usize, host: Option<usize>, msg: ServerMsg) {
+        let metrics = &self.inner.metrics;
+        match host {
+            None => metrics.rejected_local_total.inc(),
+            Some(host) => {
+                if let Some(spans) = &self.spans {
+                    spans.record_fanout(slot, host);
+                }
+                // The health machine: an internal rejection (which is
+                // also what a died-mid-flight link orphan-rejects with)
+                // counts toward the consecutive-failure trip; anything
+                // else — including *legitimate* rejections like
+                // `QueueFull` — resets it.
+                match msg {
+                    ServerMsg::Rejected(RejectReason::Internal) => self.inner.note_failure(host),
+                    _ => self.inner.note_success(host),
+                }
+            }
+        }
+        let response = to_response(msg, &metrics.protocol_violations);
+        let landed = match self.gather.fill(slot, response) {
+            Fill::Pending => return,
+            Fill::Duplicate => {
+                // Two replies for one hop (a link orphan-rejecting a
+                // request whose send then failed over): keep the first.
+                metrics.protocol_violations.inc();
+                return;
+            }
+            Fill::Complete(landed) => landed,
+        };
+        metrics.route_ns.record(self.t0.elapsed().as_nanos() as u64);
+        let multi_hop = matches!(landed, Landed::Parts(..));
+        let m0 = Instant::now();
+        let (merged, violated) = landed.merge();
+        if violated {
+            metrics.protocol_violations.inc();
+        }
+        if multi_hop {
+            let m1 = Instant::now();
+            metrics.merge_ns.record((m1 - m0).as_nanos() as u64);
+            if let Some(spans) = &self.spans {
+                spans.record_child("merge", m0, m1);
+            }
+        }
+        if let Some(spans) = &self.spans {
+            spans.record_root();
+        }
+        self.replies
+            .send(encode_response_traced(self.id, &merged, self.echo));
+    }
+}
+
+/// Sends every hop of an admitted lookup and arranges for the replies
+/// to complete into one answer. `gather` has one slot per hop;
+/// `encode(slot, request_id, trace)` builds hop `slot`'s frame, once per
+/// send attempt.
+fn route(
+    frame: Frame<'_>,
+    queries: u64,
+    hops: &[Hop],
+    gather: Gather,
+    encode: impl Fn(usize, u64, TraceCtx) -> Vec<u8>,
 ) {
+    let Frame {
+        inner,
+        replies,
+        id,
+        trace,
+    } = frame;
+    inner.metrics.fanout_hosts.record(hops.len() as u64);
     let echo = trace.map(|t| t.trace_id);
+    // Every hop carries a trace id (the client's, or a router-assigned
+    // one), so backend stage breakdowns join the router's histograms.
+    let hop_trace = echo.unwrap_or_else(|| inner.next_trace.fetch_add(1, Ordering::Relaxed));
+    let route = Arc::new(Route {
+        inner: Arc::clone(inner),
+        replies: replies.clone(),
+        id,
+        echo,
+        spans: RouteSpans::begin(inner, trace, hop_trace, hops.len(), queries),
+        t0: Instant::now(),
+        gather,
+    });
+    for (slot, hop) in hops.iter().enumerate() {
+        let forward = route
+            .spans
+            .as_ref()
+            .map_or_else(|| TraceCtx::new(hop_trace), |spans| spans.forward(slot));
+        let sent = send_with_failover(inner, hop.table, hop.host, |host| {
+            let route = Arc::clone(&route);
+            inner.backends[host].call(
+                |request_id| encode(slot, request_id, forward),
+                Box::new(move |msg, _| route.land(slot, Some(host), msg)),
+            )
+        });
+        if !sent {
+            route.land(slot, None, ServerMsg::Rejected(RejectReason::Internal));
+        }
+    }
+    if let Some(spans) = &route.spans {
+        spans.record_child("admit", spans.start, Instant::now());
+    }
+}
+
+/// Placement-aware admission, once per lookup frame: its query count,
+/// or why it never crosses the wire to a backend. The first faulty
+/// `(table, indices)` part in part order decides, as it would on a
+/// backend.
+fn admit(
+    inner: &Inner,
+    parts: impl IntoIterator<Item = (usize, usize)>,
+) -> Result<u64, RejectReason> {
+    inner.metrics.requests_total.inc();
+    let mut queries = 0;
+    for (table, indices) in parts {
+        if table >= inner.placement.tables() {
+            return Err(RejectReason::UnknownTable);
+        }
+        if indices == 0 {
+            return Err(RejectReason::BadRequest);
+        }
+        queries += indices as u64;
+    }
+    // No parts at all is no request.
+    if queries == 0 {
+        return Err(RejectReason::BadRequest);
+    }
+    Ok(queries)
+}
+
+/// A `GenerateMulti` split by serving host.
+struct Groups {
+    hops: Vec<Hop>,
+    /// Per hop, the parts it forwards — verbatim and in part order.
+    forwards: Vec<Vec<(usize, Vec<u64>)>>,
+    /// `(hop, rows)` per part: the [`Gather`] layout.
+    layout: Vec<(usize, usize)>,
+}
+
+/// Groups parts by *serving* host — resolved once per table for this
+/// request — preserving part order within each group.
+fn group_by_host(inner: &Inner, parts: Vec<(usize, Vec<u64>)>) -> Result<Groups, RejectReason> {
+    let mut host_of_table: HashMap<usize, usize> = HashMap::new();
+    let mut hop_of_host: Vec<Option<usize>> = vec![None; inner.backends.len()];
+    let mut groups = Groups {
+        hops: Vec::new(),
+        forwards: Vec::new(),
+        layout: Vec::with_capacity(parts.len()),
+    };
+    for (table, indices) in parts {
+        let host = match host_of_table.entry(table) {
+            Entry::Occupied(known) => *known.get(),
+            Entry::Vacant(new) => *new.insert(Hop::pick(inner, table)?.host),
+        };
+        let hop = *hop_of_host[host].get_or_insert_with(|| {
+            groups.hops.push(Hop { host, table });
+            groups.forwards.push(Vec::new());
+            groups.hops.len() - 1
+        });
+        groups.layout.push((hop, indices.len()));
+        groups.forwards[hop].push((table, indices));
+    }
+    Ok(groups)
+}
+
+/// Decodes and answers one client frame. Returns `false` when the frame
+/// is malformed and the connection should close; a lookup the router
+/// cannot route is rejected here and never crosses the wire.
+fn dispatch(inner: &Arc<Inner>, payload: &[u8], replies: &ReplySender) -> bool {
+    let Ok((id, msg, trace)) = decode_client_traced(payload) else {
+        return false;
+    };
+    let frame = Frame {
+        inner,
+        replies,
+        id,
+        trace,
+    };
+    if let Err(reason) = serve(frame, msg) {
+        inner.metrics.rejected_local_total.inc();
+        let echo = trace.map(|t| t.trace_id);
+        replies.send(encode_response_traced(
+            id,
+            &Response::Rejected(reason),
+            echo,
+        ));
+    }
+    true
+}
+
+/// A lookup frame is admitted once, becomes one hop per serving host —
+/// `Generate`/`Update`: one — and goes out through [`route`]; the other
+/// frames are answered on the spot.
+fn serve(frame: Frame<'_>, msg: ClientMsg) -> Result<(), RejectReason> {
+    let Frame {
+        inner, replies, id, ..
+    } = frame;
     match msg {
         ClientMsg::Generate {
             table,
             indices,
             deadline,
         } => {
-            inner.metrics.requests_total.inc();
-            // Placement-aware admission: bad requests never cross the
-            // wire to a backend.
-            if table >= inner.placement.tables() {
-                return reject(inner, replies, id, RejectReason::UnknownTable, echo);
-            }
-            if indices.is_empty() {
-                return reject(inner, replies, id, RejectReason::BadRequest, echo);
-            }
-            inner.metrics.fanout_hosts.record(1);
-            let hop_trace = echo.unwrap_or_else(|| inner.fresh_trace());
-            // Span host attr starts at the primary candidate; failover
-            // re-labels it with the host that actually serves.
-            let primary = inner.candidates[table][0] as u64;
-            let route =
-                RouteSpans::begin(inner, trace, hop_trace, vec![primary], indices.len() as u64);
-            let forward = route
-                .as_ref()
-                .map_or_else(|| TraceCtx::new(hop_trace), |route| route.forward(0));
-            let t0 = Instant::now();
-            let served = send_with_failover(inner, table, None, |host| {
-                let replies_cb = replies.clone();
-                let route_cb = route.clone();
-                let route_ns = Arc::clone(&inner.metrics.route_ns);
-                let inner_cb = Arc::clone(inner);
-                inner.backends[host].generate(
-                    table,
-                    &indices,
-                    deadline,
-                    Some(forward),
-                    Box::new(move |msg, _| {
-                        route_ns.record(t0.elapsed().as_nanos() as u64);
-                        note_outcome(&inner_cb, host, &msg);
-                        if let Some(route) = &route_cb {
-                            route.record_fanout(0);
-                            route.record_root();
-                        }
-                        let response = to_response(msg, &inner_cb.metrics.protocol_violations);
-                        replies_cb.send(encode_response_traced(id, &response, echo));
-                    }),
-                )
+            let queries = admit(inner, [(table, indices.len())])?;
+            let hops = [Hop::pick(inner, table)?];
+            route(frame, queries, &hops, Gather::single(), |_, rid, fwd| {
+                encode_generate_traced(rid, table, &indices, deadline, Some(fwd))
             });
-            if let (Some(host), Some(route)) = (served, &route) {
-                route.set_host(0, host as u64);
-            }
-            if let Some(route) = &route {
-                route.record_admit(Instant::now());
-            }
-            if served.is_none() {
-                reject(inner, replies, id, RejectReason::Internal, echo);
-            }
         }
+        // The delta shape was validated at decode, and the owning
+        // backend gates update capability per table.
         ClientMsg::Update {
             table,
             indices,
             deltas,
             deadline,
         } => {
-            inner.metrics.requests_total.inc();
-            // Same placement-aware admission as Generate; the delta shape
-            // was already validated at decode, and the owning backend
-            // gates update capability per table.
-            if table >= inner.placement.tables() {
-                return reject(inner, replies, id, RejectReason::UnknownTable, echo);
-            }
-            if indices.is_empty() {
-                return reject(inner, replies, id, RejectReason::BadRequest, echo);
-            }
-            inner.metrics.fanout_hosts.record(1);
-            let hop_trace = echo.unwrap_or_else(|| inner.fresh_trace());
-            let primary = inner.candidates[table][0] as u64;
-            let route =
-                RouteSpans::begin(inner, trace, hop_trace, vec![primary], indices.len() as u64);
-            let forward = route
-                .as_ref()
-                .map_or_else(|| TraceCtx::new(hop_trace), |route| route.forward(0));
-            let t0 = Instant::now();
-            // Failing a *send* over to a replica is safe for updates:
-            // the failed send never delivered a complete frame, and an
-            // update that dies after delivery is rejected, not retried.
-            let served = send_with_failover(inner, table, None, |host| {
-                let replies_cb = replies.clone();
-                let route_cb = route.clone();
-                let route_ns = Arc::clone(&inner.metrics.route_ns);
-                let inner_cb = Arc::clone(inner);
-                inner.backends[host].update(
-                    table,
-                    &indices,
-                    &deltas,
-                    deadline,
-                    Some(forward),
-                    Box::new(move |msg, _| {
-                        route_ns.record(t0.elapsed().as_nanos() as u64);
-                        note_outcome(&inner_cb, host, &msg);
-                        if let Some(route) = &route_cb {
-                            route.record_fanout(0);
-                            route.record_root();
-                        }
-                        let response = to_response(msg, &inner_cb.metrics.protocol_violations);
-                        replies_cb.send(encode_response_traced(id, &response, echo));
-                    }),
-                )
+            let queries = admit(inner, [(table, indices.len())])?;
+            let hops = [Hop::pick(inner, table)?];
+            route(frame, queries, &hops, Gather::single(), |_, rid, fwd| {
+                encode_update_traced(rid, table, &indices, &deltas, deadline, Some(fwd))
             });
-            if let (Some(host), Some(route)) = (served, &route) {
-                route.set_host(0, host as u64);
-            }
-            if let Some(route) = &route {
-                route.record_admit(Instant::now());
-            }
-            if served.is_none() {
-                reject(inner, replies, id, RejectReason::Internal, echo);
-            }
         }
         ClientMsg::GenerateMulti { parts, deadline } => {
-            dispatch_multi(inner, replies, id, parts, deadline, trace);
+            let queries = admit(inner, parts.iter().map(|(t, ix)| (*t, ix.len())))?;
+            let groups = group_by_host(inner, parts)?;
+            let (hops, forwards) = (groups.hops, groups.forwards);
+            let gather = Gather::new(hops.len(), groups.layout);
+            route(frame, queries, &hops, gather, |hop, rid, fwd| {
+                encode_generate_multi(rid, &forwards[hop], deadline, Some(fwd))
+            });
         }
         ClientMsg::Traces => {
             // One scrape covers the tier: the router's own spans first,
@@ -947,297 +1038,7 @@ fn dispatch(
             replies.send(encode_plan_ack(id, ok, epoch, &errors.join("; ")));
         }
     }
-}
-
-/// Fan a `GenerateMulti` out per placement host and re-assemble the
-/// reply in part order once the last group completes.
-fn dispatch_multi(
-    inner: &Arc<Inner>,
-    replies: &ReplySender,
-    id: u64,
-    parts: Vec<(usize, Vec<u64>)>,
-    deadline: Option<Duration>,
-    trace: Option<TraceCtx>,
-) {
-    let echo = trace.map(|t| t.trace_id);
-    inner.metrics.requests_total.inc();
-    if parts.is_empty() || parts.iter().any(|(_, ix)| ix.is_empty()) {
-        return reject(inner, replies, id, RejectReason::BadRequest, echo);
-    }
-    if parts.iter().any(|(t, _)| *t >= inner.placement.tables()) {
-        return reject(inner, replies, id, RejectReason::UnknownTable, echo);
-    }
-    // Group part indices by *serving* host — the highest-ranked live
-    // candidate per table, resolved once per table for this request —
-    // preserving part order within each group (and across groups for
-    // the single-host fast path).
-    let mut host_of_table: HashMap<usize, usize> = HashMap::new();
-    let mut group_of_host: Vec<Option<usize>> = vec![None; inner.backends.len()];
-    let mut groups: Vec<(usize, Vec<usize>)> = Vec::new(); // (host, part indices)
-    for (part, (table, _)) in parts.iter().enumerate() {
-        let host = match host_of_table.get(table) {
-            Some(&h) => h,
-            None => {
-                let Some(h) = inner.pick_host(*table, &[]) else {
-                    return reject(inner, replies, id, RejectReason::Internal, echo);
-                };
-                host_of_table.insert(*table, h);
-                h
-            }
-        };
-        match group_of_host[host] {
-            Some(g) => groups[g].1.push(part),
-            None => {
-                group_of_host[host] = Some(groups.len());
-                groups.push((host, vec![part]));
-            }
-        }
-    }
-    inner.metrics.fanout_hosts.record(groups.len() as u64);
-    let hop_trace = echo.unwrap_or_else(|| inner.fresh_trace());
-    let total_queries: u64 = parts.iter().map(|(_, ix)| ix.len() as u64).sum();
-    let route = RouteSpans::begin(
-        inner,
-        trace,
-        hop_trace,
-        groups.iter().map(|(h, _)| *h as u64).collect(),
-        total_queries,
-    );
-    let t0 = Instant::now();
-    if let [(host, _)] = groups.as_slice() {
-        // Single host: forward unsplit; part order is already reply
-        // order. `GenerateMulti` is read-only, so a failed send walks
-        // the candidate list like `Generate` does.
-        let forward = route
-            .as_ref()
-            .map_or_else(|| TraceCtx::new(hop_trace), |route| route.forward(0));
-        let first_table = parts[0].0;
-        let served = send_with_failover(inner, first_table, Some(*host), |h| {
-            let replies_cb = replies.clone();
-            let route_cb = route.clone();
-            let route_ns = Arc::clone(&inner.metrics.route_ns);
-            let inner_cb = Arc::clone(inner);
-            inner.backends[h].generate_multi(
-                &parts,
-                deadline,
-                Some(forward),
-                Box::new(move |msg, _| {
-                    route_ns.record(t0.elapsed().as_nanos() as u64);
-                    note_outcome(&inner_cb, h, &msg);
-                    if let Some(route) = &route_cb {
-                        route.record_fanout(0);
-                        route.record_root();
-                    }
-                    let response = to_response(msg, &inner_cb.metrics.protocol_violations);
-                    replies_cb.send(encode_response_traced(id, &response, echo));
-                }),
-            )
-        });
-        if let (Some(h), Some(route)) = (served, &route) {
-            route.set_host(0, h as u64);
-        }
-        if let Some(route) = &route {
-            route.record_admit(Instant::now());
-        }
-        if served.is_none() {
-            reject(inner, replies, id, RejectReason::Internal, echo);
-        }
-        return;
-    }
-    let part_lens: Vec<usize> = parts.iter().map(|(_, ix)| ix.len()).collect();
-    let group_parts: Vec<Vec<usize>> = groups.iter().map(|(_, p)| p.clone()).collect();
-    let state: Arc<Mutex<(Vec<Option<ServerMsg>>, usize)>> =
-        Arc::new(Mutex::new((vec![None; groups.len()], groups.len())));
-    for (g, (host, part_idxs)) in groups.iter().enumerate() {
-        let group: Vec<(usize, Vec<u64>)> = part_idxs
-            .iter()
-            .map(|&p| (parts[p].0, parts[p].1.clone()))
-            .collect();
-        let forward = route
-            .as_ref()
-            .map_or_else(|| TraceCtx::new(hop_trace), |route| route.forward(g));
-        // A group whose send fails walks the candidate list of its first
-        // part's table (every backend is a full replica, so any live
-        // host can serve the whole group). `GenerateMulti` is read-only.
-        let group_table = parts[part_idxs[0]].0;
-        let served = send_with_failover(inner, group_table, Some(*host), |h| {
-            let replies_cb = replies.clone();
-            let inner_cb = Arc::clone(inner);
-            let state_cb = Arc::clone(&state);
-            let route_cb = route.clone();
-            let group_parts = group_parts.clone();
-            let part_lens = part_lens.clone();
-            inner.backends[h].generate_multi(
-                &group,
-                deadline,
-                Some(forward),
-                Box::new(move |msg, _| {
-                    // This hop's fanout span closes when its reply lands,
-                    // whether or not it is the last one home.
-                    if let Some(route) = &route_cb {
-                        route.record_fanout(g);
-                    }
-                    note_outcome(&inner_cb, h, &msg);
-                    let mut guard = lock_unpoisoned(&state_cb);
-                    if guard.0[g].is_some() {
-                        // Two replies landed for one group: a protocol
-                        // violation. Keep the first; decrementing the
-                        // countdown twice would underflow (the old
-                        // `expect("every part filled")` panic class).
-                        inner_cb.metrics.protocol_violations.inc();
-                        return;
-                    }
-                    guard.0[g] = Some(msg);
-                    guard.1 -= 1;
-                    if guard.1 > 0 {
-                        return;
-                    }
-                    // A group slot can only be empty if a completion path
-                    // was skipped (e.g. a callback thread died mid-flight);
-                    // degrade that group to a rejection rather than taking
-                    // the whole connection down with a panic.
-                    let results: Vec<ServerMsg> = guard
-                        .0
-                        .drain(..)
-                        .map(|r| r.unwrap_or(ServerMsg::Rejected(RejectReason::Internal)))
-                        .collect();
-                    drop(guard);
-                    inner_cb
-                        .metrics
-                        .route_ns
-                        .record(t0.elapsed().as_nanos() as u64);
-                    let m0 = Instant::now();
-                    let merged = merge_groups(
-                        &group_parts,
-                        &part_lens,
-                        results,
-                        &inner_cb.metrics.protocol_violations,
-                    );
-                    let m1 = Instant::now();
-                    inner_cb
-                        .metrics
-                        .merge_ns
-                        .record((m1 - m0).as_nanos() as u64);
-                    if let Some(route) = &route_cb {
-                        route.record_merge(m0, m1);
-                        route.record_root();
-                    }
-                    replies_cb.send(encode_response_traced(id, &merged, echo));
-                }),
-            )
-        });
-        match served {
-            Some(h) => {
-                if let Some(route) = &route {
-                    route.set_host(g, h as u64);
-                }
-            }
-            None => {
-                // No replica could take the group: deliver its failure
-                // through the normal completion path so the merge still
-                // runs exactly once.
-                let mut guard = lock_unpoisoned(&state);
-                if guard.0[g].is_none() {
-                    guard.0[g] = Some(ServerMsg::Rejected(RejectReason::Internal));
-                    guard.1 -= 1;
-                    if guard.1 == 0 {
-                        drop(guard);
-                        replies.send(encode_response_traced(
-                            id,
-                            &Response::Rejected(RejectReason::Internal),
-                            echo,
-                        ));
-                    }
-                }
-            }
-        }
-    }
-    if let Some(route) = &route {
-        route.record_admit(Instant::now());
-    }
-}
-
-/// Re-assembles per-host group replies into one part-ordered response.
-/// The first rejection (by the smallest original part index it covers)
-/// rejects the whole request; stage breakdowns merge by per-stage max,
-/// since the groups ran concurrently. Malformed reply sets — a frame
-/// kind that is neither embeddings nor rejection, a part filled twice,
-/// a part never filled — count a protocol violation and reject the
-/// request instead of panicking the dispatch path.
-fn merge_groups(
-    group_parts: &[Vec<usize>],
-    part_lens: &[usize],
-    results: Vec<ServerMsg>,
-    violations: &Counter,
-) -> Response {
-    let mut reject: Option<(usize, RejectReason)> = None;
-    for (g, result) in results.iter().enumerate() {
-        let reason = match result {
-            ServerMsg::Embeddings(..) => continue,
-            ServerMsg::Rejected(reason) => *reason,
-            _ => {
-                violations.inc();
-                RejectReason::Internal
-            }
-        };
-        let first_part = group_parts[g].first().copied().unwrap_or(usize::MAX);
-        if reject.is_none_or(|(p, _)| first_part < p) {
-            reject = Some((first_part, reason));
-        }
-    }
-    if let Some((_, reason)) = reject {
-        return Response::Rejected(reason);
-    }
-    let mut cols = None;
-    let mut stages = StageBreakdown::default();
-    let mut part_rows: Vec<Option<Vec<f32>>> = vec![None; part_lens.len()];
-    for (g, result) in results.into_iter().enumerate() {
-        let ServerMsg::Embeddings(m, s) = result else {
-            // Unreachable if the scan above was exhaustive, but a
-            // malformed frame must degrade, not panic, this path.
-            violations.inc();
-            return Response::Rejected(RejectReason::Internal);
-        };
-        if *cols.get_or_insert(m.cols()) != m.cols() {
-            // Heterogeneous dimensions cannot share a reply matrix.
-            return Response::Rejected(RejectReason::BadRequest);
-        }
-        let expected: usize = group_parts[g].iter().map(|&p| part_lens[p]).sum();
-        if m.rows() != expected {
-            return Response::Rejected(RejectReason::Internal);
-        }
-        for (i, ns) in s.ns.iter().enumerate() {
-            stages.ns[i] = stages.ns[i].max(*ns);
-        }
-        let data = m.as_slice();
-        let width = m.cols();
-        let mut offset = 0;
-        for &p in &group_parts[g] {
-            if part_rows[p].is_some() {
-                // Two groups claim the same part (a duplicate reply or a
-                // corrupted grouping): reject rather than serve one
-                // part's rows under another's index.
-                violations.inc();
-                return Response::Rejected(RejectReason::Internal);
-            }
-            let take = part_lens[p] * width;
-            part_rows[p] = Some(data[offset..offset + take].to_vec());
-            offset += take;
-        }
-    }
-    let cols = cols.unwrap_or(0);
-    let mut data = Vec::with_capacity(part_lens.iter().sum::<usize>() * cols);
-    for rows in part_rows {
-        let Some(rows) = rows else {
-            // A part no group filled: the reply set does not cover the
-            // request. Degrade to a rejection.
-            violations.inc();
-            return Response::Rejected(RejectReason::Internal);
-        };
-        data.extend_from_slice(&rows);
-    }
-    let rows = part_lens.iter().sum::<usize>();
-    Response::Embeddings(Matrix::from_vec(rows, cols, data), stages)
+    Ok(())
 }
 
 /// One stats snapshot covering the whole tier: the router's placement
@@ -1353,122 +1154,131 @@ mod tests {
         assert!(injected.contains("secemb_z{backend=\"b0\"} 2\n"));
     }
 
-    fn test_counter() -> Arc<Counter> {
-        Registry::new().counter("test_violations")
-    }
-
-    #[test]
-    fn group_merge_reassembles_part_order_and_rejects_first() {
-        // Parts 0 and 2 on one host, part 1 on another: reassembly must
-        // interleave the rows back into 0, 1, 2 order.
-        let group_parts = vec![vec![0, 2], vec![1]];
-        let part_lens = vec![1, 1, 1];
-        let cols = 2;
-        let m_a = Matrix::from_vec(2, cols, vec![0.0, 0.0, 2.0, 2.0]);
-        let m_b = Matrix::from_vec(1, cols, vec![1.0, 1.0]);
-        let mut s_a = StageBreakdown::default();
-        s_a.ns[3] = 100;
-        let mut s_b = StageBreakdown::default();
-        s_b.ns[3] = 40;
-        s_b.ns[1] = 7;
-        let violations = test_counter();
-        let merged = merge_groups(
-            &group_parts,
-            &part_lens,
-            vec![
-                ServerMsg::Embeddings(m_a, s_a),
-                ServerMsg::Embeddings(m_b, s_b),
-            ],
-            &violations,
-        );
-        let Response::Embeddings(m, stages) = merged else {
-            panic!("expected embeddings");
-        };
-        assert_eq!(m.rows(), 3);
-        assert_eq!(
-            m.as_slice(),
-            &[0.0, 0.0, 1.0, 1.0, 2.0, 2.0],
-            "rows must come back in part order, not group order"
-        );
-        assert_eq!(stages.ns[3], 100, "stage merge takes the max");
-        assert_eq!(stages.ns[1], 7);
-        assert_eq!(violations.get(), 0, "clean merge counts no violations");
-
-        // A rejection wins by earliest part it covers: group B holds
-        // part 1, group A holds parts 0 and 2 — A's reason wins.
-        let merged = merge_groups(
-            &group_parts,
-            &part_lens,
-            vec![
-                ServerMsg::Rejected(RejectReason::QueueFull),
-                ServerMsg::Rejected(RejectReason::DeadlineUnmeetable),
-            ],
-            &violations,
-        );
-        assert_eq!(merged, Response::Rejected(RejectReason::QueueFull));
-    }
-
     #[test]
     fn unexpected_frame_where_embeddings_were_due_degrades_and_counts() {
-        // The regression the panic fix is for: a backend answers a
-        // generate slot with a *stats* frame. to_response must degrade
-        // to Rejected(Internal) and count the violation, not panic.
-        let violations = test_counter();
+        // A backend answers a generate slot with a *stats* frame:
+        // to_response must degrade to Rejected(Internal) and count the
+        // violation, not panic. (What the degraded slot then does to a
+        // multi-part merge is the serving layer's `merge_parts` test.)
+        let violations = Registry::new().counter("test_violations");
         let resp = to_response(ServerMsg::Stats("{}".to_string()), &violations);
         assert_eq!(resp, Response::Rejected(RejectReason::Internal));
         assert_eq!(violations.get(), 1);
 
-        // Same malformed frame inside a multi-part merge.
-        let group_parts = vec![vec![0], vec![1]];
-        let part_lens = vec![1, 1];
-        let merged = merge_groups(
-            &group_parts,
-            &part_lens,
-            vec![
-                ServerMsg::Embeddings(
-                    Matrix::from_vec(1, 2, vec![0.0; 2]),
-                    StageBreakdown::default(),
-                ),
-                ServerMsg::Stats("{}".to_string()),
-            ],
+        // Legitimate replies never count.
+        let _ = to_response(ServerMsg::Rejected(RejectReason::QueueFull), &violations);
+        let _ = to_response(
+            ServerMsg::Embeddings(
+                secemb_tensor::Matrix::from_vec(1, 1, vec![0.0]),
+                secemb_telemetry::StageBreakdown::default(),
+            ),
             &violations,
         );
-        assert_eq!(merged, Response::Rejected(RejectReason::Internal));
-        assert_eq!(violations.get(), 2);
-
-        // Legitimate replies never count.
-        let v2 = test_counter();
-        let _ = to_response(ServerMsg::Rejected(RejectReason::QueueFull), &v2);
-        let _ = to_response(
-            ServerMsg::Embeddings(Matrix::from_vec(1, 1, vec![0.0]), StageBreakdown::default()),
-            &v2,
-        );
-        assert_eq!(v2.get(), 0);
+        assert_eq!(violations.get(), 1);
     }
 
-    #[test]
-    fn duplicate_part_fill_rejects_instead_of_panicking() {
-        // Two groups both claim part 0 (a duplicate reply per part id):
-        // the old path panicked on `expect("every part filled")` for
-        // part 1; the merge must reject and count instead.
-        let group_parts = vec![vec![0], vec![0]];
-        let part_lens = vec![1, 1];
-        let violations = test_counter();
-        let mk = || {
-            ServerMsg::Embeddings(
-                Matrix::from_vec(1, 2, vec![1.0, 2.0]),
-                StageBreakdown::default(),
-            )
-        };
-        let merged = merge_groups(&group_parts, &part_lens, vec![mk(), mk()], &violations);
-        assert_eq!(merged, Response::Rejected(RejectReason::Internal));
-        assert_eq!(violations.get(), 1);
+    /// A two-host router core with no backend links behind it (table 0
+    /// on host 0 only, table 1 on host 1 only) and every trace sampled:
+    /// enough to drive a [`Route`]'s completion by hand.
+    fn linkless_inner() -> Arc<Inner> {
+        let names = ["b0".to_string(), "b1".to_string()];
+        let registry = Arc::new(Registry::new());
+        Arc::new(Inner {
+            backends: Vec::new(),
+            placement: Placement::balanced(&names, 2),
+            candidates: vec![vec![0], vec![1]],
+            health: names
+                .iter()
+                .map(|name| HealthState {
+                    up: AtomicBool::new(true),
+                    consecutive_failures: AtomicU64::new(0),
+                    up_gauge: registry.gauge_with("router_backend_up", &[("backend", name)]),
+                })
+                .collect(),
+            health_trip: 3,
+            inventory: Vec::new(),
+            metrics: RouterMetrics::new(&registry),
+            registry,
+            spans: Arc::new(SpanCollector::new("rt", 1)),
+            profile_out: None,
+            next_trace: AtomicU64::new(1),
+            inline_gossip: AtomicBool::new(false),
+            inline_gossip_interval: Duration::from_secs(1),
+            last_inline_gossip: Mutex::new(None),
+        })
+    }
 
-        // A part no group covers (reply set does not span the request)
-        // is the dual failure: also reject + count, not panic.
-        let gp = vec![vec![0]];
-        let merged = merge_groups(&gp, &part_lens, vec![mk()], &violations);
-        assert_eq!(merged, Response::Rejected(RejectReason::Internal));
-        assert_eq!(violations.get(), 2);
+    /// A live reactor connection's reply handle, and the client socket
+    /// its frames arrive on.
+    fn reply_channel() -> (FrameReactor, ReplySender, std::net::TcpStream) {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let tx = Mutex::new(tx);
+        let reactor = FrameReactor::start(
+            secemb_serve::bind_reusable("127.0.0.1:0").expect("bind"),
+            Box::new(move |_conn| {
+                let tx = lock_unpoisoned(&tx).clone();
+                Box::new(move |_payload: &[u8], replies: &ReplySender| {
+                    let _ = tx.send(replies.clone());
+                    true
+                }) as Dispatch
+            }),
+            Box::new(|_| {}),
+            ReactorConfig::default(),
+        )
+        .expect("reactor");
+        let mut client = std::net::TcpStream::connect(reactor.addr()).expect("connect");
+        secemb_wire::frame::write_frame(&mut client, b"hand me my reply sender")
+            .expect("first frame");
+        let replies = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("dispatch ran");
+        (reactor, replies, client)
+    }
+
+    /// The hop whose failure completes the countdown finds no live
+    /// replica. Its `Internal` must go through the one completion like
+    /// any reply: an earlier part's `QueueFull` still wins the merge,
+    /// `router_route_ns` / the `merge` and root `request` spans are
+    /// recorded, and the local rejection is counted.
+    #[test]
+    fn hop_without_a_replica_completes_through_the_merge() {
+        let inner = linkless_inner();
+        let (reactor, replies, mut client) = reply_channel();
+        let trace = TraceCtx::new(77);
+        let route = Route {
+            inner: Arc::clone(&inner),
+            replies,
+            id: 9,
+            echo: Some(trace.trace_id),
+            t0: Instant::now(),
+            spans: RouteSpans::begin(&inner, Some(trace), trace.trace_id, 2, 3),
+            gather: Gather::new(2, vec![(0, 2), (1, 1)]),
+        };
+        route.land(0, Some(0), ServerMsg::Rejected(RejectReason::QueueFull));
+        route.land(1, None, ServerMsg::Rejected(RejectReason::Internal));
+
+        let payload = secemb_wire::frame::read_frame(&mut client).expect("exactly one reply");
+        assert_eq!(
+            secemb_serve::protocol::decode_server_traced(&payload).expect("decodes"),
+            (9, ServerMsg::Rejected(RejectReason::QueueFull), Some(77)),
+            "first rejection by part order, not the last hop's Internal"
+        );
+        let m = &inner.metrics;
+        assert_eq!(m.rejected_local_total.get(), 1);
+        assert_eq!(m.protocol_violations.get(), 0);
+        assert_eq!(m.route_ns.snapshot().count, 1);
+        assert_eq!(m.merge_ns.snapshot().count, 1);
+        let spans = inner.spans.drain();
+        let named = |name| spans.iter().filter(|s| s.name == name).collect::<Vec<_>>();
+        let [root] = named("request")[..] else {
+            panic!("a sampled trace needs exactly one root: {spans:?}");
+        };
+        assert_eq!(root.parent_span, None);
+        assert_eq!(named("merge").len(), 1);
+        assert_eq!(named("fanout").len(), 1, "only hop 0 reached a backend");
+        assert!(spans
+            .iter()
+            .all(|s| s.span_id == root.span_id || s.parent_span == Some(root.span_id)));
+        reactor.shutdown();
     }
 }

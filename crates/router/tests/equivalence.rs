@@ -5,7 +5,8 @@
 use secemb::GeneratorSpec;
 use secemb_router::{Placement, Router, RouterConfig};
 use secemb_serve::protocol::{
-    decode_server_traced, encode_generate, encode_generate_traced, ServerMsg,
+    decode_client, decode_server_traced, encode_generate, encode_generate_traced, ClientMsg,
+    ServerMsg,
 };
 use secemb_serve::{
     execute_batch, Client, Engine, EngineConfig, RejectReason, Server, TableConfig, TraceCtx,
@@ -13,11 +14,12 @@ use secemb_serve::{
 use secemb_tensor::Matrix;
 use secemb_trace::check::compare_traces;
 use secemb_trace::tracer::record_trace;
-use secemb_wire::frame::{read_frame, write_frame};
+use secemb_wire::frame::{read_frame, write_frame, FrameDecoder};
 use secemb_wire::json::{self, Value};
-use std::io::{BufReader, BufWriter};
-use std::net::TcpStream;
-use std::sync::Arc;
+use std::io::{BufReader, BufWriter, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 
 fn bits(m: &Matrix) -> Vec<u32> {
     m.as_slice().iter().map(|v| v.to_bits()).collect()
@@ -323,4 +325,164 @@ fn routed_shares_remain_oblivious() {
         "routed share trace diverged at secret {:?}",
         verdict.first_divergence()
     );
+}
+
+/// A byte-for-byte relay in front of `upstream` that keeps a copy of
+/// everything flowing *to* it: what a router really forwarded. Serves
+/// one connection; the handle joins once both directions have closed.
+fn tee(upstream: SocketAddr) -> (SocketAddr, Arc<Mutex<Vec<u8>>>, JoinHandle<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind tee");
+    let addr = listener.local_addr().expect("tee addr");
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let copy = Arc::clone(&seen);
+    let relay = std::thread::spawn(move || {
+        let (mut down, _) = listener.accept().expect("accept router link");
+        let mut up = TcpStream::connect(upstream).expect("dial backend");
+        let (mut down_w, mut up_r) = (
+            down.try_clone().expect("clone"),
+            up.try_clone().expect("clone"),
+        );
+        let back = std::thread::spawn(move || {
+            let _ = std::io::copy(&mut up_r, &mut down_w);
+            let _ = down_w.shutdown(Shutdown::Both);
+        });
+        let mut buf = [0u8; 4096];
+        while let Ok(n @ 1..) = down.read(&mut buf) {
+            copy.lock()
+                .expect("tee buffer")
+                .extend_from_slice(&buf[..n]);
+            if up.write_all(&buf[..n]).is_err() {
+                break;
+            }
+        }
+        let _ = up.shutdown(Shutdown::Both);
+        back.join().expect("return path");
+    });
+    (addr, seen, relay)
+}
+
+/// The lookup frames among the bytes a [`tee`] saw, in wire order.
+fn lookups_in(seen: &Mutex<Vec<u8>>) -> Vec<ClientMsg> {
+    let mut decoder = FrameDecoder::new();
+    decoder.extend(&seen.lock().expect("tee buffer"));
+    let mut lookups = Vec::new();
+    while let Some(frame) = decoder.next_frame().expect("whole frames") {
+        match decode_client(&frame).expect("router speaks the protocol").1 {
+            msg @ (ClientMsg::Generate { .. } | ClientMsg::Update { .. }) => lookups.push(msg),
+            ClientMsg::GenerateMulti { .. } => panic!("nothing here sends a multi"),
+            _ => {}
+        }
+    }
+    lookups
+}
+
+/// `Update` then `Generate` through the router — the protected training
+/// write path behind the serving tier — is bit-identical to the same
+/// pair sent straight at an identically seeded backend; the owning
+/// backend receives the pair verbatim (and its peer nothing), so the
+/// memory trace it executes is the direct one; and a table without a
+/// write path refuses through the router exactly as it does directly.
+#[test]
+fn routed_update_matches_direct_in_bits_and_in_backend_trace() {
+    let specs = || {
+        vec![
+            GeneratorSpec::Scan { rows: 128, dim: 8 },
+            GeneratorSpec::LaOram { rows: 96, dim: 8 },
+        ]
+    };
+    let start = || {
+        let configs = specs().into_iter().map(TableConfig::new).collect();
+        let engine = Arc::new(Engine::start(EngineConfig::new(configs)));
+        Server::start(engine, "127.0.0.1:0").expect("bind backend")
+    };
+    let (s0, s1, reference) = (start(), start(), start());
+    let (t0, seen0, relay0) = tee(s0.addr());
+    let (t1, seen1, relay1) = tee(s1.addr());
+    let router = Router::start(RouterConfig {
+        backends: vec![("b0".into(), t0.to_string()), ("b1".into(), t1.to_string())],
+        ..RouterConfig::default()
+    })
+    .expect("router start");
+    let mut via_router = Client::connect(router.addr()).expect("connect router");
+    let mut direct = Client::connect(reference.addr()).expect("connect reference");
+
+    let wrote = vec![3u64, 90, 3];
+    let deltas = Matrix::from_fn(3, 8, |r, c| (r * 8 + c) as f32 * 0.25 - 1.0);
+    let read = vec![3u64, 7, 90];
+    let before = direct.generate(1, &read, None).expect("initial rows");
+    for client in [&mut via_router, &mut direct] {
+        match client
+            .update(0, &[1], &Matrix::zeros(1, 8), None)
+            .expect("reply")
+        {
+            ServerMsg::Rejected(RejectReason::UpdateUnsupported) => {}
+            other => panic!("a scan table has no write path, got {other:?}"),
+        }
+    }
+    let pair = |client: &mut Client| {
+        let updated = client.update(1, &wrote, &deltas, None).expect("update");
+        let reread = client.generate(1, &read, None).expect("generate");
+        let (ServerMsg::Embeddings(u, _), ServerMsg::Embeddings(g, _)) = (updated, reread) else {
+            panic!("expected embeddings for both halves of the pair");
+        };
+        (bits(&u), bits(&g))
+    };
+    let routed = pair(&mut via_router);
+    assert_eq!(routed, pair(&mut direct), "routed update changed bits");
+    let ServerMsg::Embeddings(before, _) = before else {
+        panic!("expected the initial rows");
+    };
+    assert_ne!(routed.1, bits(&before), "the update must be visible");
+
+    // What crossed the wire: the owner got the three lookups verbatim
+    // and in order, its peer none of them.
+    let owner = router.placement().host_index(1).expect("table 1 placed");
+    let scan_owner = router.placement().host_index(0).expect("table 0 placed");
+    drop(router);
+    for relay in [relay0, relay1] {
+        relay.join().expect("tee");
+    }
+    let sent = [
+        ClientMsg::Update {
+            table: 1,
+            indices: wrote,
+            deltas,
+            deadline: None,
+        },
+        ClientMsg::Generate {
+            table: 1,
+            indices: read,
+            deadline: None,
+        },
+    ];
+    let mut forwarded = [lookups_in(&seen0), lookups_in(&seen1)];
+    let refused = forwarded[scan_owner].remove(0);
+    assert!(matches!(refused, ClientMsg::Update { table: 0, .. }));
+    assert_eq!(forwarded[owner], sent);
+    assert_eq!(forwarded[1 - owner], []);
+
+    // So the trace the owner executed for the routed pair is the trace
+    // of the direct pair: replay both on identically seeded generators.
+    let verdict = compare_traces(&[&forwarded[owner][..], &sent[..]], |ops| {
+        let mut generator = specs()[1].build(42);
+        for op in *ops {
+            match op {
+                ClientMsg::Update {
+                    indices, deltas, ..
+                } => {
+                    let rows: Vec<_> = deltas.iter_rows().map(Some).collect();
+                    generator.generate_window(indices, &rows);
+                }
+                ClientMsg::Generate { indices, .. } => {
+                    generator.generate_batch(indices);
+                }
+                other => panic!("not a lookup: {other:?}"),
+            }
+        }
+    });
+    assert!(
+        !verdict.traces()[0].is_empty(),
+        "the pair must touch memory"
+    );
+    assert!(verdict.is_oblivious(), "routed pair's trace diverged");
 }

@@ -5,8 +5,12 @@
 //! trace-equivalence argument.
 
 use secemb::GeneratorSpec;
-use secemb_router::{Backend, BackendOptions, LinkState, ReconnectPolicy, Router, RouterConfig};
-use secemb_serve::protocol::{decode_client, encode_table_list, ClientMsg, ServerMsg};
+use secemb_router::{
+    Backend, BackendOptions, LinkState, Placement, ReconnectPolicy, Router, RouterConfig,
+};
+use secemb_serve::protocol::{
+    decode_client, encode_generate, encode_table_list, ClientMsg, ServerMsg,
+};
 use secemb_serve::{
     execute_batch, Client, Engine, EngineConfig, RejectReason, Server, TableConfig,
 };
@@ -375,11 +379,8 @@ fn backend_idle_timeout_orphan_rejects_pending_requests() {
     let (tx, rx) = mpsc::channel();
     let t0 = Instant::now();
     backend
-        .generate(
-            0,
-            &[1, 2, 3],
-            None,
-            None,
+        .call(
+            |id| encode_generate(id, 0, &[1, 2, 3], None),
             Box::new(move |msg, _| {
                 let _ = tx.send(msg);
             }),
@@ -437,4 +438,128 @@ fn gossip_spawn_failure_degrades_to_inline_gossip() {
         metric(&metrics, "router_gossip_rounds_total") >= 1.0,
         "inline gossip must run on the stats tick:\n{metrics}"
     );
+}
+
+/// One look-ahead ORAM table: the only technique with a write path.
+fn start_updatable_backend() -> (Arc<Engine>, Server) {
+    let spec = GeneratorSpec::LaOram { rows: 96, dim: 8 };
+    let engine = Arc::new(Engine::start(EngineConfig::new(vec![TableConfig::new(
+        spec,
+    )])));
+    let server = Server::start(Arc::clone(&engine), "127.0.0.1:0").expect("bind backend");
+    (engine, server)
+}
+
+/// `("primary", …)`/`("replica", …)` under the names placement ranks
+/// first and second for the lone table 0.
+fn ranked_for_table_0(primary: String, replica: String) -> Vec<(String, String)> {
+    let names = ["b0".to_string(), "b1".to_string()];
+    let first = Placement::balanced(&names, 1)
+        .host_index(0)
+        .expect("table 0 placed");
+    let mut backends = vec![(names[first].clone(), primary)];
+    backends.insert(1 - first, (names[1 - first].clone(), replica));
+    backends
+}
+
+/// At-most-once, the half that must *not* retry: the primary takes the
+/// `Update` frame off the wire and dies before answering. The router
+/// cannot know whether the delta was applied, so the client is told
+/// `Internal` and nothing is replayed — the replica's rows are exactly
+/// the untouched reference's.
+#[test]
+fn update_in_flight_on_a_dying_primary_is_rejected_not_replayed() {
+    let (replica_engine, replica) = start_updatable_backend();
+    let (_re, reference) = start_updatable_backend();
+    // A primary that handshakes like a replica of the same table set,
+    // reads one lookup frame, and drops dead.
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let primary_addr = listener.local_addr().expect("addr");
+    let primary = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().expect("accept");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        let mut writer = BufWriter::new(stream);
+        let (id, msg) = decode_client(&read_frame(&mut reader).expect("hello")).expect("hello");
+        assert!(matches!(msg, ClientMsg::Hello(_)));
+        let inventory = vec![(96u64, 8usize, 100.0f64, "LAORAM".to_string())];
+        write_frame(&mut writer, &encode_table_list(id, &inventory)).expect("inventory");
+        let (_, msg) = decode_client(&read_frame(&mut reader).expect("update")).expect("update");
+        msg
+    });
+    let router = Router::start(RouterConfig {
+        backends: ranked_for_table_0(primary_addr.to_string(), replica.addr().to_string()),
+        health_probe: None,
+        ..RouterConfig::default()
+    })
+    .expect("router start");
+
+    let mut client = Client::connect(router.addr()).expect("connect router");
+    let deltas = Matrix::from_fn(2, 8, |r, c| 1.0 + (r * 8 + c) as f32);
+    match client.update(0, &[5, 9], &deltas, None).expect("reply") {
+        ServerMsg::Rejected(RejectReason::Internal) => {}
+        other => panic!("an update lost in flight must be Internal, got {other:?}"),
+    }
+    let delivered = primary.join().expect("primary thread");
+    assert!(
+        matches!(delivered, ClientMsg::Update { table: 0, .. }),
+        "the send succeeded: {delivered:?}"
+    );
+
+    // Applied zero times on the replica: it never saw a request, and its
+    // rows are still the untouched reference's.
+    assert_eq!(replica_engine.stats().snapshot().completed, 0);
+    let read = |server: &Server| {
+        let mut direct = Client::connect(server.addr()).expect("connect");
+        match direct.generate(0, &[5, 9], None).expect("read back") {
+            ServerMsg::Embeddings(m, _) => bits(&m),
+            other => panic!("read back failed: {other:?}"),
+        }
+    };
+    assert_eq!(read(&replica), read(&reference), "the delta was replayed");
+}
+
+/// At-most-once, the half that *may* fail over: the primary is dead
+/// before the `Update` is sent, so no frame ever reached it and the
+/// replica applies the delta — exactly once.
+#[test]
+fn update_with_the_primary_already_dead_applies_once_on_the_replica() {
+    let (_pe, primary) = start_updatable_backend();
+    let (replica_engine, replica) = start_updatable_backend();
+    let (_re, reference) = start_updatable_backend();
+    let backends = ranked_for_table_0(primary.addr().to_string(), replica.addr().to_string());
+    let primary_name = backends
+        .iter()
+        .find(|(_, addr)| *addr == primary.addr().to_string())
+        .map(|(name, _)| name.clone())
+        .expect("primary is configured");
+    let router = Router::start(resilient_config(backends)).expect("router start");
+    primary.shutdown();
+    wait_for("primary link death", Duration::from_secs(5), || {
+        router
+            .backend_health()
+            .iter()
+            .any(|(name, up)| *name == primary_name && !up)
+    });
+
+    let mut via_router = Client::connect(router.addr()).expect("connect router");
+    let mut direct = Client::connect(reference.addr()).expect("connect reference");
+    let deltas = Matrix::from_fn(2, 8, |r, c| 1.0 + (r * 8 + c) as f32);
+    let routed = via_router
+        .update(0, &[5, 9], &deltas, None)
+        .expect("routed");
+    let once = direct.update(0, &[5, 9], &deltas, None).expect("direct");
+    let (ServerMsg::Embeddings(r, _), ServerMsg::Embeddings(o, _)) = (routed, once) else {
+        panic!("the failed-over update must be served");
+    };
+    assert_eq!(bits(&r), bits(&o), "post-update rows changed bits");
+    assert_eq!(replica_engine.stats().snapshot().completed, 1);
+
+    // Read the replica back directly: one application, not two.
+    let mut at_replica = Client::connect(replica.addr()).expect("connect replica");
+    let reread = at_replica.generate(0, &[5, 9], None).expect("replica rows");
+    let applied_once = direct.generate(0, &[5, 9], None).expect("reference rows");
+    let (ServerMsg::Embeddings(r, _), ServerMsg::Embeddings(o, _)) = (reread, applied_once) else {
+        panic!("read back failed");
+    };
+    assert_eq!(bits(&r), bits(&o), "the delta was not applied exactly once");
 }

@@ -62,6 +62,7 @@
 mod batcher;
 mod client;
 mod engine;
+mod gather;
 pub mod loadgen;
 pub mod protocol;
 pub mod reactor;
@@ -85,6 +86,7 @@ pub use client::{Client, ClientReceiver, ClientSender, RemoteTable};
 pub use engine::{
     Engine, EngineConfig, PlanError, ShardPolicy, TableConfig, TableInfo, Ticket, TraceSettings,
 };
+pub use gather::{merge_parts, Fill, Gather, Landed};
 pub use reactor::{FrameReactor, ReactorConfig, ReplySender};
 pub use request::{RejectReason, Request, Response};
 pub use secemb_telemetry::{Registry, SpanCollector, Stage, StageBreakdown, TraceCtx};

@@ -220,6 +220,27 @@ fn take_trailing_trace(r: &mut ByteReader<'_>) -> Result<Option<TraceCtx>, Proto
     })
 }
 
+/// Reads a `u32` count and that many `u64` indices: the one index-list
+/// reader of the request decoders. `budget` is how many indices the
+/// frame may still carry. The count is checked against the budget and
+/// against the bytes actually left *before* anything is reserved, so a
+/// 25-byte frame claiming a million indices costs its sender's peer
+/// nothing.
+fn take_indices(r: &mut ByteReader<'_>, budget: usize) -> Result<Vec<u64>, ProtocolError> {
+    let count = r.get_u32_le()? as usize;
+    if count > budget {
+        return Err(ProtocolError::BadField("index count"));
+    }
+    if count > r.remaining() / 8 {
+        return Err(ProtocolError::Truncated);
+    }
+    let mut indices = Vec::with_capacity(count);
+    for _ in 0..count {
+        indices.push(r.get_u64_le()?);
+    }
+    Ok(indices)
+}
+
 /// Encodes a `Generate` request payload.
 pub fn encode_generate(
     request_id: u64,
@@ -411,14 +432,7 @@ pub fn decode_client_traced(
         TAG_GENERATE => {
             let table = r.get_u32_le()? as usize;
             let deadline_ns = r.get_u64_le()?;
-            let count = r.get_u32_le()? as usize;
-            if count > MAX_INDICES {
-                return Err(ProtocolError::BadField("index count"));
-            }
-            let mut indices = Vec::with_capacity(count);
-            for _ in 0..count {
-                indices.push(r.get_u64_le()?);
-            }
+            let indices = take_indices(&mut r, MAX_INDICES)?;
             trace = take_trailing_trace(&mut r)?;
             ClientMsg::Generate {
                 table,
@@ -429,14 +443,8 @@ pub fn decode_client_traced(
         TAG_UPDATE => {
             let table = r.get_u32_le()? as usize;
             let deadline_ns = r.get_u64_le()?;
-            let count = r.get_u32_le()? as usize;
-            if count > MAX_INDICES {
-                return Err(ProtocolError::BadField("index count"));
-            }
-            let mut indices = Vec::with_capacity(count);
-            for _ in 0..count {
-                indices.push(r.get_u64_le()?);
-            }
+            let indices = take_indices(&mut r, MAX_INDICES)?;
+            let count = indices.len();
             let dim = r.get_u32_le()? as usize;
             // Bound the allocation by what the payload can actually hold
             // before trusting count·dim; the trailing trace context may
@@ -467,19 +475,16 @@ pub fn decode_client_traced(
             if n_parts > MAX_PARTS {
                 return Err(ProtocolError::BadField("part count"));
             }
+            // Every part is at least its 8-byte header.
+            if n_parts > r.remaining() / 8 {
+                return Err(ProtocolError::Truncated);
+            }
             let mut parts = Vec::with_capacity(n_parts);
-            let mut total = 0usize;
+            let mut budget = MAX_INDICES;
             for _ in 0..n_parts {
                 let table = r.get_u32_le()? as usize;
-                let count = r.get_u32_le()? as usize;
-                total += count;
-                if total > MAX_INDICES {
-                    return Err(ProtocolError::BadField("index count"));
-                }
-                let mut indices = Vec::with_capacity(count);
-                for _ in 0..count {
-                    indices.push(r.get_u64_le()?);
-                }
+                let indices = take_indices(&mut r, budget)?;
+                budget -= indices.len();
                 parts.push((table, indices));
             }
             trace = take_trailing_trace(&mut r)?;

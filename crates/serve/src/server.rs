@@ -10,7 +10,7 @@
 //! request.
 
 use crate::engine::Engine;
-use crate::lock_unpoisoned;
+use crate::gather::{Fill, Gather};
 use crate::protocol::{
     decode_client_traced, encode_metrics, encode_plan, encode_plan_ack, encode_response_traced,
     encode_stats, encode_tables, encode_traces, ClientMsg,
@@ -18,11 +18,10 @@ use crate::protocol::{
 use crate::reactor::{Dispatch, FrameReactor, ReactorConfig, ReplySender};
 use crate::request::{RejectReason, Request, Response};
 use secemb::hybrid::AllocationPlan;
-use secemb_telemetry::{StageBreakdown, TraceCtx};
-use secemb_tensor::Matrix;
+use secemb_telemetry::TraceCtx;
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Everything [`Server::start_opts`] can tune beyond the bind address.
@@ -127,62 +126,50 @@ impl Server {
 /// produces exactly one reply through `replies`, now or on whatever
 /// thread completes the request.
 pub(crate) fn dispatch_frame(engine: &Arc<Engine>, payload: &[u8], replies: &ReplySender) -> bool {
-    match decode_client_traced(payload) {
-        Ok((
-            id,
-            ClientMsg::Generate {
-                table,
-                indices,
-                deadline,
-            },
-            trace,
-        )) => {
-            let mut request = Request::new(table, indices);
-            request.deadline = deadline;
-            request.trace = trace;
-            let echo = trace.map(|t| t.trace_id);
-            let replies = replies.clone();
-            // The engine answers on whatever thread resolves the
-            // request; the closure routes it straight to this
-            // connection, tagged with the caller's id (and the caller's
-            // trace id, when it sent one).
-            engine.submit_with(
-                request,
-                Box::new(move |response| {
-                    replies.send(encode_response_traced(id, &response, echo));
-                }),
-            );
+    let Ok((id, msg, trace)) = decode_client_traced(payload) else {
+        return false;
+    };
+    // A lookup frame is N ≥ 1 engine requests sharing the frame's
+    // deadline and trace context: one per part, in part order.
+    let part = |table, indices, update, deadline| Request {
+        table,
+        indices,
+        deadline,
+        update,
+        trace,
+    };
+    match msg {
+        ClientMsg::Generate {
+            table,
+            indices,
+            deadline,
+        } => {
+            let request = part(table, indices, None, deadline);
+            submit(engine, replies, id, trace, Gather::single(), [request]);
         }
-        Ok((
-            id,
-            ClientMsg::Update {
-                table,
-                indices,
-                deltas,
-                deadline,
-            },
-            trace,
-        )) => {
-            let mut request = Request::new(table, indices).with_update(deltas);
-            request.deadline = deadline;
-            request.trace = trace;
-            let echo = trace.map(|t| t.trace_id);
-            let replies = replies.clone();
-            engine.submit_with(
-                request,
-                Box::new(move |response| {
-                    replies.send(encode_response_traced(id, &response, echo));
-                }),
-            );
+        ClientMsg::Update {
+            table,
+            indices,
+            deltas,
+            deadline,
+        } => {
+            let request = part(table, indices, Some(deltas), deadline);
+            submit(engine, replies, id, trace, Gather::single(), [request]);
         }
-        Ok((id, ClientMsg::GenerateMulti { parts, deadline }, trace)) => {
-            submit_multi(engine, replies, id, parts, deadline, trace);
+        ClientMsg::GenerateMulti { parts, deadline } => {
+            // One slot per part, each owed its own index count in rows.
+            let layout = parts.iter().map(|(_, ix)| ix.len()).enumerate().collect();
+            let gather = Gather::new(parts.len(), layout);
+            let requests = parts
+                .into_iter()
+                .map(|(table, indices)| part(table, indices, None, deadline));
+            submit(engine, replies, id, trace, gather, requests);
         }
-        Ok((id, ClientMsg::PlanPull, _)) => {
+        ClientMsg::PlanPull => {
             let json = engine.active_plan().map(|p| p.to_json());
             replies.send(encode_plan(id, json.as_deref()));
         }
-        Ok((id, ClientMsg::PlanPush(json), _)) => {
+        ClientMsg::PlanPush(json) => {
             let frame = match AllocationPlan::from_json(&json)
                 .map_err(|e| e.to_string())
                 .and_then(|plan| engine.apply_plan(&plan).map_err(|e| e.to_string()))
@@ -195,112 +182,58 @@ pub(crate) fn dispatch_frame(engine: &Arc<Engine>, payload: &[u8], replies: &Rep
         // A `Hello` is a registration handshake: the answer is the
         // table inventory, which is all a router needs to bootstrap
         // placement for this backend.
-        Ok((id, ClientMsg::Hello(_), _)) | Ok((id, ClientMsg::Tables, _)) => {
+        ClientMsg::Hello(_) | ClientMsg::Tables => {
             replies.send(encode_tables(id, &engine.tables()));
         }
-        Ok((id, ClientMsg::Stats, _)) => {
+        ClientMsg::Stats => {
             let json = engine.stats().snapshot().to_json();
             replies.send(encode_stats(id, &json));
         }
-        Ok((id, ClientMsg::Metrics, _)) => {
+        ClientMsg::Metrics => {
             let text = engine.render_metrics();
             replies.send(encode_metrics(id, &text));
         }
-        Ok((id, ClientMsg::Traces, _)) => {
+        ClientMsg::Traces => {
             // A scrape drains the span buffer: each buffered span is
             // reported exactly once across scrapes.
             replies.send(encode_traces(id, &engine.spans().drain_jsonl()));
         }
-        Err(_) => return false,
     }
     true
 }
 
-/// Fans a `GenerateMulti` request out to the engine as one request per
-/// part, merging the part responses into a single reply once the last
-/// part completes. The merge runs on whichever worker thread finishes
-/// last; part order (not completion order) decides row order.
-fn submit_multi(
-    engine: &Arc<Engine>,
+/// Hands a lookup frame's engine requests to the engine, one
+/// [`Gather`] slot each, and answers the frame once when the last slot
+/// is home. The engine resolves a request on whatever thread it likes —
+/// this one for an admission rejection, a shard worker otherwise — so
+/// the merge runs on whichever finishes last; part order, not
+/// completion order, decides row order. The reply goes straight to this
+/// connection, tagged with the caller's id (and the caller's trace id,
+/// when it sent one).
+fn submit(
+    engine: &Engine,
     replies: &ReplySender,
     id: u64,
-    parts: Vec<(usize, Vec<u64>)>,
-    deadline: Option<Duration>,
     trace: Option<TraceCtx>,
+    gather: Gather,
+    requests: impl IntoIterator<Item = Request>,
 ) {
     let echo = trace.map(|t| t.trace_id);
-    if parts.is_empty() {
-        replies.send(encode_response_traced(
-            id,
-            &Response::Rejected(RejectReason::BadRequest),
-            echo,
-        ));
-        return;
-    }
-    let n = parts.len();
-    let slots: Arc<Mutex<(Vec<Option<Response>>, usize)>> =
-        Arc::new(Mutex::new((vec![None; n], n)));
-    for (slot, (table, indices)) in parts.into_iter().enumerate() {
-        let mut request = Request::new(table, indices);
-        request.deadline = deadline;
-        request.trace = trace;
-        let replies = replies.clone();
-        let slots = Arc::clone(&slots);
-        engine.submit_with(
-            request,
-            Box::new(move |response| {
-                let mut guard = lock_unpoisoned(&slots);
-                guard.0[slot] = Some(response);
-                guard.1 -= 1;
-                if guard.1 == 0 {
-                    // A part worker dying mid-merge must degrade to an
-                    // explicit Internal rejection for this request, never
-                    // a panic that poisons the whole connection.
-                    let parts: Vec<Response> = guard
-                        .0
-                        .drain(..)
-                        .map(|r| r.unwrap_or(Response::Rejected(RejectReason::Internal)))
-                        .collect();
-                    drop(guard);
-                    let merged = merge_part_responses(parts);
-                    replies.send(encode_response_traced(id, &merged, echo));
-                }
-            }),
-        );
-    }
-}
-
-/// Merges per-part responses: the first rejection (in part order)
-/// rejects the whole request; otherwise rows concatenate in part order
-/// and the stage breakdown takes the per-stage maximum — the parts ran
-/// concurrently, so the slowest part bounds each stage's contribution
-/// to the end-to-end latency.
-fn merge_part_responses(parts: Vec<Response>) -> Response {
-    let mut cols = None;
-    for part in &parts {
-        match part {
-            Response::Rejected(reason) => return Response::Rejected(*reason),
-            Response::Embeddings(m, _) => {
-                if *cols.get_or_insert(m.cols()) != m.cols() {
-                    // Tables of different dimension cannot share a reply
-                    // matrix; the client grouped incompatible parts.
-                    return Response::Rejected(RejectReason::BadRequest);
-                }
+    let land = |slot: usize| {
+        let (replies, gather) = (replies.clone(), gather.clone());
+        move |response: Response| {
+            if let Fill::Complete(landed) = gather.fill(slot, response) {
+                replies.send(encode_response_traced(id, &landed.merge().0, echo));
             }
         }
+    };
+    let mut slots = 0;
+    for request in requests {
+        engine.submit_with(request, Box::new(land(slots)));
+        slots += 1;
     }
-    let cols = cols.unwrap_or(0);
-    let mut rows = 0;
-    let mut data = Vec::new();
-    let mut stages = StageBreakdown::default();
-    for part in &parts {
-        if let Response::Embeddings(m, s) = part {
-            rows += m.rows();
-            data.extend_from_slice(m.as_slice());
-            for (i, ns) in s.ns.iter().enumerate() {
-                stages.ns[i] = stages.ns[i].max(*ns);
-            }
-        }
+    if slots == 0 {
+        // A frame of no parts has nothing to wait for.
+        land(0)(Response::Rejected(RejectReason::BadRequest));
     }
-    Response::Embeddings(Matrix::from_vec(rows, cols, data), stages)
 }

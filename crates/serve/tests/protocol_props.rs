@@ -7,12 +7,20 @@
 //! the reactor backend leans on: trace ids ride as *trailing* bytes, so
 //! any off-by-one in frame reassembly would silently corrupt or drop
 //! them rather than fail loudly.
+//!
+//! Beside it, the hostile counterpart: frames whose count fields promise
+//! more than their bytes hold are refused before the decoder reserves a
+//! byte for them (the counting allocator is local to this test binary;
+//! the library crates forbid `unsafe`).
+
+#[path = "../../oram/tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
 use proptest::prelude::*;
 use secemb_serve::protocol::{
     decode_client_traced, decode_server_traced, encode_generate_multi, encode_generate_traced,
     encode_response_traced, encode_stats_request, encode_traces, encode_traces_request,
-    encode_update_traced,
+    encode_update_traced, MAX_INDICES, MAX_PARTS,
 };
 use secemb_serve::{RejectReason, Response, StageBreakdown, TraceCtx};
 use secemb_tensor::Matrix;
@@ -151,4 +159,101 @@ proptest! {
             }
         }
     }
+}
+
+/// Byte offset of the `u32` index count in `Generate` and `Update`
+/// frames (after tag, id, table, deadline) and of the part count in a
+/// `GenerateMulti` frame (after tag, id, deadline).
+const COUNT_AT: usize = 1 + 8 + 4 + 8;
+const PART_COUNT_AT: usize = 1 + 8 + 8;
+
+fn with_u32(mut frame: Vec<u8>, at: usize, value: usize) -> Vec<u8> {
+    frame[at..at + 4].copy_from_slice(&(value as u32).to_le_bytes());
+    frame
+}
+
+/// Small frames whose count fields claim the protocol's maxima with
+/// nothing behind them: one per frame kind that carries an index list,
+/// plus the part-list forms. The number is how many allocations the
+/// decoder may make before refusing: none, except the part list of the
+/// one part that really is there (sized by the bytes present).
+fn overpromising_frames() -> Vec<(&'static str, u64, Vec<u8>)> {
+    let empty = Matrix::from_vec(0, 2, Vec::new());
+    let multi = |parts: &[(usize, Vec<u64>)]| encode_generate_multi(1, parts, None, None);
+    vec![
+        (
+            "Generate: MAX_INDICES, empty tail",
+            0,
+            with_u32(
+                encode_generate_traced(1, 0, &[], None, None),
+                COUNT_AT,
+                MAX_INDICES,
+            ),
+        ),
+        (
+            "Update: MAX_INDICES, empty tail",
+            0,
+            with_u32(
+                encode_update_traced(1, 0, &[], &empty, None, None),
+                COUNT_AT,
+                MAX_INDICES,
+            ),
+        ),
+        (
+            "GenerateMulti: one part of MAX_INDICES, empty tail",
+            1,
+            with_u32(multi(&[(0, vec![])]), PART_COUNT_AT + 4 + 4, MAX_INDICES),
+        ),
+        (
+            "GenerateMulti: MAX_PARTS parts, none behind",
+            0,
+            with_u32(multi(&[]), PART_COUNT_AT, MAX_PARTS),
+        ),
+        (
+            "count past MAX_INDICES",
+            0,
+            with_u32(
+                encode_generate_traced(1, 0, &[7], None, None),
+                COUNT_AT,
+                MAX_INDICES + 1,
+            ),
+        ),
+        (
+            "part count past MAX_PARTS",
+            0,
+            with_u32(multi(&[]), PART_COUNT_AT, MAX_PARTS + 1),
+        ),
+    ]
+}
+
+#[test]
+fn overpromising_counts_are_refused_before_anything_is_reserved() {
+    for (what, allowed, frame) in overpromising_frames() {
+        assert!(frame.len() < 64, "{what}: the attack is a small frame");
+        let mut outcome = None;
+        let allocs =
+            counting_alloc::allocations_in(|| outcome = Some(decode_client_traced(&frame)));
+        assert!(
+            outcome.expect("decoded").is_err(),
+            "{what}: must not decode"
+        );
+        assert!(
+            allocs <= allowed,
+            "{what}: refused only after reserving memory"
+        );
+    }
+}
+
+#[test]
+fn part_counts_share_one_index_budget() {
+    // Every part is well-formed and holds its indices; together they
+    // carry one index more than a request may.
+    let half = vec![0u64; MAX_INDICES / 2];
+    let parts = [(0, half.clone()), (1, half), (2, vec![0])];
+    let frame = encode_generate_multi(1, &parts, None, None);
+    assert!(decode_client_traced(&frame).is_err());
+    // One fewer is a legal request.
+    let parts = [parts[0].clone(), parts[1].clone()];
+    let frame = encode_generate_multi(1, &parts, None, None);
+    assert!(decode_client_traced(&frame).is_ok());
 }
