@@ -51,7 +51,7 @@
 //! or JSONL export of the serving stack shows why — or why not — the
 //! controller acted. When [`AdaptConfig::persist_path`] is set, every
 //! applied plan's crossovers are also written to a versioned
-//! [`ProfileArtifact`](crate::persist::ProfileArtifact), so a restarted
+//! [`ProfileArtifact`], so a restarted
 //! server resumes from what this process learned.
 
 use crate::drift::{DriftConfig, DriftDetector};
@@ -403,7 +403,7 @@ impl AdaptiveController {
 
     /// A controller defending an explicit three-way split — e.g. the
     /// crossovers recovered from a persisted
-    /// [`ProfileArtifact`](crate::persist::ProfileArtifact), so a
+    /// [`ProfileArtifact`], so a
     /// restarted server resumes from what the previous process learned.
     pub fn with_crossovers(
         engine: Arc<Engine>,

@@ -15,7 +15,7 @@
 //! - [`drift`] — per-table EWMA + Page-CUSUM detectors over the live
 //!   per-query service costs exported by `secemb-serve` workers, compared
 //!   against the active plan's baseline.
-//! - [`reprofile`] — a bounded, throttled re-entry into the core
+//! - [`mod@reprofile`] — a bounded, throttled re-entry into the core
 //!   [`Profiler`](secemb::hybrid::Profiler): only a log window around the
 //!   old threshold is re-measured, with a sleep between grid points so
 //!   the probe never competes with the request path for long.

@@ -4,7 +4,8 @@
 //! only a log window around the previous crossovers
 //! ([`Profiler::refine_sizes`]) and sleep between grid points so the
 //! probe's own scan/ORAM/DHE kernels never monopolize the cores the
-//! serving workers need. The result is the paper's crossover search
+//! serving workers need. The walk itself is the core profiler's
+//! ([`Profiler::walk`]); the result is the paper's crossover search
 //! re-run under *current* machine conditions, at `points × repeats`
 //! measurements of total cost, off the request path.
 
@@ -64,9 +65,8 @@ pub struct ReprofileReport {
     /// The updated allocation boundaries, clamped to the probed window:
     /// a crossover that fell below it comes back as the low edge, one
     /// that rose above it as one past the high edge (see
-    /// [`Profiler::find_crossovers_near`]) — either answer moves the
-    /// allocation in the right direction and a later round can refine
-    /// again.
+    /// [`Profiler::walk`]) — either answer moves the allocation in the
+    /// right direction and a later round can refine again.
     pub crossovers: Crossovers,
     /// The scan boundary alone (`crossovers.scan_to`) — the quantity the
     /// paper's two-way split calls *the* threshold.
@@ -78,16 +78,12 @@ pub struct ReprofileReport {
 }
 
 /// Runs one bounded re-profiling round around the `old` crossovers for
-/// the `(batch, threads)` execution configuration.
-///
-/// Semantics match [`Profiler::find_crossovers_near`] — walk the union
-/// of the refinement grids around both old boundaries, take the first
-/// size where scan stops winning as `scan_to` and the first size at or
-/// past it where DHE beats Circuit ORAM as `oram_to` — but measured
-/// point by point with `config.throttle` sleeps in between, and stopping
-/// early once both boundaries are pinned (sizes above them don't need
-/// probing). With `config.oram == false` the ORAM band stays empty and
-/// the walk degenerates to the two-way scan/DHE threshold search.
+/// the `(batch, threads)` execution configuration: refine the grid (the
+/// union of the windows around both old boundaries), walk it with
+/// [`Profiler::find_crossovers`] — `config.throttle` slept between grid
+/// points, stopping once both boundaries are pinned — and time it. With
+/// `config.oram == false` the ORAM band stays empty and the walk is the
+/// two-way scan/DHE threshold search.
 ///
 /// # Panics
 ///
@@ -111,47 +107,17 @@ pub fn reprofile(
     }
     let profiler = Profiler {
         dim: config.dim,
-        sizes: Vec::new(), // sizes are stepped manually below
+        sizes,
         repeats: config.repeats,
         varied_dhe: config.varied_dhe,
     };
-    let past_grid = sizes.last().map_or(0, |&s| s + 1);
-    let mut scan_to: Option<u64> = None;
-    let mut oram_to: Option<u64> = None;
-    let mut points_probed = 0;
-    for (i, &rows) in sizes.iter().enumerate() {
-        if i > 0 {
-            std::thread::sleep(config.throttle);
-        }
-        let dhe = profiler.measure_dhe(rows, batch, threads);
-        let oram = if config.oram {
-            profiler.measure_circuit_oram(rows, batch, threads)
-        } else {
-            f64::INFINITY
-        };
-        points_probed += 1;
-        if scan_to.is_none() {
-            let scan = profiler.measure_scan(rows, batch, threads);
-            if dhe.min(oram) <= scan {
-                scan_to = Some(rows);
-            } else {
-                continue; // scan still wins; neither boundary reached
-            }
-        }
-        if dhe <= oram {
-            oram_to = Some(rows);
-            break; // both boundaries pinned; larger sizes are DHE's
-        }
-    }
-    let crossovers = Crossovers {
-        scan_to: scan_to.unwrap_or(past_grid),
-        oram_to: oram_to.unwrap_or(past_grid),
-    }
-    .normalized();
+    let walk = profiler.find_crossovers(batch, threads, config.oram, || {
+        std::thread::sleep(config.throttle)
+    });
     ReprofileReport {
-        crossovers,
-        threshold: crossovers.scan_to,
-        points_probed,
+        crossovers: walk.crossovers,
+        threshold: walk.crossovers.scan_to,
+        points_probed: walk.points_probed,
         elapsed: t0.elapsed(),
     }
 }

@@ -65,7 +65,15 @@ proptest! {
         sizes in prop::collection::vec(1u64..20_000_000, 1..16),
     ) {
         let costs = vec![-1.0; sizes.len()];
-        let plan = AllocationPlan::derive(version, 64, threshold, &sizes, &costs, 8, 2);
+        let plan = AllocationPlan::derive_three_way(
+            version,
+            64,
+            Crossovers::two_way(threshold),
+            &sizes,
+            &costs,
+            8,
+            2,
+        );
         prop_assert!(plan.is_monotone());
         // Algorithm 3 exactly: scan strictly below the threshold, DHE at
         // or above it — one crossover in size order, nothing else.

@@ -9,28 +9,15 @@
 
 #![forbid(unsafe_code)]
 
+pub use secemb::median_ns;
 use secemb_telemetry::RegistrySnapshot;
 use secemb_tensor::Matrix;
 use secemb_wire::json::Value;
-use std::time::Instant;
 
 /// Scaling disclaimer printed by the binaries.
 pub const SCALE_NOTE: &str =
     "NOTE: sizes are scaled down from the paper's testbed (see EXPERIMENTS.md); \
 compare shapes and ratios, not absolute numbers.";
-
-/// Median wall-clock nanoseconds over `repeats` runs of `f`.
-pub fn median_ns(repeats: usize, mut f: impl FnMut()) -> f64 {
-    let mut samples: Vec<f64> = (0..repeats.max(1))
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_nanos() as f64
-        })
-        .collect();
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    samples[samples.len() / 2]
-}
 
 /// Formats nanoseconds with an adaptive unit.
 pub fn fmt_ns(ns: f64) -> String {
@@ -175,14 +162,6 @@ mod tests {
         assert_eq!(fmt_bytes(512), "512 B");
         assert_eq!(fmt_bytes(2048), "2.0 KiB");
         assert_eq!(fmt_bytes(3 << 20), "3.0 MiB");
-    }
-
-    #[test]
-    fn median_is_stable() {
-        let mut calls = 0;
-        let ns = median_ns(5, || calls += 1);
-        assert_eq!(calls, 5);
-        assert!(ns >= 0.0);
     }
 
     #[test]

@@ -294,6 +294,10 @@ impl EmbeddingGenerator for Dhe {
         self.infer(indices)
     }
 
+    fn generate_batch_threaded(&mut self, indices: &[u64], threads: usize) -> Matrix {
+        self.infer_threaded(indices, threads)
+    }
+
     fn technique(&self) -> Technique {
         Technique::Dhe
     }

@@ -100,7 +100,8 @@ impl std::fmt::Display for Technique {
 ///
 /// `generate*` takes `&mut self` because the ORAM-backed generator mutates
 /// internal state on every access; the stateless generators also provide
-/// shared-reference batch methods used by the multi-threaded harness.
+/// shared-reference batch methods. [`Technique::build`] is the one place a
+/// technique becomes a generator.
 pub trait EmbeddingGenerator {
     /// Embedding dimension.
     fn dim(&self) -> usize;
@@ -125,6 +126,21 @@ pub trait EmbeddingGenerator {
     ///
     /// Panics if any index is out of range.
     fn generate_batch(&mut self, indices: &[u64]) -> Matrix;
+
+    /// [`generate_batch`](Self::generate_batch) with the batch split across
+    /// `threads` OS threads — the execution-configuration knob Algorithm 2
+    /// profiles (Fig. 6). Linear scan and DHE split; the ORAMs ignore
+    /// `threads`, their accesses being inherently sequential (§V-A1), and
+    /// the lookup baseline has nothing to parallelize.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `threads` is zero (where it is used) or any index is out
+    /// of range.
+    fn generate_batch_threaded(&mut self, indices: &[u64], threads: usize) -> Matrix {
+        let _ = threads;
+        self.generate_batch(indices)
+    }
 
     /// Which technique this generator implements.
     fn technique(&self) -> Technique;

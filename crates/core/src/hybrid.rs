@@ -9,7 +9,9 @@
 //! 1. **Offline** ([`Profiler`]): measures linear-scan and DHE latency
 //!    across table sizes for each execution configuration (batch size ×
 //!    thread count) and records the crossover threshold in a
-//!    [`ThresholdTable`].
+//!    [`ThresholdTable`]. The search is written once
+//!    ([`Profiler::walk`], optionally with a Circuit-ORAM middle band);
+//!    an online re-profile is the same walk over a refined grid.
 //! 2. **Offline**: trains one all-DHE model, then materializes plain tables
 //!    (via [`crate::Dhe::to_table`]) for features that may run as scans —
 //!    no per-configuration retraining.
@@ -18,12 +20,11 @@
 //!    depends only on public quantities (table size, batch, threads), so
 //!    the hybrid inherits the security of its parts (§V-B).
 
-use crate::{Dhe, DheConfig, GeneratorSpec, LinearScan, Technique};
+use crate::{median_ns, probe_indices, Dhe, DheConfig, Technique, Weights};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use secemb_tensor::Matrix;
 use secemb_wire::json::{self, JsonError, Value};
-use std::time::Instant;
 
 /// The three-way allocation boundaries: two profiled crossovers carving
 /// table sizes into a linear-scan band, a Circuit-ORAM band, and a DHE
@@ -156,7 +157,14 @@ impl ThresholdTable {
     /// Serializes to JSON (the on-disk artifact the paper's Jupyter
     /// notebook produces).
     pub fn to_json(&self) -> String {
-        self.to_value().to_pretty()
+        Value::obj([
+            ("dim", Value::Num(self.dim as f64)),
+            (
+                "entries",
+                Value::Arr(self.entries.iter().map(|e| e.to_value()).collect()),
+            ),
+        ])
+        .to_pretty()
     }
 
     /// Parses a JSON profile.
@@ -165,20 +173,7 @@ impl ThresholdTable {
     ///
     /// Returns the underlying parse error on malformed input.
     pub fn from_json(s: &str) -> Result<Self, JsonError> {
-        Self::from_value(&json::parse(s)?)
-    }
-
-    fn to_value(&self) -> Value {
-        Value::obj([
-            ("dim", Value::Num(self.dim as f64)),
-            (
-                "entries",
-                Value::Arr(self.entries.iter().map(|e| e.to_value()).collect()),
-            ),
-        ])
-    }
-
-    fn from_value(v: &Value) -> Result<Self, JsonError> {
+        let v = json::parse(s)?;
         let dim = v
             .get("dim")
             .and_then(Value::as_usize)
@@ -191,76 +186,6 @@ impl ThresholdTable {
             .map(ThresholdEntry::from_value)
             .collect::<Result<Vec<_>, _>>()?;
         Ok(ThresholdTable { dim, entries })
-    }
-}
-
-/// A set of [`ThresholdTable`]s covering multiple embedding dimensions —
-/// the full Algorithm 2 artifact ("done once per system **for each
-/// embedding dimension**", §IV-C1).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ProfileDatabase {
-    /// One profile per embedding dimension.
-    pub profiles: Vec<ThresholdTable>,
-}
-
-impl ProfileDatabase {
-    /// Builds a database from per-dimension profiles.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `profiles` is empty or contains duplicate dimensions.
-    pub fn new(profiles: Vec<ThresholdTable>) -> Self {
-        assert!(!profiles.is_empty(), "empty profile database");
-        let mut dims: Vec<usize> = profiles.iter().map(|p| p.dim).collect();
-        dims.sort_unstable();
-        assert!(
-            dims.windows(2).all(|w| w[0] != w[1]),
-            "duplicate dimension in profile database"
-        );
-        ProfileDatabase { profiles }
-    }
-
-    /// The threshold for `(dim, batch, threads)`, using the profile whose
-    /// dimension is nearest in log space (embedding cost scales with dim,
-    /// so neighbouring dims have neighbouring thresholds).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any selected profile has no entries.
-    pub fn threshold(&self, dim: usize, batch: usize, threads: usize) -> u64 {
-        let dist =
-            |p: &ThresholdTable| ((p.dim.max(1) as f64).ln() - (dim.max(1) as f64).ln()).abs();
-        self.profiles
-            .iter()
-            .min_by(|a, b| dist(a).partial_cmp(&dist(b)).unwrap())
-            .expect("non-empty by construction")
-            .threshold(batch, threads)
-    }
-
-    /// Serializes to JSON.
-    pub fn to_json(&self) -> String {
-        Value::obj([(
-            "profiles",
-            Value::Arr(self.profiles.iter().map(|p| p.to_value()).collect()),
-        )])
-        .to_pretty()
-    }
-
-    /// Parses a JSON database.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying parse error on malformed input.
-    pub fn from_json(s: &str) -> Result<Self, JsonError> {
-        let v = json::parse(s)?;
-        let profiles = v
-            .get("profiles")
-            .and_then(Value::as_arr)
-            .ok_or_else(|| field_error("ProfileDatabase", "profiles"))?
-            .iter()
-            .map(ThresholdTable::from_value)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(ProfileDatabase { profiles })
     }
 }
 
@@ -332,40 +257,14 @@ pub struct AllocationPlan {
 }
 
 impl AllocationPlan {
-    /// Derives a two-way plan from a profiled threshold: Algorithm 3
-    /// applied to every table, stamped with `version`. Equivalent to
-    /// [`derive_three_way`](Self::derive_three_way) with an empty ORAM
-    /// band.
+    /// Derives a plan from both profiled crossovers — Algorithm 3
+    /// applied to every table, stamped with `version`: scan below
+    /// `crossovers.scan_to`, Circuit ORAM on `[scan_to, oram_to)`, DHE
+    /// at or above `oram_to`. [`Crossovers::two_way`] gives the paper's
+    /// scan/DHE split.
     ///
     /// `costs[i]` is the per-query cost estimate for table `i`
     /// (non-positive = unknown, to be probed when the plan is applied).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `costs.len() != table_sizes.len()`.
-    pub fn derive(
-        version: u64,
-        dim: usize,
-        threshold: u64,
-        table_sizes: &[u64],
-        costs: &[f64],
-        batch: usize,
-        threads: usize,
-    ) -> Self {
-        Self::derive_three_way(
-            version,
-            dim,
-            Crossovers::two_way(threshold),
-            table_sizes,
-            costs,
-            batch,
-            threads,
-        )
-    }
-
-    /// Derives a plan from both profiled crossovers: scan below
-    /// `crossovers.scan_to`, Circuit ORAM on `[scan_to, oram_to)`, DHE
-    /// at or above `oram_to`.
     ///
     /// # Panics
     ///
@@ -416,10 +315,9 @@ impl AllocationPlan {
     /// Whether the assignment is monotone in table size: sorting tables
     /// by `rows` walks scan → ORAM → DHE without ever stepping back to
     /// a cheaper-per-small-table technique. Every plan produced by
-    /// [`derive`](Self::derive)/[`derive_three_way`](Self::derive_three_way)
-    /// satisfies this by construction (the decision thresholds on a
-    /// single public size), so a `false` here means the plan was
-    /// corrupted in transit.
+    /// [`derive_three_way`](Self::derive_three_way) satisfies this by
+    /// construction (the decision thresholds on a single public size), so
+    /// a `false` here means the plan was corrupted in transit.
     pub fn is_monotone(&self) -> bool {
         // Band order by table size; the ORAMs share the middle band.
         fn rank(t: Technique) -> u8 {
@@ -514,12 +412,13 @@ pub fn allocate(
         .collect()
 }
 
-/// Offline latency profiler (Algorithm 2 step 1).
+/// Latency profiler (Algorithm 2 step 1).
 ///
-/// Measures wall-clock latency of linear scan and DHE over synthetic
-/// tables of increasing size and locates the crossover. Profiling "is of
+/// Measures wall-clock latency of the candidate techniques over synthetic
+/// tables of increasing size and locates the crossovers. Profiling "is of
 /// low effort … done once per system for each embedding dimension"
-/// (§IV-C1).
+/// (§IV-C1); an online re-profile is the same walk over a refined grid
+/// ([`refine_sizes`](Self::refine_sizes)).
 #[derive(Clone, Debug)]
 pub struct Profiler {
     /// Embedding dimension to profile.
@@ -530,6 +429,17 @@ pub struct Profiler {
     pub repeats: usize,
     /// Whether the DHE side uses Varied sizing (as deployed) or Uniform.
     pub varied_dhe: bool,
+}
+
+/// What one crossover walk found.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Walk {
+    /// The allocation boundaries, clamped to the grid: a crossover below
+    /// the grid comes back as its low edge, one above it as one past its
+    /// high edge.
+    pub crossovers: Crossovers,
+    /// Grid points whose costs were asked for.
+    pub points_probed: usize,
 }
 
 impl Profiler {
@@ -543,101 +453,116 @@ impl Profiler {
         }
     }
 
-    /// Median wall-clock nanoseconds for one batch of linear-scan
-    /// generation over a synthetic table of `rows` rows.
-    pub fn measure_scan(&self, rows: u64, batch: usize, threads: usize) -> f64 {
-        let table = Matrix::from_fn(rows as usize, self.dim, |r, c| (r + c) as f32 * 1e-3);
-        let scan = LinearScan::new(table);
-        let indices: Vec<u64> = (0..batch as u64).map(|i| (i * 7919) % rows).collect();
-        self.median_ns(|| {
-            std::hint::black_box(scan.generate_batch_threaded(&indices, threads));
-        })
-    }
-
-    /// Median wall-clock nanoseconds for one batch of DHE generation sized
-    /// for a table of `rows` rows.
-    pub fn measure_dhe(&self, rows: u64, batch: usize, threads: usize) -> f64 {
-        let config = if self.varied_dhe {
-            DheConfig::varied(self.dim, rows)
-        } else {
-            DheConfig::uniform(self.dim)
-        };
-        let dhe = Dhe::new(config, &mut StdRng::seed_from_u64(0));
-        let indices: Vec<u64> = (0..batch as u64)
-            .map(|i| (i * 7919) % rows.max(1))
-            .collect();
-        self.median_ns(|| {
-            std::hint::black_box(dhe.infer_threaded(&indices, threads));
-        })
-    }
-
-    /// Median wall-clock nanoseconds for one batch of Circuit-ORAM
-    /// generation over a synthetic table of `rows` rows. Built exactly
-    /// the way the serving layer builds it (same [`GeneratorSpec`]
-    /// path); the ORAM controller is sequential, so `threads` does not
-    /// apply.
-    pub fn measure_circuit_oram(&self, rows: u64, batch: usize, _threads: usize) -> f64 {
-        let mut oram =
-            GeneratorSpec::with_technique(rows.max(2), self.dim, Technique::CircuitOram).build(0);
-        let indices: Vec<u64> = (0..batch as u64)
-            .map(|i| (i * 7919) % rows.max(1))
-            .collect();
-        self.median_ns(|| {
-            std::hint::black_box(oram.generate_batch(&indices));
-        })
-    }
-
-    /// Sweeps the size grid and returns the crossover threshold: the first
-    /// size at which DHE is at least as fast as linear scan (or one past
-    /// the largest size when scan always wins).
-    pub fn find_threshold(&self, batch: usize, threads: usize) -> u64 {
-        for &rows in &self.sizes {
-            let scan = self.measure_scan(rows, batch, threads);
-            let dhe = self.measure_dhe(rows, batch, threads);
-            if dhe <= scan {
-                return rows;
+    /// Algorithm 2's crossover search, as a pure function of a cost
+    /// oracle `cost(technique, rows)`: walks the ascending `sizes`,
+    /// taking the first size where scan stops being the cheapest as
+    /// `scan_to` and the first size at or past it where DHE is at least
+    /// as cheap as Circuit ORAM as `oram_to`, and stops there — larger
+    /// sizes are DHE's, its cost being flat in `n`. With `oram` false
+    /// the ORAM candidate is never priced and the band stays empty: the
+    /// paper's two-way scan/DHE threshold search. `between_points` runs
+    /// before every grid point but the first (an online probe's
+    /// throttle).
+    ///
+    /// When DHE already wins at the low edge the crossover lies below the
+    /// grid and the low edge is returned (an upper bound); when scan wins
+    /// everywhere both crossovers are one past the grid (a lower bound),
+    /// and so is `oram_to` when ORAM still wins at the top. Either answer
+    /// moves an allocation in the right direction; a later walk over a
+    /// [refined grid](Self::refine_sizes) can close in.
+    pub fn walk(
+        sizes: &[u64],
+        oram: bool,
+        mut cost: impl FnMut(Technique, u64) -> f64,
+        mut between_points: impl FnMut(),
+    ) -> Walk {
+        let past_grid = sizes.last().map_or(0, |&s| s + 1);
+        let (mut scan_to, mut oram_to) = (None, None);
+        let mut points_probed = 0;
+        for (i, &rows) in sizes.iter().enumerate() {
+            if i > 0 {
+                between_points();
             }
-        }
-        self.sizes.last().map_or(0, |&s| s + 1)
-    }
-
-    /// Sweeps the size grid measuring all three techniques and returns
-    /// both crossovers: `scan_to` is the first size where scan stops
-    /// being the fastest; `oram_to` the first size at or past `scan_to`
-    /// where DHE is at least as fast as Circuit ORAM. When DHE already
-    /// beats ORAM at `scan_to` the band is empty and the result equals
-    /// [`find_threshold`]'s two-way split (up to measurement noise).
-    /// When scan wins everywhere both crossovers are one past the grid;
-    /// when ORAM still wins at the top of the grid, `oram_to` is one
-    /// past the grid (larger tables default to DHE — its cost is flat
-    /// in `n`, the safe extrapolation).
-    pub fn find_crossovers(&self, batch: usize, threads: usize) -> Crossovers {
-        let mut scan_to: Option<u64> = None;
-        for &rows in &self.sizes {
-            let dhe = self.measure_dhe(rows, batch, threads);
-            let oram = self.measure_circuit_oram(rows, batch, threads);
+            points_probed += 1;
+            let dhe_ns = cost(Technique::Dhe, rows);
+            let oram_ns = if oram {
+                cost(Technique::CircuitOram, rows)
+            } else {
+                f64::INFINITY
+            };
             if scan_to.is_none() {
-                let scan = self.measure_scan(rows, batch, threads);
-                if dhe.min(oram) <= scan {
-                    scan_to = Some(rows);
+                if dhe_ns.min(oram_ns) > cost(Technique::LinearScan, rows) {
+                    continue; // scan still wins; neither boundary reached
+                }
+                scan_to = Some(rows);
+            }
+            if dhe_ns <= oram_ns {
+                oram_to = Some(rows);
+                break; // both boundaries pinned
+            }
+        }
+        Walk {
+            crossovers: Crossovers {
+                scan_to: scan_to.unwrap_or(past_grid),
+                oram_to: oram_to.unwrap_or(past_grid),
+            }
+            .normalized(),
+            points_probed,
+        }
+    }
+
+    /// Median wall-clock nanoseconds for one batch of `technique` over a
+    /// synthetic table of `rows` rows (for DHE: sized for such a table),
+    /// split across `threads` where the technique can use them. The
+    /// generator comes from [`Technique::build`], so what is timed is what
+    /// is served. No warm-up batch: every repeat counts.
+    pub fn measure(&self, technique: Technique, rows: u64, batch: usize, threads: usize) -> f64 {
+        let rows = rows.max(2); // an ORAM tree has at least two leaves
+        let mut rng = StdRng::seed_from_u64(0);
+        let weights = match technique {
+            Technique::Dhe => {
+                let config = if self.varied_dhe {
+                    DheConfig::varied(self.dim, rows)
                 } else {
-                    continue;
-                }
+                    DheConfig::uniform(self.dim)
+                };
+                Weights::Dhe(Dhe::new(config, &mut rng))
             }
-            if dhe <= oram {
-                return Crossovers {
-                    scan_to: scan_to.expect("set above"),
-                    oram_to: rows,
-                }
-                .normalized();
-            }
-        }
-        let past_grid = self.sizes.last().map_or(0, |&s| s + 1);
-        Crossovers {
-            scan_to: scan_to.unwrap_or(past_grid),
-            oram_to: past_grid,
-        }
-        .normalized()
+            _ => Weights::Table(Matrix::from_fn(rows as usize, self.dim, |r, c| {
+                (r + c) as f32 * 1e-3
+            })),
+        };
+        let mut generator = technique.build(weights, rng);
+        let indices = probe_indices(batch, rows);
+        median_ns(self.repeats, || {
+            std::hint::black_box(generator.generate_batch_threaded(&indices, threads));
+        })
+    }
+
+    /// [`walk`](Self::walk) over this profiler's grid with measured
+    /// costs for the `(batch, threads)` execution configuration.
+    pub fn find_crossovers(
+        &self,
+        batch: usize,
+        threads: usize,
+        oram: bool,
+        between_points: impl FnMut(),
+    ) -> Walk {
+        Self::walk(
+            &self.sizes,
+            oram,
+            |technique, rows| self.measure(technique, rows, batch, threads),
+            between_points,
+        )
+    }
+
+    /// The two-way crossover threshold: the first grid size at which DHE
+    /// is at least as fast as linear scan (or one past the largest size
+    /// when scan always wins).
+    pub fn find_threshold(&self, batch: usize, threads: usize) -> u64 {
+        self.find_crossovers(batch, threads, false, || ())
+            .crossovers
+            .scan_to
     }
 
     /// A log-spaced size grid of `points` sizes spanning
@@ -665,58 +590,6 @@ impl Profiler {
         sizes
     }
 
-    /// Online re-entry into Algorithm 2: re-measures only a bounded window
-    /// around `old_threshold` (see [`refine_sizes`](Self::refine_sizes))
-    /// and returns the updated crossover under *current* machine
-    /// conditions. Cost is `points × repeats` measurements instead of a
-    /// full grid sweep — cheap enough to run off the request path.
-    ///
-    /// When DHE already wins at the window's low edge the crossover has
-    /// fallen below the window and the low edge is returned (an upper
-    /// bound); when scan wins everywhere it has risen above and one past
-    /// the high edge is returned (a lower bound). Either answer moves the
-    /// allocation in the right direction; a later round can refine again.
-    pub fn find_threshold_near(
-        &self,
-        old_threshold: u64,
-        window_factor: f64,
-        points: usize,
-        batch: usize,
-        threads: usize,
-    ) -> u64 {
-        let probe = Profiler {
-            sizes: Self::refine_sizes(old_threshold, window_factor, points),
-            ..self.clone()
-        };
-        probe.find_threshold(batch, threads)
-    }
-
-    /// Three-way analogue of
-    /// [`find_threshold_near`](Self::find_threshold_near): re-measures a
-    /// bounded window around *both* old crossovers (the union of their
-    /// refinement grids) and returns updated [`Crossovers`] under
-    /// current machine conditions.
-    pub fn find_crossovers_near(
-        &self,
-        old: Crossovers,
-        window_factor: f64,
-        points: usize,
-        batch: usize,
-        threads: usize,
-    ) -> Crossovers {
-        let mut sizes = Self::refine_sizes(old.scan_to, window_factor, points);
-        if !old.is_two_way() {
-            sizes.extend(Self::refine_sizes(old.oram_to, window_factor, points));
-        }
-        sizes.sort_unstable();
-        sizes.dedup();
-        let probe = Profiler {
-            sizes,
-            ..self.clone()
-        };
-        probe.find_crossovers(batch, threads)
-    }
-
     /// Profiles a full (batch × threads) grid into a [`ThresholdTable`]
     /// (the Fig. 6 artifact).
     pub fn profile_grid(&self, batches: &[usize], thread_counts: &[usize]) -> ThresholdTable {
@@ -734,18 +607,6 @@ impl Profiler {
             dim: self.dim,
             entries,
         }
-    }
-
-    fn median_ns(&self, mut f: impl FnMut()) -> f64 {
-        let mut samples: Vec<f64> = (0..self.repeats.max(1))
-            .map(|_| {
-                let t0 = Instant::now();
-                f();
-                t0.elapsed().as_nanos() as f64
-            })
-            .collect();
-        samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        samples[samples.len() / 2]
     }
 }
 
@@ -891,15 +752,17 @@ mod tests {
     }
 
     #[test]
-    fn profiler_measures_circuit_oram() {
+    fn profiler_measures_every_technique() {
         let prof = Profiler {
             dim: 8,
             sizes: vec![],
             repeats: 2,
             varied_dhe: false,
         };
-        let ns = prof.measure_circuit_oram(64, 4, 1);
-        assert!(ns > 0.0, "ORAM batch must take measurable time");
+        for technique in Technique::ALL {
+            let ns = prof.measure(technique, 64, 4, 1);
+            assert!(ns > 0.0, "{technique} batch must take measurable time");
+        }
     }
 
     #[test]
@@ -910,12 +773,109 @@ mod tests {
             repeats: 2,
             varied_dhe: false,
         };
-        let c = prof.find_crossovers(4, 1);
+        let walk = prof.find_crossovers(4, 1, true, || ());
+        let c = walk.crossovers;
         assert!(c.scan_to <= c.oram_to, "bands must be ordered: {c:?}");
         assert!(
             c.scan_to >= 16 && c.oram_to <= 1025,
             "crossovers {c:?} escaped the grid"
         );
+        assert!((1..=3).contains(&walk.points_probed));
+    }
+
+    /// Algorithm 2 without a clock: the walk over synthetic cost oracles.
+    #[test]
+    fn walk_over_cost_oracles() {
+        use Technique::{CircuitOram, Dhe, LinearScan};
+        const GRID: [u64; 5] = [10, 100, 1_000, 10_000, 100_000];
+        // Scan costs a nanosecond a row; the cases set the other two.
+        struct Case {
+            name: &'static str,
+            oram: bool,
+            dhe_ns: f64,
+            oram_ns: fn(u64) -> f64,
+            want: (u64, u64),
+            probed: usize,
+        }
+        let cases = [
+            Case {
+                name: "scan wins everywhere: both edges one past the grid",
+                oram: true,
+                dhe_ns: 1e9,
+                oram_ns: |_| 1e9,
+                want: (100_001, 100_001),
+                probed: 5,
+            },
+            Case {
+                name: "DHE wins at the low edge",
+                oram: true,
+                dhe_ns: 5.0,
+                oram_ns: |_| 1e9,
+                want: (10, 10),
+                probed: 1,
+            },
+            Case {
+                name: "a non-empty ORAM band",
+                oram: true,
+                dhe_ns: 5_000.0,
+                oram_ns: |rows| 50.0 * (rows as f64).log2(),
+                // ORAM: 166, 332, 498, 664, 830 ns. Scan loses to it
+                // at 1 000 rows; DHE never catches it on this grid.
+                want: (1_000, 100_001),
+                probed: 5,
+            },
+            Case {
+                name: "a band that closes inside the grid",
+                oram: true,
+                dhe_ns: 600.0,
+                oram_ns: |rows| 50.0 * (rows as f64).log2(),
+                want: (1_000, 10_000),
+                probed: 4,
+            },
+            Case {
+                name: "an empty band is the two-way answer",
+                oram: true,
+                dhe_ns: 600.0,
+                oram_ns: |_| 1e9,
+                want: (1_000, 1_000),
+                probed: 3,
+            },
+            Case {
+                name: "ORAM candidate skipped",
+                oram: false,
+                dhe_ns: 600.0,
+                oram_ns: |_| panic!("priced a skipped candidate"),
+                want: (1_000, 1_000),
+                probed: 3,
+            },
+        ];
+        for case in cases {
+            let mut sleeps = 0;
+            let walk = Profiler::walk(
+                &GRID,
+                case.oram,
+                |technique, rows| match technique {
+                    LinearScan => rows as f64,
+                    CircuitOram => (case.oram_ns)(rows),
+                    Dhe => case.dhe_ns,
+                    other => panic!("{other} is not a candidate"),
+                },
+                || sleeps += 1,
+            );
+            let want = Crossovers {
+                scan_to: case.want.0,
+                oram_to: case.want.1,
+            };
+            assert_eq!(walk.crossovers, want, "{}", case.name);
+            // The early stop: nothing past the pinned edges is probed,
+            // and the hook runs between points only.
+            assert_eq!(walk.points_probed, case.probed, "{}", case.name);
+            assert_eq!(sleeps, case.probed - 1, "{}", case.name);
+        }
+        // An empty grid has nothing to walk.
+        let empty = Profiler::walk(&[], true, |_, _| unreachable!(), || unreachable!());
+        assert_eq!(empty.crossovers, Crossovers::two_way(0));
+        assert_eq!(empty.points_probed, 0);
     }
 
     #[test]
@@ -937,8 +897,8 @@ mod tests {
             repeats: 3,
             varied_dhe: false,
         };
-        let small = prof.measure_scan(64, 8, 1);
-        let large = prof.measure_scan(4096, 8, 1);
+        let small = prof.measure(Technique::LinearScan, 64, 8, 1);
+        let large = prof.measure(Technique::LinearScan, 4096, 8, 1);
         assert!(
             large > small * 4.0,
             "scan must grow ~linearly: {small} -> {large}"
@@ -960,54 +920,18 @@ mod tests {
     }
 
     #[test]
-    fn database_picks_nearest_dimension() {
-        let db = ProfileDatabase::new(vec![
-            ThresholdTable {
-                dim: 16,
-                entries: vec![ThresholdEntry {
-                    batch: 32,
-                    threads: 1,
-                    threshold: 1000,
-                }],
-            },
-            ThresholdTable {
-                dim: 64,
-                entries: vec![ThresholdEntry {
-                    batch: 32,
-                    threads: 1,
-                    threshold: 3300,
-                }],
-            },
-        ]);
-        assert_eq!(db.threshold(16, 32, 1), 1000);
-        assert_eq!(db.threshold(64, 32, 1), 3300);
-        assert_eq!(db.threshold(20, 32, 1), 1000, "nearest in log space");
-        assert_eq!(db.threshold(48, 32, 1), 3300);
-        let back = ProfileDatabase::from_json(&db.to_json()).unwrap();
-        assert_eq!(db, back);
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate dimension")]
-    fn database_rejects_duplicate_dims() {
-        let t = ThresholdTable {
-            dim: 16,
-            entries: vec![],
-        };
-        ProfileDatabase::new(vec![t.clone(), t]);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty profile database")]
-    fn database_rejects_empty() {
-        ProfileDatabase::new(vec![]);
-    }
-
-    #[test]
     fn plan_derivation_and_round_trip() {
         let sizes = [100u64, 5_000, 1_000_000];
         let costs = [1500.0, 72_000.5, -1.0];
-        let plan = AllocationPlan::derive(3, 64, 8000, &sizes, &costs, 32, 4);
+        let plan = AllocationPlan::derive_three_way(
+            3,
+            64,
+            Crossovers::two_way(8000),
+            &sizes,
+            &costs,
+            32,
+            4,
+        );
         assert_eq!(plan.tables.len(), 3);
         assert_eq!(plan.tables[0].technique, Technique::LinearScan);
         assert_eq!(plan.tables[1].technique, Technique::LinearScan);
@@ -1021,7 +945,15 @@ mod tests {
 
     #[test]
     fn corrupted_plan_is_not_monotone() {
-        let mut plan = AllocationPlan::derive(0, 8, 1000, &[10, 10_000], &[0.0, 0.0], 1, 1);
+        let mut plan = AllocationPlan::derive_three_way(
+            0,
+            8,
+            Crossovers::two_way(1000),
+            &[10, 10_000],
+            &[0.0, 0.0],
+            1,
+            1,
+        );
         // Table id order is irrelevant; monotonicity is in *size*.
         plan.tables.swap(0, 1);
         assert!(plan.is_monotone());
@@ -1048,27 +980,9 @@ mod tests {
     }
 
     #[test]
-    fn find_threshold_near_is_bounded_and_interior() {
-        let prof = Profiler {
-            dim: 16,
-            sizes: vec![],
-            repeats: 2,
-            varied_dhe: false,
-        };
-        // The full-profile test showed the true crossover lies well inside
-        // [16, 262144]; searching near a stale guess must stay in-window.
-        let t = prof.find_threshold_near(4096, 64.0, 7, 32, 1);
-        let window = Profiler::refine_sizes(4096, 64.0, 7);
-        assert!(
-            t >= window[0] && t <= window.last().unwrap() + 1,
-            "refined threshold {t} outside window {window:?}"
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "one cost estimate per table")]
     fn plan_rejects_mismatched_costs() {
-        AllocationPlan::derive(0, 8, 100, &[10], &[], 1, 1);
+        AllocationPlan::derive_three_way(0, 8, Crossovers::two_way(100), &[10], &[], 1, 1);
     }
 
     #[test]

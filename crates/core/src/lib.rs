@@ -62,4 +62,6 @@ pub use lookup::IndexLookup;
 pub use oram_table::OramTable;
 pub use scan_table::LinearScan;
 pub use secemb_laoram::{LaConfig, LaStats};
-pub use spec::{measure_cost, CostEstimate, GeneratorSpec, SpecParseError};
+pub use spec::{
+    measure_cost, median_ns, probe_indices, CostEstimate, GeneratorSpec, SpecParseError, Weights,
+};

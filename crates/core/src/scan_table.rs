@@ -125,6 +125,10 @@ impl EmbeddingGenerator for LinearScan {
         self.generate_batch_ref(indices)
     }
 
+    fn generate_batch_threaded(&mut self, indices: &[u64], threads: usize) -> Matrix {
+        LinearScan::generate_batch_threaded(self, indices, threads)
+    }
+
     fn technique(&self) -> Technique {
         Technique::LinearScan
     }

@@ -132,7 +132,9 @@ impl GeneratorSpec {
         }
     }
 
-    /// Builds the generator with synthetic weights derived from `seed`.
+    /// Builds the generator with synthetic weights derived from `seed`:
+    /// the table (or the DHE) is drawn first and the same RNG is handed on
+    /// to [`Technique::build`].
     ///
     /// The result is `Send`, so a worker thread can own it.
     ///
@@ -144,32 +146,53 @@ impl GeneratorSpec {
         assert!(rows > 0, "GeneratorSpec: zero rows");
         assert!(dim > 0, "GeneratorSpec: zero dim");
         let mut rng = StdRng::seed_from_u64(seed);
-        match self.technique() {
-            Technique::IndexLookup => {
-                Box::new(IndexLookup::new(synthetic_table(rows, dim, &mut rng)))
-            }
-            Technique::LinearScan => {
-                Box::new(LinearScan::new(synthetic_table(rows, dim, &mut rng)))
-            }
-            Technique::PathOram => {
-                let table = synthetic_table(rows, dim, &mut rng);
-                Box::new(OramTable::path(&table, rng))
-            }
-            Technique::CircuitOram => {
-                let table = synthetic_table(rows, dim, &mut rng);
-                Box::new(OramTable::circuit(&table, rng))
-            }
-            Technique::Dhe => Box::new(Dhe::new(DheConfig::varied(dim, rows), &mut rng)),
-            Technique::LaOram => {
-                let table = synthetic_table(rows, dim, &mut rng);
-                Box::new(LaOramTable::new(&table, rng))
-            }
-        }
+        let technique = self.technique();
+        let weights = match technique {
+            Technique::Dhe => Weights::Dhe(Dhe::new(DheConfig::varied(dim, rows), &mut rng)),
+            _ => Weights::Table(Matrix::from_fn(rows as usize, dim, |_, _| {
+                rng.gen_range(-1.0f32..1.0)
+            })),
+        };
+        technique.build(weights, rng)
     }
 }
 
-fn synthetic_table(rows: u64, dim: usize, rng: &mut StdRng) -> Matrix {
-    Matrix::from_fn(rows as usize, dim, |_, _| rng.gen_range(-1.0f32..1.0))
+/// The trained weights a generator serves. Only the caller knows where
+/// they come from — a checkpoint, a DHE materialized with
+/// [`Dhe::to_table`], a synthetic draw — so it picks the variant;
+/// everything after that is [`Technique::build`].
+#[derive(Debug)]
+pub enum Weights {
+    /// An `n × dim` embedding table, for every storage-based technique.
+    Table(Matrix),
+    /// A DHE, for [`Technique::Dhe`].
+    Dhe(Dhe),
+}
+
+impl Technique {
+    /// The generator serving `weights` with this technique — the one
+    /// place in the workspace where the menu of Fig. 2 becomes code.
+    /// `rng` seeds the ORAM controllers' position maps and is unused by
+    /// the other techniques.
+    ///
+    /// The result is `Send`, so a worker thread can own it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a storage-based technique is given a DHE or
+    /// [`Technique::Dhe`] a table, or if the table is empty.
+    pub fn build(self, weights: Weights, rng: StdRng) -> Box<dyn EmbeddingGenerator + Send> {
+        match (self, weights) {
+            (Technique::IndexLookup, Weights::Table(t)) => Box::new(IndexLookup::new(t)),
+            (Technique::LinearScan, Weights::Table(t)) => Box::new(LinearScan::new(t)),
+            (Technique::PathOram, Weights::Table(t)) => Box::new(OramTable::path(&t, rng)),
+            (Technique::CircuitOram, Weights::Table(t)) => Box::new(OramTable::circuit(&t, rng)),
+            (Technique::LaOram, Weights::Table(t)) => Box::new(LaOramTable::new(&t, rng)),
+            (Technique::Dhe, Weights::Dhe(dhe)) => Box::new(dhe),
+            (Technique::Dhe, Weights::Table(_)) => panic!("DHE is built from a Dhe, not a table"),
+            (other, Weights::Dhe(_)) => panic!("{other} is built from a table, not a Dhe"),
+        }
+    }
 }
 
 impl fmt::Display for GeneratorSpec {
@@ -275,23 +298,40 @@ pub fn measure_cost(
 ) -> CostEstimate {
     assert!(probe_batch > 0, "measure_cost: zero probe batch");
     assert!(repeats > 0, "measure_cost: zero repeats");
-    let n = generator.num_embeddings();
-    let indices: Vec<u64> = (0..probe_batch as u64).map(|i| (i * 7919) % n).collect();
+    let indices = probe_indices(probe_batch, generator.num_embeddings());
     // One warm-up batch to fault in lazily-touched state (ORAM paths,
     // DHE activations) before timing.
     std::hint::black_box(generator.generate_batch(&indices));
-    let mut samples: Vec<f64> = (0..repeats)
+    let batch_ns = median_ns(repeats, || {
+        std::hint::black_box(generator.generate_batch(&indices));
+    });
+    CostEstimate {
+        per_query_ns: batch_ns / probe_batch as f64,
+        probe_batch,
+    }
+}
+
+/// Median wall-clock nanoseconds over `repeats` runs of `f` (at least
+/// one) — the timing rule behind every probe and figure in the workspace.
+pub fn median_ns(repeats: usize, mut f: impl FnMut()) -> f64 {
+    let mut samples: Vec<f64> = (0..repeats.max(1))
         .map(|_| {
             let t0 = Instant::now();
-            std::hint::black_box(generator.generate_batch(&indices));
+            f();
             t0.elapsed().as_nanos() as f64
         })
         .collect();
     samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    CostEstimate {
-        per_query_ns: samples[samples.len() / 2] / probe_batch as f64,
-        probe_batch,
-    }
+    samples[samples.len() / 2]
+}
+
+/// The deterministic batch of `batch` in-range indices a cost probe
+/// queries on a table of `rows` rows: strided by a prime so a batch
+/// spreads over the table.
+pub fn probe_indices(batch: usize, rows: u64) -> Vec<u64> {
+    (0..batch as u64)
+        .map(|i| (i * 7919) % rows.max(1))
+        .collect()
 }
 
 #[cfg(test)]
@@ -396,6 +436,41 @@ mod tests {
             g.generate_batch(&[1, 2, 3]).shape()
         });
         assert_eq!(handle.join().unwrap(), (3, 4));
+    }
+
+    #[test]
+    fn probe_helpers_are_pinned() {
+        // One stride, one zero-guard, for every cost probe.
+        assert_eq!(probe_indices(4, 10), [0, 9, 8, 7]);
+        assert_eq!(probe_indices(3, 1_000_000), [0, 7919, 15838]);
+        assert_eq!(probe_indices(3, 0), [0, 0, 0]);
+        assert!(probe_indices(0, 10).is_empty());
+        // `repeats` runs, at least one; the middle sample comes back.
+        for (repeats, runs) in [(0, 1), (1, 1), (5, 5)] {
+            let mut calls = 0;
+            let ns = median_ns(repeats, || calls += 1);
+            assert_eq!(calls, runs);
+            assert!(ns.is_finite() && ns >= 0.0);
+        }
+        let mut naps = [3u64, 0, 0].into_iter();
+        let ns = median_ns(3, || {
+            std::thread::sleep(std::time::Duration::from_millis(naps.next().unwrap()));
+        });
+        assert!(ns < 3e6, "the median of (3 ms, 0, 0) is not the slow run");
+    }
+
+    #[test]
+    #[should_panic(expected = "DHE is built from a Dhe")]
+    fn dhe_needs_a_dhe() {
+        let table = Matrix::zeros(4, 2);
+        Technique::Dhe.build(Weights::Table(table), StdRng::seed_from_u64(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "Circuit ORAM is built from a table")]
+    fn tables_need_a_table() {
+        let dhe = Dhe::new(DheConfig::new(2, 4, vec![4]), &mut StdRng::seed_from_u64(0));
+        Technique::CircuitOram.build(Weights::Dhe(dhe), StdRng::seed_from_u64(0));
     }
 
     #[test]

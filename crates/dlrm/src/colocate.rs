@@ -6,8 +6,10 @@
 //! OS threads simultaneously and reports per-iteration latency and
 //! aggregate throughput — real contention on the host, not a model of it.
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use secemb::stats::LatencySummary;
-use secemb::{Dhe, DheConfig, LinearScan, Technique};
+use secemb::{Dhe, DheConfig, EmbeddingGenerator, Technique, Weights};
 use secemb_tensor::Matrix;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
@@ -104,25 +106,25 @@ pub fn run_colocated_warmed(
 ) -> ColocationResult {
     assert!(!workloads.is_empty(), "no workloads");
     // Pre-build each worker's state so setup cost stays outside the window.
-    let states: Vec<WorkerState> = workloads.iter().map(WorkerState::build).collect();
+    let mut workers: Vec<Worker> = workloads.iter().map(Worker::build).collect();
     let stop = AtomicBool::new(false);
     // Workers + the timing thread rendezvous here after warm-up.
-    let warmed = Barrier::new(states.len() + 1);
+    let warmed = Barrier::new(workers.len() + 1);
     let mut elapsed = Duration::ZERO;
     let samples: Vec<Vec<f64>> = crossbeam::thread::scope(|s| {
-        let handles: Vec<_> = states
-            .iter()
-            .map(|state| {
+        let handles: Vec<_> = workers
+            .iter_mut()
+            .map(|worker| {
                 let (stop, warmed) = (&stop, &warmed);
                 s.spawn(move |_| {
                     for _ in 0..warmup_iters {
-                        state.run_once();
+                        worker.run_once();
                     }
                     warmed.wait();
                     let mut latencies_ns = Vec::new();
                     while !stop.load(Ordering::Relaxed) {
                         let it0 = Instant::now();
-                        state.run_once();
+                        worker.run_once();
                         latencies_ns.push(it0.elapsed().as_nanos() as f64);
                     }
                     latencies_ns
@@ -147,45 +149,38 @@ pub fn run_colocated_warmed(
     }
 }
 
-enum WorkerState {
-    Scan { scan: LinearScan, indices: Vec<u64> },
-    Dhe { dhe: Dhe, indices: Vec<u64> },
+/// One co-located worker: its generator and the batch it replays.
+struct Worker {
+    generator: Box<dyn EmbeddingGenerator + Send>,
+    indices: Vec<u64>,
 }
 
-impl WorkerState {
+impl Worker {
     fn build(w: &Workload) -> Self {
-        let indices: Vec<u64> = (0..w.batch as u64)
-            .map(|i| (i * 2654435761) % w.rows)
-            .collect();
-        match w.technique {
-            Technique::LinearScan => WorkerState::Scan {
-                scan: LinearScan::new(Matrix::from_fn(w.rows as usize, w.dim, |r, c| {
+        let weights = match w.technique {
+            Technique::LinearScan => {
+                Weights::Table(Matrix::from_fn(w.rows as usize, w.dim, |r, c| {
                     (r + c) as f32 * 1e-4
-                })),
-                indices,
-            },
-            Technique::Dhe => WorkerState::Dhe {
-                dhe: Dhe::new(
-                    w.dhe
-                        .clone()
-                        .unwrap_or_else(|| DheConfig::new(w.dim, 256, vec![128, 64])),
-                    &mut rand::rngs::mock::StepRng::new(1, 7),
-                ),
-                indices,
-            },
+                }))
+            }
+            Technique::Dhe => Weights::Dhe(Dhe::new(
+                w.dhe
+                    .clone()
+                    .unwrap_or_else(|| DheConfig::new(w.dim, 256, vec![128, 64])),
+                &mut rand::rngs::mock::StepRng::new(1, 7),
+            )),
             other => panic!("co-location workloads are scan/DHE only, got {other}"),
+        };
+        Worker {
+            generator: w.technique.build(weights, StdRng::seed_from_u64(0)),
+            indices: (0..w.batch as u64)
+                .map(|i| (i * 2654435761) % w.rows)
+                .collect(),
         }
     }
 
-    fn run_once(&self) {
-        match self {
-            WorkerState::Scan { scan, indices } => {
-                std::hint::black_box(scan.generate_batch_ref(indices));
-            }
-            WorkerState::Dhe { dhe, indices } => {
-                std::hint::black_box(dhe.infer(indices));
-            }
-        }
+    fn run_once(&mut self) {
+        std::hint::black_box(self.generator.generate_batch(&self.indices));
     }
 }
 
@@ -217,14 +212,14 @@ pub fn start_disturbance(workloads: &[Workload]) -> Disturbance {
         .iter()
         .enumerate()
         .map(|(i, w)| {
-            let state = WorkerState::build(w);
+            let mut worker = Worker::build(w);
             let stop = Arc::clone(&stop);
             std::thread::Builder::new()
                 .name(format!("secemb-noise-{i}"))
                 .spawn(move || {
                     let mut iters = 0u64;
                     while !stop.load(Ordering::Relaxed) {
-                        state.run_once();
+                        worker.run_once();
                         iters += 1;
                     }
                     iters

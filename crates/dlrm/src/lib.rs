@@ -12,10 +12,13 @@
 //!   tables or DHE stacks ([`SparseLayer`]); everything trains end-to-end
 //!   with BCE, which is how the Table V accuracy-parity experiment runs.
 //! - [`SecureDlrm`] — the *serving* model: frozen MLP weights with
-//!   branchless ReLU, plus one [`secemb::EmbeddingGenerator`] per sparse
-//!   feature chosen per Algorithm 3 (linear scan, ORAM, DHE, or the
-//!   non-secure lookup baseline). [`colocate`] adds the multi-model
-//!   contention harness behind Figs. 8, 9 and 13.
+//!   branchless ReLU, plus one boxed [`secemb::EmbeddingGenerator`] per
+//!   sparse feature, built by [`secemb::Technique::build`] from the
+//!   technique Algorithm 3 chose (linear scan, an ORAM, DHE, or the
+//!   non-secure lookup baseline) — the model decides only whether a
+//!   feature's weights are its trained DHE or a table materialized from
+//!   it. [`colocate`] adds the multi-model contention harness behind
+//!   Figs. 8, 9 and 13, its workers built the same way.
 //! - [`ProtectedDlrm`] — *protected training*: sparse tables sealed in a
 //!   look-ahead ORAM, with gradient scatter routed through the same
 //!   oblivious window machinery as the forward lookups ([`training`]).
@@ -32,5 +35,5 @@ pub mod training;
 
 pub use interaction::DotInteraction;
 pub use model::{Dlrm, EmbeddingKind, SparseLayer};
-pub use secure::{FeatureGenerator, SecureDlrm};
+pub use secure::SecureDlrm;
 pub use training::{ProtectedDlrm, ProtectedEmbedding};

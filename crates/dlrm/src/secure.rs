@@ -3,70 +3,10 @@
 use crate::{Dlrm, DotInteraction};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use secemb::{Dhe, EmbeddingGenerator, IndexLookup, LaOramTable, LinearScan, OramTable, Technique};
+use secemb::{EmbeddingGenerator, Technique, Weights};
 use secemb_data::CriteoSample;
 use secemb_nn::Mlp;
 use secemb_tensor::Matrix;
-
-/// One sparse feature's serving-time generator (Algorithm 3's menu).
-// One long-lived value per sparse feature, so variant size skew is moot.
-#[allow(clippy::large_enum_variant)]
-pub enum FeatureGenerator {
-    /// Non-secure direct lookup (baseline).
-    Lookup(IndexLookup),
-    /// Oblivious linear scan.
-    Scan(LinearScan),
-    /// Path or Circuit ORAM.
-    Oram(OramTable),
-    /// Deep Hash Embedding.
-    Dhe(Dhe),
-    /// Look-ahead ORAM (windowed prefetch; also the protected training
-    /// write path — see [`crate::training`]).
-    LaOram(LaOramTable),
-}
-
-impl std::fmt::Debug for FeatureGenerator {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "FeatureGenerator({})", self.technique())
-    }
-}
-
-impl FeatureGenerator {
-    /// Batch generation with an optional thread split. ORAM ignores
-    /// `threads` — its accesses are inherently sequential (§V-A1) — and the
-    /// lookup baseline has nothing to parallelize at these sizes.
-    pub fn generate(&mut self, indices: &[u64], threads: usize) -> Matrix {
-        match self {
-            FeatureGenerator::Lookup(g) => g.generate_batch_ref(indices),
-            FeatureGenerator::Scan(g) => g.generate_batch_threaded(indices, threads.max(1)),
-            FeatureGenerator::Oram(g) => g.generate_batch(indices),
-            FeatureGenerator::Dhe(g) => g.infer_threaded(indices, threads.max(1)),
-            FeatureGenerator::LaOram(g) => g.generate_batch(indices),
-        }
-    }
-
-    /// The technique this generator implements.
-    pub fn technique(&self) -> Technique {
-        match self {
-            FeatureGenerator::Lookup(_) => Technique::IndexLookup,
-            FeatureGenerator::Scan(_) => Technique::LinearScan,
-            FeatureGenerator::Oram(g) => EmbeddingGenerator::technique(g),
-            FeatureGenerator::Dhe(_) => Technique::Dhe,
-            FeatureGenerator::LaOram(_) => Technique::LaOram,
-        }
-    }
-
-    /// Resident bytes.
-    pub fn memory_bytes(&self) -> u64 {
-        match self {
-            FeatureGenerator::Lookup(g) => g.memory_bytes(),
-            FeatureGenerator::Scan(g) => g.memory_bytes(),
-            FeatureGenerator::Oram(g) => g.memory_bytes(),
-            FeatureGenerator::Dhe(g) => g.memory_bytes(),
-            FeatureGenerator::LaOram(g) => g.memory_bytes(),
-        }
-    }
-}
 
 /// A frozen DLRM served with secure embedding generation.
 ///
@@ -78,9 +18,8 @@ impl FeatureGenerator {
 pub struct SecureDlrm {
     bottom: Mlp,
     top: Mlp,
-    features: Vec<FeatureGenerator>,
+    features: Vec<Box<dyn EmbeddingGenerator + Send>>,
     dense_features: usize,
-    threads: usize,
 }
 
 impl std::fmt::Debug for SecureDlrm {
@@ -116,31 +55,17 @@ impl SecureDlrm {
             .iter()
             .zip(allocation)
             .zip(&spec.table_sizes)
-            .map(|((layer, &tech), &rows)| match tech {
-                Technique::IndexLookup => {
-                    FeatureGenerator::Lookup(IndexLookup::new(layer.to_table(rows)))
-                }
-                Technique::LinearScan => {
-                    FeatureGenerator::Scan(LinearScan::new(layer.to_table(rows)))
-                }
-                Technique::PathOram => FeatureGenerator::Oram(OramTable::path(
-                    &layer.to_table(rows),
-                    StdRng::seed_from_u64(rng.gen()),
-                )),
-                Technique::CircuitOram => FeatureGenerator::Oram(OramTable::circuit(
-                    &layer.to_table(rows),
-                    StdRng::seed_from_u64(rng.gen()),
-                )),
-                Technique::Dhe => FeatureGenerator::Dhe(
-                    layer
-                        .as_dhe()
-                        .expect("Technique::Dhe requires a DHE-trained feature")
-                        .clone(),
-                ),
-                Technique::LaOram => FeatureGenerator::LaOram(LaOramTable::new(
-                    &layer.to_table(rows),
-                    StdRng::seed_from_u64(rng.gen()),
-                )),
+            .map(|((layer, &tech), &rows)| {
+                let weights = match tech {
+                    Technique::Dhe => Weights::Dhe(
+                        layer
+                            .as_dhe()
+                            .expect("Technique::Dhe requires a DHE-trained feature")
+                            .clone(),
+                    ),
+                    _ => Weights::Table(layer.to_table(rows)),
+                };
+                tech.build(weights, StdRng::seed_from_u64(rng.gen()))
             })
             .collect();
         SecureDlrm {
@@ -148,36 +73,23 @@ impl SecureDlrm {
             top: model.top().clone(),
             features,
             dense_features: spec.dense_features,
-            threads: 1,
         }
     }
 
-    /// Sets the worker thread count used by scan/DHE features.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
     /// The per-feature generators.
-    pub fn features(&self) -> &[FeatureGenerator] {
+    pub fn features(&self) -> &[Box<dyn EmbeddingGenerator + Send>] {
         &self.features
-    }
-
-    /// Mutable access (benches reset ORAM stats through this).
-    pub fn features_mut(&mut self) -> &mut [FeatureGenerator] {
-        &mut self.features
     }
 
     /// Runs only the embedding layers for `batch`, returning one matrix
     /// per feature — the quantity Fig. 4 and Table VIII time.
     pub fn embed(&mut self, batch: &[CriteoSample]) -> Vec<Matrix> {
-        let threads = self.threads;
         self.features
             .iter_mut()
             .enumerate()
             .map(|(f, gen)| {
                 let indices: Vec<u64> = batch.iter().map(|s| s.sparse[f]).collect();
-                gen.generate(&indices, threads)
+                gen.generate_batch(&indices)
             })
             .collect()
     }
@@ -292,14 +204,7 @@ mod tests {
         let (model, gen) = trained_dhe_model();
         let batch = gen.batch(4, &mut StdRng::seed_from_u64(4));
         let mut outputs = Vec::new();
-        for tech in [
-            Technique::IndexLookup,
-            Technique::LinearScan,
-            Technique::PathOram,
-            Technique::CircuitOram,
-            Technique::Dhe,
-            Technique::LaOram,
-        ] {
+        for tech in Technique::ALL {
             let mut secure = SecureDlrm::from_trained(&model, &[tech; 3], 9);
             outputs.push(secure.infer(&batch));
         }
@@ -315,7 +220,7 @@ mod tests {
     fn hybrid_allocation_mixes_generators() {
         let (model, gen) = trained_dhe_model();
         let alloc = vec![Technique::LinearScan, Technique::Dhe, Technique::LinearScan];
-        let mut secure = SecureDlrm::from_trained(&model, &alloc, 1).with_threads(2);
+        let mut secure = SecureDlrm::from_trained(&model, &alloc, 1);
         assert_eq!(secure.features()[0].technique(), Technique::LinearScan);
         assert_eq!(secure.features()[1].technique(), Technique::Dhe);
         let batch = gen.batch(5, &mut StdRng::seed_from_u64(5));

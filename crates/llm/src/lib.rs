@@ -9,13 +9,16 @@
 //!   untied head, since no table exists to tie to). Fig. 14's fine-tuning
 //!   comparison trains both.
 //! - [`GptServing`] — the frozen serving path with an explicit
-//!   **prefill / decode split and a KV cache**. The token embedder is any
-//!   [`TokenEmbedder`]; greedy sampling uses the oblivious argmax, so
-//!   end-to-end generation has no secret-dependent access outside the
-//!   embedder itself (§V-C).
+//!   **prefill / decode split and a KV cache**. The token embedder is a
+//!   boxed [`secemb::EmbeddingGenerator`] — [`Gpt::embedder`] hands the
+//!   model's weights (its trained DHE, or the token table materialized
+//!   from it) to [`secemb::Technique::build`]; greedy sampling uses the
+//!   oblivious argmax, so end-to-end generation has no secret-dependent
+//!   access outside the embedder itself (§V-C).
 //! - The paper's LLM hybrid (§IV-D): DHE for (large-batch) prefill and
 //!   Circuit ORAM for (batch-1) decode, both derived from one trained
-//!   model, via [`GptServing::with_embedder`].
+//!   model, via [`GptServing::set_embedder`] or, per call from the public
+//!   batch size, [`EmbedderPolicy`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,4 +31,4 @@ mod serve;
 pub use blocks::{Block, FeedForward};
 pub use model::{Gpt, GptConfig, TokenEmbeddingKind};
 pub use policy::EmbedderPolicy;
-pub use serve::{GptServing, KvCache, TokenEmbedder};
+pub use serve::{GptServing, KvCache};

@@ -8,15 +8,16 @@
 //! which is public (it derives from the request batch, stage, and token
 //! counts, none of which the threat model hides).
 
-use crate::{Gpt, TokenEmbedder};
-use secemb::Technique;
+use crate::serve::embed_tokens;
+use crate::Gpt;
+use secemb::{EmbeddingGenerator, Technique};
 use secemb_tensor::Matrix;
 
 /// Holds both token-embedding representations and routes each embedding
 /// batch to the faster one based on a profiled batch-size threshold.
 pub struct EmbedderPolicy {
-    dhe: TokenEmbedder,
-    oram: TokenEmbedder,
+    dhe: Box<dyn EmbeddingGenerator + Send>,
+    oram: Box<dyn EmbeddingGenerator + Send>,
     /// Batches of at least this many tokens go to DHE.
     batch_threshold: usize,
     dhe_calls: u64,
@@ -44,8 +45,8 @@ impl EmbedderPolicy {
     pub fn from_model(gpt: &Gpt, batch_threshold: usize, seed: u64) -> Self {
         assert!(batch_threshold > 0, "batch_threshold must be positive");
         EmbedderPolicy {
-            dhe: TokenEmbedder::from_model(gpt, Technique::Dhe, seed),
-            oram: TokenEmbedder::from_model(gpt, Technique::CircuitOram, seed),
+            dhe: gpt.embedder(Technique::Dhe, seed),
+            oram: gpt.embedder(Technique::CircuitOram, seed),
             batch_threshold,
             dhe_calls: 0,
             oram_calls: 0,
@@ -71,10 +72,10 @@ impl EmbedderPolicy {
     pub fn embed(&mut self, tokens: &[usize]) -> Matrix {
         if self.route(tokens.len()) == Technique::Dhe {
             self.dhe_calls += 1;
-            self.dhe.embed(tokens)
+            embed_tokens(self.dhe.as_mut(), tokens)
         } else {
             self.oram_calls += 1;
-            self.oram.embed(tokens)
+            embed_tokens(self.oram.as_mut(), tokens)
         }
     }
 
@@ -145,7 +146,7 @@ mod tests {
         let mut serve = GptServing::new(&gpt, Technique::Dhe, 0);
         let mut cache = KvCache::default();
         let mut logits = serve.prefill(&prompt, &mut cache);
-        serve.set_embedder(TokenEmbedder::from_model(&gpt, Technique::CircuitOram, 1));
+        serve.set_embedder(gpt.embedder(Technique::CircuitOram, 1));
         let mut got = Vec::new();
         for _ in 0..4 {
             let next = secemb_obliv::scan::argmax_f32(logits.row(0)) as usize;
@@ -160,8 +161,8 @@ mod tests {
     fn memory_accounts_both_representations() {
         let gpt = model();
         let policy = EmbedderPolicy::from_model(&gpt, 4, 1);
-        let dhe_only = TokenEmbedder::from_model(&gpt, Technique::Dhe, 1).memory_bytes();
-        let oram_only = TokenEmbedder::from_model(&gpt, Technique::CircuitOram, 1).memory_bytes();
+        let dhe_only = gpt.embedder(Technique::Dhe, 1).memory_bytes();
+        let oram_only = gpt.embedder(Technique::CircuitOram, 1).memory_bytes();
         assert_eq!(policy.memory_bytes(), dhe_only + oram_only);
     }
 

@@ -4,99 +4,37 @@
 use crate::model::Gpt;
 use crate::GptConfig;
 use rand::rngs::StdRng;
-use secemb::{Dhe, IndexLookup, LaOramTable, LinearScan, OramTable, Technique};
+use rand::SeedableRng;
+use secemb::{EmbeddingGenerator, Technique, Weights};
 use secemb_nn::Linear;
 use secemb_tensor::{ops, Matrix};
 
-/// The token-embedding generator used at serving time.
-// One long-lived value per served model, so variant size skew is moot.
-#[allow(clippy::large_enum_variant)]
-pub enum TokenEmbedder {
-    /// Non-secure direct lookup (baseline).
-    Lookup(IndexLookup),
-    /// Oblivious linear scan over the token table.
-    Scan(LinearScan),
-    /// Token table behind Path/Circuit ORAM.
-    Oram(OramTable),
-    /// DHE computation (no table).
-    Dhe(Dhe),
-    /// Token table behind the look-ahead ORAM (the decode loop's known
-    /// next-token window maps onto its staged prefetch).
-    LaOram(LaOramTable),
-}
-
-impl std::fmt::Debug for TokenEmbedder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "TokenEmbedder({})", self.technique())
-    }
-}
-
-impl TokenEmbedder {
-    /// Generates embeddings for `tokens` (the embedding-generation batch).
-    pub fn embed(&mut self, tokens: &[usize]) -> Matrix {
-        let ids: Vec<u64> = tokens.iter().map(|&t| t as u64).collect();
-        match self {
-            TokenEmbedder::Lookup(g) => g.generate_batch_ref(&ids),
-            TokenEmbedder::Scan(g) => g.generate_batch_ref(&ids),
-            TokenEmbedder::Oram(g) => secemb::EmbeddingGenerator::generate_batch(g, &ids),
-            TokenEmbedder::Dhe(g) => g.infer(&ids),
-            TokenEmbedder::LaOram(g) => secemb::EmbeddingGenerator::generate_batch(g, &ids),
-        }
-    }
-
-    /// The implemented technique.
-    pub fn technique(&self) -> Technique {
-        match self {
-            TokenEmbedder::Lookup(_) => Technique::IndexLookup,
-            TokenEmbedder::Scan(_) => Technique::LinearScan,
-            TokenEmbedder::Oram(g) => secemb::EmbeddingGenerator::technique(g),
-            TokenEmbedder::Dhe(_) => Technique::Dhe,
-            TokenEmbedder::LaOram(_) => Technique::LaOram,
-        }
-    }
-
-    /// Resident bytes of the embedding representation.
-    pub fn memory_bytes(&self) -> u64 {
-        match self {
-            TokenEmbedder::Lookup(g) => secemb::EmbeddingGenerator::memory_bytes(g),
-            TokenEmbedder::Scan(g) => secemb::EmbeddingGenerator::memory_bytes(g),
-            TokenEmbedder::Oram(g) => secemb::EmbeddingGenerator::memory_bytes(g),
-            TokenEmbedder::Dhe(g) => secemb::EmbeddingGenerator::memory_bytes(g),
-            TokenEmbedder::LaOram(g) => secemb::EmbeddingGenerator::memory_bytes(g),
-        }
-    }
-
-    /// Builds an embedder of the given technique from a trained model —
-    /// materializing the token table when a storage representation is
-    /// requested (the paper's DHE→table conversion for the LLM hybrid).
+impl Gpt {
+    /// Builds the token embedder of the given technique from this trained
+    /// model — materializing the token table when a storage
+    /// representation is requested (the paper's DHE→table conversion for
+    /// the LLM hybrid), reusing the trained DHE otherwise.
     ///
     /// # Panics
     ///
     /// Panics if `Technique::Dhe` is requested from a table-trained model.
-    pub fn from_model(gpt: &Gpt, technique: Technique, seed: u64) -> Self {
-        use rand::SeedableRng;
-        match technique {
-            Technique::IndexLookup => TokenEmbedder::Lookup(IndexLookup::new(gpt.token_table())),
-            Technique::LinearScan => TokenEmbedder::Scan(LinearScan::new(gpt.token_table())),
-            Technique::PathOram => TokenEmbedder::Oram(OramTable::path(
-                &gpt.token_table(),
-                StdRng::seed_from_u64(seed),
-            )),
-            Technique::CircuitOram => TokenEmbedder::Oram(OramTable::circuit(
-                &gpt.token_table(),
-                StdRng::seed_from_u64(seed),
-            )),
-            Technique::Dhe => TokenEmbedder::Dhe(
-                gpt.dhe()
+    pub fn embedder(&self, technique: Technique, seed: u64) -> Box<dyn EmbeddingGenerator + Send> {
+        let weights = match technique {
+            Technique::Dhe => Weights::Dhe(
+                self.dhe()
                     .expect("Technique::Dhe requires a DHE-trained model")
                     .clone(),
             ),
-            Technique::LaOram => TokenEmbedder::LaOram(LaOramTable::new(
-                &gpt.token_table(),
-                StdRng::seed_from_u64(seed),
-            )),
-        }
+            _ => Weights::Table(self.token_table()),
+        };
+        technique.build(weights, StdRng::seed_from_u64(seed))
     }
+}
+
+/// Generates embeddings for `tokens` (the embedding-generation batch).
+pub(crate) fn embed_tokens(embedder: &mut dyn EmbeddingGenerator, tokens: &[usize]) -> Matrix {
+    let ids: Vec<u64> = tokens.iter().map(|&t| t as u64).collect();
+    embedder.generate_batch(&ids)
 }
 
 /// Per-layer key/value cache for autoregressive decoding.
@@ -131,7 +69,7 @@ impl KvCache {
 /// serves prefill with DHE and decode with Circuit ORAM from one model.
 pub struct GptServing<'a> {
     gpt: &'a Gpt,
-    embedder: TokenEmbedder,
+    embedder: Box<dyn EmbeddingGenerator + Send>,
     /// Untied head weights (cloned) or `None` for the tied table head.
     head: Option<Linear>,
     token_table: Matrix,
@@ -139,19 +77,18 @@ pub struct GptServing<'a> {
 
 impl std::fmt::Debug for GptServing<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "GptServing({:?})", self.embedder)
+        write!(f, "GptServing({})", self.embedder.technique())
     }
 }
 
 impl<'a> GptServing<'a> {
     /// Freezes `gpt` and serves it with `technique` for token embedding.
     pub fn new(gpt: &'a Gpt, technique: Technique, seed: u64) -> Self {
-        let embedder = TokenEmbedder::from_model(gpt, technique, seed);
-        Self::with_embedder(gpt, embedder)
+        Self::with_embedder(gpt, gpt.embedder(technique, seed))
     }
 
     /// Freezes `gpt` with a pre-built embedder.
-    pub fn with_embedder(gpt: &'a Gpt, embedder: TokenEmbedder) -> Self {
+    pub fn with_embedder(gpt: &'a Gpt, embedder: Box<dyn EmbeddingGenerator + Send>) -> Self {
         GptServing {
             gpt,
             embedder,
@@ -166,12 +103,12 @@ impl<'a> GptServing<'a> {
     }
 
     /// The active embedder.
-    pub fn embedder(&self) -> &TokenEmbedder {
-        &self.embedder
+    pub fn embedder(&self) -> &dyn EmbeddingGenerator {
+        self.embedder.as_ref()
     }
 
     /// Swaps the embedder (prefill→decode representation switch).
-    pub fn set_embedder(&mut self, embedder: TokenEmbedder) {
+    pub fn set_embedder(&mut self, embedder: Box<dyn EmbeddingGenerator + Send>) {
         self.embedder = embedder;
     }
 
@@ -189,7 +126,7 @@ impl<'a> GptServing<'a> {
         assert!(prompt.len() <= cfg.max_seq, "prompt exceeds max_seq");
         cache.layers = vec![LayerKv::default(); cfg.layers];
 
-        let tok = self.embedder.embed(prompt);
+        let tok = embed_tokens(self.embedder.as_mut(), prompt);
         let mut x = tok;
         for (r, pos) in (0..prompt.len()).enumerate() {
             for (xv, pv) in x.row_mut(r).iter_mut().zip(self.pos_row(pos)) {
@@ -215,7 +152,7 @@ impl<'a> GptServing<'a> {
         assert!(!cache.is_empty(), "decode requires a prefilled cache");
         let cfg = *self.gpt.config();
         assert!(cache.len < cfg.max_seq, "context window exhausted");
-        let tok = self.embedder.embed(&[token]);
+        let tok = embed_tokens(self.embedder.as_mut(), &[token]);
         let mut x = tok;
         for (xv, pv) in x.row_mut(0).iter_mut().zip(self.pos_row(cache.len)) {
             *xv += pv;
@@ -479,7 +416,7 @@ mod tests {
         let mut cache = KvCache::default();
         let logits = serve.prefill(&[4, 9, 9, 1], &mut cache);
         let next = secemb_obliv::scan::argmax_f32(logits.row(0)) as usize;
-        serve.set_embedder(TokenEmbedder::from_model(&gpt, Technique::CircuitOram, 7));
+        serve.set_embedder(gpt.embedder(Technique::CircuitOram, 7));
         let l2 = serve.decode(next, &mut cache);
         assert_eq!(l2.shape(), (1, 24));
         assert_eq!(serve.embedder().technique(), Technique::CircuitOram);
@@ -488,9 +425,9 @@ mod tests {
     #[test]
     fn embedder_memory_ordering() {
         let gpt = dhe_model();
-        let dhe = TokenEmbedder::from_model(&gpt, Technique::Dhe, 0).memory_bytes();
-        let table = TokenEmbedder::from_model(&gpt, Technique::IndexLookup, 0).memory_bytes();
-        let oram = TokenEmbedder::from_model(&gpt, Technique::CircuitOram, 0).memory_bytes();
+        let dhe = gpt.embedder(Technique::Dhe, 0).memory_bytes();
+        let table = gpt.embedder(Technique::IndexLookup, 0).memory_bytes();
+        let oram = gpt.embedder(Technique::CircuitOram, 0).memory_bytes();
         assert!(oram > table, "ORAM adds overhead over the raw table");
         assert!(dhe < oram);
     }

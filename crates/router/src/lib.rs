@@ -6,21 +6,21 @@
 //! engine, behind one TCP listener. This crate turns that stack into a
 //! horizontally scalable tier without touching clients:
 //!
-//! - [`Placement`](placement::Placement) derives a **consistent
+//! - [`Placement`] derives a **consistent
 //!   table → host placement** from the served table set, balanced to a
 //!   hard ⌈T/N⌉ per-host cap, and moves at most ⌈T/max(N, N′)⌉ tables
 //!   when a host joins or leaves.
-//! - [`Backend`](backend::Backend) holds one **pipelined** connection
+//! - [`Backend`] holds one **pipelined** connection
 //!   per backend process: requests are correlated by id, responses
 //!   arrive in completion order, and each response is routed to the
 //!   callback registered at submit time — no per-request threads.
-//! - [`Router`](router::Router) speaks the unmodified `secemb-wire`
+//! - [`Router`] speaks the unmodified `secemb-wire`
 //!   protocol to clients, fans each request's per-table lookups out
 //!   across hosts, and merges the per-host replies (and STATS/METRICS
 //!   frames) into a single response. Per-host traffic is stamped with a
 //!   wire-level trace id so router-side and backend-side stage
 //!   breakdowns join into one cross-host span.
-//! - [`gossip`](gossip) keeps the adaptive controllers coherent: the
+//! - [`gossip`] keeps the adaptive controllers coherent: the
 //!   highest-versioned plan any backend has applied is pushed to every
 //!   stale peer, each application an epoch-tagged atomic swap, so no
 //!   request ever observes a mixed plan within a batch.

@@ -214,7 +214,7 @@ impl Placement {
     /// The ordered failover candidates for `table`: a permutation of
     /// all host indices with the assigned host first (rank 0), then
     /// every other host by descending rendezvous score with the same
-    /// name tiebreak [`Placement::preferred`] uses. A router forwarding
+    /// name tiebreak `Placement::preferred` uses. A router forwarding
     /// to the highest-ranked *live* candidate therefore (a) agrees with
     /// the placement whenever the assigned host is up, and (b) fails
     /// over deterministically — every router derives the same ranking

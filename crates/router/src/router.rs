@@ -2,13 +2,13 @@
 //! side, a pipelined backend fleet behind it.
 //!
 //! Client connections run on the serving layer's
-//! [`FrameReactor`](secemb_serve::reactor::FrameReactor) — the router
+//! [`FrameReactor`] — the router
 //! has no socket code of its own on the client side — but dispatch
 //! resolves against the [`Placement`] instead of a local engine. A
 //! lookup frame is N ≥ 1 parts; its parts become one *hop* per serving
-//! host (`Generate`/`Update`: one), every hop is sent by [`route`], and
+//! host (`Generate`/`Update`: one), every hop is sent by `route`, and
 //! the replies come home through the serving layer's
-//! [`Gather`](secemb_serve::Gather) and part-order merge — the same
+//! [`Gather`] and part-order merge — the same
 //! pair the server uses for its own parts. `Tables`, `Stats`,
 //! `Metrics`, and the plan frames are merged across the whole fleet, so
 //! a scrape through the router sees every backend.

@@ -29,9 +29,12 @@ impl Default for BatchPolicy {
     }
 }
 
-/// Runs one coalesced batch: concatenates every group's indices, makes a
-/// **single** `generate_batch` call, and splits the result back into one
-/// matrix per group, preserving order.
+/// Runs one coalesced read-only batch: concatenates every group's
+/// indices, makes a **single** generator call, and splits the result back
+/// into one matrix per group, preserving order. It is
+/// `execute_batch_ops` — the function the shard worker runs — with no
+/// group carrying updates, so a test that uses it as its reference checks
+/// the shipped path.
 ///
 /// Each returned matrix is byte-identical to what a direct
 /// `generate_batch` on that group alone would produce, because every
@@ -42,30 +45,8 @@ impl Default for BatchPolicy {
 /// Panics if a group is empty or contains an out-of-range index (the
 /// engine validates both at admission).
 pub fn execute_batch(generator: &mut dyn EmbeddingGenerator, groups: &[Vec<u64>]) -> Vec<Matrix> {
-    if groups.is_empty() {
-        return Vec::new();
-    }
-    let total: usize = groups.iter().map(Vec::len).sum();
-    let mut flat = Vec::with_capacity(total);
-    for g in groups {
-        assert!(!g.is_empty(), "execute_batch: empty group");
-        flat.extend_from_slice(g);
-    }
-    let out = generator.generate_batch(&flat);
-    let dim = out.cols();
-    let data = out.as_slice();
-    let mut result = Vec::with_capacity(groups.len());
-    let mut start = 0;
-    for g in groups {
-        let rows = g.len();
-        result.push(Matrix::from_vec(
-            rows,
-            dim,
-            data[start * dim..(start + rows) * dim].to_vec(),
-        ));
-        start += rows;
-    }
-    result
+    let reads: Vec<(&[u64], Option<&Matrix>)> = groups.iter().map(|g| (&g[..], None)).collect();
+    execute_batch_ops(generator, &reads)
 }
 
 /// Runs one coalesced batch of mixed reads and updates: concatenates
@@ -78,8 +59,8 @@ pub fn execute_batch(generator: &mut dyn EmbeddingGenerator, groups: &[Vec<u64>]
 /// look-ahead ORAM) prefetches and deduplicates across *all* the groups,
 /// and read-only and updating requests travel through the identical code
 /// path — a trace observer cannot tell which groups carried gradients.
-/// For read-only batches against any other generator it degrades to
-/// exactly [`execute_batch`]'s semantics.
+/// For read-only batches against any other generator
+/// `generate_window` is `generate_batch`.
 ///
 /// # Panics
 ///

@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use secemb::{DheConfig, Technique};
 use secemb_data::MarkovCorpus;
-use secemb_llm::{Gpt, GptConfig, GptServing, KvCache, TokenEmbedder, TokenEmbeddingKind};
+use secemb_llm::{Gpt, GptConfig, GptServing, KvCache, TokenEmbeddingKind};
 use secemb_nn::Adam;
 use secemb_obliv::scan::argmax_f32;
 
@@ -59,7 +59,7 @@ fn main() {
     let mut hybrid = GptServing::new(&gpt, Technique::Dhe, 0);
     let mut cache = KvCache::default();
     let mut logits = hybrid.prefill(&prompt, &mut cache);
-    hybrid.set_embedder(TokenEmbedder::from_model(&gpt, Technique::CircuitOram, 42));
+    hybrid.set_embedder(gpt.embedder(Technique::CircuitOram, 42));
     let mut generated = Vec::new();
     for _ in 0..10 {
         let next = argmax_f32(logits.row(0)) as usize; // oblivious argmax

@@ -15,7 +15,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use secemb::{DheConfig, Technique};
 use secemb_data::Tokenizer;
-use secemb_llm::{EmbedderPolicy, Gpt, GptConfig, GptServing, KvCache, TokenEmbedder};
+use secemb_llm::{EmbedderPolicy, Gpt, GptConfig, GptServing, KvCache};
 use secemb_nn::Adam;
 use secemb_obliv::scan::argmax_f32;
 
@@ -75,7 +75,7 @@ fn main() {
     let mut serve = GptServing::new(&gpt, policy.route(prompt.len()), 2);
     let mut cache = KvCache::default();
     let mut logits = serve.prefill(&prompt, &mut cache);
-    serve.set_embedder(TokenEmbedder::from_model(&gpt, policy.route(1), 3));
+    serve.set_embedder(gpt.embedder(policy.route(1), 3));
     let mut generated = Vec::new();
     for _ in 0..6 {
         let next = argmax_f32(logits.row(0)) as usize;
