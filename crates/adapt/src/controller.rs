@@ -62,8 +62,7 @@ use secemb::Technique;
 use secemb_serve::Engine;
 use secemb_telemetry::{Counter, Gauge, Registry};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 /// Controller tuning.
@@ -715,34 +714,30 @@ impl AdaptiveController {
     /// `config.poll`. Stop (and get the controller back for inspection)
     /// with [`ControllerHandle::stop`].
     pub fn start(self) -> ControllerHandle {
-        let stop = Arc::new(AtomicBool::new(false));
+        let (stop, stopped) = mpsc::channel::<()>();
         let poll = self.config.poll;
-        let thread = {
-            let stop = Arc::clone(&stop);
-            std::thread::Builder::new()
-                .name("secemb-adapt".into())
-                .spawn(move || {
-                    let mut controller = self;
-                    while !stop.load(Ordering::Relaxed) {
-                        controller.step();
-                        // Sleep in short slices so stop() returns promptly
-                        // even with a long poll interval.
-                        let deadline = Instant::now() + poll;
-                        while !stop.load(Ordering::Relaxed) && Instant::now() < deadline {
-                            std::thread::sleep(poll.min(Duration::from_millis(10)));
-                        }
+        let thread = std::thread::Builder::new()
+            .name("secemb-adapt".into())
+            .spawn(move || {
+                let mut controller = self;
+                // Between steps the thread is parked on the stop channel:
+                // one wake-up per poll, and stop() never waits out a sleep.
+                loop {
+                    controller.step();
+                    if stopped.recv_timeout(poll) != Err(mpsc::RecvTimeoutError::Timeout) {
+                        return controller;
                     }
-                    controller
-                })
-                .expect("spawn controller thread")
-        };
+                }
+            })
+            .expect("spawn controller thread");
         ControllerHandle { stop, thread }
     }
 }
 
 /// A running background controller.
 pub struct ControllerHandle {
-    stop: Arc<AtomicBool>,
+    /// Dropping (or sending on) this stops the loop.
+    stop: mpsc::Sender<()>,
     thread: std::thread::JoinHandle<AdaptiveController>,
 }
 
@@ -755,7 +750,7 @@ impl ControllerHandle {
     /// Panics if the controller thread itself panicked — its state is
     /// gone, so there is nothing to return.
     pub fn stop(self) -> AdaptiveController {
-        self.stop.store(true, Ordering::Relaxed);
+        drop(self.stop);
         self.thread.join().expect("controller thread panicked")
     }
 }

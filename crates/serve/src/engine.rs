@@ -18,24 +18,26 @@
 //!
 //! # Live reallocation
 //!
-//! The active allocation is *versioned* and *epoch-tagged*. A controller
-//! (see the `secemb-adapt` crate) builds replacement generators **off**
-//! the request path and calls [`Engine::apply_plan`]; every replica of a
-//! shard swaps to its own new generator through a per-replica control
-//! channel. The replicas of one shard rendezvous on a barrier before
-//! installing, so no replica serves the new epoch while a sibling still
-//! runs an old-epoch batch — responses never mix epochs within a table.
-//! The engine's epoch counter is published only after **every** replica
-//! has acknowledged its swap, and admission-control cost estimates flip
-//! to the new plan's values in the same critical section, under one swap
-//! lock — a concurrent request observes either the old plan or the new
-//! one, never a mix.
+//! The active allocation is *versioned* and *epoch-tagged*, and a swap is
+//! a lock, not a protocol. Each shard keeps its replicas' generators in
+//! per-replica slots behind one *epoch gate* (a `RwLock`): a worker holds
+//! the gate shared, with its own slot locked, from dispatch through its
+//! batch's last reply. A controller (see the `secemb-adapt` crate) builds
+//! replacement generators **off** the request path and calls
+//! [`Engine::apply_plan`], which takes the gate exclusively, exchanges
+//! every live replica's generator, flips the admission-control cost
+//! estimates in the same critical section and releases it. Every
+//! old-epoch batch of a shard has therefore replied before any new-epoch
+//! batch starts — responses never mix epochs within a table — and an idle
+//! or dead replica costs the swap nothing. The engine's epoch counter is
+//! published after every shard has been exchanged, under one swap lock
+//! that totally orders plans.
 
 use crate::batcher::{execute_batch_ops, BatchPolicy};
 use crate::lock_unpoisoned;
 use crate::request::{RejectReason, Request, Response};
 use crate::stats::ServerStats;
-use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender, TrySendError};
+use crossbeam::channel::{self, Receiver, Sender, TrySendError};
 use secemb::hybrid::AllocationPlan;
 use secemb::{measure_cost, EmbeddingGenerator, GeneratorSpec, Technique};
 use secemb_enclave::CostModel;
@@ -48,33 +50,9 @@ use secemb_telemetry::{
 use secemb_tensor::Matrix;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-
-/// How long an idle worker waits on its job queue before checking the
-/// control channel — the upper bound on swap application latency for a
-/// completely idle shard replica.
-const IDLE_CONTROL_POLL: Duration = Duration::from_millis(5);
-
-/// How long a replica waits at its shard's swap rendezvous before
-/// installing anyway. The timeout only fires in degraded mode — a
-/// sibling died between the aliveness check and its rendezvous — and
-/// trades a brief window of mixed-epoch batches within that shard for
-/// not deadlocking every survivor on a corpse.
-const SWAP_BARRIER_TIMEOUT: Duration = Duration::from_secs(10);
-
-/// Per-replica control-channel depth. Swap orders are rare (one per
-/// applied plan, serialized by the engine's swap lock) and each replica
-/// drains its channel between batches, so this never fills in practice;
-/// if it ever did, the sender would briefly block until the worker
-/// catches up.
-const CONTROL_QUEUE_CAP: usize = 32;
-
-/// How long [`Engine::apply_plan`] waits for one replica's swap
-/// acknowledgement before publishing the epoch anyway. Only a replica
-/// whose generator panicked can miss the window.
-const SWAP_ACK_TIMEOUT: Duration = Duration::from_secs(60);
+use std::time::Instant;
 
 /// Per-shard cap on buffered drift samples; when full, new samples
 /// overwrite the oldest (the drift detector only cares about *recent*
@@ -256,79 +234,43 @@ struct Job {
     reply: ReplyFn,
 }
 
-/// A control message to one shard replica: swap to the next epoch's
-/// generator. Built off the worker thread so the swap itself is a pointer
-/// exchange between batches.
-struct SwapOrder {
-    generator: Box<dyn EmbeddingGenerator + Send>,
-    technique: Technique,
-    epoch: u64,
-    /// Rendezvous of the live replicas of this shard: all finish their
-    /// old-epoch batches before any installs the new generator.
-    barrier: Arc<SwapBarrier>,
-    /// Tells [`Engine::apply_plan`] this replica installed its swap; the
-    /// epoch is published only once every live replica has acked.
-    ack: mpsc::Sender<()>,
+impl Job {
+    /// Answers this admitted job `Rejected(reason)` and releases its
+    /// queries from the shard's backlog — the one post-admission
+    /// rejection site.
+    fn reject(self, reason: RejectReason, pending: &AtomicU64, stats: &ServerStats) {
+        let n = self.indices.len();
+        pending.fetch_sub(n as u64, Ordering::Relaxed);
+        stats.record_rejected(reason, n);
+        (self.reply)(Response::Rejected(reason));
+    }
 }
 
-/// What flows down a replica's control channel.
-enum ControlMsg {
-    /// Install the next epoch's generator.
-    Swap(SwapOrder),
+/// One replica's serving state; [`Engine::apply_plan`] exchanges the
+/// generator and restarts its baselines.
+struct Slot {
+    generator: Box<dyn EmbeddingGenerator + Send>,
+    /// Probe baselines of `generator`'s cumulative access counters;
+    /// restarted with it on a swap.
+    acc: ProbeAccumulator,
     /// Test hook: panic inside the next dispatched batch (see
     /// [`Engine::inject_worker_panic`]).
-    Poison,
+    poisoned: bool,
 }
 
-/// A one-shot rendezvous with a timeout, replacing `std::sync::Barrier`
-/// on the swap path: a replica that panicked after the swap order was
-/// cut can never arrive, and `Barrier::wait` would park its siblings
-/// forever. [`SwapBarrier::wait`] gives up after the timeout and lets
-/// the caller install anyway.
-struct SwapBarrier {
-    parties: usize,
-    arrived: Mutex<usize>,
-    all_in: Condvar,
-}
-
-impl SwapBarrier {
-    fn new(parties: usize) -> Self {
-        SwapBarrier {
-            parties,
-            arrived: Mutex::new(0),
-            all_in: Condvar::new(),
-        }
-    }
-
-    /// Blocks until every party arrived, or `timeout` elapsed. Returns
-    /// whether the rendezvous completed.
-    fn wait(&self, timeout: Duration) -> bool {
-        let mut arrived = lock_unpoisoned(&self.arrived);
-        *arrived += 1;
-        if *arrived >= self.parties {
-            self.all_in.notify_all();
-            return true;
-        }
-        let deadline = Instant::now() + timeout;
-        while *arrived < self.parties {
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            arrived = self
-                .all_in
-                .wait_timeout(arrived, deadline - now)
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .0;
-        }
-        true
-    }
-}
+/// A shard's epoch gate: the replicas' slots, in replica order. A worker
+/// holds the gate *shared* with its own slot locked while a batch runs
+/// and replies; a swap holds it *exclusively*, so old- and new-epoch
+/// batches of a shard never overlap. A waiting swap must also stop new
+/// batches from starting, or saturated workers would starve it: std
+/// documents no `RwLock` priority policy, but its Linux (futex)
+/// implementation turns new readers away while a writer waits, and
+/// `swap_under_sustained_load_completes` pins that.
+type EpochGate = RwLock<Vec<Mutex<Slot>>>;
 
 struct Shard {
     tx: Sender<Job>,
-    /// One control channel per replica, in replica order.
-    ctrl_txs: Vec<Sender<ControlMsg>>,
+    gate: Arc<EpochGate>,
     /// One liveness flag per replica; a worker clears its own flag when
     /// its generator panics, so swaps and admission route around it.
     alive: Vec<Arc<AtomicBool>>,
@@ -411,13 +353,13 @@ pub struct Engine {
     replicas: usize,
     stats: Arc<ServerStats>,
     /// Epoch of the active allocation; bumped exactly once per applied
-    /// plan, under `swap_lock`, after every replica acks.
+    /// plan, under `swap_lock`, after every shard has been exchanged.
     epoch: AtomicU64,
     /// Version of the most recently applied [`AllocationPlan`] (0 =
     /// startup allocation).
     plan_version: AtomicU64,
     /// Serializes [`Engine::apply_plan`] calls so epochs are totally
-    /// ordered and at most one swap barrier is outstanding per shard.
+    /// ordered.
     swap_lock: Mutex<()>,
     /// The most recently applied plan (`None` until the first
     /// [`Engine::apply_plan`]); served to peers over `PlanPull`.
@@ -435,9 +377,7 @@ struct WorkerSetup {
     table: usize,
     replica: usize,
     rx: Receiver<Job>,
-    ctrl_rx: Receiver<ControlMsg>,
-    generator: Box<dyn EmbeddingGenerator + Send>,
-    technique: Technique,
+    gate: Arc<EpochGate>,
     pending: Arc<AtomicU64>,
     stats: Arc<ServerStats>,
     batches: Arc<Counter>,
@@ -583,7 +523,6 @@ struct WorkerProbes {
     la_evictions_saved: Arc<Counter>,
     la_stash_high_water: Arc<Gauge>,
     cost_model: CostModel,
-    acc: ProbeAccumulator,
 }
 
 impl WorkerProbes {
@@ -610,16 +549,16 @@ impl WorkerProbes {
             la_evictions_saved: registry.counter_with("laoram_evictions_saved_total", &labels),
             la_stash_high_water: registry.gauge_with("laoram_stash_high_water", &labels),
             cost_model: CostModel::scalable_sgx(),
-            acc: ProbeAccumulator::default(),
         }
     }
 
-    /// Publishes this replica's below-serve aggregates. Called once per
-    /// dispatched batch; a no-op for generators that expose no access
-    /// statistics (e.g. linear scan, DHE).
-    fn publish(&mut self, generator: &dyn EmbeddingGenerator) {
+    /// Publishes this replica's below-serve aggregates as increments over
+    /// `acc`, the generator's baselines. Called once per dispatched batch;
+    /// a no-op for generators that expose no access statistics (e.g.
+    /// linear scan, DHE).
+    fn publish(&self, acc: &mut ProbeAccumulator, generator: &dyn EmbeddingGenerator) {
         if let Some(stats) = generator.access_stats() {
-            let d = self.acc.observe(&stats, &self.cost_model);
+            let d = acc.observe(&stats, &self.cost_model);
             self.evictions.add(d.evictions);
             self.bucket_reads.add(d.bucket_reads);
             self.bucket_writes.add(d.bucket_writes);
@@ -629,10 +568,10 @@ impl WorkerProbes {
             self.encrypted_bytes.add(d.encrypted_bytes);
         }
         if let Some(occ) = generator.stash_occupancy() {
-            self.stash.set(self.acc.observe_stash(occ));
+            self.stash.set(acc.observe_stash(occ));
         }
         if let Some(la) = generator.lookahead_stats() {
-            let d = self.acc.observe_la(&la);
+            let d = acc.observe_la(&la);
             self.la_windows.add(d.windows);
             self.la_prefetch_hits.add(d.prefetch_hits);
             self.la_staged_fetches.add(d.staged_fetches);
@@ -641,11 +580,6 @@ impl WorkerProbes {
             self.la_evictions_saved.add(d.evictions_saved);
             self.la_stash_high_water.set(la.stash_high_water as f64);
         }
-    }
-
-    /// Restarts the delta baselines for a freshly swapped-in generator.
-    fn reset(&mut self) {
-        self.acc.reset();
     }
 }
 
@@ -701,17 +635,20 @@ impl Engine {
             let alive: Vec<Arc<AtomicBool>> = (0..replicas)
                 .map(|_| Arc::new(AtomicBool::new(true)))
                 .collect();
-            let mut ctrl_txs = Vec::with_capacity(replicas);
-            for (replica, generator) in generators.drain(..).enumerate() {
-                let (ctrl_tx, ctrl_rx) = channel::bounded::<ControlMsg>(CONTROL_QUEUE_CAP);
-                ctrl_txs.push(ctrl_tx);
+            let slots = generators.into_iter().map(|generator| {
+                Mutex::new(Slot {
+                    generator,
+                    acc: ProbeAccumulator::default(),
+                    poisoned: false,
+                })
+            });
+            let gate: Arc<EpochGate> = Arc::new(RwLock::new(slots.collect()));
+            for replica in 0..replicas {
                 let setup = WorkerSetup {
                     table: id,
                     replica,
                     rx: rx.clone(),
-                    ctrl_rx,
-                    technique: info.technique,
-                    generator,
+                    gate: Arc::clone(&gate),
                     pending: Arc::clone(&pending),
                     stats: Arc::clone(&stats),
                     batches: stats.register_worker(id, replica),
@@ -725,7 +662,7 @@ impl Engine {
             }
             shards.push(Shard {
                 tx,
-                ctrl_txs,
+                gate,
                 alive,
                 pending_queries: pending,
                 cost_ns_bits: Arc::new(AtomicU64::new(per_query_ns.to_bits())),
@@ -774,10 +711,15 @@ impl Engine {
     /// Returns `false` for an unknown table/replica.
     #[doc(hidden)]
     pub fn inject_worker_panic(&self, table: usize, replica: usize) -> bool {
-        self.shards
-            .get(table)
-            .and_then(|s| s.ctrl_txs.get(replica))
-            .is_some_and(|tx| tx.send(ControlMsg::Poison).is_ok())
+        let Some(shard) = self.shards.get(table) else {
+            return false;
+        };
+        let slots = shard.gate.read().unwrap_or_else(PoisonError::into_inner);
+        let Some(slot) = slots.get(replica) else {
+            return false;
+        };
+        lock_unpoisoned(slot).poisoned = true;
+        true
     }
 
     /// Worker threads per shard.
@@ -830,21 +772,23 @@ impl Engine {
     }
 
     /// Applies a new allocation plan **live**: builds one replacement
-    /// generator *per replica* for every table (on the calling thread —
-    /// never a worker's), then hands each replica its swap order through
-    /// its own control channel. The replicas of a shard rendezvous on a
-    /// barrier before installing, so all old-epoch batches complete
-    /// before any new-epoch batch is dispatched — responses never mix
-    /// epochs within a table even with `replicas > 1`. In-flight batches
-    /// finish on the old epoch's generator and no request is dropped or
-    /// re-queued.
+    /// generator *per live replica* for every table (on the calling
+    /// thread — never a worker's), then, shard by shard, takes the
+    /// shard's epoch gate exclusively and exchanges the generators. The
+    /// gate is granted once every batch already running on the shard has
+    /// sent its last reply, and no batch starts while it is held, so all
+    /// old-epoch batches complete before any new-epoch batch is
+    /// dispatched — responses never mix epochs within a table even with
+    /// `replicas > 1`. In-flight batches finish on the old epoch's
+    /// generator and no request is dropped or re-queued; the retired
+    /// generators are dropped on the calling thread.
     ///
     /// Admission-control costs switch to the plan's estimates in the same
     /// critical section; a planned cost `<= 0` (unknown) is probed here on
-    /// a freshly built generator before the swap is published. The engine
-    /// epoch is stored only after every **live** replica acknowledges its
-    /// swap, so on return the whole (surviving) fleet serves the new
-    /// plan; dead replicas are skipped rather than waited on.
+    /// a freshly built generator before the swap is published. On return
+    /// the whole surviving fleet serves the new plan; idle replicas are
+    /// swapped where they sit and dead ones are skipped, neither waited
+    /// on.
     ///
     /// Returns the new epoch.
     ///
@@ -864,89 +808,71 @@ impl Engine {
                 return Err(PlanError::RowsMismatch { table: id });
             }
         }
-        // Build (and if necessary probe) every replacement off the swap
-        // lock's critical section — construction can take seconds for
-        // large ORAM tables and must not stall admission. Only live
-        // replicas get a replacement: a dead worker can neither build nor
-        // rendezvous, and must not stall its siblings' swap.
+        // Build (and if necessary probe) every replacement off the gate —
+        // construction can take seconds for large ORAM tables and must
+        // not stall serving. Only live replicas get a replacement.
         let mut staged = Vec::with_capacity(self.shards.len());
         for (planned, shard) in plan.tables.iter().zip(&self.shards) {
-            let live: Vec<usize> = shard
-                .alive
-                .iter()
-                .enumerate()
-                .filter(|(_, a)| a.load(Ordering::SeqCst))
-                .map(|(replica, _)| replica)
-                .collect();
             let spec = GeneratorSpec::with_technique(
                 shard.config.spec.rows(),
                 shard.config.spec.dim(),
                 planned.technique,
             );
-            let mut generators: Vec<_> =
-                live.iter().map(|_| spec.build(shard.config.seed)).collect();
+            let mut replacements: Vec<_> = (0..self.replicas)
+                .filter(|&replica| shard.alive[replica].load(Ordering::SeqCst))
+                .map(|replica| (replica, spec.build(shard.config.seed)))
+                .collect();
             let per_query_ns = if planned.per_query_ns > 0.0 {
                 planned.per_query_ns
-            } else if let Some(first) = generators.first_mut() {
+            } else if let Some((_, first)) = replacements.first_mut() {
                 measure_cost(first.as_mut(), self.probe_batch, self.probe_repeats).per_query_ns
             } else {
                 // Whole shard dead: keep the planned (non-)estimate; the
                 // shard rejects at admission anyway.
                 planned.per_query_ns
             };
-            let supports_updates = generators.first().is_some_and(|g| g.supports_updates());
-            staged.push((
-                live,
-                generators,
-                planned.technique,
+            let info = TableInfo {
+                rows: spec.rows(),
+                dim: spec.dim(),
+                technique: planned.technique,
                 per_query_ns,
-                supports_updates,
-            ));
+                supports_updates: replacements
+                    .first()
+                    .is_some_and(|(_, g)| g.supports_updates()),
+            };
+            staged.push((replacements, info));
         }
+        // Outlives the gates below: generators are freed only after
+        // serving has resumed.
+        let mut retired = Vec::new();
         let _swap = lock_unpoisoned(&self.swap_lock);
         let epoch = self.epoch.load(Ordering::SeqCst) + 1;
-        let (ack_tx, ack_rx) = mpsc::channel();
-        let mut expected_acks = 0usize;
-        for (shard, (live, generators, technique, per_query_ns, supports_updates)) in
-            self.shards.iter().zip(staged)
-        {
-            // One barrier per shard: its live replicas install in
-            // lockstep. A replica dying after this snapshot degrades to
-            // the barrier timeout instead of a deadlock.
-            let barrier = Arc::new(SwapBarrier::new(live.len()));
-            for (replica, generator) in live.into_iter().zip(generators) {
-                // A dedicated control channel per replica: the swap order
-                // lands even when the job queue is saturated with
-                // backpressured requests.
-                let _ = shard.ctrl_txs[replica].send(ControlMsg::Swap(SwapOrder {
-                    generator,
-                    technique,
-                    epoch,
-                    barrier: Arc::clone(&barrier),
-                    ack: ack_tx.clone(),
-                }));
-                expected_acks += 1;
+        for (shard, (replacements, info)) in self.shards.iter().zip(staged) {
+            let mut slots = shard.gate.write().unwrap_or_else(PoisonError::into_inner);
+            for (replica, generator) in replacements {
+                // Liveness is stable under the gate (a worker dies inside
+                // it); a replica that died since the snapshot is skipped.
+                if !shard.alive[replica].load(Ordering::SeqCst) {
+                    retired.push(generator);
+                    continue;
+                }
+                let slot = slots[replica]
+                    .get_mut()
+                    .unwrap_or_else(PoisonError::into_inner);
+                retired.push(std::mem::replace(&mut slot.generator, generator));
+                slot.acc.reset();
+                self.stats.record_swap_applied(epoch);
             }
             shard
                 .cost_ns_bits
-                .store(per_query_ns.to_bits(), Ordering::SeqCst);
+                .store(info.per_query_ns.to_bits(), Ordering::SeqCst);
             shard
                 .supports_updates
-                .store(supports_updates, Ordering::SeqCst);
-            let mut info = lock_unpoisoned(&shard.info);
-            info.technique = technique;
-            info.per_query_ns = per_query_ns;
-            info.supports_updates = supports_updates;
+                .store(info.supports_updates, Ordering::SeqCst);
+            *lock_unpoisoned(&shard.info) = info;
         }
-        drop(ack_tx);
-        // The epoch becomes observable only after every replica has
-        // installed its new generator; a missing ack (panicked replica)
-        // degrades to a timeout instead of wedging the controller.
-        for _ in 0..expected_acks {
-            if ack_rx.recv_timeout(SWAP_ACK_TIMEOUT).is_err() {
-                break;
-            }
-        }
+        // Every old-epoch reply was sent before its shard's gate was
+        // granted, so the epoch becomes observable only after them.
         self.epoch.store(epoch, Ordering::SeqCst);
         self.plan_version.store(plan.version, Ordering::SeqCst);
         self.stats.record_plan(plan.version, epoch);
@@ -960,49 +886,34 @@ impl Engine {
         lock_unpoisoned(&self.active_plan).clone()
     }
 
-    /// Submits a request whose response is delivered by calling `reply`
-    /// exactly once, on whatever thread resolves it — immediately on the
-    /// submitting thread for admission rejections, or on a shard worker
-    /// for served/stale requests. This is the pipelined front end's entry
-    /// point: the TCP server passes a closure that encodes the response
-    /// with its request id and hands it to the connection's writer.
-    pub fn submit_with(&self, request: Request, reply: ReplyFn) {
-        let t0 = Instant::now();
-        let Some(shard) = self.shards.get(request.table) else {
-            self.stats.record_rejected(RejectReason::UnknownTable, 0);
-            reply(Response::Rejected(RejectReason::UnknownTable));
-            return;
-        };
+    /// Validation and admission control, in check order: the shard this
+    /// request may be queued on, or why it is turned away before any
+    /// queue space is consumed.
+    fn admit(&self, request: &Request) -> Result<&Shard, RejectReason> {
+        let shard = self
+            .shards
+            .get(request.table)
+            .ok_or(RejectReason::UnknownTable)?;
         let rows = shard.config.spec.rows();
         let n = request.indices.len();
         if n == 0 || request.indices.iter().any(|&i| i >= rows) {
-            self.stats.record_rejected(RejectReason::BadRequest, 0);
-            reply(Response::Rejected(RejectReason::BadRequest));
-            return;
+            return Err(RejectReason::BadRequest);
         }
         if let Some(update) = &request.update {
             // An update must address exactly the requested indices at the
             // table's width, and the active generator must have an
-            // oblivious write path — both checked before any queue space
-            // is consumed.
+            // oblivious write path.
             if update.shape() != (n, shard.config.spec.dim()) {
-                self.stats.record_rejected(RejectReason::BadRequest, 0);
-                reply(Response::Rejected(RejectReason::BadRequest));
-                return;
+                return Err(RejectReason::BadRequest);
             }
             if !shard.supports_updates.load(Ordering::SeqCst) {
-                self.stats
-                    .record_rejected(RejectReason::UpdateUnsupported, 0);
-                reply(Response::Rejected(RejectReason::UpdateUnsupported));
-                return;
+                return Err(RejectReason::UpdateUnsupported);
             }
         }
         // A shard whose every replica has died can accept nothing: fail
         // fast and explicitly instead of queueing work nobody will drain.
         if shard.alive.iter().all(|a| !a.load(Ordering::SeqCst)) {
-            self.stats.record_rejected(RejectReason::Internal, 0);
-            reply(Response::Rejected(RejectReason::Internal));
-            return;
+            return Err(RejectReason::Internal);
         }
         // SLA gate: predicted queue delay + own compute, against the
         // caller's budget. The cost is the *active plan's* estimate,
@@ -1015,12 +926,28 @@ impl Engine {
             let backlog = (queued + n as u64) as f64 / self.replicas as f64;
             let estimate_ns = backlog * per_query_ns;
             if estimate_ns > deadline.as_nanos() as f64 {
-                self.stats
-                    .record_rejected(RejectReason::DeadlineUnmeetable, 0);
-                reply(Response::Rejected(RejectReason::DeadlineUnmeetable));
-                return;
+                return Err(RejectReason::DeadlineUnmeetable);
             }
         }
+        Ok(shard)
+    }
+
+    /// Submits a request whose response is delivered by calling `reply`
+    /// exactly once, on whatever thread resolves it — immediately on the
+    /// submitting thread for admission rejections, or on a shard worker
+    /// for served/stale requests. This is the pipelined front end's entry
+    /// point: the TCP server passes a closure that encodes the response
+    /// with its request id and hands it to the connection's writer.
+    pub fn submit_with(&self, request: Request, reply: ReplyFn) {
+        let t0 = Instant::now();
+        let shard = match self.admit(&request) {
+            Ok(shard) => shard,
+            Err(reason) => {
+                self.stats.record_rejected(reason, 0);
+                return reply(Response::Rejected(reason));
+            }
+        };
+        let n = request.indices.len();
         let enqueued = Instant::now();
         let job = Job {
             deadline: request.deadline.map(|d| enqueued + d),
@@ -1074,35 +1001,6 @@ impl Engine {
     }
 }
 
-/// Applies every pending control message on this replica's channel. Each
-/// swap order rendezvouses with the shard's live sibling replicas before
-/// the exchange, so old- and new-epoch batches never overlap within a
-/// shard (a dead sibling degrades to the barrier timeout, never a hang).
-fn drain_control(
-    ctrl_rx: &Receiver<ControlMsg>,
-    generator: &mut Box<dyn EmbeddingGenerator + Send>,
-    technique: &mut Technique,
-    probes: &mut WorkerProbes,
-    poisoned: &mut bool,
-    stats: &ServerStats,
-) {
-    while let Ok(msg) = ctrl_rx.try_recv() {
-        match msg {
-            ControlMsg::Swap(order) => {
-                order.barrier.wait(SWAP_BARRIER_TIMEOUT);
-                *generator = order.generator;
-                *technique = order.technique;
-                // The new generator's cumulative access counters restart
-                // at zero; restart the probe baselines with them.
-                probes.reset();
-                stats.record_swap_applied(order.epoch);
-                let _ = order.ack.send(());
-            }
-            ControlMsg::Poison => *poisoned = true,
-        }
-    }
-}
-
 /// Answers `DeadlineExceeded` for every job in `jobs` whose deadline has
 /// passed, returning the still-live remainder.
 fn shed_stale(jobs: Vec<Job>, pending: &AtomicU64, stats: &ServerStats) -> Vec<Job> {
@@ -1111,9 +1009,7 @@ fn shed_stale(jobs: Vec<Job>, pending: &AtomicU64, stats: &ServerStats) -> Vec<J
         .into_iter()
         .partition(|j| j.deadline.is_none_or(|d| now <= d));
     for job in stale {
-        pending.fetch_sub(job.indices.len() as u64, Ordering::Relaxed);
-        stats.record_rejected(RejectReason::DeadlineExceeded, job.indices.len());
-        (job.reply)(Response::Rejected(RejectReason::DeadlineExceeded));
+        job.reject(RejectReason::DeadlineExceeded, pending, stats);
     }
     live
 }
@@ -1123,37 +1019,21 @@ fn spawn_worker(setup: WorkerSetup) -> JoinHandle<()> {
         table,
         replica,
         rx,
-        ctrl_rx,
-        mut generator,
-        mut technique,
+        gate,
         pending,
         stats,
         batches,
-        mut probes,
+        probes,
         samples,
         policy,
         shard_alive,
         spans,
     } = setup;
-    let mut poisoned = false;
     std::thread::Builder::new()
         .name(format!("secemb-shard-{table}.{replica}"))
         .spawn(move || loop {
-            // Apply any pending reallocation between batches: the swap is
-            // a pointer exchange, so requests already dispatched ran to
-            // completion on the old generator.
-            drain_control(
-                &ctrl_rx,
-                &mut generator,
-                &mut technique,
-                &mut probes,
-                &mut poisoned,
-                &stats,
-            );
-            let first = match rx.recv_timeout(IDLE_CONTROL_POLL) {
-                Ok(job) => job,
-                Err(RecvTimeoutError::Timeout) => continue, // idle: re-check control
-                Err(RecvTimeoutError::Disconnected) => return, // engine dropped
+            let Ok(first) = rx.recv() else {
+                return; // engine dropped
             };
             // The one batching rule: take what is already queued, never
             // wait for more. An idle worker runs a lone request at once; a
@@ -1166,47 +1046,32 @@ fn spawn_worker(setup: WorkerSetup) -> JoinHandle<()> {
                 jobs.push(job);
             }
             let dequeued = Instant::now();
-            let live = shed_stale(jobs, &pending, &stats);
-            if live.is_empty() {
-                continue;
-            }
-            // Re-drain control before dispatch: a swap ordered before these
-            // requests were admitted must not be overtaken by them just
-            // because the worker was already blocked on the job queue.
-            drain_control(
-                &ctrl_rx,
-                &mut generator,
-                &mut technique,
-                &mut probes,
-                &mut poisoned,
-                &stats,
-            );
-            // Re-check deadlines *immediately* before dispatch — the swap
-            // rendezvous above can block behind a sibling's batch, and a
-            // job that expired in that window must be rejected, not
-            // executed and counted as served.
-            let live = shed_stale(live, &pending, &stats);
-            if live.is_empty() {
-                continue;
-            }
-            // An update admitted against the previous epoch's generator
-            // may land just after a swap to one without a write path;
-            // answer it explicitly rather than panicking the worker.
-            let live = if generator.supports_updates() {
-                live
-            } else {
+            // Enter the epoch gate for the whole batch, replies included:
+            // a swap waits for it and it waits for a swap, so these jobs
+            // run on one epoch's generator and a swap applied before they
+            // were admitted is never overtaken by them.
+            let slots = gate.read().unwrap_or_else(PoisonError::into_inner);
+            let mut guard = lock_unpoisoned(&slots[replica]);
+            let slot = &mut *guard;
+            // Check deadlines *after* entering — the gate can block behind
+            // a swap, and a job that expired in that window must be
+            // rejected, not executed and counted as served.
+            let mut live = shed_stale(jobs, &pending, &stats);
+            if !slot.generator.supports_updates() {
+                // An update admitted against the previous epoch's
+                // generator may land just after a swap to one without a
+                // write path; answer it explicitly rather than panicking
+                // the worker.
                 let (ok, unsupported): (Vec<Job>, Vec<Job>) =
                     live.into_iter().partition(|j| j.update.is_none());
                 for job in unsupported {
-                    pending.fetch_sub(job.indices.len() as u64, Ordering::Relaxed);
-                    stats.record_rejected(RejectReason::UpdateUnsupported, job.indices.len());
-                    (job.reply)(Response::Rejected(RejectReason::UpdateUnsupported));
+                    job.reject(RejectReason::UpdateUnsupported, &pending, &stats);
                 }
-                if ok.is_empty() {
-                    continue;
-                }
-                ok
-            };
+                live = ok;
+            }
+            if live.is_empty() {
+                continue;
+            }
             let groups: Vec<(&[u64], Option<&Matrix>)> = live
                 .iter()
                 .map(|j| (j.indices.as_slice(), j.update.as_ref()))
@@ -1220,20 +1085,21 @@ fn spawn_worker(setup: WorkerSetup) -> JoinHandle<()> {
             // reports its own death and exits, and siblings (or, for the
             // shard's last replica, the admission gate) take over.
             let outputs = match std::panic::catch_unwind(AssertUnwindSafe(|| {
-                if poisoned {
+                if slot.poisoned {
                     panic!("injected worker fault (test hook)");
                 }
-                execute_batch_ops(generator.as_mut(), &groups)
+                execute_batch_ops(slot.generator.as_mut(), &groups)
             })) {
                 Ok(outputs) => outputs,
                 Err(_) => {
                     shard_alive[replica].store(false, Ordering::SeqCst);
                     stats.record_worker_death(table, replica);
                     for job in live {
-                        pending.fetch_sub(job.indices.len() as u64, Ordering::Relaxed);
-                        stats.record_rejected(RejectReason::Internal, job.indices.len());
-                        (job.reply)(Response::Rejected(RejectReason::Internal));
+                        job.reject(RejectReason::Internal, &pending, &stats);
                     }
+                    // Leave the gate: a corpse must not hold up a swap.
+                    drop(guard);
+                    drop(slots);
                     if shard_alive.iter().any(|a| a.load(Ordering::SeqCst)) {
                         return; // siblings keep draining the queue
                     }
@@ -1243,21 +1109,14 @@ fn spawn_worker(setup: WorkerSetup) -> JoinHandle<()> {
                     // queue forever. Stay alive as a rejector instead of
                     // exiting, so every admitted job still gets its one
                     // explicit answer.
-                    loop {
-                        match rx.recv_timeout(IDLE_CONTROL_POLL) {
-                            Ok(job) => {
-                                pending.fetch_sub(job.indices.len() as u64, Ordering::Relaxed);
-                                stats.record_rejected(RejectReason::Internal, job.indices.len());
-                                (job.reply)(Response::Rejected(RejectReason::Internal));
-                            }
-                            Err(RecvTimeoutError::Timeout) => {}
-                            Err(RecvTimeoutError::Disconnected) => return, // engine dropped
-                        }
+                    while let Ok(job) = rx.recv() {
+                        job.reject(RejectReason::Internal, &pending, &stats);
                     }
+                    return; // engine dropped
                 }
             };
             let generated = Instant::now();
-            probes.publish(generator.as_ref());
+            probes.publish(&mut slot.acc, slot.generator.as_ref());
             // Export the amortized service cost of this batch as one
             // drift sample: the same per-query quantity admission control
             // budgets with, measured under live co-location conditions.
@@ -1266,6 +1125,7 @@ fn spawn_worker(setup: WorkerSetup) -> JoinHandle<()> {
                     / total_queries as f64,
             );
             let batch_jobs = live.len();
+            let technique = slot.generator.technique();
             let [dequeued, dispatch, generated] =
                 [dequeued, dispatch, generated].map(|t| spans.ns_of(t));
             for (job, out) in live.into_iter().zip(outputs) {
@@ -1635,22 +1495,85 @@ mod tests {
         );
     }
 
+    /// Regression for the convoy behind the old idle poll: a worker with
+    /// a job in hand must not wait for a parked sibling. At the parent
+    /// commit these 200 calls took over 3 s.
     #[test]
-    fn swap_barrier_times_out_instead_of_hanging() {
-        let b = SwapBarrier::new(2);
+    fn idle_siblings_do_not_delay_a_ready_batch() {
+        let mut config = EngineConfig::new(vec![fast_table()]);
+        config.shard.replicas = 4;
+        let engine = Engine::start(config);
         let t0 = Instant::now();
-        assert!(
-            !b.wait(Duration::from_millis(50)),
-            "a missing party must time out, not hang"
-        );
-        assert!(t0.elapsed() >= Duration::from_millis(50));
-        let b = Arc::new(SwapBarrier::new(2));
-        let sibling = {
-            let b = Arc::clone(&b);
-            std::thread::spawn(move || b.wait(Duration::from_secs(5)))
+        for i in 0..200 {
+            let response = engine.call(Request::new(0, vec![i % 64]));
+            assert!(response.embeddings().is_some());
+        }
+        let took = t0.elapsed();
+        assert!(took < Duration::from_secs(1), "200 serial calls: {took:?}");
+    }
+
+    #[test]
+    fn swap_on_an_idle_engine_installs_before_returning() {
+        let mut config = EngineConfig::new(vec![fast_table()]);
+        config.shard.replicas = 2;
+        let engine = Engine::start(config);
+        let plan = plan_for(&engine, 1, &[Technique::Dhe]);
+        engine.apply_plan(&plan).expect("valid plan");
+        // Nobody had to wake up for the swap to be complete on return.
+        assert_eq!(engine.stats().snapshot().swaps_applied, 2);
+        let mut reference = GeneratorSpec::Dhe { rows: 64, dim: 8 }.build(7);
+        let expect = reference.generate_batch(&[5, 9]);
+        // Serial calls until both replicas have served: each serves the
+        // new technique's bits from its first batch on.
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let both_served = |engine: &Engine| {
+            let workers = engine.stats().snapshot().worker_batches;
+            workers.len() == 2 && workers.iter().all(|w| w.batches > 0)
         };
-        assert!(b.wait(Duration::from_secs(5)));
-        assert!(sibling.join().expect("sibling"));
+        while !both_served(&engine) {
+            assert!(Instant::now() < deadline, "a replica never served");
+            let out = engine.call(Request::new(0, vec![5, 9]));
+            assert_eq!(out.embeddings().expect("served"), &expect);
+        }
+    }
+
+    /// The gate's writer-preference check: with every worker saturated, a
+    /// waiting swap must stop new batches from starting or it starves.
+    #[test]
+    fn swap_under_sustained_load_completes() {
+        let mut config = EngineConfig::new(vec![fast_table()]);
+        config.shard.replicas = 2;
+        let engine = Engine::start(config);
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let (engine, stop) = (&engine, &stop);
+                s.spawn(move || {
+                    // Two requests in flight per submitter: the queue is
+                    // never empty while one is being answered.
+                    let mut ahead = engine.submit(Request::new(0, vec![t]));
+                    while !stop.load(Ordering::SeqCst) {
+                        let next = engine.submit(Request::new(0, vec![t, t + 8]));
+                        assert!(ahead.wait().embeddings().is_some(), "request dropped");
+                        ahead = next;
+                    }
+                    assert!(ahead.wait().embeddings().is_some(), "request dropped");
+                });
+            }
+            for version in 1..=6 {
+                let technique = [Technique::Dhe, Technique::LinearScan][version as usize % 2];
+                let t0 = Instant::now();
+                let epoch = engine.apply_plan(&plan_for(&engine, version, &[technique]));
+                assert_eq!(epoch, Ok(version));
+                let took = t0.elapsed();
+                assert!(took < Duration::from_secs(5), "swap {version}: {took:?}");
+            }
+            stop.store(true, Ordering::SeqCst);
+        });
+        let snapshot = engine.stats().snapshot();
+        assert_eq!(snapshot.swaps_applied, 12);
+        assert_eq!(snapshot.accepted, snapshot.completed);
+        assert_eq!(engine.queue_depth(), 0);
     }
 
     /// Regression for the panicking-hot-path audit: one replica dying
@@ -1702,6 +1625,37 @@ mod tests {
         let out = engine.call(Request::new(0, vec![5]));
         assert_eq!(
             out.embeddings().expect("served"),
+            &reference.generate_batch(&[5])
+        );
+    }
+
+    /// A corpse is not in the gate, so a swap never waits on it.
+    #[test]
+    fn swap_with_a_dead_replica_returns_promptly() {
+        let mut config = EngineConfig::new(vec![fast_table()]);
+        config.shard.replicas = 2;
+        let engine = Engine::start(config);
+        assert!(engine.inject_worker_panic(0, 0));
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while engine.stats().snapshot().worker_deaths == 0 {
+            assert!(Instant::now() < deadline, "poisoned worker never died");
+            let _ = engine.call(Request::new(0, vec![1]));
+        }
+        let t0 = Instant::now();
+        let plan = plan_for(&engine, 1, &[Technique::Dhe]);
+        engine
+            .apply_plan(&plan)
+            .expect("plan applies to the survivor");
+        let took = t0.elapsed();
+        assert!(
+            took < Duration::from_secs(1),
+            "swap past a corpse: {took:?}"
+        );
+        assert_eq!(engine.stats().snapshot().swaps_applied, 1);
+        let mut reference = GeneratorSpec::Dhe { rows: 64, dim: 8 }.build(7);
+        let out = engine.call(Request::new(0, vec![5]));
+        assert_eq!(
+            out.embeddings().expect("served by the survivor"),
             &reference.generate_batch(&[5])
         );
     }
