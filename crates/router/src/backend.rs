@@ -11,14 +11,15 @@
 //! A backend is allowed to *die and come back*. When the link drops,
 //! every in-flight callback fires with `Rejected(Internal)` (nothing is
 //! replayed — a retried `Update` that had already crossed the wire
-//! would apply twice), and a supervisor thread reconnects with jittered
-//! exponential backoff, re-running the `Hello` handshake and refusing a
-//! peer whose table inventory no longer matches the fleet's. Between
-//! links, [`Backend::call`] fails fast with `NotConnected` so the
-//! router can fail the request over to a replica instead of queueing on
-//! a corpse.
+//! would apply twice), and the link wakes the router's maintenance loop
+//! (`maint.rs`), which decides when to dial again. A redial re-runs the
+//! `Hello` handshake and refuses a peer whose table inventory no longer
+//! matches the fleet's. Between links, [`Backend::call`] fails fast with
+//! `NotConnected` so the router can fail the request over to a replica
+//! instead of queueing on a corpse.
 
 use crate::lock_unpoisoned;
+use crate::maint::Wake;
 use secemb_serve::protocol::{
     decode_server, decode_server_traced, encode_hello, encode_metrics_request, encode_plan_pull,
     encode_plan_push, encode_stats_request, encode_traces_request, ServerMsg,
@@ -28,8 +29,8 @@ use secemb_wire::frame::{read_frame, write_frame, FrameError};
 use std::collections::HashMap;
 use std::io::{self, BufReader, BufWriter};
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -42,74 +43,12 @@ pub type ReplyCallback = Box<dyn FnOnce(ServerMsg, Option<u64>) + Send>;
 const SYNC_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// How long a liveness probe ([`Backend::probe`]) waits — probes run on
-/// the health tick, so they must fail fast rather than wedge it.
+/// the maintenance loop, so they must fail fast rather than wedge it.
 const PROBE_TIMEOUT: Duration = Duration::from_secs(2);
 
-/// How long one reconnect attempt waits for the TCP connect and for
-/// each handshake frame.
+/// How long one dial waits for the TCP connect and for each handshake
+/// frame.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
-
-/// Reconnect backoff schedule: attempts are spaced `base`, `2·base`,
-/// `4·base`, … capped at `max`, each multiplied by a deterministic
-/// jitter in `[0.5, 1.5)` so a fleet of routers does not stampede a
-/// recovering backend in lockstep.
-#[derive(Clone, Debug)]
-pub struct ReconnectPolicy {
-    /// First retry delay.
-    pub base: Duration,
-    /// Ceiling for the doubled delay.
-    pub max: Duration,
-    /// Consecutive failed attempts before the backend is declared
-    /// [`LinkState::Exhausted`] and reconnection stops. `0` retries
-    /// forever (the default — a down replica should rejoin whenever it
-    /// comes back, however long that takes).
-    pub budget: u32,
-    /// Jitter seed, mixed with the backend name so two backends of one
-    /// router do not share a jitter sequence.
-    pub seed: u64,
-}
-
-impl Default for ReconnectPolicy {
-    fn default() -> Self {
-        ReconnectPolicy {
-            base: Duration::from_millis(50),
-            max: Duration::from_secs(2),
-            budget: 0,
-            seed: 0x5ec3_4b00_7c0f_fee5,
-        }
-    }
-}
-
-/// Options for [`Backend::start`].
-#[derive(Clone, Debug, Default)]
-pub struct BackendOptions {
-    /// Declare the link dead when requests are in flight and the
-    /// backend sends nothing for this long (half-open detection).
-    /// `None` blocks forever, trusting TCP.
-    pub idle_timeout: Option<Duration>,
-    /// Reconnect automatically after link death using this backoff
-    /// schedule. `None` keeps the pre-failover behavior: the first
-    /// link death is final.
-    pub reconnect: Option<ReconnectPolicy>,
-}
-
-/// The link lifecycle, observable via [`Backend::link_state`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LinkState {
-    /// Connected and handshaken.
-    Up,
-    /// Disconnected; the supervisor (if any) is backing off to retry.
-    Down,
-    /// The reconnect budget ran out — no further attempts.
-    Exhausted,
-    /// [`Backend::shutdown`] was called.
-    Stopped,
-}
-
-const STATE_UP: u8 = 0;
-const STATE_DOWN: u8 = 1;
-const STATE_EXHAUSTED: u8 = 2;
-const STATE_STOPPED: u8 = 3;
 
 /// One live connection: the buffered writer plus a raw handle for
 /// forcing the reader out of a blocked read.
@@ -118,17 +57,19 @@ struct Link {
     stream: TcpStream,
 }
 
-/// State shared between the caller-facing [`Backend`], its reader
-/// thread, and its reconnect supervisor.
+/// State shared between the caller-facing [`Backend`] and its reader
+/// thread.
 struct Shared {
     name: String,
     addr: SocketAddr,
     idle_timeout: Option<Duration>,
     link: Mutex<Option<Link>>,
-    state: AtomicU8,
-    /// Signals the supervisor on link death and shutdown.
-    wake: Condvar,
-    wake_lock: Mutex<()>,
+    /// Whether `link` holds a handshaken connection; read lock-free on
+    /// every routing decision.
+    up: AtomicBool,
+    /// The maintenance loop to wake when the link dies, once a router
+    /// owns this backend.
+    wake: OnceLock<mpsc::Sender<Wake>>,
     pending: Mutex<HashMap<u64, ReplyCallback>>,
     reader: Mutex<Option<JoinHandle<()>>>,
     /// The inventory the backend reported at its most recent `Hello`
@@ -176,7 +117,7 @@ impl Shared {
         stream.set_nodelay(true)?;
         // Bound the handshake read separately from steady-state: a peer
         // that accepts but never answers `Hello` must not wedge the
-        // supervisor.
+        // maintenance loop.
         stream.set_read_timeout(Some(CONNECT_TIMEOUT))?;
         let mut writer = BufWriter::new(stream.try_clone()?);
         let mut reader = BufReader::new(stream.try_clone()?);
@@ -202,12 +143,12 @@ impl Shared {
         stream.set_read_timeout(self.idle_timeout)?;
         *lock_unpoisoned(&self.tables) = tables;
         {
-            // Install the link and flip the state under one lock: a
+            // Install the link and flip `up` under one lock: a
             // concurrent writer-failure teardown must never interleave
-            // between them, or the state could stick `Up` with no link.
+            // between them, or `up` could stick with no link.
             let mut link = lock_unpoisoned(&self.link);
             *link = Some(Link { stream, writer });
-            self.state.store(STATE_UP, Ordering::SeqCst);
+            self.up.store(true, Ordering::SeqCst);
         }
         match self.spawn_reader(reader) {
             Ok(handle) => {
@@ -275,22 +216,22 @@ impl Shared {
             })
     }
 
-    /// Tears down the current link (if any) and orphan-rejects every
-    /// in-flight request. Called by the reader on exit and by the write
-    /// path on a failed send; idempotent.
+    /// Tears down the current link (if any), orphan-rejects every
+    /// in-flight request and, if a link was up, wakes the maintenance
+    /// loop. Called by the reader on exit and by the write path on a
+    /// failed send; idempotent.
     fn note_link_down(&self) {
-        {
+        let was_up = {
             let mut link = lock_unpoisoned(&self.link);
-            if let Some(link) = link.take() {
-                let _ = link.stream.shutdown(Shutdown::Both);
+            self.up.store(false, Ordering::SeqCst);
+            match link.take() {
+                Some(link) => {
+                    let _ = link.stream.shutdown(Shutdown::Both);
+                    true
+                }
+                None => false,
             }
-            let _ = self.state.compare_exchange(
-                STATE_UP,
-                STATE_DOWN,
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            );
-        }
+        };
         // The connection is gone: answer everything still in flight so
         // no client request hangs on a dead host. Nothing is replayed.
         let orphans: Vec<ReplyCallback> = {
@@ -300,148 +241,35 @@ impl Shared {
         for callback in orphans {
             callback(ServerMsg::Rejected(RejectReason::Internal), None);
         }
-        self.wake.notify_all();
-    }
-
-    fn stopping(&self) -> bool {
-        self.state.load(Ordering::SeqCst) == STATE_STOPPED
-    }
-
-    /// Interruptible sleep: returns early if shutdown is requested.
-    fn backoff_sleep(&self, d: Duration) {
-        let guard = lock_unpoisoned(&self.wake_lock);
-        if self.stopping() {
-            return;
-        }
-        let _unused = self.wake.wait_timeout(guard, d);
-    }
-}
-
-/// `xorshift64*` step — the jitter source for reconnect backoff. No
-/// `rand` dependency, deterministic per seed, statistically plenty for
-/// de-synchronizing retry storms.
-fn xorshift64(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x >> 12;
-    x ^= x << 25;
-    x ^= x >> 27;
-    *state = x;
-    x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-}
-
-/// The reconnect supervisor: parks while the link is up, and on link
-/// death retries with jittered exponential backoff until it succeeds,
-/// the budget runs out, or shutdown.
-fn run_supervisor(shared: Arc<Shared>, policy: ReconnectPolicy) {
-    let mut jitter = policy.seed;
-    for b in shared.name.as_bytes() {
-        jitter = (jitter ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    if jitter == 0 {
-        jitter = 1;
-    }
-    loop {
-        match shared.state.load(Ordering::SeqCst) {
-            STATE_STOPPED | STATE_EXHAUSTED => return,
-            STATE_UP => {
-                // Park until the reader (or a failed write) signals.
-                let guard = lock_unpoisoned(&shared.wake_lock);
-                let _unused = shared.wake.wait_timeout(guard, Duration::from_millis(500));
-            }
-            _ => {
-                // Down: join the dead reader before dialing so exactly
-                // one reader ever exists per backend.
-                if let Some(handle) = lock_unpoisoned(&shared.reader).take() {
-                    let _ = handle.join();
-                }
-                let mut delay = policy.base;
-                let mut attempts: u32 = 0;
-                while shared.state.load(Ordering::SeqCst) == STATE_DOWN {
-                    let frac = 0.5 + (xorshift64(&mut jitter) as f64) / (u64::MAX as f64);
-                    shared.backoff_sleep(delay.mul_f64(frac));
-                    if shared.stopping() {
-                        return;
-                    }
-                    match shared.try_connect() {
-                        Ok(()) => {
-                            shared.reconnects.fetch_add(1, Ordering::Relaxed);
-                            break;
-                        }
-                        Err(_) => {
-                            shared.connect_failures.fetch_add(1, Ordering::Relaxed);
-                            attempts += 1;
-                            if policy.budget > 0 && attempts >= policy.budget {
-                                let _ = shared.state.compare_exchange(
-                                    STATE_DOWN,
-                                    STATE_EXHAUSTED,
-                                    Ordering::SeqCst,
-                                    Ordering::SeqCst,
-                                );
-                                return;
-                            }
-                            delay = (delay * 2).min(policy.max);
-                        }
-                    }
-                }
-            }
+        if let (true, Some(wake)) = (was_up, self.wake.get()) {
+            let _ = wake.send(Wake::LinkDown);
         }
     }
 }
 
 /// One pipelined backend connection. Cheap to share (`Arc<Backend>`);
-/// writes are serialized by an internal lock, responses fan out from
-/// one reader thread, and a supervisor thread (when reconnection is
-/// enabled) re-establishes the link after failures.
+/// writes are serialized by an internal lock and responses fan out from
+/// one reader thread. When the link dies it stays down until the
+/// router's maintenance loop redials it.
 pub struct Backend {
     shared: Arc<Shared>,
     next_id: AtomicU64,
-    supervisor: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl Backend {
-    /// Connects to `addr`, performs the `Hello` handshake (which
-    /// returns the backend's table inventory), and starts the reader
-    /// thread. No reconnection: the first link death is final. With an
-    /// `idle_timeout`, a backend that stops responding **while requests
-    /// are in flight** for longer than that is declared dead — the
-    /// connection closes and every pending callback fires with
+    /// Dials `addr` once, performs the `Hello` handshake (which returns
+    /// the backend's table inventory), and starts the reader thread. A
+    /// peer that is down is tolerated: the backend starts with its link
+    /// down, and under a [`crate::Router`] it joins the fleet when a
+    /// redial first succeeds.
+    ///
+    /// With an `idle_timeout`, a backend that stops responding **while
+    /// requests are in flight** for longer than that is declared dead —
+    /// the connection closes and every pending callback fires with
     /// `Rejected(Internal)` — instead of the reader thread blocking
     /// forever on a half-open peer. Timeouts with nothing in flight are
     /// benign idleness and keep the connection open. `None` blocks
     /// forever, trusting TCP.
-    ///
-    /// # Errors
-    ///
-    /// Returns connect/handshake errors.
-    pub fn connect_with<A: ToSocketAddrs>(
-        name: &str,
-        addr: A,
-        idle_timeout: Option<Duration>,
-    ) -> io::Result<Arc<Backend>> {
-        let backend = Self::start(
-            name,
-            addr,
-            BackendOptions {
-                idle_timeout,
-                reconnect: None,
-            },
-        )?;
-        if !backend.is_up() {
-            return Err(io::Error::new(
-                io::ErrorKind::ConnectionRefused,
-                format!("backend {name} unreachable"),
-            ));
-        }
-        Ok(backend)
-    }
-
-    /// Starts a backend handle that *tolerates* the peer being down:
-    /// the initial connect is attempted once, and on failure the
-    /// backend simply starts in [`LinkState::Down`] — with a
-    /// [`ReconnectPolicy`] configured, the supervisor keeps dialing
-    /// until the peer appears. This is the live-membership entry point:
-    /// a `--backend` host that is down at router startup joins the
-    /// fleet when its first connect succeeds.
     ///
     /// # Errors
     ///
@@ -450,7 +278,7 @@ impl Backend {
     pub fn start<A: ToSocketAddrs>(
         name: &str,
         addr: A,
-        opts: BackendOptions,
+        idle_timeout: Option<Duration>,
     ) -> io::Result<Arc<Backend>> {
         let addr = addr.to_socket_addrs()?.next().ok_or_else(|| {
             io::Error::new(
@@ -461,11 +289,10 @@ impl Backend {
         let shared = Arc::new(Shared {
             name: name.to_string(),
             addr,
-            idle_timeout: opts.idle_timeout,
+            idle_timeout,
             link: Mutex::new(None),
-            state: AtomicU8::new(STATE_DOWN),
-            wake: Condvar::new(),
-            wake_lock: Mutex::new(()),
+            up: AtomicBool::new(false),
+            wake: OnceLock::new(),
             pending: Mutex::default(),
             reader: Mutex::new(None),
             tables: Mutex::new(Vec::new()),
@@ -477,32 +304,37 @@ impl Backend {
         if shared.try_connect().is_err() {
             shared.connect_failures.fetch_add(1, Ordering::Relaxed);
         }
-        let supervisor = match opts.reconnect {
-            Some(policy) => {
-                let shared = Arc::clone(&shared);
-                Some(
-                    std::thread::Builder::new()
-                        .name(format!("secemb-be-sup-{name}"))
-                        .spawn(move || run_supervisor(shared, policy))?,
-                )
-            }
-            None => None,
-        };
         Ok(Arc::new(Backend {
             shared,
             next_id: AtomicU64::new(1),
-            supervisor: Mutex::new(supervisor),
         }))
+    }
+
+    /// Has every later link death wake the maintenance loop behind
+    /// `wake`.
+    pub(crate) fn wake_on_link_down(&self, wake: mpsc::Sender<Wake>) {
+        let _ = self.shared.wake.set(wake);
+    }
+
+    /// Joins the dead link's reader — so exactly one reader ever exists
+    /// per backend — then dials and handshakes afresh, counting the
+    /// outcome as a reconnect or a connect failure.
+    pub(crate) fn redial(&self) -> io::Result<()> {
+        if let Some(reader) = lock_unpoisoned(&self.shared.reader).take() {
+            let _ = reader.join();
+        }
+        let dialed = self.shared.try_connect();
+        let outcome = match dialed {
+            Ok(()) => &self.shared.reconnects,
+            Err(_) => &self.shared.connect_failures,
+        };
+        outcome.fetch_add(1, Ordering::Relaxed);
+        dialed
     }
 
     /// The backend's display name (used as the `backend` metric label).
     pub fn name(&self) -> &str {
         &self.shared.name
-    }
-
-    /// The resolved address this backend dials.
-    pub fn addr(&self) -> SocketAddr {
-        self.shared.addr
     }
 
     /// The inventory reported at the most recent handshake (empty if
@@ -517,19 +349,9 @@ impl Backend {
         *lock_unpoisoned(&self.shared.expected_shape) = Some(shape);
     }
 
-    /// Current link lifecycle state.
-    pub fn link_state(&self) -> LinkState {
-        match self.shared.state.load(Ordering::SeqCst) {
-            STATE_UP => LinkState::Up,
-            STATE_DOWN => LinkState::Down,
-            STATE_EXHAUSTED => LinkState::Exhausted,
-            _ => LinkState::Stopped,
-        }
-    }
-
     /// Whether the link is currently up.
     pub fn is_up(&self) -> bool {
-        self.link_state() == LinkState::Up
+        self.shared.up.load(Ordering::SeqCst)
     }
 
     /// Successful reconnects (the initial connect does not count).
@@ -537,7 +359,7 @@ impl Backend {
         self.shared.reconnects.load(Ordering::Relaxed)
     }
 
-    /// Failed connect attempts (initial + supervisor retries).
+    /// Failed connect attempts (the initial dial and every redial).
     pub fn connect_failures(&self) -> u64 {
         self.shared.connect_failures.load(Ordering::Relaxed)
     }
@@ -580,7 +402,7 @@ impl Backend {
             if e.kind() != io::ErrorKind::NotConnected {
                 // A failed write leaves the stream in an unknown state;
                 // kill the link so the reader orphan-rejects and the
-                // supervisor redials.
+                // maintenance loop redials.
                 self.shared.note_link_down();
             }
             return Err(e);
@@ -691,24 +513,13 @@ impl Backend {
         }
     }
 
-    /// Closes the connection, stops the supervisor, and joins both
-    /// threads; everything still in flight is answered with
-    /// `Rejected(Internal)`.
+    /// Closes the connection and joins the reader; everything still in
+    /// flight is answered with `Rejected(Internal)`.
     pub fn shutdown(&self) {
-        self.shared.state.store(STATE_STOPPED, Ordering::SeqCst);
-        self.shared.wake.notify_all();
-        if let Some(link) = lock_unpoisoned(&self.shared.link).as_ref() {
-            let _ = link.stream.shutdown(Shutdown::Both);
-        }
-        if let Some(handle) = lock_unpoisoned(&self.supervisor).take() {
-            let _ = handle.join();
-        }
-        if let Some(handle) = lock_unpoisoned(&self.shared.reader).take() {
-            let _ = handle.join();
-        }
-        // The reader's exit path orphan-rejects, but if the backend
-        // never connected there is no reader — drain here too.
         self.shared.note_link_down();
+        if let Some(reader) = lock_unpoisoned(&self.shared.reader).take() {
+            let _ = reader.join();
+        }
     }
 }
 

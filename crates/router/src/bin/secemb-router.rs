@@ -7,8 +7,7 @@
 //!               [--backend-idle-ms N] [--conn-idle-ms N]
 //!               [--trace-sample N] [--trace-host NAME]
 //!               [--health-trip N] [--health-probe-ms N]
-//!               [--reconnect-base-ms N] [--reconnect-max-ms N]
-//!               [--reconnect-budget N]
+//!               [--reconnect-base-ms N]
 //! ```
 //!
 //! Repeat `--backend` once per backend process (`NAME=HOST:PORT`, or
@@ -23,7 +22,9 @@
 //! router runs until killed.
 //!
 //! Client connections run on the epoll reactor (one thread for every
-//! connection). `--backend-idle-ms N` declares a backend dead when
+//! connection); each backend link has one reader thread; redials, health
+//! probes and gossip rounds are deadlines on one maintenance thread. A
+//! router with N backends runs N + 2 threads. `--backend-idle-ms N` declares a backend dead when
 //! requests are in flight and no byte arrives for N ms (default: wait
 //! forever); `--conn-idle-ms N` reaps *client* connections idle for N
 //! ms (default: never).
@@ -40,33 +41,17 @@
 //! serving rotation after N consecutive internal failures (default 3);
 //! `--health-probe-ms N` sets the probe cadence that recovers a
 //! tripped backend (0 disables recovery probing). A dropped TCP link
-//! redials with jittered exponential backoff between
-//! `--reconnect-base-ms` (default 50) and `--reconnect-max-ms`
-//! (default 2000); `--reconnect-budget N` gives up after N consecutive
-//! failed dials (default 0 = retry forever). Backends that are down at
-//! startup no longer abort the router — they join the rotation when
-//! their first probe succeeds — but at least one backend must be
+//! redials with jittered exponential backoff, forever: the first dial
+//! waits `--reconnect-base-ms` (default 50), and each failed dial doubles
+//! the wait up to 40 times the base (2 s at the default). Backends that
+//! are down at startup do not abort the router — they join the rotation
+//! when their first probe succeeds — but at least one backend must be
 //! reachable to learn the table inventory.
 
-use secemb_router::{ReconnectPolicy, Router, RouterConfig};
+use secemb_router::{Router, RouterConfig};
 use secemb_serve::TraceSettings;
 use std::path::PathBuf;
 use std::time::Duration;
-
-struct Args {
-    bind: String,
-    backends: Vec<(String, String)>,
-    gossip: Option<Duration>,
-    profile_out: Option<PathBuf>,
-    run_secs: Option<Duration>,
-    backend_idle: Option<Duration>,
-    conn_idle: Option<Duration>,
-    trace_sample: u64,
-    trace_host: String,
-    health_trip: u32,
-    health_probe: Option<Duration>,
-    reconnect: ReconnectPolicy,
-}
 
 fn usage() -> ! {
     eprintln!(
@@ -75,101 +60,56 @@ fn usage() -> ! {
          [--backend-idle-ms N] [--conn-idle-ms N] \
          [--trace-sample N] [--trace-host NAME] \
          [--health-trip N] [--health-probe-ms N] \
-         [--reconnect-base-ms N] [--reconnect-max-ms N] \
-         [--reconnect-budget N]"
+         [--reconnect-base-ms N]"
     );
     std::process::exit(2);
 }
 
-fn parse_args() -> Args {
-    let mut args = Args {
+/// The router's configuration, and `--run-secs`.
+fn parse_args() -> (RouterConfig, Option<Duration>) {
+    let mut config = RouterConfig {
         bind: "127.0.0.1:7900".to_string(),
-        backends: Vec::new(),
-        gossip: Some(Duration::from_millis(500)),
-        profile_out: None,
-        run_secs: None,
-        backend_idle: None,
-        conn_idle: None,
-        trace_sample: 0,
-        trace_host: "router".to_string(),
-        health_trip: 3,
-        health_probe: Some(Duration::from_millis(200)),
-        reconnect: ReconnectPolicy::default(),
+        gossip_interval: Some(Duration::from_millis(500)),
+        ..RouterConfig::default()
     };
+    let (mut run_secs, mut trace_sample, mut trace_host) = (None, 0, "router".to_string());
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let mut value = || it.next().unwrap_or_else(|| usage());
+        // Every flag takes a value.
+        let value = it.next().unwrap_or_else(|| usage());
+        let number = || -> u64 { value.parse().unwrap_or_else(|_| usage()) };
+        // A period of 0 ms turns its feature off.
+        let period = || Some(Duration::from_millis(number())).filter(|d| !d.is_zero());
         match flag.as_str() {
-            "--bind" => args.bind = value(),
+            "--bind" => config.bind = value,
             "--backend" => {
-                let spec = value();
-                let (name, addr) = match spec.split_once('=') {
-                    Some((name, addr)) => (name.to_string(), addr.to_string()),
-                    None => (spec.clone(), spec),
-                };
-                args.backends.push((name, addr));
+                let (name, addr) = value.split_once('=').unwrap_or((&value, &value));
+                config.backends.push((name.to_string(), addr.to_string()));
             }
-            "--gossip-ms" => {
-                let ms: u64 = value().parse().unwrap_or_else(|_| usage());
-                args.gossip = (ms > 0).then(|| Duration::from_millis(ms));
-            }
-            "--profile-out" => args.profile_out = Some(PathBuf::from(value())),
-            "--run-secs" => {
-                args.run_secs = Some(Duration::from_secs(
-                    value().parse().unwrap_or_else(|_| usage()),
-                ));
-            }
-            "--backend-idle-ms" => {
-                let ms: u64 = value().parse().unwrap_or_else(|_| usage());
-                args.backend_idle = (ms > 0).then(|| Duration::from_millis(ms));
-            }
-            "--conn-idle-ms" => {
-                let ms: u64 = value().parse().unwrap_or_else(|_| usage());
-                args.conn_idle = (ms > 0).then(|| Duration::from_millis(ms));
-            }
-            "--trace-sample" => args.trace_sample = value().parse().unwrap_or_else(|_| usage()),
-            "--trace-host" => args.trace_host = value(),
-            "--health-trip" => args.health_trip = value().parse().unwrap_or_else(|_| usage()),
-            "--health-probe-ms" => {
-                let ms: u64 = value().parse().unwrap_or_else(|_| usage());
-                args.health_probe = (ms > 0).then(|| Duration::from_millis(ms));
-            }
+            "--gossip-ms" => config.gossip_interval = period(),
+            "--profile-out" => config.profile_out = Some(PathBuf::from(value)),
+            "--run-secs" => run_secs = Some(Duration::from_secs(number())),
+            "--backend-idle-ms" => config.backend_idle_timeout = period(),
+            "--conn-idle-ms" => config.conn_idle = period(),
+            "--trace-sample" => trace_sample = number(),
+            "--trace-host" => trace_host = value,
+            "--health-trip" => config.health_trip = value.parse().unwrap_or_else(|_| usage()),
+            "--health-probe-ms" => config.health_probe = period(),
             "--reconnect-base-ms" => {
-                let ms: u64 = value().parse().unwrap_or_else(|_| usage());
-                args.reconnect.base = Duration::from_millis(ms.max(1));
-            }
-            "--reconnect-max-ms" => {
-                let ms: u64 = value().parse().unwrap_or_else(|_| usage());
-                args.reconnect.max = Duration::from_millis(ms.max(1));
-            }
-            "--reconnect-budget" => {
-                args.reconnect.budget = value().parse().unwrap_or_else(|_| usage());
+                config.reconnect_base = Duration::from_millis(number().max(1));
             }
             _ => usage(),
         }
     }
-    if args.backends.is_empty() {
+    if config.backends.is_empty() {
         usage();
     }
-    args
+    config.trace = (trace_sample > 0).then(|| TraceSettings::new(&trace_host, trace_sample));
+    (config, run_secs)
 }
 
 fn main() {
-    let args = parse_args();
-    let config = RouterConfig {
-        bind: args.bind,
-        backends: args.backends,
-        gossip_interval: args.gossip,
-        profile_out: args.profile_out,
-        backend_idle_timeout: args.backend_idle,
-        conn_idle: args.conn_idle,
-        trace: (args.trace_sample > 0)
-            .then(|| TraceSettings::new(&args.trace_host, args.trace_sample)),
-        health_trip: args.health_trip,
-        health_probe: args.health_probe,
-        reconnect: args.reconnect,
-        inject_gossip_spawn_failure: false,
-    };
+    let (config, run_secs) = parse_args();
     let router = match Router::start(config) {
         Ok(router) => router,
         Err(e) => {
@@ -192,7 +132,7 @@ fn main() {
             .collect();
         println!("  {host}: tables [{}]", tables.join(", "));
     }
-    match args.run_secs {
+    match run_secs {
         Some(secs) => {
             std::thread::sleep(secs);
             router.shutdown();

@@ -13,7 +13,9 @@
 //! - [`Backend`] holds one **pipelined** connection
 //!   per backend process: requests are correlated by id, responses
 //!   arrive in completion order, and each response is routed to the
-//!   callback registered at submit time — no per-request threads.
+//!   callback registered at submit time — no per-request threads. A
+//!   dead link is redialed by the router's one maintenance thread, which
+//!   also runs the health probes and the gossip rounds.
 //! - [`Router`] speaks the unmodified `secemb-wire`
 //!   protocol to clients, fans each request's per-table lookups out
 //!   across hosts, and merges the per-host replies (and STATS/METRICS
@@ -30,10 +32,11 @@
 
 pub mod backend;
 pub mod gossip;
+mod maint;
 pub mod placement;
 pub mod router;
 
-pub use backend::{Backend, BackendOptions, LinkState, ReconnectPolicy};
+pub use backend::Backend;
 pub use gossip::{gossip_once, GossipReport};
 pub use placement::Placement;
 pub use router::{Router, RouterConfig};

@@ -17,10 +17,15 @@
 //! router-assigned one), so backend-side stage breakdowns can be joined
 //! with the router-side `router_route_ns` / `router_merge_ns`
 //! histograms into one cross-host span.
+//!
+//! Behind the dispatch path a router runs two threads of its own plus one
+//! reader per backend link: the reactor, and the maintenance loop
+//! (`maint.rs`) that redials dead links, probes tripped backends and
+//! gossips plans.
 
-use crate::backend::{Backend, BackendOptions, ReconnectPolicy};
+use crate::backend::Backend;
 use crate::gossip::{gossip_once, GossipReport};
-use crate::lock_unpoisoned;
+use crate::maint::{MaintThread, Maintenance};
 use crate::placement::Placement;
 use secemb::hybrid::AllocationPlan;
 use secemb_serve::protocol::{
@@ -37,8 +42,7 @@ use std::io;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Router configuration.
@@ -49,15 +53,15 @@ pub struct RouterConfig {
     /// `(name, address)` per backend; the name keys placement and the
     /// `backend` metric label.
     pub backends: Vec<(String, String)>,
-    /// Background plan-gossip round interval; `None` disables the
-    /// background loop (gossip can still be driven via
-    /// [`Router::gossip_now`]).
+    /// Plan-gossip round interval on the maintenance loop; `None`
+    /// disables periodic rounds (gossip can still be driven via
+    /// [`Router::gossip_now`], and recovery still gossips).
     pub gossip_interval: Option<Duration>,
     /// Where the winning plan's crossovers are persisted (in the
     /// `ProfileArtifact` format) after each gossip round.
     pub profile_out: Option<PathBuf>,
     /// Declare a backend dead when requests are in flight and it sends
-    /// nothing for this long (see [`crate::Backend::connect_with`]);
+    /// nothing for this long (see [`crate::Backend::start`]);
     /// `None` waits forever (the historical behavior).
     pub backend_idle_timeout: Option<Duration>,
     /// Reap idle *client* connections after this long with no socket
@@ -71,19 +75,16 @@ pub struct RouterConfig {
     /// before a backend's health trips to `Down` and traffic fails over
     /// to the next-ranked replica.
     pub health_trip: u32,
-    /// Health-tick interval: every tick, tripped backends whose link is
-    /// back are probed, and on probe success the fleet's newest plan is
-    /// gossiped to them *before* they re-admit traffic (no mixed-epoch
-    /// window). `None` disables probing — a tripped backend stays
-    /// tripped.
+    /// Health-probe interval: every round, backends whose link dropped
+    /// are tripped, tripped backends whose link is back are probed, and
+    /// on probe success the fleet's newest plan is gossiped to them
+    /// *before* they re-admit traffic (no mixed-epoch window). `None`
+    /// disables probing — a tripped backend stays tripped.
     pub health_probe: Option<Duration>,
-    /// Backoff schedule for backend reconnection (see
-    /// [`ReconnectPolicy`]).
-    pub reconnect: ReconnectPolicy,
-    /// Test hook: pretend the gossip-thread spawn failed, to exercise
-    /// the inline-gossip fallback without exhausting real threads.
-    #[doc(hidden)]
-    pub inject_gossip_spawn_failure: bool,
+    /// The first redial delay after a backend's link dies. Each failed
+    /// dial doubles it, up to 40× this; every delay is jittered into
+    /// `[0.5, 1.5)` of itself.
+    pub reconnect_base: Duration,
 }
 
 impl Default for RouterConfig {
@@ -98,8 +99,7 @@ impl Default for RouterConfig {
             trace: None,
             health_trip: 3,
             health_probe: Some(Duration::from_millis(200)),
-            reconnect: ReconnectPolicy::default(),
-            inject_gossip_spawn_failure: false,
+            reconnect_base: Duration::from_millis(50),
         }
     }
 }
@@ -115,7 +115,6 @@ struct RouterMetrics {
     write_ns: Arc<Histogram>,
     gossip_rounds_total: Arc<Counter>,
     gossip_pushes_total: Arc<Counter>,
-    gossip_spawn_failures: Arc<Counter>,
     plan_version: Arc<Gauge>,
     /// Requests routed to a non-primary replica because the primary was
     /// unhealthy.
@@ -140,7 +139,6 @@ impl RouterMetrics {
             write_ns: registry.histogram("router_write_ns"),
             gossip_rounds_total: registry.counter("router_gossip_rounds_total"),
             gossip_pushes_total: registry.counter("router_gossip_pushes_total"),
-            gossip_spawn_failures: registry.counter("router_gossip_spawn_failures_total"),
             plan_version: registry.gauge("router_plan_version"),
             failovers_total: registry.counter("router_failovers_total"),
             health_trips_total: registry.counter("router_health_trips_total"),
@@ -159,8 +157,8 @@ struct HealthState {
     up_gauge: Arc<Gauge>,
 }
 
-struct Inner {
-    backends: Vec<Arc<Backend>>,
+pub(crate) struct Inner {
+    pub(crate) backends: Vec<Arc<Backend>>,
     placement: Placement,
     /// Per-table ordered failover candidates (rank 0 = the placement's
     /// assignment), precomputed from [`Placement::candidates`].
@@ -171,20 +169,15 @@ struct Inner {
     /// The fleet's table inventory (identical across backends, verified
     /// at startup): `(rows, dim, per_query_ns, technique label)`.
     inventory: Vec<(u64, usize, f64, String)>,
-    registry: Arc<Registry>,
+    pub(crate) registry: Arc<Registry>,
     metrics: RouterMetrics,
     spans: Arc<SpanCollector>,
     profile_out: Option<PathBuf>,
     next_trace: AtomicU64,
-    /// Set when the background gossip thread could not be spawned:
-    /// gossip then runs inline, rate-limited, on stats/metrics scrapes.
-    inline_gossip: AtomicBool,
-    inline_gossip_interval: Duration,
-    last_inline_gossip: Mutex<Option<Instant>>,
 }
 
 impl Inner {
-    fn gossip(&self) -> io::Result<GossipReport> {
+    pub(crate) fn gossip(&self) -> io::Result<GossipReport> {
         let report = gossip_once(&self.backends, self.profile_out.as_deref())?;
         self.metrics.gossip_rounds_total.inc();
         self.metrics
@@ -196,25 +189,9 @@ impl Inner {
         Ok(report)
     }
 
-    /// Fallback gossip when the background thread could not be spawned:
-    /// runs a round inline on the calling (scrape) thread, at most once
-    /// per configured interval.
-    fn maybe_inline_gossip(&self) {
-        if !self.inline_gossip.load(Ordering::Relaxed) {
-            return;
-        }
-        let mut last = lock_unpoisoned(&self.last_inline_gossip);
-        let due = last.is_none_or(|t| t.elapsed() >= self.inline_gossip_interval);
-        if due {
-            *last = Some(Instant::now());
-            drop(last);
-            let _ = self.gossip();
-        }
-    }
-
     /// Whether backend `host` is currently eligible to serve: its
     /// router-side health is up *and* its TCP link is up.
-    fn serving(&self, host: usize) -> bool {
+    pub(crate) fn serving(&self, host: usize) -> bool {
         self.health[host].up.load(Ordering::Relaxed) && self.backends[host].is_up()
     }
 
@@ -255,7 +232,7 @@ impl Inner {
     }
 
     /// Trips `host` to unhealthy (idempotent).
-    fn trip(&self, host: usize) {
+    pub(crate) fn trip(&self, host: usize) {
         let h = &self.health[host];
         if h.up.swap(false, Ordering::Relaxed) {
             self.metrics.health_trips_total.inc();
@@ -265,7 +242,7 @@ impl Inner {
 
     /// Flips `host` back to healthy after a successful probe
     /// (idempotent).
-    fn recover(&self, host: usize) {
+    pub(crate) fn recover(&self, host: usize) {
         let h = &self.health[host];
         h.consecutive_failures.store(0, Ordering::Relaxed);
         if !h.up.swap(true, Ordering::Relaxed) {
@@ -275,59 +252,14 @@ impl Inner {
     }
 }
 
-/// A running router. Dropping (or [`Router::shutdown`]) closes every
-/// client connection, joins every thread, and disconnects the backends.
-pub struct Router {
-    /// Declared first so it drops first: clients are cut off before the
-    /// threads and backend links behind them go away.
-    reactor: FrameReactor,
-    inner: Arc<Inner>,
-    _background: Background,
-}
-
-/// The router's own threads plus its backend links. Dropping it stops
-/// and joins the threads, then disconnects the backends.
-struct Background {
-    inner: Arc<Inner>,
-    /// Each ticker's stop handle (dropping it wakes and ends the
-    /// thread) and join handle.
-    tickers: Vec<(mpsc::Sender<()>, JoinHandle<()>)>,
-}
-
-/// Runs `tick` on a named thread, at once and then every `interval`,
-/// until the returned sender is dropped. Between rounds the thread is
-/// parked on the channel, so an idle router wakes once per round and
-/// shutdown never waits out a sleep.
-fn spawn_ticker(
-    name: &str,
-    interval: Duration,
-    mut tick: impl FnMut() + Send + 'static,
-) -> io::Result<(mpsc::Sender<()>, JoinHandle<()>)> {
-    let (stop, stopped) = mpsc::channel::<()>();
-    let ticker = std::thread::Builder::new().name(name.into());
-    let handle = ticker.spawn(move || loop {
-        tick();
-        if stopped.recv_timeout(interval) != Err(mpsc::RecvTimeoutError::Timeout) {
-            return;
-        }
-    })?;
-    Ok((stop, handle))
-}
-
-impl Router {
-    /// Connects to every backend (tolerating peers that are down — they
-    /// start `Down` and join when their reconnect succeeds), verifies
-    /// the reachable ones serve the same table set, derives the
-    /// placement over the *full* configured membership, and starts
-    /// accepting clients.
+impl Inner {
+    /// [`Router::start`] up to, not including, its threads: the backends,
+    /// the inventory check and the placement.
     ///
     /// # Errors
     ///
-    /// Returns bind errors, `ConnectionRefused` if *no* backend is
-    /// reachable at startup (the inventory must come from somewhere),
-    /// or `InvalidData` if reachable backends' inventories disagree
-    /// (they must be replicas of one table set).
-    pub fn start(config: RouterConfig) -> io::Result<Router> {
+    /// See [`Router::start`].
+    pub(crate) fn connect(config: &RouterConfig) -> io::Result<Inner> {
         if config.backends.is_empty() {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
@@ -339,10 +271,7 @@ impl Router {
             backends.push(Backend::start(
                 name,
                 addr.as_str(),
-                BackendOptions {
-                    idle_timeout: config.backend_idle_timeout,
-                    reconnect: Some(config.reconnect.clone()),
-                },
+                config.backend_idle_timeout,
             )?);
         }
         let shape = |t: &[(u64, usize, f64, String)]| -> Vec<(u64, usize)> {
@@ -403,7 +332,7 @@ impl Router {
             Some(t) => SpanCollector::with_capacity(&t.host, t.sample_every, t.capacity),
             None => SpanCollector::disabled(),
         });
-        let inner = Arc::new(Inner {
+        Ok(Inner {
             backends,
             placement,
             candidates,
@@ -415,10 +344,36 @@ impl Router {
             spans,
             profile_out: config.profile_out.clone(),
             next_trace: AtomicU64::new(1),
-            inline_gossip: AtomicBool::new(false),
-            inline_gossip_interval: config.gossip_interval.unwrap_or(Duration::from_millis(500)),
-            last_inline_gossip: Mutex::new(None),
-        });
+        })
+    }
+}
+
+/// A running router. Dropping (or [`Router::shutdown`]) closes every
+/// client connection, joins every thread, and disconnects the backends.
+pub struct Router {
+    /// Declared first so it drops first: clients are cut off before the
+    /// threads and backend links behind them go away.
+    reactor: FrameReactor,
+    inner: Arc<Inner>,
+    _maint: MaintThread,
+}
+
+impl Router {
+    /// Connects to every backend (tolerating peers that are down — they
+    /// join when a redial succeeds), verifies the reachable ones serve
+    /// the same table set, derives the placement over the *full*
+    /// configured membership, starts the maintenance loop, and starts
+    /// accepting clients.
+    ///
+    /// # Errors
+    ///
+    /// Returns bind and thread-spawn errors, `ConnectionRefused` if *no*
+    /// backend is reachable at startup (the inventory must come from
+    /// somewhere), or `InvalidData` if reachable backends' inventories
+    /// disagree (they must be replicas of one table set).
+    pub fn start(config: RouterConfig) -> io::Result<Router> {
+        let inner = Arc::new(Inner::connect(&config)?);
+        let maint = Maintenance::new(Arc::clone(&inner), &config, Instant::now()).spawn()?;
         // SO_REUSEADDR bind: a router restarted onto its old port must
         // not spend a TIME_WAIT minute in EADDRINUSE.
         let listener = secemb_serve::bind_reusable(&config.bind)?;
@@ -438,43 +393,10 @@ impl Router {
                 idle_timeout: config.conn_idle,
             },
         )?;
-        let mut tickers = Vec::new();
-        if let Some(interval) = config.gossip_interval {
-            let spawned = if config.inject_gossip_spawn_failure {
-                Err(io::Error::new(io::ErrorKind::WouldBlock, "injected"))
-            } else {
-                let inner = Arc::clone(&inner);
-                spawn_ticker("secemb-rt-gossip", interval, move || {
-                    let _ = inner.gossip();
-                })
-            };
-            match spawned {
-                Ok(ticker) => tickers.push(ticker),
-                Err(_) => {
-                    // Thread exhaustion must not abort a router that
-                    // can otherwise serve: count it and degrade to
-                    // inline gossip on the stats/metrics tick.
-                    inner.metrics.gossip_spawn_failures.inc();
-                    inner.inline_gossip.store(true, Ordering::Relaxed);
-                }
-            }
-        }
-        if let Some(interval) = config.health_probe {
-            let inner = Arc::clone(&inner);
-            // Same degradation as gossip: without the probe thread the
-            // router still serves, it just cannot auto-recover tripped
-            // backends.
-            tickers.extend(
-                spawn_ticker("secemb-rt-health", interval, move || health_tick(&inner)).ok(),
-            );
-        }
         Ok(Router {
             reactor,
-            _background: Background {
-                inner: Arc::clone(&inner),
-                tickers,
-            },
             inner,
+            _maint: maint,
         })
     }
 
@@ -524,56 +446,6 @@ impl Router {
     /// router threads.
     pub fn shutdown(self) {
         drop(self);
-    }
-}
-
-impl Drop for Background {
-    fn drop(&mut self) {
-        // Stop every ticker before joining any: a round in flight on
-        // one must not hold up the other's exit.
-        let (stops, handles): (Vec<_>, Vec<_>) = self.tickers.drain(..).unzip();
-        drop(stops);
-        for handle in handles {
-            let _ = handle.join();
-        }
-        for backend in &self.inner.backends {
-            backend.shutdown();
-        }
-    }
-}
-
-/// One health-thread round: trip backends whose link dropped, probe
-/// tripped backends whose link is back, and — on probe success — gossip
-/// the fleet's newest plan to them *before* re-admitting traffic, so a
-/// recovered replica never serves a stale epoch next to fresh peers.
-/// Also refreshes the per-backend reconnect gauges.
-fn health_tick(inner: &Arc<Inner>) {
-    for (h, backend) in inner.backends.iter().enumerate() {
-        inner
-            .registry
-            .gauge_with("router_backend_reconnects", &[("backend", backend.name())])
-            .set(backend.reconnects() as f64);
-        inner
-            .registry
-            .gauge_with(
-                "router_backend_connect_failures",
-                &[("backend", backend.name())],
-            )
-            .set(backend.connect_failures() as f64);
-        let healthy = inner.health[h].up.load(Ordering::Relaxed);
-        if !backend.is_up() {
-            if healthy {
-                inner.trip(h);
-            }
-            continue;
-        }
-        if !healthy && backend.probe().is_ok() {
-            // Plan convergence before re-admission: push the winning
-            // plan (the recovered replica restarted at version 0, so it
-            // is stale by construction whenever the fleet adapted).
-            let _ = inner.gossip();
-            inner.recover(h);
-        }
     }
 }
 
@@ -1010,12 +882,10 @@ fn serve(frame: Frame<'_>, msg: ClientMsg) -> Result<(), RejectReason> {
             replies.send(encode_table_list(id, &inner.inventory));
         }
         ClientMsg::Stats => {
-            inner.maybe_inline_gossip();
             let json = merged_stats(inner);
             replies.send(encode_stats(id, &json));
         }
         ClientMsg::Metrics => {
-            inner.maybe_inline_gossip();
             let text = merged_metrics(inner);
             replies.send(encode_metrics(id, &text));
         }
@@ -1142,6 +1012,8 @@ fn best_plan_json(inner: &Inner) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lock_unpoisoned;
+    use std::sync::Mutex;
 
     #[test]
     fn backend_label_injection_covers_every_line_shape() {
@@ -1202,9 +1074,6 @@ mod tests {
             spans: Arc::new(SpanCollector::new("rt", 1)),
             profile_out: None,
             next_trace: AtomicU64::new(1),
-            inline_gossip: AtomicBool::new(false),
-            inline_gossip_interval: Duration::from_secs(1),
-            last_inline_gossip: Mutex::new(None),
         })
     }
 

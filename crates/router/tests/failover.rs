@@ -1,13 +1,12 @@
 //! Router resilience: replica failover, probe-based recovery, tolerant
-//! startup, reconnect budgets, half-open backend detection, and the
-//! gossip-thread fallback — the guarantees that keep the protected
-//! serving tier up when a backend dies, without weakening the
-//! trace-equivalence argument.
+//! startup, half-open backend detection, and at-most-once `Update`s —
+//! the guarantees that keep the protected serving tier up when a backend
+//! dies, without weakening the trace-equivalence argument. (The redial
+//! schedule itself is unit-tested against synthetic time in
+//! `src/maint.rs`.)
 
 use secemb::GeneratorSpec;
-use secemb_router::{
-    Backend, BackendOptions, LinkState, Placement, ReconnectPolicy, Router, RouterConfig,
-};
+use secemb_router::{Backend, Placement, Router, RouterConfig};
 use secemb_serve::protocol::{
     decode_client, encode_generate, encode_table_list, ClientMsg, ServerMsg,
 };
@@ -52,11 +51,7 @@ fn resilient_config(backends: Vec<(String, String)>) -> RouterConfig {
         backends,
         health_trip: 1,
         health_probe: Some(Duration::from_millis(20)),
-        reconnect: ReconnectPolicy {
-            base: Duration::from_millis(10),
-            max: Duration::from_millis(50),
-            ..ReconnectPolicy::default()
-        },
+        reconnect_base: Duration::from_millis(10),
         ..RouterConfig::default()
     }
 }
@@ -314,43 +309,6 @@ fn backend_down_at_startup_joins_when_it_appears() {
     );
 }
 
-/// A capped reconnect budget exhausts against an address that never
-/// answers: the link lands in `Exhausted` after the budgeted dials
-/// instead of retrying forever.
-#[test]
-fn reconnect_budget_exhausts_against_a_dead_address() {
-    // Reserve-and-drop: nothing listens here afterwards.
-    let dead_addr = {
-        let probe = TcpListener::bind("127.0.0.1:0").expect("reserve port");
-        probe.local_addr().expect("reserved addr")
-    };
-    let backend = Backend::start(
-        "dead",
-        dead_addr.to_string(),
-        BackendOptions {
-            idle_timeout: None,
-            reconnect: Some(ReconnectPolicy {
-                base: Duration::from_millis(5),
-                max: Duration::from_millis(10),
-                budget: 2,
-                ..ReconnectPolicy::default()
-            }),
-        },
-    )
-    .expect("tolerant start");
-    assert!(!backend.is_up());
-    let end = Instant::now() + Duration::from_secs(10);
-    while backend.link_state() != LinkState::Exhausted {
-        assert!(Instant::now() < end, "budget never exhausted");
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    assert!(
-        backend.connect_failures() >= 2,
-        "both budgeted dials must be counted"
-    );
-    backend.shutdown();
-}
-
 /// A backend that completes the handshake and then goes silent while
 /// requests are in flight is declared dead after the idle timeout: the
 /// pending callback fires with `Rejected(Internal)` instead of the
@@ -363,7 +321,7 @@ fn backend_idle_timeout_orphan_rejects_pending_requests() {
         let (stream, _) = listener.accept().expect("accept");
         let mut reader = BufReader::new(stream.try_clone().expect("clone"));
         let mut writer = BufWriter::new(stream.try_clone().expect("clone"));
-        // Answer the hello so connect_with succeeds, then say nothing.
+        // Answer the hello so start connects, then say nothing.
         let payload = read_frame(&mut reader).expect("hello");
         let (id, msg) = decode_client(&payload).expect("decodable hello");
         assert!(matches!(msg, ClientMsg::Hello(_)));
@@ -375,7 +333,7 @@ fn backend_idle_timeout_orphan_rejects_pending_requests() {
     });
 
     let backend =
-        Backend::connect_with("silent", addr, Some(Duration::from_millis(100))).expect("handshake");
+        Backend::start("silent", addr, Some(Duration::from_millis(100))).expect("handshake");
     let (tx, rx) = mpsc::channel();
     let t0 = Instant::now();
     backend
@@ -399,45 +357,6 @@ fn backend_idle_timeout_orphan_rejects_pending_requests() {
     );
     backend.shutdown();
     silent.join().expect("silent backend thread");
-}
-
-/// The gossip-thread spawn-failure path: the router starts anyway,
-/// counts the failure, and degrades to inline gossip on the stats tick
-/// instead of aborting.
-#[test]
-fn gossip_spawn_failure_degrades_to_inline_gossip() {
-    let (_e0, s0) = start_backend();
-    let (_e1, s1) = start_backend();
-    let router = Router::start(RouterConfig {
-        bind: "127.0.0.1:0".to_string(),
-        backends: vec![
-            ("b0".to_string(), s0.addr().to_string()),
-            ("b1".to_string(), s1.addr().to_string()),
-        ],
-        gossip_interval: Some(Duration::from_millis(10)),
-        inject_gossip_spawn_failure: true,
-        ..RouterConfig::default()
-    })
-    .expect("router must survive gossip spawn failure");
-
-    let mut client = Client::connect(router.addr()).expect("connect");
-    let metrics = client.metrics_text().expect("metrics");
-    assert_eq!(
-        metric(&metrics, "router_gossip_spawn_failures_total"),
-        1.0,
-        "spawn failure must be counted:\n{metrics}"
-    );
-    // The stats tick runs gossip inline: after the rate-limit interval,
-    // a stats scrape drives at least one round.
-    std::thread::sleep(Duration::from_millis(20));
-    client.stats_json().expect("stats");
-    std::thread::sleep(Duration::from_millis(20));
-    client.stats_json().expect("stats");
-    let metrics = client.metrics_text().expect("metrics");
-    assert!(
-        metric(&metrics, "router_gossip_rounds_total") >= 1.0,
-        "inline gossip must run on the stats tick:\n{metrics}"
-    );
 }
 
 /// One look-ahead ORAM table: the only technique with a write path.

@@ -1,0 +1,53 @@
+//! A router with N backends runs N + 2 threads: the client reactor, the
+//! maintenance loop, and one reader per backend link. This binary holds
+//! a single test, so no sibling test's threads skew the count.
+
+#![cfg(target_os = "linux")]
+
+use secemb::GeneratorSpec;
+use secemb_router::{Router, RouterConfig};
+use secemb_serve::{Engine, EngineConfig, Server, TableConfig};
+use std::sync::Arc;
+use std::time::Duration;
+
+/// This process's thread count, from `/proc/self/status`.
+fn threads() -> usize {
+    std::fs::read_to_string("/proc/self/status")
+        .expect("procfs")
+        .lines()
+        .find_map(|line| line.strip_prefix("Threads:"))
+        .and_then(|n| n.trim().parse().ok())
+        .expect("a Threads: line")
+}
+
+#[test]
+fn a_router_runs_one_reader_per_backend_plus_two_threads() {
+    let backends: Vec<(Arc<Engine>, Server)> = (0..4)
+        .map(|_| {
+            let spec = GeneratorSpec::Scan { rows: 64, dim: 8 };
+            let engine = Arc::new(Engine::start(EngineConfig::new(vec![TableConfig::new(
+                spec,
+            )])));
+            let server = Server::start(Arc::clone(&engine), "127.0.0.1:0").expect("bind backend");
+            (engine, server)
+        })
+        .collect();
+    let before = threads();
+    let router = Router::start(RouterConfig {
+        backends: backends
+            .iter()
+            .enumerate()
+            .map(|(i, (_, s))| (format!("b{i}"), s.addr().to_string()))
+            .collect(),
+        gossip_interval: Some(Duration::from_millis(200)),
+        health_probe: Some(Duration::from_millis(200)),
+        ..RouterConfig::default()
+    })
+    .expect("router start");
+    assert_eq!(
+        threads() - before,
+        backends.len() + 2,
+        "a reader per backend, the reactor and the maintenance loop"
+    );
+    router.shutdown();
+}

@@ -702,6 +702,11 @@ pub fn decode_server_traced(
             if count > 1 << 16 {
                 return Err(ProtocolError::BadField("table count"));
             }
+            // As in `take_indices`: no reserving past what the bytes can
+            // hold (an entry with an empty label encodes to 24).
+            if count > r.remaining() / 24 {
+                return Err(ProtocolError::Truncated);
+            }
             let mut tables = Vec::with_capacity(count);
             for _ in 0..count {
                 let rows = r.get_u64_le()?;

@@ -359,7 +359,9 @@ fn run_loop(
     let mut read_buf = vec![0u8; 64 * 1024];
     let mut dead: Vec<usize> = Vec::new();
 
-    loop {
+    // `stop` is read again before every poll: the `WAKEUP` arm's drain
+    // may swallow the shutdown wake that arrived after the read below.
+    while !stop.load(Ordering::SeqCst) {
         let wait_start = Instant::now();
         if poll.poll(&mut events, poll_timeout).is_err() {
             // Unrecoverable epoll failure; nothing to serve without it.

@@ -9,9 +9,10 @@
 //! them rather than fail loudly.
 //!
 //! Beside it, the hostile counterpart: frames whose count fields promise
-//! more than their bytes hold are refused before the decoder reserves a
-//! byte for them (the counting allocator is local to this test binary;
-//! the library crates forbid `unsafe`).
+//! more than their bytes hold — requests, and the table list a backend
+//! answers the router's handshake with — are refused before the decoder
+//! reserves a byte for them (the counting allocator is local to this
+//! test binary; the library crates forbid `unsafe`).
 
 #[path = "../../oram/tests/support/counting_alloc.rs"]
 mod counting_alloc;
@@ -19,8 +20,8 @@ mod counting_alloc;
 use proptest::prelude::*;
 use secemb_serve::protocol::{
     decode_client_traced, decode_server_traced, encode_generate_multi, encode_generate_traced,
-    encode_response_traced, encode_stats_request, encode_traces, encode_traces_request,
-    encode_update_traced, MAX_INDICES, MAX_PARTS,
+    encode_response_traced, encode_stats_request, encode_table_list, encode_traces,
+    encode_traces_request, encode_update_traced, MAX_INDICES, MAX_PARTS,
 };
 use secemb_serve::{RejectReason, Response, StageBreakdown, TraceCtx};
 use secemb_tensor::Matrix;
@@ -242,6 +243,22 @@ fn overpromising_counts_are_refused_before_anything_is_reserved() {
             "{what}: refused only after reserving memory"
         );
     }
+}
+
+/// A 13-byte `Tables` reply claiming the decoder's 65 536-entry cap: a
+/// compromised backend's handshake answer. Reserving on its say-so would
+/// cost the router ≈ 3 MiB.
+#[test]
+fn overpromising_table_list_is_refused_before_anything_is_reserved() {
+    let frame = with_u32(encode_table_list(1, &[]), 1 + 8, 1 << 16);
+    assert_eq!(frame.len(), 13);
+    let mut outcome = None;
+    let allocs = counting_alloc::allocations_in(|| outcome = Some(decode_server_traced(&frame)));
+    assert!(outcome.expect("decoded").is_err(), "must not decode");
+    assert_eq!(allocs, 0, "refused only after reserving memory");
+    // One honest entry still decodes.
+    let one = encode_table_list(1, &[(64, 8, 1.0, String::new())]);
+    assert!(decode_server_traced(&one).is_ok());
 }
 
 #[test]
