@@ -31,7 +31,7 @@ use secemb::hybrid::AllocationPlan;
 use secemb_serve::protocol::{
     decode_client_traced, encode_generate_multi, encode_generate_traced, encode_metrics,
     encode_plan, encode_plan_ack, encode_response_traced, encode_stats, encode_table_list,
-    encode_traces, encode_update_traced, ClientMsg, ServerMsg,
+    encode_traces, encode_update_traced, reply_fits, ClientMsg, ServerMsg,
 };
 use secemb_serve::reactor::{Dispatch, FrameReactor, ReactorConfig};
 use secemb_serve::{Fill, Gather, Landed, RejectReason, ReplySender, Response, TraceSettings};
@@ -736,13 +736,15 @@ fn route(
 /// Placement-aware admission, once per lookup frame: its query count,
 /// or why it never crosses the wire to a backend. The first faulty
 /// `(table, indices)` part in part order decides, as it would on a
-/// backend.
+/// backend; then a frame whose reply would not fit one frame
+/// ([`reply_fits`]: all its rows at its widest table) is `BadRequest` —
+/// forwarded, its reply would break the backend link.
 fn admit(
     inner: &Inner,
     parts: impl IntoIterator<Item = (usize, usize)>,
 ) -> Result<u64, RejectReason> {
     inner.metrics.requests_total.inc();
-    let mut queries = 0;
+    let (mut queries, mut cols) = (0, 0);
     for (table, indices) in parts {
         if table >= inner.placement.tables() {
             return Err(RejectReason::UnknownTable);
@@ -750,13 +752,14 @@ fn admit(
         if indices == 0 {
             return Err(RejectReason::BadRequest);
         }
-        queries += indices as u64;
+        queries += indices;
+        cols = cols.max(inner.inventory[table].1);
     }
     // No parts at all is no request.
-    if queries == 0 {
+    if queries == 0 || !reply_fits(queries, cols) {
         return Err(RejectReason::BadRequest);
     }
-    Ok(queries)
+    Ok(queries as u64)
 }
 
 /// A `GenerateMulti` split by serving host.

@@ -168,9 +168,6 @@ enum Owed {
     Close,
     /// Exactly one `Rejected` with this reason.
     Reject(RejectReason),
-    /// Exactly one untraced `Embeddings`: the wire format ignores
-    /// trailing bytes that are not an 8- or 16-byte trace context.
-    ServeUntraced,
 }
 
 fn hostile_frames() -> Vec<(&'static str, Vec<u8>, Owed)> {
@@ -188,8 +185,8 @@ fn hostile_frames() -> Vec<(&'static str, Vec<u8>, Owed)> {
             Owed::Close,
         ),
         ("oversized count", oversized, Owed::Close),
-        ("7-byte trace trailer", with_tail(7), Owed::ServeUntraced),
-        ("15-byte trace trailer", with_tail(15), Owed::ServeUntraced),
+        ("7-byte trace trailer", with_tail(7), Owed::Close),
+        ("15-byte trace trailer", with_tail(15), Owed::Close),
         (
             "GenerateMulti of zero parts",
             multi(&[]),
@@ -255,9 +252,6 @@ fn hostile_frames_get_the_same_treatment_at_both_doors() {
                 (Owed::Close, []) => assert_eq!(fences, 0, "{what} at {door}: still open"),
                 (Owed::Reject(want), [(ServerMsg::Rejected(got), None)]) => {
                     assert_eq!(*got, want, "{what} at {door}");
-                }
-                (Owed::ServeUntraced, [(ServerMsg::Embeddings(m, _), None)]) => {
-                    assert_eq!(m.shape(), (3, 8), "{what} at {door}");
                 }
                 (owed, got) => panic!("{what} at {door}: owed {owed:?}, got {got:?}"),
             }

@@ -13,7 +13,7 @@
 use crate::protocol::{
     decode_server, encode_generate, encode_generate_multi, encode_generate_traced,
     encode_metrics_request, encode_plan_pull, encode_plan_push, encode_stats_request,
-    encode_tables_request, encode_traces_request, encode_update, ServerMsg,
+    encode_tables_request, encode_traces_request, encode_update_traced, ServerMsg,
 };
 use secemb_telemetry::TraceCtx;
 use secemb_tensor::Matrix;
@@ -144,7 +144,7 @@ impl ClientSender {
         self.next_id = self.next_id.wrapping_add(1);
         write_frame(
             &mut self.writer,
-            &encode_update(id, table, indices, deltas, deadline),
+            &encode_update_traced(id, table, indices, deltas, deadline, None),
         )?;
         Ok(id)
     }
@@ -171,14 +171,7 @@ impl ClientSender {
         self.next_id = self.next_id.wrapping_add(1);
         write_frame(
             &mut self.writer,
-            &crate::protocol::encode_update_traced(
-                id,
-                table,
-                indices,
-                deltas,
-                deadline,
-                Some(trace),
-            ),
+            &encode_update_traced(id, table, indices, deltas, deadline, Some(trace)),
         )?;
         Ok(id)
     }
@@ -371,7 +364,8 @@ impl Client {
         deadline: Option<Duration>,
     ) -> io::Result<ServerMsg> {
         let id = self.fresh_id();
-        match self.round_trip(id, &encode_update(id, table, indices, deltas, deadline))? {
+        let frame = encode_update_traced(id, table, indices, deltas, deadline, None);
+        match self.round_trip(id, &frame)? {
             msg @ (ServerMsg::Embeddings(..) | ServerMsg::Rejected(_)) => Ok(msg),
             _ => Err(bad_reply("expected embeddings or rejection")),
         }

@@ -695,6 +695,11 @@ impl Engine {
             .collect()
     }
 
+    /// The embedding width of `table`, if it exists.
+    pub(crate) fn dim(&self, table: usize) -> Option<usize> {
+        self.shards.get(table).map(|s| s.config.spec.dim())
+    }
+
     /// Liveness of every worker, as `per-shard[replica]` flags: `false`
     /// once a replica's generator panicked and the worker shut down.
     pub fn worker_health(&self) -> Vec<Vec<bool>> {

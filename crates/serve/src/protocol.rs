@@ -1,95 +1,42 @@
 //! The binary serving protocol.
 //!
-//! Every message travels as one length-prefixed frame
-//! ([`secemb_wire::frame`]); the payload starts with a one-byte tag
-//! followed by a `u64` request id. The id is chosen by the client and
-//! echoed verbatim in the response, which is what makes *pipelining*
-//! possible: a client may have many requests in flight on one
-//! connection, and responses may come back out of order (the server's
-//! shards finish independently) — the id is the only correlation.
+//! Every message is one length-prefixed frame ([`secemb_wire::frame`]):
+//! a one-byte tag, a `u64` request id, then the fields its encoder's
+//! documentation lists in byte order (a string is a `u32` byte length and
+//! its UTF-8 bytes). The client picks the id and the response echoes it,
+//! which is what makes *pipelining* possible: requests in flight on one
+//! connection may be answered out of order.
 //!
-//! Client → server:
+//! ## Trace ids, the trailer rule and the bounds
 //!
-//! | tag | payload |
-//! |---|---|
-//! | 1 `Generate` | `u64` request id, `u32` table, `u64` deadline ns (0 = none), `u32` count, `count × u64` indices |
-//! | 2 `Tables` | `u64` request id |
-//! | 3 `Stats` | `u64` request id |
-//! | 4 `Metrics` | `u64` request id |
-//! | 5 `GenerateMulti` | `u64` request id, `u64` deadline ns (0 = none), `u32` part count, then per part: `u32` table, `u32` count, `count × u64` indices |
-//! | 6 `PlanPull` | `u64` request id |
-//! | 7 `PlanPush` | `u64` request id, string (the [`AllocationPlan`] JSON) |
-//! | 8 `Hello` | `u64` request id, string (the peer's role, e.g. `router`); answered with a `Tables` response |
-//! | 9 `Update` | `u64` request id, `u32` table, `u64` deadline ns (0 = none), `u32` count, `count × u64` indices, `u32` dim, `count·dim × f32` delta rows; answered with the post-update rows as an `Embeddings` response |
-//! | 10 `Traces` | `u64` request id; drains the peer's buffered spans, answered with a `Traces` response |
-//!
-//! Server → client:
-//!
-//! | tag | payload |
-//! |---|---|
-//! | 1 `Embeddings` | `u64` request id, `u32` rows, `u32` cols, `u8` stage count, `count × u64` per-stage ns (lifecycle order, see [`Stage::ALL`]), `rows·cols × f32` |
-//! | 2 `Rejected` | `u64` request id, `u8` reason code ([`RejectReason::index`]) |
-//! | 3 `Tables` | `u64` request id, `u32` count, then per table: `u64` rows, `u32` dim, `f64` per-query ns, string technique label |
-//! | 4 `Stats` | `u64` request id, string (the JSON snapshot, including the active plan's `version`/`epoch` under `"plan"`, the shard `"replicas"`, and the per-stage latency summaries under `"stages"`) |
-//! | 5 `Metrics` | `u64` request id, string (Prometheus text exposition of the server's metrics registry) |
-//! | 6 `Plan` | `u64` request id, `u8` present flag, string (the active [`AllocationPlan`] JSON when present) |
-//! | 7 `PlanAck` | `u64` request id, `u8` ok flag, `u64` swap epoch, string (error text when not ok) |
-//! | 8 `Traces` | `u64` request id, string (the peer's drained spans as JSONL, see `secemb-telemetry`) |
-//!
-//! ## Trace ids
-//!
-//! `Generate`, `Update`, and `GenerateMulti` requests may carry an
-//! optional trailing *trace context*: either a `u64` trace id alone
-//! (8 trailing bytes) or a trace id followed by the sender's `u64`
-//! *parent span id* (16 trailing bytes) — the span the receiving host
-//! should parent its own spans under. `Embeddings` and `Rejected`
-//! responses echo the trace id as a trailing `u64` **only when the
-//! request carried one**. The trailing placement keeps the extension
-//! backward compatible: the request decoders read exactly the fields
-//! they know, so an old server ignores a trace context it never echoes,
-//! and an old client never receives one. A router stamps each hop of a
-//! fanned-out request with the same trace id (plus its fan-out span as
-//! the parent) so the per-host spans join into one cross-host timeline.
-//!
-//! [`AllocationPlan`]: secemb::hybrid::AllocationPlan
+//! A lookup (`Generate`, `Update`, `GenerateMulti`) may end with a `u64`
+//! trace id, or that and the sender's `u64` parent span id (how a router
+//! joins its hops into one timeline); `Embeddings` and `Rejected` echo
+//! the trace id when the request carried one. After a message's last
+//! field, exactly 0, 8 or 16 bytes may follow a lookup, 0 or 8 an
+//! `Embeddings`/`Rejected`, and 0 anything else: no frame is accepted
+//! with bytes unread. Every count is checked against the bytes left
+//! before anything is reserved ([`ByteReader::get_seq`]); a request
+//! carries at most [`MAX_INDICES`] indices in [`MAX_PARTS`] parts, and a
+//! lookup whose reply would not fit one frame ([`reply_fits`]) is refused
+//! `BadRequest` at either front door.
 
-use crate::engine::TableInfo;
 use crate::request::{RejectReason, Response};
 use secemb_telemetry::{Stage, StageBreakdown, TraceCtx};
 use secemb_tensor::Matrix;
 use secemb_wire::bytes::{ByteReader, ByteWriter, Truncated};
+use secemb_wire::frame::DEFAULT_MAX_FRAME;
 use std::fmt;
 use std::time::Duration;
 
-const TAG_GENERATE: u8 = 1;
-const TAG_TABLES: u8 = 2;
-const TAG_STATS: u8 = 3;
-const TAG_METRICS: u8 = 4;
-const TAG_GENERATE_MULTI: u8 = 5;
-const TAG_PLAN_PULL: u8 = 6;
-const TAG_PLAN_PUSH: u8 = 7;
-const TAG_HELLO: u8 = 8;
+// The hand-encoded messages' tags; the others are on their encoder's line.
 const TAG_UPDATE: u8 = 9;
-const TAG_TRACES: u8 = 10;
-
 const TAG_EMBEDDINGS: u8 = 1;
 const TAG_REJECTED: u8 = 2;
-const TAG_TABLES_RESP: u8 = 3;
-const TAG_STATS_RESP: u8 = 4;
-const TAG_METRICS_RESP: u8 = 5;
-const TAG_PLAN_RESP: u8 = 6;
-const TAG_PLAN_ACK: u8 = 7;
-const TAG_TRACES_RESP: u8 = 8;
 
 /// Largest part count one `GenerateMulti` message may carry.
 pub const MAX_PARTS: usize = 1 << 12;
-
-/// Largest per-stage value count an `Embeddings` frame may carry; newer
-/// servers may append stages, older clients ignore the extras.
-const MAX_STAGES: usize = 64;
-
-/// Largest index count one `Generate` message may carry; guards the
-/// decoder against allocating on a corrupt count field.
+/// Largest index count one request may carry, over all its parts.
 pub const MAX_INDICES: usize = 1 << 20;
 
 /// Malformed message payload.
@@ -99,17 +46,13 @@ pub enum ProtocolError {
     Truncated,
     /// Unknown message tag.
     BadTag(u8),
-    /// A count/shape field exceeds protocol limits.
+    /// A field, or the bytes after the last one, is out of range.
     BadField(&'static str),
 }
 
 impl fmt::Display for ProtocolError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ProtocolError::Truncated => write!(f, "message payload truncated"),
-            ProtocolError::BadTag(t) => write!(f, "unknown message tag {t}"),
-            ProtocolError::BadField(name) => write!(f, "field '{name}' out of range"),
-        }
+        write!(f, "malformed message: {self:?}")
     }
 }
 
@@ -133,9 +76,8 @@ pub enum ClientMsg {
         /// Latency budget, if any.
         deadline: Option<Duration>,
     },
-    /// Obliviously read-modify-write: add one delta row per index to the
-    /// addressed table rows, answered with the post-update rows. Only
-    /// update-capable tables (the look-ahead ORAM) accept it.
+    /// Obliviously add one delta row per index to the addressed rows
+    /// (update-capable tables only), answered with the updated rows.
     Update {
         /// Target table id.
         table: usize,
@@ -146,8 +88,7 @@ pub enum ClientMsg {
         /// Latency budget, if any.
         deadline: Option<Duration>,
     },
-    /// Generate embeddings across several tables in one request; the
-    /// reply concatenates the per-part rows in part order.
+    /// Generate embeddings across tables; rows come back in part order.
     GenerateMulti {
         /// `(table id, indices)` per part, in reply order.
         parts: Vec<(usize, Vec<u64>)>,
@@ -183,8 +124,7 @@ pub enum ServerMsg {
     Stats(String),
     /// The Prometheus text exposition of the server's metrics.
     Metrics(String),
-    /// The active allocation plan JSON (`None` while still on the
-    /// construction-time layout).
+    /// The active allocation plan JSON (`None`: the startup layout).
     Plan(Option<String>),
     /// Outcome of a `PlanPush`.
     PlanAck {
@@ -199,95 +139,212 @@ pub enum ServerMsg {
     Traces(String),
 }
 
-/// Appends a trace context as trailing bytes: the trace id, then the
-/// parent span id when present.
-fn put_trailing_trace(w: &mut ByteWriter, trace: Option<TraceCtx>) {
-    if let Some(t) = trace {
-        w.put_u64_le(t.trace_id);
-        if let Some(parent) = t.parent_span {
-            w.put_u64_le(parent);
-        }
+/// One wire field: how a value is written and read back (`Owned`: as
+/// itself, or a borrowed one as its owned form), and the fewest bytes any
+/// value encodes to, which bounds a count of them before reserving.
+trait Field {
+    type Owned;
+    const MIN: usize;
+    fn size(&self) -> usize {
+        Self::MIN
     }
+    fn put(&self, w: &mut ByteWriter);
+    fn take(r: &mut ByteReader<'_>) -> Result<Self::Owned, ProtocolError>;
 }
 
-/// Reads the optional trailing trace context: 8 remaining bytes carry a
-/// bare trace id, 16 carry trace id + parent span id.
-fn take_trailing_trace(r: &mut ByteReader<'_>) -> Result<Option<TraceCtx>, ProtocolError> {
-    Ok(match r.remaining() {
-        8 => Some(TraceCtx::new(r.get_u64_le()?)),
-        16 => Some(TraceCtx::with_parent(r.get_u64_le()?, r.get_u64_le()?)),
-        _ => None,
+/// The wire vocabulary, one type per entry: `[generics] type => decoded
+/// type, fewest bytes`, its size when that varies, how it is put, taken.
+macro_rules! field {
+    ($([$($g:tt)*] $t:ty => $owned:ty, $min:expr; $(size |$s:ident| $size:expr;)?
+        put |$w:ident, $v:ident| $put:expr; take |$r:ident| $take:expr;)*) => {$(
+        impl<$($g)*> Field for $t {
+            type Owned = $owned;
+            const MIN: usize = $min;
+            $(fn size(&self) -> usize {
+                let $s = self;
+                $size
+            })?
+            fn put(&self, $w: &mut ByteWriter) {
+                let $v = self;
+                $put
+            }
+            fn take($r: &mut ByteReader<'_>) -> Result<$owned, ProtocolError> {
+                Ok($take)
+            }
+        }
+    )*};
+}
+
+field! {
+    [] u64 => u64, 8; put |w, v| w.put_u64_le(*v); take |r| r.get_u64_le()?;
+    [] f64 => f64, 8; put |w, v| w.put_f64_le(*v); take |r| r.get_f64_le()?;
+    [] usize => usize, 4; put |w, v| w.put_u32_le(*v as u32); take |r| r.get_u32_le()? as usize;
+    [] bool => bool, 1; put |w, v| w.put_u8(u8::from(*v)); take |r| r.get_u8()? != 0;
+    [] Option<Duration> => Option<Duration>, 8;
+        put |w, v| w.put_u64_le(v.map_or(0, |d| d.as_nanos() as u64));
+        take |r| Some(r.get_u64_le()?).filter(|&ns| ns > 0).map(Duration::from_nanos);
+    [] RejectReason => RejectReason, 1; put |w, v| w.put_u8(v.index() as u8);
+        take |r| *RejectReason::ALL.get(r.get_u8()? as usize)
+            .ok_or(ProtocolError::BadField("reject code"))?;
+    [] str => String, 4; size |s| 4 + s.len(); put |w, s| w.put_str(s); take |r| r.get_str()?;
+    // A `u32` count, then the elements, read through the one bounded reader.
+    [T: Field] [T] => Vec<T::Owned>, 4; size |s| s.iter().fold(4, |n, v| n + v.size());
+        put |w, s| { s.len().put(w); s.iter().for_each(|v| v.put(w)) };
+        take |r| { let count = usize::take(r)?; r.get_seq(count, T::MIN, T::take)? };
+    // Borrowed and owned forms encode as what they point at.
+    [T: Field + ?Sized] &T => T::Owned, T::MIN; size |s| (**s).size(); put |w, s| (**s).put(w);
+        take |r| T::take(r)?;
+    [] String => String, 4; size |s| s.as_str().size(); put |w, s| s.as_str().put(w);
+        take |r| str::take(r)?;
+    [T: Field] Vec<T> => Vec<T::Owned>, 4; size |s| s.as_slice().size();
+        put |w, s| s.as_slice().put(w); take |r| <[T]>::take(r)?;
+    [] StageBreakdown => StageBreakdown, 1; size |_s| 1 + 8 * Stage::ALL.len();
+        put |w, s| { w.put_u8(Stage::ALL.len() as u8); s.ns.iter().for_each(|&n| w.put_u64_le(n)) };
+        take |r| take_stages(r)?;
+}
+
+/// A message body: its fields in byte order.
+macro_rules! tuple {
+    ($($t:ident $i:tt),*) => {
+        impl<$($t: Field),*> Field for ($($t,)*) {
+            type Owned = ($($t::Owned,)*);
+            const MIN: usize = 0 $(+ $t::MIN)*;
+            fn size(&self) -> usize {
+                0 $(+ self.$i.size())*
+            }
+            fn put(&self, _w: &mut ByteWriter) {
+                $(self.$i.put(_w);)*
+            }
+            fn take(_r: &mut ByteReader<'_>) -> Result<Self::Owned, ProtocolError> {
+                Ok(($($t::take(_r)?,)*))
+            }
+        }
+    };
+}
+
+tuple!();
+tuple!(A 0, B 1);
+tuple!(A 0, B 1, C 2);
+tuple!(A 0, B 1, C 2, D 3);
+
+/// Reads an owned field, its type inferred from where it goes.
+fn take<T: Field<Owned = T>>(r: &mut ByteReader<'_>) -> Result<T, ProtocolError> {
+    T::take(r)
+}
+
+/// Reads a stage list; stages past the ones this build knows land in a
+/// spare slot and are dropped.
+fn take_stages(r: &mut ByteReader<'_>) -> Result<StageBreakdown, ProtocolError> {
+    let (mut stages, mut spare, count) = (StageBreakdown::default(), 0, r.get_u8()?);
+    let mut slots = stages.ns.iter_mut();
+    // `()` elements: the one bounded reader, with nothing to reserve.
+    r.get_seq(count.into(), 8, |r| {
+        *slots.next().unwrap_or(&mut spare) = r.get_u64_le()?;
+        Ok::<_, ProtocolError>(())
+    })?;
+    Ok(stages)
+}
+
+/// Reads a `rows × cols` `f32` block, its shape given by earlier fields.
+fn take_rows(r: &mut ByteReader<'_>, rows: usize, cols: usize) -> Result<Matrix, ProtocolError> {
+    let elems = rows.checked_mul(cols).ok_or(ProtocolError::Truncated)?;
+    let data = r.get_seq(elems, 4, ByteReader::get_f32_le)?;
+    Ok(Matrix::from_vec(rows, cols, data))
+}
+
+/// The trailer rule: what follows a message's last field is a trace
+/// context of at most `words` `u64`s, and nothing else.
+fn trailer(r: &mut ByteReader<'_>, words: usize) -> Result<Option<TraceCtx>, ProtocolError> {
+    Ok(match (r.remaining(), words) {
+        (0, _) => None,
+        (8, 1..) => Some(TraceCtx::new(r.get_u64_le()?)),
+        (16, 2..) => Some(TraceCtx::with_parent(r.get_u64_le()?, r.get_u64_le()?)),
+        _ => return Err(ProtocolError::BadField("trailer")),
     })
 }
 
-/// Reads a `u32` count and that many `u64` indices: the one index-list
-/// reader of the request decoders. `budget` is how many indices the
-/// frame may still carry. The count is checked against the budget and
-/// against the bytes actually left *before* anything is reserved, so a
-/// 25-byte frame claiming a million indices costs its sender's peer
-/// nothing.
-fn take_indices(r: &mut ByteReader<'_>, budget: usize) -> Result<Vec<u64>, ProtocolError> {
-    let count = r.get_u32_le()? as usize;
-    if count > budget {
-        return Err(ProtocolError::BadField("index count"));
-    }
-    if count > r.remaining() / 8 {
-        return Err(ProtocolError::Truncated);
-    }
-    let mut indices = Vec::with_capacity(count);
-    for _ in 0..count {
-        indices.push(r.get_u64_le()?);
-    }
-    Ok(indices)
-}
-
-/// Encodes a `Generate` request payload.
-pub fn encode_generate(
-    request_id: u64,
-    table: usize,
-    indices: &[u64],
-    deadline: Option<Duration>,
-) -> Vec<u8> {
-    encode_generate_traced(request_id, table, indices, deadline, None)
-}
-
-/// Encodes a `Generate` request payload with an optional trace context.
-pub fn encode_generate_traced(
-    request_id: u64,
-    table: usize,
-    indices: &[u64],
-    deadline: Option<Duration>,
-    trace: Option<TraceCtx>,
-) -> Vec<u8> {
-    let mut w = ByteWriter::with_capacity(41 + indices.len() * 8);
-    w.put_u8(TAG_GENERATE);
-    w.put_u64_le(request_id);
-    w.put_u32_le(table as u32);
-    w.put_u64_le(deadline.map_or(0, |d| d.as_nanos() as u64));
-    w.put_u32_le(indices.len() as u32);
-    for &i in indices {
-        w.put_u64_le(i);
-    }
-    put_trailing_trace(&mut w, trace);
+/// Encodes one message into an exactly-sized buffer: tag, request id,
+/// `fields` in order, an `f32` row block, then the trace trailer.
+fn frame(tag: u8, id: u64, fields: impl Field, rows: &[f32], trace: Option<TraceCtx>) -> Vec<u8> {
+    let words = trace.map_or([None; 2], |t| [Some(t.trace_id), t.parent_span]);
+    let trailer = words.iter().flatten();
+    let mut w =
+        ByteWriter::with_capacity(9 + fields.size() + 4 * rows.len() + 8 * trailer.clone().count());
+    w.put_u8(tag);
+    (id, fields).put(&mut w);
+    rows.iter().for_each(|&v| w.put_f32_le(v));
+    trailer.for_each(|&word| w.put_u64_le(word));
     w.into_vec()
 }
 
-/// Encodes an `Update` request payload.
-///
-/// # Panics
-///
-/// Panics if `deltas` is not `indices.len() × dim` for some `dim`.
-pub fn encode_update(
-    request_id: u64,
-    table: usize,
-    indices: &[u64],
-    deltas: &Matrix,
-    deadline: Option<Duration>,
-) -> Vec<u8> {
-    encode_update_traced(request_id, table, indices, deltas, deadline, None)
+/// Whether an `Embeddings` reply of `rows × cols`, header included, fits
+/// in the [`DEFAULT_MAX_FRAME`] a peer reads: both doors refuse any other.
+pub fn reply_fits(rows: usize, cols: usize) -> bool {
+    let header = 9 + (0usize, 0usize, StageBreakdown::default()).size() + 8;
+    let block = rows.checked_mul(cols).and_then(|n| n.checked_mul(4));
+    block.is_some_and(|block| block <= DEFAULT_MAX_FRAME - header)
 }
 
-/// Encodes an `Update` request payload with an optional trace context.
+/// The encoders of messages without a row block, one line of schema
+/// each: `TAG = number: name(parameters after the request id) => fields
+/// in byte order, trace trailer`.
+macro_rules! encoders {
+    ($($(#[$doc:meta])* $tag:ident $(= $n:literal)?: $name:ident($($p:ident: $t:ty),*)
+        => $fields:expr, $trace:expr;)*) => {$(
+        $(const $tag: u8 = $n;)?
+        $(#[$doc])*
+        pub fn $name(request_id: u64 $(, $p: $t)*) -> Vec<u8> {
+            frame($tag, request_id, $fields, &[], $trace)
+        }
+    )*};
+}
+
+encoders! {
+    /// `Generate` (tag 1): `u32` table, `u64` deadline ns (0 = none), `u32`
+    /// count, `count × u64` indices.
+    TAG_GENERATE = 1: encode_generate(table: usize, indices: &[u64], deadline: Option<Duration>)
+        => (table, deadline, indices), None;
+    /// [`encode_generate`] with an optional trace context.
+    TAG_GENERATE: encode_generate_traced(table: usize, indices: &[u64],
+        deadline: Option<Duration>, trace: Option<TraceCtx>) => (table, deadline, indices), trace;
+    /// `Tables` (tag 2): lists the served tables.
+    TAG_TABLES = 2: encode_tables_request() => (), None;
+    /// `Stats` (tag 3): fetches the statistics snapshot.
+    TAG_STATS = 3: encode_stats_request() => (), None;
+    /// `Metrics` (tag 4): fetches the metrics registry's text exposition.
+    TAG_METRICS = 4: encode_metrics_request() => (), None;
+    /// `GenerateMulti` (tag 5): `u64` deadline ns (0 = none), `u32` part
+    /// count, then per part `u32` table, `u32` count, `count × u64` indices.
+    TAG_GENERATE_MULTI = 5: encode_generate_multi(parts: &[(usize, Vec<u64>)],
+        deadline: Option<Duration>, trace: Option<TraceCtx>) => (deadline, parts), trace;
+    /// `PlanPull` (tag 6): fetches the active plan, if any.
+    TAG_PLAN_PULL = 6: encode_plan_pull() => (), None;
+    /// `PlanPush` (tag 7): string, the plan JSON to install.
+    TAG_PLAN_PUSH = 7: encode_plan_push(plan_json: &str) => plan_json, None;
+    /// `Hello` (tag 8): string, the peer's role; answered with `Tables`.
+    TAG_HELLO = 8: encode_hello(role: &str) => role, None;
+    /// `Traces` (tag 10): drains the peer's buffered spans.
+    TAG_TRACES = 10: encode_traces_request() => (), None;
+    /// `Tables` response (tag 3): `u32` count, then per table `u64` rows,
+    /// `u32` dim, `f64` per-query ns, string technique label.
+    TAG_TABLES_RESP = 3: encode_table_list(tables: &[(u64, usize, f64, String)]) => tables, None;
+    /// `Stats` response (tag 4): string, the JSON snapshot.
+    TAG_STATS_RESP = 4: encode_stats(json: &str) => json, None;
+    /// `Metrics` response (tag 5): string, the Prometheus text exposition.
+    TAG_METRICS_RESP = 5: encode_metrics(text: &str) => text, None;
+    /// `Plan` response (tag 6): `u8` present flag, string (the plan JSON).
+    TAG_PLAN_RESP = 6: encode_plan(json: Option<&str>)
+        => (json.is_some(), json.unwrap_or("")), None;
+    /// `PlanAck` response (tag 7): `u8` ok flag, `u64` epoch, string error.
+    TAG_PLAN_ACK = 7: encode_plan_ack(ok: bool, epoch: u64, error: &str)
+        => (ok, epoch, error), None;
+    /// `Traces` response (tag 8): string, the drained spans as JSONL.
+    TAG_TRACES_RESP = 8: encode_traces(jsonl: &str) => jsonl, None;
+}
+
+/// `Update` (tag 9): `u32` table, `u64` deadline ns (0 = none), `u32`
+/// count, `count × u64` indices, `u32` dim, `count·dim × f32` delta rows,
+/// then an optional trace context; answered with the updated rows.
 ///
 /// # Panics
 ///
@@ -300,446 +357,125 @@ pub fn encode_update_traced(
     deadline: Option<Duration>,
     trace: Option<TraceCtx>,
 ) -> Vec<u8> {
-    assert_eq!(
-        deltas.rows(),
-        indices.len(),
-        "encode_update: one delta row per index"
-    );
-    let mut w = ByteWriter::with_capacity(45 + indices.len() * 8 + deltas.len() * 4);
-    w.put_u8(TAG_UPDATE);
-    w.put_u64_le(request_id);
-    w.put_u32_le(table as u32);
-    w.put_u64_le(deadline.map_or(0, |d| d.as_nanos() as u64));
-    w.put_u32_le(indices.len() as u32);
-    for &i in indices {
-        w.put_u64_le(i);
+    assert_eq!(deltas.rows(), indices.len(), "one delta row per index");
+    let fields = (table, deadline, indices, deltas.cols());
+    frame(TAG_UPDATE, request_id, fields, deltas.as_slice(), trace)
+}
+
+/// `Embeddings` (tag 1): `u32` rows, `u32` cols, `u8` stage count, `count
+/// × u64` per-stage ns ([`Stage::ALL`] order), `rows·cols × f32`; or
+/// `Rejected` (tag 2): `u8` reason code ([`RejectReason::index`]). Either
+/// echoes the request's trace id when it carried one.
+pub fn encode_response_traced(id: u64, response: &Response, trace_id: Option<u64>) -> Vec<u8> {
+    let trace = trace_id.map(TraceCtx::new);
+    match response {
+        Response::Embeddings(m, stages) => frame(
+            TAG_EMBEDDINGS,
+            id,
+            (m.rows(), m.cols(), stages),
+            m.as_slice(),
+            trace,
+        ),
+        Response::Rejected(reason) => frame(TAG_REJECTED, id, reason, &[], trace),
     }
-    w.put_u32_le(deltas.cols() as u32);
-    for &v in deltas.as_slice() {
-        w.put_f32_le(v);
-    }
-    put_trailing_trace(&mut w, trace);
-    w.into_vec()
 }
 
-/// Encodes a `GenerateMulti` request payload with an optional trace
-/// context.
-pub fn encode_generate_multi(
-    request_id: u64,
-    parts: &[(usize, Vec<u64>)],
-    deadline: Option<Duration>,
-    trace: Option<TraceCtx>,
-) -> Vec<u8> {
-    let total: usize = parts.iter().map(|(_, ix)| ix.len()).sum();
-    let mut w = ByteWriter::with_capacity(37 + parts.len() * 8 + total * 8);
-    w.put_u8(TAG_GENERATE_MULTI);
-    w.put_u64_le(request_id);
-    w.put_u64_le(deadline.map_or(0, |d| d.as_nanos() as u64));
-    w.put_u32_le(parts.len() as u32);
-    for (table, indices) in parts {
-        w.put_u32_le(*table as u32);
-        w.put_u32_le(indices.len() as u32);
-        for &i in indices {
-            w.put_u64_le(i);
-        }
-    }
-    put_trailing_trace(&mut w, trace);
-    w.into_vec()
-}
-
-/// Encodes a `PlanPull` request payload.
-pub fn encode_plan_pull(request_id: u64) -> Vec<u8> {
-    let mut w = ByteWriter::with_capacity(9);
-    w.put_u8(TAG_PLAN_PULL);
-    w.put_u64_le(request_id);
-    w.into_vec()
-}
-
-/// Encodes a `PlanPush` request payload.
-pub fn encode_plan_push(request_id: u64, plan_json: &str) -> Vec<u8> {
-    let mut w = ByteWriter::with_capacity(13 + plan_json.len());
-    w.put_u8(TAG_PLAN_PUSH);
-    w.put_u64_le(request_id);
-    w.put_str(plan_json);
-    w.into_vec()
-}
-
-/// Encodes a `Hello` request payload.
-pub fn encode_hello(request_id: u64, role: &str) -> Vec<u8> {
-    let mut w = ByteWriter::with_capacity(13 + role.len());
-    w.put_u8(TAG_HELLO);
-    w.put_u64_le(request_id);
-    w.put_str(role);
-    w.into_vec()
-}
-
-/// Encodes a `Tables` request payload.
-pub fn encode_tables_request(request_id: u64) -> Vec<u8> {
-    let mut w = ByteWriter::with_capacity(9);
-    w.put_u8(TAG_TABLES);
-    w.put_u64_le(request_id);
-    w.into_vec()
-}
-
-/// Encodes a `Stats` request payload.
-pub fn encode_stats_request(request_id: u64) -> Vec<u8> {
-    let mut w = ByteWriter::with_capacity(9);
-    w.put_u8(TAG_STATS);
-    w.put_u64_le(request_id);
-    w.into_vec()
-}
-
-/// Encodes a `Metrics` request payload.
-pub fn encode_metrics_request(request_id: u64) -> Vec<u8> {
-    let mut w = ByteWriter::with_capacity(9);
-    w.put_u8(TAG_METRICS);
-    w.put_u64_le(request_id);
-    w.into_vec()
-}
-
-/// Encodes a `Traces` request payload (drain the peer's span buffer).
-pub fn encode_traces_request(request_id: u64) -> Vec<u8> {
-    let mut w = ByteWriter::with_capacity(9);
-    w.put_u8(TAG_TRACES);
-    w.put_u64_le(request_id);
-    w.into_vec()
-}
-
-/// Decodes a client message payload into its request id and message.
-///
-/// # Errors
-///
-/// Returns [`ProtocolError`] on a truncated payload, unknown tag, or an
-/// index count above [`MAX_INDICES`].
+/// [`decode_client_traced`] without the trace context.
 pub fn decode_client(payload: &[u8]) -> Result<(u64, ClientMsg), ProtocolError> {
     decode_client_traced(payload).map(|(id, msg, _)| (id, msg))
 }
 
-/// Decodes a client message payload, also returning the optional
-/// trailing trace context on `Generate`/`Update`/`GenerateMulti`.
+/// Decodes a client message payload into its request id, message and the
+/// trace context trailing a lookup.
 ///
 /// # Errors
 ///
-/// Same as [`decode_client`].
+/// Returns [`ProtocolError`] on a truncated payload, an unknown tag, a
+/// request past [`MAX_INDICES`]/[`MAX_PARTS`], or a tail the trailer rule
+/// does not allow.
 pub fn decode_client_traced(
     payload: &[u8],
 ) -> Result<(u64, ClientMsg, Option<TraceCtx>), ProtocolError> {
-    let mut r = ByteReader::new(payload);
-    let tag = r.get_u8()?;
-    let request_id = r.get_u64_le()?;
-    let mut trace = None;
+    use ClientMsg::*;
+    let r = &mut ByteReader::new(payload);
+    let (tag, request_id) = (r.get_u8()?, r.get_u64_le()?);
     let msg = match tag {
-        TAG_GENERATE => {
-            let table = r.get_u32_le()? as usize;
-            let deadline_ns = r.get_u64_le()?;
-            let indices = take_indices(&mut r, MAX_INDICES)?;
-            trace = take_trailing_trace(&mut r)?;
-            ClientMsg::Generate {
-                table,
-                indices,
-                deadline: (deadline_ns > 0).then(|| Duration::from_nanos(deadline_ns)),
-            }
-        }
+        TAG_GENERATE => take(r).map(|(table, deadline, indices)| Generate {
+            table,
+            indices,
+            deadline,
+        })?,
         TAG_UPDATE => {
-            let table = r.get_u32_le()? as usize;
-            let deadline_ns = r.get_u64_le()?;
-            let indices = take_indices(&mut r, MAX_INDICES)?;
-            let count = indices.len();
-            let dim = r.get_u32_le()? as usize;
-            // Bound the allocation by what the payload can actually hold
-            // before trusting count·dim; the trailing trace context may
-            // occupy 8 or 16 bytes past the rows.
-            let elems = count
-                .checked_mul(dim)
-                .filter(|&e| {
-                    e * 4 == r.remaining()
-                        || e * 4 + 8 == r.remaining()
-                        || e * 4 + 16 == r.remaining()
-                })
-                .ok_or(ProtocolError::BadField("delta shape"))?;
-            let mut data = Vec::with_capacity(elems);
-            for _ in 0..elems {
-                data.push(r.get_f32_le()?);
-            }
-            trace = take_trailing_trace(&mut r)?;
-            ClientMsg::Update {
+            let (table, deadline, indices, dim): (_, _, Vec<_>, _) = take(r)?;
+            let deltas = take_rows(r, indices.len(), dim)?;
+            Update {
                 table,
                 indices,
-                deltas: Matrix::from_vec(count, dim, data),
-                deadline: (deadline_ns > 0).then(|| Duration::from_nanos(deadline_ns)),
+                deltas,
+                deadline,
             }
         }
-        TAG_GENERATE_MULTI => {
-            let deadline_ns = r.get_u64_le()?;
-            let n_parts = r.get_u32_le()? as usize;
-            if n_parts > MAX_PARTS {
-                return Err(ProtocolError::BadField("part count"));
-            }
-            // Every part is at least its 8-byte header.
-            if n_parts > r.remaining() / 8 {
-                return Err(ProtocolError::Truncated);
-            }
-            let mut parts = Vec::with_capacity(n_parts);
-            let mut budget = MAX_INDICES;
-            for _ in 0..n_parts {
-                let table = r.get_u32_le()? as usize;
-                let indices = take_indices(&mut r, budget)?;
-                budget -= indices.len();
-                parts.push((table, indices));
-            }
-            trace = take_trailing_trace(&mut r)?;
-            ClientMsg::GenerateMulti {
-                parts,
-                deadline: (deadline_ns > 0).then(|| Duration::from_nanos(deadline_ns)),
-            }
-        }
-        TAG_PLAN_PULL => ClientMsg::PlanPull,
-        TAG_PLAN_PUSH => ClientMsg::PlanPush(r.get_str()?),
-        TAG_HELLO => ClientMsg::Hello(r.get_str()?),
-        TAG_TABLES => ClientMsg::Tables,
-        TAG_STATS => ClientMsg::Stats,
-        TAG_METRICS => ClientMsg::Metrics,
-        TAG_TRACES => ClientMsg::Traces,
+        TAG_GENERATE_MULTI => take(r).map(|(deadline, parts)| GenerateMulti { parts, deadline })?,
+        TAG_PLAN_PULL => PlanPull,
+        TAG_PLAN_PUSH => PlanPush(take(r)?),
+        TAG_HELLO => Hello(take(r)?),
+        TAG_TABLES => Tables,
+        TAG_STATS => Stats,
+        TAG_METRICS => Metrics,
+        TAG_TRACES => Traces,
         t => return Err(ProtocolError::BadTag(t)),
     };
-    Ok((request_id, msg, trace))
-}
-
-/// Encodes an engine [`Response`] as a server message payload.
-pub fn encode_response(request_id: u64, response: &Response) -> Vec<u8> {
-    encode_response_traced(request_id, response, None)
-}
-
-/// Encodes an engine [`Response`], echoing a trace id when the request
-/// carried one. The trace travels as a trailing `u64`, which an old
-/// decoder on the `Rejected` path simply ignores; it is only appended
-/// when the requester asked for it, so peers that never send trace ids
-/// never see one.
-pub fn encode_response_traced(
-    request_id: u64,
-    response: &Response,
-    trace_id: Option<u64>,
-) -> Vec<u8> {
-    match response {
-        Response::Embeddings(m, stages) => {
-            let n_stages = Stage::ALL.len();
-            let mut w = ByteWriter::with_capacity(26 + n_stages * 8 + m.len() * 4);
-            w.put_u8(TAG_EMBEDDINGS);
-            w.put_u64_le(request_id);
-            w.put_u32_le(m.rows() as u32);
-            w.put_u32_le(m.cols() as u32);
-            w.put_u8(n_stages as u8);
-            for (_, ns) in stages.iter() {
-                w.put_u64_le(ns);
-            }
-            for &v in m.as_slice() {
-                w.put_f32_le(v);
-            }
-            if let Some(t) = trace_id {
-                w.put_u64_le(t);
-            }
-            w.into_vec()
-        }
-        Response::Rejected(reason) => {
-            let mut w = ByteWriter::with_capacity(18);
-            w.put_u8(TAG_REJECTED);
-            w.put_u64_le(request_id);
-            w.put_u8(reason.index() as u8);
-            if let Some(t) = trace_id {
-                w.put_u64_le(t);
-            }
-            w.into_vec()
-        }
+    // Lookups may carry a trace, and must keep to the request limits.
+    let (words, parts, indices) = match &msg {
+        Generate { indices: ix, .. } | Update { indices: ix, .. } => (2, 1, ix.len()),
+        GenerateMulti { parts, .. } => (2, parts.len(), parts.iter().map(|p| p.1.len()).sum()),
+        _ => (0, 0, 0),
+    };
+    if parts > MAX_PARTS || indices > MAX_INDICES {
+        return Err(ProtocolError::BadField("request size"));
     }
+    Ok((request_id, msg, trailer(r, words)?))
 }
 
-/// Encodes the `Tables` response payload.
-pub fn encode_tables(request_id: u64, tables: &[TableInfo]) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_u8(TAG_TABLES_RESP);
-    w.put_u64_le(request_id);
-    w.put_u32_le(tables.len() as u32);
-    for t in tables {
-        w.put_u64_le(t.rows);
-        w.put_u32_le(t.dim as u32);
-        w.put_f64_le(t.per_query_ns);
-        w.put_str(t.technique.label());
-    }
-    w.into_vec()
-}
-
-/// Encodes the `Stats` response payload.
-pub fn encode_stats(request_id: u64, json: &str) -> Vec<u8> {
-    let mut w = ByteWriter::with_capacity(13 + json.len());
-    w.put_u8(TAG_STATS_RESP);
-    w.put_u64_le(request_id);
-    w.put_str(json);
-    w.into_vec()
-}
-
-/// Encodes the `Metrics` response payload.
-pub fn encode_metrics(request_id: u64, text: &str) -> Vec<u8> {
-    let mut w = ByteWriter::with_capacity(13 + text.len());
-    w.put_u8(TAG_METRICS_RESP);
-    w.put_u64_le(request_id);
-    w.put_str(text);
-    w.into_vec()
-}
-
-/// Encodes a raw `Tables` response from decoded tuples (used by the
-/// router, which forwards a backend's inventory without holding
-/// engine-side [`TableInfo`] values).
-pub fn encode_table_list(request_id: u64, tables: &[(u64, usize, f64, String)]) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_u8(TAG_TABLES_RESP);
-    w.put_u64_le(request_id);
-    w.put_u32_le(tables.len() as u32);
-    for (rows, dim, per_query_ns, label) in tables {
-        w.put_u64_le(*rows);
-        w.put_u32_le(*dim as u32);
-        w.put_f64_le(*per_query_ns);
-        w.put_str(label);
-    }
-    w.into_vec()
-}
-
-/// Encodes the `Plan` response payload.
-pub fn encode_plan(request_id: u64, plan_json: Option<&str>) -> Vec<u8> {
-    let json = plan_json.unwrap_or("");
-    let mut w = ByteWriter::with_capacity(14 + json.len());
-    w.put_u8(TAG_PLAN_RESP);
-    w.put_u64_le(request_id);
-    w.put_u8(u8::from(plan_json.is_some()));
-    w.put_str(json);
-    w.into_vec()
-}
-
-/// Encodes the `PlanAck` response payload.
-pub fn encode_plan_ack(request_id: u64, ok: bool, epoch: u64, error: &str) -> Vec<u8> {
-    let mut w = ByteWriter::with_capacity(22 + error.len());
-    w.put_u8(TAG_PLAN_ACK);
-    w.put_u64_le(request_id);
-    w.put_u8(u8::from(ok));
-    w.put_u64_le(epoch);
-    w.put_str(error);
-    w.into_vec()
-}
-
-/// Encodes the `Traces` response payload (the peer's drained spans as
-/// JSONL text).
-pub fn encode_traces(request_id: u64, jsonl: &str) -> Vec<u8> {
-    let mut w = ByteWriter::with_capacity(13 + jsonl.len());
-    w.put_u8(TAG_TRACES_RESP);
-    w.put_u64_le(request_id);
-    w.put_str(jsonl);
-    w.into_vec()
-}
-
-/// Decodes a server message payload into its request id and message.
-///
-/// # Errors
-///
-/// Returns [`ProtocolError`] on truncation, an unknown tag, an unknown
-/// reject code, or an implausible embedding shape.
+/// [`decode_server_traced`] without the trace id.
 pub fn decode_server(payload: &[u8]) -> Result<(u64, ServerMsg), ProtocolError> {
     decode_server_traced(payload).map(|(id, msg, _)| (id, msg))
 }
 
-/// Decodes a server message payload, also returning the optional
-/// trailing trace id on `Embeddings`/`Rejected`.
+/// Decodes a server message payload into its request id, message and the
+/// trace id an `Embeddings` or `Rejected` echoes.
 ///
 /// # Errors
 ///
-/// Same as [`decode_server`].
+/// Returns [`ProtocolError`] on a truncated payload, an unknown tag or
+/// reject code, or a tail the trailer rule does not allow.
 pub fn decode_server_traced(
     payload: &[u8],
 ) -> Result<(u64, ServerMsg, Option<u64>), ProtocolError> {
-    let mut r = ByteReader::new(payload);
-    let tag = r.get_u8()?;
-    let request_id = r.get_u64_le()?;
-    let mut trace_id = None;
+    use ServerMsg::*;
+    let r = &mut ByteReader::new(payload);
+    let (tag, request_id) = (r.get_u8()?, r.get_u64_le()?);
     let msg = match tag {
         TAG_EMBEDDINGS => {
-            let rows = r.get_u32_le()? as usize;
-            let cols = r.get_u32_le()? as usize;
-            let n_stages = r.get_u8()? as usize;
-            if n_stages > MAX_STAGES {
-                return Err(ProtocolError::BadField("stage count"));
-            }
-            let mut stages = StageBreakdown::default();
-            for i in 0..n_stages {
-                let ns = r.get_u64_le()?;
-                if let Some(&stage) = Stage::ALL.get(i) {
-                    stages.set(stage, ns);
-                }
-            }
-            // The payload may end with a trailing 8-byte trace id.
-            let elems = rows
-                .checked_mul(cols)
-                .filter(|&e| e * 4 == r.remaining() || e * 4 + 8 == r.remaining())
-                .ok_or(ProtocolError::BadField("embedding shape"))?;
-            let mut data = Vec::with_capacity(elems);
-            for _ in 0..elems {
-                data.push(r.get_f32_le()?);
-            }
-            if r.remaining() == 8 {
-                trace_id = Some(r.get_u64_le()?);
-            }
-            ServerMsg::Embeddings(Matrix::from_vec(rows, cols, data), stages)
+            let (rows, cols, stages) = take(r)?;
+            Embeddings(take_rows(r, rows, cols)?, stages)
         }
-        TAG_REJECTED => {
-            let code = r.get_u8()? as usize;
-            let reason = *RejectReason::ALL
-                .get(code)
-                .ok_or(ProtocolError::BadField("reject code"))?;
-            if r.remaining() == 8 {
-                trace_id = Some(r.get_u64_le()?);
-            }
-            ServerMsg::Rejected(reason)
-        }
-        TAG_TABLES_RESP => {
-            let count = r.get_u32_le()? as usize;
-            if count > 1 << 16 {
-                return Err(ProtocolError::BadField("table count"));
-            }
-            // As in `take_indices`: no reserving past what the bytes can
-            // hold (an entry with an empty label encodes to 24).
-            if count > r.remaining() / 24 {
-                return Err(ProtocolError::Truncated);
-            }
-            let mut tables = Vec::with_capacity(count);
-            for _ in 0..count {
-                let rows = r.get_u64_le()?;
-                let dim = r.get_u32_le()? as usize;
-                let per_query_ns = r.get_f64_le()?;
-                let label = r.get_str()?;
-                tables.push((rows, dim, per_query_ns, label));
-            }
-            ServerMsg::Tables(tables)
-        }
-        TAG_STATS_RESP => ServerMsg::Stats(r.get_str()?),
-        TAG_METRICS_RESP => ServerMsg::Metrics(r.get_str()?),
-        TAG_PLAN_RESP => {
-            let present = r.get_u8()? != 0;
-            let json = r.get_str()?;
-            ServerMsg::Plan(present.then_some(json))
-        }
-        TAG_PLAN_ACK => {
-            let ok = r.get_u8()? != 0;
-            let epoch = r.get_u64_le()?;
-            let error = r.get_str()?;
-            ServerMsg::PlanAck { ok, epoch, error }
-        }
-        TAG_TRACES_RESP => ServerMsg::Traces(r.get_str()?),
+        TAG_REJECTED => Rejected(take(r)?),
+        TAG_TABLES_RESP => Tables(take(r)?),
+        TAG_STATS_RESP => Stats(take(r)?),
+        TAG_METRICS_RESP => Metrics(take(r)?),
+        TAG_PLAN_RESP => take(r).map(|(present, json)| Plan(bool::then_some(present, json)))?,
+        TAG_PLAN_ACK => take(r).map(|(ok, epoch, error)| PlanAck { ok, epoch, error })?,
+        TAG_TRACES_RESP => Traces(take(r)?),
         t => return Err(ProtocolError::BadTag(t)),
     };
-    Ok((request_id, msg, trace_id))
+    let words = usize::from(matches!(msg, Embeddings(..) | Rejected(_)));
+    Ok((request_id, msg, trailer(r, words)?.map(|t| t.trace_id)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use secemb::Technique;
 
     #[test]
     fn generate_round_trips() {
@@ -782,16 +518,16 @@ mod tests {
         let mut stages = StageBreakdown::default();
         stages.set(Stage::Queue, 1_234);
         stages.set(Stage::Generate, u64::MAX);
-        let back = decode_server(&encode_response(
-            9,
-            &Response::Embeddings(m.clone(), stages),
-        ))
-        .unwrap();
+        let embeddings = Response::Embeddings(m.clone(), stages);
+        let back = decode_server(&encode_response_traced(9, &embeddings, None)).unwrap();
         assert_eq!(back, (9, ServerMsg::Embeddings(m, stages)));
 
         for reason in RejectReason::ALL {
-            let back = decode_server(&encode_response(11, &Response::Rejected(reason))).unwrap();
-            assert_eq!(back, (11, ServerMsg::Rejected(reason)));
+            let frame = encode_response_traced(11, &Response::Rejected(reason), None);
+            assert_eq!(
+                decode_server(&frame).unwrap(),
+                (11, ServerMsg::Rejected(reason))
+            );
         }
     }
 
@@ -799,8 +535,9 @@ mod tests {
     fn ids_are_echoed_not_invented() {
         // Distinct ids on otherwise-identical messages stay distinct —
         // the correlation a pipelined client depends on.
-        let a = encode_response(1, &Response::Rejected(RejectReason::QueueFull));
-        let b = encode_response(2, &Response::Rejected(RejectReason::QueueFull));
+        let full = Response::Rejected(RejectReason::QueueFull);
+        let a = encode_response_traced(1, &full, None);
+        let b = encode_response_traced(2, &full, None);
         assert_ne!(a, b);
         assert_eq!(decode_server(&a).unwrap().0, 1);
         assert_eq!(decode_server(&b).unwrap().0, 2);
@@ -808,18 +545,12 @@ mod tests {
 
     #[test]
     fn tables_and_stats_round_trip() {
-        let info = TableInfo {
-            rows: 4096,
-            dim: 64,
-            technique: Technique::Dhe,
-            per_query_ns: 1234.5,
-            supports_updates: false,
-        };
-        let back = decode_server(&encode_tables(3, &[info])).unwrap();
-        assert_eq!(
-            back,
-            (3, ServerMsg::Tables(vec![(4096, 64, 1234.5, "DHE".into())]))
-        );
+        let tables = vec![
+            (4096, 64, 1234.5, "DHE".to_string()),
+            (8, 2, 0.5, String::new()),
+        ];
+        let back = decode_server(&encode_table_list(3, &tables)).unwrap();
+        assert_eq!(back, (3, ServerMsg::Tables(tables)));
 
         let back = decode_server(&encode_stats(8, "{\"a\":1}")).unwrap();
         assert_eq!(back, (8, ServerMsg::Stats("{\"a\":1}".into())));
@@ -848,20 +579,19 @@ mod tests {
         // Generate claiming absurd count (count field sits after tag+id+table+deadline).
         let mut bad = encode_generate(0, 0, &[1], None);
         bad[21..25].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(decode_client(&bad).is_err());
-        // Embeddings whose declared shape disagrees with the payload
-        // (the rows field sits right after the tag and id).
-        let mut bad = encode_response(
-            0,
-            &Response::Embeddings(Matrix::zeros(2, 2), StageBreakdown::default()),
-        );
+        assert_eq!(decode_client(&bad), Err(ProtocolError::Truncated));
+        // Embeddings whose declared rows the payload does not hold (the
+        // rows field sits right after the tag and id).
+        let two_by_two = Response::Embeddings(Matrix::zeros(2, 2), StageBreakdown::default());
+        let mut bad = encode_response_traced(0, &two_by_two, None);
         bad[9..13].copy_from_slice(&3u32.to_le_bytes());
-        assert_eq!(
-            decode_server(&bad),
-            Err(ProtocolError::BadField("embedding shape"))
-        );
+        assert_eq!(decode_server(&bad), Err(ProtocolError::Truncated));
+        // ...and one row fewer than it holds leaves 8 bytes: read as a
+        // trace echo, not dropped.
+        bad[9..13].copy_from_slice(&1u32.to_le_bytes());
+        assert_eq!(decode_server_traced(&bad).unwrap().2, Some(0));
         // Unknown reject code.
-        let mut bad = encode_response(0, &Response::Rejected(RejectReason::QueueFull));
+        let mut bad = encode_response_traced(0, &Response::Rejected(RejectReason::QueueFull), None);
         *bad.last_mut().unwrap() = 200;
         assert_eq!(
             decode_server(&bad),
@@ -872,19 +602,19 @@ mod tests {
     #[test]
     fn update_round_trips() {
         let deltas = Matrix::from_fn(3, 4, |r, c| (r * 4 + c) as f32 * 0.5 - 1.0);
-        let payload = encode_update(21, 2, &[9, 0, 5], &deltas, Some(Duration::from_millis(8)));
-        let (id, msg) = decode_client(&payload).unwrap();
-        assert_eq!(id, 21);
+        let ms8 = Some(Duration::from_millis(8));
+        let payload = encode_update_traced(21, 2, &[9, 0, 5], &deltas, ms8, None);
+        let (id, msg, trace) = decode_client_traced(&payload).unwrap();
+        assert_eq!((id, trace), (21, None));
         assert_eq!(
             msg,
             ClientMsg::Update {
                 table: 2,
                 indices: vec![9, 0, 5],
                 deltas: deltas.clone(),
-                deadline: Some(Duration::from_millis(8)),
+                deadline: ms8,
             }
         );
-        // Traced frames carry the trailing context; untraced ones yield None.
         let traced = encode_update_traced(
             22,
             0,
@@ -896,16 +626,12 @@ mod tests {
         let (id, msg, trace) = decode_client_traced(&traced).unwrap();
         assert_eq!((id, trace), (22, Some(TraceCtx::new(0xABCD))));
         assert!(matches!(msg, ClientMsg::Update { deadline: None, .. }));
-        assert_eq!(decode_client_traced(&payload).unwrap().2, None);
         // A delta count that disagrees with the payload is rejected (the
         // dim field sits after tag+id+table+deadline+count+indices).
-        let mut bad = encode_update(0, 0, &[1], &Matrix::zeros(1, 2), None);
+        let mut bad = encode_update_traced(0, 0, &[1], &Matrix::zeros(1, 2), None, None);
         let dim_at = 1 + 8 + 4 + 8 + 4 + 8;
         bad[dim_at..dim_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert_eq!(
-            decode_client(&bad),
-            Err(ProtocolError::BadField("delta shape"))
-        );
+        assert_eq!(decode_client(&bad), Err(ProtocolError::Truncated));
     }
 
     #[test]
@@ -926,20 +652,13 @@ mod tests {
 
     #[test]
     fn trace_ids_ride_as_trailing_u64s() {
-        // Request side: traced frames decode with the trace, and the
-        // legacy decoder still accepts them (it ignores trailing bytes).
         let traced = encode_generate_traced(5, 1, &[4, 5], None, Some(TraceCtx::new(0xFEED)));
         let (id, msg, trace) = decode_client_traced(&traced).unwrap();
         assert_eq!((id, trace), (5, Some(TraceCtx::new(0xFEED))));
         assert!(matches!(msg, ClientMsg::Generate { .. }));
         assert_eq!(decode_client(&traced).unwrap().0, 5);
-        // An untraced frame yields None.
-        assert_eq!(
-            decode_client_traced(&encode_generate(5, 1, &[4, 5], None))
-                .unwrap()
-                .2,
-            None
-        );
+        let untraced = encode_generate(5, 1, &[4, 5], None);
+        assert_eq!(decode_client_traced(&untraced).unwrap().2, None);
         let multi = encode_generate_multi(6, &[(0, vec![1])], None, Some(TraceCtx::new(9)));
         assert_eq!(
             decode_client_traced(&multi).unwrap().2,
@@ -956,11 +675,6 @@ mod tests {
         let (id, msg, trace) = decode_server_traced(&frame).unwrap();
         assert_eq!((id, trace), (7, Some(31)));
         assert_eq!(msg, ServerMsg::Embeddings(m, StageBreakdown::default()));
-        // Untraced decode of a traced frame still sees the embeddings.
-        assert!(matches!(
-            decode_server(&frame).unwrap().1,
-            ServerMsg::Embeddings(..)
-        ));
         let frame =
             encode_response_traced(8, &Response::Rejected(RejectReason::QueueFull), Some(99));
         let (_, msg, trace) = decode_server_traced(&frame).unwrap();
@@ -974,7 +688,6 @@ mod tests {
         let ctx = TraceCtx::with_parent(0xFEED, 0xBEEF);
         let gen = encode_generate_traced(1, 0, &[3, 4], None, Some(ctx));
         assert_eq!(decode_client_traced(&gen).unwrap().2, Some(ctx));
-        assert_eq!(decode_client(&gen).unwrap().0, 1);
         let upd = encode_update_traced(2, 0, &[1], &Matrix::zeros(1, 2), None, Some(ctx));
         assert_eq!(decode_client_traced(&upd).unwrap().2, Some(ctx));
         let multi = encode_generate_multi(3, &[(0, vec![1]), (1, vec![2])], None, Some(ctx));
@@ -982,6 +695,79 @@ mod tests {
         // The 16-byte trailer is exactly 8 bytes longer than the bare id.
         let bare = encode_generate_traced(1, 0, &[3, 4], None, Some(TraceCtx::new(0xFEED)));
         assert_eq!(gen.len(), bare.len() + 8);
+    }
+
+    #[test]
+    fn only_the_trailers_a_kind_allows_are_accepted() {
+        let tail = |frame: Vec<u8>, n: usize| [frame, vec![0xAB; n]].concat();
+        let lookup = encode_generate(1, 0, &[3], None);
+        let reply = encode_response_traced(1, &Response::Rejected(RejectReason::QueueFull), None);
+        let control = encode_plan_push(1, "{}");
+        for n in 0..=24 {
+            let client = |f: &Vec<u8>| decode_client_traced(&tail(f.clone(), n)).is_ok();
+            let server = |f: &Vec<u8>| decode_server_traced(&tail(f.clone(), n)).is_ok();
+            assert_eq!(client(&lookup), matches!(n, 0 | 8 | 16), "lookup + {n}");
+            assert_eq!(server(&reply), matches!(n, 0 | 8), "reply + {n}");
+            assert_eq!(client(&control), n == 0, "control + {n}");
+        }
+    }
+
+    #[test]
+    fn newer_peers_stages_are_read_and_ignored() {
+        // Seven stages on the wire where this build knows six.
+        let m = Matrix::from_fn(1, 2, |_, c| c as f32);
+        let mut frame = encode_response_traced(
+            4,
+            &Response::Embeddings(m.clone(), StageBreakdown::default()),
+            Some(5),
+        );
+        let stages_end = 1 + 8 + 4 + 4 + 1 + 8 * Stage::ALL.len();
+        frame[17] += 1;
+        frame.splice(stages_end..stages_end, 7u64.to_le_bytes());
+        let back = decode_server_traced(&frame).unwrap();
+        assert_eq!(
+            back,
+            (
+                4,
+                ServerMsg::Embeddings(m, StageBreakdown::default()),
+                Some(5)
+            )
+        );
+    }
+
+    #[test]
+    fn request_limits_hold_over_all_parts() {
+        let parts = vec![
+            (0, vec![0; MAX_INDICES / 2]),
+            (1, vec![0; MAX_INDICES / 2 + 1]),
+        ];
+        let frame = encode_generate_multi(1, &parts, None, None);
+        assert_eq!(
+            decode_client(&frame),
+            Err(ProtocolError::BadField("request size"))
+        );
+        let parts = vec![(0, vec![]); MAX_PARTS + 1];
+        let frame = encode_generate_multi(1, &parts, None, None);
+        assert_eq!(
+            decode_client(&frame),
+            Err(ProtocolError::BadField("request size"))
+        );
+    }
+
+    #[test]
+    fn replies_are_capped_at_one_frame() {
+        // 64 wide: 65 535 rows fit in 16 MiB with the header, 65 536 do not.
+        assert!(reply_fits(65_535, 64));
+        assert!(!reply_fits(65_536, 64));
+        let largest = encode_response_traced(
+            0,
+            &Response::Embeddings(Matrix::zeros(65_535, 64), StageBreakdown::default()),
+            Some(1),
+        );
+        assert!(largest.len() <= DEFAULT_MAX_FRAME);
+        assert!(largest.len() + 64 * 4 > DEFAULT_MAX_FRAME);
+        assert!(reply_fits(0, usize::MAX));
+        assert!(!reply_fits(usize::MAX, 2));
     }
 
     #[test]
@@ -1046,22 +832,5 @@ mod tests {
                 }
             )
         );
-    }
-
-    #[test]
-    fn table_list_re_encoding_matches_engine_encoding() {
-        let info = TableInfo {
-            rows: 512,
-            dim: 16,
-            technique: Technique::LinearScan,
-            per_query_ns: 88.5,
-            supports_updates: false,
-        };
-        let direct = encode_tables(21, &[info]);
-        let (_, msg) = decode_server(&direct).unwrap();
-        let ServerMsg::Tables(tuples) = msg else {
-            panic!("expected tables");
-        };
-        assert_eq!(encode_table_list(21, &tuples), direct);
     }
 }

@@ -13,7 +13,7 @@ use crate::engine::Engine;
 use crate::gather::{Fill, Gather};
 use crate::protocol::{
     decode_client_traced, encode_metrics, encode_plan, encode_plan_ack, encode_response_traced,
-    encode_stats, encode_tables, encode_traces, ClientMsg,
+    encode_stats, encode_table_list, encode_traces, reply_fits, ClientMsg,
 };
 use crate::reactor::{Dispatch, FrameReactor, ReactorConfig, ReplySender};
 use crate::request::{RejectReason, Request, Response};
@@ -129,6 +129,12 @@ pub(crate) fn dispatch_frame(engine: &Arc<Engine>, payload: &[u8], replies: &Rep
     let Ok((id, msg, trace)) = decode_client_traced(payload) else {
         return false;
     };
+    if !lookup_reply_fits(engine, &msg) {
+        let echo = trace.map(|t| t.trace_id);
+        let refused = Response::Rejected(RejectReason::BadRequest);
+        replies.send(encode_response_traced(id, &refused, echo));
+        return true;
+    }
     // A lookup frame is N ≥ 1 engine requests sharing the frame's
     // deadline and trace context: one per part, in part order.
     let part = |table, indices, update, deadline| Request {
@@ -183,7 +189,12 @@ pub(crate) fn dispatch_frame(engine: &Arc<Engine>, payload: &[u8], replies: &Rep
         // table inventory, which is all a router needs to bootstrap
         // placement for this backend.
         ClientMsg::Hello(_) | ClientMsg::Tables => {
-            replies.send(encode_tables(id, &engine.tables()));
+            let tables: Vec<_> = engine
+                .tables()
+                .iter()
+                .map(|t| (t.rows, t.dim, t.per_query_ns, t.technique.label().into()))
+                .collect();
+            replies.send(encode_table_list(id, &tables));
         }
         ClientMsg::Stats => {
             let json = engine.stats().snapshot().to_json();
@@ -200,6 +211,25 @@ pub(crate) fn dispatch_frame(engine: &Arc<Engine>, payload: &[u8], replies: &Rep
         }
     }
     true
+}
+
+/// Whether a lookup frame's reply fits one frame ([`reply_fits`]): all
+/// its rows at the widest of its tables. A frame naming an unknown table
+/// is the engine's to reject; other messages have no rows.
+fn lookup_reply_fits(engine: &Engine, msg: &ClientMsg) -> bool {
+    let (rows, cols) = match msg {
+        ClientMsg::Generate { table, indices, .. } | ClientMsg::Update { table, indices, .. } => {
+            (indices.len(), engine.dim(*table))
+        }
+        ClientMsg::GenerateMulti { parts, .. } => (
+            parts.iter().map(|(_, ix)| ix.len()).sum(),
+            parts
+                .iter()
+                .try_fold(0, |cols, (table, _)| Some(engine.dim(*table)?.max(cols))),
+        ),
+        _ => return true,
+    };
+    cols.is_none_or(|cols| reply_fits(rows, cols))
 }
 
 /// Hands a lookup frame's engine requests to the engine, one

@@ -189,6 +189,29 @@ impl<'a> ByteReader<'a> {
         let len = self.get_u32_le()? as usize;
         Ok(String::from_utf8_lossy(self.take(len)?).into_owned())
     }
+
+    /// Reads `count` values of at least `min_bytes` each with `read_one`:
+    /// the one place a decoder reserves memory on its input's say-so.
+    ///
+    /// # Errors
+    ///
+    /// [`Truncated`] before reserving anything if the bytes left cannot
+    /// hold `count` values; otherwise whatever `read_one` returns.
+    pub fn get_seq<T, E: From<Truncated>>(
+        &mut self,
+        count: usize,
+        min_bytes: usize,
+        mut read_one: impl FnMut(&mut Self) -> Result<T, E>,
+    ) -> Result<Vec<T>, E> {
+        let (needed, remaining) = (count.saturating_mul(min_bytes.max(1)), self.remaining());
+        if needed > remaining {
+            return Err(Truncated { needed, remaining }.into());
+        }
+        (0..count).try_fold(Vec::with_capacity(count), |mut out, _| {
+            out.push(read_one(self)?);
+            Ok(out)
+        })
+    }
 }
 
 #[cfg(test)]
@@ -242,5 +265,24 @@ mod tests {
         w.put_slice(b"short");
         let buf = w.into_vec();
         assert!(ByteReader::new(&buf).get_str().is_err());
+    }
+
+    #[test]
+    fn sequences_are_bounded_by_the_bytes_left() {
+        let buf = [1, 0, 2, 0, 3, 0];
+        let mut r = ByteReader::new(&buf);
+        let read = |r: &mut ByteReader<'_>| r.get_slice(2).map(|s| s[0]);
+        // Four 2-byte values cannot fit in six bytes: refused up front,
+        // with nothing consumed.
+        assert!(r.get_seq(4, 2, read).is_err());
+        assert_eq!(r.remaining(), 6);
+        assert_eq!(r.get_seq(3, 2, read).unwrap(), vec![1, 2, 3]);
+        assert_eq!(
+            r.get_seq(usize::MAX, 1, read),
+            Err(Truncated {
+                needed: usize::MAX,
+                remaining: 0
+            })
+        );
     }
 }
