@@ -3,75 +3,79 @@
 //!
 //! The router keeps exactly one TCP connection per backend process and
 //! multiplexes every client's traffic over it: each submitted request
-//! registers a completion callback under a fresh request id, and a
-//! single reader thread per backend dispatches response frames to their
-//! callbacks in completion order — the same pipelining discipline the
-//! server itself uses, with no per-request threads.
+//! registers a completion callback under a fresh request id and queues
+//! its frame on the link. The link lives on the router's reactor, which
+//! fires each reply's callback in completion order — no thread of the
+//! backend's own, and nothing that waits on a backend.
 //!
 //! A backend is allowed to *die and come back*. When the link drops,
 //! every in-flight callback fires with `Rejected(Internal)` (nothing is
 //! replayed — a retried `Update` that had already crossed the wire
-//! would apply twice), and the link wakes the router's maintenance loop
-//! (`maint.rs`), which decides when to dial again. A redial re-runs the
-//! `Hello` handshake and refuses a peer whose table inventory no longer
-//! matches the fleet's. Between links, [`Backend::call`] fails fast with
-//! `NotConnected` so the router can fail the request over to a replica
-//! instead of queueing on a corpse.
+//! would apply twice), and the router's maintenance loop (`maint.rs`)
+//! is woken to redial: a blocking dial and `Hello` handshake on its own
+//! thread, refusing a peer whose table inventory no longer matches the
+//! fleet's, then an attach to the reactor as a new link generation.
+//! Between links, [`Backend::call`] fails fast with `NotConnected` so
+//! the router can fail the request over to a replica.
+//!
+//! Time is the maintenance loop's: `Backend::expire` declares a link
+//! silent for `backend_idle_timeout` dead and drops fanned-out control
+//! frames past their deadline, so no caller ever waits on a backend.
 
 use crate::lock_unpoisoned;
 use crate::maint::Wake;
-use secemb_serve::protocol::{
-    decode_server, decode_server_traced, encode_hello, encode_metrics_request, encode_plan_pull,
-    encode_plan_push, encode_stats_request, encode_traces_request, ServerMsg,
-};
+use secemb_serve::protocol::{decode_server, decode_server_traced, encode_hello, ServerMsg};
+use secemb_serve::reactor::{LinkSender, Outbox};
 use secemb_serve::RejectReason;
-use secemb_wire::frame::{read_frame, write_frame, FrameError};
+use secemb_wire::frame::{read_frame, write_frame};
 use std::collections::HashMap;
-use std::io::{self, BufReader, BufWriter};
-use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::io;
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Invoked with the backend's response (and its echoed trace id, when
-/// the request carried one) on the backend's reader thread.
+/// the request carried one) on the reactor thread.
 pub type ReplyCallback = Box<dyn FnOnce(ServerMsg, Option<u64>) + Send>;
 
-/// How long a synchronous control call (stats, metrics, plan pull/push)
-/// waits for the backend before giving up.
-const SYNC_TIMEOUT: Duration = Duration::from_secs(30);
-
-/// How long a liveness probe ([`Backend::probe`]) waits — probes run on
-/// the maintenance loop, so they must fail fast rather than wedge it.
-const PROBE_TIMEOUT: Duration = Duration::from_secs(2);
+/// How long a fanned-out control frame waits for each backend's reply.
+pub(crate) const SYNC_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// How long one dial waits for the TCP connect and for each handshake
 /// frame.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
 
-/// One live connection: the buffered writer plus a raw handle for
-/// forcing the reader out of a blocked read.
+/// One live connection, as the reactor carries it.
 struct Link {
-    writer: BufWriter<TcpStream>,
-    stream: TcpStream,
+    /// Which dial made this link. A close hook or a reply from an older
+    /// link names an older generation and is ignored.
+    generation: u64,
+    sender: LinkSender,
+    /// The requests in flight, by request id: each one's callback, and
+    /// the deadline past which it is dropped unanswered, if it has one.
+    pending: HashMap<u64, (ReplyCallback, Option<Instant>)>,
+    /// When the requests in flight started waiting: the idle clock runs
+    /// from this or the last byte read, whichever is later.
+    busy_since: Instant,
 }
 
-/// State shared between the caller-facing [`Backend`] and its reader
-/// thread.
-struct Shared {
+fn invalid(why: impl ToString) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, why.to_string())
+}
+
+/// One pipelined backend connection, shared as `Arc<Backend>`. Its link
+/// lives on the router's reactor; when the link dies it stays down until
+/// the router's maintenance loop redials it.
+pub struct Backend {
     name: String,
     addr: SocketAddr,
-    idle_timeout: Option<Duration>,
+    /// The reactor each link is attached to.
+    outbox: Arc<Outbox>,
     link: Mutex<Option<Link>>,
-    /// Whether `link` holds a handshaken connection; read lock-free on
-    /// every routing decision.
-    up: AtomicBool,
-    /// The maintenance loop to wake when the link dies, once a router
-    /// owns this backend.
+    /// The maintenance loop to wake when the link dies or a deadline is
+    /// set, once a router owns this backend.
     wake: OnceLock<mpsc::Sender<Wake>>,
-    pending: Mutex<HashMap<u64, ReplyCallback>>,
-    reader: Mutex<Option<JoinHandle<()>>>,
     /// The inventory the backend reported at its most recent `Hello`
     /// handshake: `(rows, dim, per_query_ns, technique label)` per
     /// table.
@@ -80,196 +84,22 @@ struct Shared {
     /// `(rows, dim)` shape is refused — a replica that restarted with
     /// different tables must not silently rejoin the fleet.
     expected_shape: Mutex<Option<Vec<(u64, usize)>>>,
+    next_id: AtomicU64,
+    generations: AtomicU64,
     reconnects: AtomicU64,
     connect_failures: AtomicU64,
     /// Response frames whose id matched nothing pending (duplicate or
-    /// stale replies from a misbehaving backend).
+    /// stale replies from a misbehaving backend, or replies past their
+    /// deadline).
     unmatched_replies: AtomicU64,
-}
-
-fn from_frame_error(e: FrameError) -> io::Error {
-    match e {
-        FrameError::Io(e) => e,
-        other => io::Error::new(io::ErrorKind::InvalidData, other.to_string()),
-    }
-}
-
-fn bad_reply(kind: &str) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::InvalidData,
-        format!("unexpected backend reply: {kind}"),
-    )
-}
-
-fn not_connected(name: &str) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::NotConnected,
-        format!("backend {name} is down"),
-    )
-}
-
-impl Shared {
-    /// Dials, handshakes, and installs a fresh link, spawning its
-    /// reader thread. The previous reader (if any) must already be
-    /// joined by the caller.
-    fn try_connect(self: &Arc<Self>) -> io::Result<()> {
-        let stream = TcpStream::connect_timeout(&self.addr, CONNECT_TIMEOUT)?;
-        stream.set_nodelay(true)?;
-        // Bound the handshake read separately from steady-state: a peer
-        // that accepts but never answers `Hello` must not wedge the
-        // maintenance loop.
-        stream.set_read_timeout(Some(CONNECT_TIMEOUT))?;
-        let mut writer = BufWriter::new(stream.try_clone()?);
-        let mut reader = BufReader::new(stream.try_clone()?);
-        // Handshake before the reader thread exists: the hello's reply
-        // is the only frame in flight, so read it inline.
-        write_frame(&mut writer, &encode_hello(0, "router"))?;
-        let payload = read_frame(&mut reader).map_err(from_frame_error)?;
-        let (id, msg) = decode_server(&payload)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        let tables = match (id, msg) {
-            (0, ServerMsg::Tables(tables)) => tables,
-            _ => return Err(bad_reply("expected hello inventory")),
-        };
-        if let Some(expected) = lock_unpoisoned(&self.expected_shape).as_ref() {
-            let got: Vec<(u64, usize)> = tables.iter().map(|t| (t.0, t.1)).collect();
-            if got != *expected {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("backend {} rejoined with a different table set", self.name),
-                ));
-            }
-        }
-        stream.set_read_timeout(self.idle_timeout)?;
-        *lock_unpoisoned(&self.tables) = tables;
-        {
-            // Install the link and flip `up` under one lock: a
-            // concurrent writer-failure teardown must never interleave
-            // between them, or `up` could stick with no link.
-            let mut link = lock_unpoisoned(&self.link);
-            *link = Some(Link { stream, writer });
-            self.up.store(true, Ordering::SeqCst);
-        }
-        match self.spawn_reader(reader) {
-            Ok(handle) => {
-                *lock_unpoisoned(&self.reader) = Some(handle);
-                Ok(())
-            }
-            Err(e) => {
-                // Thread exhaustion: a link nobody reads is useless.
-                self.note_link_down();
-                Err(e)
-            }
-        }
-    }
-
-    fn spawn_reader(
-        self: &Arc<Self>,
-        mut reader: BufReader<TcpStream>,
-    ) -> io::Result<JoinHandle<()>> {
-        let shared = Arc::clone(self);
-        std::thread::Builder::new()
-            .name(format!("secemb-be-{}", self.name))
-            .spawn(move || {
-                let idle_detection = shared.idle_timeout.is_some();
-                loop {
-                    let payload = match read_frame(&mut reader) {
-                        Ok(p) => p,
-                        Err(FrameError::Io(e))
-                            if idle_detection
-                                && matches!(
-                                    e.kind(),
-                                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                                ) =>
-                        {
-                            // Nothing owed: benign idleness, keep
-                            // listening. (Responses only exist for
-                            // pending ids, so a timeout mid-frame
-                            // always has a non-empty pending map and
-                            // correctly lands in the dead branch —
-                            // the stream cannot silently desync.)
-                            if lock_unpoisoned(&shared.pending).is_empty() {
-                                continue;
-                            }
-                            // Requests in flight with no bytes for a
-                            // whole idle window: half-open peer.
-                            break;
-                        }
-                        Err(_) => break,
-                    };
-                    let Ok((id, msg, trace)) = decode_server_traced(&payload) else {
-                        break; // protocol desync: unrecoverable
-                    };
-                    let callback = lock_unpoisoned(&shared.pending).remove(&id);
-                    match callback {
-                        Some(callback) => callback(msg, trace),
-                        // A reply nothing asked for: a duplicate frame
-                        // or a stale id from before a reconnect. Count
-                        // it and keep the stream alive — the frame
-                        // itself parsed fine.
-                        None => {
-                            shared.unmatched_replies.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-                shared.note_link_down();
-            })
-    }
-
-    /// Tears down the current link (if any), orphan-rejects every
-    /// in-flight request and, if a link was up, wakes the maintenance
-    /// loop. Called by the reader on exit and by the write path on a
-    /// failed send; idempotent.
-    fn note_link_down(&self) {
-        let was_up = {
-            let mut link = lock_unpoisoned(&self.link);
-            self.up.store(false, Ordering::SeqCst);
-            match link.take() {
-                Some(link) => {
-                    let _ = link.stream.shutdown(Shutdown::Both);
-                    true
-                }
-                None => false,
-            }
-        };
-        // The connection is gone: answer everything still in flight so
-        // no client request hangs on a dead host. Nothing is replayed.
-        let orphans: Vec<ReplyCallback> = {
-            let mut map = lock_unpoisoned(&self.pending);
-            map.drain().map(|(_, cb)| cb).collect()
-        };
-        for callback in orphans {
-            callback(ServerMsg::Rejected(RejectReason::Internal), None);
-        }
-        if let (true, Some(wake)) = (was_up, self.wake.get()) {
-            let _ = wake.send(Wake::LinkDown);
-        }
-    }
-}
-
-/// One pipelined backend connection. Cheap to share (`Arc<Backend>`);
-/// writes are serialized by an internal lock and responses fan out from
-/// one reader thread. When the link dies it stays down until the
-/// router's maintenance loop redials it.
-pub struct Backend {
-    shared: Arc<Shared>,
-    next_id: AtomicU64,
 }
 
 impl Backend {
     /// Dials `addr` once, performs the `Hello` handshake (which returns
-    /// the backend's table inventory), and starts the reader thread. A
-    /// peer that is down is tolerated: the backend starts with its link
-    /// down, and under a [`crate::Router`] it joins the fleet when a
-    /// redial first succeeds.
-    ///
-    /// With an `idle_timeout`, a backend that stops responding **while
-    /// requests are in flight** for longer than that is declared dead —
-    /// the connection closes and every pending callback fires with
-    /// `Rejected(Internal)` — instead of the reader thread blocking
-    /// forever on a half-open peer. Timeouts with nothing in flight are
-    /// benign idleness and keep the connection open. `None` blocks
-    /// forever, trusting TCP.
+    /// the backend's table inventory), and attaches the link to the
+    /// reactor behind `outbox`. A peer that is down is tolerated: the
+    /// backend starts with its link down, and under a [`crate::Router`]
+    /// it joins the fleet when a redial first succeeds.
     ///
     /// # Errors
     ///
@@ -278,7 +108,7 @@ impl Backend {
     pub fn start<A: ToSocketAddrs>(
         name: &str,
         addr: A,
-        idle_timeout: Option<Duration>,
+        outbox: Arc<Outbox>,
     ) -> io::Result<Arc<Backend>> {
         let addr = addr.to_socket_addrs()?.next().ok_or_else(|| {
             io::Error::new(
@@ -286,47 +116,177 @@ impl Backend {
                 "backend address resolves to nothing",
             )
         })?;
-        let shared = Arc::new(Shared {
+        let backend = Arc::new(Backend {
             name: name.to_string(),
             addr,
-            idle_timeout,
+            outbox,
             link: Mutex::new(None),
-            up: AtomicBool::new(false),
             wake: OnceLock::new(),
-            pending: Mutex::default(),
-            reader: Mutex::new(None),
             tables: Mutex::new(Vec::new()),
             expected_shape: Mutex::new(None),
+            next_id: AtomicU64::new(1),
+            generations: AtomicU64::new(0),
             reconnects: AtomicU64::new(0),
             connect_failures: AtomicU64::new(0),
             unmatched_replies: AtomicU64::new(0),
         });
-        if shared.try_connect().is_err() {
-            shared.connect_failures.fetch_add(1, Ordering::Relaxed);
+        if backend.connect().is_err() {
+            backend.connect_failures.fetch_add(1, Ordering::Relaxed);
         }
-        Ok(Arc::new(Backend {
-            shared,
-            next_id: AtomicU64::new(1),
-        }))
+        Ok(backend)
     }
 
-    /// Has every later link death wake the maintenance loop behind
-    /// `wake`.
+    /// Dials and handshakes, blocking for at most [`CONNECT_TIMEOUT`] per
+    /// step, then attaches the stream to the reactor as a fresh link
+    /// generation.
+    fn connect(self: &Arc<Self>) -> io::Result<()> {
+        let stream = TcpStream::connect_timeout(&self.addr, CONNECT_TIMEOUT)?;
+        stream.set_nodelay(true)?;
+        // A peer that accepts but never answers `Hello` must not wedge
+        // the maintenance loop.
+        stream.set_read_timeout(Some(CONNECT_TIMEOUT))?;
+        // Unbuffered: the reply is read to its last byte and no further,
+        // because the reactor reads everything after it.
+        write_frame(&mut &stream, &encode_hello(0, "router"))?;
+        let payload = read_frame(&mut &stream).map_err(invalid)?;
+        let Ok((0, ServerMsg::Tables(tables))) = decode_server(&payload) else {
+            return Err(invalid("expected the hello inventory"));
+        };
+        if let Some(expected) = lock_unpoisoned(&self.expected_shape).as_ref() {
+            let got: Vec<(u64, usize)> = tables.iter().map(|t| (t.0, t.1)).collect();
+            if got != *expected {
+                let name = &self.name;
+                return Err(invalid(format!(
+                    "backend {name} rejoined with a different table set"
+                )));
+            }
+        }
+        *lock_unpoisoned(&self.tables) = tables;
+        let generation = self.generations.fetch_add(1, Ordering::Relaxed) + 1;
+        let (replies, closes) = (Arc::downgrade(self), Arc::downgrade(self));
+        // Attach and install under the link lock, which the close hook
+        // also takes: a link that dies at once is torn down after it is
+        // installed, never before.
+        let mut link = lock_unpoisoned(&self.link);
+        let sender = self.outbox.attach(
+            stream,
+            Box::new(move |payload: &[u8], _| {
+                let backend = replies.upgrade();
+                backend.is_some_and(|b| b.land(generation, payload))
+            }),
+            Box::new(move || {
+                if let Some(b) = closes.upgrade() {
+                    b.note_link_down(generation);
+                }
+            }),
+        )?;
+        *link = Some(Link {
+            generation,
+            sender,
+            pending: HashMap::new(),
+            busy_since: Instant::now(),
+        });
+        Ok(())
+    }
+
+    /// One response frame off link `generation`, on the reactor thread:
+    /// fires its request's callback. Returns `false` — closing the link —
+    /// when the frame does not decode.
+    fn land(&self, generation: u64, payload: &[u8]) -> bool {
+        let Ok((id, msg, trace)) = decode_server_traced(payload) else {
+            return false; // protocol desync: unrecoverable
+        };
+        let pending = lock_unpoisoned(&self.link)
+            .as_mut()
+            .filter(|link| link.generation == generation)
+            .and_then(|link| link.pending.remove(&id));
+        match pending {
+            Some((callback, _)) => callback(msg, trace),
+            // A reply nothing asked for: a duplicate frame, a stale id
+            // from before a reconnect, or one past its deadline. Count it
+            // and keep the stream alive — the frame itself parsed fine.
+            None => {
+                self.unmatched_replies.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        true
+    }
+
+    /// Tears down link `generation` if it is still the current one:
+    /// closes it, orphan-rejects every in-flight request and wakes the
+    /// maintenance loop. The link's close hook, and the idle check, call
+    /// this; a stale generation is ignored.
+    pub(crate) fn note_link_down(&self, generation: u64) {
+        self.tear_down(|link| link.generation == generation);
+    }
+
+    fn tear_down(&self, which: impl FnOnce(&Link) -> bool) {
+        let Some(link) = lock_unpoisoned(&self.link).take_if(|link| which(link)) else {
+            return;
+        };
+        link.sender.close();
+        // The connection is gone: answer everything still in flight so
+        // no client request hangs on a dead host. Nothing is replayed.
+        for (callback, _) in link.pending.into_values() {
+            callback(ServerMsg::Rejected(RejectReason::Internal), None);
+        }
+        self.wake();
+    }
+
+    fn wake(&self) {
+        if let Some(wake) = self.wake.get() {
+            let _ = wake.send(Wake::Tick);
+        }
+    }
+
+    /// The link's clock at `now`: declares it dead when requests are in
+    /// flight and no byte has arrived for `idle`, and drops, unanswered,
+    /// every request past its deadline. Returns when to look again —
+    /// the nearest request deadline, the idle deadline while requests are
+    /// in flight, or `now + idle` (a request may start the clock) — or
+    /// `None` with the link down.
+    pub(crate) fn expire(&self, now: Instant, idle: Option<Duration>) -> Option<Instant> {
+        let mut guard = lock_unpoisoned(&self.link);
+        let link = guard.as_mut()?;
+        let busy = !link.pending.is_empty();
+        let heard = link.busy_since.max(link.sender.last_read());
+        let idle_at = idle.map(|idle| if busy { heard + idle } else { now + idle });
+        if busy && idle_at.is_some_and(|at| at <= now) {
+            // Requests in flight and silence for a whole window: a
+            // half-open peer.
+            let generation = link.generation;
+            drop(guard);
+            self.note_link_down(generation);
+            return None;
+        }
+        let overdue: Vec<u64> = (link.pending.iter())
+            .filter(|(_, (_, deadline))| deadline.is_some_and(|at| at <= now))
+            .map(|(&id, _)| id)
+            .collect();
+        let overdue: Vec<_> = overdue.iter().map(|id| link.pending.remove(id)).collect();
+        let deadlines = link.pending.values().filter_map(|(_, deadline)| *deadline);
+        let next = deadlines.chain(idle_at).min();
+        // Dropped off-lock: a fan-out's last callback answers its caller,
+        // which may call this backend again.
+        drop(guard);
+        drop(overdue);
+        next
+    }
+
+    /// Has every later link death, and every deadline set, wake the
+    /// maintenance loop behind `wake`.
     pub(crate) fn wake_on_link_down(&self, wake: mpsc::Sender<Wake>) {
-        let _ = self.shared.wake.set(wake);
+        let _ = self.wake.set(wake);
     }
 
-    /// Joins the dead link's reader — so exactly one reader ever exists
-    /// per backend — then dials and handshakes afresh, counting the
-    /// outcome as a reconnect or a connect failure.
-    pub(crate) fn redial(&self) -> io::Result<()> {
-        if let Some(reader) = lock_unpoisoned(&self.shared.reader).take() {
-            let _ = reader.join();
-        }
-        let dialed = self.shared.try_connect();
-        let outcome = match dialed {
-            Ok(()) => &self.shared.reconnects,
-            Err(_) => &self.shared.connect_failures,
+    /// Dials and handshakes afresh, counting the outcome as a reconnect
+    /// or a connect failure.
+    pub(crate) fn redial(self: &Arc<Self>) -> io::Result<()> {
+        let dialed = self.connect();
+        let outcome = if dialed.is_ok() {
+            &self.reconnects
+        } else {
+            &self.connect_failures
         };
         outcome.fetch_add(1, Ordering::Relaxed);
         dialed
@@ -334,197 +294,153 @@ impl Backend {
 
     /// The backend's display name (used as the `backend` metric label).
     pub fn name(&self) -> &str {
-        &self.shared.name
+        &self.name
     }
 
     /// The inventory reported at the most recent handshake (empty if
     /// the backend has never connected).
     pub fn tables(&self) -> Vec<(u64, usize, f64, String)> {
-        lock_unpoisoned(&self.shared.tables).clone()
+        lock_unpoisoned(&self.tables).clone()
     }
 
     /// Pins the `(rows, dim)` shape a reconnect handshake must report;
     /// a peer that restarted with different tables is refused.
     pub fn set_expected_shape(&self, shape: Vec<(u64, usize)>) {
-        *lock_unpoisoned(&self.shared.expected_shape) = Some(shape);
+        *lock_unpoisoned(&self.expected_shape) = Some(shape);
     }
 
     /// Whether the link is currently up.
     pub fn is_up(&self) -> bool {
-        self.shared.up.load(Ordering::SeqCst)
+        lock_unpoisoned(&self.link).is_some()
     }
 
     /// Successful reconnects (the initial connect does not count).
     pub fn reconnects(&self) -> u64 {
-        self.shared.reconnects.load(Ordering::Relaxed)
+        self.reconnects.load(Ordering::Relaxed)
     }
 
     /// Failed connect attempts (the initial dial and every redial).
     pub fn connect_failures(&self) -> u64 {
-        self.shared.connect_failures.load(Ordering::Relaxed)
+        self.connect_failures.load(Ordering::Relaxed)
     }
 
     /// Response frames that matched no pending request.
     pub fn unmatched_replies(&self) -> u64 {
-        self.shared.unmatched_replies.load(Ordering::Relaxed)
+        self.unmatched_replies.load(Ordering::Relaxed)
     }
 
     /// Submits one request: `encode` receives a fresh request id and
-    /// returns the frame payload; `callback` fires when the response
-    /// arrives (or with `Rejected(Internal)` if the connection dies).
+    /// returns the frame payload; `callback` fires on the reactor thread
+    /// when the response arrives (or with `Rejected(Internal)` if the
+    /// link dies first). Never blocks: the frame is queued on the link.
     ///
     /// # Errors
     ///
-    /// Returns `NotConnected` immediately when the link is down, or the
-    /// transport error from a failed send (which also tears the link
-    /// down). On error the callback is dropped without being invoked —
-    /// nothing crossed the wire, so the caller may safely retry on a
-    /// replica, even for `Update` traffic.
+    /// Returns `NotConnected` when the link is down, and `WouldBlock`
+    /// when the link's write queue is past
+    /// [`WQ_HIGH_WATER`](secemb_serve::reactor::WQ_HIGH_WATER) — the
+    /// backend is not reading. On error the callback is dropped without
+    /// being invoked: nothing crossed the wire, so the caller may safely
+    /// retry on a replica, even for `Update` traffic.
     pub fn call(
         &self,
         encode: impl FnOnce(u64) -> Vec<u8>,
         callback: ReplyCallback,
     ) -> io::Result<u64> {
+        self.submit(encode, None, callback)
+    }
+
+    /// [`Backend::call`], with the request dropped unanswered — its
+    /// callback never invoked — once `deadline` passes.
+    fn submit(
+        &self,
+        encode: impl FnOnce(u64) -> Vec<u8>,
+        deadline: Option<Instant>,
+        callback: ReplyCallback,
+    ) -> io::Result<u64> {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let payload = encode(id);
-        // Register before writing: the response may race the map insert
-        // otherwise. On a failed write, take the callback back out.
-        lock_unpoisoned(&self.shared.pending).insert(id, callback);
-        let result = {
-            let mut link = lock_unpoisoned(&self.shared.link);
-            match link.as_mut() {
-                Some(l) => write_frame(&mut l.writer, &payload),
-                None => Err(not_connected(&self.shared.name)),
-            }
+        let mut guard = lock_unpoisoned(&self.link);
+        let Some(link) = guard.as_mut() else {
+            return Err(io::Error::new(
+                io::ErrorKind::NotConnected,
+                format!("backend {} is down", self.name),
+            ));
         };
-        if let Err(e) = result {
-            lock_unpoisoned(&self.shared.pending).remove(&id);
-            if e.kind() != io::ErrorKind::NotConnected {
-                // A failed write leaves the stream in an unknown state;
-                // kill the link so the reader orphan-rejects and the
-                // maintenance loop redials.
-                self.shared.note_link_down();
-            }
-            return Err(e);
+        link.sender.send(payload)?;
+        // Registered under the lock the reactor takes to match the
+        // reply, so the reply cannot overtake its callback.
+        if link.pending.is_empty() {
+            link.busy_since = Instant::now();
+        }
+        link.pending.insert(id, (callback, deadline));
+        drop(guard);
+        if deadline.is_some() {
+            self.wake();
         }
         Ok(id)
     }
 
-    fn round_trip_timeout(
-        &self,
-        encode: impl FnOnce(u64) -> Vec<u8>,
-        timeout: Duration,
-    ) -> io::Result<ServerMsg> {
-        let (tx, rx) = mpsc::channel();
-        self.call(
-            encode,
-            Box::new(move |msg, _| {
-                let _ = tx.send(msg);
-            }),
-        )?;
-        rx.recv_timeout(timeout)
-            .map_err(|_| io::Error::new(io::ErrorKind::TimedOut, "backend timed out"))
-    }
-
-    fn round_trip(&self, encode: impl FnOnce(u64) -> Vec<u8>) -> io::Result<ServerMsg> {
-        self.round_trip_timeout(encode, SYNC_TIMEOUT)
-    }
-
-    /// A fast liveness probe: one stats round trip with a short
-    /// timeout. Success means the backend answered a real request on
-    /// the live link — the signal the router's health machine uses to
-    /// flip a backend back to healthy.
-    ///
-    /// # Errors
-    ///
-    /// Returns transport/timeout errors or an unexpected reply kind.
-    pub fn probe(&self) -> io::Result<()> {
-        match self.round_trip_timeout(encode_stats_request, PROBE_TIMEOUT)? {
-            ServerMsg::Stats(_) => Ok(()),
-            _ => Err(bad_reply("expected stats")),
-        }
-    }
-
-    /// Fetches the backend's stats snapshot JSON, blocking.
-    ///
-    /// # Errors
-    ///
-    /// Returns transport/timeout errors or an unexpected reply kind.
-    pub fn stats_json(&self) -> io::Result<String> {
-        match self.round_trip(encode_stats_request)? {
-            ServerMsg::Stats(json) => Ok(json),
-            _ => Err(bad_reply("expected stats")),
-        }
-    }
-
-    /// Fetches the backend's Prometheus metrics text, blocking.
-    ///
-    /// # Errors
-    ///
-    /// Returns transport/timeout errors or an unexpected reply kind.
-    pub fn metrics_text(&self) -> io::Result<String> {
-        match self.round_trip(encode_metrics_request)? {
-            ServerMsg::Metrics(text) => Ok(text),
-            _ => Err(bad_reply("expected metrics")),
-        }
-    }
-
-    /// Fetches the backend's active plan JSON, blocking. `None` means
-    /// the backend still serves its construction-time layout.
-    ///
-    /// # Errors
-    ///
-    /// Returns transport/timeout errors or an unexpected reply kind.
-    pub fn plan_json(&self) -> io::Result<Option<String>> {
-        match self.round_trip(encode_plan_pull)? {
-            ServerMsg::Plan(json) => Ok(json),
-            _ => Err(bad_reply("expected plan")),
-        }
-    }
-
-    /// Scrapes the backend's span buffer (drains it server-side), blocking.
-    /// Returns span JSONL — one span per line plus a collector meta line.
-    ///
-    /// # Errors
-    ///
-    /// Returns transport/timeout errors or an unexpected reply kind.
-    pub fn traces_jsonl(&self) -> io::Result<String> {
-        match self.round_trip(encode_traces_request)? {
-            ServerMsg::Traces(jsonl) => Ok(jsonl),
-            _ => Err(bad_reply("expected traces")),
-        }
-    }
-
-    /// Pushes a plan to the backend, blocking for the epoch-tagged ack.
-    ///
-    /// # Errors
-    ///
-    /// Returns transport/timeout errors; a refused plan surfaces as
-    /// `InvalidInput` carrying the backend's error text.
-    pub fn push_plan(&self, plan_json: &str) -> io::Result<u64> {
-        match self.round_trip(|id| encode_plan_push(id, plan_json))? {
-            ServerMsg::PlanAck {
-                ok: true, epoch, ..
-            } => Ok(epoch),
-            ServerMsg::PlanAck { error, .. } => {
-                Err(io::Error::new(io::ErrorKind::InvalidInput, error))
-            }
-            _ => Err(bad_reply("expected plan ack")),
-        }
-    }
-
-    /// Closes the connection and joins the reader; everything still in
-    /// flight is answered with `Rejected(Internal)`.
+    /// Closes the link; everything still in flight is answered with
+    /// `Rejected(Internal)`.
     pub fn shutdown(&self) {
-        self.shared.note_link_down();
-        if let Some(reader) = lock_unpoisoned(&self.shared.reader).take() {
-            let _ = reader.join();
-        }
+        self.tear_down(|_| true);
     }
 }
 
 impl Drop for Backend {
     fn drop(&mut self) {
         self.shutdown();
+    }
+}
+
+/// One backend's reply to a fanned-out frame, or why it has none.
+pub(crate) type Reply = Result<ServerMsg, String>;
+
+/// Why a backend's reply is not the kind asked for.
+pub(crate) fn failure(reply: Reply) -> String {
+    match reply {
+        Ok(msg) => format!("unexpected backend reply: {msg:?}"),
+        Err(e) => e,
+    }
+}
+
+/// One fanned-out frame in flight: a reply slot per backend. `done` runs
+/// when the last callback holding it lets go — fired, refused at send or
+/// dropped at its deadline — so it runs exactly once.
+struct Fanout<F: FnOnce(Vec<Reply>)> {
+    slots: Vec<Reply>,
+    done: Option<F>,
+}
+
+impl<F: FnOnce(Vec<Reply>)> Drop for Fanout<F> {
+    fn drop(&mut self) {
+        if let Some(done) = self.done.take() {
+            done(std::mem::take(&mut self.slots));
+        }
+    }
+}
+
+/// Sends one frame to each of `backends`, each due within `timeout`,
+/// and hands `done` the replies in backend order once every one is
+/// home, refused or overdue — on the reactor thread, the maintenance
+/// loop, or (nothing sent) the caller's. Nothing here waits.
+pub(crate) fn fan_out(
+    backends: &[Arc<Backend>],
+    timeout: Duration,
+    encode: impl Fn(u64) -> Vec<u8>,
+    done: impl FnOnce(Vec<Reply>) + Send + 'static,
+) {
+    let fanout = Arc::new(Mutex::new(Fanout {
+        slots: vec![Err("timed out".to_string()); backends.len()],
+        done: Some(done),
+    }));
+    let deadline = Instant::now() + timeout;
+    for (slot, backend) in backends.iter().enumerate() {
+        let home = Arc::clone(&fanout);
+        let fill = move |msg, _| lock_unpoisoned(&home).slots[slot] = Ok(msg);
+        if let Err(e) = backend.submit(&encode, Some(deadline), Box::new(fill)) {
+            lock_unpoisoned(&fanout).slots[slot] = Err(e.to_string());
+        }
     }
 }

@@ -21,13 +21,15 @@
 //! N seconds then exits 0 — the CI smoke-test mode; without it the
 //! router runs until killed.
 //!
-//! Client connections run on the epoll reactor (one thread for every
-//! connection); each backend link has one reader thread; redials, health
-//! probes and gossip rounds are deadlines on one maintenance thread. A
-//! router with N backends runs N + 2 threads. `--backend-idle-ms N` declares a backend dead when
-//! requests are in flight and no byte arrives for N ms (default: wait
-//! forever); `--conn-idle-ms N` reaps *client* connections idle for N
-//! ms (default: never).
+//! Client connections and backend links run on the epoll reactor (one
+//! thread for every socket); redials, health probes, gossip rounds and
+//! every backend deadline are due dates on one maintenance thread — a
+//! scrape through the router answers within 30 s even if a backend never
+//! does. A router runs 2 threads whatever its fleet size.
+//! `--backend-idle-ms N` declares a backend
+//! dead when requests are in flight and no byte arrives for N ms
+//! (default: wait forever); `--conn-idle-ms N` reaps *client*
+//! connections idle for N ms (default: never).
 //!
 //! `--trace-sample N` collects distributed-tracing spans for every
 //! N-th trace id (head-sampled on the public trace id alone; 0, the

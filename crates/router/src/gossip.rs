@@ -17,11 +17,11 @@
 //! same artifact path) resumes from the fleet's newest profile instead
 //! of its own stale one.
 
-use crate::backend::Backend;
+use crate::backend::{failure, fan_out, Backend, Reply, SYNC_TIMEOUT};
 use secemb::hybrid::{AllocationPlan, Crossovers};
 use secemb_adapt::ProfileArtifact;
-use std::io;
-use std::path::Path;
+use secemb_serve::protocol::{encode_plan_pull, encode_plan_push, ServerMsg};
+use std::path::PathBuf;
 use std::sync::Arc;
 
 /// What one gossip round did.
@@ -46,79 +46,101 @@ impl GossipReport {
     }
 }
 
+/// A parsed plan and the JSON it came as.
+pub(crate) type Plan = (AllocationPlan, String);
+
+/// A backend's reply to a plan pull: its active plan, `None` for its
+/// construction-time layout, or why there is neither.
+pub(crate) fn pulled(reply: Reply) -> Result<Option<Plan>, String> {
+    match reply {
+        Ok(ServerMsg::Plan(None)) => Ok(None),
+        Ok(ServerMsg::Plan(Some(json))) => match AllocationPlan::from_json(&json) {
+            Ok(plan) => Ok(Some((plan, json))),
+            Err(e) => Err(e.to_string()),
+        },
+        other => Err(failure(other)),
+    }
+}
+
+/// The newer of `best` and `plan`; the first seen wins a tie.
+pub(crate) fn newer(best: Option<Plan>, plan: Plan) -> Option<Plan> {
+    match best {
+        Some(best) if best.0.version >= plan.0.version => Some(best),
+        _ => Some(plan),
+    }
+}
+
+/// A backend's reply to a plan push: the epoch it reached, or why not.
+pub(crate) fn acked(reply: Reply) -> Result<u64, String> {
+    match reply {
+        Ok(ServerMsg::PlanAck {
+            ok: true, epoch, ..
+        }) => Ok(epoch),
+        Ok(ServerMsg::PlanAck { error, .. }) => Err(error),
+        other => Err(failure(other)),
+    }
+}
+
 /// Runs one gossip round over `backends`: pull every active plan, pick
 /// the highest version, push it to the stale peers, and (optionally)
-/// persist the winner's crossovers at `profile_out`.
-///
-/// # Errors
-///
-/// Per-backend failures are reported in [`GossipReport::errors`], not
-/// returned; `Err` is reserved for a corrupt winning plan (a backend
-/// acked a plan this function cannot re-parse).
-pub fn gossip_once(
+/// persist the winner's crossovers at `profile_out`. `done` receives the
+/// report once the last push is acked, refused or overdue; per-backend
+/// failures land in [`GossipReport::errors`]. Nothing here waits.
+pub(crate) fn round(
     backends: &[Arc<Backend>],
-    profile_out: Option<&Path>,
-) -> io::Result<GossipReport> {
-    let mut report = GossipReport::default();
-    let mut winner: Option<(u64, String)> = None;
-    let mut versions = Vec::with_capacity(backends.len());
-    for backend in backends {
-        match backend.plan_json() {
-            Ok(Some(json)) => match AllocationPlan::from_json(&json) {
-                Ok(plan) => {
-                    versions.push(plan.version);
-                    if winner.as_ref().is_none_or(|(v, _)| plan.version > *v) {
-                        winner = Some((plan.version, json));
-                    }
-                }
+    profile_out: Option<PathBuf>,
+    done: impl FnOnce(GossipReport) + Send + 'static,
+) {
+    let fleet = backends.to_vec();
+    fan_out(backends, SYNC_TIMEOUT, encode_plan_pull, move |plans| {
+        let mut report = GossipReport::default();
+        let (mut winner, mut versions) = (None, Vec::with_capacity(fleet.len()));
+        for (backend, reply) in fleet.iter().zip(plans) {
+            versions.push(match pulled(reply) {
+                Ok(plan) => plan.map_or(0, |plan| {
+                    let version = plan.0.version;
+                    winner = newer(winner.take(), plan);
+                    version
+                }),
                 Err(e) => {
-                    report
-                        .errors
-                        .push((backend.name().to_string(), e.to_string()));
-                    versions.push(0);
+                    report.errors.push((backend.name().to_string(), e));
+                    0
                 }
-            },
-            Ok(None) => versions.push(0),
-            Err(e) => {
-                report
-                    .errors
-                    .push((backend.name().to_string(), e.to_string()));
-                versions.push(0);
+            });
+        }
+        let Some((plan, json)) = winner else {
+            return done(report); // nobody has adapted yet: nothing to spread
+        };
+        report.winner_version = plan.version;
+        let stale: Vec<_> = (fleet.into_iter().zip(versions))
+            .filter(|(_, version)| *version < plan.version)
+            .map(|(backend, _)| backend)
+            .collect();
+        report.pushed = stale.iter().map(|b| b.name().to_string()).collect();
+        let push = |id| encode_plan_push(id, &json);
+        fan_out(&stale, SYNC_TIMEOUT, push, move |acks| {
+            for (name, ack) in report.pushed.iter().zip(acks) {
+                match acked(ack) {
+                    Ok(epoch) => report.acked.push((name.clone(), epoch)),
+                    Err(e) => report.errors.push((name.clone(), e)),
+                }
             }
-        }
-    }
-    let Some((winner_version, winner_json)) = winner else {
-        return Ok(report); // nobody has adapted yet: nothing to spread
-    };
-    report.winner_version = winner_version;
-    for (backend, &version) in backends.iter().zip(&versions) {
-        if version >= winner_version {
-            continue;
-        }
-        report.pushed.push(backend.name().to_string());
-        match backend.push_plan(&winner_json) {
-            Ok(epoch) => report.acked.push((backend.name().to_string(), epoch)),
-            Err(e) => report
-                .errors
-                .push((backend.name().to_string(), e.to_string())),
-        }
-    }
-    if let Some(path) = profile_out {
-        let plan = AllocationPlan::from_json(&winner_json)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        // Best-effort, atomic rename underneath — same contract as the
-        // controller's own persistence.
-        let _ = ProfileArtifact {
-            dim: plan.dim,
-            batch: plan.batch,
-            threads: plan.threads,
-            crossovers: Crossovers {
-                scan_to: plan.threshold,
-                oram_to: plan.oram_to,
-            },
-            plan_version: plan.version,
-        }
-        .store(path);
-    }
-    Ok(report)
+            if let Some(path) = profile_out {
+                // Best-effort, atomic rename underneath — same contract
+                // as the controller's own persistence.
+                let _ = ProfileArtifact {
+                    dim: plan.dim,
+                    batch: plan.batch,
+                    threads: plan.threads,
+                    crossovers: Crossovers {
+                        scan_to: plan.threshold,
+                        oram_to: plan.oram_to,
+                    },
+                    plan_version: plan.version,
+                }
+                .store(&path);
+            }
+            done(report);
+        });
+    });
 }

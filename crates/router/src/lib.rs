@@ -13,9 +13,12 @@
 //! - [`Backend`] holds one **pipelined** connection
 //!   per backend process: requests are correlated by id, responses
 //!   arrive in completion order, and each response is routed to the
-//!   callback registered at submit time — no per-request threads. A
-//!   dead link is redialed by the router's one maintenance thread, which
-//!   also runs the health probes and the gossip rounds.
+//!   callback registered at submit time. The link lives on the router's
+//!   reactor beside the client connections — no thread per backend or
+//!   per request. A dead link is redialed by the router's one
+//!   maintenance thread, which also keeps every backend deadline
+//!   (silent links, overdue control frames) and runs the health probes
+//!   and the gossip rounds.
 //! - [`Router`] speaks the unmodified `secemb-wire`
 //!   protocol to clients, fans each request's per-table lookups out
 //!   across hosts, and merges the per-host replies (and STATS/METRICS
@@ -37,7 +40,7 @@ pub mod placement;
 pub mod router;
 
 pub use backend::Backend;
-pub use gossip::{gossip_once, GossipReport};
+pub use gossip::GossipReport;
 pub use placement::Placement;
 pub use router::{Router, RouterConfig};
 

@@ -1,11 +1,17 @@
-//! The router's one maintenance loop: backend redials, health probes and
-//! plan gossip are deadlines on a single thread.
+//! The router's one maintenance loop: backend redials, health probes,
+//! plan gossip and every backend deadline are due dates on a single
+//! thread.
 //!
 //! [`Maintenance::tick`] takes the time as a parameter and returns its
 //! next deadline, so tests drive it with synthetic instants and no
 //! sleeps; the thread body only waits for that deadline or a [`Wake`].
 //! Each tick:
 //!
+//! - expires what is due on every link: with a `backend_idle_timeout`,
+//!   a link is declared dead (orphan-rejecting its requests) when
+//!   requests are in flight and no byte has arrived for that long —
+//!   idleness with nothing in flight is benign — and a fanned-out
+//!   control frame past its deadline is dropped unanswered;
 //! - redials every down backend whose deadline has passed. The first
 //!   dial after a link loss is `reconnect_base` away; each failed dial
 //!   doubles the delay, up to `40 × reconnect_base`. Every delay is
@@ -20,12 +26,19 @@
 //! - runs a gossip round when the gossip interval is due;
 //! - refreshes the per-backend gauges.
 //!
-//! A link death wakes the loop, so with every link up and nothing due an
-//! idle router wakes only for its probe and gossip deadlines, never to
-//! poll. A dial, probe or gossip round trip holds the loop for at most
-//! its own timeout.
+//! Probes and gossip go out through the same asynchronous calls as
+//! client traffic; while a tick waits for its own round to finish it
+//! keeps expiring deadlines, so a silent backend is declared dead on
+//! time whatever the loop is waiting for. Only a dial (connect and
+//! `Hello`, each bounded by 2 s) holds the loop.
+//!
+//! A link death or a new deadline wakes the loop, so with every link up
+//! and nothing due an idle router wakes only for its probe and gossip
+//! rounds, and once per idle timeout when one is set.
 
+use crate::backend::{fan_out, Backend};
 use crate::router::{Inner, RouterConfig};
+use secemb_serve::protocol::{encode_stats_request, ServerMsg};
 use std::io;
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
@@ -33,18 +46,21 @@ use std::time::{Duration, Instant};
 
 /// A message to the loop's thread.
 pub(crate) enum Wake {
-    /// A backend's link died: its redial needs arming.
-    LinkDown,
+    /// A link died or a deadline was set: time to tick.
+    Tick,
     /// The router is shutting down.
     Stop,
 }
 
 /// How far out the next deadline lies when nothing is due. A link death
-/// wakes the loop anyway, so nothing waits on this.
+/// or a new deadline wakes the loop anyway, so nothing waits on this.
 const PARKED: Duration = Duration::from_secs(3600);
 
 /// The redial delay stops doubling at this multiple of the base.
 const BACKOFF_CAP: u32 = 40;
+
+/// How long a liveness probe waits for its reply.
+const PROBE_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// A recurring deadline.
 struct Every {
@@ -107,6 +123,8 @@ pub(crate) struct Maintenance {
     inner: Arc<Inner>,
     /// The first redial delay after a link loss.
     base: Duration,
+    /// How long a link with requests in flight may stay silent.
+    idle_timeout: Option<Duration>,
     /// Per backend, indexed like `inner.backends`.
     redials: Vec<Redial>,
     probe: Option<Every>,
@@ -126,6 +144,7 @@ impl Maintenance {
                 .collect(),
             inner,
             base: config.reconnect_base,
+            idle_timeout: config.backend_idle_timeout,
             probe: every(config.health_probe),
             gossip: every(config.gossip_interval),
         }
@@ -133,6 +152,7 @@ impl Maintenance {
 
     /// Runs everything due at `now`; returns the next deadline.
     pub(crate) fn tick(&mut self, now: Instant) -> Instant {
+        let next = self.expire(now);
         let inner = &self.inner;
         for (backend, redial) in inner.backends.iter().zip(&mut self.redials) {
             match redial.due {
@@ -147,18 +167,80 @@ impl Maintenance {
             }
         }
         if self.probe.as_mut().is_some_and(|probe| probe.fire(now)) {
-            health_round(inner);
+            self.health_round();
         }
         if self.gossip.as_mut().is_some_and(|gossip| gossip.fire(now)) {
-            let _ = inner.gossip();
+            self.settle(|done| self.inner.gossip(done));
         }
-        refresh_gauges(inner);
+        refresh_gauges(&self.inner);
         let rounds = [&self.probe, &self.gossip].into_iter().flatten();
         let dials = self.redials.iter().filter_map(|redial| redial.due);
         rounds
             .map(|round| round.due)
             .chain(dials)
+            .fold(next, Instant::min)
+    }
+
+    /// Expires what is due at `now` on every link; returns the nearest
+    /// deadline left.
+    fn expire(&self, now: Instant) -> Instant {
+        self.inner
+            .backends
+            .iter()
+            .filter_map(|backend| backend.expire(now, self.idle_timeout))
             .fold(now + PARKED, Instant::min)
+    }
+
+    /// Sets something going with `start` and waits for the value it
+    /// hands its completion, expiring deadlines as they come due
+    /// meanwhile. What `start` sets going must rest on requests with
+    /// deadlines, so expiry alone ends the wait.
+    fn settle<T: Send + 'static>(
+        &self,
+        start: impl FnOnce(Box<dyn FnOnce(T) + Send>),
+    ) -> Option<T> {
+        let (done, settled) = mpsc::channel();
+        start(Box::new(move |value| drop(done.send(value))));
+        loop {
+            let next = self.expire(Instant::now());
+            match settled.recv_timeout(next.saturating_duration_since(Instant::now())) {
+                Ok(value) => return Some(value),
+                Err(mpsc::RecvTimeoutError::Timeout) => {}
+                Err(mpsc::RecvTimeoutError::Disconnected) => return None,
+            }
+        }
+    }
+
+    /// Trips backends whose link dropped, and probes tripped backends
+    /// whose link is back. If any answers, the fleet's newest plan is
+    /// gossiped before they re-admit traffic: each restarted at plan
+    /// version 0, so it is stale by construction whenever the fleet
+    /// adapted.
+    fn health_round(&self) {
+        let inner = &self.inner;
+        let mut tripped = Vec::new();
+        for (host, backend) in inner.backends.iter().enumerate() {
+            if !backend.is_up() {
+                inner.trip(host);
+            } else if !inner.serving(host) {
+                tripped.push(host);
+            }
+        }
+        let probed: Vec<Arc<Backend>> = tripped
+            .iter()
+            .map(|&host| Arc::clone(&inner.backends[host]))
+            .collect();
+        let replies =
+            self.settle(|done| fan_out(&probed, PROBE_TIMEOUT, encode_stats_request, done));
+        let answered = tripped.into_iter().zip(replies.unwrap_or_default());
+        let back: Vec<usize> = answered
+            .filter(|(_, reply)| matches!(reply, Ok(ServerMsg::Stats(_))))
+            .map(|(host, _)| host)
+            .collect();
+        if !back.is_empty() {
+            self.settle(|done| inner.gossip(done));
+            back.into_iter().for_each(|host| inner.recover(host));
+        }
     }
 
     /// Has every backend's link death wake the loop, then runs the loop
@@ -179,7 +261,7 @@ impl Maintenance {
             .spawn(move || loop {
                 let next = self.tick(Instant::now());
                 match wakes.recv_timeout(next.saturating_duration_since(Instant::now())) {
-                    Ok(Wake::LinkDown) | Err(mpsc::RecvTimeoutError::Timeout) => {}
+                    Ok(Wake::Tick) | Err(mpsc::RecvTimeoutError::Timeout) => {}
                     Ok(Wake::Stop) | Err(mpsc::RecvTimeoutError::Disconnected) => return,
                 }
             })?;
@@ -191,8 +273,10 @@ impl Maintenance {
     }
 }
 
-/// The running loop. Dropping it stops and joins the thread, then
-/// disconnects the backends.
+/// The running loop. Dropping it tells the loop to stop, stops the
+/// reactor — which closes every link, so a round the loop is waiting on
+/// ends at once, and refuses every later send and attach — then joins
+/// the loop.
 pub(crate) struct MaintThread {
     inner: Arc<Inner>,
     wake: mpsc::Sender<Wake>,
@@ -202,58 +286,33 @@ pub(crate) struct MaintThread {
 impl Drop for MaintThread {
     fn drop(&mut self) {
         let _ = self.wake.send(Wake::Stop);
+        self.inner.reactor.stop();
         if let Some(thread) = self.thread.take() {
             let _ = thread.join();
-        }
-        for backend in &self.inner.backends {
-            backend.shutdown();
-        }
-    }
-}
-
-/// Trips backends whose link dropped, and probes tripped backends whose
-/// link is back. On probe success the fleet's newest plan is gossiped
-/// before the backend re-admits traffic: it restarted at plan version 0,
-/// so it is stale by construction whenever the fleet adapted.
-fn health_round(inner: &Inner) {
-    for (host, backend) in inner.backends.iter().enumerate() {
-        if !backend.is_up() {
-            inner.trip(host);
-        } else if !inner.serving(host) && backend.probe().is_ok() {
-            let _ = inner.gossip();
-            inner.recover(host);
         }
     }
 }
 
 fn refresh_gauges(inner: &Inner) {
-    for backend in &inner.backends {
-        let label = [("backend", backend.name())];
-        for (series, value) in [
-            ("router_backend_reconnects", backend.reconnects()),
-            (
-                "router_backend_connect_failures",
-                backend.connect_failures(),
-            ),
-            (
-                "router_backend_unmatched_replies",
-                backend.unmatched_replies(),
-            ),
-        ] {
-            inner.registry.gauge_with(series, &label).set(value as f64);
-        }
+    for b in &inner.backends {
+        let gauge = |series| inner.registry.gauge_with(series, &[("backend", b.name())]);
+        gauge("router_backend_reconnects").set(b.reconnects() as f64);
+        gauge("router_backend_connect_failures").set(b.connect_failures() as f64);
+        gauge("router_backend_unmatched_replies").set(b.unmatched_replies() as f64);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::SYNC_TIMEOUT;
     use secemb::hybrid::{AllocationPlan, PlannedTable};
     use secemb::{GeneratorSpec, Technique};
     use secemb_serve::protocol::{
-        decode_client, encode_plan, encode_plan_ack, encode_stats, encode_table_list, ClientMsg,
+        decode_client, encode_plan, encode_plan_ack, encode_stats, encode_stats_request,
+        encode_table_list, ClientMsg, ServerMsg,
     };
-    use secemb_serve::{Client, Engine, EngineConfig, Server, TableConfig};
+    use secemb_serve::{Client, Engine, EngineConfig, RejectReason, Server, TableConfig};
     use secemb_wire::frame::{read_frame, write_frame};
     use std::io::{BufReader, BufWriter};
     use std::net::{SocketAddr, TcpListener};
@@ -464,5 +523,101 @@ mod tests {
                 serving_at_push: Some(false),
             }
         );
+    }
+
+    /// A backend that handshakes like a replica of [`ROWS`], then reads
+    /// everything it is sent and answers nothing.
+    fn mute_backend() -> SocketAddr {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            let (id, _) = decode_client(&read_frame(&mut stream).expect("hello")).expect("hello");
+            let inventory: Vec<_> = ROWS.iter().map(|&r| (r, 8, 100.0, "scan".into())).collect();
+            write_frame(&mut stream, &encode_table_list(id, &inventory)).expect("inventory");
+            let _ = std::io::Read::read_to_end(&mut stream, &mut Vec::new());
+        });
+        addr
+    }
+
+    /// A router core over one backend that handshakes, then reads
+    /// everything and answers nothing; and its loop.
+    fn mute(idle: Option<Duration>) -> (Arc<Inner>, Maintenance) {
+        let config = RouterConfig {
+            backends: vec![("mute".to_string(), mute_backend().to_string())],
+            backend_idle_timeout: idle,
+            health_probe: None,
+            reconnect_base: BASE,
+            ..RouterConfig::default()
+        };
+        let inner = Arc::new(Inner::connect(&config).expect("handshake"));
+        let maint = Maintenance::new(Arc::clone(&inner), &config, Instant::now());
+        (inner, maint)
+    }
+
+    /// With nothing in flight, no silence kills a link, and the loop
+    /// wakes once per idle timeout. With a request in flight, the link is
+    /// declared dead — its request orphan-rejected — at the tick that
+    /// reaches the idle deadline, not one nanosecond earlier, and the
+    /// tick before wakes at that deadline.
+    #[test]
+    fn a_silent_link_is_declared_dead_at_its_idle_deadline() {
+        let idle = Duration::from_millis(100);
+        let (inner, mut maint) = mute(Some(idle));
+        let mute = &inner.backends[0];
+
+        let later = Instant::now() + Duration::from_secs(3600);
+        assert_eq!(maint.tick(later), later + idle, "idle wake, nothing due");
+        assert!(mute.is_up(), "an idle link is not a dead one");
+
+        let (tx, rx) = mpsc::channel();
+        let sent = Instant::now();
+        mute.call(
+            encode_stats_request,
+            Box::new(move |msg, _| {
+                let _ = tx.send(msg);
+            }),
+        )
+        .expect("queued");
+        let deadline = maint.tick(sent);
+        assert!(deadline >= sent + idle && deadline <= Instant::now() + idle);
+        assert_eq!(maint.tick(deadline - Duration::from_nanos(1)), deadline);
+        assert!(mute.is_up(), "declared dead before its deadline");
+        assert!(rx.try_recv().is_err());
+
+        maint.tick(deadline);
+        assert!(!mute.is_up(), "still up at its deadline");
+        assert_eq!(
+            rx.try_recv(),
+            Ok(ServerMsg::Rejected(RejectReason::Internal))
+        );
+    }
+
+    /// Without an idle timeout, a fanned-out control frame a backend
+    /// never answers is dropped at its deadline, which is the loop's next
+    /// wake: the fan-out completes with a "timed out" slot and nothing is
+    /// left pending. The link itself stays up.
+    #[test]
+    fn an_unanswered_fan_out_times_out_at_its_deadline() {
+        let (inner, mut maint) = mute(None);
+        let (tx, rx) = mpsc::channel();
+        let sent = Instant::now();
+        fan_out(
+            &inner.backends,
+            SYNC_TIMEOUT,
+            encode_stats_request,
+            move |fleet| {
+                let _ = tx.send(fleet);
+            },
+        );
+        let deadline = maint.tick(sent);
+        assert!(deadline >= sent + SYNC_TIMEOUT && deadline <= Instant::now() + SYNC_TIMEOUT);
+        assert_eq!(maint.tick(deadline - Duration::from_nanos(1)), deadline);
+        assert!(rx.try_recv().is_err(), "answered before its deadline");
+
+        let parked = maint.tick(deadline);
+        assert_eq!(rx.try_recv(), Ok(vec![Err("timed out".to_string())]));
+        assert_eq!(parked, deadline + PARKED, "nothing left pending");
+        assert!(inner.backends[0].is_up());
     }
 }

@@ -1,37 +1,38 @@
 //! The router front-end: the unmodified serving protocol on the client
 //! side, a pipelined backend fleet behind it.
 //!
-//! Client connections run on the serving layer's
-//! [`FrameReactor`] — the router
-//! has no socket code of its own on the client side — but dispatch
-//! resolves against the [`Placement`] instead of a local engine. A
-//! lookup frame is N ≥ 1 parts; its parts become one *hop* per serving
-//! host (`Generate`/`Update`: one), every hop is sent by `route`, and
-//! the replies come home through the serving layer's
-//! [`Gather`] and part-order merge — the same
-//! pair the server uses for its own parts. `Tables`, `Stats`,
-//! `Metrics`, and the plan frames are merged across the whole fleet, so
-//! a scrape through the router sees every backend.
+//! Client connections and backend links run on one serving-layer
+//! [`FrameReactor`] — the router has no socket loop of its own — but
+//! dispatch resolves against the [`Placement`] instead of a local
+//! engine. A lookup frame is N ≥ 1 parts; its parts become one *hop* per
+//! serving host (`Generate`/`Update`: one), every hop is sent by
+//! `route`, and the replies come home through the serving layer's
+//! [`Gather`] and part-order merge — the same pair the server uses for
+//! its own parts. `Stats`, `Metrics`, `Traces`
+//! and the plan frames fan out to the whole fleet the same way, one slot
+//! per backend, and are answered from the last reply home, so a scrape
+//! through the router sees every backend and never waits on the reactor
+//! thread.
 //!
 //! Every proxied lookup is stamped with a trace id (the client's, or a
 //! router-assigned one), so backend-side stage breakdowns can be joined
 //! with the router-side `router_route_ns` / `router_merge_ns`
 //! histograms into one cross-host span.
 //!
-//! Behind the dispatch path a router runs two threads of its own plus one
-//! reader per backend link: the reactor, and the maintenance loop
-//! (`maint.rs`) that redials dead links, probes tripped backends and
-//! gossips plans.
+//! A router runs two threads, whatever its fleet size: the reactor, on
+//! which every reply callback runs, and the maintenance loop
+//! (`maint.rs`) that redials dead links, declares silent ones dead,
+//! probes tripped backends and gossips plans.
 
-use crate::backend::Backend;
-use crate::gossip::{gossip_once, GossipReport};
+use crate::backend::{self, failure, Backend, Reply, SYNC_TIMEOUT};
+use crate::gossip::{self, acked, newer, pulled, GossipReport};
 use crate::maint::{MaintThread, Maintenance};
 use crate::placement::Placement;
-use secemb::hybrid::AllocationPlan;
 use secemb_serve::protocol::{
     decode_client_traced, encode_generate_multi, encode_generate_traced, encode_metrics,
-    encode_plan, encode_plan_ack, encode_response_traced, encode_stats, encode_table_list,
-    encode_traces, encode_update_traced, reply_fits, ClientMsg, ServerMsg,
+    encode_metrics_request, encode_plan, encode_plan_ack, encode_plan_pull, encode_plan_push,
+    encode_response_traced, encode_stats, encode_stats_request, encode_table_list, encode_traces,
+    encode_traces_request, encode_update_traced, reply_fits, ClientMsg, ServerMsg,
 };
 use secemb_serve::reactor::{Dispatch, FrameReactor, ReactorConfig};
 use secemb_serve::{Fill, Gather, Landed, RejectReason, ReplySender, Response, TraceSettings};
@@ -42,7 +43,7 @@ use std::io;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 /// Router configuration.
@@ -61,8 +62,9 @@ pub struct RouterConfig {
     /// `ProfileArtifact` format) after each gossip round.
     pub profile_out: Option<PathBuf>,
     /// Declare a backend dead when requests are in flight and it sends
-    /// nothing for this long (see [`crate::Backend::start`]);
-    /// `None` waits forever (the historical behavior).
+    /// nothing for this long — a deadline on the maintenance loop, which
+    /// orphan-rejects them all; idleness with nothing in flight is
+    /// benign. `None` waits forever (the historical behavior).
     pub backend_idle_timeout: Option<Duration>,
     /// Reap idle *client* connections after this long with no socket
     /// activity; `None` never reaps.
@@ -174,19 +176,25 @@ pub(crate) struct Inner {
     spans: Arc<SpanCollector>,
     profile_out: Option<PathBuf>,
     next_trace: AtomicU64,
+    /// Every client connection and backend link. Last, so it drops
+    /// after the backends have asked it to close their links.
+    pub(crate) reactor: FrameReactor,
 }
 
 impl Inner {
-    pub(crate) fn gossip(&self) -> io::Result<GossipReport> {
-        let report = gossip_once(&self.backends, self.profile_out.as_deref())?;
-        self.metrics.gossip_rounds_total.inc();
-        self.metrics
-            .gossip_pushes_total
-            .add(report.pushed.len() as u64);
-        if report.winner_version > 0 {
-            self.metrics.plan_version.set(report.winner_version as f64);
-        }
-        Ok(report)
+    /// Starts one gossip round over the fleet; `done` receives its
+    /// report once the round is over, and the gossip series count it.
+    pub(crate) fn gossip(self: &Arc<Self>, done: impl FnOnce(GossipReport) + Send + 'static) {
+        let inner = Arc::clone(self);
+        gossip::round(&self.backends, self.profile_out.clone(), move |report| {
+            let metrics = &inner.metrics;
+            metrics.gossip_rounds_total.inc();
+            metrics.gossip_pushes_total.add(report.pushed.len() as u64);
+            if report.winner_version > 0 {
+                metrics.plan_version.set(report.winner_version as f64);
+            }
+            done(report);
+        });
     }
 
     /// Whether backend `host` is currently eligible to serve: its
@@ -253,7 +261,8 @@ impl Inner {
 }
 
 impl Inner {
-    /// [`Router::start`] up to, not including, its threads: the backends,
+    /// [`Router::start`] up to, not including, the client listener and
+    /// the maintenance loop: the reactor, the backends attached to it,
     /// the inventory check and the placement.
     ///
     /// # Errors
@@ -266,13 +275,19 @@ impl Inner {
                 "router needs at least one backend",
             ));
         }
+        let registry = Arc::new(Registry::new());
+        let metrics = RouterMetrics::new(&registry);
+        let write_ns = Arc::clone(&metrics.write_ns);
+        let reactor = FrameReactor::spawn(
+            Box::new(move |ns| write_ns.record(ns)),
+            ReactorConfig {
+                registry: Some(Arc::clone(&registry)),
+                idle_timeout: config.conn_idle,
+            },
+        )?;
         let mut backends = Vec::with_capacity(config.backends.len());
         for (name, addr) in &config.backends {
-            backends.push(Backend::start(
-                name,
-                addr.as_str(),
-                config.backend_idle_timeout,
-            )?);
+            backends.push(Backend::start(name, addr.as_str(), reactor.outbox())?);
         }
         let shape = |t: &[(u64, usize, f64, String)]| -> Vec<(u64, usize)> {
             t.iter().map(|(rows, dim, _, _)| (*rows, *dim)).collect()
@@ -311,8 +326,6 @@ impl Inner {
                     .expect("placement is total over 0..tables")
             })
             .collect();
-        let registry = Arc::new(Registry::new());
-        let metrics = RouterMetrics::new(&registry);
         registry.gauge("router_backends").set(backends.len() as f64);
         registry.gauge("router_tables").set(inventory.len() as f64);
         let health: Vec<HealthState> = backends
@@ -344,26 +357,28 @@ impl Inner {
             spans,
             profile_out: config.profile_out.clone(),
             next_trace: AtomicU64::new(1),
+            reactor,
         })
     }
 }
 
-/// A running router. Dropping (or [`Router::shutdown`]) closes every
-/// client connection, joins every thread, and disconnects the backends.
+/// A running router. Dropping (or [`Router::shutdown`]) joins the
+/// maintenance loop, then stops the reactor, which closes every client
+/// connection and backend link.
 pub struct Router {
-    /// Declared first so it drops first: clients are cut off before the
-    /// threads and backend links behind them go away.
-    reactor: FrameReactor,
     inner: Arc<Inner>,
+    addr: SocketAddr,
     _maint: MaintThread,
 }
 
 impl Router {
-    /// Connects to every backend (tolerating peers that are down — they
-    /// join when a redial succeeds), verifies the reachable ones serve
-    /// the same table set, derives the placement over the *full*
-    /// configured membership, starts the maintenance loop, and starts
-    /// accepting clients.
+    /// Starts the reactor, connects every backend to it (tolerating
+    /// peers that are down — they join when a redial succeeds), verifies
+    /// the reachable ones serve the same table set, derives the
+    /// placement over the *full* configured membership, starts the
+    /// maintenance loop, and only then hands the reactor its client
+    /// listener, so no client frame is dispatched before the router core
+    /// exists.
     ///
     /// # Errors
     ///
@@ -377,25 +392,19 @@ impl Router {
         // SO_REUSEADDR bind: a router restarted onto its old port must
         // not spend a TIME_WAIT minute in EADDRINUSE.
         let listener = secemb_serve::bind_reusable(&config.bind)?;
-        let inner_factory = Arc::clone(&inner);
-        let write_ns = Arc::clone(&inner.metrics.write_ns);
-        let reactor = FrameReactor::start(
+        let core = Arc::clone(&inner);
+        let addr = inner.reactor.listen(
             listener,
             Box::new(move |_conn| {
-                let inner = Arc::clone(&inner_factory);
+                let inner = Arc::clone(&core);
                 Box::new(move |payload: &[u8], replies: &ReplySender| {
                     dispatch(&inner, payload, replies)
                 }) as Dispatch
             }),
-            Box::new(move |ns| write_ns.record(ns)),
-            ReactorConfig {
-                registry: Some(Arc::clone(&inner.registry)),
-                idle_timeout: config.conn_idle,
-            },
         )?;
         Ok(Router {
-            reactor,
             inner,
+            addr,
             _maint: maint,
         })
     }
@@ -413,7 +422,12 @@ impl Router {
 
     /// The bound client-facing address.
     pub fn addr(&self) -> SocketAddr {
-        self.reactor.addr()
+        self.addr
+    }
+
+    /// The backends, in configuration order.
+    pub fn backends(&self) -> &[Arc<Backend>] {
+        &self.inner.backends
     }
 
     /// The table → host placement the router serves with.
@@ -432,14 +446,17 @@ impl Router {
         Arc::clone(&self.inner.spans)
     }
 
-    /// Runs one synchronous gossip round (also available continuously
-    /// via [`RouterConfig::gossip_interval`]).
+    /// Runs one gossip round and waits for its report (rounds also run
+    /// continuously with [`RouterConfig::gossip_interval`]). Per-backend
+    /// failures are reported in [`GossipReport::errors`].
     ///
     /// # Errors
     ///
-    /// See [`gossip_once`].
+    /// Returns `Interrupted` if the router shuts down first.
     pub fn gossip_now(&self) -> io::Result<GossipReport> {
-        self.inner.gossip()
+        let (done, report) = mpsc::channel();
+        self.inner.gossip(move |r| drop(done.send(r)));
+        report.recv().map_err(|_| io::ErrorKind::Interrupted.into())
     }
 
     /// Stops accepting, closes every client connection, and joins all
@@ -864,65 +881,70 @@ fn serve(frame: Frame<'_>, msg: ClientMsg) -> Result<(), RejectReason> {
                 encode_generate_multi(rid, &forwards[hop], deadline, Some(fwd))
             });
         }
-        ClientMsg::Traces => {
-            // One scrape covers the tier: the router's own spans first,
-            // then every backend's (each drain empties its buffer, so a
-            // span is reported exactly once across scrapes).
-            let mut out = inner.spans.drain_jsonl();
-            for backend in &inner.backends {
-                match backend.traces_jsonl() {
-                    Ok(jsonl) => out.push_str(&jsonl),
-                    Err(_) => {
-                        // An unreachable backend loses its spans for this
-                        // scrape only; the joiner sees a partial timeline
-                        // rather than the scrape failing outright.
-                    }
-                }
-            }
-            replies.send(encode_traces(id, &out));
-        }
         ClientMsg::Tables | ClientMsg::Hello(_) => {
             replies.send(encode_table_list(id, &inner.inventory));
         }
-        ClientMsg::Stats => {
-            let json = merged_stats(inner);
-            replies.send(encode_stats(id, &json));
-        }
-        ClientMsg::Metrics => {
-            let text = merged_metrics(inner);
-            replies.send(encode_metrics(id, &text));
-        }
-        ClientMsg::PlanPull => {
-            let json = best_plan_json(inner);
-            replies.send(encode_plan(id, json.as_deref()));
-        }
-        ClientMsg::PlanPush(json) => {
-            // Fan the plan to the whole fleet; the ack reports the
-            // highest epoch any backend reached and every error.
-            let mut epoch = 0u64;
-            let mut errors = Vec::new();
-            for backend in &inner.backends {
-                match backend.push_plan(&json) {
-                    Ok(e) => epoch = epoch.max(e),
-                    Err(e) => errors.push(format!("{}: {e}", backend.name())),
+        // One scrape covers the tier: the router's own spans first, then
+        // every backend's (each drain empties its buffer, so a span is
+        // reported exactly once across scrapes). An unreachable backend
+        // loses its spans for this scrape only.
+        ClientMsg::Traces => {
+            let mut jsonl = inner.spans.drain_jsonl();
+            fan_out(frame, encode_traces_request, move |_, fleet| {
+                for reply in fleet {
+                    if let Ok(ServerMsg::Traces(spans)) = reply {
+                        jsonl.push_str(&spans);
+                    }
                 }
-            }
-            let ok = errors.is_empty();
-            replies.send(encode_plan_ack(id, ok, epoch, &errors.join("; ")));
+                encode_traces(id, &jsonl)
+            });
+        }
+        ClientMsg::Stats => fan_out(frame, encode_stats_request, move |inner, fleet| {
+            encode_stats(id, &merged_stats(inner, fleet))
+        }),
+        ClientMsg::Metrics => fan_out(frame, encode_metrics_request, move |inner, fleet| {
+            encode_metrics(id, &merged_metrics(inner, fleet))
+        }),
+        ClientMsg::PlanPull => fan_out(frame, encode_plan_pull, move |_, fleet| {
+            encode_plan(id, best_plan_json(fleet).as_deref())
+        }),
+        ClientMsg::PlanPush(json) => {
+            let encode = |rid| encode_plan_push(rid, &json);
+            fan_out(frame, encode, move |inner, fleet| {
+                plan_ack(id, inner, fleet)
+            });
         }
     }
     Ok(())
 }
 
+/// Sends one control frame to every backend and answers the client
+/// from the last reply home, or once the rest are [`SYNC_TIMEOUT`]
+/// overdue — [`route`] and [`Route::land`] for frames that are merged
+/// rather than gathered. `answer` builds the client's reply frame from
+/// the router core and the replies in backend order.
+fn fan_out(
+    frame: Frame<'_>,
+    encode: impl Fn(u64) -> Vec<u8>,
+    answer: impl FnOnce(&Inner, Vec<Reply>) -> Vec<u8> + Send + 'static,
+) {
+    let (inner, replies) = (Arc::clone(frame.inner), frame.replies.clone());
+    let backends = &frame.inner.backends;
+    backend::fan_out(backends, SYNC_TIMEOUT, encode, move |fleet| {
+        replies.send(answer(&inner, fleet));
+    });
+}
+
 /// One stats snapshot covering the whole tier: the router's placement
 /// plus every backend's own snapshot (and the plan version each one
 /// reports, so convergence is visible in a single scrape).
-fn merged_stats(inner: &Inner) -> String {
-    let mut entries = Vec::with_capacity(inner.backends.len());
-    let mut versions = Vec::with_capacity(inner.backends.len());
-    for backend in &inner.backends {
-        match backend.stats_json() {
-            Ok(json) => {
+fn merged_stats(inner: &Inner, fleet: Vec<Reply>) -> String {
+    let mut entries = Vec::with_capacity(fleet.len());
+    let mut versions = Vec::with_capacity(fleet.len());
+    for (backend, reply) in inner.backends.iter().zip(fleet) {
+        let name = ("name", Value::Str(backend.name().to_string()));
+        match reply {
+            Ok(ServerMsg::Stats(json)) => {
                 let parsed = json::parse(&json).unwrap_or(Value::Null);
                 let version = parsed
                     .get("plan")
@@ -930,17 +952,11 @@ fn merged_stats(inner: &Inner) -> String {
                     .and_then(Value::as_u64)
                     .unwrap_or(0);
                 versions.push(Value::Num(version as f64));
-                entries.push(Value::obj([
-                    ("name", Value::Str(backend.name().to_string())),
-                    ("stats", parsed),
-                ]));
+                entries.push(Value::obj([name, ("stats", parsed)]));
             }
-            Err(e) => {
+            other => {
                 versions.push(Value::Num(0.0));
-                entries.push(Value::obj([
-                    ("name", Value::Str(backend.name().to_string())),
-                    ("error", Value::Str(e.to_string())),
-                ]));
+                entries.push(Value::obj([name, ("error", Value::Str(failure(other)))]));
             }
         }
     }
@@ -956,13 +972,19 @@ fn merged_stats(inner: &Inner) -> String {
 /// One metrics exposition covering the whole tier: the router's own
 /// `router_*` series followed by every backend's exposition with a
 /// `backend="<name>"` label injected into each sample line.
-fn merged_metrics(inner: &Inner) -> String {
+fn merged_metrics(inner: &Inner, fleet: Vec<Reply>) -> String {
     let mut out = inner.registry.snapshot().render_prometheus("secemb_");
-    for backend in &inner.backends {
-        match backend.metrics_text() {
-            Ok(text) => out.push_str(&inject_backend_label(&text, backend.name())),
-            Err(e) => {
-                out.push_str(&format!("# backend {} unreachable: {e}\n", backend.name()));
+    for (backend, reply) in inner.backends.iter().zip(fleet) {
+        match reply {
+            Ok(ServerMsg::Metrics(text)) => {
+                out.push_str(&inject_backend_label(&text, backend.name()));
+            }
+            other => {
+                let why = failure(other);
+                out.push_str(&format!(
+                    "# backend {} unreachable: {why}\n",
+                    backend.name()
+                ));
             }
         }
     }
@@ -998,18 +1020,23 @@ fn inject_backend_label(text: &str, backend: &str) -> String {
 
 /// The highest-versioned plan any backend reports, if any — what a
 /// `PlanPull` through the router answers with.
-fn best_plan_json(inner: &Inner) -> Option<String> {
-    let mut best: Option<(u64, String)> = None;
-    for backend in &inner.backends {
-        if let Ok(Some(json)) = backend.plan_json() {
-            if let Ok(plan) = AllocationPlan::from_json(&json) {
-                if best.as_ref().is_none_or(|(v, _)| plan.version > *v) {
-                    best = Some((plan.version, json));
-                }
-            }
+fn best_plan_json(fleet: Vec<Reply>) -> Option<String> {
+    let plans = fleet.into_iter().filter_map(|reply| pulled(reply).ok()?);
+    plans.fold(None, newer).map(|(_, json)| json)
+}
+
+/// The ack for a `PlanPush` fanned to the whole fleet: the highest epoch
+/// any backend reached, and every backend's error.
+fn plan_ack(id: u64, inner: &Inner, fleet: Vec<Reply>) -> Vec<u8> {
+    let mut epoch = 0u64;
+    let mut errors = Vec::new();
+    for (backend, reply) in inner.backends.iter().zip(fleet) {
+        match acked(reply) {
+            Ok(e) => epoch = epoch.max(e),
+            Err(e) => errors.push(format!("{}: {e}", backend.name())),
         }
     }
-    best.map(|(_, json)| json)
+    encode_plan_ack(id, errors.is_empty(), epoch, &errors.join("; "))
 }
 
 #[cfg(test)]
@@ -1077,6 +1104,8 @@ mod tests {
             spans: Arc::new(SpanCollector::new("rt", 1)),
             profile_out: None,
             next_trace: AtomicU64::new(1),
+            reactor: FrameReactor::spawn(Box::new(|_| {}), ReactorConfig::default())
+                .expect("reactor"),
         })
     }
 

@@ -332,8 +332,13 @@ fn backend_idle_timeout_orphan_rejects_pending_requests() {
         let _ = std::io::Read::read_to_end(&mut reader, &mut sink);
     });
 
-    let backend =
-        Backend::start("silent", addr, Some(Duration::from_millis(100))).expect("handshake");
+    let router = Router::start(RouterConfig {
+        backends: vec![("silent".to_string(), addr.to_string())],
+        backend_idle_timeout: Some(Duration::from_millis(100)),
+        ..RouterConfig::default()
+    })
+    .expect("handshake");
+    let backend: &Backend = &router.backends()[0];
     let (tx, rx) = mpsc::channel();
     let t0 = Instant::now();
     backend

@@ -17,6 +17,11 @@
 //! reactor through the [`Outbox`] (a mutexed staging vector plus the
 //! reactor's wakeup fd, which shutdown also uses). Dispatch code talks
 //! to a connection only through its [`ReplySender`].
+//!
+//! The same loop carries *outbound* links — streams this process dialed
+//! and handshook, such as a router's backend links — attached through
+//! [`Outbox::attach`]. They owe no replies, so the drain rule and the
+//! idle sweep skip them.
 
 use mio::{Events, Interest, Poll, Token, Waker};
 use secemb_telemetry::{Counter, Histogram, Registry};
@@ -24,7 +29,7 @@ use secemb_wire::frame::{encode_frame_into, FrameDecoder};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -56,6 +61,9 @@ pub type ConnFactory = Box<dyn FnMut(usize) -> Dispatch + Send>;
 /// Write-stage callback: reply-enqueue → socket-write nanoseconds for
 /// each flushed reply frame.
 pub type WriteRecorder = Box<dyn Fn(u64) + Send>;
+
+/// An outbound link's close hook: runs once, when the reactor drops it.
+pub type CloseHook = Box<dyn FnOnce() + Send>;
 
 /// Optional [`FrameReactor::start`] behavior; the default is no metrics
 /// and no idle reaping.
@@ -127,24 +135,129 @@ impl ReplySender {
     /// Queues one encoded reply frame for this connection. Never fails:
     /// a closed connection silently drops the frame.
     pub fn send(&self, frame: Vec<u8>) {
-        self.outbox.push(self.conn, frame);
+        self.outbox
+            .stage(Staged::Frame(self.conn, Instant::now(), frame));
     }
 }
 
-/// Staging queue for replies completing on non-reactor threads, plus the
-/// reactor's wakeup fd. Pushing from an engine worker wakes the reactor,
-/// which drains the queue into per-connection write queues.
+/// An outbound link's handle: where its frames go, and what the reactor
+/// has seen of it.
+pub struct LinkSender {
+    link: ReplySender,
+    state: Arc<LinkState>,
+}
+
+/// What the reactor shares with an outbound link's [`LinkSender`].
+struct LinkState {
+    /// Framed bytes handed over and not yet written to the socket.
+    unflushed: AtomicUsize,
+    /// When the reactor last read a byte off the link.
+    last_read: Mutex<Instant>,
+}
+
+impl LinkSender {
+    /// Queues one frame payload on the link; never blocks. A link the
+    /// reactor already dropped discards it.
+    ///
+    /// # Errors
+    ///
+    /// Nothing is queued on `NotConnected` (the reactor has stopped) or
+    /// on `WouldBlock` (over [`WQ_HIGH_WATER`] bytes are unflushed — the
+    /// peer is not reading).
+    pub fn send(&self, payload: Vec<u8>) -> io::Result<()> {
+        if self.link.outbox.stopped.load(Ordering::SeqCst) {
+            return Err(io::ErrorKind::NotConnected.into());
+        }
+        if self.state.unflushed.load(Ordering::Relaxed) >= WQ_HIGH_WATER {
+            return Err(io::ErrorKind::WouldBlock.into());
+        }
+        let unflushed = &self.state.unflushed;
+        unflushed.fetch_add(4 + payload.len(), Ordering::Relaxed);
+        self.link.send(payload);
+        Ok(())
+    }
+
+    /// When the reactor last read a byte off the link (until the first
+    /// one, when it was attached).
+    pub fn last_read(&self) -> Instant {
+        *lock_unpoisoned(&self.state.last_read)
+    }
+
+    /// Asks the reactor to drop the link.
+    pub fn close(&self) {
+        self.link.outbox.stage(Staged::Close(self.link.conn));
+    }
+}
+
+/// Work crossing into the reactor thread, applied in staging order.
+enum Staged {
+    /// A frame payload for a connection, with its enqueue instant.
+    Frame(usize, Instant, Vec<u8>),
+    Attach(usize, Box<Conn>),
+    Close(usize),
+    Listen(TcpListener, ConnFactory),
+}
+
+/// The reactor's shared side: a staging queue for work arriving from
+/// other threads — replies, link frames, attaches — which the reactor
+/// drains in order once the wakeup fd fires, plus what those threads
+/// need to hand it sockets and to stop it.
 pub struct Outbox {
-    queue: Mutex<Vec<(usize, Instant, Vec<u8>)>>,
+    queue: Mutex<Vec<Staged>>,
     waker: Waker,
+    /// The reactor's epoll set, so a handed-over socket is registered —
+    /// and its error reported — on the thread that hands it over.
+    registry: mio::Registry,
+    /// Connection ids, shared by accepted and attached connections.
+    next_id: AtomicUsize,
+    /// Open client connections.
+    live_conns: AtomicU64,
+    stopped: AtomicBool,
 }
 
 impl Outbox {
-    fn push(&self, conn: usize, frame: Vec<u8>) {
+    /// Hands a connected, handshaken `stream` to the reactor as an
+    /// outbound link: `dispatch` receives each frame the peer sends (its
+    /// reply handle unused), and `on_close` runs once the link is
+    /// dropped — on EOF, an I/O error, a refused frame, `close`, or stop.
+    ///
+    /// # Errors
+    ///
+    /// Returns `NotConnected` once the reactor has stopped, and the
+    /// stream's nonblocking-mode or registration error; `on_close` then
+    /// never runs.
+    pub fn attach(
+        self: &Arc<Self>,
+        stream: TcpStream,
+        dispatch: Dispatch,
+        on_close: CloseHook,
+    ) -> io::Result<LinkSender> {
+        if self.stopped.load(Ordering::SeqCst) {
+            return Err(io::ErrorKind::NotConnected.into());
+        }
+        stream.set_nonblocking(true)?;
+        let conn = self.next_id.fetch_add(1, Ordering::Relaxed);
+        self.registry
+            .register(&stream, Token(conn), Interest::READABLE)?;
+        let state = Arc::new(LinkState {
+            unflushed: AtomicUsize::new(0),
+            last_read: Mutex::new(Instant::now()),
+        });
+        let mut link = Conn::new(stream, dispatch, Some(Arc::clone(&state)));
+        link.on_close = Some(on_close);
+        self.stage(Staged::Attach(conn, Box::new(link)));
+        let link = ReplySender {
+            outbox: Arc::clone(self),
+            conn,
+        };
+        Ok(LinkSender { link, state })
+    }
+
+    fn stage(&self, item: Staged) {
         let was_empty = {
             let mut q = lock_unpoisoned(&self.queue);
             let was_empty = q.is_empty();
-            q.push((conn, Instant::now(), frame));
+            q.push(item);
             was_empty
         };
         // One wake per drain cycle: while the queue is non-empty the
@@ -154,12 +267,8 @@ impl Outbox {
         }
     }
 
-    fn drain(&self) -> Vec<(usize, Instant, Vec<u8>)> {
+    fn drain(&self) -> Vec<Staged> {
         std::mem::take(&mut *lock_unpoisoned(&self.queue))
-    }
-
-    fn wake(&self) {
-        let _ = self.waker.wake();
     }
 }
 
@@ -191,9 +300,40 @@ struct Conn {
     /// Last instant any byte moved on this socket (either direction);
     /// the idle sweep compares against it.
     last_activity: Instant,
+    /// `Some` for an outbound link: what it shares with its
+    /// [`LinkSender`].
+    outbound: Option<Arc<LinkState>>,
+    /// An outbound link's close hook, run when the connection drops.
+    on_close: Option<CloseHook>,
+}
+
+impl Drop for Conn {
+    fn drop(&mut self) {
+        if let Some(on_close) = self.on_close.take() {
+            on_close();
+        }
+    }
 }
 
 impl Conn {
+    fn new(stream: TcpStream, dispatch: Dispatch, outbound: Option<Arc<LinkState>>) -> Conn {
+        Conn {
+            stream,
+            decoder: FrameDecoder::new(),
+            dispatch,
+            wq: std::collections::VecDeque::new(),
+            wq_bytes: 0,
+            dispatched: 0,
+            replied: 0,
+            closing: false,
+            read_paused: false,
+            registered: Some(Interest::READABLE),
+            last_activity: Instant::now(),
+            outbound,
+            on_close: None,
+        }
+    }
+
     fn desired_interest(&self) -> Option<Interest> {
         let read = !self.closing && !self.read_paused;
         let write = !self.wq.is_empty();
@@ -222,25 +362,24 @@ impl Conn {
     }
 
     /// True once a closing connection has nothing left to write and no
-    /// reply still in flight.
+    /// reply still in flight; a closing outbound link owes nothing.
     fn drained(&self) -> bool {
-        self.closing && self.wq.is_empty() && self.dispatched == self.replied
+        self.closing
+            && (self.outbound.is_some() || (self.wq.is_empty() && self.dispatched == self.replied))
     }
 }
 
-/// A running reactor: one OS thread serving every connection on one
-/// listener. Connection count is O(1) in threads.
+/// A running reactor: one OS thread serving every connection, accepted
+/// or attached. Connection count is O(1) in threads.
 pub struct FrameReactor {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
     outbox: Arc<Outbox>,
-    live_conns: Arc<AtomicU64>,
-    handle: Option<JoinHandle<()>>,
+    handle: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl FrameReactor {
-    /// Takes ownership of `listener` and starts the reactor thread.
-    /// `factory` builds each accepted connection's [`Dispatch`];
+    /// [`FrameReactor::spawn`], then [`FrameReactor::listen`]: `factory`
+    /// builds each accepted connection's [`Dispatch`];
     /// `on_write_ns` receives each flushed reply's enqueue→write time;
     /// event-loop metrics land in `config.registry`, and
     /// `config.idle_timeout` arms the idle-connection sweep.
@@ -254,63 +393,85 @@ impl FrameReactor {
         on_write_ns: WriteRecorder,
         config: ReactorConfig,
     ) -> io::Result<FrameReactor> {
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
+        let mut reactor = FrameReactor::spawn(on_write_ns, config)?;
+        reactor.addr = reactor.listen(listener, factory)?;
+        Ok(reactor)
+    }
+
+    /// Starts the reactor thread with no listener: it carries only the
+    /// links attached through [`FrameReactor::outbox`] until `listen`.
+    ///
+    /// # Errors
+    ///
+    /// Returns setup errors (epoll creation, spawn).
+    pub fn spawn(on_write_ns: WriteRecorder, config: ReactorConfig) -> io::Result<FrameReactor> {
         let poll = Poll::new()?;
-        poll.registry()
-            .register(&listener, LISTENER, Interest::READABLE)?;
         let outbox = Arc::new(Outbox {
             queue: Mutex::new(Vec::new()),
             waker: Waker::new(poll.registry(), WAKEUP)?,
+            registry: poll.registry().try_clone()?,
+            next_id: AtomicUsize::new(0),
+            live_conns: AtomicU64::new(0),
+            stopped: AtomicBool::new(false),
         });
-        let stop = Arc::new(AtomicBool::new(false));
-        let live_conns = Arc::new(AtomicU64::new(0));
         let handle = {
             let outbox = Arc::clone(&outbox);
-            let stop = Arc::clone(&stop);
-            let live_conns = Arc::clone(&live_conns);
             std::thread::Builder::new()
                 .name("secemb-reactor".into())
-                .spawn(move || {
-                    let loop_io = LoopIo {
-                        factory,
-                        on_write_ns,
-                        config,
-                    };
-                    run_loop(poll, listener, outbox, stop, live_conns, loop_io);
-                })?
+                .spawn(move || run_loop(poll, &outbox, &on_write_ns, &config))?
         };
         Ok(FrameReactor {
-            addr,
-            stop,
+            addr: SocketAddr::from(([0, 0, 0, 0], 0)),
             outbox,
-            live_conns,
-            handle: Some(handle),
+            handle: Mutex::new(Some(handle)),
         })
     }
 
-    /// The bound address (resolves ephemeral ports).
+    /// Hands the reactor its client listener and returns its address.
+    ///
+    /// # Errors
+    ///
+    /// Returns the listener's address, nonblocking-mode or registration
+    /// error.
+    pub fn listen(&self, listener: TcpListener, factory: ConnFactory) -> io::Result<SocketAddr> {
+        let addr = listener.local_addr()?;
+        listener.set_nonblocking(true)?;
+        let registry = &self.outbox.registry;
+        registry.register(&listener, LISTENER, Interest::READABLE)?;
+        self.outbox.stage(Staged::Listen(listener, factory));
+        Ok(addr)
+    }
+
+    /// The bound address of a reactor built by [`FrameReactor::start`]
+    /// (resolves ephemeral ports); unspecified after a bare `spawn`.
     pub fn addr(&self) -> SocketAddr {
         self.addr
     }
 
-    /// Currently-open connections (for tests and capacity asserts).
+    /// The handle outbound links are attached through.
+    pub fn outbox(&self) -> Arc<Outbox> {
+        Arc::clone(&self.outbox)
+    }
+
+    /// Currently-open client connections (for tests and capacity asserts).
     pub fn connections(&self) -> u64 {
-        self.live_conns.load(Ordering::Relaxed)
+        self.outbox.live_conns.load(Ordering::Relaxed)
     }
 
     /// Stops the reactor thread and closes every connection. Replies
     /// already queued are not flushed — callers quiesce first.
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
+    pub fn shutdown(self) {
+        self.stop();
     }
 
-    fn stop_and_join(&mut self) {
-        if self.stop.swap(true, Ordering::SeqCst) {
+    /// [`FrameReactor::shutdown`] through a shared reference; idempotent.
+    /// Links attached afterwards are refused, and their frames too.
+    pub fn stop(&self) {
+        if self.outbox.stopped.swap(true, Ordering::SeqCst) {
             return;
         }
-        self.outbox.wake();
-        if let Some(handle) = self.handle.take() {
+        let _ = self.outbox.waker.wake();
+        if let Some(handle) = lock_unpoisoned(&self.handle).take() {
             let _ = handle.join();
         }
     }
@@ -318,33 +479,19 @@ impl FrameReactor {
 
 impl Drop for FrameReactor {
     fn drop(&mut self) {
-        self.stop_and_join();
+        self.stop();
     }
-}
-
-/// The callbacks and behavior knobs [`run_loop`] consumes, bundled so
-/// the loop's signature stays readable.
-struct LoopIo {
-    factory: ConnFactory,
-    on_write_ns: WriteRecorder,
-    config: ReactorConfig,
 }
 
 #[allow(clippy::too_many_lines)]
 fn run_loop(
     mut poll: Poll,
-    listener: TcpListener,
-    outbox: Arc<Outbox>,
-    stop: Arc<AtomicBool>,
-    live_conns: Arc<AtomicU64>,
-    io: LoopIo,
+    outbox: &Arc<Outbox>,
+    on_write_ns: &WriteRecorder,
+    config: &ReactorConfig,
 ) {
-    let LoopIo {
-        mut factory,
-        on_write_ns,
-        config,
-    } = io;
     let metrics = ReactorMetrics::new(config.registry.as_ref());
+    let (stop, live_conns) = (&outbox.stopped, &outbox.live_conns);
     // With reaping armed, epoll must wake even on a silent fleet, so the
     // sweep can run; a quarter of the timeout bounds reap latency to
     // ~1.25× the configured idle time without busy-waking.
@@ -354,8 +501,8 @@ fn run_loop(
     let mut last_sweep = Instant::now();
 
     let mut events = Events::with_capacity(1024);
+    let mut listener: Option<(TcpListener, ConnFactory)> = None;
     let mut conns: HashMap<usize, Conn> = HashMap::new();
-    let mut next_id: usize = 0;
     let mut read_buf = vec![0u8; 64 * 1024];
     let mut dead: Vec<usize> = Vec::new();
 
@@ -379,6 +526,11 @@ fn run_loop(
         for event in &events {
             match event.token() {
                 LISTENER => {
+                    // Registered before it is handed over: until then,
+                    // level-triggered epoll simply re-fires.
+                    let Some((listener, factory)) = listener.as_mut() else {
+                        continue;
+                    };
                     // Accept until the backlog is empty; new sockets join
                     // epoll, no thread spawn on this path.
                     loop {
@@ -389,8 +541,7 @@ fn run_loop(
                                 {
                                     continue;
                                 }
-                                let id = next_id;
-                                next_id += 1;
+                                let id = outbox.next_id.fetch_add(1, Ordering::Relaxed);
                                 if poll
                                     .registry()
                                     .register(&stream, Token(id), Interest::READABLE)
@@ -398,22 +549,7 @@ fn run_loop(
                                 {
                                     continue;
                                 }
-                                conns.insert(
-                                    id,
-                                    Conn {
-                                        stream,
-                                        decoder: FrameDecoder::new(),
-                                        dispatch: factory(id),
-                                        wq: std::collections::VecDeque::new(),
-                                        wq_bytes: 0,
-                                        dispatched: 0,
-                                        replied: 0,
-                                        closing: false,
-                                        read_paused: false,
-                                        registered: Some(Interest::READABLE),
-                                        last_activity: Instant::now(),
-                                    },
-                                );
+                                conns.insert(id, Conn::new(stream, factory(id), None));
                                 live_conns.fetch_add(1, Ordering::Relaxed);
                             }
                             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
@@ -427,11 +563,11 @@ fn run_loop(
                 WAKEUP => outbox.waker.drain(),
                 Token(id) => {
                     let Some(conn) = conns.get_mut(&id) else {
-                        continue; // already removed this batch
+                        continue; // already removed, or not yet attached
                     };
                     if event.is_readable() && !conn.closing {
                         let outbox_handle = ReplySender {
-                            outbox: Arc::clone(&outbox),
+                            outbox: Arc::clone(outbox),
                             conn: id,
                         };
                         if !read_and_dispatch(conn, &mut read_buf, &outbox_handle, &metrics) {
@@ -441,34 +577,42 @@ fn run_loop(
                             continue;
                         }
                     }
-                    if event.is_writable() && !flush(conn, &on_write_ns) {
+                    if event.is_writable() && !flush(conn, on_write_ns) {
                         dead.push(id);
                     }
                 }
             }
         }
 
-        // Replies that completed on engine worker threads since the last
-        // pass join their connections' write queues in completion order.
+        // Work from other threads — replies that completed on engine
+        // workers, link frames, attaches — joins in staging order.
         let staged = outbox.drain();
         metrics.outbox_drained.record(staged.len() as u64);
-        for (id, t0, frame) in staged {
-            if let Some(conn) = conns.get_mut(&id) {
-                conn.enqueue(t0, &frame);
-                metrics.conn_wq_depth.record(conn.wq.len() as u64);
+        for item in staged {
+            match item {
+                Staged::Frame(id, t0, frame) => {
+                    if let Some(conn) = conns.get_mut(&id) {
+                        conn.enqueue(t0, &frame);
+                        metrics.conn_wq_depth.record(conn.wq.len() as u64);
+                    }
+                    // else: the connection died with requests in flight; drop.
+                }
+                Staged::Attach(id, link) => drop(conns.insert(id, *link)),
+                Staged::Close(id) => dead.push(id),
+                Staged::Listen(l, factory) => listener = Some((l, factory)),
             }
-            // else: the connection died with requests in flight; drop.
         }
 
-        // Idle sweep: reap connections with no socket activity for the
-        // configured window and nothing owed in either direction — a
+        // Idle sweep: reap client connections with no socket activity for
+        // the configured window and nothing owed in either direction — a
         // mid-frame read buffer or an in-flight reply keeps a slow peer
         // alive; only truly quiescent connections go.
         if let Some(idle) = config.idle_timeout {
             if last_sweep.elapsed() >= idle / 4 {
                 last_sweep = Instant::now();
                 for (&id, conn) in &conns {
-                    if conn.last_activity.elapsed() > idle
+                    if conn.outbound.is_none()
+                        && conn.last_activity.elapsed() > idle
                         && conn.wq.is_empty()
                         && conn.dispatched == conn.replied
                         && conn.decoder.is_clean()
@@ -483,7 +627,7 @@ fn run_loop(
         // Eager flush (skip a poll round when the socket has room),
         // backpressure bookkeeping, interest reconciliation, reaping.
         for (&id, conn) in &mut conns {
-            if !conn.wq.is_empty() && !flush(conn, &on_write_ns) {
+            if !conn.wq.is_empty() && !flush(conn, on_write_ns) {
                 dead.push(id);
                 continue;
             }
@@ -516,12 +660,15 @@ fn run_loop(
             }
         }
 
+        // Dropping a connection closes it and runs any close hook.
         for id in dead.drain(..) {
             if let Some(conn) = conns.remove(&id) {
                 if conn.registered.is_some() {
                     let _ = poll.registry().deregister(&conn.stream);
                 }
-                live_conns.fetch_sub(1, Ordering::Relaxed);
+                if conn.outbound.is_none() {
+                    live_conns.fetch_sub(1, Ordering::Relaxed);
+                }
             }
         }
 
@@ -531,7 +678,9 @@ fn run_loop(
     }
 
     live_conns.store(0, Ordering::Relaxed);
-    // Dropping `conns` closes every socket; dropping `poll` closes epoll.
+    // Dropping `conns` and whatever is still staged closes every socket
+    // (running close hooks); dropping `poll` closes epoll.
+    drop(outbox.drain());
 }
 
 /// Reads up to the per-event budget, decodes and dispatches complete
@@ -553,6 +702,9 @@ fn read_and_dispatch(
             }
             Ok(n) => {
                 conn.last_activity = Instant::now();
+                if let Some(outbound) = &conn.outbound {
+                    *lock_unpoisoned(&outbound.last_read) = conn.last_activity;
+                }
                 conn.decoder.extend(&buf[..n]);
                 loop {
                     match conn.decoder.next_frame() {
@@ -574,7 +726,9 @@ fn read_and_dispatch(
                         }
                     }
                 }
-                if conn.wq_bytes >= WQ_HIGH_WATER {
+                // An outbound link keeps reading: its replies are what
+                // drain the peer, and its writes are bounded at the sender.
+                if conn.outbound.is_none() && conn.wq_bytes >= WQ_HIGH_WATER {
                     conn.read_paused = true;
                     metrics.backpressure_stalls.inc();
                     break;
@@ -593,9 +747,9 @@ fn read_and_dispatch(
     true
 }
 
-/// Writes queued reply frames until the socket blocks or the queue
-/// empties, recording each completed frame's write stage. Returns
-/// `false` on a write error.
+/// Writes queued frames until the socket blocks or the queue empties,
+/// recording each completed reply frame's write stage (an outbound
+/// link's frames are not replies). Returns `false` on a write error.
 fn flush(conn: &mut Conn, on_write_ns: &WriteRecorder) -> bool {
     while let Some(front) = conn.wq.front_mut() {
         match conn.stream.write(&front.bytes[front.written..]) {
@@ -603,8 +757,13 @@ fn flush(conn: &mut Conn, on_write_ns: &WriteRecorder) -> bool {
                 conn.last_activity = Instant::now();
                 front.written += n;
                 conn.wq_bytes -= n;
+                if let Some(outbound) = &conn.outbound {
+                    outbound.unflushed.fetch_sub(n, Ordering::Relaxed);
+                }
                 if front.written == front.bytes.len() {
-                    on_write_ns(front.enqueued.elapsed().as_nanos() as u64);
+                    if conn.outbound.is_none() {
+                        on_write_ns(front.enqueued.elapsed().as_nanos() as u64);
+                    }
                     conn.wq.pop_front();
                 }
             }
