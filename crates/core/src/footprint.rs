@@ -6,7 +6,7 @@
 //! against real instances at small scale.
 
 use crate::DheConfig;
-use secemb_oram::OramConfig;
+use secemb_oram::{tree_leaves, OramConfig};
 
 /// Bytes of a plain `n × dim` f32 embedding table.
 pub fn table_bytes(rows: u64, dim: usize) -> u64 {
@@ -16,8 +16,9 @@ pub fn table_bytes(rows: u64, dim: usize) -> u64 {
 /// Bytes of a table stored in a tree ORAM with the given configuration,
 /// including the bucket tree (with its dummy blocks), the stash, and every
 /// recursion level of the position map — the ">3× blow-up" of Table VI.
+/// The tree is sized by the controllers' own rule, [`tree_leaves`].
 pub fn tree_oram_bytes(rows: u64, config: &OramConfig) -> u64 {
-    let leaves = rows.div_ceil(2).next_power_of_two().max(1);
+    let leaves = tree_leaves(rows, config.bucket_size);
     let buckets = 2 * leaves - 1;
     let block_bytes = config.block_bytes();
     let tree = buckets * config.bucket_size as u64 * block_bytes;

@@ -161,25 +161,30 @@ mod tests {
         // Access the SAME id repeatedly; the fetched tree paths must still
         // spread over the leaves (remap-on-access), i.e. the trace carries
         // no information about the request sequence.
+        let leaves = secemb_oram::tree_leaves(64, secemb_oram::OramConfig::circuit(8).bucket_size);
+        let levels = leaves.trailing_zeros() as usize;
         let mut g = OramTable::circuit(&table(), StdRng::seed_from_u64(3));
         let mut offsets = std::collections::HashSet::new();
         for _ in 0..40 {
             let ((), trace) = record_trace(|| {
                 g.generate_batch(&[7]);
             });
-            // Deepest tree-bucket read of the access path identifies the leaf.
+            // The access reads its own path root to leaf before the
+            // evictions read theirs: its last bucket read is its leaf.
             let leaf_bucket = trace
                 .events()
                 .iter()
                 .filter(|e| e.region.0 == 0x100) // top-level tree region
-                .map(|e| e.offset)
-                .max()
-                .expect("tree accesses present");
+                .filter(|e| matches!(e.kind, secemb_trace::AccessKind::Read))
+                .nth(levels)
+                .expect("tree accesses present")
+                .offset;
             offsets.insert(leaf_bucket);
         }
+        // 40 uniform draws over 16 leaves hit ~15 of them.
         assert!(
-            offsets.len() > 8,
-            "only {} distinct paths over 40 accesses",
+            offsets.len() as u64 > leaves / 2,
+            "only {} distinct paths over 40 accesses on {leaves} leaves",
             offsets.len()
         );
     }

@@ -83,6 +83,9 @@ use secemb_oram::tree::Tree;
 use secemb_oram::{AccessStats, Oram, OramConfig, DUMMY_ID};
 use secemb_trace::tracer::RegionId;
 
+#[cfg(test)]
+mod stash_tail;
+
 /// Trace region of the look-ahead ORAM's bucket tree.
 pub const LAORAM_TREE: RegionId = RegionId(0x200);
 /// Trace region of the look-ahead ORAM's stash.
@@ -102,7 +105,10 @@ pub struct LaConfig {
     /// the stash (see [`LookAheadOram`]'s eviction), so no path-length
     /// headroom is needed and the default sits *below* Path ORAM's 150 —
     /// which matters, because every oblivious stash touch is a full scan
-    /// and the scan cost is linear in this capacity.
+    /// and the scan cost is linear in this capacity. With windows of 64 on
+    /// a tree at the sizing rule's worst case (50 % occupied, see
+    /// `secemb_oram::tree_leaves`), the default 128 overflows with
+    /// probability at most 2⁻⁶⁷ per window (EXPERIMENTS.md, "Tree sizing").
     pub stash_capacity: usize,
     /// Maximum window size accepted by [`LookAheadOram::stage_window`].
     pub max_window: usize,
@@ -270,13 +276,26 @@ impl LookAheadOram {
     pub fn from_fn(
         n_blocks: u64,
         config: LaConfig,
-        mut rng: StdRng,
+        rng: StdRng,
         fill: &mut dyn FnMut(u64, &mut [u32]),
     ) -> Self {
         config.validate();
+        let tree = Tree::new(n_blocks, &config.oram_config(), LAORAM_TREE);
+        Self::with_tree(tree, n_blocks, config, rng, fill)
+    }
+
+    /// [`Self::from_fn`] over a caller-built `tree`. The stash-tail
+    /// harness hands in a tree sized for fewer than `n_blocks` blocks to
+    /// measure occupancies above the sizing rule's.
+    fn with_tree(
+        mut tree: Tree,
+        n_blocks: u64,
+        config: LaConfig,
+        mut rng: StdRng,
+        fill: &mut dyn FnMut(u64, &mut [u32]),
+    ) -> Self {
         assert!(n_blocks > 0, "LookAheadOram: empty block set");
         let oram_cfg = config.oram_config();
-        let mut tree = Tree::new(n_blocks, &oram_cfg, LAORAM_TREE);
         let mut stash = Stash::new(&oram_cfg, LAORAM_STASH);
         let labels = initial_layout(n_blocks, &mut tree, &mut stash, &mut rng, fill);
         let posmap = PosMap::build(labels, &oram_cfg, LAORAM_POSMAP, &mut |_, _, _| {

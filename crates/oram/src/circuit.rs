@@ -90,13 +90,27 @@ impl CircuitOram {
     fn with_depth(
         n_blocks: u64,
         config: OramConfig,
-        mut rng: StdRng,
+        rng: StdRng,
         depth: u32,
         fill: &mut dyn FnMut(u64, &mut [u32]),
     ) -> Self {
         config.validate();
+        let tree = Tree::new(n_blocks, &config, tree_region(depth));
+        Self::with_tree(tree, n_blocks, config, rng, depth, fill)
+    }
+
+    /// [`Self::with_depth`] over a caller-built `tree`. The stash-tail
+    /// harness hands in a tree sized for fewer than `n_blocks` blocks to
+    /// measure occupancies above the sizing rule's.
+    pub(crate) fn with_tree(
+        mut tree: Tree,
+        n_blocks: u64,
+        config: OramConfig,
+        mut rng: StdRng,
+        depth: u32,
+        fill: &mut dyn FnMut(u64, &mut [u32]),
+    ) -> Self {
         assert!(n_blocks > 0, "CircuitOram: empty block set");
-        let mut tree = Tree::new(n_blocks, &config, tree_region(depth));
         let mut stash = Stash::new(&config, stash_region(depth));
         let labels = initial_layout(n_blocks, &mut tree, &mut stash, &mut rng, fill);
         let inner_seed: u64 = rng.gen();
@@ -163,11 +177,55 @@ impl CircuitOram {
         );
     }
 
-    fn next_evict_leaf(&mut self) -> u64 {
-        let leaves = self.tree.leaves();
-        let leaf = bit_reverse(self.evict_counter % leaves, self.tree.levels());
+    /// The access up to its evictions: remap block `id`, lift it off its
+    /// path (or out of the stash), let `mutate` edit it, copy it to `out`
+    /// and put it back into the stash.
+    pub(crate) fn lift(&mut self, id: u64, mutate: &mut dyn FnMut(&mut [u32]), out: &mut [u32]) {
+        assert!(id < self.n_blocks, "CircuitOram: id {id} out of range");
+        assert_eq!(
+            out.len(),
+            self.config.block_words,
+            "CircuitOram: out length != block_words"
+        );
+        self.stats.accesses += 1;
+        let new_leaf = self.rng.gen_range(0..self.tree.leaves());
+        let old_leaf = self.posmap.get_and_set(id, new_leaf, &mut self.stats);
+
+        // Scan the path, lifting only the requested block out of the
+        // buckets where they lie.
+        let found = &mut self.found;
+        found.id = DUMMY_ID;
+        for level in 0..=self.tree.levels() {
+            let idx = self.tree.bucket_index(level, old_leaf);
+            self.tree.read_bucket(idx);
+            self.stats.bucket_reads += 1;
+            self.stats.bytes_moved += self.tree.bucket_bytes();
+            for mut b in self.tree.write_bucket(idx).slots_mut() {
+                let take = b.ct_is(id);
+                found.as_mut().ct_take_from(take, &mut b);
+            }
+            self.stats.bucket_writes += 1;
+            self.stats.bytes_moved += self.tree.bucket_bytes();
+        }
+        // The block may instead be waiting in the stash.
+        self.stash.extract(id, found.as_mut(), &mut self.stats);
+        assert!(
+            found.as_ref().ct_is(id).to_bool(),
+            "CircuitOram invariant violated: block {id} not found"
+        );
+
+        found.leaf = new_leaf;
+        mutate(&mut found.data);
+        out.copy_from_slice(&found.data);
+        self.stash.insert(found.as_ref(), &mut self.stats);
+    }
+
+    /// One eviction along the next path of the reverse-lexicographic
+    /// schedule.
+    pub(crate) fn evict_next(&mut self) {
+        let leaf = bit_reverse(self.evict_counter % self.tree.leaves(), self.tree.levels());
         self.evict_counter += 1;
-        leaf
+        self.evict(leaf);
     }
 
     /// One metadata-prepared single-pass eviction along the path to `leaf`.
@@ -295,49 +353,10 @@ impl CircuitOram {
 
 impl Oram for CircuitOram {
     fn access_into(&mut self, id: u64, mutate: &mut dyn FnMut(&mut [u32]), out: &mut [u32]) {
-        assert!(id < self.n_blocks, "CircuitOram: id {id} out of range");
-        assert_eq!(
-            out.len(),
-            self.config.block_words,
-            "CircuitOram: out length != block_words"
-        );
-        self.stats.accesses += 1;
-        let new_leaf = self.rng.gen_range(0..self.tree.leaves());
-        let old_leaf = self.posmap.get_and_set(id, new_leaf, &mut self.stats);
-
-        // Scan the path, lifting only the requested block out of the
-        // buckets where they lie.
-        let found = &mut self.found;
-        found.id = DUMMY_ID;
-        for level in 0..=self.tree.levels() {
-            let idx = self.tree.bucket_index(level, old_leaf);
-            self.tree.read_bucket(idx);
-            self.stats.bucket_reads += 1;
-            self.stats.bytes_moved += self.tree.bucket_bytes();
-            for mut b in self.tree.write_bucket(idx).slots_mut() {
-                let take = b.ct_is(id);
-                found.as_mut().ct_take_from(take, &mut b);
-            }
-            self.stats.bucket_writes += 1;
-            self.stats.bytes_moved += self.tree.bucket_bytes();
-        }
-        // The block may instead be waiting in the stash.
-        self.stash.extract(id, found.as_mut(), &mut self.stats);
-        assert!(
-            found.as_ref().ct_is(id).to_bool(),
-            "CircuitOram invariant violated: block {id} not found"
-        );
-
-        found.leaf = new_leaf;
-        mutate(&mut found.data);
-        out.copy_from_slice(&found.data);
-        self.stash.insert(found.as_ref(), &mut self.stats);
-
+        self.lift(id, mutate, out);
         // Two deterministic evictions per access.
-        for _ in 0..2 {
-            let leaf = self.next_evict_leaf();
-            self.evict(leaf);
-        }
+        self.evict_next();
+        self.evict_next();
     }
 
     fn len(&self) -> u64 {

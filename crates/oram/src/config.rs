@@ -5,6 +5,14 @@
 /// The defaults follow the paper's setup (§V-A1): bucket size `Z = 4`,
 /// stash 150 (Path) / 10 (Circuit), position-map fan-out 16×, recursion
 /// enabled above 2^16 blocks (Path) / 2^12 blocks (Circuit).
+///
+/// Tree size is not a parameter: [`crate::tree_leaves`] gives every tree
+/// one leaf per `Z` blocks, at most 50 % occupied. At that worst case the
+/// stash-tail harness bounds the probability that an access overflows the
+/// default stash by 2⁻³⁰ for Circuit ORAM and 2⁻⁵⁵ for Path ORAM (trees up
+/// to 2²⁴ leaves); the same measurement gives Circuit ORAM only 2⁻²⁸ at
+/// 25 % occupancy (EXPERIMENTS.md, "Tree sizing"). An overflow panics: a
+/// block is never dropped.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct OramConfig {
     /// Payload words (`u32`) per block. For an embedding table this is the

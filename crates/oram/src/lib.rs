@@ -59,6 +59,8 @@ mod path;
 pub mod posmap;
 pub mod setup;
 pub mod stash;
+#[cfg(test)]
+mod stash_tail;
 mod stats;
 pub mod tree;
 
@@ -67,6 +69,7 @@ pub use circuit::CircuitOram;
 pub use config::OramConfig;
 pub use path::PathOram;
 pub use stats::AccessStats;
+pub use tree::tree_leaves;
 
 /// Common interface of the ORAM controllers.
 pub trait Oram {

@@ -70,13 +70,27 @@ impl PathOram {
     fn with_depth(
         n_blocks: u64,
         config: OramConfig,
-        mut rng: StdRng,
+        rng: StdRng,
         depth: u32,
         fill: &mut dyn FnMut(u64, &mut [u32]),
     ) -> Self {
         config.validate();
+        let tree = Tree::new(n_blocks, &config, tree_region(depth));
+        Self::with_tree(tree, n_blocks, config, rng, depth, fill)
+    }
+
+    /// [`Self::with_depth`] over a caller-built `tree`. The stash-tail
+    /// harness hands in a tree sized for fewer than `n_blocks` blocks to
+    /// measure occupancies above the sizing rule's.
+    pub(crate) fn with_tree(
+        mut tree: Tree,
+        n_blocks: u64,
+        config: OramConfig,
+        mut rng: StdRng,
+        depth: u32,
+        fill: &mut dyn FnMut(u64, &mut [u32]),
+    ) -> Self {
         assert!(n_blocks > 0, "PathOram: empty block set");
-        let mut tree = Tree::new(n_blocks, &config, tree_region(depth));
         let mut stash = Stash::new(&config, stash_region(depth));
         let labels = initial_layout(n_blocks, &mut tree, &mut stash, &mut rng, fill);
         let inner_seed: u64 = rng.gen();

@@ -183,6 +183,36 @@ mod tests {
     }
 
     #[test]
+    fn initial_layout_fits_the_stash_at_the_rules_fullest() {
+        // n = 2^k fills the rule's tree to exactly Z blocks per leaf, its
+        // worst case; Circuit ORAM's 10-slot stash is the tightest.
+        let cfg = OramConfig::circuit(1);
+        let mut worst = 0;
+        for k in 10..=20 {
+            let n = 1u64 << k;
+            let mut tree = Tree::new(n, &cfg, tree_region(0));
+            assert_eq!(tree.leaves() * cfg.bucket_size as u64, n);
+            let mut stash = Stash::new(&cfg, stash_region(0));
+            let mut rng = StdRng::seed_from_u64(k);
+            initial_layout(n, &mut tree, &mut stash, &mut rng, &mut |_, _| {});
+            assert!(stash.occupancy() <= stash.capacity());
+            worst = worst.max(stash.occupancy());
+        }
+        println!("largest stash after initial placement, n = 2^10..2^20: {worst}");
+    }
+
+    #[test]
+    #[should_panic(expected = "stash overflow during initial placement")]
+    fn initial_layout_overflow_panics() {
+        // One bucket of Z = 4 and a 10-slot stash cannot place 15 blocks.
+        let cfg = OramConfig::circuit(1);
+        let mut tree = Tree::new(1, &cfg, tree_region(0));
+        let mut stash = Stash::new(&cfg, stash_region(0));
+        let mut rng = StdRng::seed_from_u64(0);
+        initial_layout(15, &mut tree, &mut stash, &mut rng, &mut |_, _| {});
+    }
+
+    #[test]
     #[should_panic(expected = "has 0 copies")]
     fn residency_check_catches_a_lost_block() {
         let cfg = OramConfig::path(2);

@@ -5,6 +5,25 @@ use crate::config::OramConfig;
 use crate::setup::trace_len;
 use secemb_trace::tracer::{self, RegionId};
 
+/// Leaf count of the tree that holds `n_blocks` real blocks in buckets of
+/// `bucket_size` slots: one leaf per `bucket_size` blocks, rounded up to a
+/// power of two, `next_pow2(ceil(n / Z))`. That is more than `Z/2` and at
+/// most `Z` blocks per leaf, so the tree's `2·leaves − 1` buckets are
+/// 25–50 % occupied.
+///
+/// The one sizing rule of every tree ORAM in the workspace — Path,
+/// Circuit and look-ahead ORAM, and the footprint model of Table VI. It
+/// was chosen by measuring stash tails over ≥ 10⁷ seeded accesses per
+/// cell at 25–87.5 % occupancy (crate-internal `stash_tail` tests; the
+/// tail table, its exponential fit and the bound are in EXPERIMENTS.md,
+/// "Tree sizing"). At 50 % occupancy an access overflows the default
+/// stash with probability at most 2⁻³⁰ (Circuit ORAM; Path ORAM 2⁻⁵⁵,
+/// look-ahead ORAM 2⁻⁶⁷ per window of 64 — see [`OramConfig`]), a bound
+/// the same measurement does not reach for Circuit ORAM at 25 %.
+pub fn tree_leaves(n_blocks: u64, bucket_size: usize) -> u64 {
+    n_blocks.div_ceil(bucket_size as u64).next_power_of_two()
+}
+
 /// A complete binary tree of buckets, each holding `Z` (possibly dummy)
 /// blocks, stored as one flat [`Slots`] arena: bucket `b` is slots
 /// `b·Z .. (b+1)·Z`.
@@ -26,15 +45,18 @@ pub struct Tree {
 }
 
 impl Tree {
-    /// Builds an empty tree able to hold `n_blocks` real blocks at ~25%
-    /// occupancy (leaves = next power of two of `n_blocks / 2`).
+    /// Builds an empty tree for `n_blocks` real blocks, with
+    /// [`tree_leaves`] leaves: at most 50 % of its slots will be occupied,
+    /// where an access overflows the default stash with probability at
+    /// most 2⁻³⁰ (measured; see [`tree_leaves`]).
     ///
     /// # Panics
     ///
-    /// Panics if one bucket's byte size does not fit a trace event length.
+    /// Panics if `config.bucket_size` is zero or one bucket's byte size
+    /// does not fit a trace event length.
     pub fn new(n_blocks: u64, config: &OramConfig, region: RegionId) -> Self {
         let bucket_len = trace_len(config.bucket_size as u64 * config.block_bytes());
-        let leaves = (n_blocks.div_ceil(2)).next_power_of_two().max(1);
+        let leaves = tree_leaves(n_blocks, config.bucket_size);
         let levels = leaves.trailing_zeros();
         let bucket_count = (2 * leaves - 1) as usize;
         Tree {
@@ -139,23 +161,51 @@ impl Tree {
 mod tests {
     use super::*;
 
+    const Z: u64 = 4;
+
     fn tree(n: u64) -> Tree {
         Tree::new(n, &OramConfig::path(4), RegionId(2))
     }
 
+    /// `Z` blocks per leaf is the fullest tree the rule builds.
+    fn tree_with_leaves(leaves: u64) -> Tree {
+        let t = tree(leaves * Z);
+        assert_eq!(t.leaves(), leaves);
+        t
+    }
+
     #[test]
     fn sizing() {
-        let t = tree(64);
-        assert_eq!(t.leaves(), 32);
-        assert_eq!(t.levels(), 5);
-        assert_eq!(t.memory_bytes(), 63 * 4 * (16 + 16));
-        assert_eq!(tree(1).leaves(), 1);
+        for n in [1u64, 2, 4, 5, 63, 64, 65, 1000] {
+            let t = tree(n);
+            assert_eq!(t.leaves(), tree_leaves(n, Z as usize), "n = {n}");
+            assert_eq!(t.levels(), t.leaves().trailing_zeros());
+            assert_eq!(t.bucket_count() as u64, 2 * t.leaves() - 1);
+            assert_eq!(t.memory_bytes(), t.bucket_count() as u64 * Z * (16 + 16));
+        }
         assert_eq!(tree(1).levels(), 0);
     }
 
     #[test]
+    fn rule_keeps_between_half_a_bucket_and_a_bucket_per_leaf() {
+        // More than Z/2 and at most Z blocks per leaf, i.e. (25 %, 50 %]
+        // of the slots of 2·leaves buckets.
+        for z in [2usize, 3, 4, 5] {
+            for n in 1..=4096u64 {
+                let leaves = tree_leaves(n, z);
+                assert!(leaves.is_power_of_two());
+                assert!(n <= leaves * z as u64, "n = {n}, Z = {z}: over Z per leaf");
+                assert!(
+                    leaves == 1 || 2 * n > leaves * z as u64,
+                    "n = {n}, Z = {z}: {leaves} leaves is a level too many"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn bucket_indexing_root_and_leaves() {
-        let t = tree(16); // leaves = 8, levels = 3
+        let t = tree_with_leaves(8); // levels = 3
         assert_eq!(t.bucket_index(0, 0), 0);
         assert_eq!(t.bucket_index(0, 7), 0, "root shared by all paths");
         assert_eq!(t.bucket_index(3, 0), 7);
@@ -167,7 +217,7 @@ mod tests {
 
     #[test]
     fn deepest_legal_levels() {
-        let t = tree(16); // levels = 3
+        let t = tree_with_leaves(8); // levels = 3
         assert_eq!(t.deepest_legal(5, 5), 3);
         assert_eq!(t.deepest_legal(0b100, 0b101), 2);
         assert_eq!(t.deepest_legal(0b110, 0b101), 1);
@@ -176,7 +226,7 @@ mod tests {
 
     #[test]
     fn read_write_round_trip() {
-        let mut t = tree(8);
+        let mut t = tree_with_leaves(4);
         let root = t.bucket_index(0, 0);
         let slot = t.write_bucket(root).into_slot(0);
         *slot.id = 42;
