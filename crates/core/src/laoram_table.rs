@@ -44,13 +44,33 @@ impl LaOramTable {
     ///
     /// Panics if the table is empty or `config.block_words != table.cols()`.
     pub fn with_config(table: &Matrix, config: LaConfig, rng: StdRng) -> Self {
-        assert!(!table.is_empty(), "LaOramTable: empty table");
-        let dim = table.cols();
-        assert_eq!(config.block_words, dim, "LaOramTable: block width != dim");
+        assert_eq!(
+            config.block_words,
+            table.cols(),
+            "LaOramTable: block width != dim"
+        );
         let rows = table.rows() as u64;
+        Self::from_fn(rows, config, rng, &mut table_rows_as_bits(table))
+    }
+
+    /// A table of `rows` rows of `config.block_words` floats behind a
+    /// look-ahead ORAM, row `id`'s `f32` bit patterns written by `fill(id,
+    /// slot)` straight into the row's arena slot, once per row in id
+    /// order — no copy of the table exists besides the tree.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` is zero or the config is invalid.
+    pub fn from_fn(
+        rows: u64,
+        config: LaConfig,
+        rng: StdRng,
+        fill: &mut dyn FnMut(u64, &mut [u32]),
+    ) -> Self {
+        assert!(rows > 0, "LaOramTable: empty table");
         LaOramTable {
-            la: LookAheadOram::from_fn(rows, config, rng, &mut table_rows_as_bits(table)),
-            dim,
+            la: LookAheadOram::from_fn(rows, config, rng, fill),
+            dim: config.block_words,
             rows,
         }
     }

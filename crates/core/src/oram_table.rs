@@ -37,7 +37,7 @@ impl OramTable {
     ///
     /// Panics if the table is empty.
     pub fn path(table: &Matrix, rng: StdRng) -> Self {
-        Self::build(table, rng, Technique::PathOram)
+        Self::from_table(Technique::PathOram, table, rng)
     }
 
     /// Stores `table` behind Circuit ORAM with the paper's parameters.
@@ -46,14 +46,31 @@ impl OramTable {
     ///
     /// Panics if the table is empty.
     pub fn circuit(table: &Matrix, rng: StdRng) -> Self {
-        Self::build(table, rng, Technique::CircuitOram)
+        Self::from_table(Technique::CircuitOram, table, rng)
     }
 
-    fn build(table: &Matrix, rng: StdRng, technique: Technique) -> Self {
-        assert!(!table.is_empty(), "OramTable: empty table");
-        let dim = table.cols();
-        let rows = table.rows() as u64;
-        let fill = &mut table_rows_as_bits(table);
+    fn from_table(technique: Technique, table: &Matrix, rng: StdRng) -> Self {
+        let (rows, dim) = (table.rows() as u64, table.cols());
+        Self::from_fn(technique, rows, dim, rng, &mut table_rows_as_bits(table))
+    }
+
+    /// A `rows × dim` table behind `technique`'s ORAM with the paper's
+    /// parameters, row `id`'s `f32` bit patterns written by `fill(id,
+    /// slot)` straight into the row's arena slot, once per row in id
+    /// order — no copy of the table exists besides the tree.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table is empty or `technique` is not Path or Circuit
+    /// ORAM.
+    pub fn from_fn(
+        technique: Technique,
+        rows: u64,
+        dim: usize,
+        rng: StdRng,
+        fill: &mut dyn FnMut(u64, &mut [u32]),
+    ) -> Self {
+        assert!(rows > 0 && dim > 0, "OramTable: empty table");
         let oram: Box<dyn Oram + Send> = match technique {
             Technique::PathOram => {
                 Box::new(PathOram::from_fn(rows, OramConfig::path(dim), rng, fill))

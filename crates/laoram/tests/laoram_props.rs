@@ -99,7 +99,9 @@ proptest! {
 /// `Vec<Vec<Block>>` implementation before the flat-arena rewrite. Any
 /// drift means the algorithm (not just where the bytes live) changed. The
 /// trace hash and bucket counts were re-recorded when trees went to one
-/// leaf per `Z` blocks (one level fewer); the payloads did not move.
+/// leaf per `Z` blocks (one level fewer), and again when the tree became
+/// balanced over exactly ⌈n/Z⌉ leaves (24 instead of 32, so staged paths
+/// share more buckets); the payloads moved neither time.
 #[test]
 fn golden_trace_forty_windows() {
     use rand::Rng;
@@ -131,7 +133,7 @@ fn golden_trace_forty_windows() {
     });
     assert_eq!(
         trace_hash(&trace),
-        0x3c64_69cc_7fa7_360c,
+        0xb9ec_dc65_46b5_193c,
         "event stream drifted"
     );
     assert_eq!(
@@ -142,12 +144,12 @@ fn golden_trace_forty_windows() {
         la.stats(),
         secemb_oram::AccessStats {
             accesses: 345,
-            bucket_reads: 2087,
-            bucket_writes: 2087,
+            bucket_reads: 2069,
+            bucket_writes: 2069,
             stash_scans: 5403,
             stash_slots_scanned: 691_584,
             posmap_accesses: 690,
-            bytes_moved: 400_704,
+            bytes_moved: 397_248,
             evictions: 182,
         }
     );
@@ -158,12 +160,55 @@ fn golden_trace_forty_windows() {
             ops: 345,
             prefetch_hits: 14,
             staged_fetches: 331,
-            bucket_reads_saved: 1075,
+            bucket_reads_saved: 1093,
             combined_evictions: 182,
             evictions_saved: 163,
             stash_high_water: 16,
         }
     );
+}
+
+/// Exact index independence on a short leaf level: 100 blocks, 25 leaves
+/// under a depth-5 spine (the soak below runs on 12). Each run warms a
+/// same-seed LAORAM (untraced) with one window over its own 24 distinct
+/// ids, then runs that window again under the tracer, stage included.
+/// The warm-up gave the `i`-th id the RNG's `i`-th fresh leaf in every
+/// run, so the traced windows fetch the same paths whichever ids they
+/// name.
+#[test]
+fn window_traces_are_index_independent_on_a_short_leaf_level() {
+    let blocks: Vec<Vec<u32>> = (0..100u32).map(|i| vec![i; WORDS]).collect();
+    let sets: Vec<Vec<u64>> = (0..4u64)
+        .map(|k| (0..24u64).map(|i| (37 * i + 11 * k) % 100).collect())
+        .collect();
+    let reads = |ids: &[u64]| -> Vec<WindowOp> { ids.iter().map(|&i| WindowOp::Read(i)).collect() };
+    // `cold`: run 1 skips its warm-up, so its window fetches the ids'
+    // initial leaves — a different history, which must show.
+    let verdict = |cold: bool| {
+        let mut las: Vec<LookAheadOram> = sets
+            .iter()
+            .enumerate()
+            .map(|(k, ids)| {
+                let config = LaConfig::new(WORDS);
+                let mut la = LookAheadOram::new(&blocks, config, StdRng::seed_from_u64(9));
+                if !(cold && k == 1) {
+                    la.process_window(&reads(ids));
+                }
+                la
+            })
+            .collect();
+        let runs: Vec<usize> = (0..sets.len()).collect();
+        secemb_trace::check::compare_traces(&runs, |&k| {
+            las[k].process_window(&reads(&sets[k]));
+        })
+    };
+    let warm = verdict(false);
+    assert!(
+        warm.is_oblivious(),
+        "run {:?} diverged",
+        warm.first_divergence()
+    );
+    assert!(!verdict(true).is_oblivious(), "the check is vacuous");
 }
 
 /// Soak: 20 000 seeded accesses in mixed windows against a plain model,

@@ -4,8 +4,7 @@ use crate::block::{Block, DUMMY_ID};
 use crate::config::OramConfig;
 use crate::posmap::PosMap;
 use crate::setup::{
-    bit_reverse, check_residency, fill_from_blocks, initial_layout, posmap_region, stash_region,
-    tree_region,
+    check_residency, fill_from_blocks, initial_layout, posmap_region, stash_region, tree_region,
 };
 use crate::stash::Stash;
 use crate::stats::AccessStats;
@@ -221,10 +220,9 @@ impl CircuitOram {
     }
 
     /// One eviction along the next path of the reverse-lexicographic
-    /// schedule.
+    /// schedule ([`Tree::eviction_leaf`]).
     pub(crate) fn evict_next(&mut self) {
-        let leaf = bit_reverse(self.evict_counter % self.tree.leaves(), self.tree.levels());
-        self.evict_counter += 1;
+        let leaf = self.tree.eviction_leaf(&mut self.evict_counter);
         self.evict(leaf);
     }
 

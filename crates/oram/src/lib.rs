@@ -69,7 +69,7 @@ pub use circuit::CircuitOram;
 pub use config::OramConfig;
 pub use path::PathOram;
 pub use stats::AccessStats;
-pub use tree::tree_leaves;
+pub use tree::{tree_buckets, tree_leaves};
 
 /// Common interface of the ORAM controllers.
 pub trait Oram {

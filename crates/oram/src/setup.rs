@@ -35,7 +35,9 @@ pub(crate) fn trace_len(bytes: u64) -> u32 {
 /// Assigns each of `n_blocks` blocks a uniform leaf and places it as deep
 /// as possible on its own path (falling back to the stash), returning the
 /// leaf labels. `fill(id, payload)` writes block `id`'s words straight
-/// into its arena slot — no intermediate copy of the block set exists.
+/// into its arena slot — no intermediate copy of the block set exists —
+/// and is called once per block in id order, so a fill may draw each
+/// block's contents from a stream as it goes.
 ///
 /// Runs at construction time, before any secret-dependent request exists,
 /// so it is intentionally untraced — a real deployment performs the same
@@ -107,10 +109,10 @@ pub fn check_residency(tree: &Tree, stash: &Stash, n_blocks: u64, labels: Option
             );
         }
     };
-    let levels = tree.levels();
-    for level in 0..=levels {
-        for b in 0..(1u64 << level) {
-            let idx = tree.bucket_index(level, b << (levels - level));
+    // Label `j` reaches bucket `j` of every level it has (see `Tree`).
+    for level in 0..=tree.levels() {
+        for j in 0..tree.leaves().min(1 << level) {
+            let idx = tree.bucket_index(level, j);
             for blk in tree.bucket(idx).slots().filter(|blk| !blk.is_dummy()) {
                 visit(blk.id, blk.leaf, "tree");
                 assert_eq!(
@@ -130,29 +132,12 @@ pub fn check_residency(tree: &Tree, stash: &Stash, n_blocks: u64, labels: Option
     }
 }
 
-/// Reverses the low `bits` bits of `x` (reverse-lexicographic eviction
-/// order for Circuit ORAM).
-pub fn bit_reverse(x: u64, bits: u32) -> u64 {
-    if bits == 0 {
-        return 0;
-    }
-    x.reverse_bits() >> (64 - bits)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::OramConfig;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn bit_reverse_basics() {
-        assert_eq!(bit_reverse(0b001, 3), 0b100);
-        assert_eq!(bit_reverse(0b110, 3), 0b011);
-        assert_eq!(bit_reverse(0, 0), 0);
-        assert_eq!(bit_reverse(1, 1), 1);
-    }
 
     #[test]
     fn layout_places_every_block() {
