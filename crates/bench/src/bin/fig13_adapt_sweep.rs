@@ -121,7 +121,6 @@ fn drive(addr: SocketAddr, p: &Params, seed: u64) -> LoadReport {
         schedule: Schedule::Poisson,
         duration: Duration::from_secs_f64(p.phase_secs),
         deadline: Some(Duration::from_millis(20)),
-        pipeline_depth: 1,
         seed,
         write_frac: 0.0,
         record_requests: false,
@@ -211,7 +210,6 @@ fn churn_ab(p: &Params, rows: [u64; 2], threshold: u64) {
             schedule: Schedule::Poisson,
             duration: p.churn_half,
             deadline: Some(Duration::from_millis(20)),
-            pipeline_depth: 1,
             seed,
             write_frac: 0.0,
             record_requests: false,
@@ -366,6 +364,7 @@ fn main() {
             format!("{:.1}%", a.sla_miss_fraction() * 100.0),
             format!("{:.2}", s.latency.p99_ns / 1e6),
             format!("{:.2}", a.latency.p99_ns / 1e6),
+            format!("{:.3}", s.late.p99_ns.max(a.late.p99_ns) / 1e6),
         ]);
         (s, a)
     };
@@ -394,6 +393,7 @@ fn main() {
             "adaptive miss",
             "static p99 ms",
             "adaptive p99 ms",
+            "late p99 ms",
         ],
         &rows_out,
     );

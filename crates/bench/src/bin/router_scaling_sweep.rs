@@ -88,7 +88,6 @@ fn main() {
             schedule: Schedule::Poisson,
             duration: Duration::from_secs_f64(secs),
             deadline: Some(Duration::from_millis(20)),
-            pipeline_depth: 2,
             seed: 1,
             write_frac: 0.0,
             record_requests: false,

@@ -209,14 +209,16 @@ impl Dhe {
         }
         let chunk = indices.len().div_ceil(threads);
         let chunks: Vec<&[u64]> = indices.chunks(chunk).collect();
-        let results: Vec<Matrix> = crossbeam::thread::scope(|s| {
+        let results: Vec<Matrix> = std::thread::scope(|s| {
             let handles: Vec<_> = chunks
                 .into_iter()
-                .map(|c| s.spawn(move |_| self.infer(c)))
+                .map(|c| s.spawn(move || self.infer(c)))
                 .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        })
-        .expect("dhe worker panicked");
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("dhe worker panicked"))
+                .collect()
+        });
         let mut out = Matrix::zeros(indices.len(), self.config.dim);
         let mut row = 0;
         for part in results {

@@ -96,18 +96,17 @@ impl LinearScan {
         let mut out = Matrix::zeros(indices.len(), dim);
         let chunk = indices.len().div_ceil(threads);
         let out_slice = out.as_mut_slice();
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for (idx_chunk, out_chunk) in
                 indices.chunks(chunk).zip(out_slice.chunks_mut(chunk * dim))
             {
                 // Worker threads have no active trace session; the scan
                 // itself is the single-threaded one on a sub-batch.
-                s.spawn(move |_| {
+                s.spawn(move || {
                     scan::scan_copy_rows(self.table.as_slice(), dim, idx_chunk, out_chunk)
                 });
             }
-        })
-        .expect("scan worker panicked");
+        });
         out
     }
 }

@@ -111,12 +111,12 @@ pub fn run_colocated_warmed(
     // Workers + the timing thread rendezvous here after warm-up.
     let warmed = Barrier::new(workers.len() + 1);
     let mut elapsed = Duration::ZERO;
-    let samples: Vec<Vec<f64>> = crossbeam::thread::scope(|s| {
+    let samples: Vec<Vec<f64>> = std::thread::scope(|s| {
         let handles: Vec<_> = workers
             .iter_mut()
             .map(|worker| {
                 let (stop, warmed) = (&stop, &warmed);
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for _ in 0..warmup_iters {
                         worker.run_once();
                     }
@@ -135,11 +135,13 @@ pub fn run_colocated_warmed(
         let t0 = Instant::now();
         std::thread::sleep(window);
         stop.store(true, Ordering::Relaxed);
-        let results = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        let results = handles
+            .into_iter()
+            .map(|h| h.join().expect("colocated worker panicked"))
+            .collect();
         elapsed = t0.elapsed();
         results
-    })
-    .expect("colocated worker panicked");
+    });
     let latency: Vec<LatencySummary> = samples.iter().map(|s| LatencySummary::from_ns(s)).collect();
     ColocationResult {
         mean_latency_ns: latency.iter().map(|l| l.mean_ns).collect(),

@@ -193,9 +193,11 @@ pub struct LaStats {
     /// Total window operations served.
     pub ops: u64,
     /// Window slots served by an earlier fetch in the same window
-    /// (duplicate indices that needed no extra real path).
+    /// (duplicate indices that needed no extra real path). A function of
+    /// the secret indices: for in-process measurement only, never exported.
     pub prefetch_hits: u64,
-    /// Real (distinct-index) path fetches staged.
+    /// Real (distinct-index) path fetches staged. Secret, like
+    /// `prefetch_hits`.
     pub staged_fetches: u64,
     /// Bucket reads avoided by deduplicating the window's path union,
     /// versus fetching each of the `W` paths independently.
@@ -407,10 +409,12 @@ impl LookAheadOram {
         // Exactly W oblivious stash inserts: slot k lifts distinct[k] out of
         // the fetched buckets where they lie (constant-time scan over every
         // fetched slot); pad slots insert a dummy (a no-op that still scans
-        // the whole stash) without re-scanning the buckets — the duplicate
-        // count is already public through `staged_fetches`/`prefetch_hits`
-        // and the traced size of the deduplicated bucket union, so only the
-        // per-slot scan shape needs to be constant, not the slot count.
+        // the whole stash) without re-scanning the buckets. That skip makes
+        // this loop's untraced work a function of the duplicate count `d`,
+        // which is secret: it depends on the indices, not on the window's
+        // shape. The count is not exported (`LaStats::prefetch_hits` and
+        // `staged_fetches` stay in-process), but the running time still
+        // differs with `d` until every slot scans the buckets.
         for &target in &self.distinct {
             self.lifted.id = DUMMY_ID;
             for &idx in &self.union {

@@ -6,19 +6,23 @@
 //! secemb-serve-load --addr ADDR | --hosts ADDR,ADDR,...
 //!                   [--table N]... [--conns N] [--idle-conns N] [--batch N]
 //!                   [--secs S] [--deadline-ms D] [--schedule paced|poisson]
-//!                   [--pipeline-depth K] [--write-frac F] [--rate R]... [--out FILE]
+//!                   [--write-frac F] [--rate R]... [--out FILE]
 //!                   [--scrape-metrics] [--scrape-stats]
 //! ```
 //!
 //! `--deadline-ms 0` sends no deadline. Each `--rate` adds one sweep
 //! point (requests/second). Repeating `--table` mixes traffic uniformly
 //! over the listed tables; `--schedule poisson` replaces the fixed pacing
-//! with exponential inter-arrival gaps at the same mean rate;
-//! `--pipeline-depth K` keeps up to K id-matched requests in flight per
-//! connection (default 1, the classic closed loop); `--write-frac F`
-//! sends fraction F of requests as oblivious updates (read-modify-write
-//! with gradient-sized random deltas) — a mixed training/inference
-//! schedule over the wire, meaningful against look-ahead ORAM tables;
+//! with exponential inter-arrival gaps at the same mean rate. Each sweep
+//! point is one open-loop schedule dealt round-robin over the `--conns`
+//! connections, with nothing capping the requests in flight; latency is
+//! timed from each request's due time, and the `late p99` column is how
+//! far behind its schedule the generator itself sent (two threads run
+//! the load whatever `--conns` is: the sender and one reactor).
+//! `--write-frac F` sends fraction F of requests as oblivious updates
+//! (read-modify-write with gradient-sized random deltas) — a mixed
+//! training/inference schedule over the wire, meaningful against
+//! look-ahead ORAM tables;
 //! `--idle-conns N` additionally holds N open-but-silent connections for
 //! the whole sweep — the mostly-idle fleet the server's reactor holds
 //! at O(1) threads. `--hosts` lists
@@ -56,7 +60,6 @@ struct Args {
     secs: f64,
     deadline: Option<Duration>,
     schedule: Schedule,
-    pipeline_depth: usize,
     write_frac: f64,
     rates: Vec<f64>,
     out: Option<PathBuf>,
@@ -71,7 +74,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: secemb-serve-load --addr ADDR | --hosts ADDR,ADDR,... [--table N]... \
          [--conns N] [--idle-conns N] [--batch N] [--secs S] [--deadline-ms D] \
-         [--schedule paced|poisson] [--pipeline-depth K] [--write-frac F] \
+         [--schedule paced|poisson] [--write-frac F] \
          [--rate R]... [--out FILE] [--scrape-metrics] [--scrape-stats] [--trace] \
          [--timeline-secs S] [--tail-secs S]"
     );
@@ -95,7 +98,6 @@ fn parse_args() -> Args {
         secs: 2.0,
         deadline: Some(Duration::from_millis(20)),
         schedule: Schedule::Paced,
-        pipeline_depth: 1,
         write_frac: 0.0,
         rates: Vec::new(),
         out: None,
@@ -127,12 +129,6 @@ fn parse_args() -> Args {
                 args.deadline = (ms > 0).then(|| Duration::from_millis(ms));
             }
             "--schedule" => args.schedule = value().parse().unwrap_or_else(|_| usage()),
-            "--pipeline-depth" => {
-                args.pipeline_depth = value().parse().unwrap_or_else(|_| usage());
-                if args.pipeline_depth == 0 {
-                    usage();
-                }
-            }
             "--write-frac" => {
                 args.write_frac = value().parse().unwrap_or_else(|_| usage());
                 if !(0.0..=1.0).contains(&args.write_frac) {
@@ -201,19 +197,18 @@ fn main() {
     }
     let table_list: Vec<String> = args.tables.iter().map(usize::to_string).collect();
     println!(
-        "sweep: table(s) {}, {} schedule, {} conns x depth {}, batch {}, {}s/point, deadline {}",
+        "sweep: table(s) {}, {} schedule, {} conns, batch {}, {}s/point, deadline {}",
         table_list.join(","),
         args.schedule.label(),
         args.conns,
-        args.pipeline_depth,
         args.batch,
         args.secs,
         args.deadline
             .map_or("none".to_string(), |d| format!("{}ms", d.as_millis())),
     );
     println!(
-        "{:>10} {:>10} {:>9} {:>9} {:>9} {:>8} {:>8}",
-        "offered/s", "achieved/s", "p50 ms", "p95 ms", "p99 ms", "rej %", "miss %"
+        "{:>10} {:>10} {:>9} {:>9} {:>9} {:>8} {:>8} {:>12}",
+        "offered/s", "achieved/s", "p50 ms", "p95 ms", "p99 ms", "rej %", "miss %", "late p99 ms"
     );
     for &rate in &args.rates {
         let report = run_load(&LoadConfig {
@@ -226,7 +221,6 @@ fn main() {
             schedule: args.schedule,
             duration: Duration::from_secs_f64(args.secs),
             deadline: args.deadline,
-            pipeline_depth: args.pipeline_depth,
             write_frac: args.write_frac,
             seed: 1,
             record_requests: out.is_some(),
@@ -237,14 +231,15 @@ fn main() {
         match report {
             Ok(r) => {
                 println!(
-                    "{:>10.0} {:>10.0} {:>9.2} {:>9.2} {:>9.2} {:>7.1}% {:>7.1}%",
+                    "{:>10.0} {:>10.0} {:>9.2} {:>9.2} {:>9.2} {:>7.1}% {:>7.1}% {:>12.3}",
                     r.offered_rps,
                     r.achieved_rps,
                     r.latency.p50_ns / 1e6,
                     r.latency.p95_ns / 1e6,
                     r.latency.p99_ns / 1e6,
                     r.rejected_fraction() * 100.0,
-                    r.sla_miss_fraction() * 100.0
+                    r.sla_miss_fraction() * 100.0,
+                    r.late.p99_ns / 1e6
                 );
                 for (t, bucket) in r.timeline.iter().enumerate() {
                     println!("timeline t={t} {}", bucket.render());

@@ -6,21 +6,20 @@
 //! both the classic synchronous calls ([`Client::generate`] etc.) and a
 //! pipelined path: [`Client::call_async`] sends without waiting and
 //! [`Client::drain_next`] collects whichever response completes next,
-//! id-matched. [`Client::into_split`] separates the two stream halves so
-//! a sender thread and a receiver thread can run the pipeline without a
-//! shared lock.
+//! id-matched. A client is one socket and no thread; open-loop load with
+//! many requests in flight goes through [`crate::loadgen`], which puts its
+//! connections on a reactor instead.
 
 use crate::protocol::{
-    decode_server, encode_generate, encode_generate_multi, encode_generate_traced,
-    encode_metrics_request, encode_plan_pull, encode_plan_push, encode_stats_request,
-    encode_tables_request, encode_traces_request, encode_update_traced, ServerMsg,
+    decode_server, encode_generate, encode_generate_multi, encode_metrics_request,
+    encode_plan_pull, encode_plan_push, encode_stats_request, encode_tables_request,
+    encode_traces_request, encode_update_traced, ServerMsg,
 };
-use secemb_telemetry::TraceCtx;
 use secemb_tensor::Matrix;
-use secemb_wire::frame::{read_frame, write_frame, FrameError};
+use secemb_wire::frame::{encode_frame_into, read_frame, FrameError};
 use std::collections::{HashSet, VecDeque};
-use std::io::{self, BufReader, BufWriter};
-use std::net::{Shutdown, TcpStream, ToSocketAddrs};
+use std::io::{self, BufReader, Write};
+use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 /// One TCP connection to a `secemb-serve` server. Synchronous calls and
@@ -28,27 +27,16 @@ use std::time::Duration;
 /// client buffers out-of-order arrivals and hands each response back
 /// under the id it was sent with.
 pub struct Client {
-    sender: ClientSender,
-    receiver: ClientReceiver,
+    /// Reads go through the buffer; each frame is written to the stream
+    /// underneath in one call.
+    stream: BufReader<TcpStream>,
+    next_id: u64,
     /// Ids sent via [`Client::call_async`] whose responses have not been
     /// handed to the caller yet.
     outstanding: HashSet<u64>,
     /// Responses that arrived while a synchronous call was waiting for a
     /// different id; drained first by [`Client::drain_next`].
     ready: VecDeque<(u64, ServerMsg)>,
-}
-
-/// Write half of a split [`Client`]: assigns request ids and sends
-/// frames. Owned by the pipeline's sender thread.
-pub struct ClientSender {
-    writer: BufWriter<TcpStream>,
-    next_id: u64,
-}
-
-/// Read half of a split [`Client`]: blocks for the next response frame.
-/// Owned by the pipeline's receiver thread.
-pub struct ClientReceiver {
-    reader: BufReader<TcpStream>,
 }
 
 /// Description of one served table as reported by the server.
@@ -69,136 +57,6 @@ fn bad_reply(kind: &str) -> io::Error {
         io::ErrorKind::InvalidData,
         format!("unexpected reply: {kind}"),
     )
-}
-
-fn from_frame_error(e: FrameError) -> io::Error {
-    match e {
-        FrameError::Io(e) => e,
-        other => io::Error::new(io::ErrorKind::InvalidData, other.to_string()),
-    }
-}
-
-impl ClientSender {
-    /// Sends a generate request without waiting, returning the request id
-    /// its response will carry.
-    ///
-    /// # Errors
-    ///
-    /// Returns transport errors.
-    pub fn send_generate(
-        &mut self,
-        table: usize,
-        indices: &[u64],
-        deadline: Option<Duration>,
-    ) -> io::Result<u64> {
-        let id = self.next_id;
-        self.next_id = self.next_id.wrapping_add(1);
-        write_frame(
-            &mut self.writer,
-            &encode_generate(id, table, indices, deadline),
-        )?;
-        Ok(id)
-    }
-
-    /// [`ClientSender::send_generate`] with a distributed-trace context
-    /// riding the frame. The trace id is public — servers key span
-    /// sampling on it and nothing else — and is echoed on the response.
-    ///
-    /// # Errors
-    ///
-    /// Returns transport errors.
-    pub fn send_generate_traced(
-        &mut self,
-        table: usize,
-        indices: &[u64],
-        deadline: Option<Duration>,
-        trace: TraceCtx,
-    ) -> io::Result<u64> {
-        let id = self.next_id;
-        self.next_id = self.next_id.wrapping_add(1);
-        write_frame(
-            &mut self.writer,
-            &encode_generate_traced(id, table, indices, deadline, Some(trace)),
-        )?;
-        Ok(id)
-    }
-
-    /// Sends an update (oblivious read-modify-write) request without
-    /// waiting, returning the request id its response will carry.
-    ///
-    /// # Errors
-    ///
-    /// Returns transport errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `deltas` is not `indices.len() × dim`.
-    pub fn send_update(
-        &mut self,
-        table: usize,
-        indices: &[u64],
-        deltas: &Matrix,
-        deadline: Option<Duration>,
-    ) -> io::Result<u64> {
-        let id = self.next_id;
-        self.next_id = self.next_id.wrapping_add(1);
-        write_frame(
-            &mut self.writer,
-            &encode_update_traced(id, table, indices, deltas, deadline, None),
-        )?;
-        Ok(id)
-    }
-
-    /// [`ClientSender::send_update`] with a distributed-trace context
-    /// riding the frame.
-    ///
-    /// # Errors
-    ///
-    /// Returns transport errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `deltas` is not `indices.len() × dim`.
-    pub fn send_update_traced(
-        &mut self,
-        table: usize,
-        indices: &[u64],
-        deltas: &Matrix,
-        deadline: Option<Duration>,
-        trace: TraceCtx,
-    ) -> io::Result<u64> {
-        let id = self.next_id;
-        self.next_id = self.next_id.wrapping_add(1);
-        write_frame(
-            &mut self.writer,
-            &encode_update_traced(id, table, indices, deltas, deadline, Some(trace)),
-        )?;
-        Ok(id)
-    }
-
-    /// Closes both directions of the connection, unblocking a receiver
-    /// thread parked in [`ClientReceiver::recv`]. Used by pipelined
-    /// drivers to tear down on error or at end of run.
-    pub fn shutdown(&self) {
-        let _ = self.writer.get_ref().shutdown(Shutdown::Both);
-    }
-}
-
-impl ClientReceiver {
-    /// Blocks for the next response frame, whatever request it answers.
-    ///
-    /// # Errors
-    ///
-    /// Returns transport or protocol errors; a clean server close
-    /// surfaces as [`io::ErrorKind::UnexpectedEof`].
-    pub fn recv(&mut self) -> io::Result<(u64, ServerMsg)> {
-        let payload = read_frame(&mut self.reader).map_err(|e| match e {
-            FrameError::Closed => io::Error::new(io::ErrorKind::UnexpectedEof, "server closed"),
-            other => from_frame_error(other),
-        })?;
-        decode_server(&payload)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
-    }
 }
 
 impl Client {
@@ -230,24 +88,30 @@ impl Client {
         stream.set_nodelay(true)?;
         stream.set_read_timeout(idle_timeout)?;
         Ok(Client {
-            receiver: ClientReceiver {
-                reader: BufReader::new(stream.try_clone()?),
-            },
-            sender: ClientSender {
-                writer: BufWriter::new(stream),
-                next_id: 1,
-            },
+            stream: BufReader::new(stream),
+            next_id: 1,
             outstanding: HashSet::new(),
             ready: VecDeque::new(),
         })
     }
 
-    /// Splits the connection into independently owned send and receive
-    /// halves for a two-thread pipeline. Responses already buffered by
-    /// synchronous calls are discarded, so split a client *before*
-    /// pipelining on it, not mid-stream.
-    pub fn into_split(self) -> (ClientSender, ClientReceiver) {
-        (self.sender, self.receiver)
+    /// Writes one frame.
+    fn send(&self, payload: &[u8]) -> io::Result<()> {
+        let mut frame = Vec::new();
+        encode_frame_into(&mut frame, payload);
+        self.stream.get_ref().write_all(&frame)
+    }
+
+    /// Blocks for the next response frame, whatever request it answers;
+    /// a clean server close surfaces as [`io::ErrorKind::UnexpectedEof`].
+    fn recv(&mut self) -> io::Result<(u64, ServerMsg)> {
+        let payload = read_frame(&mut self.stream).map_err(|e| match e {
+            FrameError::Closed => io::Error::new(io::ErrorKind::UnexpectedEof, "server closed"),
+            FrameError::Io(e) => e,
+            other => io::Error::new(io::ErrorKind::InvalidData, other.to_string()),
+        })?;
+        decode_server(&payload)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
     }
 
     /// Requests in flight via [`Client::call_async`] whose responses have
@@ -269,7 +133,8 @@ impl Client {
         indices: &[u64],
         deadline: Option<Duration>,
     ) -> io::Result<u64> {
-        let id = self.sender.send_generate(table, indices, deadline)?;
+        let id = self.fresh_id();
+        self.send(&encode_generate(id, table, indices, deadline))?;
         self.outstanding.insert(id);
         Ok(id)
     }
@@ -289,7 +154,7 @@ impl Client {
         if self.outstanding.is_empty() {
             return Err(bad_reply("drain_next with nothing in flight"));
         }
-        let (id, msg) = self.receiver.recv()?;
+        let (id, msg) = self.recv()?;
         if !self.outstanding.remove(&id) {
             return Err(bad_reply("response for an id never sent"));
         }
@@ -302,9 +167,9 @@ impl Client {
     /// Sends `payload` and blocks until the response carrying `id`
     /// arrives, parking any pipelined responses that land first.
     fn round_trip(&mut self, id: u64, payload: &[u8]) -> io::Result<ServerMsg> {
-        write_frame(&mut self.sender.writer, payload)?;
+        self.send(payload)?;
         loop {
-            let (got, msg) = self.receiver.recv()?;
+            let (got, msg) = self.recv()?;
             if got == id {
                 return Ok(msg);
             }
@@ -317,8 +182,8 @@ impl Client {
     }
 
     fn fresh_id(&mut self) -> u64 {
-        let id = self.sender.next_id;
-        self.sender.next_id = self.sender.next_id.wrapping_add(1);
+        let id = self.next_id;
+        self.next_id = self.next_id.wrapping_add(1);
         id
     }
 

@@ -408,8 +408,6 @@ struct ProbeDelta {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 struct LaDelta {
     windows: u64,
-    prefetch_hits: u64,
-    staged_fetches: u64,
     bucket_reads_saved: u64,
     combined_evictions: u64,
     evictions_saved: u64,
@@ -454,10 +452,6 @@ impl ProbeAccumulator {
     fn observe_la(&mut self, la: &LaStats) -> LaDelta {
         let delta = LaDelta {
             windows: la.windows.saturating_sub(self.last_la.windows),
-            prefetch_hits: la.prefetch_hits.saturating_sub(self.last_la.prefetch_hits),
-            staged_fetches: la
-                .staged_fetches
-                .saturating_sub(self.last_la.staged_fetches),
             bucket_reads_saved: la
                 .bucket_reads_saved
                 .saturating_sub(self.last_la.bucket_reads_saved),
@@ -511,17 +505,18 @@ struct WorkerProbes {
     epc_page_swaps: Arc<Counter>,
     encrypted_bytes: Arc<Counter>,
     /// Look-ahead probes (only move for window-aware generators): the
-    /// prefetch hit/miss split, the work the window dedup avoided, and
-    /// the stash high-water mark since the generator was installed. All
-    /// are whole-window aggregates — never read/write mix or per-index
-    /// information, which stays closed.
+    /// bucket reads the window's path union saved and the eviction
+    /// schedule. Both are whole-window aggregates of public shape or of
+    /// uniform leaves. The window's duplicate count is a function of the
+    /// secret indices and stays in-process: `LaStats::prefetch_hits` and
+    /// `staged_fetches` count it, and `LaStats::stash_high_water` is
+    /// taken right after staging, when the stash holds each distinct
+    /// index once. Read/write mix and per-index information stay closed
+    /// too.
     la_windows: Arc<Counter>,
-    la_prefetch_hits: Arc<Counter>,
-    la_staged_fetches: Arc<Counter>,
     la_bucket_reads_saved: Arc<Counter>,
     la_combined_evictions: Arc<Counter>,
     la_evictions_saved: Arc<Counter>,
-    la_stash_high_water: Arc<Gauge>,
     cost_model: CostModel,
 }
 
@@ -540,14 +535,11 @@ impl WorkerProbes {
             epc_page_swaps: registry.counter_with("enclave_epc_page_swaps_total", &labels),
             encrypted_bytes: registry.counter_with("enclave_encrypted_bytes_total", &labels),
             la_windows: registry.counter_with("laoram_windows_total", &labels),
-            la_prefetch_hits: registry.counter_with("laoram_prefetch_hits_total", &labels),
-            la_staged_fetches: registry.counter_with("laoram_staged_fetches_total", &labels),
             la_bucket_reads_saved: registry
                 .counter_with("laoram_bucket_reads_saved_total", &labels),
             la_combined_evictions: registry
                 .counter_with("laoram_combined_evictions_total", &labels),
             la_evictions_saved: registry.counter_with("laoram_evictions_saved_total", &labels),
-            la_stash_high_water: registry.gauge_with("laoram_stash_high_water", &labels),
             cost_model: CostModel::scalable_sgx(),
         }
     }
@@ -573,12 +565,9 @@ impl WorkerProbes {
         if let Some(la) = generator.lookahead_stats() {
             let d = acc.observe_la(&la);
             self.la_windows.add(d.windows);
-            self.la_prefetch_hits.add(d.prefetch_hits);
-            self.la_staged_fetches.add(d.staged_fetches);
             self.la_bucket_reads_saved.add(d.bucket_reads_saved);
             self.la_combined_evictions.add(d.combined_evictions);
             self.la_evictions_saved.add(d.evictions_saved);
-            self.la_stash_high_water.set(la.stash_high_water as f64);
         }
     }
 }
@@ -1732,6 +1721,72 @@ mod tests {
             .expect("read served")
             .clone();
         assert_eq!(after, updated);
+    }
+
+    /// What a look-ahead shard exports must not depend on how many of a
+    /// window's indices repeat: two same-seed shards serve windows of
+    /// equal size, all-distinct on one and one index repeated on the
+    /// other, and every exported counter and gauge must agree.
+    #[test]
+    fn laoram_exports_do_not_reveal_duplicate_indices() {
+        use secemb_telemetry::MetricValue;
+        /// Values distributed alike for every index stream but drawn
+        /// differently, exempt with their reasons.
+        const EXEMPT: [(&str, &str); 5] = [
+            (
+                "oram_bucket_reads_total",
+                "size of the union of W uniform leaf paths",
+            ),
+            ("oram_bucket_writes_total", "the same union, written back"),
+            ("oram_bytes_moved_total", "the same union's bytes"),
+            (
+                "laoram_bucket_reads_saved_total",
+                "W paths minus their union",
+            ),
+            (
+                "enclave_encrypted_bytes_total",
+                "modeled from the bytes moved",
+            ),
+        ];
+        const W: u64 = 8;
+        let start = || {
+            Engine::start(EngineConfig::new(vec![TableConfig {
+                spec: GeneratorSpec::LaOram { rows: 64, dim: 8 },
+                seed: 7,
+                queue_capacity: 64,
+                cost_override_ns: Some(1_000.0),
+            }]))
+        };
+        let (distinct, repeated) = (start(), start());
+        for window in 0..6 {
+            let fresh: Vec<u64> = (0..W).map(|i| (window * W + i) % 64).collect();
+            assert!(distinct.call(Request::new(0, fresh)).embeddings().is_some());
+            let same = vec![window; W as usize];
+            assert!(repeated.call(Request::new(0, same)).embeddings().is_some());
+        }
+        let exported = |engine: &Engine| -> Vec<(String, String)> {
+            engine
+                .metrics()
+                .snapshot()
+                .entries
+                .into_iter()
+                .filter(|e| !EXEMPT.iter().any(|&(name, _)| name == e.name))
+                .filter_map(|e| match e.value {
+                    MetricValue::Counter(v) => Some((e.key(), v.to_string())),
+                    MetricValue::Gauge(v) => Some((e.key(), v.to_string())),
+                    // Histograms hold timings, which differ run to run.
+                    MetricValue::Histogram(_) => None,
+                })
+                .collect()
+        };
+        let (a, b) = (exported(&distinct), exported(&repeated));
+        assert!(a
+            .iter()
+            .any(|(key, _)| key.starts_with("laoram_windows_total")));
+        for (x, y) in a.iter().zip(&b) {
+            assert_eq!(x, y, "an export differs with the duplicate count");
+        }
+        assert_eq!(a.len(), b.len());
     }
 
     #[test]

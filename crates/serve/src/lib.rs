@@ -36,8 +36,9 @@
 //!   connection can pipeline many requests and match out-of-order
 //!   responses; the server multiplexes every connection onto one
 //!   [`FrameReactor`] thread, joined on shutdown. [`loadgen`] drives
-//!   paced/Poisson latency-throughput sweeps with a `pipeline_depth`
-//!   knob.
+//!   paced/Poisson latency-throughput sweeps as one open-loop schedule:
+//!   the calling thread sends each request at its due time onto links a
+//!   reactor of its own carries, and times it from that due time.
 //!
 //! Security note: the serving layer never branches on index *values* —
 //! only on public quantities (counts, deadlines, table ids) — so the
@@ -82,7 +83,7 @@ pub(crate) fn lock_unpoisoned<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGua
 }
 
 pub use batcher::{execute_batch, BatchPolicy};
-pub use client::{Client, ClientReceiver, ClientSender, RemoteTable};
+pub use client::{Client, RemoteTable};
 pub use engine::{
     Engine, EngineConfig, PlanError, ShardPolicy, TableConfig, TableInfo, Ticket, TraceSettings,
 };

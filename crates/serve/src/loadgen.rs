@@ -1,33 +1,45 @@
-//! Load generation: paced and Poisson request streams, optionally mixed
-//! over several tables, for latency-throughput sweeps (the serving-side
-//! analogue of the paper's Fig. 13 SLA curves).
+//! Load generation: one open-loop stream of paced or Poisson arrivals,
+//! optionally mixed over several tables, for latency-throughput sweeps
+//! (the serving-side analogue of the paper's Fig. 13 SLA curves).
+//!
+//! The whole schedule is built up front. The calling thread is the only
+//! sender: it sends each request at its due time onto a link that one
+//! [`FrameReactor`] owns, and the reactor thread files the replies. Every
+//! request is timed from when it was *due*, so a stalled server is
+//! charged the wait it imposes on each later request, and a sender that
+//! falls behind sends its backlog at once instead of dropping it. How
+//! late the sender itself ran is reported as [`LoadReport::late`].
 
 use crate::client::Client;
-use crate::protocol::ServerMsg;
+use crate::protocol::{decode_server, encode_generate_traced, encode_update_traced, ServerMsg};
+use crate::reactor::{FrameReactor, LinkSender, ReactorConfig};
 use crate::request::RejectReason;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use secemb::stats::LatencySummary;
 use secemb_telemetry::{Stage, StageBreakdown, TraceCtx};
 use secemb_tensor::Matrix;
-use std::collections::HashMap;
 use std::io;
-use std::net::SocketAddr;
+use std::net::{SocketAddr, TcpStream};
 use std::str::FromStr;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-/// How request send times are spaced on each connection.
+/// How long the sender waits before retrying a frame that a link refused
+/// because the peer is not reading. The wait counts against the request:
+/// its latency still runs from its due time.
+const SEND_RETRY: Duration = Duration::from_micros(100);
+
+/// How request due times are spaced.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum Schedule {
     /// Fixed inter-request interval (deterministic, zero burstiness) —
     /// a lower bound on queueing pressure at a given offered rate.
     #[default]
     Paced,
-    /// Exponential inter-arrival times (an open-loop Poisson process per
-    /// connection) — the memoryless arrivals real front-ends see, with
-    /// bursts that stress admission control at the same mean rate.
+    /// Exponential inter-arrival times (an open-loop Poisson process) —
+    /// the memoryless arrivals real front-ends see, with bursts that
+    /// stress admission control at the same mean rate.
     Poisson,
 }
 
@@ -38,6 +50,23 @@ impl Schedule {
             Schedule::Paced => "paced",
             Schedule::Poisson => "poisson",
         }
+    }
+
+    /// Due times, as offsets from the run start, of every request that
+    /// falls inside `span` at `rate` per second: request `k` at `k/rate`
+    /// when paced, after exponential gaps of mean `1/rate` when Poisson.
+    fn due_times(self, rate: f64, span: Duration, rng: &mut StdRng) -> Vec<Duration> {
+        let mut due = Vec::new();
+        let mut t = 0.0;
+        while t < span.as_secs_f64() {
+            due.push(Duration::from_secs_f64(t));
+            t = match self {
+                Schedule::Paced => due.len() as f64 / rate,
+                // Inverse-CDF sample of Exp(rate): -ln(1-U) / rate.
+                Schedule::Poisson => t - (1.0 - rng.gen::<f64>()).ln() / rate,
+            };
+        }
+        due
     }
 }
 
@@ -61,7 +90,8 @@ pub struct LoadConfig {
     /// offered load over a fleet of equivalent front-ends; the table
     /// inventory is probed from the first entry.
     pub addrs: Vec<SocketAddr>,
-    /// Concurrent connections (each a closed loop of scheduled requests).
+    /// Connections the schedule is dealt over: request `k` goes out on
+    /// connection `k mod connections`.
     pub connections: usize,
     /// Extra connections held open but idle for the whole run. Each
     /// performs one inventory round trip at startup (so the server has
@@ -83,26 +113,21 @@ pub struct LoadConfig {
     pub duration: Duration,
     /// Per-request deadline sent to the server, if any.
     pub deadline: Option<Duration>,
-    /// Requests in flight per connection. 1 is the classic closed loop
-    /// (each request waits for its response); a depth `K > 1` pipelines
-    /// up to `K` id-matched requests on each connection, the way a
-    /// batching front-end multiplexes one upstream socket.
-    pub pipeline_depth: usize,
     /// Fraction of requests sent as oblivious updates (read-modify-write
     /// with random small delta rows) instead of plain reads, in `[0, 1]`.
     /// 0.0 is the classic read-only workload; against a table without a
     /// write path the updates come back `UpdateUnsupported` and count as
     /// rejections.
     pub write_frac: f64,
-    /// RNG seed for index/table selection and Poisson arrivals.
+    /// RNG seed for the schedule and for index/table selection.
     pub seed: u64,
     /// When true, the report carries one [`RequestRecord`] per answered
     /// request (completed or rejected) for per-request JSONL export.
     pub record_requests: bool,
     /// When true, every request carries a distributed-trace context with
-    /// a sequential public trace id (shared counter across connections),
-    /// so a server running `--trace-sample N` records spans for every
-    /// N-th request. The trace id never encodes tables or indices.
+    /// a sequential public trace id, so a server running
+    /// `--trace-sample N` records spans for every N-th request. The trace
+    /// id never encodes tables or indices.
     pub trace: bool,
     /// Bucket response outcomes into fixed windows measured from run
     /// start (`None` disables). Feeds [`LoadReport::timeline`] — the
@@ -140,12 +165,6 @@ impl OutcomeCounts {
         }
     }
 
-    fn merge(&mut self, other: &OutcomeCounts) {
-        self.ok += other.ok;
-        self.rejected += other.rejected;
-        self.internal += other.internal;
-    }
-
     /// Grep-able key=value rendering (`ok=12 rejected=0 internal=0`).
     pub fn render(&self) -> String {
         format!(
@@ -163,7 +182,7 @@ pub struct RequestRecord {
     pub conn: usize,
     /// Table the request targeted.
     pub table: usize,
-    /// Client-observed round-trip latency, nanoseconds.
+    /// Due time to reply, nanoseconds.
     pub latency_ns: u64,
     /// Server-attributed per-stage breakdown; `None` for rejections.
     pub stages: Option<StageBreakdown>,
@@ -227,15 +246,19 @@ pub struct LoadReport {
     pub achieved_rps: f64,
     /// Requests answered with embeddings.
     pub completed: u64,
-    /// Completed requests whose client-observed round trip still exceeded
-    /// the deadline — answered, but in SLA violation. Always 0 when no
-    /// deadline was set.
+    /// Completed requests whose latency still exceeded the deadline —
+    /// answered, but in SLA violation. Always 0 when no deadline was set.
     pub deadline_violations: u64,
     /// Requests explicitly rejected, per reason index
     /// ([`RejectReason::ALL`] order).
     pub rejected: [u64; RejectReason::ALL.len()],
-    /// Client-observed round-trip latency of completed requests.
+    /// Due time to reply, over completed requests.
     pub latency: LatencySummary,
+    /// Due time to send, over every request: how late the generator
+    /// itself ran. Latency includes it, so a run whose `late` tail
+    /// approaches its `latency` tail measured the generator, not the
+    /// server.
+    pub late: LatencySummary,
     /// Per-request records, in no particular order; empty unless
     /// [`LoadConfig::record_requests`] was set.
     pub records: Vec<RequestRecord>,
@@ -275,38 +298,205 @@ impl LoadReport {
     }
 }
 
+/// What a link's dispatch tells the sending thread.
+enum Event {
+    /// A reply to request `id`, decoded at the instant: the embeddings'
+    /// stage breakdown, or the rejection.
+    Reply(u64, Instant, Result<StageBreakdown, RejectReason>),
+    /// The reactor dropped connection `conn`.
+    Closed(usize),
+}
+
+/// Dials `addr` and hands the stream to the reactor as connection `conn`,
+/// whose replies and close are reported on `events`. A frame that is
+/// not a reply to a lookup closes the link.
+fn attach(
+    reactor: &FrameReactor,
+    addr: SocketAddr,
+    conn: usize,
+    events: &mpsc::Sender<Event>,
+) -> io::Result<LinkSender> {
+    let stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
+    let (replies, closes) = (events.clone(), events.clone());
+    reactor.outbox().attach(
+        stream,
+        Box::new(move |payload: &[u8], _| {
+            let (id, outcome) = match decode_server(payload) {
+                Ok((id, ServerMsg::Embeddings(_, stages))) => (id, Ok(stages)),
+                Ok((id, ServerMsg::Rejected(reason))) => (id, Err(reason)),
+                _ => return false,
+            };
+            let _ = replies.send(Event::Reply(id, Instant::now(), outcome));
+            true
+        }),
+        Box::new(move || {
+            let _ = closes.send(Event::Closed(conn));
+        }),
+    )
+}
+
+/// The run's accounting: every reply is filed by its request id against
+/// the schedule.
+struct Ledger<'a> {
+    config: &'a LoadConfig,
+    run_start: Instant,
+    due: &'a [Duration],
+    /// `tables[id]`: the table request `id` targeted; one entry per send.
+    tables: Vec<usize>,
+    answered: Vec<bool>,
+    /// Requests sent and not yet answered.
+    pending: usize,
+    latencies_ns: Vec<f64>,
+    deadline_violations: u64,
+    rejected: [u64; RejectReason::ALL.len()],
+    records: Vec<RequestRecord>,
+    timeline: Vec<OutcomeCounts>,
+    tail: OutcomeCounts,
+}
+
+impl Ledger<'_> {
+    /// Notes that request `tables.len()` went out.
+    fn note_sent(&mut self, table: usize) {
+        self.tables.push(table);
+        self.pending += 1;
+    }
+
+    /// Files one event.
+    ///
+    /// # Errors
+    ///
+    /// Returns `ConnectionAborted` for a link that closes before the run's
+    /// last reply (requests sent on it, or due on it, would go
+    /// unanswered), and `InvalidData` for a reply to an id never sent or
+    /// already answered.
+    fn file(&mut self, event: Event) -> io::Result<()> {
+        let (id, at, outcome) = match event {
+            Event::Reply(id, at, outcome) => (id, at, outcome),
+            Event::Closed(conn) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::ConnectionAborted,
+                    format!(
+                        "load connection {conn} closed with {} request(s) unanswered",
+                        self.pending
+                    ),
+                ))
+            }
+        };
+        let Some(id) = usize::try_from(id)
+            .ok()
+            .filter(|&id| id < self.tables.len() && !self.answered[id])
+        else {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "reply for an id never sent or already answered",
+            ));
+        };
+        self.answered[id] = true;
+        self.pending -= 1;
+        let latency = at.saturating_duration_since(self.run_start + self.due[id]);
+        let rejected = outcome.err();
+        let stages = outcome.ok();
+        let sla_ok = rejected.is_none() && self.config.deadline.is_none_or(|d| latency <= d);
+        match rejected {
+            None => {
+                self.latencies_ns.push(latency.as_nanos() as f64);
+                self.deadline_violations += u64::from(!sla_ok);
+            }
+            Some(reason) => self.rejected[reason.index()] += 1,
+        }
+        self.tally_windows(at, rejected);
+        if self.config.record_requests {
+            self.records.push(RequestRecord {
+                conn: id % self.config.connections,
+                table: self.tables[id],
+                latency_ns: latency.as_nanos() as u64,
+                stages,
+                sla_ok,
+                rejected,
+            });
+        }
+        Ok(())
+    }
+
+    /// Files one reply into the timeline bucket and tail window tallies
+    /// by the instant it landed (no-ops when both knobs are off). Replies
+    /// drained after the offered window land in the last bucket.
+    fn tally_windows(&mut self, at: Instant, rejected: Option<RejectReason>) {
+        let config = self.config;
+        if let Some(bucket) = config.timeline_bucket.filter(|b| !b.is_zero()) {
+            let cap = (config.duration.as_nanos() / bucket.as_nanos()).max(1) as usize;
+            let idx = (at.saturating_duration_since(self.run_start).as_nanos() / bucket.as_nanos())
+                as usize;
+            let idx = idx.min(cap - 1);
+            if self.timeline.len() <= idx {
+                self.timeline.resize(idx + 1, OutcomeCounts::default());
+            }
+            self.timeline[idx].note(rejected);
+        }
+        if let Some(window) = config.tail_window {
+            let run_end = self.run_start + config.duration;
+            if run_end.checked_sub(window).is_none_or(|start| at >= start) {
+                self.tail.note(rejected);
+            }
+        }
+    }
+
+    fn report(mut self, late_ns: &[f64]) -> LoadReport {
+        let config = self.config;
+        // Pad to the full run so an all-dead trailing window still shows
+        // up as explicit zero buckets rather than a shorter vector.
+        if let Some(bucket) = config.timeline_bucket.filter(|b| !b.is_zero()) {
+            let cap = (config.duration.as_nanos() / bucket.as_nanos()).max(1) as usize;
+            if self.timeline.len() < cap {
+                self.timeline.resize(cap, OutcomeCounts::default());
+            }
+        }
+        let completed = self.latencies_ns.len() as u64;
+        LoadReport {
+            offered_rps: config.offered_rps,
+            achieved_rps: completed as f64 / config.duration.as_secs_f64(),
+            completed,
+            deadline_violations: self.deadline_violations,
+            rejected: self.rejected,
+            latency: LatencySummary::from_ns(&self.latencies_ns),
+            late: LatencySummary::from_ns(late_ns),
+            records: self.records,
+            timeline: self.timeline,
+            tail: config.tail_window.map(|_| self.tail),
+        }
+    }
+}
+
 /// Runs one load test against a running server.
 ///
-/// Each connection issues requests on its schedule with up to
-/// `pipeline_depth` in flight (depth 1 is a classic closed loop), so
-/// total concurrency is `connections * pipeline_depth`. Connections
-/// round-robin over [`LoadConfig::addrs`], so the same run drives one
-/// server or a fleet of interchangeable front-ends. A dedicated
-/// receiver thread per connection collects responses in completion
-/// order, matching them to send times by request id, so latency is
-/// client-observed round trip even when responses return out of order.
-/// Under [`Schedule::Paced`] sends are `connections / offered_rps`
-/// apart; under [`Schedule::Poisson`] the gaps are exponential with that
-/// mean. Either way, if the server (or an exhausted pipeline window) is
-/// slower than the schedule the pacing debt is dropped (the generator
-/// does not retroactively burst), so `achieved_rps` saturates at server
-/// capacity.
+/// The run is one open-loop schedule at `offered_rps` (see
+/// [`Schedule`]); request `k` carries request id `k` and goes out on
+/// connection `k mod connections`, and connections round-robin over
+/// [`LoadConfig::addrs`], so the same run drives one server or a fleet of
+/// interchangeable front-ends. The calling thread draws and encodes each
+/// request ahead of its due time, sleeps to it, and sends; nothing caps
+/// the requests in flight, and after the last due time it waits for
+/// every reply. Latency runs from the due time to the reply, so a server
+/// slower than the schedule shows as latency and rejections while
+/// `achieved_rps` saturates at its capacity. The run takes two threads,
+/// whatever `connections` is: the caller, and one reactor carrying every
+/// load connection.
 ///
 /// # Errors
 ///
-/// Returns connection errors. Rejections are reported, not errors.
+/// Returns connection errors, including a load connection that closes
+/// with requests unanswered. Rejections are reported, not errors.
 ///
 /// # Panics
 ///
-/// Panics if `connections`, `batch`, `tables`, `addrs`, `offered_rps`
-/// or `pipeline_depth` is zero/empty/negative, or if a requested table
-/// does not exist on the server.
+/// Panics if `connections`, `batch`, `tables`, `addrs` or `offered_rps`
+/// is zero/empty/negative.
 pub fn run_load(config: &LoadConfig) -> io::Result<LoadReport> {
     assert!(config.connections > 0, "run_load: zero connections");
     assert!(config.batch > 0, "run_load: zero batch");
     assert!(!config.tables.is_empty(), "run_load: no tables");
     assert!(config.offered_rps > 0.0, "run_load: non-positive rate");
-    assert!(config.pipeline_depth > 0, "run_load: zero pipeline depth");
     assert!(!config.addrs.is_empty(), "run_load: no addresses");
     assert!(
         (0.0..=1.0).contains(&config.write_frac),
@@ -336,377 +526,83 @@ pub fn run_load(config: &LoadConfig) -> io::Result<LoadReport> {
         client.tables()?;
         idle.push(client);
     }
-    let mean_interval = Duration::from_secs_f64(config.connections as f64 / config.offered_rps);
-    let run_start = Instant::now();
-    let run_end = run_start + config.duration;
 
-    struct ThreadResult {
-        latencies_ns: Vec<f64>,
-        deadline_violations: u64,
-        rejected: [u64; RejectReason::ALL.len()],
-        records: Vec<RequestRecord>,
-        timeline: Vec<OutcomeCounts>,
-        tail: OutcomeCounts,
-        io_error: Option<io::Error>,
-    }
+    let reactor = FrameReactor::spawn(Box::new(|_| {}), ReactorConfig::default())?;
+    let (events, inbox) = mpsc::channel();
+    let links = (0..config.connections)
+        .map(|conn| {
+            attach(
+                &reactor,
+                config.addrs[conn % config.addrs.len()],
+                conn,
+                &events,
+            )
+        })
+        .collect::<io::Result<Vec<_>>>()?;
+    drop(events);
 
-    /// The receiver thread's share of a connection's tallies.
-    #[derive(Default)]
-    struct RecvResult {
-        latencies_ns: Vec<f64>,
-        deadline_violations: u64,
-        rejected: [u64; RejectReason::ALL.len()],
-        records: Vec<RequestRecord>,
-        timeline: Vec<OutcomeCounts>,
-        tail: OutcomeCounts,
-        io_error: Option<io::Error>,
-    }
-
-    /// Files one response outcome into the timeline bucket and tail
-    /// window tallies (no-ops when both knobs are off). Responses
-    /// drained after the offered window land in the last bucket.
-    fn tally_windows(
-        config: &LoadConfig,
-        run_start: Instant,
-        run_end: Instant,
-        timeline: &mut Vec<OutcomeCounts>,
-        tail: &mut OutcomeCounts,
-        rejected: Option<RejectReason>,
-    ) {
-        let now = Instant::now();
-        if let Some(bucket) = config.timeline_bucket.filter(|b| !b.is_zero()) {
-            let cap = (config.duration.as_nanos() / bucket.as_nanos()).max(1) as usize;
-            let idx =
-                (now.saturating_duration_since(run_start).as_nanos() / bucket.as_nanos()) as usize;
-            let idx = idx.min(cap - 1);
-            if timeline.len() <= idx {
-                timeline.resize(idx + 1, OutcomeCounts::default());
-            }
-            timeline[idx].note(rejected);
+    let mut rng = StdRng::seed_from_u64(config.seed);
+    let due = config
+        .schedule
+        .due_times(config.offered_rps, config.duration, &mut rng);
+    let mut late_ns = Vec::with_capacity(due.len());
+    let mut ledger = Ledger {
+        config,
+        run_start: Instant::now(),
+        due: &due,
+        tables: Vec::with_capacity(due.len()),
+        answered: vec![false; due.len()],
+        pending: 0,
+        latencies_ns: Vec::new(),
+        deadline_violations: 0,
+        rejected: [0; RejectReason::ALL.len()],
+        records: Vec::new(),
+        timeline: Vec::new(),
+        tail: OutcomeCounts::default(),
+    };
+    for (id, &offset) in due.iter().enumerate() {
+        let slot = rng.gen_range(0..config.tables.len());
+        let (table, (rows, dim)) = (config.tables[slot], shapes[slot]);
+        let indices: Vec<u64> = (0..config.batch).map(|_| rng.gen_range(0..rows)).collect();
+        let is_write = config.write_frac > 0.0 && rng.gen::<f64>() < config.write_frac;
+        // Gradient-sized deltas: small, zero-mean.
+        let deltas = is_write
+            .then(|| Matrix::from_fn(config.batch, dim, |_, _| (rng.gen::<f32>() - 0.5) * 1e-3));
+        let trace = config.trace.then(|| TraceCtx::new(id as u64 + 1));
+        let encode = || match &deltas {
+            Some(d) => encode_update_traced(id as u64, table, &indices, d, config.deadline, trace),
+            None => encode_generate_traced(id as u64, table, &indices, config.deadline, trace),
+        };
+        let mut frame = encode();
+        // File what has landed meanwhile, then sleep to the due time.
+        while let Ok(event) = inbox.try_recv() {
+            ledger.file(event)?;
         }
-        if let Some(window) = config.tail_window {
-            let in_tail = run_end
-                .checked_sub(window)
-                .is_none_or(|tail_start| now >= tail_start);
-            if in_tail {
-                tail.note(rejected);
-            }
+        let due_at = ledger.run_start + offset;
+        let ahead = due_at.saturating_duration_since(Instant::now());
+        if !ahead.is_zero() {
+            std::thread::sleep(ahead);
         }
+        ledger.note_sent(table);
+        let link = &links[id % config.connections];
+        while let Err(e) = link.send(frame) {
+            if e.kind() != io::ErrorKind::WouldBlock {
+                return Err(e);
+            }
+            std::thread::sleep(SEND_RETRY);
+            frame = encode();
+        }
+        late_ns.push(due_at.elapsed().as_nanos() as f64);
     }
-
-    // Sequential public trace ids, shared across every connection; the
-    // server head-samples on `trace_id % N`, so sequential ids sample
-    // uniformly over the run regardless of which connection sent what.
-    let next_trace = AtomicU64::new(1);
-    let next_trace = &next_trace;
-    let shapes = &shapes;
-    let results: Vec<ThreadResult> = crossbeam::thread::scope(|s| {
-        let handles: Vec<_> = (0..config.connections)
-            .map(|conn_id| {
-                s.spawn(move |s| {
-                    let mut result = ThreadResult {
-                        latencies_ns: Vec::new(),
-                        deadline_violations: 0,
-                        rejected: [0; RejectReason::ALL.len()],
-                        records: Vec::new(),
-                        timeline: Vec::new(),
-                        tail: OutcomeCounts::default(),
-                        io_error: None,
-                    };
-                    let client = match Client::connect(config.addrs[conn_id % config.addrs.len()]) {
-                        Ok(c) => c,
-                        Err(e) => {
-                            result.io_error = Some(e);
-                            return result;
-                        }
-                    };
-                    let (mut sender, mut receiver) = client.into_split();
-                    let depth = config.pipeline_depth;
-                    // Depth semaphore: the sender takes a permit per send
-                    // and the receiver returns one per response, capping
-                    // requests in flight at `depth`.
-                    let (permit_tx, permit_rx) = mpsc::channel::<()>();
-                    for _ in 0..depth {
-                        permit_tx.send(()).expect("receiver end held locally");
-                    }
-                    // Send-time metadata, in send order; the receiver
-                    // drains it on demand to match ids to their target
-                    // table and start time.
-                    let (meta_tx, meta_rx) = mpsc::channel::<(u64, usize, Instant)>();
-                    // Distinguishes a deliberate teardown (sender closed
-                    // the socket after the run) from a mid-run failure.
-                    let done = Arc::new(AtomicBool::new(false));
-                    let rx_done = Arc::clone(&done);
-                    let rx_handle = s.spawn(move |_| {
-                        let mut rx = RecvResult::default();
-                        let mut inflight: HashMap<u64, (usize, Instant)> = HashMap::new();
-                        loop {
-                            let (id, msg) = match receiver.recv() {
-                                Ok(reply) => reply,
-                                Err(e) => {
-                                    if !rx_done.load(Ordering::Relaxed) {
-                                        rx.io_error = Some(e);
-                                    }
-                                    break;
-                                }
-                            };
-                            // The meta for this id was sent right after
-                            // the frame, so at most a few recv()s away.
-                            let meta = loop {
-                                if let Some(meta) = inflight.remove(&id) {
-                                    break Some(meta);
-                                }
-                                match meta_rx.recv() {
-                                    Ok((sent_id, table, t0)) => {
-                                        inflight.insert(sent_id, (table, t0));
-                                    }
-                                    Err(_) => break None, // sender died mid-request
-                                }
-                            };
-                            let Some((table, t0)) = meta else { break };
-                            match msg {
-                                ServerMsg::Embeddings(_, stages) => {
-                                    let elapsed = t0.elapsed();
-                                    let sla_ok = config.deadline.is_none_or(|d| elapsed <= d);
-                                    if !sla_ok {
-                                        rx.deadline_violations += 1;
-                                    }
-                                    tally_windows(
-                                        config,
-                                        run_start,
-                                        run_end,
-                                        &mut rx.timeline,
-                                        &mut rx.tail,
-                                        None,
-                                    );
-                                    rx.latencies_ns.push(elapsed.as_nanos() as f64);
-                                    if config.record_requests {
-                                        rx.records.push(RequestRecord {
-                                            conn: conn_id,
-                                            table,
-                                            latency_ns: elapsed.as_nanos() as u64,
-                                            stages: Some(stages),
-                                            sla_ok,
-                                            rejected: None,
-                                        });
-                                    }
-                                }
-                                ServerMsg::Rejected(reason) => {
-                                    rx.rejected[reason.index()] += 1;
-                                    tally_windows(
-                                        config,
-                                        run_start,
-                                        run_end,
-                                        &mut rx.timeline,
-                                        &mut rx.tail,
-                                        Some(reason),
-                                    );
-                                    if config.record_requests {
-                                        rx.records.push(RequestRecord {
-                                            conn: conn_id,
-                                            table,
-                                            latency_ns: t0.elapsed().as_nanos() as u64,
-                                            stages: None,
-                                            sla_ok: false,
-                                            rejected: Some(reason),
-                                        });
-                                    }
-                                }
-                                _ => {
-                                    rx.io_error = Some(io::Error::new(
-                                        io::ErrorKind::InvalidData,
-                                        "unexpected reply to a generate request",
-                                    ));
-                                    break;
-                                }
-                            }
-                            if permit_tx.send(()).is_err() {
-                                break; // sender finished and reclaimed
-                            }
-                        }
-                        rx
-                    });
-                    let mut rng =
-                        StdRng::seed_from_u64(config.seed ^ (conn_id as u64).wrapping_mul(0x9E37));
-                    let end = run_end;
-                    // Stagger connection start times across one interval.
-                    let mut next_send = Instant::now()
-                        + mean_interval.mul_f64(conn_id as f64 / config.connections as f64);
-                    while next_send < end {
-                        let now = Instant::now();
-                        if now < next_send {
-                            std::thread::sleep(next_send - now);
-                        }
-                        // The pipeline window is the backpressure point: a
-                        // full window blocks here, and the pacing debt it
-                        // causes is dropped below like any other.
-                        if permit_rx.recv().is_err() {
-                            break; // receiver died; its error is collected at join
-                        }
-                        let slot = rng.gen_range(0..config.tables.len());
-                        let table = config.tables[slot];
-                        let (rows, dim) = shapes[slot];
-                        let indices: Vec<u64> =
-                            (0..config.batch).map(|_| rng.gen_range(0..rows)).collect();
-                        let is_write =
-                            config.write_frac > 0.0 && rng.gen::<f64>() < config.write_frac;
-                        let trace = config
-                            .trace
-                            .then(|| TraceCtx::new(next_trace.fetch_add(1, Ordering::Relaxed)));
-                        let t0 = Instant::now();
-                        let sent = match (is_write, trace) {
-                            (true, trace) => {
-                                // Gradient-sized deltas: small, zero-mean.
-                                let deltas = Matrix::from_fn(indices.len(), dim, |_, _| {
-                                    (rng.gen::<f32>() - 0.5) * 1e-3
-                                });
-                                match trace {
-                                    Some(t) => sender.send_update_traced(
-                                        table,
-                                        &indices,
-                                        &deltas,
-                                        config.deadline,
-                                        t,
-                                    ),
-                                    None => sender.send_update(
-                                        table,
-                                        &indices,
-                                        &deltas,
-                                        config.deadline,
-                                    ),
-                                }
-                            }
-                            (false, Some(t)) => {
-                                sender.send_generate_traced(table, &indices, config.deadline, t)
-                            }
-                            (false, None) => sender.send_generate(table, &indices, config.deadline),
-                        };
-                        match sent {
-                            Ok(id) => {
-                                if meta_tx.send((id, table, t0)).is_err() {
-                                    break;
-                                }
-                            }
-                            Err(e) => {
-                                result.io_error = Some(e);
-                                break;
-                            }
-                        }
-                        let gap = match config.schedule {
-                            Schedule::Paced => mean_interval,
-                            // Inverse-CDF sample of Exp(1/mean): the gap
-                            // is -ln(1-U) * mean, U uniform in [0,1).
-                            Schedule::Poisson => {
-                                let u: f64 = rng.gen();
-                                mean_interval.mul_f64(-(1.0 - u).ln())
-                            }
-                        };
-                        // Schedule from the previous slot; drop debt if we
-                        // fell behind rather than bursting later.
-                        next_send = (next_send + gap).max(Instant::now());
-                    }
-                    // Drain: when all `depth` permits are back, every
-                    // outstanding response has been processed.
-                    if result.io_error.is_none() {
-                        for _ in 0..depth {
-                            if permit_rx.recv().is_err() {
-                                break;
-                            }
-                        }
-                    }
-                    done.store(true, Ordering::Relaxed);
-                    sender.shutdown(); // unblock a receiver parked in recv()
-                    drop(meta_tx);
-                    if let Ok(rx) = rx_handle.join() {
-                        result.latencies_ns.extend(rx.latencies_ns);
-                        result.deadline_violations += rx.deadline_violations;
-                        result.records.extend(rx.records);
-                        for (total, n) in result.rejected.iter_mut().zip(rx.rejected) {
-                            *total += n;
-                        }
-                        if result.timeline.len() < rx.timeline.len() {
-                            result
-                                .timeline
-                                .resize(rx.timeline.len(), OutcomeCounts::default());
-                        }
-                        for (total, b) in result.timeline.iter_mut().zip(&rx.timeline) {
-                            total.merge(b);
-                        }
-                        result.tail.merge(&rx.tail);
-                        if result.io_error.is_none() {
-                            result.io_error = rx.io_error;
-                        }
-                    }
-                    result
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(r) => r,
-                // A panicked connection thread becomes an I/O error on the
-                // report instead of tearing down the whole run.
-                Err(_) => ThreadResult {
-                    latencies_ns: Vec::new(),
-                    deadline_violations: 0,
-                    rejected: [0; RejectReason::ALL.len()],
-                    records: Vec::new(),
-                    timeline: Vec::new(),
-                    tail: OutcomeCounts::default(),
-                    io_error: Some(io::Error::other("load connection thread panicked")),
-                },
-            })
-            .collect()
-    })
-    .expect("load scope teardown");
-
+    while ledger.pending > 0 {
+        let event = inbox
+            .recv()
+            .map_err(|_| io::Error::other("load reactor stopped"))?;
+        ledger.file(event)?;
+    }
+    drop(reactor);
     drop(idle); // held across the whole measured window
-
-    let mut latencies = Vec::new();
-    let mut deadline_violations = 0;
-    let mut rejected = [0u64; RejectReason::ALL.len()];
-    let mut records = Vec::new();
-    let mut timeline: Vec<OutcomeCounts> = Vec::new();
-    let mut tail = OutcomeCounts::default();
-    for mut r in results {
-        if let Some(e) = r.io_error.take() {
-            return Err(e);
-        }
-        latencies.extend(r.latencies_ns);
-        deadline_violations += r.deadline_violations;
-        records.extend(r.records);
-        for (total, n) in rejected.iter_mut().zip(r.rejected) {
-            *total += n;
-        }
-        if timeline.len() < r.timeline.len() {
-            timeline.resize(r.timeline.len(), OutcomeCounts::default());
-        }
-        for (total, b) in timeline.iter_mut().zip(&r.timeline) {
-            total.merge(b);
-        }
-        tail.merge(&r.tail);
-    }
-    // Pad to the full run so an all-dead trailing window still shows up
-    // as explicit zero buckets rather than a shorter vector.
-    if let Some(bucket) = config.timeline_bucket.filter(|b| !b.is_zero()) {
-        let cap = (config.duration.as_nanos() / bucket.as_nanos()).max(1) as usize;
-        if timeline.len() < cap {
-            timeline.resize(cap, OutcomeCounts::default());
-        }
-    }
-    let completed = latencies.len() as u64;
-    Ok(LoadReport {
-        offered_rps: config.offered_rps,
-        achieved_rps: completed as f64 / config.duration.as_secs_f64(),
-        completed,
-        deadline_violations,
-        rejected,
-        latency: LatencySummary::from_ns(&latencies),
-        records,
-        timeline,
-        tail: config.tail_window.map(|_| tail),
-    })
+    Ok(ledger.report(&late_ns))
 }
 
 #[cfg(test)]
@@ -723,6 +619,19 @@ mod tests {
     }
 
     #[test]
+    fn due_times_cover_the_span_at_the_rate() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let span = Duration::from_secs(2);
+        let paced = Schedule::Paced.due_times(500.0, span, &mut rng);
+        assert_eq!(paced.len(), 1000);
+        assert_eq!(paced[0], Duration::ZERO);
+        let poisson = Schedule::Poisson.due_times(500.0, span, &mut rng);
+        assert!(poisson.windows(2).all(|w| w[0] <= w[1]));
+        assert!(poisson.last().is_some_and(|&t| t < span));
+        assert!((900..1100).contains(&poisson.len()), "{}", poisson.len());
+    }
+
+    #[test]
     fn report_fractions() {
         let mut report = LoadReport {
             offered_rps: 100.0,
@@ -731,6 +640,7 @@ mod tests {
             deadline_violations: 6,
             rejected: [4, 0, 0, 0, 0, 0, 0],
             latency: LatencySummary::from_ns(&[]),
+            late: LatencySummary::from_ns(&[]),
             records: Vec::new(),
             timeline: Vec::new(),
             tail: None,
@@ -750,6 +660,7 @@ mod tests {
             deadline_violations: 0,
             rejected: [0; RejectReason::ALL.len()],
             latency: LatencySummary::from_ns(&[]),
+            late: LatencySummary::from_ns(&[]),
             records: Vec::new(),
             timeline: Vec::new(),
             tail: None,
@@ -773,11 +684,6 @@ mod tests {
                 internal: 1
             }
         );
-        let mut merged = OutcomeCounts::default();
-        merged.merge(&counts);
-        merged.merge(&counts);
-        assert_eq!(merged.ok, 4);
-        assert_eq!(merged.internal, 2);
         assert_eq!(counts.render(), "ok=2 rejected=1 internal=1");
     }
 

@@ -617,7 +617,6 @@ fn loadgen_records_every_answered_request() {
         schedule: Schedule::Paced,
         duration: Duration::from_millis(300),
         deadline: None,
-        pipeline_depth: 2,
         seed: 5,
         write_frac: 0.0,
         record_requests: true,
@@ -645,6 +644,83 @@ fn loadgen_records_every_answered_request() {
         }
         secemb_wire::json::parse(&record.to_json()).expect("record JSON parses");
     }
+}
+
+/// The load generator times each request from when it was due, so a
+/// peer that stops reading is charged to every request due during the
+/// stall, not only to those already in flight. The peer answers each
+/// frame with one row, except that after its 20th lookup it stops
+/// reading for 200 ms, once. At 500 req/s a request due `x` ms into the
+/// stall waits about `200 - x` ms, so the 75 due in its first 150 ms
+/// each wait at least 50 ms.
+#[test]
+fn loadgen_charges_a_stall_to_every_request_due_inside_it() {
+    use secemb_serve::loadgen::{run_load, LoadConfig, Schedule};
+    use secemb_serve::protocol::{
+        decode_client, encode_response_traced, encode_table_list, ClientMsg,
+    };
+    use secemb_wire::frame::{read_frame, write_frame};
+    use std::net::TcpListener;
+
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    // Two connections: the inventory probe, then the load connection.
+    let peer = std::thread::spawn(move || {
+        let row = Response::Embeddings(Matrix::zeros(1, 4), StageBreakdown::default());
+        let (mut lookups, mut stalled) = (0, false);
+        for _ in 0..2 {
+            let (stream, _) = listener.accept().expect("accept");
+            stream.set_nodelay(true).expect("nodelay");
+            while let Ok(payload) = read_frame(&mut &stream) {
+                let (id, msg) = decode_client(&payload).expect("client frame");
+                let reply = match msg {
+                    ClientMsg::Tables => {
+                        encode_table_list(id, &[(64, 4, 1_000.0, "scan".to_string())])
+                    }
+                    _ => {
+                        lookups += 1;
+                        encode_response_traced(id, &row, None)
+                    }
+                };
+                if write_frame(&mut &stream, &reply).is_err() {
+                    break;
+                }
+                if lookups == 20 && !stalled {
+                    stalled = true;
+                    std::thread::sleep(Duration::from_millis(200));
+                }
+            }
+        }
+    });
+    let report = run_load(&LoadConfig {
+        addrs: vec![addr],
+        connections: 1,
+        idle_connections: 0,
+        tables: vec![0],
+        batch: 1,
+        offered_rps: 500.0,
+        schedule: Schedule::Paced,
+        duration: Duration::from_millis(600),
+        deadline: None,
+        seed: 3,
+        write_frac: 0.0,
+        record_requests: true,
+        trace: false,
+        timeline_bucket: None,
+        tail_window: None,
+    })
+    .expect("load run");
+    peer.join().expect("peer thread");
+    assert_eq!(report.completed, 300, "every scheduled request is sent");
+    let charged = report
+        .records
+        .iter()
+        .filter(|r| r.latency_ns >= 50_000_000)
+        .count();
+    assert!(
+        charged >= 60,
+        "only {charged} requests were charged >= 50 ms for a 200 ms stall"
+    );
 }
 
 /// Stage spans and the `StageBreakdown` riding the response are two
