@@ -16,9 +16,9 @@ pub enum Technique {
     CircuitOram,
     /// Deep Hash Embedding — compute-based, `O(k²)` per query.
     Dhe,
-    /// Table behind a look-ahead ORAM: batch-windowed prefetch with
-    /// combined evictions, `O(log² n)` amortized per query, plus an
-    /// oblivious write path for protected training.
+    /// Table behind the look-ahead window driver: one Circuit ORAM access
+    /// per query, `O(log² n)`, plus an oblivious write path for protected
+    /// training.
     LaOram,
 }
 
@@ -188,13 +188,6 @@ pub trait EmbeddingGenerator {
             self.technique()
         );
         self.generate_batch(indices)
-    }
-
-    /// Look-ahead window statistics, for generators backed by the
-    /// look-ahead ORAM (`None` otherwise). Aggregates only — never the
-    /// read/write mix, which the oblivious write path exists to hide.
-    fn lookahead_stats(&self) -> Option<secemb_laoram::LaStats> {
-        None
     }
 }
 

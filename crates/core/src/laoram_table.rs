@@ -1,21 +1,19 @@
-//! Embedding tables behind the look-ahead ORAM: batch-windowed serving
+//! Embedding tables behind the look-ahead window driver: batch serving
 //! plus the oblivious write path that makes protected *training* possible.
 
 use crate::oram_table::{bits_into_row, table_rows_as_bits};
 use crate::{EmbeddingGenerator, Technique};
 use rand::rngs::StdRng;
-use secemb_laoram::{add_f32, LaConfig, LaStats, LookAheadOram};
+use secemb_laoram::{add_f32, LaConfig, LookAheadOram};
 use secemb_oram::Oram;
 use secemb_tensor::Matrix;
 
 /// An embedding table stored inside a [`LookAheadOram`].
 ///
-/// A batch of `B` indices is served as `ceil(B / max_window)` look-ahead
-/// windows: each window's paths are prefetched and deduplicated up front
-/// (the serving batcher's coalesced batch *is* the future access window),
-/// and evictions are combined across the window. [`LaOramTable::scatter_add`]
-/// pushes gradient rows back through the **same** oblivious window
-/// machinery, so a trace observer cannot tell training from inference.
+/// A batch of `B` indices is one window of `B` Circuit ORAM accesses, in
+/// batch order. [`LaOramTable::scatter_add`] pushes gradient rows back
+/// through the **same** accesses, so a trace observer cannot tell
+/// training from inference.
 pub struct LaOramTable {
     la: LookAheadOram,
     dim: usize,
@@ -29,26 +27,13 @@ impl std::fmt::Debug for LaOramTable {
 }
 
 impl LaOramTable {
-    /// Stores `table` behind a look-ahead ORAM with default parameters.
+    /// Stores `table` behind a look-ahead ORAM.
     ///
     /// # Panics
     ///
     /// Panics if the table is empty.
     pub fn new(table: &Matrix, rng: StdRng) -> Self {
-        Self::with_config(table, LaConfig::new(table.cols()), rng)
-    }
-
-    /// Stores `table` behind a look-ahead ORAM with explicit parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the table is empty or `config.block_words != table.cols()`.
-    pub fn with_config(table: &Matrix, config: LaConfig, rng: StdRng) -> Self {
-        assert_eq!(
-            config.block_words,
-            table.cols(),
-            "LaOramTable: block width != dim"
-        );
+        let config = LaConfig::new(table.cols());
         let rows = table.rows() as u64;
         Self::from_fn(rows, config, rng, &mut table_rows_as_bits(table))
     }
@@ -60,7 +45,7 @@ impl LaOramTable {
     ///
     /// # Panics
     ///
-    /// Panics if `rows` is zero or the config is invalid.
+    /// Panics if `rows` or `config.block_words` is zero.
     pub fn from_fn(
         rows: u64,
         config: LaConfig,
@@ -94,34 +79,21 @@ impl LaOramTable {
         self.generate_window(indices, &updates)
     }
 
-    /// The maximum look-ahead window (batches beyond it are chunked).
-    pub fn max_window(&self) -> usize {
-        self.la.max_window()
-    }
-
-    /// Serves `indices` as look-ahead windows, adding `delta(k)` (when
-    /// there is one) to the `k`-th accessed row in place and writing each
+    /// Serves `indices` as one window, adding `delta(k)` (when there is
+    /// one) to the `k`-th accessed row in place and writing each
     /// post-operation row straight into the output matrix.
-    fn run_windows<'d>(
+    fn run_window<'d>(
         &mut self,
         indices: &[u64],
         delta: impl Fn(usize) -> Option<&'d [f32]>,
     ) -> Matrix {
-        for &idx in indices {
-            assert!(idx < self.rows, "LaOramTable: index {idx} out of range");
-        }
         let mut out = Matrix::zeros(indices.len(), self.dim);
-        let window = self.la.max_window();
-        for (c, chunk) in indices.chunks(window).enumerate() {
-            self.la.stage_window(chunk);
-            self.la.serve_window_with(&mut |k, words| {
-                let row = c * window + k;
-                if let Some(delta) = delta(row) {
-                    add_f32(words, delta);
-                }
-                bits_into_row(out.row_mut(row), words);
-            });
-        }
+        self.la.visit_window(indices, &mut |k, words| {
+            if let Some(delta) = delta(k) {
+                add_f32(words, delta);
+            }
+            bits_into_row(out.row_mut(k), words);
+        });
         out
     }
 }
@@ -136,7 +108,7 @@ impl EmbeddingGenerator for LaOramTable {
     }
 
     fn generate_batch(&mut self, indices: &[u64]) -> Matrix {
-        self.run_windows(indices, |_| None)
+        self.run_window(indices, |_| None)
     }
 
     fn generate_window(&mut self, indices: &[u64], updates: &[Option<&[f32]>]) -> Matrix {
@@ -144,7 +116,7 @@ impl EmbeddingGenerator for LaOramTable {
         for delta in updates.iter().flatten() {
             assert_eq!(delta.len(), self.dim, "generate_window: delta width");
         }
-        self.run_windows(indices, |k| updates[k])
+        self.run_window(indices, |k| updates[k])
     }
 
     fn technique(&self) -> Technique {
@@ -165,10 +137,6 @@ impl EmbeddingGenerator for LaOramTable {
 
     fn supports_updates(&self) -> bool {
         true
-    }
-
-    fn lookahead_stats(&self) -> Option<LaStats> {
-        Some(self.la.la_stats())
     }
 }
 
@@ -195,7 +163,7 @@ mod tests {
     }
 
     #[test]
-    fn large_batch_chunks_into_windows() {
+    fn large_batch_is_one_window() {
         let t = Matrix::from_fn(200, 2, |r, _| r as f32);
         let mut o = LaOramTable::new(&t, StdRng::seed_from_u64(2));
         let mut rng = StdRng::seed_from_u64(3);
@@ -204,7 +172,7 @@ mod tests {
         for (b, &idx) in indices.iter().enumerate() {
             assert_eq!(out.row(b), t.row(idx as usize), "row {b}");
         }
-        assert!(o.lookahead_stats().unwrap().windows >= 3);
+        assert_eq!(o.access_stats().unwrap().accesses, 150);
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub use laoram_table::LaOramTable;
 pub use lookup::IndexLookup;
 pub use oram_table::OramTable;
 pub use scan_table::LinearScan;
-pub use secemb_laoram::{LaConfig, LaStats};
+pub use secemb_laoram::LaConfig;
 pub use spec::{
     measure_cost, median_ns, probe_indices, CostEstimate, GeneratorSpec, SpecParseError, Weights,
 };

@@ -48,13 +48,12 @@ pub fn verify_structural(gen: &mut dyn EmbeddingGenerator, candidates: &[u64]) -
 
 /// Exact-trace comparison with one region's events filtered out.
 ///
-/// The right check for the look-ahead ORAM: its position-map and stash
-/// events are **bit-identical** across equal-shape batches (whole-region
-/// scans and public-counter eviction paths only), while the staged tree
-/// fetches are distributional — the deduplicated union of fresh uniform
-/// paths varies even in *event count*, so neither exact nor structural
-/// equality applies to the tree region. Excluding exactly that region
-/// makes the stronger bit-identity claim testable for everything else.
+/// The right check for a tree ORAM with a flat position map: its
+/// position-map and stash events are **bit-identical** across
+/// equal-shape batches (whole-region scans only), while the tree region
+/// holds the fetched paths, which are fresh uniform leaves and so only
+/// distributionally secure. Excluding exactly that region makes the
+/// stronger bit-identity claim testable for everything else.
 pub fn verify_exact_excluding(
     gen: &mut dyn EmbeddingGenerator,
     candidate_batches: &[Vec<u64>],
@@ -147,10 +146,11 @@ mod tests {
         assert!(verify_exact_excluding(
             &mut g,
             &[vec![0, 1, 2, 3], vec![63, 63, 10, 2], vec![9, 9, 9, 9]],
-            secemb_laoram::LAORAM_TREE,
+            // Circuit ORAM's top-level tree region.
+            RegionId(0x100),
         ));
         // Sanity: with the tree events INCLUDED the traces differ (the
-        // fetched path union is random), so the exclusion is load-bearing.
+        // fetched paths are random), so the exclusion is load-bearing.
         assert!(
             !verify_exact_batched(&mut g, &[vec![0, 1, 2, 3], vec![63, 63, 10, 2]]).is_oblivious()
         );

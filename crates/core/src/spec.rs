@@ -57,7 +57,7 @@ pub enum GeneratorSpec {
         /// Embedding dimension.
         dim: usize,
     },
-    /// Look-ahead ORAM table (windowed prefetch + oblivious writes).
+    /// Look-ahead ORAM table: Circuit ORAM with an oblivious write path.
     LaOram {
         /// Table rows.
         rows: u64,

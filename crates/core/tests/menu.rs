@@ -22,7 +22,9 @@ mod fnv;
 /// blocks (one level fewer), and again when labels started picking their
 /// path by their low bits (the balanced tree: same shape at 16 leaves,
 /// buckets numbered differently); their rows moved neither time, and
-/// the second time the table was no longer drawn before the tree.
+/// the second time the table was no longer drawn before the tree. The
+/// look-ahead ORAM's trace became Circuit ORAM's when each of its ops
+/// became one Circuit ORAM access; its rows did not move.
 #[test]
 fn spec_build_matches_the_recorded_bits() {
     let indices = [0u64, 63, 5, 5, 40];
@@ -51,7 +53,7 @@ fn spec_build_matches_the_recorded_bits() {
         (
             Technique::LaOram,
             0x99f8_1f09_0e23_71b9,
-            0x1233_c5d6_5621_2b48,
+            0x8434_2a95_e334_18d8,
         ),
     ] {
         let mut generator = GeneratorSpec::with_technique(64, 8, technique).build(7);

@@ -21,7 +21,7 @@
 //!   Figs. 8, 9 and 13, its workers built the same way.
 //! - [`ProtectedDlrm`] — *protected training*: sparse tables sealed in a
 //!   look-ahead ORAM, with gradient scatter routed through the same
-//!   oblivious window machinery as the forward lookups ([`training`]).
+//!   oblivious Circuit ORAM accesses as the forward lookups ([`training`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -4,10 +4,10 @@
 //! Serving hides *which* rows a query reads; training additionally has to
 //! hide which rows a gradient step **writes**, or the update trace reveals
 //! the training data's sparse features one batch at a time. The look-ahead
-//! ORAM's windowed write path closes this: [`ProtectedEmbedding::forward`]
-//! reads rows through [`LaOramTable`], and [`ProtectedEmbedding::sgd_step`]
+//! ORAM's write path closes this: [`ProtectedEmbedding::forward`] reads
+//! rows through [`LaOramTable`], and [`ProtectedEmbedding::sgd_step`]
 //! scatters `-lr · grad` back through [`LaOramTable::scatter_add`] — the
-//! same oblivious window machinery, so an observer cannot distinguish a
+//! same Circuit ORAM access per row, so an observer cannot distinguish a
 //! training step from an inference batch, let alone recover the indices.
 //!
 //! [`ProtectedDlrm`] assembles the full model: the dense MLPs train in
@@ -23,7 +23,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use secemb::LaOramTable;
 use secemb_data::CriteoSample;
-use secemb_laoram::LaStats;
 use secemb_nn::{bce_with_logits_loss, Mlp, Module, Optimizer, Param};
 use secemb_tensor::Matrix;
 
@@ -101,14 +100,6 @@ impl ProtectedEmbedding {
         use secemb::EmbeddingGenerator;
         let all: Vec<u64> = (0..self.rows).collect();
         self.table.generate_batch(&all)
-    }
-
-    /// Look-ahead counters accumulated over the training run so far.
-    pub fn lookahead_stats(&self) -> LaStats {
-        use secemb::EmbeddingGenerator;
-        self.table
-            .lookahead_stats()
-            .expect("LaOramTable always reports look-ahead stats")
     }
 
     /// Resident bytes of the sealed table.
@@ -389,9 +380,9 @@ mod tests {
         let early: f64 = losses[..20].iter().sum::<f64>() / 20.0;
         let late: f64 = losses[140..].iter().sum::<f64>() / 20.0;
         assert!(late < early * 0.97, "loss did not drop: {early} -> {late}");
-        // The run exercised the look-ahead machinery for real.
-        let stats = model.features()[0].lookahead_stats();
-        assert!(stats.windows > 0 && stats.ops > 0);
+        // The run exercised the ORAM for real.
+        let stats = secemb::EmbeddingGenerator::access_stats(&model.features()[0].table).unwrap();
+        assert!(stats.accesses > 0);
     }
 
     #[test]

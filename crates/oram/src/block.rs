@@ -113,11 +113,6 @@ impl BlockMut<'_> {
         }
     }
 
-    /// Whether this slot holds a dummy.
-    pub fn is_dummy(&self) -> bool {
-        *self.id == DUMMY_ID
-    }
-
     /// Marks this slot dummy (plain store: for scratch slots whose
     /// emptiness is public).
     pub fn set_dummy(&mut self) {
@@ -186,16 +181,6 @@ impl Slots {
         self.ids.len()
     }
 
-    /// Whether the arena has no slots.
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-
-    /// Payload words per slot.
-    pub fn words(&self) -> usize {
-        self.words
-    }
-
     /// Immutable view of slots `range`.
     pub fn view(&self, range: Range<usize>) -> BucketRef<'_> {
         BucketRef {
@@ -248,25 +233,6 @@ pub struct BucketRef<'a> {
 }
 
 impl<'a> BucketRef<'a> {
-    /// Number of slots in view.
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// Whether the view is empty.
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-
-    /// View of slot `i`.
-    pub fn slot(&self, i: usize) -> BlockRef<'a> {
-        BlockRef {
-            id: self.ids[i],
-            leaf: self.leaves[i],
-            data: &self.data[i * self.words..(i + 1) * self.words],
-        }
-    }
-
     /// Views of every slot, in order.
     pub fn slots(&self) -> impl Iterator<Item = BlockRef<'a>> {
         self.ids
@@ -287,26 +253,6 @@ pub struct BucketMut<'a> {
 }
 
 impl<'a> BucketMut<'a> {
-    /// Number of slots in view.
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// Whether the view is empty.
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-
-    /// Immutable view of the same slots.
-    pub fn as_ref(&self) -> BucketRef<'_> {
-        BucketRef {
-            ids: self.ids,
-            leaves: self.leaves,
-            data: self.data,
-            words: self.words,
-        }
-    }
-
     /// Mutable view of slot `i`, consuming this view.
     pub fn into_slot(self, i: usize) -> BlockMut<'a> {
         BlockMut {
@@ -415,13 +361,12 @@ mod tests {
             slot.data.fill(i as u32);
         }
         let bucket = arena.view(2..4);
-        assert_eq!(bucket.len(), 2);
         assert_eq!(bucket.ids, &[2, 3]);
-        assert_eq!(bucket.slot(1).data, &[3, 3, 3]);
+        assert_eq!(bucket.slots().nth(1).unwrap().data, &[3, 3, 3]);
         let mut scratch = Slots::dummy(2, 3);
         scratch.all_mut().copy_from(bucket);
-        assert_eq!(scratch.all().slot(0).id, 2);
-        assert_eq!(scratch.all().slot(0).data, &[2, 2, 2]);
+        let first = scratch.all().slots().next().unwrap();
+        assert_eq!((first.id, first.data), (2, &[2, 2, 2][..]));
     }
 
     #[test]

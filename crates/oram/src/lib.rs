@@ -24,16 +24,11 @@
 //! assumed: the structural access pattern is input-independent, and fetched
 //! paths are uniformly distributed regardless of the request sequence.
 //!
-//! Storage is a flat arena ([`block::Slots`]: an id array, a leaf array and
-//! one contiguous payload array) per tree and per stash, plus fixed scratch
-//! per controller. Controllers mutate buckets in place through borrowed
-//! views, so a steady-state access performs no heap allocation
+//! Storage is a flat arena (an id array, a leaf array and one contiguous
+//! payload array) per tree and per stash, plus fixed scratch per
+//! controller. Controllers mutate buckets in place through borrowed views,
+//! so a steady-state access performs no heap allocation
 //! ([`Oram::access_into`]).
-//!
-//! The building blocks ([`tree`], [`stash`], [`posmap`], [`block`],
-//! [`setup`]) are public so sibling controllers — notably the look-ahead
-//! ORAM in `secemb-laoram` — can compose them without re-implementing the
-//! oblivious scans.
 //!
 //! # Example
 //!
@@ -52,19 +47,18 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod block;
+mod block;
 mod circuit;
 mod config;
 mod path;
-pub mod posmap;
-pub mod setup;
-pub mod stash;
+mod posmap;
+mod setup;
+mod stash;
 #[cfg(test)]
 mod stash_tail;
 mod stats;
-pub mod tree;
+mod tree;
 
-pub use block::{Block, DUMMY_ID};
 pub use circuit::CircuitOram;
 pub use config::OramConfig;
 pub use path::PathOram;

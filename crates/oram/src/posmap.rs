@@ -180,59 +180,6 @@ impl PosMap {
         }
     }
 
-    /// Obliviously reads the current leaf of `id` without remapping it.
-    ///
-    /// Performs exactly one whole-region read scan (plain maps) or one
-    /// inner-ORAM access (recursive maps) regardless of `id`, so the trace
-    /// shape matches [`PosMap::get_and_set`] minus the write-back — used by
-    /// the look-ahead ORAM's staging phase, which must learn current leaves
-    /// without consuming fresh ones.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range (the range is public).
-    pub fn get(&mut self, id: u64, stats: &mut AccessStats) -> u64 {
-        match self {
-            PosMap::Plain {
-                labels,
-                region,
-                scan_len,
-            } => {
-                assert!((id as usize) < labels.len(), "posmap id out of range");
-                stats.posmap_accesses += 1;
-                tracer::read(*region, 0, *scan_len);
-                let mut out = 0u64;
-                for (i, slot) in labels.iter().enumerate() {
-                    let hit = cmp::eq_u64(i as u64, id);
-                    out = select::u64(hit, *slot, out);
-                }
-                out
-            }
-            PosMap::Recursive {
-                inner,
-                fanout,
-                scratch,
-            } => {
-                stats.posmap_accesses += 1;
-                let fanout = *fanout;
-                let block_id = id / fanout as u64;
-                let slot = id % fanout as u64;
-                let mut out = 0u32;
-                inner.access_into(
-                    block_id,
-                    &mut |words: &mut [u32]| {
-                        for (w_idx, w) in words.iter_mut().enumerate() {
-                            let hit = cmp::eq_u64(w_idx as u64, slot);
-                            out = select::u32(hit, *w, out);
-                        }
-                    },
-                    scratch,
-                );
-                out as u64
-            }
-        }
-    }
-
     /// Statistics accumulated by recursive levels (zero for plain maps).
     pub fn inner_stats(&self) -> AccessStats {
         match self {
@@ -289,19 +236,6 @@ mod tests {
     }
 
     #[test]
-    fn plain_get_reads_without_remap() {
-        let mut pm = plain(8);
-        let mut stats = AccessStats::default();
-        assert_eq!(pm.get(5, &mut stats), 1);
-        assert_eq!(pm.get(5, &mut stats), 1); // unchanged by the read
-        let ((), trace) = tracer::record_trace(|| {
-            pm.get(3, &mut stats);
-        });
-        assert_eq!(trace.len(), 1); // one whole-region read, no write-back
-        assert_eq!(trace.events()[0].len, 64);
-    }
-
-    #[test]
     fn build_stays_plain_below_threshold() {
         let cfg = OramConfig::path(4);
         let pm = PosMap::build(
@@ -344,9 +278,9 @@ mod tests {
         );
         let mut pm = pm;
         let mut stats = AccessStats::default();
-        assert_eq!(pm.get(6, &mut stats), 6);
+        assert_eq!(pm.get_and_set(6, 6, &mut stats), 6);
         assert_eq!(pm.get_and_set(9, 3, &mut stats), 9);
-        assert_eq!(pm.get(9, &mut stats), 3);
+        assert_eq!(pm.get_and_set(9, 3, &mut stats), 3);
         assert!(pm.plain_labels().is_none());
     }
 

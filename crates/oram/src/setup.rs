@@ -180,7 +180,7 @@ mod tests {
             let mut stash = Stash::new(&cfg, stash_region(0));
             let mut rng = StdRng::seed_from_u64(k);
             initial_layout(n, &mut tree, &mut stash, &mut rng, &mut |_, _| {});
-            assert!(stash.occupancy() <= stash.capacity());
+            assert!(stash.occupancy() <= cfg.stash_capacity);
             worst = worst.max(stash.occupancy());
         }
         println!("largest stash after initial placement, n = 2^10..2^20: {worst}");

@@ -6,7 +6,7 @@
 //! one whole-stash access. Blocks enter and leave through borrowed views,
 //! so no operation allocates.
 
-use crate::block::{Block, BlockMut, BlockRef, BucketRef, Slots};
+use crate::block::{Block, BlockMut, BlockRef, BucketRef, Slots, DUMMY_ID};
 use crate::config::OramConfig;
 use crate::setup::trace_len;
 use crate::stats::AccessStats;
@@ -38,11 +38,6 @@ impl Stash {
             region,
             scan_len,
         }
-    }
-
-    /// Capacity in slots.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
     }
 
     /// Number of real (non-dummy) blocks currently held. This declassifies
@@ -138,7 +133,7 @@ impl Stash {
         let mut best: Option<(u32, usize)> = None;
         let view = self.slots.all();
         for (i, (&id, &leaf)) in view.ids.iter().zip(view.leaves).enumerate() {
-            if id == crate::DUMMY_ID {
+            if id == DUMMY_ID {
                 continue;
             }
             let depth = deepest_legal(leaf);
@@ -164,28 +159,11 @@ impl Stash {
         &mut self,
         min_level: u32,
         deepest_legal: impl Fn(u64) -> u32,
-        out: BlockMut<'_>,
-        stats: &mut AccessStats,
-    ) {
-        self.extract_eligible_if(Choice::TRUE, min_level, deepest_legal, out, stats)
-    }
-
-    /// As [`Stash::extract_eligible`], but only takes a block when `want`
-    /// is set — the whole-stash scan (and its trace event) happens either
-    /// way, so callers can fold the stash into a larger constant-shape
-    /// selection. LAORAM's combined eviction scans its local path scratch
-    /// first and falls through to the stash only when the scratch had no
-    /// candidate, without the trace revealing which source won.
-    pub fn extract_eligible_if(
-        &mut self,
-        want: Choice,
-        min_level: u32,
-        deepest_legal: impl Fn(u64) -> u32,
         mut out: BlockMut<'_>,
         stats: &mut AccessStats,
     ) {
         self.trace_scan(stats, true);
-        let mut done = !want;
+        let mut done = Choice::FALSE;
         for mut slot in self.slots.all_mut().slots_mut() {
             let eligible =
                 !slot.ct_is_dummy() & Choice::from_bool(deepest_legal(*slot.leaf) >= min_level);
@@ -203,7 +181,7 @@ impl Stash {
         view.ids
             .iter()
             .zip(view.leaves)
-            .filter(|(&id, _)| id != crate::DUMMY_ID)
+            .filter(|(&id, _)| id != DUMMY_ID)
             .map(|(_, &leaf)| deepest_legal(leaf))
             .max()
     }
@@ -219,7 +197,7 @@ impl Stash {
             .slots()
             .ids
             .iter()
-            .position(|&id| id == crate::DUMMY_ID)
+            .position(|&id| id == DUMMY_ID)
             .expect("stash overflow during initial placement");
         self.slots.all_mut().into_slot(free)
     }
@@ -335,17 +313,17 @@ mod tests {
     }
 
     #[test]
-    fn extract_eligible_if_false_scans_but_takes_nothing() {
+    fn extract_eligible_scans_whatever_it_takes() {
         let (mut s, mut st) = stash(4);
         s.insert(blk(1, 0).as_ref(), &mut st);
         let scans_before = st.stash_scans;
         let mut b = Block::dummy(2);
-        s.extract_eligible_if(Choice::FALSE, 0, |_| 5, b.as_mut(), &mut st);
-        assert!(b.is_dummy(), "want=FALSE must extract nothing");
+        s.extract_eligible(6, |_| 5, b.as_mut(), &mut st);
+        assert!(b.is_dummy(), "no block may reside at level 6");
         assert_eq!(s.occupancy(), 1, "stash contents must be untouched");
         assert_eq!(st.stash_scans, scans_before + 1, "the scan still runs");
-        s.extract_eligible_if(Choice::TRUE, 0, |_| 5, b.as_mut(), &mut st);
-        assert_eq!(b.id, 1, "want=TRUE behaves like extract_eligible");
+        s.extract_eligible(0, |_| 5, b.as_mut(), &mut st);
+        assert_eq!(b.id, 1);
         assert_eq!(s.occupancy(), 0);
     }
 

@@ -15,8 +15,7 @@
 //!   free; the bound is stated for trees of up to 2²⁴ leaves (residual
 //!   capacity 50).
 //!
-//! The tail is fitted and turned into a bound as `tail.rs` (shared with
-//! `secemb-laoram`'s cells) explains. The CI-sized run (256, 200 and 160
+//! The tail is fitted and turned into a bound as `tail.rs` explains. The CI-sized run (256, 200 and 160
 //! leaves) gates every optimised `cargo test`; the full run (768 leaves,
 //! the rule's cell and the `11Z/8` to `7Z/4` cells, 10⁸ Circuit and 10⁷
 //! Path accesses per cell) is `#[ignore]`d and recorded in
@@ -121,7 +120,6 @@ fn circuit_sweep(leaves: u64, cells: &[u64], accesses: u64) -> Sweep {
     Sweep {
         controller: "Circuit ORAM",
         leaves,
-        unit: "access",
         points: &["after insert", "after evict 1", "after evict 2"],
         bounded: 2,
         capacity: OramConfig::circuit(1).stash_capacity - 1,
@@ -134,7 +132,6 @@ fn path_sweep(leaves: u64, cells: &[u64], accesses: u64) -> Sweep {
     Sweep {
         controller: "Path ORAM",
         leaves,
-        unit: "access",
         points: &["after write-back"],
         bounded: 0,
         capacity: cfg.stash_capacity - cfg.bucket_size * (24 + 1),

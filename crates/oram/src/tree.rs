@@ -11,15 +11,16 @@ use secemb_trace::tracer::{self, RegionId};
 /// average. The tree over them ([`tree_buckets`]) has 2–3 buckets per
 /// leaf, so at most 33–50 % of its slots are occupied.
 ///
-/// The one sizing rule of every tree ORAM in the workspace — Path,
-/// Circuit and look-ahead ORAM, and the footprint model of Table VI. It
+/// The one sizing rule of every tree ORAM in the workspace — Path and
+/// Circuit ORAM (and the look-ahead ORAM over it), and the footprint model
+/// of Table VI. It
 /// was chosen by measuring stash tails over ≥ 10⁷ seeded accesses per
 /// cell at `Z/2` to `2Z` blocks per leaf (crate-internal `stash_tail`
 /// tests; the tail table, its exponential fit and the bound are in
 /// EXPERIMENTS.md, "Tree sizing"). At `Z` blocks per leaf an access
 /// overflows the default stash with probability at most 2⁻³⁰ (Circuit
-/// ORAM; Path ORAM 2⁻⁵⁵ — see [`OramConfig`]; look-ahead ORAM 2⁻³⁷ per
-/// window of 64), measured on 1 024, 1 000 and 768 leaves. Shorter leaf
+/// ORAM; Path ORAM 2⁻⁵⁵ — see [`OramConfig`]), measured on 1 024, 1 000
+/// and 768 leaves. Shorter leaf
 /// levels are measured by the CI-sized runs only, to 2⁻¹².
 pub fn tree_leaves(n_blocks: u64, bucket_size: usize) -> u64 {
     n_blocks.div_ceil(bucket_size as u64).max(1)
@@ -28,7 +29,7 @@ pub fn tree_leaves(n_blocks: u64, bucket_size: usize) -> u64 {
 /// Bucket count of the tree over `leaves` leaf labels: every level above
 /// the leaves is full (`2^L − 1` buckets, `L = ⌈log₂ leaves⌉`) and the
 /// leaf level holds one bucket per label. The one formula behind
-/// [`Tree::new`] and the footprint model.
+/// every controller's tree and the footprint model.
 pub fn tree_buckets(leaves: u64) -> u64 {
     (1u64 << depth(leaves)) - 1 + leaves
 }
@@ -102,17 +103,8 @@ impl Tree {
         self.levels
     }
 
-    /// Payload words per block.
-    pub fn block_words(&self) -> usize {
-        self.slots.words()
-    }
-
-    /// Blocks per bucket.
-    pub fn bucket_size(&self) -> usize {
-        self.z
-    }
-
     /// Number of buckets.
+    #[cfg(test)]
     pub fn bucket_count(&self) -> usize {
         self.slots.len() / self.z
     }
@@ -342,7 +334,7 @@ mod tests {
         *slot.id = 42;
         *slot.leaf = 1;
         slot.data.copy_from_slice(&[1, 2, 3, 4]);
-        let seen = t.read_bucket(t.bucket_index(0, 3)).slot(0);
+        let seen = t.read_bucket(t.bucket_index(0, 3)).slots().next().unwrap();
         assert_eq!(seen.id, 42, "root visible from all paths");
         assert_eq!(seen.data, &[1, 2, 3, 4]);
     }

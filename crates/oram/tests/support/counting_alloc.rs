@@ -1,6 +1,6 @@
-//! A counting `#[global_allocator]` for allocation-gate test binaries
-//! (`secemb-oram` and `secemb-laoram` both include this file; the library
-//! crates themselves forbid `unsafe`). Counts per thread, so the test
+//! A counting `#[global_allocator]` for allocation-gate test binaries,
+//! included with `#[path]` by each crate that has one (the library crates
+//! themselves forbid `unsafe`). Counts per thread, so the test
 //! harness's own threads cannot disturb a measurement.
 
 use std::alloc::{GlobalAlloc, Layout, System};

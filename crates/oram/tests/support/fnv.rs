@@ -1,5 +1,5 @@
-//! FNV-1a fingerprints for the golden-trace tests (`secemb-oram` and
-//! `secemb-laoram` both include this file).
+//! FNV-1a fingerprints for the golden-trace tests, included with
+//! `#[path]` by each crate that pins a trace or payload hash.
 
 use secemb_trace::{AccessKind, Trace};
 

@@ -1,6 +1,6 @@
 //! Stash-occupancy histograms, the exponential fit of their tail, and the
-//! overflow bound derived from them; shared by the stash-tail harnesses of
-//! `secemb-oram` and `secemb-laoram` (included with `#[path]`).
+//! overflow bound derived from them, for `secemb-oram`'s stash-tail
+//! harness (included with `#[path]`).
 //!
 //! The Path ORAM and Circuit ORAM analyses bound the stash tail
 //! exponentially, `P[S ≥ s] ≤ c·2^(−b·s)`. A cell's histogram is fitted to
@@ -19,8 +19,8 @@
 //! count. Its share of the slots is 50 % at `Z` per leaf on a power of
 //! two and down to 33 % on a short leaf level.
 //!
-//! Within the sizing rule's range the Circuit and look-ahead stashes are
-//! empty after nearly every access, so there is no tail to fit there
+//! Within the sizing rule's range the Circuit ORAM stash is empty after
+//! nearly every access, so there is no tail to fit there
 //! (Path ORAM's has one). The bound at the rule's fullest tree therefore
 //! has two factors, each measured there or conservatively above it:
 //!
@@ -39,13 +39,13 @@
 pub const MIN_TAIL: u64 = 20;
 
 /// What a CI-sized run must show: no more than one overflow in 2¹² per
-/// access (or window) at the rule's fullest tree. Its few samples cap the
+/// access at the rule's fullest tree. Its few samples cap the
 /// resolution — with no block seen in `N` samples the anchor is still
 /// `3/N` — so the full runs assert [`FULL_TARGET_LOG2`].
 pub const CI_TARGET_LOG2: f64 = -12.0;
 
 /// The bound the full runs (≥ 10⁷ accesses per cell) must show: one
-/// overflow in 2³⁰ accesses (or windows) at the rule's fullest tree.
+/// overflow in 2³⁰ accesses at the rule's fullest tree.
 /// Circuit ORAM's 10-slot stash sets it: its anchor is limited by the
 /// sample count, and its decay is taken from an overfull tree
 /// (EXPERIMENTS.md, "Tree sizing").
@@ -60,8 +60,8 @@ pub const FULL_TARGET_LOG2: f64 = -30.0;
 pub const EIGHTHS: [u64; 8] = [4, 6, RULE_EIGHTHS, 10, 11, 12, 14, 16];
 
 /// The loads of a full run: the rule's, and the overfull cells its decay
-/// is fitted from. `5Z/4` is left out: neither Circuit nor look-ahead
-/// ORAM has shown a fittable tail there, and Path ORAM fits at the rule's
+/// is fitted from. `5Z/4` is left out: Circuit ORAM has not shown a
+/// fittable tail there, and Path ORAM fits at the rule's
 /// cell itself.
 pub const FULL_EIGHTHS: [u64; 4] = [RULE_EIGHTHS, 11, 12, 14];
 
@@ -198,7 +198,7 @@ pub struct Bound {
     pub slope: f64,
     pub slope_at_eighths: u64,
     pub slope_at_pct: f64,
-    /// `log2 P[overflow]` per unit.
+    /// `log2 P[overflow]` per access.
     pub log2: f64,
 }
 
@@ -207,8 +207,6 @@ pub struct Sweep {
     pub controller: &'static str,
     /// Leaf count of every cell's tree.
     pub leaves: u64,
-    /// What one sample is: "access" or "window".
-    pub unit: &'static str,
     /// Names of the measurement points, one per [`Cell::tails`] entry.
     pub points: &'static [&'static str],
     /// Index into `points` of the one whose tail decides overflow.
@@ -310,7 +308,7 @@ impl Sweep {
             match self.bound(cell) {
                 Some(b) => println!(
                     "{} at {:.3} Z per leaf ({:.2} %): P[overflow] ≤ {:.2e} · 2^(−{:.3} · {}) \
-                     = 2^{:.1} per {} (slope fitted at {:.3} Z per leaf, {:.2} %)",
+                     = 2^{:.1} per access (slope fitted at {:.3} Z per leaf, {:.2} %)",
                     self.controller,
                     cell.eighths as f64 / 8.0,
                     cell.occupancy_pct(),
@@ -318,7 +316,6 @@ impl Sweep {
                     b.slope,
                     self.capacity,
                     b.log2,
-                    self.unit,
                     b.slope_at_eighths as f64 / 8.0,
                     b.slope_at_pct
                 ),
@@ -329,7 +326,7 @@ impl Sweep {
 
     /// The gate: no cell within the rule's range saturates or exceeds the
     /// capacity, and the bound at the rule's tree is at most
-    /// `2^target_log2` per unit.
+    /// `2^target_log2` per access.
     ///
     /// # Panics
     ///
@@ -354,11 +351,10 @@ impl Sweep {
         });
         assert!(
             bound.log2 <= target_log2,
-            "{} on {} leaves: overflow 2^{:.1} per {} at the rule's tree misses 2^{target_log2}",
+            "{} on {} leaves: overflow 2^{:.1} per access at the rule's tree misses 2^{target_log2}",
             self.controller,
             self.leaves,
-            bound.log2,
-            self.unit
+            bound.log2
         );
     }
 }

@@ -54,12 +54,11 @@ pub fn execute_batch(generator: &mut dyn EmbeddingGenerator, groups: &[Vec<u64>]
 /// them) into a **single** `generate_window` call, then splits the result
 /// back into one matrix per group.
 ///
-/// This is the look-ahead hand-off: the whole coalesced batch reaches the
-/// generator as one future access window, so a window-aware backend (the
-/// look-ahead ORAM) prefetches and deduplicates across *all* the groups,
-/// and read-only and updating requests travel through the identical code
-/// path — a trace observer cannot tell which groups carried gradients.
-/// For read-only batches against any other generator
+/// The whole coalesced batch reaches the generator as one window, so
+/// read-only and updating requests travel through the identical code
+/// path: the look-ahead ORAM runs one Circuit ORAM access per index,
+/// whichever groups carried gradients, and a trace observer cannot tell
+/// them apart. For read-only batches against any other generator
 /// `generate_window` is `generate_batch`.
 ///
 /// # Panics

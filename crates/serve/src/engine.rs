@@ -41,7 +41,6 @@ use crossbeam::channel::{self, Receiver, Sender, TrySendError};
 use secemb::hybrid::AllocationPlan;
 use secemb::{measure_cost, EmbeddingGenerator, GeneratorSpec, Technique};
 use secemb_enclave::CostModel;
-use secemb_laoram::LaStats;
 use secemb_oram::AccessStats;
 use secemb_telemetry::{
     Counter, Gauge, Registry, SpanCollector, SpanRecord, Stage, StageBreakdown, TraceCtx,
@@ -403,16 +402,6 @@ struct ProbeDelta {
     encrypted_bytes: u64,
 }
 
-/// The per-counter increments between two cumulative [`LaStats`]
-/// observations (look-ahead generators only).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-struct LaDelta {
-    windows: u64,
-    bucket_reads_saved: u64,
-    combined_evictions: u64,
-    evictions_saved: u64,
-}
-
 /// Turns per-generator cumulative [`AccessStats`] into monotone counter
 /// increments, and instantaneous stash occupancy into a batch-weighted
 /// running mean. Scrape-timing independence lives here: however a scrape
@@ -423,7 +412,6 @@ struct LaDelta {
 struct ProbeAccumulator {
     last: AccessStats,
     last_enclave: [u64; 3],
-    last_la: LaStats,
     stash_sum: f64,
     stash_batches: u64,
 }
@@ -444,25 +432,6 @@ impl ProbeAccumulator {
         };
         self.last = *stats;
         self.last_enclave = [c.ocalls, c.epc_page_swaps, c.encrypted_bytes];
-        delta
-    }
-
-    /// Folds one cumulative look-ahead observation in, returning the
-    /// increments since the previous one.
-    fn observe_la(&mut self, la: &LaStats) -> LaDelta {
-        let delta = LaDelta {
-            windows: la.windows.saturating_sub(self.last_la.windows),
-            bucket_reads_saved: la
-                .bucket_reads_saved
-                .saturating_sub(self.last_la.bucket_reads_saved),
-            combined_evictions: la
-                .combined_evictions
-                .saturating_sub(self.last_la.combined_evictions),
-            evictions_saved: la
-                .evictions_saved
-                .saturating_sub(self.last_la.evictions_saved),
-        };
-        self.last_la = *la;
         delta
     }
 
@@ -504,19 +473,6 @@ struct WorkerProbes {
     ocalls: Arc<Counter>,
     epc_page_swaps: Arc<Counter>,
     encrypted_bytes: Arc<Counter>,
-    /// Look-ahead probes (only move for window-aware generators): the
-    /// bucket reads the window's path union saved and the eviction
-    /// schedule. Both are whole-window aggregates of public shape or of
-    /// uniform leaves. The window's duplicate count is a function of the
-    /// secret indices and stays in-process: `LaStats::prefetch_hits` and
-    /// `staged_fetches` count it, and `LaStats::stash_high_water` is
-    /// taken right after staging, when the stash holds each distinct
-    /// index once. Read/write mix and per-index information stay closed
-    /// too.
-    la_windows: Arc<Counter>,
-    la_bucket_reads_saved: Arc<Counter>,
-    la_combined_evictions: Arc<Counter>,
-    la_evictions_saved: Arc<Counter>,
     cost_model: CostModel,
 }
 
@@ -534,12 +490,6 @@ impl WorkerProbes {
             ocalls: registry.counter_with("enclave_ocalls_total", &labels),
             epc_page_swaps: registry.counter_with("enclave_epc_page_swaps_total", &labels),
             encrypted_bytes: registry.counter_with("enclave_encrypted_bytes_total", &labels),
-            la_windows: registry.counter_with("laoram_windows_total", &labels),
-            la_bucket_reads_saved: registry
-                .counter_with("laoram_bucket_reads_saved_total", &labels),
-            la_combined_evictions: registry
-                .counter_with("laoram_combined_evictions_total", &labels),
-            la_evictions_saved: registry.counter_with("laoram_evictions_saved_total", &labels),
             cost_model: CostModel::scalable_sgx(),
         }
     }
@@ -561,13 +511,6 @@ impl WorkerProbes {
         }
         if let Some(occ) = generator.stash_occupancy() {
             self.stash.set(acc.observe_stash(occ));
-        }
-        if let Some(la) = generator.lookahead_stats() {
-            let d = acc.observe_la(&la);
-            self.la_windows.add(d.windows);
-            self.la_bucket_reads_saved.add(d.bucket_reads_saved);
-            self.la_combined_evictions.add(d.combined_evictions);
-            self.la_evictions_saved.add(d.evictions_saved);
         }
     }
 }
@@ -1731,23 +1674,9 @@ mod tests {
     fn laoram_exports_do_not_reveal_duplicate_indices() {
         use secemb_telemetry::MetricValue;
         /// Values distributed alike for every index stream but drawn
-        /// differently, exempt with their reasons.
-        const EXEMPT: [(&str, &str); 5] = [
-            (
-                "oram_bucket_reads_total",
-                "size of the union of W uniform leaf paths",
-            ),
-            ("oram_bucket_writes_total", "the same union, written back"),
-            ("oram_bytes_moved_total", "the same union's bytes"),
-            (
-                "laoram_bucket_reads_saved_total",
-                "W paths minus their union",
-            ),
-            (
-                "enclave_encrypted_bytes_total",
-                "modeled from the bytes moved",
-            ),
-        ];
+        /// differently, exempt with their reasons. None: every export is
+        /// a fixed function of the window sizes.
+        const EXEMPT: [(&str, &str); 0] = [];
         const W: u64 = 8;
         let start = || {
             Engine::start(EngineConfig::new(vec![TableConfig {
@@ -1782,7 +1711,7 @@ mod tests {
         let (a, b) = (exported(&distinct), exported(&repeated));
         assert!(a
             .iter()
-            .any(|(key, _)| key.starts_with("laoram_windows_total")));
+            .any(|(key, _)| key.starts_with("oram_bucket_reads_total")));
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x, y, "an export differs with the duplicate count");
         }
