@@ -3,8 +3,7 @@
 //!
 //! ```text
 //! secemb-serve-server [--listen ADDR] [--table SPEC]... [--max-batch N]
-//!                     [--queue N] [--seed N]
-//!                     [--replicas N] [--telemetry-out FILE]
+//!                     [--queue N] [--seed N] [--telemetry-out FILE]
 //!                     [--stats-interval S] [--no-telemetry]
 //!                     [--adaptive] [--adapt-profile FILE]
 //!                     [--adapt-dwell-ms N] [--adapt-cooldown-ms N]
@@ -16,8 +15,9 @@
 //! `SPEC` is `TECH:ROWSxDIM` (`lookup|scan|path|circuit|dhe`) or
 //! `hybrid:ROWSxDIM:THRESHOLD`; repeat `--table` for multiple shards.
 //! Defaults serve a scan+DHE hybrid pair resembling a small DLRM.
-//! A shard worker runs whatever is queued when it becomes free, up to
-//! `--max-batch` queries per generator call; it never waits for more.
+//! Each table runs one shard worker, which owns the table's generator. It
+//! runs whatever is queued when it becomes free, up to `--max-batch`
+//! queries per generator call; it never waits for more.
 //! `--telemetry-out FILE` appends a JSONL registry snapshot every
 //! `--stats-interval` seconds; `--no-telemetry` disables the metrics
 //! registry entirely (responses still carry stage breakdowns).
@@ -61,7 +61,6 @@ struct Args {
     max_batch: usize,
     queue: usize,
     seed: u64,
-    replicas: usize,
     telemetry_out: Option<PathBuf>,
     stats_interval: Duration,
     telemetry: bool,
@@ -79,7 +78,7 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: secemb-serve-server [--listen ADDR] [--table SPEC]... \
-         [--max-batch N] [--queue N] [--seed N] [--replicas N] \
+         [--max-batch N] [--queue N] [--seed N] \
          [--telemetry-out FILE] [--stats-interval S] [--no-telemetry] \
          [--adaptive] [--adapt-profile FILE] [--adapt-dwell-ms N] \
          [--adapt-cooldown-ms N] [--run-secs N] [--conn-idle-ms N] \
@@ -96,7 +95,6 @@ fn parse_args() -> Args {
         max_batch: 64,
         queue: 1024,
         seed: 42,
-        replicas: 1,
         telemetry_out: None,
         stats_interval: Duration::from_secs(10),
         telemetry: true,
@@ -125,12 +123,6 @@ fn parse_args() -> Args {
             "--max-batch" => args.max_batch = value().parse().unwrap_or_else(|_| usage()),
             "--queue" => args.queue = value().parse().unwrap_or_else(|_| usage()),
             "--seed" => args.seed = value().parse().unwrap_or_else(|_| usage()),
-            "--replicas" => {
-                args.replicas = value().parse().unwrap_or_else(|_| usage());
-                if args.replicas == 0 {
-                    usage();
-                }
-            }
             "--telemetry-out" => args.telemetry_out = Some(PathBuf::from(value())),
             "--stats-interval" => {
                 let secs: f64 = value().parse().unwrap_or_else(|_| usage());
@@ -248,15 +240,13 @@ fn main() {
         .collect();
     let mut config = EngineConfig::new(tables);
     config.policy.max_batch = args.max_batch;
-    config.shard.replicas = args.replicas;
     config.telemetry = args.telemetry;
     config.tracing =
         (args.trace_sample > 0).then(|| TraceSettings::new(&args.trace_host, args.trace_sample));
 
     eprintln!(
-        "building {} table(s) x {} replica(s) and probing costs...",
-        args.specs.len(),
-        args.replicas
+        "building {} table(s) and probing costs...",
+        args.specs.len()
     );
     let engine = Arc::new(Engine::start(config));
     for (id, info) in engine.tables().iter().enumerate() {

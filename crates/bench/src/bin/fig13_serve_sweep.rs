@@ -8,10 +8,8 @@
 //! rate. The backend is the paper's hybrid: a small scan-served table and
 //! a large DHE-served table behind one threshold.
 //!
-//! `--replicas R` runs R worker threads per table shard; the
-//! replication sweep in EXPERIMENTS.md compares `--replicas 1` against
-//! `--replicas 4`. The load is one open-loop schedule per point, timed
-//! from each request's due time; the `late p99` column is how far behind
+//! Each table runs one shard worker. The load is one open-loop schedule
+//! per point, timed from each request's due time; the `late p99` column is how far behind
 //! that schedule the generator itself sent.
 //!
 //! `--tiny` shrinks tables, rates and durations to a seconds-long smoke
@@ -49,12 +47,10 @@ fn main() {
     let tiny = std::env::args().any(|a| a == "--tiny");
     let telemetry = !std::env::args().any(|a| a == "--no-telemetry");
     let telemetry_out = flag_value("--telemetry-out");
-    let replicas: usize = flag_value("--replicas").map_or(1, |v| v.parse().expect("--replicas N"));
     let idle_conns: usize =
         flag_value("--idle-conns").map_or(0, |v| v.parse().expect("--idle-conns N"));
-    assert!(replicas > 0, "--replicas must be positive");
     println!("Fig. 13 (serving): latency-throughput sweep, hybrid backend, 20 ms SLA");
-    println!("replicas/table: {replicas}, idle connections: {idle_conns}");
+    println!("idle connections: {idle_conns}");
     if !telemetry {
         println!("telemetry: disabled (overhead A/B run)");
     }
@@ -91,7 +87,6 @@ fn main() {
             })
             .collect(),
     );
-    config.shard.replicas = replicas;
     config.telemetry = telemetry;
 
     eprintln!("building tables and probing costs...");

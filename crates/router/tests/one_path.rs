@@ -264,7 +264,7 @@ fn hostile_frames_get_the_same_treatment_at_both_doors() {
     }
     for engine in &fleet.engines {
         assert!(
-            engine.worker_health().iter().flatten().all(|alive| *alive),
+            engine.worker_health().iter().all(|alive| *alive),
             "a worker died"
         );
     }

@@ -1,17 +1,15 @@
-//! The serving engine: per-table shards, replicated worker threads,
+//! The serving engine: per-table shards, one worker thread each,
 //! SLA-aware admission control, and live plan reallocation.
 //!
-//! Each table is a *shard*: [`ShardPolicy::replicas`] worker threads
-//! drain one shared MPMC job queue, each owning an **independent**
-//! generator built from the same [`GeneratorSpec`] and seed (generation
-//! takes `&mut self` — ORAM mutates on every access, so stash and
-//! position-map state is strictly per-replica and each replica's access
-//! trace stays input-independent on its own). A worker blocks for its
-//! first job, takes whatever backlog is already queued up to
-//! [`BatchPolicy::max_batch`] queries and runs it as one batch: an idle
-//! worker dispatches at once, a busy one drains what arrived while it
-//! computed — batch composition is a function of arrival times and public
-//! shape only. Admission control uses a profiled per-query cost
+//! Each table is a *shard*: one worker thread drains the shard's job
+//! queue and owns the table's one generator (generation takes
+//! `&mut self` — ORAM mutates on every access, and an oblivious write
+//! must land in the structure every later read consults). A worker
+//! blocks for its first job, takes whatever backlog is already queued up
+//! to [`BatchPolicy::max_batch`] queries and runs it as one batch: an
+//! idle worker dispatches at once, a busy one drains what arrived while
+//! it computed — batch composition is a function of arrival times and
+//! public shape only. Admission control uses a profiled per-query cost
 //! to predict queue delay and sheds load *explicitly*: a request the
 //! server cannot serve in time is answered `Rejected`, never silently
 //! dropped and never allowed to grow the queue without bound.
@@ -19,25 +17,24 @@
 //! # Live reallocation
 //!
 //! The active allocation is *versioned* and *epoch-tagged*, and a swap is
-//! a lock, not a protocol. Each shard keeps its replicas' generators in
-//! per-replica slots behind one *epoch gate* (a `RwLock`): a worker holds
-//! the gate shared, with its own slot locked, from dispatch through its
-//! batch's last reply. A controller (see the `secemb-adapt` crate) builds
-//! replacement generators **off** the request path and calls
-//! [`Engine::apply_plan`], which takes the gate exclusively, exchanges
-//! every live replica's generator, flips the admission-control cost
-//! estimates in the same critical section and releases it. Every
+//! a lock, not a protocol. Each shard keeps its generator behind an
+//! *epoch gate* (a `RwLock`): the worker holds the gate shared from
+//! dispatch through its batch's last reply. A controller (see the
+//! `secemb-adapt` crate) builds replacement generators **off** the
+//! request path and calls [`Engine::apply_plan`], which takes each gate
+//! exclusively, exchanges the generator, flips the admission-control
+//! cost estimates in the same critical section and releases it. Every
 //! old-epoch batch of a shard has therefore replied before any new-epoch
-//! batch starts — responses never mix epochs within a table — and an idle
-//! or dead replica costs the swap nothing. The engine's epoch counter is
-//! published after every shard has been exchanged, under one swap lock
-//! that totally orders plans.
+//! batch starts — responses never mix epochs within a table — and an
+//! idle or dead worker costs the swap nothing. A shard whose technique
+//! the plan keeps is re-costed, not rebuilt, so its written rows
+//! survive. The engine's epoch counter is published after every shard
+//! has been exchanged, under one swap lock that totally orders plans.
 
 use crate::batcher::{execute_batch_ops, BatchPolicy};
 use crate::lock_unpoisoned;
 use crate::request::{RejectReason, Request, Response};
 use crate::stats::ServerStats;
-use crossbeam::channel::{self, Receiver, Sender, TrySendError};
 use secemb::hybrid::AllocationPlan;
 use secemb::{measure_cost, EmbeddingGenerator, GeneratorSpec, Technique};
 use secemb_enclave::CostModel;
@@ -48,7 +45,7 @@ use secemb_telemetry::{
 };
 use secemb_tensor::Matrix;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -63,8 +60,7 @@ const SAMPLE_CAP: usize = 4096;
 pub struct TableConfig {
     /// What backs the table.
     pub spec: GeneratorSpec,
-    /// Seed for the synthetic weights (same seed ⇒ same table, and the
-    /// same embedding values from every replica).
+    /// Seed for the synthetic weights (same seed ⇒ same table).
     pub seed: u64,
     /// Bounded queue length, in *requests*. Submissions beyond it are
     /// rejected `QueueFull`.
@@ -86,22 +82,6 @@ impl TableConfig {
     }
 }
 
-/// How each table shard is replicated across worker threads.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ShardPolicy {
-    /// Worker threads per table, all draining the shard's one job queue.
-    /// Each replica owns an independent generator instance (same spec,
-    /// same seed ⇒ identical outputs; private ORAM state ⇒ per-replica
-    /// trace equivalence).
-    pub replicas: usize,
-}
-
-impl Default for ShardPolicy {
-    fn default() -> Self {
-        ShardPolicy { replicas: 1 }
-    }
-}
-
 /// Engine-wide configuration.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
@@ -109,8 +89,6 @@ pub struct EngineConfig {
     pub tables: Vec<TableConfig>,
     /// Coalescing policy, shared by every shard.
     pub policy: BatchPolicy,
-    /// Replication policy, shared by every shard.
-    pub shard: ShardPolicy,
     /// Batch size of the startup cost probe.
     pub probe_batch: usize,
     /// Repetitions of the startup cost probe.
@@ -156,7 +134,6 @@ impl EngineConfig {
         EngineConfig {
             tables,
             policy: BatchPolicy::default(),
-            shard: ShardPolicy::default(),
             probe_batch: 8,
             probe_repeats: 3,
             telemetry: true,
@@ -245,7 +222,7 @@ impl Job {
     }
 }
 
-/// One replica's serving state; [`Engine::apply_plan`] exchanges the
+/// A shard's serving state; [`Engine::apply_plan`] exchanges the
 /// generator and restarts its baselines.
 struct Slot {
     generator: Box<dyn EmbeddingGenerator + Send>,
@@ -257,22 +234,27 @@ struct Slot {
     poisoned: bool,
 }
 
-/// A shard's epoch gate: the replicas' slots, in replica order. A worker
-/// holds the gate *shared* with its own slot locked while a batch runs
-/// and replies; a swap holds it *exclusively*, so old- and new-epoch
-/// batches of a shard never overlap. A waiting swap must also stop new
-/// batches from starting, or saturated workers would starve it: std
-/// documents no `RwLock` priority policy, but its Linux (futex)
-/// implementation turns new readers away while a writer waits, and
+/// A shard's epoch gate around its one slot. The worker holds the gate
+/// *shared*, with the slot locked, while a batch runs and replies; a
+/// swap holds it *exclusively*, so old- and new-epoch batches of a shard
+/// never overlap. The worker is the gate's only reader: the split exists
+/// for the writer preference. A waiting swap must stop new batches from
+/// starting, or a saturated worker would starve it: std documents no
+/// `RwLock` priority policy, but its Linux (futex) implementation turns
+/// new readers away while a writer waits, and
 /// `swap_under_sustained_load_completes` pins that.
-type EpochGate = RwLock<Vec<Mutex<Slot>>>;
+type EpochGate = RwLock<Mutex<Slot>>;
 
 struct Shard {
-    tx: Sender<Job>,
+    tx: mpsc::Sender<Job>,
+    /// Jobs sent but not yet dequeued, bounded by
+    /// [`TableConfig::queue_capacity`]. A count only (the channel
+    /// carries the jobs), so its updates are `Relaxed`.
+    queued: Arc<AtomicUsize>,
     gate: Arc<EpochGate>,
-    /// One liveness flag per replica; a worker clears its own flag when
-    /// its generator panics, so swaps and admission route around it.
-    alive: Vec<Arc<AtomicBool>>,
+    /// Cleared by the worker when its generator panics; admission then
+    /// turns the shard's requests away.
+    alive: Arc<AtomicBool>,
     pending_queries: Arc<AtomicU64>,
     /// Admission-control cost, f64 bits — updated atomically on swap so
     /// the submit path never takes a lock.
@@ -349,7 +331,6 @@ impl Ticket {
 /// client threads; dropping the last handle stops and joins the workers.
 pub struct Engine {
     shards: Vec<Shard>,
-    replicas: usize,
     stats: Arc<ServerStats>,
     /// Epoch of the active allocation; bumped exactly once per applied
     /// plan, under `swap_lock`, after every shard has been exchanged.
@@ -374,8 +355,8 @@ pub struct Engine {
 /// Everything a worker thread needs, bundled to keep the spawn site flat.
 struct WorkerSetup {
     table: usize,
-    replica: usize,
-    rx: Receiver<Job>,
+    rx: mpsc::Receiver<Job>,
+    queued: Arc<AtomicUsize>,
     gate: Arc<EpochGate>,
     pending: Arc<AtomicU64>,
     stats: Arc<ServerStats>,
@@ -383,9 +364,7 @@ struct WorkerSetup {
     probes: WorkerProbes,
     samples: Arc<Mutex<SampleRing>>,
     policy: BatchPolicy,
-    /// Liveness flags of every replica in this shard (own entry at
-    /// `replica`); cleared on panic, checked to find the last survivor.
-    shard_alive: Vec<Arc<AtomicBool>>,
+    alive: Arc<AtomicBool>,
     spans: Arc<SpanCollector>,
 }
 
@@ -477,10 +456,9 @@ struct WorkerProbes {
 }
 
 impl WorkerProbes {
-    fn new(registry: &Registry, table: usize, replica: usize) -> Self {
+    fn new(registry: &Registry, table: usize) -> Self {
         let t = table.to_string();
-        let r = replica.to_string();
-        let labels: [(&str, &str); 2] = [("table", &t), ("replica", &r)];
+        let labels = [("table", t.as_str())];
         WorkerProbes {
             stash: registry.gauge_with("oram_stash_occupancy", &labels),
             evictions: registry.counter_with("oram_evictions_total", &labels),
@@ -494,7 +472,7 @@ impl WorkerProbes {
         }
     }
 
-    /// Publishes this replica's below-serve aggregates as increments over
+    /// Publishes this shard's below-serve aggregates as increments over
     /// `acc`, the generator's baselines. Called once per dispatched batch;
     /// a no-op for generators that expose no access statistics (e.g.
     /// linear scan, DHE).
@@ -516,84 +494,68 @@ impl WorkerProbes {
 }
 
 impl Engine {
-    /// Builds every table, probes per-query costs, and starts
-    /// `shard.replicas` worker threads per shard, all draining the
-    /// shard's one job queue.
+    /// Builds every table, probes per-query costs, and starts one worker
+    /// thread per shard.
     ///
     /// # Panics
     ///
-    /// Panics if `config.tables` is empty, a table has a zero queue
-    /// capacity, or `config.shard.replicas` is zero.
+    /// Panics if `config.tables` is empty or a table has a zero queue
+    /// capacity.
     pub fn start(config: EngineConfig) -> Self {
         assert!(!config.tables.is_empty(), "engine with no tables");
-        let replicas = config.shard.replicas;
-        assert!(replicas > 0, "engine with zero replicas per shard");
         let registry = Arc::new(if config.telemetry {
             Registry::new()
         } else {
             Registry::disabled()
         });
         let stats = Arc::new(ServerStats::with_registry(Arc::clone(&registry)));
-        stats.set_replicas(replicas as u64);
         let spans = Arc::new(match &config.tracing {
             Some(t) => SpanCollector::with_capacity(&t.host, t.sample_every, t.capacity),
             None => SpanCollector::disabled(),
         });
         let mut shards = Vec::with_capacity(config.tables.len());
-        let mut workers = Vec::with_capacity(config.tables.len() * replicas);
+        let mut workers = Vec::with_capacity(config.tables.len());
         for (id, t) in config.tables.iter().enumerate() {
             assert!(t.queue_capacity > 0, "table {id}: zero queue capacity");
-            // Each replica owns an independent generator built from the
-            // same spec and seed: identical outputs, private ORAM state.
-            let mut generators: Vec<_> = (0..replicas).map(|_| t.spec.build(t.seed)).collect();
+            let mut generator = t.spec.build(t.seed);
             let per_query_ns = t.cost_override_ns.unwrap_or_else(|| {
-                measure_cost(
-                    generators[0].as_mut(),
-                    config.probe_batch,
-                    config.probe_repeats,
-                )
-                .per_query_ns
+                measure_cost(generator.as_mut(), config.probe_batch, config.probe_repeats)
+                    .per_query_ns
             });
             let info = TableInfo {
                 rows: t.spec.rows(),
                 dim: t.spec.dim(),
-                technique: generators[0].technique(),
+                technique: generator.technique(),
                 per_query_ns,
-                supports_updates: generators[0].supports_updates(),
+                supports_updates: generator.supports_updates(),
             };
-            let (tx, rx) = channel::bounded::<Job>(t.queue_capacity);
+            let (tx, rx) = mpsc::channel::<Job>();
+            let queued = Arc::new(AtomicUsize::new(0));
             let pending = Arc::new(AtomicU64::new(0));
             let samples = Arc::new(Mutex::new(SampleRing::new()));
-            let alive: Vec<Arc<AtomicBool>> = (0..replicas)
-                .map(|_| Arc::new(AtomicBool::new(true)))
-                .collect();
-            let slots = generators.into_iter().map(|generator| {
-                Mutex::new(Slot {
-                    generator,
-                    acc: ProbeAccumulator::default(),
-                    poisoned: false,
-                })
-            });
-            let gate: Arc<EpochGate> = Arc::new(RwLock::new(slots.collect()));
-            for replica in 0..replicas {
-                let setup = WorkerSetup {
-                    table: id,
-                    replica,
-                    rx: rx.clone(),
-                    gate: Arc::clone(&gate),
-                    pending: Arc::clone(&pending),
-                    stats: Arc::clone(&stats),
-                    batches: stats.register_worker(id, replica),
-                    probes: WorkerProbes::new(&registry, id, replica),
-                    samples: Arc::clone(&samples),
-                    policy: config.policy,
-                    shard_alive: alive.clone(),
-                    spans: Arc::clone(&spans),
-                };
-                workers.push(spawn_worker(setup));
-            }
+            let alive = Arc::new(AtomicBool::new(true));
+            let gate: Arc<EpochGate> = Arc::new(RwLock::new(Mutex::new(Slot {
+                generator,
+                acc: ProbeAccumulator::default(),
+                poisoned: false,
+            })));
+            workers.push(spawn_worker(WorkerSetup {
+                table: id,
+                rx,
+                queued: Arc::clone(&queued),
+                gate: Arc::clone(&gate),
+                pending: Arc::clone(&pending),
+                stats: Arc::clone(&stats),
+                batches: stats.register_worker(id),
+                probes: WorkerProbes::new(&registry, id),
+                samples: Arc::clone(&samples),
+                policy: config.policy,
+                alive: Arc::clone(&alive),
+                spans: Arc::clone(&spans),
+            }));
             shards.push(Shard {
                 tx,
+                queued,
                 gate,
                 alive,
                 pending_queries: pending,
@@ -606,7 +568,6 @@ impl Engine {
         }
         Engine {
             shards,
-            replicas,
             stats,
             epoch: AtomicU64::new(0),
             plan_version: AtomicU64::new(0),
@@ -632,36 +593,28 @@ impl Engine {
         self.shards.get(table).map(|s| s.config.spec.dim())
     }
 
-    /// Liveness of every worker, as `per-shard[replica]` flags: `false`
-    /// once a replica's generator panicked and the worker shut down.
-    pub fn worker_health(&self) -> Vec<Vec<bool>> {
+    /// Liveness of every shard's worker, by table id: `false` once its
+    /// generator panicked and the worker turned rejector.
+    pub fn worker_health(&self) -> Vec<bool> {
         self.shards
             .iter()
-            .map(|s| s.alive.iter().map(|a| a.load(Ordering::SeqCst)).collect())
+            .map(|s| s.alive.load(Ordering::SeqCst))
             .collect()
     }
 
-    /// Test hook: makes `replica` of `table` panic inside its next
+    /// Test hook: makes `table`'s worker panic inside its next
     /// dispatched batch, exercising the worker-death path — the batch's
     /// requests are answered [`RejectReason::Internal`], the death is
-    /// recorded in [`ServerStats`], and sibling replicas keep serving.
-    /// Returns `false` for an unknown table/replica.
+    /// recorded in [`ServerStats`], and the shard answers `Internal` from
+    /// then on. Returns `false` for an unknown table.
     #[doc(hidden)]
-    pub fn inject_worker_panic(&self, table: usize, replica: usize) -> bool {
+    pub fn inject_worker_panic(&self, table: usize) -> bool {
         let Some(shard) = self.shards.get(table) else {
             return false;
         };
-        let slots = shard.gate.read().unwrap_or_else(PoisonError::into_inner);
-        let Some(slot) = slots.get(replica) else {
-            return false;
-        };
-        lock_unpoisoned(slot).poisoned = true;
+        let slot = shard.gate.read().unwrap_or_else(PoisonError::into_inner);
+        lock_unpoisoned(&slot).poisoned = true;
         true
-    }
-
-    /// Worker threads per shard.
-    pub fn replicas(&self) -> usize {
-        self.replicas
     }
 
     /// Shared statistics handle.
@@ -708,24 +661,27 @@ impl Engine {
             .map_or_else(Vec::new, |s| lock_unpoisoned(&s.samples).drain())
     }
 
-    /// Applies a new allocation plan **live**: builds one replacement
-    /// generator *per live replica* for every table (on the calling
-    /// thread — never a worker's), then, shard by shard, takes the
-    /// shard's epoch gate exclusively and exchanges the generators. The
-    /// gate is granted once every batch already running on the shard has
+    /// Applies a new allocation plan **live**: builds a replacement
+    /// generator for every table whose technique the plan changes (on the
+    /// calling thread — never a worker's), then, shard by shard, takes the
+    /// shard's epoch gate exclusively and exchanges the generator. The
+    /// gate is granted once the batch already running on the shard has
     /// sent its last reply, and no batch starts while it is held, so all
     /// old-epoch batches complete before any new-epoch batch is
-    /// dispatched — responses never mix epochs within a table even with
-    /// `replicas > 1`. In-flight batches finish on the old epoch's
-    /// generator and no request is dropped or re-queued; the retired
-    /// generators are dropped on the calling thread.
+    /// dispatched — responses never mix epochs within a table. In-flight
+    /// batches finish on the old epoch's generator and no request is
+    /// dropped or re-queued; the retired generators are dropped on the
+    /// calling thread.
+    ///
+    /// A table whose technique the plan keeps is not rebuilt: its
+    /// generator, and every row written into it, stays in place.
     ///
     /// Admission-control costs switch to the plan's estimates in the same
     /// critical section; a planned cost `<= 0` (unknown) is probed here on
-    /// a freshly built generator before the swap is published. On return
-    /// the whole surviving fleet serves the new plan; idle replicas are
-    /// swapped where they sit and dead ones are skipped, neither waited
-    /// on.
+    /// a freshly built generator before the swap is published, and keeps
+    /// the current cost where nothing was built. On return every shard
+    /// serves the new plan; an idle or dead worker is swapped where it
+    /// sits, not waited on.
     ///
     /// Returns the new epoch.
     ///
@@ -745,57 +701,40 @@ impl Engine {
                 return Err(PlanError::RowsMismatch { table: id });
             }
         }
+        // Held across the builds: which tables need one depends on the
+        // techniques the previous plan left in place.
+        let _swap = lock_unpoisoned(&self.swap_lock);
         // Build (and if necessary probe) every replacement off the gate —
         // construction can take seconds for large ORAM tables and must
-        // not stall serving. Only live replicas get a replacement.
+        // not stall serving.
         let mut staged = Vec::with_capacity(self.shards.len());
         for (planned, shard) in plan.tables.iter().zip(&self.shards) {
-            let spec = GeneratorSpec::with_technique(
-                shard.config.spec.rows(),
-                shard.config.spec.dim(),
-                planned.technique,
-            );
-            let mut replacements: Vec<_> = (0..self.replicas)
-                .filter(|&replica| shard.alive[replica].load(Ordering::SeqCst))
-                .map(|replica| (replica, spec.build(shard.config.seed)))
-                .collect();
-            let per_query_ns = if planned.per_query_ns > 0.0 {
-                planned.per_query_ns
-            } else if let Some((_, first)) = replacements.first_mut() {
-                measure_cost(first.as_mut(), self.probe_batch, self.probe_repeats).per_query_ns
-            } else {
-                // Whole shard dead: keep the planned (non-)estimate; the
-                // shard rejects at admission anyway.
-                planned.per_query_ns
-            };
-            let info = TableInfo {
-                rows: spec.rows(),
-                dim: spec.dim(),
-                technique: planned.technique,
-                per_query_ns,
-                supports_updates: replacements
-                    .first()
-                    .is_some_and(|(_, g)| g.supports_updates()),
-            };
-            staged.push((replacements, info));
+            let mut info = *lock_unpoisoned(&shard.info);
+            let mut replacement = (planned.technique != info.technique).then(|| {
+                GeneratorSpec::with_technique(info.rows, info.dim, planned.technique)
+                    .build(shard.config.seed)
+            });
+            if planned.per_query_ns > 0.0 {
+                info.per_query_ns = planned.per_query_ns;
+            } else if let Some(generator) = replacement.as_mut() {
+                info.per_query_ns =
+                    measure_cost(generator.as_mut(), self.probe_batch, self.probe_repeats)
+                        .per_query_ns;
+            }
+            if let Some(generator) = &replacement {
+                info.technique = generator.technique();
+                info.supports_updates = generator.supports_updates();
+            }
+            staged.push((replacement, info));
         }
         // Outlives the gates below: generators are freed only after
         // serving has resumed.
         let mut retired = Vec::new();
-        let _swap = lock_unpoisoned(&self.swap_lock);
         let epoch = self.epoch.load(Ordering::SeqCst) + 1;
-        for (shard, (replacements, info)) in self.shards.iter().zip(staged) {
-            let mut slots = shard.gate.write().unwrap_or_else(PoisonError::into_inner);
-            for (replica, generator) in replacements {
-                // Liveness is stable under the gate (a worker dies inside
-                // it); a replica that died since the snapshot is skipped.
-                if !shard.alive[replica].load(Ordering::SeqCst) {
-                    retired.push(generator);
-                    continue;
-                }
-                let slot = slots[replica]
-                    .get_mut()
-                    .unwrap_or_else(PoisonError::into_inner);
+        for (shard, (replacement, info)) in self.shards.iter().zip(staged) {
+            let mut gate = shard.gate.write().unwrap_or_else(PoisonError::into_inner);
+            if let Some(generator) = replacement {
+                let slot = gate.get_mut().unwrap_or_else(PoisonError::into_inner);
                 retired.push(std::mem::replace(&mut slot.generator, generator));
                 slot.acc.reset();
                 self.stats.record_swap_applied(epoch);
@@ -847,21 +786,18 @@ impl Engine {
                 return Err(RejectReason::UpdateUnsupported);
             }
         }
-        // A shard whose every replica has died can accept nothing: fail
-        // fast and explicitly instead of queueing work nobody will drain.
-        if shard.alive.iter().all(|a| !a.load(Ordering::SeqCst)) {
+        // A shard whose worker has died can serve nothing: fail fast and
+        // explicitly instead of queueing work only to reject it.
+        if !shard.alive.load(Ordering::SeqCst) {
             return Err(RejectReason::Internal);
         }
         // SLA gate: predicted queue delay + own compute, against the
         // caller's budget. The cost is the *active plan's* estimate,
-        // refreshed on every reallocation; the queue drains
-        // `replicas`-wide, so the per-replica backlog is the shard backlog
-        // divided by the replica count.
+        // refreshed on every reallocation.
         if let Some(deadline) = request.deadline {
             let per_query_ns = f64::from_bits(shard.cost_ns_bits.load(Ordering::SeqCst));
-            let queued = shard.pending_queries.load(Ordering::Relaxed);
-            let backlog = (queued + n as u64) as f64 / self.replicas as f64;
-            let estimate_ns = backlog * per_query_ns;
+            let backlog = shard.pending_queries.load(Ordering::Relaxed) + n as u64;
+            let estimate_ns = backlog as f64 * per_query_ns;
             if estimate_ns > deadline.as_nanos() as f64 {
                 return Err(RejectReason::DeadlineUnmeetable);
             }
@@ -877,7 +813,17 @@ impl Engine {
     /// with its request id and hands it to the connection's writer.
     pub fn submit_with(&self, request: Request, reply: ReplyFn) {
         let t0 = Instant::now();
-        let shard = match self.admit(&request) {
+        // Admitted requests reserve one job of queue capacity, released
+        // when the worker dequeues the job.
+        let admitted = self.admit(&request).and_then(|shard| {
+            if shard.queued.fetch_add(1, Ordering::Relaxed) < shard.config.queue_capacity {
+                Ok(shard)
+            } else {
+                shard.queued.fetch_sub(1, Ordering::Relaxed);
+                Err(RejectReason::QueueFull)
+            }
+        });
+        let shard = match admitted {
             Ok(shard) => shard,
             Err(reason) => {
                 self.stats.record_rejected(reason, 0);
@@ -898,11 +844,10 @@ impl Engine {
             reply,
         };
         shard.pending_queries.fetch_add(n as u64, Ordering::Relaxed);
-        match shard.tx.try_send(job) {
-            Ok(()) => {
-                self.stats.record_accepted(n);
-            }
-            Err(TrySendError::Full(job) | TrySendError::Disconnected(job)) => {
+        match shard.tx.send(job) {
+            Ok(()) => self.stats.record_accepted(n),
+            Err(mpsc::SendError(job)) => {
+                shard.queued.fetch_sub(1, Ordering::Relaxed);
                 shard.pending_queries.fetch_sub(n as u64, Ordering::Relaxed);
                 self.stats.record_rejected(RejectReason::QueueFull, 0);
                 (job.reply)(Response::Rejected(RejectReason::QueueFull));
@@ -954,8 +899,8 @@ fn shed_stale(jobs: Vec<Job>, pending: &AtomicU64, stats: &ServerStats) -> Vec<J
 fn spawn_worker(setup: WorkerSetup) -> JoinHandle<()> {
     let WorkerSetup {
         table,
-        replica,
         rx,
+        queued,
         gate,
         pending,
         stats,
@@ -963,11 +908,11 @@ fn spawn_worker(setup: WorkerSetup) -> JoinHandle<()> {
         probes,
         samples,
         policy,
-        shard_alive,
+        alive,
         spans,
     } = setup;
     std::thread::Builder::new()
-        .name(format!("secemb-shard-{table}.{replica}"))
+        .name(format!("secemb-shard-{table}"))
         .spawn(move || loop {
             let Ok(first) = rx.recv() else {
                 return; // engine dropped
@@ -982,13 +927,14 @@ fn spawn_worker(setup: WorkerSetup) -> JoinHandle<()> {
                 queries += job.indices.len();
                 jobs.push(job);
             }
+            queued.fetch_sub(jobs.len(), Ordering::Relaxed);
             let dequeued = Instant::now();
             // Enter the epoch gate for the whole batch, replies included:
             // a swap waits for it and it waits for a swap, so these jobs
             // run on one epoch's generator and a swap applied before they
             // were admitted is never overtaken by them.
-            let slots = gate.read().unwrap_or_else(PoisonError::into_inner);
-            let mut guard = lock_unpoisoned(&slots[replica]);
+            let gated = gate.read().unwrap_or_else(PoisonError::into_inner);
+            let mut guard = lock_unpoisoned(&gated);
             let slot = &mut *guard;
             // Check deadlines *after* entering — the gate can block behind
             // a swap, and a job that expired in that window must be
@@ -1019,8 +965,8 @@ fn spawn_worker(setup: WorkerSetup) -> JoinHandle<()> {
             let dispatch = Instant::now();
             // A panicking generator takes down this worker, not the
             // server: the caught batch is answered `Internal`, the worker
-            // reports its own death and exits, and siblings (or, for the
-            // shard's last replica, the admission gate) take over.
+            // reports its own death, and admission turns the shard's
+            // requests away from then on.
             let outputs = match std::panic::catch_unwind(AssertUnwindSafe(|| {
                 if slot.poisoned {
                     panic!("injected worker fault (test hook)");
@@ -1029,24 +975,21 @@ fn spawn_worker(setup: WorkerSetup) -> JoinHandle<()> {
             })) {
                 Ok(outputs) => outputs,
                 Err(_) => {
-                    shard_alive[replica].store(false, Ordering::SeqCst);
-                    stats.record_worker_death(table, replica);
+                    alive.store(false, Ordering::SeqCst);
+                    stats.record_worker_death(table);
                     for job in live {
                         job.reject(RejectReason::Internal, &pending, &stats);
                     }
                     // Leave the gate: a corpse must not hold up a swap.
                     drop(guard);
-                    drop(slots);
-                    if shard_alive.iter().any(|a| a.load(Ordering::SeqCst)) {
-                        return; // siblings keep draining the queue
-                    }
-                    // The shard's last replica: new submissions are turned
-                    // away at admission once every flag is down, but a job
-                    // admitted in the race window would be stranded in the
-                    // queue forever. Stay alive as a rejector instead of
-                    // exiting, so every admitted job still gets its one
-                    // explicit answer.
+                    drop(gated);
+                    // New submissions are turned away at admission once
+                    // the flag is down, but a job admitted in the race
+                    // window would be stranded in the queue forever. Stay
+                    // alive as a rejector instead of exiting, so every
+                    // admitted job still gets its one explicit answer.
                     while let Ok(job) = rx.recv() {
+                        queued.fetch_sub(1, Ordering::Relaxed);
                         job.reject(RejectReason::Internal, &pending, &stats);
                     }
                     return; // engine dropped
@@ -1122,8 +1065,8 @@ fn spawn_worker(setup: WorkerSetup) -> JoinHandle<()> {
                         });
                     }
                     // The worker's view of the coalesced batch this job
-                    // rode in: which shard replica ran it and how much
-                    // company it had — all size-shaped, public values.
+                    // rode in: which shard ran it and how much company it
+                    // had — all size-shaped, public values.
                     spans.record(SpanRecord {
                         trace_id: ctx.trace_id,
                         span_id: spans.fresh_span_id(),
@@ -1135,7 +1078,6 @@ fn spawn_worker(setup: WorkerSetup) -> JoinHandle<()> {
                         end_ns: marks[4],
                         attrs: vec![
                             ("table", table as u64),
-                            ("replica", replica as u64),
                             ("batch_jobs", batch_jobs as u64),
                             ("batch_queries", total_queries as u64),
                         ],
@@ -1205,26 +1147,6 @@ mod tests {
     }
 
     #[test]
-    fn replicated_shard_serves_identical_rows() {
-        let mut config = EngineConfig::new(vec![fast_table()]);
-        config.shard.replicas = 3;
-        let engine = Engine::start(config);
-        assert_eq!(engine.replicas(), 3);
-        let mut reference = GeneratorSpec::Scan { rows: 64, dim: 8 }.build(7);
-        // Enough requests that several replicas certainly serve some;
-        // every answer must be bit-identical to the reference build.
-        let tickets: Vec<Ticket> = (0..32)
-            .map(|i| engine.submit(Request::new(0, vec![i % 64, (i * 7) % 64])))
-            .collect();
-        for (i, t) in tickets.into_iter().enumerate() {
-            let i = i as u64;
-            let expect = reference.generate_batch(&[i % 64, (i * 7) % 64]);
-            let out = t.wait();
-            assert_eq!(out.embeddings().expect("served"), &expect);
-        }
-    }
-
-    #[test]
     fn unknown_table_and_bad_request() {
         let engine = Engine::start(EngineConfig::new(vec![fast_table()]));
         assert_eq!(
@@ -1287,8 +1209,8 @@ mod tests {
         assert_eq!(info.technique, Technique::Dhe);
         assert_eq!(info.per_query_ns, 2_000.0);
 
-        // apply_plan waits for every replica's ack before publishing the
-        // epoch, so the swap is already applied on return.
+        // The generator is exchanged before the epoch is published, so
+        // the swap is already applied on return.
         assert_eq!(engine.stats().snapshot().swaps_applied, 1);
 
         // Served output now matches a DHE generator built from the same
@@ -1300,26 +1222,6 @@ mod tests {
             .expect("served")
             .clone();
         assert_eq!(out, reference.generate_batch(&[5, 9]));
-    }
-
-    #[test]
-    fn apply_plan_swaps_every_replica() {
-        let mut config = EngineConfig::new(vec![fast_table()]);
-        config.shard.replicas = 4;
-        let engine = Engine::start(config);
-        let plan = plan_for(&engine, 1, &[Technique::Dhe]);
-        engine.apply_plan(&plan).expect("valid plan");
-        // One ack per replica, all collected before apply_plan returned.
-        assert_eq!(engine.stats().snapshot().swaps_applied, 4);
-        let mut reference = GeneratorSpec::Dhe { rows: 64, dim: 8 }.build(7);
-        for _ in 0..8 {
-            let out = engine
-                .call(Request::new(0, vec![5, 9]))
-                .embeddings()
-                .expect("served")
-                .clone();
-            assert_eq!(out, reference.generate_batch(&[5, 9]));
-        }
     }
 
     #[test]
@@ -1432,55 +1334,30 @@ mod tests {
         );
     }
 
-    /// Regression for the convoy behind the old idle poll: a worker with
-    /// a job in hand must not wait for a parked sibling. At the parent
-    /// commit these 200 calls took over 3 s.
-    #[test]
-    fn idle_siblings_do_not_delay_a_ready_batch() {
-        let mut config = EngineConfig::new(vec![fast_table()]);
-        config.shard.replicas = 4;
-        let engine = Engine::start(config);
-        let t0 = Instant::now();
-        for i in 0..200 {
-            let response = engine.call(Request::new(0, vec![i % 64]));
-            assert!(response.embeddings().is_some());
-        }
-        let took = t0.elapsed();
-        assert!(took < Duration::from_secs(1), "200 serial calls: {took:?}");
-    }
-
     #[test]
     fn swap_on_an_idle_engine_installs_before_returning() {
-        let mut config = EngineConfig::new(vec![fast_table()]);
-        config.shard.replicas = 2;
-        let engine = Engine::start(config);
+        let engine = Engine::start(EngineConfig::new(vec![fast_table()]));
         let plan = plan_for(&engine, 1, &[Technique::Dhe]);
         engine.apply_plan(&plan).expect("valid plan");
         // Nobody had to wake up for the swap to be complete on return.
-        assert_eq!(engine.stats().snapshot().swaps_applied, 2);
+        assert_eq!(engine.stats().snapshot().swaps_applied, 1);
+        let workers = engine.stats().snapshot().worker_batches;
+        assert_eq!(workers.len(), 1);
+        assert_eq!(workers[0].batches, 0, "the idle worker never ran");
+        // Its first batch serves the new technique's bits.
         let mut reference = GeneratorSpec::Dhe { rows: 64, dim: 8 }.build(7);
-        let expect = reference.generate_batch(&[5, 9]);
-        // Serial calls until both replicas have served: each serves the
-        // new technique's bits from its first batch on.
-        let deadline = Instant::now() + Duration::from_secs(30);
-        let both_served = |engine: &Engine| {
-            let workers = engine.stats().snapshot().worker_batches;
-            workers.len() == 2 && workers.iter().all(|w| w.batches > 0)
-        };
-        while !both_served(&engine) {
-            assert!(Instant::now() < deadline, "a replica never served");
-            let out = engine.call(Request::new(0, vec![5, 9]));
-            assert_eq!(out.embeddings().expect("served"), &expect);
-        }
+        let out = engine.call(Request::new(0, vec![5, 9]));
+        assert_eq!(
+            out.embeddings().expect("served"),
+            &reference.generate_batch(&[5, 9])
+        );
     }
 
-    /// The gate's writer-preference check: with every worker saturated, a
+    /// The gate's writer-preference check: with the worker saturated, a
     /// waiting swap must stop new batches from starting or it starves.
     #[test]
     fn swap_under_sustained_load_completes() {
-        let mut config = EngineConfig::new(vec![fast_table()]);
-        config.shard.replicas = 2;
-        let engine = Engine::start(config);
+        let engine = Engine::start(EngineConfig::new(vec![fast_table()]));
         let stop = AtomicBool::new(false);
         std::thread::scope(|s| {
             for t in 0..4u64 {
@@ -1498,7 +1375,7 @@ mod tests {
                 });
             }
             for version in 1..=6 {
-                let technique = [Technique::Dhe, Technique::LinearScan][version as usize % 2];
+                let technique = [Technique::LinearScan, Technique::Dhe][version as usize % 2];
                 let t0 = Instant::now();
                 let epoch = engine.apply_plan(&plan_for(&engine, version, &[technique]));
                 assert_eq!(epoch, Ok(version));
@@ -1508,104 +1385,43 @@ mod tests {
             stop.store(true, Ordering::SeqCst);
         });
         let snapshot = engine.stats().snapshot();
-        assert_eq!(snapshot.swaps_applied, 12);
+        assert_eq!(snapshot.swaps_applied, 6);
         assert_eq!(snapshot.accepted, snapshot.completed);
         assert_eq!(engine.queue_depth(), 0);
     }
 
-    /// Regression for the panicking-hot-path audit: one replica dying
-    /// must cost exactly its in-flight batch (answered `Internal`), get
-    /// reported in [`ServerStats`], and leave siblings serving — and plan
-    /// swaps must keep working against the survivors.
+    /// Regression for the panicking-hot-path audit: a worker dying costs
+    /// exactly its in-flight batch (answered `Internal`) and is reported
+    /// in [`ServerStats`]; its shard then answers `Internal` instead of
+    /// hanging, and a swap does not wait on the corpse.
     #[test]
-    fn killed_replica_reports_death_and_siblings_keep_serving() {
-        let mut config = EngineConfig::new(vec![fast_table()]);
-        config.shard.replicas = 2;
-        let engine = Engine::start(config);
-        assert!(engine.inject_worker_panic(0, 1));
-        assert!(!engine.inject_worker_panic(0, 9), "unknown replica");
-        assert!(!engine.inject_worker_panic(5, 0), "unknown table");
-        let deadline = Instant::now() + Duration::from_secs(30);
-        let mut internals = 0u64;
-        while engine.stats().snapshot().worker_deaths == 0 {
-            assert!(Instant::now() < deadline, "poisoned worker never died");
-            let response = engine.call(Request::new(0, vec![1]));
-            if response.rejection() == Some(RejectReason::Internal) {
-                internals += 1;
-            }
-        }
-        assert_eq!(internals, 1, "exactly the dying batch is rejected");
-        assert_eq!(engine.worker_health(), vec![vec![true, false]]);
-        // The survivor keeps serving bit-correct rows.
-        let mut reference = GeneratorSpec::Scan { rows: 64, dim: 8 }.build(7);
-        for i in 0..8u64 {
-            let out = engine.call(Request::new(0, vec![i]));
-            assert_eq!(
-                out.embeddings().expect("served by survivor"),
-                &reference.generate_batch(&[i])
-            );
-        }
-        let snap = engine.stats().snapshot();
-        assert_eq!(snap.worker_deaths, 1);
-        assert!(
-            snap.worker_batches
-                .iter()
-                .any(|w| w.replica == 1 && !w.alive),
-            "snapshot must mark the dead replica"
-        );
-        // Reallocation routes around the corpse: one ack (the survivor),
-        // no barrier wedge, and the new technique serves.
-        let plan = plan_for(&engine, 1, &[Technique::Dhe]);
-        engine.apply_plan(&plan).expect("plan applies to survivors");
-        assert_eq!(engine.stats().snapshot().swaps_applied, 1);
-        let mut reference = GeneratorSpec::Dhe { rows: 64, dim: 8 }.build(7);
-        let out = engine.call(Request::new(0, vec![5]));
-        assert_eq!(
-            out.embeddings().expect("served"),
-            &reference.generate_batch(&[5])
-        );
-    }
-
-    /// A corpse is not in the gate, so a swap never waits on it.
-    #[test]
-    fn swap_with_a_dead_replica_returns_promptly() {
-        let mut config = EngineConfig::new(vec![fast_table()]);
-        config.shard.replicas = 2;
-        let engine = Engine::start(config);
-        assert!(engine.inject_worker_panic(0, 0));
+    fn fully_dead_shard_rejects_instead_of_hanging() {
+        let engine = Engine::start(EngineConfig::new(vec![fast_table()]));
+        assert!(!engine.inject_worker_panic(5), "unknown table");
+        assert!(engine.inject_worker_panic(0));
         let deadline = Instant::now() + Duration::from_secs(30);
         while engine.stats().snapshot().worker_deaths == 0 {
             assert!(Instant::now() < deadline, "poisoned worker never died");
             let _ = engine.call(Request::new(0, vec![1]));
         }
+        assert_eq!(engine.worker_health(), vec![false]);
+        let snap = engine.stats().snapshot();
+        assert_eq!(snap.worker_deaths, 1);
+        assert!(
+            snap.worker_batches.iter().all(|w| w.table == 0 && !w.alive),
+            "snapshot must mark the dead worker"
+        );
+        // A corpse is not in the gate, so a swap never waits on it.
         let t0 = Instant::now();
         let plan = plan_for(&engine, 1, &[Technique::Dhe]);
         engine
             .apply_plan(&plan)
-            .expect("plan applies to the survivor");
+            .expect("plan applies to a dead shard");
         let took = t0.elapsed();
         assert!(
             took < Duration::from_secs(1),
             "swap past a corpse: {took:?}"
         );
-        assert_eq!(engine.stats().snapshot().swaps_applied, 1);
-        let mut reference = GeneratorSpec::Dhe { rows: 64, dim: 8 }.build(7);
-        let out = engine.call(Request::new(0, vec![5]));
-        assert_eq!(
-            out.embeddings().expect("served by the survivor"),
-            &reference.generate_batch(&[5])
-        );
-    }
-
-    #[test]
-    fn fully_dead_shard_rejects_instead_of_hanging() {
-        let engine = Engine::start(EngineConfig::new(vec![fast_table()]));
-        assert!(engine.inject_worker_panic(0, 0));
-        let deadline = Instant::now() + Duration::from_secs(30);
-        while engine.stats().snapshot().worker_deaths == 0 {
-            assert!(Instant::now() < deadline, "poisoned worker never died");
-            let _ = engine.call(Request::new(0, vec![1]));
-        }
         // Every subsequent request resolves — explicitly — rather than
         // queueing into a shard nobody drains.
         for _ in 0..4 {
@@ -1664,6 +1480,41 @@ mod tests {
             .expect("read served")
             .clone();
         assert_eq!(after, updated);
+    }
+
+    /// A plan that keeps a table's technique re-costs the shard and
+    /// leaves its generator in place, so rows written before the swap
+    /// are still there after it.
+    #[test]
+    fn swap_keeping_the_technique_keeps_written_rows() {
+        let table = TableConfig {
+            spec: GeneratorSpec::LaOram { rows: 64, dim: 8 },
+            seed: 7,
+            queue_capacity: 64,
+            cost_override_ns: Some(1_000.0),
+        };
+        let engine = Engine::start(EngineConfig::new(vec![table]));
+        let deltas = Matrix::from_fn(1, 8, |_, c| 1.0 + c as f32);
+        let updated = engine
+            .call(Request::new(0, vec![3]).with_update(deltas))
+            .embeddings()
+            .expect("update served")
+            .clone();
+        let seeded = GeneratorSpec::LaOram { rows: 64, dim: 8 }
+            .build(7)
+            .generate_batch(&[3]);
+        assert_ne!(updated, seeded);
+        let plan = plan_for(&engine, 1, &[Technique::LaOram]);
+        assert_eq!(engine.apply_plan(&plan), Ok(1));
+        let after = engine
+            .call(Request::new(0, vec![3]))
+            .embeddings()
+            .expect("read served")
+            .clone();
+        assert_eq!(after, updated, "the swap dropped a written row");
+        assert_eq!(engine.plan_version(), 1);
+        assert_eq!(engine.tables()[0].per_query_ns, 2_000.0, "re-costed");
+        assert_eq!(engine.stats().snapshot().swaps_applied, 0, "not rebuilt");
     }
 
     /// What a look-ahead shard exports must not depend on how many of a
@@ -1757,9 +1608,7 @@ mod tests {
 
     #[test]
     fn drop_joins_workers_with_requests_in_flight() {
-        let mut config = EngineConfig::new(vec![fast_table()]);
-        config.shard.replicas = 2;
-        let engine = Engine::start(config);
+        let engine = Engine::start(EngineConfig::new(vec![fast_table()]));
         let tickets: Vec<Ticket> = (0..8)
             .map(|i| engine.submit(Request::new(0, vec![i])))
             .collect();

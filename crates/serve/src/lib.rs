@@ -12,10 +12,10 @@
 //! - [`BatchPolicy`]/[`execute_batch`]: arrival-driven coalescing — a
 //!   free worker runs whatever is queued, up to a batch-size cap, as a
 //!   single generator call per dispatch; it never waits for more.
-//! - [`Engine`]: [`ShardPolicy::replicas`] worker threads per table
-//!   shard draining one shared MPMC queue, each owning an independent
-//!   generator (built from the same [`secemb::GeneratorSpec`] and seed,
-//!   so replicas agree on values while ORAM state stays per-replica).
+//! - [`Engine`]: one worker thread per table shard, draining the
+//!   shard's queue and owning the table's one generator (built from a
+//!   [`secemb::GeneratorSpec`] and seed), so an oblivious write lands in
+//!   the structure every later read of that table consults.
 //! - Admission control: a profiled per-query cost predicts queue delay;
 //!   requests whose deadline cannot be met are rejected *before*
 //!   consuming queue space ([`RejectReason::DeadlineUnmeetable`]), full
@@ -84,9 +84,7 @@ pub(crate) fn lock_unpoisoned<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGua
 
 pub use batcher::{execute_batch, BatchPolicy};
 pub use client::{Client, RemoteTable};
-pub use engine::{
-    Engine, EngineConfig, PlanError, ShardPolicy, TableConfig, TableInfo, Ticket, TraceSettings,
-};
+pub use engine::{Engine, EngineConfig, PlanError, TableConfig, TableInfo, Ticket, TraceSettings};
 pub use gather::{merge_parts, Fill, Gather, Landed};
 pub use reactor::{FrameReactor, ReactorConfig, ReplySender};
 pub use request::{RejectReason, Request, Response};

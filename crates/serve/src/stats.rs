@@ -49,7 +49,6 @@ pub struct ServerStats {
     queue_depth: AtomicU64,
     plan_version: AtomicU64,
     epoch: AtomicU64,
-    replicas: AtomicU64,
     /// One entry per shard worker, registered at engine startup; the
     /// batch counter itself stays lock-free on the hot path (workers hold
     /// the `Arc` and only add). The `alive` flag flips on worker death —
@@ -61,7 +60,6 @@ pub struct ServerStats {
 #[derive(Debug)]
 struct WorkerSlot {
     table: usize,
-    replica: usize,
     batches: Arc<Counter>,
     alive: bool,
 }
@@ -94,7 +92,6 @@ impl ServerStats {
             queue_depth: AtomicU64::new(0),
             plan_version: AtomicU64::new(0),
             epoch: AtomicU64::new(0),
-            replicas: AtomicU64::new(0),
             worker_batches: Mutex::new(Vec::new()),
             registry,
         }
@@ -168,7 +165,7 @@ impl ServerStats {
         self.epoch.store(epoch, Ordering::SeqCst);
     }
 
-    /// Records one shard worker picking up its swap order.
+    /// Records one shard's generator being exchanged by a plan swap.
     pub fn record_swap_applied(&self, _epoch: u64) {
         self.swaps_applied.inc();
     }
@@ -176,35 +173,24 @@ impl ServerStats {
     /// Records one shard worker dying (panicked generator): bumps the
     /// death counter and marks the worker dead in the per-worker table so
     /// snapshots and the stats endpoint report it.
-    pub fn record_worker_death(&self, table: usize, replica: usize) {
+    pub fn record_worker_death(&self, table: usize) {
         self.worker_deaths.inc();
         for slot in lock_unpoisoned(&self.worker_batches).iter_mut() {
-            if slot.table == table && slot.replica == replica {
+            if slot.table == table {
                 slot.alive = false;
             }
         }
     }
 
-    /// Records the engine's replication factor (worker threads per table).
-    pub fn set_replicas(&self, replicas: u64) {
-        self.replicas.store(replicas, Ordering::Relaxed);
-    }
-
-    /// Registers one shard worker and returns its dispatched-batch
-    /// counter. Called once per worker at engine startup; the worker
-    /// increments the returned counter on every batch it dispatches, so
-    /// snapshots can show how evenly load spreads across replicas.
-    pub fn register_worker(&self, table: usize, replica: usize) -> Arc<Counter> {
-        let counter = self.registry.counter_with(
-            "worker_batches_total",
-            &[
-                ("table", &table.to_string()),
-                ("replica", &replica.to_string()),
-            ],
-        );
+    /// Registers `table`'s shard worker and returns its dispatched-batch
+    /// counter. Called once per shard at engine startup; the worker
+    /// increments the returned counter on every batch it dispatches.
+    pub fn register_worker(&self, table: usize) -> Arc<Counter> {
+        let counter = self
+            .registry
+            .counter_with("worker_batches_total", &[("table", &table.to_string())]);
         lock_unpoisoned(&self.worker_batches).push(WorkerSlot {
             table,
-            replica,
             batches: Arc::clone(&counter),
             alive: true,
         });
@@ -217,16 +203,13 @@ impl ServerStats {
     }
 
     /// Mirrors the atomically-kept values (queue depth, plan
-    /// version/epoch, replicas) into registry gauges so exporters see
+    /// version/epoch) into registry gauges so exporters see
     /// them. Called before every snapshot/render; cheap enough to call
     /// from a periodic exporter too.
     pub fn publish_gauges(&self) {
         self.registry
             .gauge("queue_depth")
             .set(self.queue_depth() as f64);
-        self.registry
-            .gauge("replicas")
-            .set(self.replicas.load(Ordering::Relaxed) as f64);
         self.registry
             .gauge("plan_version")
             .set(self.plan_version.load(Ordering::SeqCst) as f64);
@@ -281,12 +264,10 @@ impl ServerStats {
             epoch: self.epoch.load(Ordering::SeqCst),
             swaps_applied: self.swaps_applied.get(),
             worker_deaths: self.worker_deaths.get(),
-            replicas: self.replicas.load(Ordering::Relaxed),
             worker_batches: lock_unpoisoned(&self.worker_batches)
                 .iter()
                 .map(|slot| WorkerBatches {
                     table: slot.table,
-                    replica: slot.replica,
                     batches: slot.batches.get(),
                     alive: slot.alive,
                 })
@@ -303,13 +284,11 @@ impl Default for ServerStats {
     }
 }
 
-/// Batches dispatched by one shard worker (one replica of one table).
+/// Batches dispatched by one table's shard worker.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WorkerBatches {
     /// Table id the worker serves.
     pub table: usize,
-    /// Replica index within the table's shard.
-    pub replica: usize,
     /// Coalesced batches this worker has dispatched.
     pub batches: u64,
     /// Whether the worker is still serving (`false` after its generator
@@ -337,13 +316,11 @@ pub struct StatsSnapshot {
     pub plan_version: u64,
     /// Epoch of the active allocation (bumped once per applied plan).
     pub epoch: u64,
-    /// Per-shard swap orders picked up by workers across all epochs.
+    /// Generators exchanged by plan swaps, across all epochs.
     pub swaps_applied: u64,
     /// Workers that died to a panicking generator since startup.
     pub worker_deaths: u64,
-    /// Worker threads per table (the engine's replication factor).
-    pub replicas: u64,
-    /// Batches dispatched per worker, one entry per `(table, replica)`.
+    /// Batches dispatched per shard worker, one entry per table.
     pub worker_batches: Vec<WorkerBatches>,
     /// Submission-to-reply latency over all completed requests.
     pub latency: LatencySummary,
@@ -408,7 +385,6 @@ impl StatsSnapshot {
                 ),
             ),
             ("queue_depth", Value::Num(self.queue_depth as f64)),
-            ("replicas", Value::Num(self.replicas as f64)),
             ("worker_deaths", Value::Num(self.worker_deaths as f64)),
             (
                 "worker_batches",
@@ -418,7 +394,6 @@ impl StatsSnapshot {
                         .map(|w| {
                             Value::obj([
                                 ("table", Value::Num(w.table as f64)),
-                                ("replica", Value::Num(w.replica as f64)),
                                 ("batches", Value::Num(w.batches as f64)),
                                 ("alive", Value::Bool(w.alive)),
                             ])
@@ -581,39 +556,36 @@ mod tests {
     }
 
     #[test]
-    fn worker_registry_tracks_per_replica_batches() {
+    fn worker_registry_tracks_per_table_batches() {
         let s = ServerStats::new();
-        s.set_replicas(2);
-        let w00 = s.register_worker(0, 0);
-        let w01 = s.register_worker(0, 1);
-        w00.add(3);
-        w01.add(5);
+        let w0 = s.register_worker(0);
+        let w1 = s.register_worker(1);
+        w0.add(3);
+        w1.add(5);
         let snap = s.snapshot();
-        assert_eq!(snap.replicas, 2);
         assert_eq!(
             snap.worker_batches,
             vec![
                 WorkerBatches {
                     table: 0,
-                    replica: 0,
                     batches: 3,
                     alive: true
                 },
                 WorkerBatches {
-                    table: 0,
-                    replica: 1,
+                    table: 1,
                     batches: 5,
                     alive: true
                 },
             ]
         );
         let doc = json::parse(&snap.to_json()).unwrap();
-        assert_eq!(doc.get("replicas").unwrap().as_u64(), Some(2));
+        assert!(doc.get("replicas").is_none());
         let workers = doc.get("worker_batches").unwrap().as_arr().unwrap();
+        assert_eq!(workers[1].get("table").unwrap().as_u64(), Some(1));
         assert_eq!(workers[1].get("batches").unwrap().as_u64(), Some(5));
 
         // A worker death flips its slot and is counted + exported.
-        s.record_worker_death(0, 1);
+        s.record_worker_death(1);
         let snap = s.snapshot();
         assert_eq!(snap.worker_deaths, 1);
         assert!(snap.worker_batches[0].alive && !snap.worker_batches[1].alive);

@@ -175,9 +175,9 @@ fn multi_part_with_dead_worker_rejects_instead_of_hanging() {
     let server = Server::start(Arc::clone(&engine), "127.0.0.1:0").expect("bind");
     let mut client = Client::connect(server.addr()).expect("connect");
 
-    // Poison table 1's only replica: its next batch (our part) is
-    // answered Internal and the worker dies.
-    assert!(engine.inject_worker_panic(1, 0));
+    // Poison table 1's worker: its next batch (our part) is answered
+    // Internal and the worker dies.
+    assert!(engine.inject_worker_panic(1));
     let parts = vec![(0usize, vec![1u64, 2, 3]), (1usize, vec![4u64, 5])];
     match client.generate_multi(&parts, None).expect("round trip") {
         ServerMsg::Rejected(RejectReason::Internal) => {}

@@ -1,5 +1,5 @@
 //! End-to-end serving-path tests: batching correctness, obliviousness
-//! under coalescing (and under shard replication), deadline handling,
+//! under coalescing, deadline handling,
 //! backpressure, connection pipelining, and server lifecycle.
 
 use secemb::security::{verify_exact_batched, verify_structural};
@@ -386,19 +386,19 @@ fn pipelined_client_matches_responses_by_id() {
     assert_eq!(client.pending(), 0);
 }
 
-/// A replicated shard serves over TCP bit-identically to a single
-/// generator (replicas share spec and seed), and the stats endpoint
-/// reports the replication factor and per-replica batch counts.
+/// A shard serves pipelined TCP traffic bit-identically to a direct
+/// build of its generator (same spec and seed), and the stats endpoint
+/// reports one worker's batch count per table.
 #[test]
-fn replicated_server_serves_identical_rows_and_reports_replicas() {
+fn server_serves_identical_rows_and_reports_worker_batches() {
     let spec = GeneratorSpec::Scan { rows: 128, dim: 8 };
-    let mut config = EngineConfig::new(vec![TableConfig::new(spec)]);
-    config.shard.replicas = 2;
-    let engine = Arc::new(Engine::start(config));
+    let engine = Arc::new(Engine::start(EngineConfig::new(vec![TableConfig::new(
+        spec,
+    )])));
     let server = Server::start(Arc::clone(&engine), "127.0.0.1:0").expect("bind");
     let mut client = Client::connect(server.addr()).expect("connect");
 
-    // Enough pipelined traffic that both replicas serve some of it.
+    // Enough pipelined traffic that the worker coalesces some of it.
     let mut expected: HashMap<u64, Vec<u64>> = HashMap::new();
     for i in 0..32u64 {
         let indices = vec![i % 128, (i * 7) % 128];
@@ -418,12 +418,12 @@ fn replicated_server_serves_identical_rows_and_reports_replicas() {
 
     let stats = client.stats_json().expect("stats");
     let doc = secemb_wire::json::parse(&stats).expect("valid stats JSON");
-    assert_eq!(doc.get("replicas").and_then(|v| v.as_u64()), Some(2));
+    assert!(doc.get("replicas").is_none());
     let workers = doc
         .get("worker_batches")
         .and_then(|v| v.as_arr())
         .expect("worker_batches array");
-    assert_eq!(workers.len(), 2, "one entry per (table, replica)");
+    assert_eq!(workers.len(), 1, "one entry per table");
     let total_batches: u64 = workers
         .iter()
         .map(|w| w.get("batches").and_then(|v| v.as_u64()).unwrap())
@@ -431,9 +431,9 @@ fn replicated_server_serves_identical_rows_and_reports_replicas() {
     assert!(total_batches >= 1, "served batches must be attributed");
 }
 
-/// Replication preserves obliviousness per replica: each replica owns an
-/// independent generator (same spec and seed, private ORAM state), so any
-/// interleaving the shared queue deals a replica keeps its access trace
+/// Obliviousness does not depend on what a generator served before: two
+/// same-seed builds, one of which has already served other work (as a
+/// router's full-replica backends do), each keep their access trace
 /// input-independent — exact trace equality for deterministic protected
 /// generators, structural equality for the randomized ORAM controllers.
 #[test]
@@ -448,9 +448,8 @@ fn per_replica_traces_stay_oblivious() {
         Technique::CircuitOram,
     ] {
         let spec = GeneratorSpec::with_technique(ROWS, 8, technique);
-        // Two replicas of one shard. Desynchronize their private state
-        // the way the shared MPMC queue would: replica 1 has already
-        // served different work before the probe.
+        // Two same-seed builds. Desynchronize their private state:
+        // replica 1 has already served different work before the probe.
         let mut replicas = [spec.build(5), spec.build(5)];
         replicas[1].generate_batch(&[3, 200, 77]);
         for (r, generator) in replicas.iter_mut().enumerate() {
@@ -534,8 +533,7 @@ fn telemetry_on_vs_off_traces_are_bit_identical() {
             let stats = ServerStats::with_registry(Arc::clone(&registry));
             // Probe gauges are registered once at engine startup, outside
             // any request; mirror that here.
-            let stash =
-                registry.gauge_with("oram_stash_occupancy", &[("replica", "0"), ("table", "0")]);
+            let stash = registry.gauge_with("oram_stash_occupancy", &[("table", "0")]);
             let mut generator = spec.build(11);
             let ((), trace) = record_trace(|| {
                 let outputs = execute_batch(generator.as_mut(), &groups);

@@ -17,7 +17,7 @@
 //!   is recorded is a function of data the network attacker already
 //!   sees.
 //! - **Span contents are size-shaped**: stage durations, batch sizes,
-//!   table/replica labels — the same quantities [`StageBreakdown`]
+//!   table labels — the same quantities [`StageBreakdown`]
 //!   already puts on the wire. No secret index ever appears in a span.
 //! - **Disabled collection is inert, not absent**: a
 //!   [`SpanCollector::disabled`] collector hands out the same API with
