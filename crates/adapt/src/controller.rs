@@ -11,7 +11,8 @@
 //! technique survives the reallocation keep serving uninterrupted but
 //! get re-costed admission control (the drifted cost estimate was the
 //! problem); tables whose side of a crossover flipped are rebuilt and
-//! hot-swapped between batches.
+//! hot-swapped between batches. A writable (`laoram`) table is only ever
+//! re-costed: its written rows live in its generator alone.
 //!
 //! Two dampers keep the controller from thrashing under oscillating
 //! load, where a naive drift-reactive loop would rebuild generators on
@@ -31,13 +32,6 @@
 //!   [`AdaptConfig::hysteresis`] — the freshly measured crossover must
 //!   clear the band, not merely inch past the table, before the
 //!   generator is rebuilt. Re-costing still happens either way.
-//!
-//! A third, optional gate prices the swap itself
-//! ([`AdaptConfig::pricing`]): a fired trigger only rebuilds if the
-//! projected per-query saving, accumulated over the pricing horizon at
-//! the observed sample rate, pays for the *measured* wall-clock cost of
-//! the last rebuild — marginal drift that is real but unprofitable is
-//! skipped ([`StepOutcome::SwapSkipped`]) instead of acted on.
 //!
 //! The loop can run synchronously ([`AdaptiveController::step`], used by
 //! tests and benchmarks that want deterministic phase boundaries) or on
@@ -93,50 +87,6 @@ pub struct AdaptConfig {
     /// Where applied crossovers are persisted (best-effort, atomic
     /// rename) after each reallocation; `None` disables persistence.
     pub persist_path: Option<PathBuf>,
-    /// Decision-theoretic swap pricing: when set, a fired trigger only
-    /// swaps if the projected per-query saving, accumulated over the
-    /// pricing horizon at the observed sample rate, pays for the measured
-    /// cost of a plan rebuild. `None` keeps the classic behaviour (every
-    /// sustained drift swaps).
-    pub pricing: Option<SwapPricingConfig>,
-}
-
-/// Tuning for the swap pricer (see [`AdaptConfig::pricing`]).
-///
-/// A reallocation is not free: re-profiling plus generator rebuilds stall
-/// the control loop for a measurable wall-clock cost. Marginal drift — a
-/// cost shift that is real but small, or a table that serves little
-/// traffic — can sustain a trigger without ever earning that cost back.
-/// The pricer compares
-///
-/// ```text
-/// benefit = Σ_fired |ewma − baseline| × sample_rate × horizon
-/// ```
-///
-/// against `margin ×` the measured duration of the last rebuild, and
-/// skips the swap when the benefit falls short (the fired tables enter
-/// cooldown so the decision is revisited, not spammed). The first firing
-/// is never priced — there is no measured rebuild cost yet — unless one
-/// is seeded via [`AdaptiveController::assuming_rebuild_cost`].
-#[derive(Clone, Copy, Debug)]
-pub struct SwapPricingConfig {
-    /// How much future traffic the swap must amortize over. Short
-    /// horizons demand immediate payback; long horizons let slow drifts
-    /// through.
-    pub horizon: Duration,
-    /// Safety factor on the rebuild cost: the projected benefit must
-    /// exceed `cost × margin`. `1.0` is break-even pricing.
-    pub margin: f64,
-}
-
-impl SwapPricingConfig {
-    /// Break-even pricing over `horizon`.
-    pub fn new(horizon: Duration) -> Self {
-        SwapPricingConfig {
-            horizon,
-            margin: 1.0,
-        }
-    }
 }
 
 impl AdaptConfig {
@@ -153,7 +103,6 @@ impl AdaptConfig {
             batch: 8,
             threads: 1,
             persist_path: None,
-            pricing: None,
         }
     }
 }
@@ -293,17 +242,6 @@ pub enum StepOutcome {
         /// only refreshed admission-control costs).
         techniques_changed: bool,
     },
-    /// Sustained drift fired, but the projected benefit over the pricing
-    /// horizon would not pay for a plan rebuild
-    /// ([`AdaptConfig::pricing`]). The fired tables entered cooldown; the
-    /// decision is revisited once fresh drift survives the next dwell.
-    SwapSkipped {
-        /// Projected saving over the pricing horizon, in nanoseconds.
-        projected_benefit_ns: f64,
-        /// The measured (or seeded) rebuild cost it was priced against,
-        /// in nanoseconds.
-        rebuild_cost_ns: f64,
-    },
     /// The engine refused the derived plan (its tables no longer match);
     /// the controller's own state is unchanged and the next sustained
     /// drift will retry after the cooldown.
@@ -358,7 +296,6 @@ const OUTCOME_COOLING: f64 = 1.0;
 const OUTCOME_REALLOCATED: f64 = 2.0;
 const OUTCOME_DWELLING: f64 = 3.0;
 const OUTCOME_APPLY_FAILED: f64 = 4.0;
-const OUTCOME_SWAP_SKIPPED: f64 = 5.0;
 
 /// The drift-reacting control loop for one engine.
 pub struct AdaptiveController {
@@ -376,17 +313,8 @@ pub struct AdaptiveController {
     next_version: u64,
     reallocations: u64,
     last_plan: Option<AllocationPlan>,
-    /// Wall-clock cost of the last reprofile + plan apply, in ns — the
-    /// price the swap pricer weighs projected benefit against. `None`
-    /// until the first rebuild is measured (or a cost is seeded).
-    last_rebuild_ns: Option<f64>,
-    /// When the detectors' sample counters last started from zero
-    /// (construction or the last rebase) — the denominator of the
-    /// per-table sample-rate estimate.
-    rate_since: Instant,
     table_gauges: Vec<TableGauges>,
     reallocations_total: Arc<Counter>,
-    swaps_skipped_total: Arc<Counter>,
     threshold_rows: Arc<Gauge>,
     oram_to_rows: Arc<Gauge>,
     last_outcome: Arc<Gauge>,
@@ -434,11 +362,8 @@ impl AdaptiveController {
             next_version: 1,
             reallocations: 0,
             last_plan: None,
-            last_rebuild_ns: None,
-            rate_since: Instant::now(),
             table_gauges,
             reallocations_total: registry.counter("adapt_reallocations_total"),
-            swaps_skipped_total: registry.counter("adapt_swaps_skipped_total"),
             threshold_rows,
             oram_to_rows,
             last_outcome: registry.gauge("adapt_last_outcome"),
@@ -454,22 +379,6 @@ impl AdaptiveController {
     pub fn resuming_from_version(mut self, last_version: u64) -> Self {
         self.next_version = self.next_version.max(last_version + 1);
         self
-    }
-
-    /// Seeds the swap pricer with a rebuild cost before the first measured
-    /// one exists — e.g. the cost a previous process observed, carried
-    /// across a restart. Without a seed, the first firing always swaps
-    /// (and calibrates the cost for every decision after it).
-    #[must_use]
-    pub fn assuming_rebuild_cost(mut self, cost: Duration) -> Self {
-        self.last_rebuild_ns = Some(cost.as_nanos() as f64);
-        self
-    }
-
-    /// The measured (or seeded) cost of the last plan rebuild, if any.
-    pub fn last_rebuild_cost(&self) -> Option<Duration> {
-        self.last_rebuild_ns
-            .map(|ns| Duration::from_secs_f64(ns / 1e9))
     }
 
     /// The scan boundary the active allocation was derived from.
@@ -526,8 +435,7 @@ impl AdaptiveController {
     ///
     /// Each step also records its outcome in the `adapt_last_outcome`
     /// gauge (0 = stable, 1 = cooling down, 2 = reallocated,
-    /// 3 = dwelling, 4 = plan rejected by the engine, 5 = swap skipped as
-    /// unprofitable).
+    /// 3 = dwelling, 4 = plan rejected by the engine).
     pub fn step(&mut self) -> StepOutcome {
         let verdicts = self.observe_each();
         let now = Instant::now();
@@ -556,46 +464,7 @@ impl AdaptiveController {
         StepOutcome::Stable
     }
 
-    /// Prices a prospective swap: the per-query saving each fired table's
-    /// detector projects (|ewma − baseline|), times that table's observed
-    /// sample rate, accumulated over the pricing horizon. The rate uses
-    /// the detector's own post-rebase sample counter, so a table that
-    /// stopped seeing traffic prices near zero no matter how far its last
-    /// few samples drifted.
-    fn projected_benefit_ns(&self, fired: &[bool], horizon: Duration, now: Instant) -> f64 {
-        let elapsed = now.duration_since(self.rate_since).as_secs_f64().max(1e-6);
-        self.detectors
-            .iter()
-            .zip(fired)
-            .filter(|(_, &f)| f)
-            .map(|(d, _)| {
-                let rate = d.samples_seen() as f64 / elapsed;
-                (d.ewma_ns() - d.baseline_ns()).abs() * rate * horizon.as_secs_f64()
-            })
-            .sum()
-    }
-
     fn reallocate(&mut self, fired: &[bool], now: Instant) -> StepOutcome {
-        if let (Some(pricing), Some(cost_ns)) = (self.config.pricing, self.last_rebuild_ns) {
-            let projected = self.projected_benefit_ns(fired, pricing.horizon, now);
-            if projected < cost_ns * pricing.margin {
-                // Not worth the rebuild. Cool the fired tables down so the
-                // decision is revisited on fresh evidence instead of
-                // re-litigated every poll.
-                for (trigger, &f) in self.triggers.iter_mut().zip(fired) {
-                    if f {
-                        trigger.start_cooldown(now);
-                    }
-                }
-                self.swaps_skipped_total.inc();
-                self.last_outcome.set(OUTCOME_SWAP_SKIPPED);
-                return StepOutcome::SwapSkipped {
-                    projected_benefit_ns: projected,
-                    rebuild_cost_ns: cost_ns,
-                };
-            }
-        }
-        let rebuild_started = Instant::now();
         let report = reprofile(
             &self.config.reprofile,
             self.crossovers,
@@ -612,8 +481,11 @@ impl AdaptiveController {
                 // Only a table whose own trigger fired may flip its
                 // technique; a neighbor that never sustained drift keeps
                 // its incumbent (re-costed, not rebuilt) no matter where
-                // the re-profiled boundary landed.
-                let technique = if fired.get(table).copied().unwrap_or(false) {
+                // the re-profiled boundary landed. A writable table never
+                // flips: the engine would keep it, and its written rows,
+                // where it is.
+                let flips = fired.get(table).copied().unwrap_or(false) && !info.supports_updates;
+                let technique = if flips {
                     hysteresis_choice(fresh, info.technique, info.rows, self.config.hysteresis)
                 } else {
                     info.technique
@@ -633,10 +505,6 @@ impl AdaptiveController {
                 }
             })
             .collect();
-        let techniques_changed = infos
-            .iter()
-            .zip(&tables)
-            .any(|(info, planned)| info.technique != planned.technique);
         let plan = AllocationPlan {
             version: self.next_version,
             dim: self.config.reprofile.dim,
@@ -665,14 +533,17 @@ impl AdaptiveController {
         // the swap. The swap rebased every table's baseline, so every
         // trigger enters its cooldown — dwell credit earned against the
         // pre-swap baseline would fire on stale evidence.
-        self.last_rebuild_ns = Some(rebuild_started.elapsed().as_nanos() as f64);
         for trigger in &mut self.triggers {
             trigger.start_cooldown(now);
         }
-        for (info, detector) in self.engine.tables().iter().zip(&mut self.detectors) {
+        let applied = self.engine.tables();
+        let techniques_changed = infos
+            .iter()
+            .zip(&applied)
+            .any(|(before, after)| before.technique != after.technique);
+        for (info, detector) in applied.iter().zip(&mut self.detectors) {
             detector.rebase(info.per_query_ns.max(1.0));
         }
-        self.rate_since = Instant::now();
         for table in 0..self.detectors.len() {
             let _ = self.engine.drain_samples(table);
         }
@@ -794,7 +665,6 @@ mod tests {
             batch: 4,
             threads: 1,
             persist_path: None,
-            pricing: None,
         }
     }
 
@@ -925,75 +795,48 @@ mod tests {
         assert_eq!(trigger.min_fire_gap(), Duration::from_millis(100));
     }
 
+    /// A drifting writable table is re-costed, never moved: the rows
+    /// written into it and its write path survive the reallocation.
     #[test]
-    fn pricing_skips_marginal_drift() {
-        // Drift is sustained and would normally swap, but against a huge
-        // seeded rebuild cost and a near-zero horizon the projected
-        // benefit cannot pay — the pricer must skip and cool down rather
-        // than rebuild.
-        let engine = drifting_engine();
+    fn reallocation_keeps_a_written_laoram_table() {
+        use secemb_tensor::Matrix;
+        let engine = Arc::new(Engine::start(EngineConfig::new(vec![TableConfig {
+            spec: GeneratorSpec::LaOram { rows: 64, dim: 8 },
+            seed: 7,
+            queue_capacity: 256,
+            cost_override_ns: Some(0.001),
+        }])));
         let mut config = quick_config();
-        config.cooldown = Duration::from_secs(3600);
-        config.pricing = Some(SwapPricingConfig::new(Duration::from_millis(1)));
-        let mut c = AdaptiveController::new(Arc::clone(&engine), 512, config)
-            .assuming_rebuild_cost(Duration::from_secs(3600));
+        config.hysteresis = AdaptConfig::new(8).hysteresis;
+        let mut c = AdaptiveController::new(Arc::clone(&engine), 512, config);
+        let deltas = Matrix::from_fn(1, 8, |_, col| 1.0 + col as f32);
+        let update = || Request::new(0, vec![3]).with_update(deltas.clone());
+        let written = engine
+            .call(update())
+            .embeddings()
+            .expect("update served")
+            .clone();
         drive(&engine, 16);
         let outcome = c.step();
-        let StepOutcome::SwapSkipped {
-            projected_benefit_ns,
-            rebuild_cost_ns,
-        } = outcome
-        else {
-            panic!("expected SwapSkipped, got {outcome:?}");
-        };
-        assert!(projected_benefit_ns < rebuild_cost_ns);
-        assert_eq!(c.reallocations(), 0);
-        assert_eq!(engine.epoch(), 0, "no plan swap must have happened");
-        assert_eq!(engine.plan_version(), 0);
-        // The skip entered cooldown: continued drift now reports Cooling
-        // instead of re-pricing every poll.
-        drive(&engine, 8);
-        assert!(matches!(
-            c.step(),
-            StepOutcome::Stable | StepOutcome::CoolingDown
-        ));
-        use secemb_telemetry::MetricValue;
-        let snap = engine.metrics().snapshot();
-        match snap.get("adapt_swaps_skipped_total", &[]) {
-            Some(MetricValue::Counter(1)) => {}
-            other => panic!("swaps_skipped_total: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn pricing_lets_profitable_swaps_through() {
-        // Same sustained drift, but priced against a token rebuild cost
-        // over a long horizon: the swap must go ahead, and the rebuild's
-        // real duration replaces the seed for the next decision.
-        let engine = drifting_engine();
-        let mut config = quick_config();
-        config.pricing = Some(SwapPricingConfig::new(Duration::from_secs(60)));
-        let mut c = AdaptiveController::new(Arc::clone(&engine), 512, config)
-            .assuming_rebuild_cost(Duration::from_nanos(1));
-        drive(&engine, 16);
-        assert!(matches!(c.step(), StepOutcome::Reallocated { .. }));
-        assert_eq!(c.reallocations(), 1);
-        let measured = c.last_rebuild_cost().expect("cost measured");
-        assert!(measured > Duration::from_nanos(1), "seed was replaced");
-    }
-
-    #[test]
-    fn unpriced_first_firing_calibrates_the_cost() {
-        // With pricing on but no seeded cost, the first firing swaps
-        // unconditionally and leaves a measured cost behind.
-        let engine = drifting_engine();
-        let mut config = quick_config();
-        config.pricing = Some(SwapPricingConfig::new(Duration::from_millis(1)));
-        let mut c = AdaptiveController::new(Arc::clone(&engine), 512, config);
-        assert!(c.last_rebuild_cost().is_none());
-        drive(&engine, 16);
-        assert!(matches!(c.step(), StepOutcome::Reallocated { .. }));
-        assert!(c.last_rebuild_cost().is_some());
+        assert!(
+            matches!(
+                outcome,
+                StepOutcome::Reallocated {
+                    techniques_changed: false,
+                    ..
+                }
+            ),
+            "{outcome:?}"
+        );
+        assert_eq!(engine.tables()[0].technique, Technique::LaOram);
+        assert!(engine.tables()[0].per_query_ns > 1.0, "re-costed");
+        let read = engine.call(Request::new(0, vec![3]));
+        assert_eq!(
+            read.embeddings(),
+            Some(&written),
+            "the written row was lost"
+        );
+        assert!(engine.call(update()).embeddings().is_some());
     }
 
     #[test]

@@ -43,8 +43,7 @@ pub mod persist;
 pub mod reprofile;
 
 pub use controller::{
-    AdaptConfig, AdaptiveController, ControllerHandle, DampedTrigger, StepOutcome,
-    SwapPricingConfig, TriggerDecision,
+    AdaptConfig, AdaptiveController, ControllerHandle, DampedTrigger, StepOutcome, TriggerDecision,
 };
 pub use drift::{DriftConfig, DriftDetector};
 pub use persist::{ProfileArtifact, PROFILE_FORMAT};

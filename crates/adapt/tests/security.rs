@@ -85,10 +85,12 @@ fn assert_oblivious(generator: &mut dyn EmbeddingGenerator, phase: &str) {
 }
 
 /// Every protected technique, flipped to a different protected technique
-/// — each appears as both the outgoing and the incoming generator, and
-/// every edge of the controller's three-way scan/Circuit-ORAM/DHE
-/// lattice is walked in both directions (a table crossing the
-/// hysteresis band can take any of them live).
+/// — each read-only one appears as both the outgoing and the incoming
+/// generator, and every edge of the controller's three-way
+/// scan/Circuit-ORAM/DHE lattice is walked in both directions (a table
+/// crossing the hysteresis band can take any of them live). The writable
+/// look-ahead table only ever comes in: a plan never moves a table with a
+/// write path away.
 const FLIPS: [(Technique, Technique); 10] = [
     (Technique::LinearScan, Technique::Dhe),
     (Technique::Dhe, Technique::LinearScan),
@@ -99,7 +101,7 @@ const FLIPS: [(Technique, Technique); 10] = [
     (Technique::PathOram, Technique::CircuitOram),
     (Technique::CircuitOram, Technique::PathOram),
     (Technique::CircuitOram, Technique::LaOram),
-    (Technique::LaOram, Technique::LinearScan),
+    (Technique::LinearScan, Technique::LaOram),
 ];
 
 #[test]

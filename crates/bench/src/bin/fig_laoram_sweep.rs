@@ -12,7 +12,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use secemb::{EmbeddingGenerator, LaOramTable, OramTable};
+use secemb::{EmbeddingGenerator, OramTable, Technique, Weights};
 use secemb_bench::{print_table, synthetic_table, SCALE_NOTE};
 use std::time::Instant;
 
@@ -70,6 +70,8 @@ fn main() {
     println!("({ROWS} rows x {DIM}, {QUERIES} queries per cell, Z=4 trees)");
     println!("{SCALE_NOTE}\n");
     let table = synthetic_table(ROWS, DIM);
+    let laoram =
+        || Technique::LaOram.build(Weights::Table(table.clone()), StdRng::seed_from_u64(1));
 
     let mut rows_out = Vec::new();
     let mut uniform_wins = 0usize;
@@ -80,12 +82,9 @@ fn main() {
         let path_hot_ns = measure(&mut path, batch, true, 0.0);
         let mut circuit = OramTable::circuit(&table, StdRng::seed_from_u64(1));
         let circuit_ns = measure(&mut circuit, batch, false, 0.0);
-        let mut la = LaOramTable::new(&table, StdRng::seed_from_u64(1));
-        let la_ns = measure(&mut la, batch, false, 0.0);
-        let mut la_hot = LaOramTable::new(&table, StdRng::seed_from_u64(1));
-        let la_hot_ns = measure(&mut la_hot, batch, true, 0.0);
-        let mut la_mixed = LaOramTable::new(&table, StdRng::seed_from_u64(1));
-        let mixed_ns = measure(&mut la_mixed, batch, false, 0.5);
+        let la_ns = measure(laoram().as_mut(), batch, false, 0.0);
+        let la_hot_ns = measure(laoram().as_mut(), batch, true, 0.0);
+        let mixed_ns = measure(laoram().as_mut(), batch, false, 0.5);
         rows_out.push(vec![
             batch.to_string(),
             format!("{:.1}", path_ns / 1000.0),

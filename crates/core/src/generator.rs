@@ -16,9 +16,8 @@ pub enum Technique {
     CircuitOram,
     /// Deep Hash Embedding — compute-based, `O(k²)` per query.
     Dhe,
-    /// Table behind the look-ahead window driver: one Circuit ORAM access
-    /// per query, `O(log² n)`, plus an oblivious write path for protected
-    /// training.
+    /// Table behind Circuit ORAM with an oblivious write path for
+    /// protected training: one access per query or update, `O(log² n)`.
     LaOram,
 }
 
@@ -164,7 +163,7 @@ pub trait EmbeddingGenerator {
     }
 
     /// Whether this generator supports in-place row updates (the protected
-    /// training write path). Only look-ahead-ORAM-backed tables do.
+    /// training write path): only `Technique::LaOram` tables.
     fn supports_updates(&self) -> bool {
         false
     }
@@ -233,5 +232,18 @@ mod tests {
             assert_eq!(Technique::from_key(t.key()), Some(t));
         }
         assert_eq!(Technique::from_key("warp"), None);
+    }
+
+    #[test]
+    fn default_generators_reject_updates() {
+        let mut scan = crate::GeneratorSpec::Scan { rows: 8, dim: 2 }.build(0);
+        assert!(!scan.supports_updates());
+        // All-None updates degrade to generate_batch.
+        let out = scan.generate_window(&[1, 2], &[None, None]);
+        assert_eq!(out.shape(), (2, 2));
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            scan.generate_window(&[1], &[Some([0.0f32, 0.0].as_slice())]);
+        }));
+        assert!(r.is_err(), "scan must reject updates");
     }
 }

@@ -10,7 +10,7 @@
 //! |---|---|---|
 //! | [`IndexLookup`] | storage | none (the vulnerable baseline) |
 //! | [`LinearScan`] | storage | touches every row per query |
-//! | [`OramTable`] (Path / Circuit) | storage | tree ORAM (via `secemb-oram`) |
+//! | [`OramTable`] (Path / Circuit / look-ahead) | storage | tree ORAM (via `secemb-oram`); the look-ahead table adds an oblivious write path |
 //! | [`Dhe`] | compute | access pattern is input-independent by construction |
 //!
 //! plus the paper's **hybrid machinery** ([`hybrid`]): offline profiling
@@ -46,7 +46,6 @@ pub mod footprint;
 mod generator;
 mod hash;
 pub mod hybrid;
-mod laoram_table;
 mod lookup;
 mod oram_table;
 mod scan_table;
@@ -57,11 +56,9 @@ pub mod stats;
 pub use dhe::{Dhe, DheConfig};
 pub use generator::{EmbeddingGenerator, Technique};
 pub use hash::UniversalHashFamily;
-pub use laoram_table::LaOramTable;
 pub use lookup::IndexLookup;
 pub use oram_table::OramTable;
 pub use scan_table::LinearScan;
-pub use secemb_laoram::LaConfig;
 pub use spec::{
     measure_cost, median_ns, probe_indices, CostEstimate, GeneratorSpec, SpecParseError, Weights,
 };

@@ -1,8 +1,9 @@
-//! Embedding tables behind tree-based ORAM (§IV-A2).
+//! Embedding tables behind tree-based ORAM (§IV-A2), plus the oblivious
+//! write path that makes protected *training* possible.
 
 use crate::{EmbeddingGenerator, Technique};
 use rand::rngs::StdRng;
-use secemb_oram::{CircuitOram, Oram, OramConfig, PathOram};
+use secemb_oram::{add_f32, CircuitOram, Oram, OramConfig, PathOram};
 use secemb_tensor::Matrix;
 
 /// An embedding table stored inside a Path or Circuit ORAM.
@@ -11,6 +12,11 @@ use secemb_tensor::Matrix;
 /// the paper); each batch item is one sequential ORAM access, since "the
 /// internal ORAM structures must be updated sequentially and parallelism is
 /// not possible" (§V-A1).
+///
+/// A [`Technique::LaOram`] table is the Circuit ORAM table with a write
+/// path: [`EmbeddingGenerator::generate_window`] adds each gradient row
+/// inside the **same** access that reads the row, so a trace observer
+/// cannot tell training from inference.
 pub struct OramTable {
     oram: Box<dyn Oram + Send>,
     technique: Technique,
@@ -49,7 +55,8 @@ impl OramTable {
         Self::from_table(Technique::CircuitOram, table, rng)
     }
 
-    fn from_table(technique: Technique, table: &Matrix, rng: StdRng) -> Self {
+    /// Stores `table` behind `technique`'s ORAM; see [`Self::from_fn`].
+    pub(crate) fn from_table(technique: Technique, table: &Matrix, rng: StdRng) -> Self {
         let (rows, dim) = (table.rows() as u64, table.cols());
         Self::from_fn(technique, rows, dim, rng, &mut table_rows_as_bits(table))
     }
@@ -61,8 +68,8 @@ impl OramTable {
     ///
     /// # Panics
     ///
-    /// Panics if the table is empty or `technique` is not Path or Circuit
-    /// ORAM.
+    /// Panics if the table is empty or `technique` is not Path, Circuit or
+    /// look-ahead ORAM.
     pub fn from_fn(
         technique: Technique,
         rows: u64,
@@ -75,7 +82,7 @@ impl OramTable {
             Technique::PathOram => {
                 Box::new(PathOram::from_fn(rows, OramConfig::path(dim), rng, fill))
             }
-            Technique::CircuitOram => Box::new(CircuitOram::from_fn(
+            Technique::CircuitOram | Technique::LaOram => Box::new(CircuitOram::from_fn(
                 rows,
                 OramConfig::circuit(dim),
                 rng,
@@ -101,11 +108,39 @@ impl OramTable {
     pub fn reset_stats(&mut self) {
         self.oram.reset_stats();
     }
+
+    /// Serves `indices` in order, one ORAM access each, adding `delta(k)`
+    /// (when there is one) to the `k`-th accessed row in place and writing
+    /// each post-operation row into the output matrix.
+    ///
+    /// # Panics
+    ///
+    /// Panics, before any access runs, if an index is out of range.
+    fn access_all<'d>(
+        &mut self,
+        indices: &[u64],
+        delta: impl Fn(usize) -> Option<&'d [f32]>,
+    ) -> Matrix {
+        for &idx in indices {
+            assert!(idx < self.rows, "OramTable: index {idx} out of range");
+        }
+        let mut out = Matrix::zeros(indices.len(), self.dim);
+        for (k, &idx) in indices.iter().enumerate() {
+            let mut mutate = |words: &mut [u32]| {
+                if let Some(delta) = delta(k) {
+                    add_f32(words, delta);
+                }
+            };
+            self.oram.access_into(idx, &mut mutate, &mut self.row_words);
+            bits_into_row(out.row_mut(k), &self.row_words);
+        }
+        out
+    }
 }
 
 /// The ORAM constructors' `fill` callback for an `f32` table: row `id`'s
 /// bit patterns, written straight into the block's arena slot.
-pub(crate) fn table_rows_as_bits(table: &Matrix) -> impl FnMut(u64, &mut [u32]) + '_ {
+fn table_rows_as_bits(table: &Matrix) -> impl FnMut(u64, &mut [u32]) + '_ {
     |id, words| {
         for (w, v) in words.iter_mut().zip(table.row(id as usize)) {
             *w = v.to_bits();
@@ -114,7 +149,7 @@ pub(crate) fn table_rows_as_bits(table: &Matrix) -> impl FnMut(u64, &mut [u32]) 
 }
 
 /// Writes a block's words into an output row as the floats they encode.
-pub(crate) fn bits_into_row(row: &mut [f32], words: &[u32]) {
+fn bits_into_row(row: &mut [f32], words: &[u32]) {
     for (o, &w) in row.iter_mut().zip(words) {
         *o = f32::from_bits(w);
     }
@@ -130,13 +165,20 @@ impl EmbeddingGenerator for OramTable {
     }
 
     fn generate_batch(&mut self, indices: &[u64]) -> Matrix {
-        let mut out = Matrix::zeros(indices.len(), self.dim);
-        for (b, &idx) in indices.iter().enumerate() {
-            assert!(idx < self.rows, "OramTable: index {idx} out of range");
-            self.oram.access_into(idx, &mut |_| {}, &mut self.row_words);
-            bits_into_row(out.row_mut(b), &self.row_words);
+        self.access_all(indices, |_| None)
+    }
+
+    fn generate_window(&mut self, indices: &[u64], updates: &[Option<&[f32]>]) -> Matrix {
+        assert_eq!(indices.len(), updates.len(), "generate_window: shape");
+        for delta in updates.iter().flatten() {
+            assert!(
+                self.supports_updates(),
+                "{}: updates unsupported",
+                self.technique
+            );
+            assert_eq!(delta.len(), self.dim, "generate_window: delta width");
         }
-        out
+        self.access_all(indices, |k| updates[k])
     }
 
     fn technique(&self) -> Technique {
@@ -154,12 +196,17 @@ impl EmbeddingGenerator for OramTable {
     fn stash_occupancy(&self) -> Option<usize> {
         Some(self.oram.stash_occupancy())
     }
+
+    fn supports_updates(&self) -> bool {
+        self.technique == Technique::LaOram
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
+    use secemb_trace::check;
     use secemb_trace::tracer::record_trace;
 
     fn table() -> Matrix {
@@ -231,5 +278,103 @@ mod tests {
     fn oob_panics() {
         let mut o = OramTable::circuit(&table(), StdRng::seed_from_u64(6));
         o.generate(48);
+    }
+
+    fn laoram(table: &Matrix, seed: u64) -> OramTable {
+        OramTable::from_table(Technique::LaOram, table, StdRng::seed_from_u64(seed))
+    }
+
+    #[test]
+    fn large_batch_is_one_access_per_index() {
+        let t = Matrix::from_fn(200, 2, |r, _| r as f32);
+        let mut o = laoram(&t, 2);
+        let mut rng = StdRng::seed_from_u64(3);
+        let indices: Vec<u64> = (0..150).map(|_| rng.gen_range(0..200u64)).collect();
+        let out = o.generate_batch(&indices);
+        for (b, &idx) in indices.iter().enumerate() {
+            assert_eq!(out.row(b), t.row(idx as usize), "row {b}");
+        }
+        assert_eq!(o.stats().accesses, 150);
+    }
+
+    #[test]
+    fn window_scatter_accumulates_like_plain_scatter() {
+        let t = table();
+        let mut o = laoram(&t, 4);
+        assert!(o.supports_updates());
+        let indices = [3u64, 7, 3, 40];
+        let deltas = Matrix::from_fn(4, 4, |r, c| (r as f32) + c as f32 * 0.5);
+        // Plain reference scatter.
+        let mut reference = t.clone();
+        for (k, &idx) in indices.iter().enumerate() {
+            for (c, v) in deltas.row(k).iter().enumerate() {
+                reference.row_mut(idx as usize)[c] += v;
+            }
+        }
+        let updates: Vec<Option<&[f32]>> = deltas.iter_rows().map(Some).collect();
+        let returned = o.generate_window(&indices, &updates);
+        // Returned rows are post-update snapshots in op order: the second
+        // update of row 3 sees the first one already applied.
+        assert_eq!(returned.row(2), reference.row(3));
+        // And the table itself matches the reference everywhere.
+        let all: Vec<u64> = (0..48).collect();
+        let after = o.generate_batch(&all);
+        for r in 0..48 {
+            assert_eq!(after.row(r), reference.row(r), "row {r}");
+        }
+    }
+
+    #[test]
+    fn mixed_window_trace_matches_read_only() {
+        // Training windows and inference windows are
+        // trace-indistinguishable.
+        let t = table();
+        let indices = [1u64, 9, 1, 30];
+        let delta = vec![0.5f32; 4];
+        let updates: [Vec<Option<Vec<f32>>>; 3] = [
+            vec![None, None, None, None],
+            vec![Some(delta.clone()), None, Some(delta.clone()), None],
+            vec![
+                Some(delta.clone()),
+                Some(delta.clone()),
+                Some(delta.clone()),
+                Some(delta),
+            ],
+        ];
+        let verdict = check::compare_traces(&updates, |upd| {
+            let mut o = laoram(&t, 9);
+            let upd: Vec<Option<&[f32]>> = upd.iter().map(|u| u.as_deref()).collect();
+            o.generate_window(&indices, &upd);
+        });
+        assert!(
+            verdict.is_oblivious(),
+            "training/inference mix leaked (divergence {:?})",
+            verdict.first_divergence()
+        );
+    }
+
+    #[test]
+    fn path_and_circuit_refuse_updates() {
+        let t = table();
+        for mut o in [
+            OramTable::path(&t, StdRng::seed_from_u64(7)),
+            OramTable::circuit(&t, StdRng::seed_from_u64(7)),
+        ] {
+            assert!(!o.supports_updates());
+            // All-None updates are a plain batch.
+            let out = o.generate_window(&[1, 2], &[None, None]);
+            assert_eq!(out.row(1), t.row(2));
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                o.generate_window(&[1], &[Some([0.0f32; 4].as_slice())]);
+            }));
+            assert!(r.is_err(), "{} must reject updates", o.technique());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn oob_panics_on_the_write_path() {
+        let mut o = laoram(&table(), 6);
+        o.generate_window(&[3, 48], &[Some([1.0f32; 4].as_slice()), None]);
     }
 }

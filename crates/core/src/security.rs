@@ -142,9 +142,10 @@ mod tests {
 
     #[test]
     fn laoram_passes_exact_excluding_tree() {
-        let mut g = crate::LaOramTable::new(&table(), StdRng::seed_from_u64(7));
+        let mut g = crate::Technique::LaOram
+            .build(crate::Weights::Table(table()), StdRng::seed_from_u64(7));
         assert!(verify_exact_excluding(
-            &mut g,
+            g.as_mut(),
             &[vec![0, 1, 2, 3], vec![63, 63, 10, 2], vec![9, 9, 9, 9]],
             // Circuit ORAM's top-level tree region.
             RegionId(0x100),
@@ -152,7 +153,8 @@ mod tests {
         // Sanity: with the tree events INCLUDED the traces differ (the
         // fetched paths are random), so the exclusion is load-bearing.
         assert!(
-            !verify_exact_batched(&mut g, &[vec![0, 1, 2, 3], vec![63, 63, 10, 2]]).is_oblivious()
+            !verify_exact_batched(g.as_mut(), &[vec![0, 1, 2, 3], vec![63, 63, 10, 2]])
+                .is_oblivious()
         );
     }
 

@@ -3,10 +3,7 @@
 //! their latency.
 
 use crate::hybrid::choose_technique;
-use crate::{
-    Dhe, DheConfig, EmbeddingGenerator, IndexLookup, LaConfig, LaOramTable, LinearScan, OramTable,
-    Technique,
-};
+use crate::{Dhe, DheConfig, EmbeddingGenerator, IndexLookup, LinearScan, OramTable, Technique};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use secemb_tensor::Matrix;
@@ -221,9 +218,10 @@ impl Technique {
             (other, Weights::Dhe(_)) => panic!("{other} is built from a table, not a Dhe"),
             (Technique::IndexLookup, Weights::Table(t)) => Box::new(IndexLookup::new(t)),
             (Technique::LinearScan, Weights::Table(t)) => Box::new(LinearScan::new(t)),
-            (Technique::PathOram, Weights::Table(t)) => Box::new(OramTable::path(&t, rng)),
-            (Technique::CircuitOram, Weights::Table(t)) => Box::new(OramTable::circuit(&t, rng)),
-            (Technique::LaOram, Weights::Table(t)) => Box::new(LaOramTable::new(&t, rng)),
+            (
+                tree @ (Technique::PathOram | Technique::CircuitOram | Technique::LaOram),
+                Weights::Table(t),
+            ) => Box::new(OramTable::from_table(tree, &t, rng)),
             (
                 plain @ (Technique::IndexLookup | Technique::LinearScan),
                 Weights::Drawn { rows, dim },
@@ -232,15 +230,11 @@ impl Technique {
                 plain.build(Weights::Table(table), rng)
             }
             (
-                tree @ (Technique::PathOram | Technique::CircuitOram),
+                tree @ (Technique::PathOram | Technique::CircuitOram | Technique::LaOram),
                 Weights::Drawn { rows, dim },
             ) => {
                 let fill = &mut drawn_rows(rows, dim, &mut rng);
                 Box::new(OramTable::from_fn(tree, rows, dim, rng, fill))
-            }
-            (Technique::LaOram, Weights::Drawn { rows, dim }) => {
-                let fill = &mut drawn_rows(rows, dim, &mut rng);
-                Box::new(LaOramTable::from_fn(rows, LaConfig::new(dim), rng, fill))
             }
         }
     }

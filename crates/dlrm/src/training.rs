@@ -5,10 +5,11 @@
 //! hide which rows a gradient step **writes**, or the update trace reveals
 //! the training data's sparse features one batch at a time. The look-ahead
 //! ORAM's write path closes this: [`ProtectedEmbedding::forward`] reads
-//! rows through [`LaOramTable`], and [`ProtectedEmbedding::sgd_step`]
-//! scatters `-lr · grad` back through [`LaOramTable::scatter_add`] — the
-//! same Circuit ORAM access per row, so an observer cannot distinguish a
-//! training step from an inference batch, let alone recover the indices.
+//! rows through a [`Technique::LaOram`] table, and
+//! [`ProtectedEmbedding::sgd_step`] scatters `-lr · grad` back through its
+//! [`EmbeddingGenerator::generate_window`] — the same Circuit ORAM access
+//! per row, so an observer cannot distinguish a training step from an
+//! inference batch, let alone recover the indices.
 //!
 //! [`ProtectedDlrm`] assembles the full model: the dense MLPs train in
 //! plaintext (their access pattern is a pure function of layer shapes and
@@ -21,7 +22,7 @@
 use crate::{Dlrm, DotInteraction};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use secemb::LaOramTable;
+use secemb::{EmbeddingGenerator, Technique, Weights};
 use secemb_data::CriteoSample;
 use secemb_nn::{bce_with_logits_loss, Mlp, Module, Optimizer, Param};
 use secemb_tensor::Matrix;
@@ -29,15 +30,18 @@ use secemb_tensor::Matrix;
 /// One sparse feature's trainable embedding table, stored and updated
 /// inside a look-ahead ORAM.
 pub struct ProtectedEmbedding {
-    table: LaOramTable,
-    rows: u64,
-    dim: usize,
+    table: Box<dyn EmbeddingGenerator + Send>,
     cached: Option<Vec<u64>>,
 }
 
 impl std::fmt::Debug for ProtectedEmbedding {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "ProtectedEmbedding({} rows x {})", self.rows, self.dim)
+        write!(
+            f,
+            "ProtectedEmbedding({} rows x {})",
+            self.rows(),
+            self.dim()
+        )
     }
 }
 
@@ -49,27 +53,24 @@ impl ProtectedEmbedding {
     /// Panics if `init` is empty.
     pub fn new(init: &Matrix, rng: StdRng) -> Self {
         ProtectedEmbedding {
-            rows: init.rows() as u64,
-            dim: init.cols(),
-            table: LaOramTable::new(init, rng),
+            table: Technique::LaOram.build(Weights::Table(init.clone()), rng),
             cached: None,
         }
     }
 
     /// Table rows.
     pub fn rows(&self) -> u64 {
-        self.rows
+        self.table.num_embeddings()
     }
 
     /// Embedding dimension.
     pub fn dim(&self) -> usize {
-        self.dim
+        self.table.dim()
     }
 
     /// Oblivious row gather for the forward pass. The index batch is kept
     /// for the matching [`Self::sgd_step`].
     pub fn forward(&mut self, indices: &[u64]) -> Matrix {
-        use secemb::EmbeddingGenerator;
         let out = self.table.generate_batch(indices);
         self.cached = Some(indices.to_vec());
         out
@@ -86,25 +87,24 @@ impl ProtectedEmbedding {
         let indices = self.cached.take().expect("sgd_step before forward");
         assert_eq!(
             grad.shape(),
-            (indices.len(), self.dim),
+            (indices.len(), self.dim()),
             "sgd_step: grad shape mismatch"
         );
         let deltas = grad.map(|g| -lr * g);
-        self.table.scatter_add(&indices, &deltas);
+        let updates: Vec<Option<&[f32]>> = deltas.iter_rows().map(Some).collect();
+        self.table.generate_window(&indices, &updates);
     }
 
     /// Reads the whole table back out (through the ORAM — every row is a
     /// real oblivious access). Test and checkpoint plumbing, not a fast
     /// path.
     pub fn export(&mut self) -> Matrix {
-        use secemb::EmbeddingGenerator;
-        let all: Vec<u64> = (0..self.rows).collect();
+        let all: Vec<u64> = (0..self.rows()).collect();
         self.table.generate_batch(&all)
     }
 
     /// Resident bytes of the sealed table.
     pub fn memory_bytes(&self) -> u64 {
-        use secemb::EmbeddingGenerator;
         self.table.memory_bytes()
     }
 }
@@ -381,7 +381,7 @@ mod tests {
         let late: f64 = losses[140..].iter().sum::<f64>() / 20.0;
         assert!(late < early * 0.97, "loss did not drop: {early} -> {late}");
         // The run exercised the ORAM for real.
-        let stats = secemb::EmbeddingGenerator::access_stats(&model.features()[0].table).unwrap();
+        let stats = model.features()[0].table.access_stats().unwrap();
         assert!(stats.accesses > 0);
     }
 

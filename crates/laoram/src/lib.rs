@@ -1,9 +1,13 @@
-//! Look-ahead windows over Circuit ORAM: the oblivious read/write path
-//! for embedding-table serving *and* training.
+//! Look-ahead windows over Circuit ORAM: a window of reads, overwrites
+//! and gradient accumulations over raw `u32` blocks.
 //!
-//! The serving batcher hands a table a whole **window** of ops at once —
-//! the coalesced batch's indices, each a read, an overwrite or a gradient
-//! accumulation. Each op runs as one Circuit ORAM read-modify-write
+//! Served and trained `laoram:` tables do not use this crate: they are
+//! `secemb::OramTable`s over the same Circuit ORAM, with the same write
+//! path. The crate stays only for the repository benchmark's `laoram.*`
+//! rows, which price [`LookAheadOram::process_window`] directly, until the
+//! benchmark prices them through `secemb::OramTable` instead.
+//!
+//! Each op runs as one Circuit ORAM read-modify-write
 //! ([`Oram::access_into`]), in window order, so:
 //!
 //! - reads, writes and gradient updates run the same access — only the
@@ -37,7 +41,7 @@
 #![warn(missing_docs)]
 
 use rand::rngs::StdRng;
-use secemb_oram::{AccessStats, CircuitOram, Oram, OramConfig};
+use secemb_oram::{add_f32, AccessStats, CircuitOram, Oram, OramConfig};
 
 /// Configuration of a [`LookAheadOram`]; the rest is [`OramConfig::circuit`].
 #[derive(Clone, Copy, Debug)]
@@ -115,31 +119,10 @@ impl LookAheadOram {
     /// Panics if `blocks` is empty or any block's width differs from
     /// `config.block_words`.
     pub fn new(blocks: &[Vec<u32>], config: LaConfig, rng: StdRng) -> Self {
-        let config = OramConfig::circuit(config.block_words);
-        Self::wrap(CircuitOram::new(blocks, config, rng))
-    }
-
-    /// As [`LookAheadOram::new`] over `n_blocks` blocks, block `id`'s words
-    /// written by `fill(id, slot)` straight into its arena slot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_blocks` or `config.block_words` is zero.
-    pub fn from_fn(
-        n_blocks: u64,
-        config: LaConfig,
-        rng: StdRng,
-        fill: &mut dyn FnMut(u64, &mut [u32]),
-    ) -> Self {
-        let config = OramConfig::circuit(config.block_words);
-        Self::wrap(CircuitOram::from_fn(n_blocks, config, rng, fill))
-    }
-
-    fn wrap(oram: CircuitOram) -> Self {
         LookAheadOram {
-            row: vec![0; oram.block_words()],
-            oram,
+            oram: CircuitOram::new(blocks, OramConfig::circuit(config.block_words), rng),
             la: LaStats::default(),
+            row: vec![0; config.block_words],
         }
     }
 
@@ -202,14 +185,6 @@ impl LookAheadOram {
     /// panics on any structural violation.
     pub fn check_invariants(&self) {
         self.oram.check_invariants();
-    }
-}
-
-/// [`WindowOp::AddF32`]'s payload arithmetic: `data[i] += delta[i]` on
-/// `f32` bit patterns.
-pub fn add_f32(data: &mut [u32], delta: &[f32]) {
-    for (w, g) in data.iter_mut().zip(delta) {
-        *w = (f32::from_bits(*w) + g).to_bits();
     }
 }
 

@@ -140,3 +140,11 @@ pub trait Oram {
     /// map, including recursion), for the paper's footprint tables.
     fn memory_bytes(&self) -> u64;
 }
+
+/// The gradient-scatter payload arithmetic, run inside an access's
+/// `mutate` callback: `data[i] += delta[i]` on `f32` bit patterns.
+pub fn add_f32(data: &mut [u32], delta: &[f32]) {
+    for (w, g) in data.iter_mut().zip(delta) {
+        *w = (f32::from_bits(*w) + g).to_bits();
+    }
+}

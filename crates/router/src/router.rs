@@ -28,6 +28,7 @@ use crate::backend::{self, failure, Backend, Reply, SYNC_TIMEOUT};
 use crate::gossip::{self, acked, newer, pulled, GossipReport};
 use crate::maint::{MaintThread, Maintenance};
 use crate::placement::Placement;
+use secemb::Technique;
 use secemb_serve::protocol::{
     decode_client_traced, encode_generate_multi, encode_generate_traced, encode_metrics,
     encode_metrics_request, encode_plan, encode_plan_ack, encode_plan_pull, encode_plan_push,
@@ -163,7 +164,9 @@ pub(crate) struct Inner {
     pub(crate) backends: Vec<Arc<Backend>>,
     placement: Placement,
     /// Per-table ordered failover candidates (rank 0 = the placement's
-    /// assignment), precomputed from [`Placement::candidates`].
+    /// assignment), precomputed from [`Placement::candidates`]. A
+    /// writable table's list is its rank-0 host alone: its written rows
+    /// live in that host's generator, so it never fails over.
     candidates: Vec<Vec<usize>>,
     /// Per-backend router-side health, indexed like `backends`.
     health: Vec<HealthState>,
@@ -319,11 +322,17 @@ impl Inner {
         }
         let names: Vec<String> = backends.iter().map(|b| b.name().to_string()).collect();
         let placement = Placement::balanced(&names, inventory.len());
-        let candidates: Vec<Vec<usize>> = (0..inventory.len())
-            .map(|t| {
-                placement
+        let candidates: Vec<Vec<usize>> = inventory
+            .iter()
+            .enumerate()
+            .map(|(t, (.., technique))| {
+                let mut ranked = placement
                     .candidates(t)
-                    .expect("placement is total over 0..tables")
+                    .expect("placement is total over 0..tables");
+                if technique == Technique::LaOram.label() {
+                    ranked.truncate(1);
+                }
+                ranked
             })
             .collect();
         registry.gauge("router_backends").set(backends.len() as f64);
@@ -470,9 +479,10 @@ impl Router {
 struct Hop {
     /// The serving host resolved at admission.
     host: usize,
-    /// The hop's first table, whose candidate list a failed send walks
-    /// down (every backend is a full replica, so any live host can
-    /// serve the whole hop).
+    /// The table whose candidate list a failed send walks down: the
+    /// hop's first table (every backend is a full replica, so any live
+    /// host can serve the whole hop), or a writable table the hop
+    /// carries, which pins the hop to its one host.
     table: usize,
 }
 
@@ -808,6 +818,9 @@ fn group_by_host(inner: &Inner, parts: Vec<(usize, Vec<u64>)>) -> Result<Groups,
             groups.forwards.push(Vec::new());
             groups.hops.len() - 1
         });
+        if inner.candidates[table].len() == 1 {
+            groups.hops[hop].table = table;
+        }
         groups.layout.push((hop, indices.len()));
         groups.forwards[hop].push((table, indices));
     }

@@ -1,11 +1,11 @@
 //! Router resilience: replica failover, probe-based recovery, tolerant
-//! startup, half-open backend detection, and at-most-once `Update`s —
-//! the guarantees that keep the protected serving tier up when a backend
+//! startup, half-open backend detection, at-most-once `Update`s and one
+//! host per writable table — the guarantees that keep the protected serving tier up when a backend
 //! dies, without weakening the trace-equivalence argument. (The redial
 //! schedule itself is unit-tested against synthetic time in
 //! `src/maint.rs`.)
 
-use secemb::GeneratorSpec;
+use secemb::{GeneratorSpec, Technique};
 use secemb_router::{Backend, Placement, Router, RouterConfig};
 use secemb_serve::protocol::{
     decode_client, encode_generate, encode_table_list, ClientMsg, ServerMsg,
@@ -405,7 +405,8 @@ fn update_in_flight_on_a_dying_primary_is_rejected_not_replayed() {
         let mut writer = BufWriter::new(stream);
         let (id, msg) = decode_client(&read_frame(&mut reader).expect("hello")).expect("hello");
         assert!(matches!(msg, ClientMsg::Hello(_)));
-        let inventory = vec![(96u64, 8usize, 100.0f64, "LAORAM".to_string())];
+        let label = Technique::LaOram.label().to_string();
+        let inventory = vec![(96u64, 8usize, 100.0f64, label)];
         write_frame(&mut writer, &encode_table_list(id, &inventory)).expect("inventory");
         let (_, msg) = decode_client(&read_frame(&mut reader).expect("update")).expect("update");
         msg
@@ -442,48 +443,67 @@ fn update_in_flight_on_a_dying_primary_is_rejected_not_replayed() {
     assert_eq!(read(&replica), read(&reference), "the delta was replayed");
 }
 
-/// At-most-once, the half that *may* fail over: the primary is dead
-/// before the `Update` is sent, so no frame ever reached it and the
-/// replica applies the delta — exactly once.
+/// A writable table has one host in the fleet. An `Update` lands on the
+/// primary; while the primary is down, reads and `Update`s of the table
+/// answer `Internal` instead of failing over to a replica whose copy is a
+/// fresh build from the seed; once the primary is back, a routed read
+/// returns the seeded row plus the one delta that was answered with
+/// embeddings.
 #[test]
-fn update_with_the_primary_already_dead_applies_once_on_the_replica() {
-    let (_pe, primary) = start_updatable_backend();
+fn a_written_table_is_served_by_its_primary_alone() {
+    let (primary_engine, primary) = start_updatable_backend();
     let (replica_engine, replica) = start_updatable_backend();
     let (_re, reference) = start_updatable_backend();
-    let backends = ranked_for_table_0(primary.addr().to_string(), replica.addr().to_string());
+    let primary_addr = primary.addr();
+    let backends = ranked_for_table_0(primary_addr.to_string(), replica.addr().to_string());
     let primary_name = backends
         .iter()
-        .find(|(_, addr)| *addr == primary.addr().to_string())
+        .find(|(_, addr)| *addr == primary_addr.to_string())
         .map(|(name, _)| name.clone())
         .expect("primary is configured");
     let router = Router::start(resilient_config(backends)).expect("router start");
-    primary.shutdown();
-    wait_for("primary link death", Duration::from_secs(5), || {
+    let primary_is_up = |up: bool| {
         router
             .backend_health()
             .iter()
-            .any(|(name, up)| *name == primary_name && !up)
-    });
-
+            .any(|(name, serving)| *name == primary_name && *serving == up)
+    };
     let mut via_router = Client::connect(router.addr()).expect("connect router");
-    let mut direct = Client::connect(reference.addr()).expect("connect reference");
-    let deltas = Matrix::from_fn(2, 8, |r, c| 1.0 + (r * 8 + c) as f32);
-    let routed = via_router
-        .update(0, &[5, 9], &deltas, None)
-        .expect("routed");
-    let once = direct.update(0, &[5, 9], &deltas, None).expect("direct");
-    let (ServerMsg::Embeddings(r, _), ServerMsg::Embeddings(o, _)) = (routed, once) else {
-        panic!("the failed-over update must be served");
-    };
-    assert_eq!(bits(&r), bits(&o), "post-update rows changed bits");
-    assert_eq!(replica_engine.stats().snapshot().completed, 1);
+    let deltas = Matrix::from_fn(1, 8, |_, c| 1.0 + c as f32);
+    let reply = via_router.update(0, &[5], &deltas, None).expect("routed");
+    assert!(matches!(reply, ServerMsg::Embeddings(..)), "{reply:?}");
 
-    // Read the replica back directly: one application, not two.
-    let mut at_replica = Client::connect(replica.addr()).expect("connect replica");
-    let reread = at_replica.generate(0, &[5, 9], None).expect("replica rows");
-    let applied_once = direct.generate(0, &[5, 9], None).expect("reference rows");
-    let (ServerMsg::Embeddings(r, _), ServerMsg::Embeddings(o, _)) = (reread, applied_once) else {
-        panic!("read back failed");
+    primary.shutdown();
+    wait_for("primary link death", Duration::from_secs(5), || {
+        primary_is_up(false)
+    });
+    match via_router.update(0, &[5], &deltas, None).expect("routed") {
+        ServerMsg::Rejected(RejectReason::Internal) => {}
+        other => panic!("an update of a table whose host is down must be Internal: {other:?}"),
+    }
+    match via_router.generate(0, &[5], None).expect("routed") {
+        ServerMsg::Rejected(RejectReason::Internal) => {}
+        other => panic!("a read of a table whose host is down must be Internal: {other:?}"),
+    }
+    match via_router
+        .generate_multi(&[(0, vec![5])], None)
+        .expect("routed")
+    {
+        ServerMsg::Rejected(RejectReason::Internal) => {}
+        other => panic!("a multi-part read must not fail over either: {other:?}"),
+    }
+
+    let _restarted =
+        Server::start(Arc::clone(&primary_engine), &primary_addr.to_string()).expect("rebind");
+    wait_for("probe recovery", Duration::from_secs(10), || {
+        primary_is_up(true)
+    });
+    let mut direct = Client::connect(reference.addr()).expect("connect reference");
+    let once = direct.update(0, &[5], &deltas, None).expect("direct");
+    let read = via_router.generate(0, &[5], None).expect("routed");
+    let (ServerMsg::Embeddings(want, _), ServerMsg::Embeddings(got, _)) = (once, read) else {
+        panic!("the recovered primary must serve the written row");
     };
-    assert_eq!(bits(&r), bits(&o), "the delta was not applied exactly once");
+    assert_eq!(bits(&got), bits(&want), "a write was lost or hidden");
+    assert_eq!(replica_engine.stats().snapshot().completed, 0);
 }

@@ -674,7 +674,9 @@ impl Engine {
     /// calling thread.
     ///
     /// A table whose technique the plan keeps is not rebuilt: its
-    /// generator, and every row written into it, stays in place.
+    /// generator, and every row written into it, stays in place. A
+    /// writable table ([`EmbeddingGenerator::supports_updates`]) stays
+    /// whatever the plan asks, with its cost; [`Self::active_plan`] says so.
     ///
     /// Admission-control costs switch to the plan's estimates in the same
     /// critical section; a planned cost `<= 0` (unknown) is probed here on
@@ -708,8 +710,14 @@ impl Engine {
         // construction can take seconds for large ORAM tables and must
         // not stall serving.
         let mut staged = Vec::with_capacity(self.shards.len());
-        for (planned, shard) in plan.tables.iter().zip(&self.shards) {
+        // The plan as applied: what `active_plan` reports.
+        let mut applied = plan.clone();
+        for (planned, shard) in applied.tables.iter_mut().zip(&self.shards) {
             let mut info = *lock_unpoisoned(&shard.info);
+            if info.supports_updates && planned.technique != info.technique {
+                planned.technique = info.technique;
+                planned.per_query_ns = info.per_query_ns;
+            }
             let mut replacement = (planned.technique != info.technique).then(|| {
                 GeneratorSpec::with_technique(info.rows, info.dim, planned.technique)
                     .build(shard.config.seed)
@@ -752,7 +760,7 @@ impl Engine {
         self.epoch.store(epoch, Ordering::SeqCst);
         self.plan_version.store(plan.version, Ordering::SeqCst);
         self.stats.record_plan(plan.version, epoch);
-        *lock_unpoisoned(&self.active_plan) = Some(plan.clone());
+        *lock_unpoisoned(&self.active_plan) = Some(applied);
         Ok(epoch)
     }
 
@@ -939,19 +947,9 @@ fn spawn_worker(setup: WorkerSetup) -> JoinHandle<()> {
             // Check deadlines *after* entering — the gate can block behind
             // a swap, and a job that expired in that window must be
             // rejected, not executed and counted as served.
-            let mut live = shed_stale(jobs, &pending, &stats);
-            if !slot.generator.supports_updates() {
-                // An update admitted against the previous epoch's
-                // generator may land just after a swap to one without a
-                // write path; answer it explicitly rather than panicking
-                // the worker.
-                let (ok, unsupported): (Vec<Job>, Vec<Job>) =
-                    live.into_iter().partition(|j| j.update.is_none());
-                for job in unsupported {
-                    job.reject(RejectReason::UpdateUnsupported, &pending, &stats);
-                }
-                live = ok;
-            }
+            // No swap takes a write path away (`apply_plan` never rebuilds
+            // a writable table), so every admitted update has one here.
+            let live = shed_stale(jobs, &pending, &stats);
             if live.is_empty() {
                 continue;
             }
@@ -1589,8 +1587,11 @@ mod tests {
         assert_eq!(engine.queue_depth(), 0);
     }
 
+    /// A plan that moves a writable table to another technique leaves
+    /// it where it is: the written row is still there after the swap, the
+    /// write path stays open, and the applied plan says what runs.
     #[test]
-    fn swap_away_from_laoram_flips_update_admission() {
+    fn plan_moving_a_writable_table_keeps_its_written_rows() {
         let table = TableConfig {
             spec: GeneratorSpec::LaOram { rows: 64, dim: 8 },
             seed: 7,
@@ -1598,12 +1599,32 @@ mod tests {
             cost_override_ns: Some(1_000.0),
         };
         let engine = Engine::start(EngineConfig::new(vec![table]));
-        assert!(engine.tables()[0].supports_updates);
+        let deltas = Matrix::from_fn(1, 8, |_, c| 1.0 + c as f32);
+        let updated = engine
+            .call(Request::new(0, vec![3]).with_update(deltas.clone()))
+            .embeddings()
+            .expect("update served")
+            .clone();
         let plan = plan_for(&engine, 1, &[Technique::Dhe]);
-        engine.apply_plan(&plan).expect("valid plan");
-        assert!(!engine.tables()[0].supports_updates);
-        let response = engine.call(Request::new(0, vec![1]).with_update(Matrix::zeros(1, 8)));
-        assert_eq!(response.rejection(), Some(RejectReason::UpdateUnsupported));
+        assert_eq!(engine.apply_plan(&plan), Ok(1));
+        let after = engine
+            .call(Request::new(0, vec![3]))
+            .embeddings()
+            .expect("read served")
+            .clone();
+        assert_eq!(after, updated, "the swap dropped a written row");
+        let info = &engine.tables()[0];
+        assert!(info.supports_updates);
+        assert_eq!(info.technique, Technique::LaOram);
+        assert_eq!(info.per_query_ns, 1_000.0, "a DHE cost is not this table's");
+        assert_eq!(engine.stats().snapshot().swaps_applied, 0, "not rebuilt");
+        let active = engine.active_plan().expect("plan applied");
+        assert_eq!(active.tables[0].technique, Technique::LaOram);
+        assert_eq!(active.version, 1);
+        assert!(engine
+            .call(Request::new(0, vec![3]).with_update(deltas))
+            .embeddings()
+            .is_some());
     }
 
     #[test]
