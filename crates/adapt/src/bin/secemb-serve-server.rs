@@ -12,7 +12,7 @@
 //!                     [--trace-out FILE]
 //! ```
 //!
-//! `SPEC` is `TECH:ROWSxDIM` (`lookup|scan|path|circuit|dhe`) or
+//! `SPEC` is `TECH:ROWSxDIM` (`lookup|scan|path|circuit|dhe|laoram`) or
 //! `hybrid:ROWSxDIM:THRESHOLD`; repeat `--table` for multiple shards.
 //! Defaults serve a scan+DHE hybrid pair resembling a small DLRM.
 //! Each table runs one shard worker, which owns the table's generator. It
@@ -83,7 +83,7 @@ fn usage() -> ! {
          [--adaptive] [--adapt-profile FILE] [--adapt-dwell-ms N] \
          [--adapt-cooldown-ms N] [--run-secs N] [--conn-idle-ms N] \
          [--trace-sample N] [--trace-host NAME] [--trace-out FILE]\n\
-         SPEC: lookup|scan|path|circuit|dhe:ROWSxDIM, or hybrid:ROWSxDIM:THRESHOLD"
+         SPEC: lookup|scan|path|circuit|dhe|laoram:ROWSxDIM, or hybrid:ROWSxDIM:THRESHOLD"
     );
     std::process::exit(2);
 }

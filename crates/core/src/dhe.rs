@@ -273,6 +273,19 @@ impl Dhe {
         self.visit_params(&mut |p| p.zero_grad());
     }
 
+    /// A copy holding the decoder weights only — no gradients, optimizer
+    /// moments or forward caches — for serving a trained DHE.
+    pub fn frozen(&self) -> Dhe {
+        Dhe {
+            hash: self.hash.clone(),
+            layers: self.layers.iter().map(Linear::frozen).collect(),
+            relus: vec![Relu::new(); self.relus.len()],
+            fc_trace_lens: self.fc_trace_lens.clone(),
+            config: self.config.clone(),
+            domain: self.domain,
+        }
+    }
+
     /// Materializes the DHE as a plain table over ids `0..n` — the paper's
     /// offline step that lets below-threshold features be served by linear
     /// scan from a table generated by the *trained* DHE (Algorithm 2
@@ -305,11 +318,7 @@ impl EmbeddingGenerator for Dhe {
     }
 
     fn memory_bytes(&self) -> u64 {
-        let params: usize = self
-            .layers
-            .iter()
-            .map(|l| l.in_features() * l.out_features() + l.out_features())
-            .sum();
+        let params: usize = self.layers.iter().map(Linear::param_count).sum();
         params as u64 * 4 + self.hash.memory_bytes()
     }
 }

@@ -61,7 +61,7 @@ impl SecureDlrm {
                         layer
                             .as_dhe()
                             .expect("Technique::Dhe requires a DHE-trained feature")
-                            .clone(),
+                            .frozen(),
                     ),
                     _ => Weights::Table(layer.to_table(rows)),
                 };
@@ -69,8 +69,8 @@ impl SecureDlrm {
             })
             .collect();
         SecureDlrm {
-            bottom: model.bottom().clone(),
-            top: model.top().clone(),
+            bottom: model.bottom().frozen(),
+            top: model.top().frozen(),
             features,
             dense_features: spec.dense_features,
         }
@@ -152,13 +152,7 @@ impl SecureDlrm {
 
     /// Resident bytes of the whole serving model (MLPs + every feature).
     pub fn memory_bytes(&self) -> u64 {
-        let mlp_params = {
-            // Count via the module interface on clones (Mlp::visit_params
-            // needs &mut).
-            let mut b = self.bottom.clone();
-            let mut t = self.top.clone();
-            (secemb_nn::count_params(&mut b) + secemb_nn::count_params(&mut t)) as u64 * 4
-        };
+        let mlp_params = (self.bottom.param_count() + self.top.param_count()) as u64 * 4;
         mlp_params + self.features.iter().map(|f| f.memory_bytes()).sum::<u64>()
     }
 }

@@ -237,9 +237,7 @@ impl ProtectedDlrm {
 
     /// Resident bytes of the protected model (MLPs + sealed tables).
     pub fn memory_bytes(&self) -> u64 {
-        let mut b = self.bottom.clone();
-        let mut t = self.top.clone();
-        let mlp = (secemb_nn::count_params(&mut b) + secemb_nn::count_params(&mut t)) as u64 * 4;
+        let mlp = (self.bottom.param_count() + self.top.param_count()) as u64 * 4;
         mlp + self.features.iter().map(|f| f.memory_bytes()).sum::<u64>()
     }
 }

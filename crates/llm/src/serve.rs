@@ -23,7 +23,7 @@ impl Gpt {
             Technique::Dhe => Weights::Dhe(
                 self.dhe()
                     .expect("Technique::Dhe requires a DHE-trained model")
-                    .clone(),
+                    .frozen(),
             ),
             _ => Weights::Table(self.token_table()),
         };
@@ -70,9 +70,15 @@ impl KvCache {
 pub struct GptServing<'a> {
     gpt: &'a Gpt,
     embedder: Box<dyn EmbeddingGenerator + Send>,
-    /// Untied head weights (cloned) or `None` for the tied table head.
-    head: Option<Linear>,
-    token_table: Matrix,
+    head: Head,
+}
+
+/// The LM head a serving model computes logits with.
+enum Head {
+    /// Weight-tied to the token table, materialized once.
+    Tied(Matrix),
+    /// The untied head's weights (a frozen copy).
+    Untied(Box<Linear>),
 }
 
 impl std::fmt::Debug for GptServing<'_> {
@@ -92,8 +98,10 @@ impl<'a> GptServing<'a> {
         GptServing {
             gpt,
             embedder,
-            head: gpt.head.clone(),
-            token_table: gpt.token_table(),
+            head: match &gpt.head {
+                Some(head) => Head::Untied(Box::new(head.frozen())),
+                None => Head::Tied(gpt.token_table()),
+            },
         }
     }
 
@@ -220,8 +228,8 @@ impl<'a> GptServing<'a> {
 
     fn logits(&self, xf: &Matrix) -> Matrix {
         match &self.head {
-            Some(h) => h.apply(xf),
-            None => xf.matmul_transpose_b(&self.token_table),
+            Head::Untied(h) => h.apply(xf),
+            Head::Tied(table) => xf.matmul_transpose_b(table),
         }
     }
 

@@ -272,7 +272,7 @@ mod tests {
 
         // Collect analytic grads.
         let mut analytic: Vec<Vec<f32>> = Vec::new();
-        attn.visit_params(&mut |p| analytic.push(p.grad.as_slice().to_vec()));
+        attn.visit_params(&mut |p| analytic.push(p.grad().unwrap().as_slice().to_vec()));
 
         // Finite differences on the first element of each parameter.
         let h = 1e-2f32;

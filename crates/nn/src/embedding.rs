@@ -82,8 +82,9 @@ impl Embedding {
             "Embedding: grad batch mismatch"
         );
         let dim = self.dim();
+        let grad = self.table.grad_mut();
         for (b, &idx) in indices.iter().enumerate() {
-            let g = &mut self.table.grad.row_mut(idx)[..dim];
+            let g = &mut grad.row_mut(idx)[..dim];
             for (gi, &go) in g.iter_mut().zip(grad_output.row(b).iter()) {
                 *gi += go;
             }
@@ -127,10 +128,10 @@ mod tests {
         let grad = Matrix::from_vec(3, 2, vec![0.1, 0.2, 0.3, 0.4, 0.5, 0.6]);
         e.backward_indices(&grad);
         // Row 2 accumulates from batch items 0 and 2.
-        assert!((e.table.grad.get(2, 0) - 0.6).abs() < 1e-6);
-        assert!((e.table.grad.get(2, 1) - 0.8).abs() < 1e-6);
-        assert!((e.table.grad.get(0, 0) - 0.3).abs() < 1e-6);
-        assert_eq!(e.table.grad.get(1, 0), 0.0);
+        assert!((e.table.grad().unwrap().get(2, 0) - 0.6).abs() < 1e-6);
+        assert!((e.table.grad().unwrap().get(2, 1) - 0.8).abs() < 1e-6);
+        assert!((e.table.grad().unwrap().get(0, 0) - 0.3).abs() < 1e-6);
+        assert_eq!(e.table.grad().unwrap().get(1, 0), 0.0);
     }
 
     #[test]

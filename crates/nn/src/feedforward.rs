@@ -46,6 +46,20 @@ impl Mlp {
         self.layers.last().unwrap().out_features()
     }
 
+    /// Scalar parameters across all layers.
+    pub fn param_count(&self) -> usize {
+        self.layers.iter().map(Linear::param_count).sum()
+    }
+
+    /// A copy holding the weights only — no gradients, optimizer moments
+    /// or forward caches — for serving a trained MLP.
+    pub fn frozen(&self) -> Mlp {
+        Mlp {
+            layers: self.layers.iter().map(Linear::frozen).collect(),
+            relus: vec![Relu::new(); self.relus.len()],
+        }
+    }
+
     /// Inference without caches, using the *branchless* constant-time ReLU
     /// (`secemb_obliv::ct_relu`) — the secure serving path.
     pub fn apply_secure(&self, x: &Matrix) -> Matrix {
@@ -109,6 +123,7 @@ impl Module for Mlp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Optimizer;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -144,6 +159,20 @@ mod tests {
                 dx.as_slice()[i]
             );
         }
+    }
+
+    #[test]
+    fn frozen_copy_serves_the_same_weights_without_training_state() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut mlp = Mlp::new(3, &[5, 2], &mut rng);
+        let x = Matrix::from_fn(2, 3, |r, c| (r + c) as f32 * 0.5 - 1.0);
+        mlp.forward(&x);
+        mlp.backward(&Matrix::full(2, 2, 1.0));
+        crate::Adam::new(0.1).step(&mut mlp);
+        let mut frozen = mlp.frozen();
+        assert_eq!(frozen.apply_secure(&x), mlp.apply_secure(&x));
+        assert_eq!(frozen.param_count(), crate::count_params(&mut mlp));
+        frozen.visit_params(&mut |p| assert!(p.grad().is_none() && p.m.is_none()));
     }
 
     #[test]

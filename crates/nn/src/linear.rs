@@ -65,6 +65,17 @@ impl Linear {
         &self.bias
     }
 
+    /// Scalar parameters (weights and bias).
+    pub fn param_count(&self) -> usize {
+        self.weight.len() + self.bias.len()
+    }
+
+    /// A copy holding the weights only — no gradient, optimizer moments or
+    /// forward cache — for serving a trained layer.
+    pub fn frozen(&self) -> Linear {
+        Linear::from_parts(self.weight.value.clone(), self.bias.value.clone())
+    }
+
     /// Forward without caching — for inference-only paths.
     pub fn apply(&self, input: &Matrix) -> Matrix {
         let mut out = input.matmul_transpose_b(&self.weight.value);
@@ -153,15 +164,16 @@ mod tests {
             let lm = Linear::from_parts(wm, l.bias.value.clone());
             let fd = ((lp.apply(&x).sum() - lm.apply(&x).sum()) / (2.0 * h as f64)) as f32;
             assert!(
-                (l.weight.grad.as_slice()[i] - fd).abs() < 1e-2,
+                (l.weight.grad().unwrap().as_slice()[i] - fd).abs() < 1e-2,
                 "dW[{i}] {} vs {fd}",
-                l.weight.grad.as_slice()[i]
+                l.weight.grad().unwrap().as_slice()[i]
             );
         }
         // Bias grad is the batch size for a sum objective.
         assert!(l
             .bias
-            .grad
+            .grad()
+            .unwrap()
             .as_slice()
             .iter()
             .all(|&g| (g - 2.0).abs() < 1e-5));

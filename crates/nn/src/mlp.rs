@@ -230,9 +230,9 @@ mod tests {
         ln.forward(&x);
         ln.backward(&Matrix::full(1, 3, 1.0));
         // dbeta = sum of dy = 1 each.
-        assert_eq!(ln.beta.grad.as_slice(), &[1.0, 1.0, 1.0]);
+        assert_eq!(ln.beta.grad().unwrap().as_slice(), &[1.0, 1.0, 1.0]);
         // dgamma = dy * xhat; xhat sums to ~0.
-        let s: f32 = ln.gamma.grad.as_slice().iter().sum();
+        let s: f32 = ln.gamma.grad().unwrap().as_slice().iter().sum();
         assert!(s.abs() < 1e-4);
     }
 }

@@ -74,9 +74,9 @@ mod tests {
         assert_eq!(y.as_slice(), &[3.0, 6.0]);
         let dx = s.backward(&Matrix::full(1, 2, 1.0));
         assert_eq!(dx.as_slice(), &[3.0, 3.0]);
-        assert_eq!(s.w.grad.get(0, 0), 3.0); // 1*1 + 1*2
+        assert_eq!(s.w.grad().unwrap().get(0, 0), 3.0); // 1*1 + 1*2
         assert_eq!(count_params(&mut s), 1);
         s.zero_grad();
-        assert_eq!(s.w.grad.get(0, 0), 0.0);
+        assert_eq!(s.w.grad().unwrap().get(0, 0), 0.0);
     }
 }

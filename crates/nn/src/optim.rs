@@ -1,6 +1,7 @@
 //! Optimizers.
 
 use crate::{Module, Param};
+use secemb_tensor::Matrix;
 
 /// An optimization algorithm that updates a module's parameters in place
 /// from their accumulated gradients.
@@ -35,17 +36,22 @@ impl Optimizer for Sgd {
         let lr = self.lr;
         let mu = self.momentum;
         module.visit_params(&mut |p: &mut Param| {
+            // Skipping an untouched gradient is exact: it is zero, so is
+            // its momentum, and so is the update.
+            let Some(grad) = &p.grad else { return };
             if mu == 0.0 {
-                for (w, &g) in p.value.as_mut_slice().iter_mut().zip(p.grad.as_slice()) {
+                for (w, &g) in p.value.as_mut_slice().iter_mut().zip(grad.as_slice()) {
                     *w -= lr * g;
                 }
             } else {
+                let (r, c) = p.value.shape();
+                let m = p.m.get_or_insert_with(|| Matrix::zeros(r, c));
                 for ((w, &g), m) in p
                     .value
                     .as_mut_slice()
                     .iter_mut()
-                    .zip(p.grad.as_slice())
-                    .zip(p.m.as_mut_slice().iter_mut())
+                    .zip(grad.as_slice())
+                    .zip(m.as_mut_slice().iter_mut())
                 {
                     *m = mu * *m + g;
                     *w -= lr * *m;
@@ -92,14 +98,19 @@ impl Optimizer for Adam {
         let lr = self.lr;
         let eps = self.eps;
         module.visit_params(&mut |p: &mut Param| {
-            let grads = p.grad.as_slice().to_vec();
-            for (((w, g), m), v) in p
+            // Skipping an untouched gradient is exact: its moments are
+            // zero, so they stay zero and the update is zero.
+            let Some(grad) = &p.grad else { return };
+            let (r, c) = p.value.shape();
+            let m = p.m.get_or_insert_with(|| Matrix::zeros(r, c));
+            let v = p.v.get_or_insert_with(|| Matrix::zeros(r, c));
+            for (((w, &g), m), v) in p
                 .value
                 .as_mut_slice()
                 .iter_mut()
-                .zip(grads.iter())
-                .zip(p.m.as_mut_slice().iter_mut())
-                .zip(p.v.as_mut_slice().iter_mut())
+                .zip(grad.as_slice())
+                .zip(m.as_mut_slice().iter_mut())
+                .zip(v.as_mut_slice().iter_mut())
             {
                 *m = b1 * *m + (1.0 - b1) * g;
                 *v = b2 * *v + (1.0 - b2) * g * g;
@@ -117,7 +128,6 @@ mod tests {
     use crate::{mse_loss, Linear, Module};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use secemb_tensor::Matrix;
 
     fn fit(opt: &mut dyn Optimizer, steps: usize) -> f64 {
         let mut rng = StdRng::seed_from_u64(1);
@@ -150,6 +160,72 @@ mod tests {
     #[test]
     fn adam_converges() {
         assert!(fit(&mut Adam::new(0.05), 400) < 1e-3);
+    }
+
+    /// One bare parameter, stepped by an optimizer.
+    struct Bare(Param);
+
+    impl Module for Bare {
+        fn forward(&mut self, input: &Matrix) -> Matrix {
+            input.clone()
+        }
+        fn backward(&mut self, grad_output: &Matrix) -> Matrix {
+            grad_output.clone()
+        }
+        fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+            f(&mut self.0);
+        }
+    }
+
+    #[test]
+    fn lazy_training_state_steps_bit_identically_to_eager() {
+        let start = Matrix::from_vec(2, 3, vec![0.5, -1.25, 2.0, 0.0, -0.0, 3.5]);
+        let grad_at = |step: usize| {
+            Matrix::from_fn(2, 3, |r, c| ((step * 5 + r * 3 + c) % 7) as f32 * 0.3 - 0.9)
+        };
+        let optimizers: [fn() -> Box<dyn Optimizer>; 3] = [
+            || Box::new(Adam::new(0.05)),
+            || Box::new(Sgd::new(0.1)),
+            || Box::new(Sgd::with_momentum(0.1, 0.9)),
+        ];
+        for (o, make) in optimizers.iter().enumerate() {
+            for first in [0, 1, 4] {
+                // `eager` carries explicit zero gradients from step 0, as
+                // every parameter once did; `lazy` has none before `first`.
+                let mut eager = Bare(Param::new(start.clone()));
+                let mut lazy = Bare(Param::new(start.clone()));
+                eager.0.grad_mut();
+                let (mut eager_opt, mut lazy_opt) = (make(), make());
+                for step in 0..8 {
+                    eager.zero_grad();
+                    lazy.zero_grad();
+                    if step >= first {
+                        eager.0.accumulate_grad(&grad_at(step));
+                        lazy.0.accumulate_grad(&grad_at(step));
+                    }
+                    eager_opt.step(&mut eager);
+                    lazy_opt.step(&mut lazy);
+                    assert_eq!(lazy.0.grad().is_some(), step >= first);
+                }
+                let bits = |p: &Param| {
+                    p.value
+                        .as_slice()
+                        .iter()
+                        .map(|w| w.to_bits())
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(
+                    bits(&lazy.0),
+                    bits(&eager.0),
+                    "optimizer {o}, first gradient at step {first}"
+                );
+                assert_ne!(
+                    bits(&lazy.0),
+                    bits(&Param::new(start.clone())),
+                    "optimizer {o} stepped"
+                );
+            }
+        }
     }
 
     #[test]

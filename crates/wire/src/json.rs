@@ -43,10 +43,12 @@ impl Value {
         }
     }
 
-    /// This value as a non-negative integer (rejects fractional values).
+    /// This value as a non-negative integer (rejects fractional values
+    /// and values of 2^64 or more, which `u64` cannot hold).
     pub fn as_u64(&self) -> Option<u64> {
+        // `u64::MAX as f64` rounds up to 2^64 itself, so the bound is strict.
         match self {
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
+            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < u64::MAX as f64 => {
                 Some(*n as u64)
             }
             _ => None,
@@ -435,6 +437,15 @@ mod tests {
         assert_eq!(arr[1].as_f64(), Some(-2.5));
         assert_eq!(arr[2].as_f64(), Some(1000.0));
         assert_eq!(arr[1].as_u64(), None, "fractional is not u64");
+    }
+
+    #[test]
+    fn as_u64_refuses_two_to_the_64() {
+        let v = parse("[18446744073709551616, 18446744073709549568]").unwrap();
+        let arr = v.as_arr().unwrap();
+        assert_eq!(arr[0].as_u64(), None, "2^64 does not fit a u64");
+        // 2^64 - 2048: the largest f64 below 2^64.
+        assert_eq!(arr[1].as_u64(), Some(18_446_744_073_709_549_568));
     }
 
     #[test]
