@@ -8,6 +8,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use secemb::{Dhe, DheConfig};
 use secemb_bench::synthetic_indices;
+use secemb_nn::Tape;
 use secemb_obliv::isa::Isa;
 use secemb_tensor::gemm::{dot, gemm_nt_at};
 use secemb_tensor::Matrix;
@@ -25,7 +26,7 @@ fn bench_k_scaling(c: &mut Criterion) {
             &mut StdRng::seed_from_u64(0),
         );
         group.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, _| {
-            b.iter(|| dhe.infer(&indices));
+            b.iter(|| dhe.forward(&indices, &mut Tape::inference()));
         });
     }
     group.finish();
@@ -39,11 +40,13 @@ fn bench_uniform_vs_varied(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_secs(1));
     group.measurement_time(std::time::Duration::from_secs(2));
     let uniform = Dhe::new(DheConfig::uniform(dim), &mut StdRng::seed_from_u64(0));
-    group.bench_function("uniform_1e7", |b| b.iter(|| uniform.infer(&indices)));
+    group.bench_function("uniform_1e7", |b| {
+        b.iter(|| uniform.forward(&indices, &mut Tape::inference()))
+    });
     for &rows in &[10_000_000u64, 1_000_000, 10_000] {
         let varied = Dhe::new(DheConfig::varied(dim, rows), &mut StdRng::seed_from_u64(0));
         group.bench_with_input(BenchmarkId::new("varied", rows), &rows, |b, _| {
-            b.iter(|| varied.infer(&indices));
+            b.iter(|| varied.forward(&indices, &mut Tape::inference()));
         });
     }
     group.finish();

@@ -7,6 +7,7 @@ use secemb::{Dhe, DheConfig, EmbeddingGenerator, LinearScan, OramTable};
 use secemb_bench::{
     fmt_ns, median_ns, print_table, synthetic_indices, synthetic_table, SCALE_NOTE,
 };
+use secemb_nn::Tape;
 
 fn main() {
     println!("Fig. 4: latency vs table size (batch 32, 1 thread)");
@@ -21,7 +22,7 @@ fn main() {
         let uniform = Dhe::new(DheConfig::uniform(dim), &mut StdRng::seed_from_u64(0));
         let idx_any = synthetic_indices(batch, 1_000);
         let dhe_uniform_ns = median_ns(3, || {
-            std::hint::black_box(uniform.infer(&idx_any));
+            std::hint::black_box(uniform.forward(&idx_any, &mut Tape::inference()));
         });
 
         for &n in &sizes {
@@ -45,7 +46,7 @@ fn main() {
 
             let varied = Dhe::new(DheConfig::varied(dim, n), &mut StdRng::seed_from_u64(1));
             let varied_ns = median_ns(3, || {
-                std::hint::black_box(varied.infer(&indices));
+                std::hint::black_box(varied.forward(&indices, &mut Tape::inference()));
             });
 
             rows_out.push(vec![

@@ -7,6 +7,7 @@ use secemb::{Dhe, DheConfig, EmbeddingGenerator, LinearScan, OramTable};
 use secemb_bench::{
     fmt_ns, median_ns, print_table, synthetic_indices, synthetic_table, SCALE_NOTE,
 };
+use secemb_nn::Tape;
 
 fn main() {
     // Paper: vocab 50257 (GPT-2), dims 768–8192, batches from 1 (decode)
@@ -38,7 +39,7 @@ fn main() {
                 &mut StdRng::seed_from_u64(7),
             );
             let dhe_ns = median_ns(2, || {
-                std::hint::black_box(dhe.infer(&indices));
+                std::hint::black_box(dhe.forward(&indices, &mut Tape::inference()));
             });
 
             rows_out.push(vec![

@@ -15,6 +15,7 @@ use secemb_bench::{
     SCALE_NOTE,
 };
 use secemb_data::meta_table_sizes;
+use secemb_nn::Tape;
 use secemb_oram::OramConfig;
 
 fn main() {
@@ -76,7 +77,7 @@ fn main() {
         );
         let idx = synthetic_indices(batch, 1_000_000);
         median_ns(3, || {
-            std::hint::black_box(g.infer(&idx));
+            std::hint::black_box(g.forward(&idx, &mut Tape::inference()));
         })
     };
     let dhe_varied_curve = LatencyCurve::measure(
@@ -84,7 +85,7 @@ fn main() {
             let g = Dhe::new(DheConfig::varied(dim, n), &mut StdRng::seed_from_u64(0));
             let idx = synthetic_indices(batch, n);
             median_ns(3, || {
-                std::hint::black_box(g.infer(&idx));
+                std::hint::black_box(g.forward(&idx, &mut Tape::inference()));
             })
         },
         &grid,

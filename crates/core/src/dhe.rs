@@ -4,7 +4,7 @@
 use crate::hash::UniversalHashFamily;
 use crate::{EmbeddingGenerator, Technique};
 use rand::{Rng, SeedableRng};
-use secemb_nn::{Linear, Module, Param, Relu};
+use secemb_nn::{Mlp, Module, Param, Params, Tape};
 use secemb_tensor::Matrix;
 use secemb_trace::tracer::{self, regions};
 
@@ -104,11 +104,13 @@ impl DheConfig {
 /// MLP with branchless [`secemb_obliv::ct_relu`] activations. Every step
 /// touches the same memory for every input, so DHE is oblivious *by
 /// construction* — no table exists to leak from.
+///
+/// It holds its weights and public architecture only: a clone of a
+/// trained DHE is a serving copy.
 #[derive(Clone, Debug)]
 pub struct Dhe {
     hash: UniversalHashFamily,
-    layers: Vec<Linear>,
-    relus: Vec<Relu>,
+    decoder: Mlp,
     /// Bytes of weights and bias each layer reads, as the tracer reports
     /// them.
     fc_trace_lens: Vec<u32>,
@@ -132,25 +134,19 @@ impl Dhe {
             config.buckets,
             &mut rand::rngs::StdRng::seed_from_u64(config.hash_seed),
         );
-        let outs = config.hidden.iter().chain(std::iter::once(&config.dim));
-        let ins = std::iter::once(&config.k).chain(&config.hidden);
-        let shapes: Vec<(usize, usize)> = ins.zip(outs).map(|(&i, &o)| (i, o)).collect();
+        let widths: Vec<usize> = config.hidden.iter().chain([&config.dim]).copied().collect();
         // Before any layer is allocated: a layer too large to report is
         // too large to build in a test.
-        let fc_trace_lens = (shapes.iter())
-            .map(|&(i, o)| {
+        let ins = std::iter::once(&config.k).chain(&config.hidden);
+        let fc_trace_lens = (ins.zip(&widths))
+            .map(|(&i, &o)| {
                 u32::try_from(i.saturating_mul(o).saturating_add(o).saturating_mul(4))
                     .expect("Dhe: layer parameter bytes exceed a u32 trace length")
             })
             .collect();
-        let layers: Vec<Linear> = (shapes.iter())
-            .map(|&(i, o)| Linear::new(i, o, rng))
-            .collect();
-        let relus = vec![Relu::new(); layers.len().saturating_sub(1)];
         Dhe {
             hash,
-            layers,
-            relus,
+            decoder: Mlp::new(config.k, &widths, rng),
             fc_trace_lens,
             config,
             domain: u64::MAX,
@@ -169,6 +165,12 @@ impl Dhe {
         &self.config
     }
 
+    /// Parameter tensors of the decoder: the length of this DHE's slice
+    /// of a [`secemb_nn::Grads`].
+    pub fn param_tensors(&self) -> usize {
+        self.decoder.param_tensors()
+    }
+
     /// The hash encoding of a batch, one row per index, written straight
     /// into the decoder's input.
     fn encode(&self, indices: &[u64]) -> Matrix {
@@ -179,21 +181,29 @@ impl Dhe {
         x
     }
 
-    /// Encoder + decoder inference by shared reference (thread-safe, no
-    /// training caches), with branchless activations.
-    pub fn infer(&self, indices: &[u64]) -> Matrix {
-        let mut x = self.encode(indices);
-        // Decode through the MLP; weight reads have a fixed pattern.
+    /// Embeds a batch: the hash encoding, then the decoder's one forward,
+    /// recording on `tape` what [`Dhe::backward`] needs (serving passes
+    /// [`Tape::inference`]). By shared reference, so threads can share
+    /// one DHE.
+    pub fn forward(&self, indices: &[u64], tape: &mut Tape) -> Matrix {
+        let x = self.encode(indices);
+        // The decoder reads every layer's weights whatever the input.
         let mut fc_offset = 0u64;
-        for (i, (layer, &bytes)) in self.layers.iter().zip(&self.fc_trace_lens).enumerate() {
+        for &bytes in &self.fc_trace_lens {
             tracer::read(regions::DHE_FC, fc_offset, bytes);
             fc_offset += bytes as u64;
-            x = layer.apply(&x);
-            if i + 1 < self.layers.len() {
-                secemb_obliv::ct_relu_slice(x.as_mut_slice());
-            }
         }
-        x
+        self.decoder.forward(&x, tape)
+    }
+
+    /// Back-propagates through the decoder into `grads` (the hash encoder
+    /// has no trainable parameters and consumes no gradient).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tape` does not end with a [`Dhe::forward`]'s records.
+    pub fn backward(&self, tape: &mut Tape, grad_output: &Matrix, grads: &mut [Matrix]) {
+        self.decoder.backward(tape, grad_output, grads);
     }
 
     /// Splits the batch across `threads` OS threads (DHE batches
@@ -204,15 +214,16 @@ impl Dhe {
     /// Panics if `threads` is zero.
     pub fn infer_threaded(&self, indices: &[u64], threads: usize) -> Matrix {
         assert!(threads > 0, "threads must be positive");
+        let infer = |indices: &[u64]| self.forward(indices, &mut Tape::inference());
         if threads == 1 || indices.len() <= 1 {
-            return self.infer(indices);
+            return infer(indices);
         }
         let chunk = indices.len().div_ceil(threads);
         let chunks: Vec<&[u64]> = indices.chunks(chunk).collect();
         let results: Vec<Matrix> = std::thread::scope(|s| {
             let handles: Vec<_> = chunks
                 .into_iter()
-                .map(|c| s.spawn(move || self.infer(c)))
+                .map(|c| s.spawn(move || infer(c)))
                 .collect();
             handles
                 .into_iter()
@@ -230,69 +241,19 @@ impl Dhe {
         out
     }
 
-    /// Training-mode forward: caches activations for
-    /// [`Dhe::backward_indices`].
-    pub fn forward_indices(&mut self, indices: &[u64]) -> Matrix {
-        let mut x = self.encode(indices);
-        let n = self.layers.len();
-        for i in 0..n {
-            x = self.layers[i].forward(&x);
-            if i + 1 < n {
-                x = self.relus[i].forward(&x);
-            }
-        }
-        x
-    }
-
-    /// Back-propagates through the decoder (the hash encoder has no
-    /// trainable parameters and consumes no gradient).
-    ///
-    /// # Panics
-    ///
-    /// Panics if called before [`Dhe::forward_indices`].
-    pub fn backward_indices(&mut self, grad_output: &Matrix) {
-        let n = self.layers.len();
-        let mut g = grad_output.clone();
-        for i in (0..n).rev() {
-            if i + 1 < n {
-                g = self.relus[i].backward(&g);
-            }
-            g = self.layers[i].backward(&g);
-        }
-    }
-
-    /// Visits the decoder parameters (for optimizers).
-    pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        for l in &mut self.layers {
-            l.visit_params(f);
-        }
-    }
-
-    /// Clears decoder gradients.
-    pub fn zero_grad(&mut self) {
-        self.visit_params(&mut |p| p.zero_grad());
-    }
-
-    /// A copy holding the decoder weights only — no gradients, optimizer
-    /// moments or forward caches — for serving a trained DHE.
-    pub fn frozen(&self) -> Dhe {
-        Dhe {
-            hash: self.hash.clone(),
-            layers: self.layers.iter().map(Linear::frozen).collect(),
-            relus: vec![Relu::new(); self.relus.len()],
-            fc_trace_lens: self.fc_trace_lens.clone(),
-            config: self.config.clone(),
-            domain: self.domain,
-        }
-    }
-
     /// Materializes the DHE as a plain table over ids `0..n` — the paper's
     /// offline step that lets below-threshold features be served by linear
     /// scan from a table generated by the *trained* DHE (Algorithm 2
     /// step 2), so no retraining is needed.
     pub fn to_table(&self, n: u64) -> Matrix {
         let indices: Vec<u64> = (0..n).collect();
-        self.infer(&indices)
+        self.forward(&indices, &mut Tape::inference())
+    }
+}
+
+impl Params for Dhe {
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        self.decoder.visit_params(f);
     }
 }
 
@@ -306,7 +267,7 @@ impl EmbeddingGenerator for Dhe {
     }
 
     fn generate_batch(&mut self, indices: &[u64]) -> Matrix {
-        self.infer(indices)
+        self.forward(indices, &mut Tape::inference())
     }
 
     fn generate_batch_threaded(&mut self, indices: &[u64], threads: usize) -> Matrix {
@@ -318,8 +279,7 @@ impl EmbeddingGenerator for Dhe {
     }
 
     fn memory_bytes(&self) -> u64 {
-        let params: usize = self.layers.iter().map(Linear::param_count).sum();
-        params as u64 * 4 + self.hash.memory_bytes()
+        self.decoder.param_count() as u64 * 4 + self.hash.memory_bytes()
     }
 }
 
@@ -328,7 +288,12 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use secemb_nn::Grads;
     use secemb_trace::check;
+
+    fn served(d: &Dhe, indices: &[u64]) -> Matrix {
+        d.forward(indices, &mut Tape::inference())
+    }
 
     fn dhe() -> Dhe {
         Dhe::new(
@@ -361,7 +326,7 @@ mod tests {
     fn threaded_matches_single() {
         let d = dhe();
         let indices: Vec<u64> = (0..23).map(|i| i * 31).collect();
-        let single = d.infer(&indices);
+        let single = served(&d, &indices);
         for threads in [2, 3, 8] {
             assert!(single.allclose(&d.infer_threaded(&indices, threads), 0.0));
         }
@@ -381,9 +346,12 @@ mod tests {
             .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
             .collect();
         let bits = |row: &[f32]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        let singles: Vec<Vec<u32>> = ids.iter().map(|&id| bits(d.infer(&[id]).row(0))).collect();
+        let singles: Vec<Vec<u32>> = ids
+            .iter()
+            .map(|&id| bits(served(&d, &[id]).row(0)))
+            .collect();
         for batch in 1..=ids.len() {
-            let out = d.infer(&ids[..batch]);
+            let out = served(&d, &ids[..batch]);
             for (r, single) in singles[..batch].iter().enumerate() {
                 assert_eq!(&bits(out.row(r)), single, "batch {batch} row {r}");
             }
@@ -411,24 +379,13 @@ mod tests {
         let mut first = None;
         let mut last = 0.0;
         for _ in 0..150 {
-            let pred = d.forward_indices(&indices);
+            let mut tape = Tape::training();
+            let pred = d.forward(&indices, &mut tape);
             let (loss, grad) = secemb_nn::mse_loss(&pred, &target);
-            d.zero_grad();
-            d.backward_indices(&grad);
-            // Adapter: Dhe is not a Module, so step via a shim.
-            struct Shim<'a>(&'a mut Dhe);
-            impl Module for Shim<'_> {
-                fn forward(&mut self, x: &Matrix) -> Matrix {
-                    x.clone()
-                }
-                fn backward(&mut self, g: &Matrix) -> Matrix {
-                    g.clone()
-                }
-                fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-                    self.0.visit_params(f);
-                }
-            }
-            secemb_nn::Optimizer::step(&mut opt, &mut Shim(&mut d));
+            let mut grads = Grads::zeros(&mut d);
+            d.backward(&mut tape, &grad, &mut grads);
+            assert!(tape.is_empty());
+            secemb_nn::Optimizer::step(&mut opt, &mut d, &grads);
             first.get_or_insert(loss);
             last = loss;
         }
@@ -444,7 +401,7 @@ mod tests {
         let d = dhe();
         let t = d.to_table(10);
         assert_eq!(t.shape(), (10, 4));
-        assert_eq!(t.row(7), d.infer(&[7]).row(0));
+        assert_eq!(t.row(7), served(&d, &[7]).row(0));
     }
 
     #[test]

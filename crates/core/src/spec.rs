@@ -6,7 +6,6 @@ use crate::hybrid::choose_technique;
 use crate::{Dhe, DheConfig, EmbeddingGenerator, IndexLookup, LinearScan, OramTable, Technique};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use secemb_nn::Param;
 use secemb_tensor::Matrix;
 use std::fmt;
 use std::str::FromStr;
@@ -156,9 +155,8 @@ impl GeneratorSpec {
 pub enum Weights {
     /// An `n × dim` embedding table, for every storage-based technique.
     Table(Matrix),
-    /// A DHE, for [`Technique::Dhe`]. It is served with its weights
-    /// only: [`Technique::build`] frees any gradient and optimizer moments
-    /// training left in it.
+    /// A DHE, for [`Technique::Dhe`], served as it is: a DHE holds its
+    /// weights and nothing training left behind.
     Dhe(Dhe),
     /// Synthetic weights drawn from the RNG [`Technique::build`] is
     /// handed, for every technique: a `rows × dim` table of uniform
@@ -213,10 +211,7 @@ impl Technique {
     /// [`Technique::Dhe`] a table, or if the table is empty.
     pub fn build(self, weights: Weights, mut rng: StdRng) -> Box<dyn EmbeddingGenerator + Send> {
         match (self, weights) {
-            (Technique::Dhe, Weights::Dhe(mut dhe)) => {
-                dhe.visit_params(&mut Param::release_training_state);
-                Box::new(dhe)
-            }
+            (Technique::Dhe, Weights::Dhe(dhe)) => Box::new(dhe),
             (Technique::Dhe, Weights::Drawn { rows, dim }) => {
                 Box::new(Dhe::new(DheConfig::varied(dim, rows), &mut rng))
             }

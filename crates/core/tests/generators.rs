@@ -9,6 +9,7 @@ use secemb::{
     footprint, Dhe, DheConfig, EmbeddingGenerator, GeneratorSpec, IndexLookup, LinearScan,
     OramTable,
 };
+use secemb_nn::Tape;
 use secemb_oram::OramConfig;
 use secemb_tensor::Matrix;
 
@@ -90,7 +91,7 @@ proptest! {
         let table = dhe.to_table(n);
         let mut scan = LinearScan::new(table);
         for id in 0..n {
-            prop_assert_eq!(scan.generate(id), dhe.infer(&[id]).row(0).to_vec());
+            prop_assert_eq!(scan.generate(id), dhe.forward(&[id], &mut Tape::inference()).row(0).to_vec());
         }
     }
 

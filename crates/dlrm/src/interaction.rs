@@ -8,18 +8,12 @@ use secemb_tensor::Matrix;
 /// the `F + 1` vectors — `dim + (F+1)·F/2` features feeding the top MLP.
 ///
 /// The set of pairs computed depends only on the (public) feature count,
-/// so the layer is data-oblivious, as §V-C argues.
-#[derive(Debug, Default)]
-pub struct DotInteraction {
-    cache: Option<Vec<Matrix>>, // [bottom, emb_0, ..] each batch×dim
-}
+/// so the layer is data-oblivious, as §V-C argues. It has no weights and
+/// keeps nothing: its backward is handed the forward's vectors again.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct DotInteraction;
 
 impl DotInteraction {
-    /// Creates the layer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Output width for `dim`-wide vectors and `features` sparse features.
     pub fn output_width(dim: usize, features: usize) -> usize {
         let v = features + 1;
@@ -32,22 +26,7 @@ impl DotInteraction {
     /// # Panics
     ///
     /// Panics if `vectors` is empty or shapes disagree.
-    pub fn forward(&mut self, vectors: Vec<Matrix>) -> Matrix {
-        let out = Self::compute(&vectors);
-        self.cache = Some(vectors);
-        out
-    }
-
-    /// Cache-free forward (inference path).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vectors` is empty or shapes disagree.
     pub fn apply(vectors: &[Matrix]) -> Matrix {
-        Self::compute(vectors)
-    }
-
-    fn compute(vectors: &[Matrix]) -> Matrix {
         assert!(!vectors.is_empty(), "DotInteraction: no vectors");
         let (batch, dim) = vectors[0].shape();
         for (i, v) in vectors.iter().enumerate() {
@@ -81,12 +60,8 @@ impl DotInteraction {
     ///
     /// # Panics
     ///
-    /// Panics if called before `forward` or on shape mismatch.
-    pub fn backward(&mut self, grad_output: &Matrix) -> Vec<Matrix> {
-        let vectors = self
-            .cache
-            .take()
-            .expect("DotInteraction::backward before forward");
+    /// Panics on shape mismatch.
+    pub fn backward(vectors: &[Matrix], grad_output: &Matrix) -> Vec<Matrix> {
         let (batch, dim) = vectors[0].shape();
         let v = vectors.len();
         assert_eq!(
@@ -137,8 +112,7 @@ mod tests {
 
     #[test]
     fn forward_values() {
-        let mut layer = DotInteraction::new();
-        let out = layer.forward(vectors());
+        let out = DotInteraction::apply(&vectors());
         // Row 0: concat [1,2], dots: <v0,v1>=11, <v0,v2>=-1, <v1,v2>=-3.
         assert_eq!(out.row(0), &[1., 2., 11., -1., -3.]);
         assert_eq!(out.shape(), (2, DotInteraction::output_width(2, 2)));
@@ -151,19 +125,10 @@ mod tests {
     }
 
     #[test]
-    fn apply_matches_forward() {
-        let vs = vectors();
-        let mut layer = DotInteraction::new();
-        assert_eq!(layer.forward(vs.clone()), DotInteraction::apply(&vs));
-    }
-
-    #[test]
     fn backward_finite_difference() {
         let vs = vectors();
-        let mut layer = DotInteraction::new();
-        layer.forward(vs.clone());
         let width = DotInteraction::output_width(2, 2);
-        let grads = layer.backward(&Matrix::full(2, width, 1.0));
+        let grads = DotInteraction::backward(&vs, &Matrix::full(2, width, 1.0));
 
         let objective = |vs: &[Matrix]| DotInteraction::apply(vs).sum();
         let h = 1e-3f32;
@@ -184,8 +149,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "before forward")]
-    fn backward_requires_forward() {
-        DotInteraction::new().backward(&Matrix::zeros(1, 5));
+    #[should_panic(expected = "grad shape")]
+    fn backward_checks_the_gradient_shape() {
+        DotInteraction::backward(&vectors(), &Matrix::zeros(2, 4));
     }
 }

@@ -4,7 +4,9 @@ use crate::interaction::DotInteraction;
 use rand::Rng;
 use secemb::{Dhe, DheConfig};
 use secemb_data::{CriteoSample, CriteoSpec};
-use secemb_nn::{bce_with_logits_loss, Embedding, Mlp, Module, Optimizer, Param};
+use secemb_nn::{
+    bce_with_logits_loss, Embedding, Grads, Mlp, Module, Optimizer, Param, Params, Tape,
+};
 use secemb_tensor::Matrix;
 
 /// How a sparse feature is represented during training.
@@ -38,27 +40,26 @@ pub enum SparseLayer {
 }
 
 impl SparseLayer {
-    fn forward(&mut self, indices: &[u64]) -> Matrix {
+    fn forward(&self, indices: &[u64], tape: &mut Tape) -> Matrix {
         match self {
-            SparseLayer::Table(e) => {
-                let idx: Vec<usize> = indices.iter().map(|&i| i as usize).collect();
-                e.forward_indices(&idx)
-            }
-            SparseLayer::Dhe(d) => d.forward_indices(indices),
+            SparseLayer::Table(e) => e.forward_indices(&as_usize(indices)),
+            SparseLayer::Dhe(d) => d.forward(indices, tape),
         }
     }
 
-    fn backward(&mut self, grad: &Matrix) {
+    fn backward(&self, indices: &[u64], tape: &mut Tape, grad: &Matrix, grads: &mut [Matrix]) {
         match self {
-            SparseLayer::Table(e) => e.backward_indices(grad),
-            SparseLayer::Dhe(d) => d.backward_indices(grad),
+            SparseLayer::Table(e) => e.backward_indices(&as_usize(indices), grad, &mut grads[0]),
+            SparseLayer::Dhe(d) => d.backward(tape, grad, grads),
         }
     }
 
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+    /// Parameter tensors: the length of this feature's slice of a
+    /// [`Grads`].
+    fn param_tensors(&self) -> usize {
         match self {
-            SparseLayer::Table(e) => e.visit_params(f),
-            SparseLayer::Dhe(d) => d.visit_params(f),
+            SparseLayer::Table(_) => 1,
+            SparseLayer::Dhe(d) => d.param_tensors(),
         }
     }
 
@@ -79,6 +80,24 @@ impl SparseLayer {
     }
 }
 
+impl Params for SparseLayer {
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        match self {
+            SparseLayer::Table(e) => e.visit_params(f),
+            SparseLayer::Dhe(d) => d.visit_params(f),
+        }
+    }
+}
+
+fn as_usize(indices: &[u64]) -> Vec<usize> {
+    indices.iter().map(|&i| i as usize).collect()
+}
+
+/// Feature `f`'s index of every sample in `batch`.
+pub(crate) fn feature_indices(batch: &[CriteoSample], f: usize) -> Vec<u64> {
+    batch.iter().map(|s| s.sparse[f]).collect()
+}
+
 /// A trainable DLRM: bottom MLP, per-feature embeddings, dot interaction,
 /// top MLP, BCE-with-logits objective.
 pub struct Dlrm {
@@ -86,8 +105,6 @@ pub struct Dlrm {
     bottom: Mlp,
     top: Mlp,
     sparse: Vec<SparseLayer>,
-    interaction: DotInteraction,
-    sparse_cache: Option<Vec<Vec<u64>>>,
 }
 
 impl std::fmt::Debug for Dlrm {
@@ -162,8 +179,6 @@ impl Dlrm {
             bottom,
             top,
             sparse,
-            interaction: DotInteraction::new(),
-            sparse_cache: None,
         }
     }
 
@@ -177,12 +192,12 @@ impl Dlrm {
         &self.sparse
     }
 
-    /// The frozen bottom MLP (for building a [`crate::SecureDlrm`]).
+    /// The bottom MLP (a [`crate::SecureDlrm`] serves a copy of it).
     pub fn bottom(&self) -> &Mlp {
         &self.bottom
     }
 
-    /// The frozen top MLP.
+    /// The top MLP.
     pub fn top(&self) -> &Mlp {
         &self.top
     }
@@ -192,55 +207,65 @@ impl Dlrm {
     /// # Panics
     ///
     /// Panics if the batch is empty or any sample disagrees with the spec.
-    pub fn forward(&mut self, batch: &[CriteoSample]) -> Matrix {
-        assert!(!batch.is_empty(), "Dlrm: empty batch");
-        let dense = self.dense_matrix(batch);
-        let x = self.bottom.forward(&dense);
-        let mut vectors = vec![x];
-        let mut index_cache = Vec::with_capacity(self.sparse.len());
-        for (f, layer) in self.sparse.iter_mut().enumerate() {
-            let indices: Vec<u64> = batch.iter().map(|s| s.sparse[f]).collect();
-            vectors.push(layer.forward(&indices));
-            index_cache.push(indices);
-        }
-        self.sparse_cache = Some(index_cache);
-        let interacted = self.interaction.forward(vectors);
-        self.top.forward(&interacted)
+    pub fn forward(&self, batch: &[CriteoSample]) -> Matrix {
+        self.forward_with(batch, &mut Tape::inference())
     }
 
-    /// Backward pass from the loss gradient on the logits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called before `forward`.
-    pub fn backward(&mut self, grad_logits: &Matrix) {
-        let d_interacted = self.top.backward(grad_logits);
-        let grads = self.interaction.backward(&d_interacted);
-        let _cache = self
-            .sparse_cache
-            .take()
-            .expect("Dlrm::backward before forward");
-        let mut grads = grads.into_iter();
-        let d_bottom = grads.next().expect("bottom grad");
-        self.bottom.backward(&d_bottom);
-        for (layer, g) in self.sparse.iter_mut().zip(grads) {
-            layer.backward(&g);
+    /// [`Self::forward`], recording on `tape` what [`Self::backward`]
+    /// reads: the bottom MLP's records, each sparse layer's, the
+    /// interaction's input vectors, then the top MLP's.
+    fn forward_with(&self, batch: &[CriteoSample], tape: &mut Tape) -> Matrix {
+        assert!(!batch.is_empty(), "Dlrm: empty batch");
+        let dense = self.dense_matrix(batch);
+        let mut vectors = vec![self.bottom.forward(&dense, tape)];
+        for (f, layer) in self.sparse.iter().enumerate() {
+            vectors.push(layer.forward(&feature_indices(batch, f), tape));
         }
+        let interacted = DotInteraction::apply(&vectors);
+        for v in vectors {
+            tape.push(v);
+        }
+        self.top.forward(&interacted, tape)
+    }
+
+    /// Backward pass from the loss gradient on the logits of `batch`,
+    /// in the reverse order of [`Self::forward_with`].
+    fn backward(
+        &self,
+        batch: &[CriteoSample],
+        tape: &mut Tape,
+        grad_logits: &Matrix,
+        grads: &mut [Matrix],
+    ) {
+        let (g_bottom, grads) = grads.split_at_mut(self.bottom.param_tensors());
+        let (g_top, mut g_sparse) = grads.split_at_mut(self.top.param_tensors());
+        let d_interacted = self.top.backward(tape, grad_logits, g_top);
+        let vectors = tape.pop_many(self.sparse.len() + 1);
+        let d_vectors = DotInteraction::backward(&vectors, &d_interacted);
+        for (f, (layer, d)) in self.sparse.iter().zip(&d_vectors[1..]).enumerate().rev() {
+            // The last feature's gradients end the slice.
+            let at = g_sparse.len() - layer.param_tensors();
+            let (rest, grads) = std::mem::take(&mut g_sparse).split_at_mut(at);
+            g_sparse = rest;
+            layer.backward(&feature_indices(batch, f), tape, d, grads);
+        }
+        self.bottom.backward(tape, &d_vectors[0], g_bottom);
     }
 
     /// One optimizer step on a batch; returns the BCE loss.
     pub fn train_step(&mut self, batch: &[CriteoSample], opt: &mut dyn Optimizer) -> f64 {
-        let logits = self.forward(batch);
+        let mut tape = Tape::training();
+        let logits = self.forward_with(batch, &mut tape);
         let labels = Matrix::from_vec(batch.len(), 1, batch.iter().map(|s| s.label).collect());
         let (loss, grad) = bce_with_logits_loss(&logits, &labels);
-        self.zero_grad();
-        self.backward(&grad);
-        opt.step(self);
+        let mut grads = Grads::zeros(self);
+        self.backward(batch, &mut tape, &grad, &mut grads);
+        opt.step(self, &grads);
         loss
     }
 
     /// Classification accuracy at threshold 0.5 over `samples`.
-    pub fn accuracy(&mut self, samples: &[CriteoSample]) -> f64 {
+    pub fn accuracy(&self, samples: &[CriteoSample]) -> f64 {
         if samples.is_empty() {
             return 0.0;
         }
@@ -269,16 +294,7 @@ impl Dlrm {
     }
 }
 
-impl Module for Dlrm {
-    fn forward(&mut self, _input: &Matrix) -> Matrix {
-        unimplemented!("Dlrm consumes CriteoSamples; use Dlrm::forward");
-    }
-
-    fn backward(&mut self, grad_output: &Matrix) -> Matrix {
-        Dlrm::backward(self, grad_output);
-        Matrix::zeros(grad_output.rows(), 1)
-    }
-
+impl Params for Dlrm {
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         self.bottom.visit_params(f);
         self.top.visit_params(f);
@@ -311,7 +327,7 @@ mod tests {
         let gen = SyntheticCtr::new(spec.clone(), 0);
         let mut rng = StdRng::seed_from_u64(1);
         let batch = gen.batch(5, &mut rng);
-        let mut model = Dlrm::new(spec, &EmbeddingKind::Table, &mut rng);
+        let model = Dlrm::new(spec, &EmbeddingKind::Table, &mut rng);
         assert_eq!(model.forward(&batch).shape(), (5, 1));
     }
 
@@ -385,7 +401,7 @@ mod tests {
             EmbeddingKind::Dhe(DheConfig::new(8, 16, vec![8])),
         ];
         let gen = SyntheticCtr::new(spec.clone(), 0);
-        let mut model = Dlrm::with_kinds(spec, &kinds, &mut rng);
+        let model = Dlrm::with_kinds(spec, &kinds, &mut rng);
         let batch = gen.batch(3, &mut StdRng::seed_from_u64(7));
         assert_eq!(model.forward(&batch).shape(), (3, 1));
         assert!(model.sparse_layers()[1].as_dhe().is_some());

@@ -1,14 +1,15 @@
-//! The secure serving model: frozen MLPs + per-feature secure generators.
+//! The secure serving model: trained MLPs + per-feature secure generators.
 
+use crate::model::feature_indices;
 use crate::{Dlrm, DotInteraction};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use secemb::{EmbeddingGenerator, Technique, Weights};
 use secemb_data::CriteoSample;
-use secemb_nn::Mlp;
+use secemb_nn::{Mlp, Module, Tape};
 use secemb_tensor::Matrix;
 
-/// A frozen DLRM served with secure embedding generation.
+/// A trained DLRM served with secure embedding generation.
 ///
 /// Built from a trained [`Dlrm`] plus a per-feature [`Technique`]
 /// allocation (from `secemb::hybrid::allocate`). MLP inference uses the
@@ -29,8 +30,8 @@ impl std::fmt::Debug for SecureDlrm {
 }
 
 impl SecureDlrm {
-    /// Freezes `model` and equips each sparse feature with the allocated
-    /// technique.
+    /// Copies `model`'s weights and equips each sparse feature with the
+    /// allocated technique.
     ///
     /// Storage-based techniques materialize the feature's table from the
     /// trained layer (for DHE-trained features this is the paper's
@@ -61,7 +62,7 @@ impl SecureDlrm {
                         layer
                             .as_dhe()
                             .expect("Technique::Dhe requires a DHE-trained feature")
-                            .frozen(),
+                            .clone(),
                     ),
                     _ => Weights::Table(layer.to_table(rows)),
                 };
@@ -69,8 +70,8 @@ impl SecureDlrm {
             })
             .collect();
         SecureDlrm {
-            bottom: model.bottom().frozen(),
-            top: model.top().frozen(),
+            bottom: model.bottom().clone(),
+            top: model.top().clone(),
             features,
             dense_features: spec.dense_features,
         }
@@ -87,10 +88,7 @@ impl SecureDlrm {
         self.features
             .iter_mut()
             .enumerate()
-            .map(|(f, gen)| {
-                let indices: Vec<u64> = batch.iter().map(|s| s.sparse[f]).collect();
-                gen.generate_batch(&indices)
-            })
+            .map(|(f, gen)| gen.generate_batch(&feature_indices(batch, f)))
             .collect()
     }
 
@@ -106,11 +104,11 @@ impl SecureDlrm {
             assert_eq!(s.dense.len(), self.dense_features, "sample dense width");
             dense.row_mut(b).copy_from_slice(&s.dense);
         }
-        let x = self.bottom.apply_secure(&dense);
-        let mut vectors = vec![x];
+        let mut tape = Tape::inference();
+        let mut vectors = vec![self.bottom.forward(&dense, &mut tape)];
         vectors.extend(self.embed(batch));
         let interacted = DotInteraction::apply(&vectors);
-        self.top.apply_secure(&interacted)
+        self.top.forward(&interacted, &mut tape)
     }
 
     /// Click probabilities (sigmoid of the logits).
@@ -184,7 +182,7 @@ mod tests {
 
     #[test]
     fn secure_inference_matches_trained_model() {
-        let (mut model, gen) = trained_dhe_model();
+        let (model, gen) = trained_dhe_model();
         let batch = gen.batch(6, &mut StdRng::seed_from_u64(3));
         let reference = model.forward(&batch);
         // All-DHE serving (same weights) must agree bit-for-bit-ish.

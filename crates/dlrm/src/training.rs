@@ -19,12 +19,13 @@
 //! a match for training the same model in the clear, which
 //! `training::tests` verify against [`Dlrm`] directly.
 
+use crate::model::feature_indices;
 use crate::{Dlrm, DotInteraction};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use secemb::{EmbeddingGenerator, Technique, Weights};
 use secemb_data::CriteoSample;
-use secemb_nn::{bce_with_logits_loss, Mlp, Module, Optimizer, Param};
+use secemb_nn::{bce_with_logits_loss, Grads, Mlp, Module, Optimizer, Param, Params, Tape};
 use secemb_tensor::Matrix;
 
 /// One sparse feature's trainable embedding table, stored and updated
@@ -119,7 +120,6 @@ impl ProtectedEmbedding {
 pub struct ProtectedDlrm {
     bottom: Mlp,
     top: Mlp,
-    interaction: DotInteraction,
     features: Vec<ProtectedEmbedding>,
     dense_features: usize,
     embedding_lr: f32,
@@ -137,7 +137,9 @@ impl std::fmt::Debug for ProtectedDlrm {
 
 impl ProtectedDlrm {
     /// Seals `model`'s sparse tables into look-ahead ORAMs and takes a
-    /// trainable copy of its MLPs. `embedding_lr` is the sparse SGD rate.
+    /// trainable copy of its MLPs — their weights, which is all a model
+    /// holds, so training starts from whatever fresh state the caller's
+    /// optimizer brings. `embedding_lr` is the sparse SGD rate.
     ///
     /// # Panics
     ///
@@ -160,7 +162,6 @@ impl ProtectedDlrm {
         ProtectedDlrm {
             bottom: model.bottom().clone(),
             top: model.top().clone(),
-            interaction: DotInteraction::new(),
             features,
             dense_features: spec.dense_features,
             embedding_lr,
@@ -186,6 +187,12 @@ impl ProtectedDlrm {
     ///
     /// Panics if the batch is empty or sample widths disagree.
     pub fn forward(&mut self, batch: &[CriteoSample]) -> Matrix {
+        self.forward_with(batch, &mut Tape::inference())
+    }
+
+    /// [`Self::forward`], recording on `tape` the bottom MLP's records,
+    /// the interaction's input vectors, then the top MLP's.
+    fn forward_with(&mut self, batch: &[CriteoSample], tape: &mut Tape) -> Matrix {
         assert!(!batch.is_empty(), "ProtectedDlrm: empty batch");
         let mut dense = Matrix::zeros(batch.len(), self.dense_features);
         for (b, s) in batch.iter().enumerate() {
@@ -193,31 +200,35 @@ impl ProtectedDlrm {
             assert_eq!(s.sparse.len(), self.features.len(), "sample sparse width");
             dense.row_mut(b).copy_from_slice(&s.dense);
         }
-        let x = self.bottom.forward(&dense);
-        let mut vectors = vec![x];
+        let mut vectors = vec![self.bottom.forward(&dense, tape)];
         for (f, feature) in self.features.iter_mut().enumerate() {
-            let indices: Vec<u64> = batch.iter().map(|s| s.sparse[f]).collect();
-            vectors.push(feature.forward(&indices));
+            vectors.push(feature.forward(&feature_indices(batch, f)));
         }
-        let interacted = self.interaction.forward(vectors);
-        self.top.forward(&interacted)
+        let interacted = DotInteraction::apply(&vectors);
+        for v in vectors {
+            tape.push(v);
+        }
+        self.top.forward(&interacted, tape)
     }
 
     /// One protected training step; returns the BCE loss.
     pub fn train_step(&mut self, batch: &[CriteoSample], opt: &mut dyn Optimizer) -> f64 {
-        let logits = self.forward(batch);
+        let mut tape = Tape::training();
+        let logits = self.forward_with(batch, &mut tape);
         let labels = Matrix::from_vec(batch.len(), 1, batch.iter().map(|s| s.label).collect());
         let (loss, grad) = bce_with_logits_loss(&logits, &labels);
-        self.zero_grad();
-        let d_interacted = self.top.backward(&grad);
-        let mut grads = self.interaction.backward(&d_interacted).into_iter();
-        let d_bottom = grads.next().expect("bottom grad");
-        self.bottom.backward(&d_bottom);
+        let mut grads = Grads::zeros(self);
+        let (g_bottom, g_top) = grads.split_at_mut(self.bottom.param_tensors());
+        let d_interacted = self.top.backward(&mut tape, &grad, g_top);
+        let vectors = tape.pop_many(self.features.len() + 1);
+        let mut d_vectors = DotInteraction::backward(&vectors, &d_interacted).into_iter();
+        let d_bottom = d_vectors.next().expect("bottom grad");
+        self.bottom.backward(&mut tape, &d_bottom, g_bottom);
         let lr = self.embedding_lr;
-        for (feature, g) in self.features.iter_mut().zip(grads) {
+        for (feature, g) in self.features.iter_mut().zip(d_vectors) {
             feature.sgd_step(&g, lr);
         }
-        opt.step(self);
+        opt.step(self, &grads);
         loss
     }
 
@@ -242,17 +253,9 @@ impl ProtectedDlrm {
     }
 }
 
-impl Module for ProtectedDlrm {
-    fn forward(&mut self, _input: &Matrix) -> Matrix {
-        unimplemented!("ProtectedDlrm consumes CriteoSamples; use ProtectedDlrm::forward");
-    }
-
-    fn backward(&mut self, _grad_output: &Matrix) -> Matrix {
-        unimplemented!("backpropagation runs inside ProtectedDlrm::train_step");
-    }
-
-    // Only the dense MLPs are optimizer-visible: embedding rows live inside
-    // the ORAM and update through the oblivious scatter path instead.
+// Only the dense MLPs are optimizer-visible: embedding rows live inside
+// the ORAM and update through the oblivious scatter path instead.
+impl Params for ProtectedDlrm {
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         self.bottom.visit_params(f);
         self.top.visit_params(f);
@@ -263,8 +266,9 @@ impl Module for ProtectedDlrm {
 mod tests {
     use super::*;
     use crate::EmbeddingKind;
+    use secemb::DheConfig;
     use secemb_data::{CriteoSpec, SyntheticCtr};
-    use secemb_nn::Sgd;
+    use secemb_nn::{Adam, Checkpoint, Sgd};
     use secemb_trace::check;
 
     fn tiny_spec() -> CriteoSpec {
@@ -353,6 +357,30 @@ mod tests {
     }
 
     #[test]
+    fn protected_training_starts_from_fresh_optimizer_state() {
+        // A model trained one Adam step, and a weights-only copy of it (a
+        // checkpoint round trip): a protected trainer built from either
+        // must step identically under a new optimizer, since nothing but
+        // the weights may carry over.
+        let spec = tiny_spec();
+        let gen = SyntheticCtr::new(spec.clone(), 5);
+        let kind = EmbeddingKind::Dhe(DheConfig::new(4, 8, vec![8]));
+        let mut trained = Dlrm::new(spec.clone(), &kind, &mut StdRng::seed_from_u64(6));
+        let mut data = StdRng::seed_from_u64(7);
+        trained.train_step(&gen.batch(16, &mut data), &mut Adam::new(0.02));
+        let mut copy = Dlrm::new(spec, &kind, &mut StdRng::seed_from_u64(8));
+        Checkpoint::load(&Checkpoint::save(&mut trained), &mut copy).unwrap();
+
+        let batch = gen.batch(16, &mut data);
+        let step = |model: &Dlrm| {
+            let mut protected = ProtectedDlrm::from_model(model, 0.5, 9);
+            let loss = protected.train_step(&batch, &mut Adam::new(0.02));
+            (loss.to_bits(), Checkpoint::save(&mut protected))
+        };
+        assert_eq!(step(&trained), step(&copy));
+    }
+
+    #[test]
     fn protected_training_loss_decreases() {
         // The CI smoke: the model.rs `table_model_learns` configuration,
         // with the sparse tables sealed in look-ahead ORAM and updated
@@ -368,7 +396,7 @@ mod tests {
         // Raw interaction gradients are small, so plain sparse SGD wants a
         // much larger rate than the Adam-driven MLPs.
         let mut model = ProtectedDlrm::from_model(&init, 2.0, 22);
-        let mut opt = secemb_nn::Adam::new(0.02);
+        let mut opt = Adam::new(0.02);
         let losses: Vec<f64> = (0..160)
             .map(|_| {
                 let batch = gen.batch(32, &mut rng);

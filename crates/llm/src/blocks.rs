@@ -1,14 +1,13 @@
 //! Transformer blocks: pre-norm attention + GeLU feed-forward.
 
 use rand::Rng;
-use secemb_nn::{CausalSelfAttention, Gelu, LayerNorm, Linear, Module, Param};
-use secemb_tensor::{ops, Matrix};
+use secemb_nn::{CausalSelfAttention, Gelu, LayerNorm, Linear, Module, Param, Params, Tape};
+use secemb_tensor::Matrix;
 
 /// GPT-2's position-wise feed-forward: `Linear(d→4d) → GeLU → Linear(4d→d)`.
 #[derive(Debug)]
 pub struct FeedForward {
     up: Linear,
-    gelu: Gelu,
     down: Linear,
 }
 
@@ -17,33 +16,30 @@ impl FeedForward {
     pub fn new(dim: usize, rng: &mut impl Rng) -> Self {
         FeedForward {
             up: Linear::new(dim, 4 * dim, rng),
-            gelu: Gelu::new(),
             down: Linear::new(4 * dim, dim, rng),
         }
     }
+}
 
-    /// Cache-free serving path.
-    pub fn apply(&self, x: &Matrix) -> Matrix {
-        self.down.apply(&ops::gelu(&self.up.apply(x)))
+impl Params for FeedForward {
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        self.up.visit_params(f);
+        self.down.visit_params(f);
     }
 }
 
 impl Module for FeedForward {
-    fn forward(&mut self, input: &Matrix) -> Matrix {
-        let h = self.up.forward(input);
-        let h = self.gelu.forward(&h);
-        self.down.forward(&h)
+    fn forward(&self, input: &Matrix, tape: &mut Tape) -> Matrix {
+        let h = self.up.forward(input, tape);
+        let h = Gelu.forward(&h, tape);
+        self.down.forward(&h, tape)
     }
 
-    fn backward(&mut self, grad_output: &Matrix) -> Matrix {
-        let g = self.down.backward(grad_output);
-        let g = self.gelu.backward(&g);
-        self.up.backward(&g)
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.up.visit_params(f);
-        self.down.visit_params(f);
+    fn backward(&self, tape: &mut Tape, grad_output: &Matrix, grads: &mut [Matrix]) -> Matrix {
+        let (up, down) = grads.split_at_mut(2);
+        let g = self.down.backward(tape, grad_output, down);
+        let g = Gelu.backward(tape, &g, &mut []);
+        self.up.backward(tape, &g, up)
     }
 }
 
@@ -58,6 +54,11 @@ pub struct Block {
 }
 
 impl Block {
+    /// Parameter tensors per block, in visit order: two for `ln1`, eight
+    /// for the attention's four projections, two for `ln2`, four for the
+    /// feed-forward.
+    pub(crate) const PARAM_TENSORS: usize = 16;
+
     /// Creates a block for width `dim` with `heads` attention heads.
     ///
     /// # Panics
@@ -93,25 +94,7 @@ impl Block {
     }
 }
 
-impl Module for Block {
-    fn forward(&mut self, input: &Matrix) -> Matrix {
-        let a = self.attn.forward(&self.ln1.forward(input));
-        let x = input.add(&a);
-        let f = self.ff.forward(&self.ln2.forward(&x));
-        x.add(&f)
-    }
-
-    fn backward(&mut self, grad_output: &Matrix) -> Matrix {
-        // x2 = x1 + ff(ln2(x1)): dx1 = g + ln2_back(ff_back(g))
-        let g_ff = self.ff.backward(grad_output);
-        let g_ln2 = self.ln2.backward(&g_ff);
-        let dx1 = grad_output.add(&g_ln2);
-        // x1 = x0 + attn(ln1(x0))
-        let g_attn = self.attn.backward(&dx1);
-        let g_ln1 = self.ln1.backward(&g_attn);
-        dx1.add(&g_ln1)
-    }
-
+impl Params for Block {
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         self.ln1.visit_params(f);
         self.attn.visit_params(f);
@@ -120,21 +103,63 @@ impl Module for Block {
     }
 }
 
+impl Module for Block {
+    fn forward(&self, input: &Matrix, tape: &mut Tape) -> Matrix {
+        let a = self.attn.forward(&self.ln1.forward(input, tape), tape);
+        let x = input.add(&a);
+        let f = self.ff.forward(&self.ln2.forward(&x, tape), tape);
+        x.add(&f)
+    }
+
+    fn backward(&self, tape: &mut Tape, grad_output: &Matrix, grads: &mut [Matrix]) -> Matrix {
+        let (ln1, grads) = grads.split_at_mut(2);
+        let (attn, grads) = grads.split_at_mut(8);
+        let (ln2, ff) = grads.split_at_mut(2);
+        // x2 = x1 + ff(ln2(x1)): dx1 = g + ln2_back(ff_back(g))
+        let g_ff = self.ff.backward(tape, grad_output, ff);
+        let g_ln2 = self.ln2.backward(tape, &g_ff, ln2);
+        let dx1 = grad_output.add(&g_ln2);
+        // x1 = x0 + attn(ln1(x0))
+        let g_attn = self.attn.backward(tape, &dx1, attn);
+        let g_ln1 = self.ln1.backward(tape, &g_attn, ln1);
+        dx1.add(&g_ln1)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use secemb_nn::Grads;
+
+    fn run(layer: &dyn Module, x: &Matrix) -> Matrix {
+        layer.forward(x, &mut Tape::inference())
+    }
+
+    /// Forward on a training tape, then backward from an all-ones
+    /// gradient; the tape must end empty.
+    fn input_grad(layer: &mut dyn Module, x: &Matrix) -> Matrix {
+        let mut tape = Tape::training();
+        let y = layer.forward(x, &mut tape);
+        let mut grads = Grads::zeros(layer);
+        let dx = layer.backward(
+            &mut tape,
+            &Matrix::full(y.rows(), y.cols(), 1.0),
+            &mut grads,
+        );
+        assert!(tape.is_empty());
+        dx
+    }
 
     #[test]
     fn shapes_preserved() {
         let mut rng = StdRng::seed_from_u64(0);
         let mut b = Block::new(8, 2, &mut rng);
         let x = Matrix::from_fn(5, 8, |r, c| ((r * 8 + c) as f32 * 0.3).sin() * 0.2);
-        let y = b.forward(&x);
-        assert_eq!(y.shape(), (5, 8));
-        let dx = b.backward(&Matrix::full(5, 8, 1.0));
-        assert_eq!(dx.shape(), (5, 8));
+        assert_eq!(run(&b, &x).shape(), (5, 8));
+        assert_eq!(input_grad(&mut b, &x).shape(), (5, 8));
+        assert_eq!(Grads::zeros(&mut b).len(), Block::PARAM_TENSORS);
     }
 
     #[test]
@@ -142,15 +167,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mut b = Block::new(4, 1, &mut rng);
         let x = Matrix::from_fn(3, 4, |r, c| ((r + 2 * c) as f32 * 0.21).cos() * 0.3);
-        b.forward(&x);
-        let dx = b.backward(&Matrix::full(3, 4, 1.0));
+        let dx = input_grad(&mut b, &x);
         let h = 1e-2f32;
         for i in 0..x.len() {
             let mut xp = x.clone();
             xp.as_mut_slice()[i] += h;
             let mut xm = x.clone();
             xm.as_mut_slice()[i] -= h;
-            let fd = ((b.forward(&xp).sum() - b.forward(&xm).sum()) / (2.0 * h as f64)) as f32;
+            let fd = ((run(&b, &xp).sum() - run(&b, &xm).sum()) / (2.0 * h as f64)) as f32;
             let a = dx.as_slice()[i];
             // Relative tolerance: f32 finite differences lose precision
             // when the residual stream amplifies the objective.
@@ -166,29 +190,19 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let mut ff = FeedForward::new(4, &mut rng);
         let x = Matrix::from_fn(2, 4, |r, c| (r as f32 - c as f32) * 0.2);
-        ff.forward(&x);
-        let dx = ff.backward(&Matrix::full(2, 4, 1.0));
+        let dx = input_grad(&mut ff, &x);
         let h = 1e-2f32;
         for i in 0..x.len() {
             let mut xp = x.clone();
             xp.as_mut_slice()[i] += h;
             let mut xm = x.clone();
             xm.as_mut_slice()[i] -= h;
-            let fd = ((ff.apply(&xp).sum() - ff.apply(&xm).sum()) / (2.0 * h as f64)) as f32;
+            let fd = ((run(&ff, &xp).sum() - run(&ff, &xm).sum()) / (2.0 * h as f64)) as f32;
             assert!(
                 (dx.as_slice()[i] - fd).abs() < 2e-2,
                 "dx[{i}] {} vs {fd}",
                 dx.as_slice()[i]
             );
         }
-    }
-
-    #[test]
-    fn apply_matches_forward() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut ff = FeedForward::new(6, &mut rng);
-        let x = Matrix::from_fn(4, 6, |r, c| (r + c) as f32 * 0.1);
-        let trained = ff.forward(&x);
-        assert!(trained.allclose(&ff.apply(&x), 1e-6));
     }
 }

@@ -8,7 +8,7 @@
 //!   table (with the weight-tied LM head GPT-2 uses) or a DHE (with an
 //!   untied head, since no table exists to tie to). Fig. 14's fine-tuning
 //!   comparison trains both.
-//! - [`GptServing`] — the frozen serving path with an explicit
+//! - [`GptServing`] — the serving path, borrowing the trained weights, with an explicit
 //!   **prefill / decode split and a KV cache**. The token embedder is a
 //!   boxed [`secemb::EmbeddingGenerator`] — [`Gpt::embedder`] hands the
 //!   model's weights (its trained DHE, or the token table materialized

@@ -3,7 +3,9 @@
 use crate::blocks::Block;
 use rand::Rng;
 use secemb::{Dhe, DheConfig};
-use secemb_nn::{cross_entropy_loss, Embedding, LayerNorm, Linear, Module, Optimizer, Param};
+use secemb_nn::{
+    cross_entropy_loss, Embedding, Grads, LayerNorm, Linear, Module, Optimizer, Param, Params, Tape,
+};
 use secemb_tensor::Matrix;
 
 /// Transformer hyper-parameters.
@@ -89,13 +91,7 @@ pub struct Gpt {
     pub(crate) blocks: Vec<Block>,
     pub(crate) ln_f: LayerNorm,
     /// `None` = tied to the token table.
-    pub(crate) head: Option<Linear>,
-    cache: Option<SeqCache>,
-}
-
-struct SeqCache {
-    tokens: Vec<usize>,
-    xf: Matrix, // final layer-norm output (for the tied-head backward)
+    head: Option<Linear>,
 }
 
 impl std::fmt::Debug for Gpt {
@@ -146,7 +142,6 @@ impl Gpt {
                 .collect(),
             ln_f: LayerNorm::new(config.dim),
             head,
-            cache: None,
         }
     }
 
@@ -178,85 +173,98 @@ impl Gpt {
         }
     }
 
-    /// Training forward over one sequence: returns `T × vocab` logits.
+    /// Forward over one sequence: returns `T × vocab` logits.
     ///
     /// # Panics
     ///
     /// Panics if the sequence is empty, longer than `max_seq`, or contains
     /// an out-of-vocabulary token.
-    pub fn forward_sequence(&mut self, tokens: &[usize]) -> Matrix {
+    pub fn forward_sequence(&self, tokens: &[usize]) -> Matrix {
+        self.forward_with(tokens, &mut Tape::inference())
+    }
+
+    /// [`Self::forward_sequence`], recording on `tape` what
+    /// [`Self::backward`] reads: a DHE embedding's records, every
+    /// block's, the final norm's, then the head's (for a tied head, the
+    /// final norm's output).
+    fn forward_with(&self, tokens: &[usize], tape: &mut Tape) -> Matrix {
         let t = tokens.len();
         assert!(t > 0, "empty sequence");
         assert!(t <= self.config.max_seq, "sequence exceeds max_seq");
-        let tok_emb = match &mut self.embedding {
+        let tok_emb = match &self.embedding {
             LlmEmbedding::Table(e) => e.forward_indices(tokens),
             LlmEmbedding::Dhe(d) => {
                 let ids: Vec<u64> = tokens.iter().map(|&x| x as u64).collect();
-                d.forward_indices(&ids)
+                d.forward(&ids, tape)
             }
         };
         let positions: Vec<usize> = (0..t).collect();
-        let pos_emb = self.pos.forward_indices(&positions);
-        let mut x = tok_emb.add(&pos_emb);
-        for b in &mut self.blocks {
-            x = b.forward(&x);
+        let mut x = tok_emb.add(&self.pos.forward_indices(&positions));
+        for b in &self.blocks {
+            x = b.forward(&x, tape);
         }
-        let xf = self.ln_f.forward(&x);
-        let logits = match (&self.head, &self.embedding) {
-            (Some(h), _) => h.apply(&xf),
-            (None, LlmEmbedding::Table(e)) => xf.matmul_transpose_b(e.table()),
-            (None, LlmEmbedding::Dhe(_)) => unreachable!("DHE models always have a head"),
-        };
-        self.cache = Some(SeqCache {
-            tokens: tokens.to_vec(),
-            xf: xf.clone(),
-        });
-        logits
+        let xf = self.ln_f.forward(&x, tape);
+        self.logits(&xf, tape)
     }
 
-    /// Training backward from the loss gradient on the logits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called before [`Gpt::forward_sequence`].
-    pub fn backward_sequence(&mut self, grad_logits: &Matrix) {
-        let cache = self.cache.take().expect("backward before forward");
-        let d_xf = match &mut self.head {
-            Some(h) => {
-                // Untied head: route through the Linear's own backward.
-                // (Its forward cache was not populated by apply(); feed it.)
-                h.forward(&cache.xf);
-                h.backward(grad_logits)
+    /// The LM head over final-norm outputs `xf`: the untied head, or the
+    /// token table when tied. Training and serving both compute logits
+    /// here.
+    pub(crate) fn logits(&self, xf: &Matrix, tape: &mut Tape) -> Matrix {
+        match (&self.head, &self.embedding) {
+            (Some(h), _) => h.forward(xf, tape),
+            (None, LlmEmbedding::Table(e)) => {
+                tape.record(xf);
+                xf.matmul_transpose_b(e.table())
             }
+            (None, LlmEmbedding::Dhe(_)) => unreachable!("DHE models always have a head"),
+        }
+    }
+
+    /// Backward from the loss gradient on the logits of `tokens`, in the
+    /// reverse order of [`Self::forward_with`], into `grads` (visit
+    /// order: embedding, positions, blocks, final norm, untied head).
+    fn backward(
+        &self,
+        tokens: &[usize],
+        tape: &mut Tape,
+        grad_logits: &Matrix,
+        grads: &mut [Matrix],
+    ) {
+        let head = if self.head.is_some() { 2 } else { 0 };
+        let (grads, g_head) = grads.split_at_mut(grads.len() - head);
+        let (grads, g_ln_f) = grads.split_at_mut(grads.len() - 2);
+        let blocks = Block::PARAM_TENSORS * self.blocks.len();
+        let (grads, g_blocks) = grads.split_at_mut(grads.len() - blocks);
+        let (g_emb, g_pos) = grads.split_at_mut(grads.len() - 1);
+        let d_xf = match &self.head {
+            Some(h) => h.backward(tape, grad_logits, g_head),
             None => {
-                // Tied head: logits = xf · Eᵀ.
-                let LlmEmbedding::Table(e) = &mut self.embedding else {
+                let LlmEmbedding::Table(e) = &self.embedding else {
                     unreachable!("tied head implies a table");
                 };
-                // dE += gradᵀ · xf — accumulate via a virtual gather over
-                // every vocab row: equivalent to scatter on the table grad.
-                let de = grad_logits.transpose_a_matmul(&cache.xf);
-                let mut taken = false;
-                e.visit_params(&mut |p| {
-                    if !taken {
-                        p.accumulate_grad(&de);
-                        taken = true;
-                    }
-                });
+                // Tied head: logits = xf · Eᵀ, so dE += gradᵀ · xf over
+                // every vocab row.
+                let xf = tape.pop();
+                g_emb[0] += &grad_logits.transpose_a_matmul(&xf);
                 grad_logits.matmul(e.table())
             }
         };
-        let mut g = self.ln_f.backward(&d_xf);
-        for b in self.blocks.iter_mut().rev() {
-            g = b.backward(&g);
+        let mut g = self.ln_f.backward(tape, &d_xf, g_ln_f);
+        let blocks = self
+            .blocks
+            .iter()
+            .zip(g_blocks.chunks_exact_mut(Block::PARAM_TENSORS));
+        for (b, grads) in blocks.rev() {
+            g = b.backward(tape, &g, grads);
         }
         // x0 = tok_emb + pos_emb: gradient flows to both.
-        self.pos.backward_indices(&g);
-        match &mut self.embedding {
-            LlmEmbedding::Table(e) => e.backward_indices(&g),
-            LlmEmbedding::Dhe(d) => d.backward_indices(&g),
+        let positions: Vec<usize> = (0..tokens.len()).collect();
+        self.pos.backward_indices(&positions, &g, &mut g_pos[0]);
+        match &self.embedding {
+            LlmEmbedding::Table(e) => e.backward_indices(tokens, &g, &mut g_emb[0]),
+            LlmEmbedding::Dhe(d) => d.backward(tape, &g, g_emb),
         }
-        let _ = cache.tokens;
     }
 
     /// One optimizer step over a batch of sequences (next-token CE),
@@ -266,23 +274,25 @@ impl Gpt {
     ///
     /// Panics if any sequence has fewer than 2 tokens.
     pub fn train_step(&mut self, sequences: &[Vec<usize>], opt: &mut dyn Optimizer) -> f64 {
-        self.zero_grad();
+        let mut grads = Grads::zeros(self);
+        let mut tape = Tape::training();
         let mut total = 0.0;
         for seq in sequences {
             assert!(seq.len() >= 2, "need at least 2 tokens for next-token loss");
             let inputs = &seq[..seq.len() - 1];
             let targets = &seq[1..];
-            let logits = self.forward_sequence(inputs);
+            let logits = self.forward_with(inputs, &mut tape);
             let (loss, grad) = cross_entropy_loss(&logits, targets);
-            self.backward_sequence(&grad.scale(1.0 / sequences.len() as f32));
+            let grad = grad.scale(1.0 / sequences.len() as f32);
+            self.backward(inputs, &mut tape, &grad, &mut grads);
             total += loss;
         }
-        opt.step(self);
+        opt.step(self, &grads);
         total / sequences.len() as f64
     }
 
     /// Mean next-token cross-entropy (nats) over `sequences`.
-    pub fn cross_entropy(&mut self, sequences: &[Vec<usize>]) -> f64 {
+    pub fn cross_entropy(&self, sequences: &[Vec<usize>]) -> f64 {
         let mut total = 0.0;
         let mut count = 0usize;
         for seq in sequences {
@@ -297,21 +307,12 @@ impl Gpt {
     }
 
     /// Perplexity over `sequences`.
-    pub fn perplexity(&mut self, sequences: &[Vec<usize>]) -> f64 {
+    pub fn perplexity(&self, sequences: &[Vec<usize>]) -> f64 {
         self.cross_entropy(sequences).exp()
     }
 }
 
-impl Module for Gpt {
-    fn forward(&mut self, _input: &Matrix) -> Matrix {
-        unimplemented!("Gpt consumes token sequences; use forward_sequence");
-    }
-
-    fn backward(&mut self, grad_output: &Matrix) -> Matrix {
-        Gpt::backward_sequence(self, grad_output);
-        Matrix::zeros(grad_output.rows(), 1)
-    }
-
+impl Params for Gpt {
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         match &mut self.embedding {
             LlmEmbedding::Table(e) => e.visit_params(f),
@@ -346,7 +347,7 @@ mod tests {
     #[test]
     fn logits_shape_and_determinism() {
         let mut rng = StdRng::seed_from_u64(0);
-        let mut gpt = Gpt::new(GptConfig::tiny(20), &TokenEmbeddingKind::Table, &mut rng);
+        let gpt = Gpt::new(GptConfig::tiny(20), &TokenEmbeddingKind::Table, &mut rng);
         let logits = gpt.forward_sequence(&[1, 5, 3]);
         assert_eq!(logits.shape(), (3, 20));
         let again = gpt.forward_sequence(&[1, 5, 3]);
@@ -398,13 +399,14 @@ mod tests {
     #[test]
     fn tied_head_uses_token_table() {
         let mut rng = StdRng::seed_from_u64(3);
-        let mut gpt = Gpt::new(GptConfig::tiny(12), &TokenEmbeddingKind::Table, &mut rng);
+        let gpt = Gpt::new(GptConfig::tiny(12), &TokenEmbeddingKind::Table, &mut rng);
         assert!(gpt.head.is_none());
         // Manually verify logits = xf · Eᵀ by checking one entry.
-        let logits = gpt.forward_sequence(&[0, 1]);
+        let mut tape = Tape::training();
+        let logits = gpt.forward_with(&[0, 1], &mut tape);
         let table = gpt.token_table();
-        let cache_xf = gpt.cache.as_ref().unwrap().xf.clone();
-        let manual: f32 = cache_xf
+        let xf = tape.pop(); // a tied head records the final norm's output
+        let manual: f32 = xf
             .row(1)
             .iter()
             .zip(table.row(5))
@@ -423,7 +425,10 @@ mod tests {
         assert_eq!(table.shape(), (10, config.dim));
         assert_eq!(
             table.row(3),
-            gpt.dhe().unwrap().infer(&[3]).row(0),
+            gpt.dhe()
+                .unwrap()
+                .forward(&[3], &mut Tape::inference())
+                .row(0),
             "materialized table must equal DHE outputs"
         );
     }
@@ -432,7 +437,7 @@ mod tests {
     #[should_panic(expected = "exceeds max_seq")]
     fn long_sequence_rejected() {
         let mut rng = StdRng::seed_from_u64(5);
-        let mut gpt = Gpt::new(GptConfig::tiny(8), &TokenEmbeddingKind::Table, &mut rng);
+        let gpt = Gpt::new(GptConfig::tiny(8), &TokenEmbeddingKind::Table, &mut rng);
         let seq = vec![0usize; 65];
         gpt.forward_sequence(&seq);
     }

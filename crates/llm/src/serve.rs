@@ -1,12 +1,12 @@
-//! Frozen serving with a prefill/decode split, KV cache, and pluggable
-//! secure token embedding.
+//! Serving with a prefill/decode split, KV cache, and pluggable secure
+//! token embedding.
 
 use crate::model::Gpt;
 use crate::GptConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use secemb::{EmbeddingGenerator, Technique, Weights};
-use secemb_nn::Linear;
+use secemb_nn::{Module, Tape};
 use secemb_tensor::{ops, Matrix};
 
 impl Gpt {
@@ -23,7 +23,7 @@ impl Gpt {
             Technique::Dhe => Weights::Dhe(
                 self.dhe()
                     .expect("Technique::Dhe requires a DHE-trained model")
-                    .frozen(),
+                    .clone(),
             ),
             _ => Weights::Table(self.token_table()),
         };
@@ -62,23 +62,16 @@ impl KvCache {
     }
 }
 
-/// A frozen GPT with secure embedding generation and KV-cached decoding.
+/// A trained GPT served with secure embedding generation and KV-cached
+/// decoding.
 ///
-/// Holds the transformer weights by reference to the trained [`Gpt`]; the
-/// embedder is owned and swappable, which is how the paper's LLM hybrid
-/// serves prefill with DHE and decode with Circuit ORAM from one model.
+/// Borrows every transformer weight, the LM head included, from the
+/// trained [`Gpt`]; the embedder is owned and swappable, which is how the
+/// paper's LLM hybrid serves prefill with DHE and decode with Circuit
+/// ORAM from one model.
 pub struct GptServing<'a> {
     gpt: &'a Gpt,
     embedder: Box<dyn EmbeddingGenerator + Send>,
-    head: Head,
-}
-
-/// The LM head a serving model computes logits with.
-enum Head {
-    /// Weight-tied to the token table, materialized once.
-    Tied(Matrix),
-    /// The untied head's weights (a frozen copy).
-    Untied(Box<Linear>),
 }
 
 impl std::fmt::Debug for GptServing<'_> {
@@ -88,21 +81,14 @@ impl std::fmt::Debug for GptServing<'_> {
 }
 
 impl<'a> GptServing<'a> {
-    /// Freezes `gpt` and serves it with `technique` for token embedding.
+    /// Serves `gpt` with `technique` for token embedding.
     pub fn new(gpt: &'a Gpt, technique: Technique, seed: u64) -> Self {
         Self::with_embedder(gpt, gpt.embedder(technique, seed))
     }
 
-    /// Freezes `gpt` with a pre-built embedder.
+    /// Serves `gpt` with a pre-built embedder.
     pub fn with_embedder(gpt: &'a Gpt, embedder: Box<dyn EmbeddingGenerator + Send>) -> Self {
-        GptServing {
-            gpt,
-            embedder,
-            head: match &gpt.head {
-                Some(head) => Head::Untied(Box::new(head.frozen())),
-                None => Head::Tied(gpt.token_table()),
-            },
-        }
+        GptServing { gpt, embedder }
     }
 
     /// The model configuration.
@@ -145,9 +131,9 @@ impl<'a> GptServing<'a> {
             x = self.block_forward(block, &x, &mut cache.layers[layer], cache.len);
         }
         cache.len += prompt.len();
-        let xf = self.gpt.ln_f.apply(&x);
+        let xf = self.gpt.ln_f.forward(&x, &mut Tape::inference());
         let last = Matrix::from_vec(1, cfg.dim, xf.row(xf.rows() - 1).to_vec());
-        self.logits(&last)
+        self.gpt.logits(&last, &mut Tape::inference())
     }
 
     /// Decode: processes one token at the cache's current position and
@@ -169,8 +155,8 @@ impl<'a> GptServing<'a> {
             x = self.block_forward(block, &x, &mut cache.layers[layer], cache.len);
         }
         cache.len += 1;
-        let xf = self.gpt.ln_f.apply(&x);
-        self.logits(&xf)
+        let xf = self.gpt.ln_f.forward(&x, &mut Tape::inference());
+        self.gpt.logits(&xf, &mut Tape::inference())
     }
 
     /// Greedy generation: prefill `prompt`, then decode `new_tokens`
@@ -226,13 +212,6 @@ impl<'a> GptServing<'a> {
         self.gpt.pos.table().row(pos)
     }
 
-    fn logits(&self, xf: &Matrix) -> Matrix {
-        match &self.head {
-            Head::Untied(h) => h.apply(xf),
-            Head::Tied(table) => xf.matmul_transpose_b(table),
-        }
-    }
-
     /// One block with KV caching. `x` holds `t_new` rows at positions
     /// `past .. past + t_new`.
     fn block_forward(
@@ -247,12 +226,13 @@ impl<'a> GptServing<'a> {
         let hs = dim / heads;
         let scale = 1.0 / (hs as f32).sqrt();
         let t_new = x.rows();
+        let tape = &mut Tape::inference();
 
-        let h = block.ln1().apply(x);
+        let h = block.ln1().forward(x, tape);
         let attn = block.attention();
-        let q = attn.wq().apply(&h);
-        let k = attn.wk().apply(&h);
-        let v = attn.wv().apply(&h);
+        let q = attn.wq().forward(&h, tape);
+        let k = attn.wk().forward(&h, tape);
+        let v = attn.wv().forward(&h, tape);
         kv.k.extend_from_slice(k.as_slice());
         kv.v.extend_from_slice(v.as_slice());
         let total = past + t_new;
@@ -280,8 +260,10 @@ impl<'a> GptServing<'a> {
                 }
             }
         }
-        let x = x.add(&attn.wo().apply(&concat));
-        let f = block.feed_forward().apply(&block.ln2().apply(&x));
+        let x = x.add(&attn.wo().forward(&concat, tape));
+        let f = block
+            .feed_forward()
+            .forward(&block.ln2().forward(&x, tape), tape);
         x.add(&f)
     }
 }
@@ -335,7 +317,7 @@ mod tests {
 
     #[test]
     fn prefill_matches_training_forward() {
-        let mut gpt = table_model();
+        let gpt = table_model();
         let prompt = vec![3usize, 9, 17, 2];
         let train_logits = gpt.forward_sequence(&prompt);
         let mut serve = GptServing::new(&gpt, Technique::IndexLookup, 0);

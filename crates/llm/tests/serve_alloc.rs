@@ -1,8 +1,8 @@
 //! Allocation witness for the training → serving hand-over of a
-//! DHE-trained GPT: its token embedder copies the DHE's weights, and its
-//! serving handle copies the untied head's weights — neither copies the
-//! gradients or optimizer moments training left in the model, and a
-//! model with an untied head never materializes its token table.
+//! DHE-trained GPT: its token embedder copies the DHE's weights and
+//! nothing else, and its serving handle borrows the model (the untied
+//! head included) — a model with an untied head never materializes its
+//! token table.
 //!
 //! The counting allocator is local to this test binary (the library
 //! crates forbid `unsafe`).

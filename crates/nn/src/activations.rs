@@ -1,86 +1,28 @@
 //! Activation layers.
+//!
+//! ReLU has no layer of its own: [`crate::Mlp`] applies the branchless
+//! `secemb_obliv::ct_relu` kernel in place between its linear layers,
+//! in training and serving alike, and masks its backward by the next
+//! layer's recorded input (the ReLU's output, positive exactly where its
+//! input was).
 
-use crate::Module;
+use crate::{Module, Params, Tape};
 use secemb_tensor::{ops, Matrix};
 
-/// ReLU layer.
-///
-/// The forward map here is the mathematical one; the *secure* element-wise
-/// kernel (`secemb_obliv::ct_relu`) is bit-identical, which the integration
-/// tests assert. Training uses this layer; secure inference swaps in the
-/// branchless kernel.
-#[derive(Clone, Debug, Default)]
-pub struct Relu {
-    pre: Option<Matrix>,
-}
+/// GeLU layer (tanh approximation, as in GPT-2). It records its input.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Gelu;
 
-impl Relu {
-    /// Creates a ReLU layer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Module for Relu {
-    fn forward(&mut self, input: &Matrix) -> Matrix {
-        self.pre = Some(input.clone());
-        ops::relu(input)
-    }
-
-    fn backward(&mut self, grad_output: &Matrix) -> Matrix {
-        let pre = self.pre.as_ref().expect("Relu::backward before forward");
-        grad_output.hadamard(&ops::relu_grad_mask(pre))
-    }
-}
-
-/// GeLU layer (tanh approximation, as in GPT-2).
-#[derive(Clone, Debug, Default)]
-pub struct Gelu {
-    pre: Option<Matrix>,
-}
-
-impl Gelu {
-    /// Creates a GeLU layer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
+impl Params for Gelu {}
 
 impl Module for Gelu {
-    fn forward(&mut self, input: &Matrix) -> Matrix {
-        self.pre = Some(input.clone());
+    fn forward(&self, input: &Matrix, tape: &mut Tape) -> Matrix {
+        tape.record(input);
         ops::gelu(input)
     }
 
-    fn backward(&mut self, grad_output: &Matrix) -> Matrix {
-        let pre = self.pre.as_ref().expect("Gelu::backward before forward");
-        grad_output.hadamard(&ops::gelu_grad(pre))
-    }
-}
-
-/// Logistic sigmoid layer.
-#[derive(Clone, Debug, Default)]
-pub struct Sigmoid {
-    out: Option<Matrix>,
-}
-
-impl Sigmoid {
-    /// Creates a sigmoid layer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Module for Sigmoid {
-    fn forward(&mut self, input: &Matrix) -> Matrix {
-        let out = ops::sigmoid(input);
-        self.out = Some(out.clone());
-        out
-    }
-
-    fn backward(&mut self, grad_output: &Matrix) -> Matrix {
-        let y = self.out.as_ref().expect("Sigmoid::backward before forward");
-        grad_output.zip_map(y, |g, s| g * s * (1.0 - s))
+    fn backward(&self, tape: &mut Tape, grad_output: &Matrix, _grads: &mut [Matrix]) -> Matrix {
+        grad_output.hadamard(&ops::gelu_grad(&tape.pop()))
     }
 }
 
@@ -88,37 +30,24 @@ impl Module for Sigmoid {
 mod tests {
     use super::*;
 
-    fn finite_diff_check(layer: &mut dyn Module, fresh: impl Fn(&Matrix) -> Matrix) {
+    #[test]
+    fn gelu_grad() {
         let x = Matrix::from_vec(1, 5, vec![-2.0, -0.5, 0.1, 0.9, 2.5]);
-        layer.forward(&x);
-        let dx = layer.backward(&Matrix::full(1, 5, 1.0));
+        let mut tape = Tape::training();
+        Gelu.forward(&x, &mut tape);
+        let dx = Gelu.backward(&mut tape, &Matrix::full(1, 5, 1.0), &mut []);
         let h = 1e-3f32;
         for i in 0..x.len() {
             let mut xp = x.clone();
             xp.as_mut_slice()[i] += h;
             let mut xm = x.clone();
             xm.as_mut_slice()[i] -= h;
-            let fd = ((fresh(&xp).sum() - fresh(&xm).sum()) / (2.0 * h as f64)) as f32;
+            let fd = ((ops::gelu(&xp).sum() - ops::gelu(&xm).sum()) / (2.0 * h as f64)) as f32;
             assert!(
                 (dx.as_slice()[i] - fd).abs() < 5e-2,
                 "i={i}: {} vs {fd}",
                 dx.as_slice()[i]
             );
         }
-    }
-
-    #[test]
-    fn relu_grad() {
-        finite_diff_check(&mut Relu::new(), ops::relu);
-    }
-
-    #[test]
-    fn gelu_grad() {
-        finite_diff_check(&mut Gelu::new(), ops::gelu);
-    }
-
-    #[test]
-    fn sigmoid_grad() {
-        finite_diff_check(&mut Sigmoid::new(), ops::sigmoid);
     }
 }

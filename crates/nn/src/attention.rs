@@ -1,6 +1,6 @@
 //! Multi-head causal self-attention with a hand-derived backward pass.
 
-use crate::{Linear, Module, Param};
+use crate::{Linear, Module, Param, Params, Tape};
 use rand::Rng;
 use secemb_tensor::{ops, Matrix};
 
@@ -15,21 +15,15 @@ use secemb_tensor::{ops, Matrix};
 /// mask depends only on the (public) sequence length, matching the paper's
 /// observation that attention layers have input-independent data flow
 /// (§V-C).
+///
+/// Its forward records, after the projections' own records, every head's
+/// post-softmax attention matrix (`T × T`) and then `Q`, `K` and `V`.
 pub struct CausalSelfAttention {
     q: Linear,
     k: Linear,
     v: Linear,
     proj: Linear,
     heads: usize,
-    cache: Option<AttnCache>,
-}
-
-struct AttnCache {
-    q: Matrix,
-    k: Matrix,
-    v: Matrix,
-    /// Per-head post-softmax attention matrices (T × T).
-    probs: Vec<Matrix>,
 }
 
 impl CausalSelfAttention {
@@ -49,7 +43,6 @@ impl CausalSelfAttention {
             v: Linear::new(dim, dim, rng),
             proj: Linear::new(dim, dim, rng),
             heads,
-            cache: None,
         }
     }
 
@@ -63,7 +56,7 @@ impl CausalSelfAttention {
         self.heads
     }
 
-    /// The query projection (for cache-free serving paths).
+    /// The query projection (serving runs it over a KV cache).
     pub fn wq(&self) -> &Linear {
         &self.q
     }
@@ -110,19 +103,27 @@ impl std::fmt::Debug for CausalSelfAttention {
     }
 }
 
+impl Params for CausalSelfAttention {
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        self.q.visit_params(f);
+        self.k.visit_params(f);
+        self.v.visit_params(f);
+        self.proj.visit_params(f);
+    }
+}
+
 impl Module for CausalSelfAttention {
-    fn forward(&mut self, input: &Matrix) -> Matrix {
+    fn forward(&self, input: &Matrix, tape: &mut Tape) -> Matrix {
         let t = input.rows();
         let dim = self.dim();
         let hs = dim / self.heads;
         let scale = 1.0 / (hs as f32).sqrt();
 
-        let q = self.q.forward(input);
-        let k = self.k.forward(input);
-        let v = self.v.forward(input);
+        let q = self.q.forward(input, tape);
+        let k = self.k.forward(input, tape);
+        let v = self.v.forward(input, tape);
 
         let mut concat = Matrix::zeros(t, dim);
-        let mut probs = Vec::with_capacity(self.heads);
         for h in 0..self.heads {
             let qh = Self::head_slice(&q, h, hs);
             let kh = Self::head_slice(&k, h, hs);
@@ -136,18 +137,21 @@ impl Module for CausalSelfAttention {
             ops::softmax_rows_inplace(&mut scores);
             let out_h = scores.matmul(&vh);
             Self::write_head(&mut concat, &out_h, h, hs);
-            probs.push(scores);
+            tape.push(scores);
         }
-        self.cache = Some(AttnCache { q, k, v, probs });
-        self.proj.forward(&concat)
+        tape.push(q);
+        tape.push(k);
+        tape.push(v);
+        self.proj.forward(&concat, tape)
     }
 
-    fn backward(&mut self, grad_output: &Matrix) -> Matrix {
-        let d_concat = self.proj.backward(grad_output);
-        let cache = self
-            .cache
-            .as_ref()
-            .expect("CausalSelfAttention::backward before forward");
+    fn backward(&self, tape: &mut Tape, grad_output: &Matrix, grads: &mut [Matrix]) -> Matrix {
+        let (gq, grads) = grads.split_at_mut(2);
+        let (gk, grads) = grads.split_at_mut(2);
+        let (gv, gproj) = grads.split_at_mut(2);
+        let d_concat = self.proj.backward(tape, grad_output, gproj);
+        let (v, k, q) = (tape.pop(), tape.pop(), tape.pop());
+        let probs = tape.pop_many(self.heads);
         let t = d_concat.rows();
         let dim = self.dim();
         let hs = dim / self.heads;
@@ -156,11 +160,10 @@ impl Module for CausalSelfAttention {
         let mut dq = Matrix::zeros(t, dim);
         let mut dk = Matrix::zeros(t, dim);
         let mut dv = Matrix::zeros(t, dim);
-        for h in 0..self.heads {
-            let p = &cache.probs[h];
-            let qh = Self::head_slice(&cache.q, h, hs);
-            let kh = Self::head_slice(&cache.k, h, hs);
-            let vh = Self::head_slice(&cache.v, h, hs);
+        for (h, p) in probs.iter().enumerate() {
+            let qh = Self::head_slice(&q, h, hs);
+            let kh = Self::head_slice(&k, h, hs);
+            let vh = Self::head_slice(&v, h, hs);
             let d_out_h = Self::head_slice(&d_concat, h, hs);
 
             // dV_h = Pᵀ · dOut_h ; dP = dOut_h · V_hᵀ
@@ -187,33 +190,30 @@ impl Module for CausalSelfAttention {
             Self::write_head(&mut dv, &dvh, h, hs);
         }
 
-        let dx_q = self.q.backward(&dq);
-        let dx_k = self.k.backward(&dk);
-        let dx_v = self.v.backward(&dv);
+        let dx_v = self.v.backward(tape, &dv, gv);
+        let dx_k = self.k.backward(tape, &dk, gk);
+        let dx_q = self.q.backward(tape, &dq, gq);
         dx_q.add(&dx_k).add(&dx_v)
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.q.visit_params(f);
-        self.k.visit_params(f);
-        self.v.visit_params(f);
-        self.proj.visit_params(f);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::count_params;
+    use crate::{count_params, Grads};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    fn run(attn: &CausalSelfAttention, x: &Matrix) -> Matrix {
+        attn.forward(x, &mut Tape::inference())
+    }
 
     #[test]
     fn shapes_and_param_count() {
         let mut rng = StdRng::seed_from_u64(0);
         let mut attn = CausalSelfAttention::new(8, 2, &mut rng);
         let x = Matrix::from_fn(5, 8, |r, c| ((r * 8 + c) as f32).sin() * 0.3);
-        let y = attn.forward(&x);
+        let y = run(&attn, &x);
         assert_eq!(y.shape(), (5, 8));
         // 4 Linears of 8x8 + bias 8.
         assert_eq!(count_params(&mut attn), 4 * (64 + 8));
@@ -222,15 +222,15 @@ mod tests {
     #[test]
     fn causal_mask_blocks_future() {
         let mut rng = StdRng::seed_from_u64(1);
-        let mut attn = CausalSelfAttention::new(4, 1, &mut rng);
+        let attn = CausalSelfAttention::new(4, 1, &mut rng);
         // Output at position 0 must not change when later tokens change.
         let x1 = Matrix::from_fn(3, 4, |r, c| (r + c) as f32 * 0.1);
         let mut x2 = x1.clone();
         for c in 0..4 {
             x2.set(2, c, 9.0); // perturb the last position only
         }
-        let y1 = attn.forward(&x1);
-        let y2 = attn.forward(&x2);
+        let y1 = run(&attn, &x1);
+        let y2 = run(&attn, &x2);
         for c in 0..4 {
             assert!((y1.get(0, c) - y2.get(0, c)).abs() < 1e-6);
             assert!((y1.get(1, c) - y2.get(1, c)).abs() < 1e-6);
@@ -242,8 +242,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let mut attn = CausalSelfAttention::new(4, 2, &mut rng);
         let x = Matrix::from_fn(3, 4, |r, c| ((r as f32) - (c as f32)) * 0.2);
-        attn.forward(&x);
-        let dx = attn.backward(&Matrix::full(3, 4, 1.0));
+        let mut tape = Tape::training();
+        attn.forward(&x, &mut tape);
+        let mut grads = Grads::zeros(&mut attn);
+        let dx = attn.backward(&mut tape, &Matrix::full(3, 4, 1.0), &mut grads);
+        assert!(tape.is_empty());
 
         let h = 1e-2f32;
         for i in 0..x.len() {
@@ -251,8 +254,7 @@ mod tests {
             xp.as_mut_slice()[i] += h;
             let mut xm = x.clone();
             xm.as_mut_slice()[i] -= h;
-            let fd =
-                ((attn.forward(&xp).sum() - attn.forward(&xm).sum()) / (2.0 * h as f64)) as f32;
+            let fd = ((run(&attn, &xp).sum() - run(&attn, &xm).sum()) / (2.0 * h as f64)) as f32;
             assert!(
                 (dx.as_slice()[i] - fd).abs() < 2e-2,
                 "dx[{i}] = {} vs fd {fd}",
@@ -266,56 +268,36 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut attn = CausalSelfAttention::new(4, 1, &mut rng);
         let x = Matrix::from_fn(2, 4, |r, c| ((r * 4 + c) as f32 * 0.17).cos() * 0.4);
-        attn.zero_grad();
-        attn.forward(&x);
-        attn.backward(&Matrix::full(2, 4, 1.0));
-
-        // Collect analytic grads.
-        let mut analytic: Vec<Vec<f32>> = Vec::new();
-        attn.visit_params(&mut |p| analytic.push(p.grad().unwrap().as_slice().to_vec()));
+        let mut tape = Tape::training();
+        attn.forward(&x, &mut tape);
+        let mut grads = Grads::zeros(&mut attn);
+        attn.backward(&mut tape, &Matrix::full(2, 4, 1.0), &mut grads);
+        assert_eq!(grads.len(), 8); // 4 weights + 4 biases
 
         // Finite differences on the first element of each parameter.
-        let h = 1e-2f32;
-        let mut idx = 0;
-        let mut results: Vec<(f32, f32)> = Vec::new();
-        // Probe each param's element 0 by perturb-and-measure.
-        loop {
-            let mut found = false;
-            let probe = |attn: &mut CausalSelfAttention, delta: f32| -> f64 {
-                let mut count = 0;
-                attn.visit_params(&mut |p| {
-                    if count == idx {
-                        let v = p.value.as_slice()[0];
-                        p.value.as_mut_slice()[0] = v + delta;
-                    }
-                    count += 1;
-                });
-                let out = attn.forward(&x).sum();
-                let mut count = 0;
-                attn.visit_params(&mut |p| {
-                    if count == idx {
-                        let v = p.value.as_slice()[0];
-                        p.value.as_mut_slice()[0] = v - delta;
-                    }
-                    count += 1;
-                });
-                out
-            };
-            if idx < analytic.len() {
-                let plus = probe(&mut attn, h);
-                let minus = probe(&mut attn, -h);
-                let fd = ((plus - minus) / (2.0 * h as f64)) as f32;
-                results.push((analytic[idx][0], fd));
-                found = true;
-            }
-            if !found {
-                break;
-            }
-            idx += 1;
+        fn nudge(attn: &mut CausalSelfAttention, idx: usize, delta: f32) {
+            let mut count = 0;
+            attn.visit_params(&mut |p| {
+                if count == idx {
+                    p.value.as_mut_slice()[0] += delta;
+                }
+                count += 1;
+            });
         }
-        assert_eq!(results.len(), 8); // 4 weights + 4 biases
-        for (i, (a, fd)) in results.iter().enumerate() {
-            assert!((a - fd).abs() < 3e-2, "param {i}: analytic {a} vs fd {fd}");
+        let h = 1e-2f32;
+        for (idx, analytic) in grads.iter().enumerate() {
+            nudge(&mut attn, idx, h);
+            let plus = run(&attn, &x).sum();
+            nudge(&mut attn, idx, -h);
+            nudge(&mut attn, idx, -h);
+            let minus = run(&attn, &x).sum();
+            nudge(&mut attn, idx, h);
+            let fd = ((plus - minus) / (2.0 * h as f64)) as f32;
+            let a = analytic.as_slice()[0];
+            assert!(
+                (a - fd).abs() < 3e-2,
+                "param {idx}: analytic {a} vs fd {fd}"
+            );
         }
     }
 }

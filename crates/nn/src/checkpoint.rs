@@ -7,7 +7,7 @@
 //! agnostic checkpoint: parameters are captured in `visit_params` order
 //! and serialized to a small self-describing binary format.
 
-use crate::Module;
+use crate::Params;
 use secemb_tensor::Matrix;
 use secemb_wire::bytes::{ByteReader, ByteWriter};
 use std::fmt;
@@ -81,10 +81,10 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// Captures every parameter value of `module`.
-    pub fn capture(module: &mut dyn Module) -> Self {
+    /// Captures every parameter value of `model`.
+    pub fn capture(model: &mut dyn Params) -> Self {
         let mut tensors = Vec::new();
-        module.visit_params(&mut |p| tensors.push(p.value.clone()));
+        model.visit_params(&mut |p| tensors.push(p.value.clone()));
         Checkpoint { tensors }
     }
 
@@ -103,17 +103,17 @@ impl Checkpoint {
         self.tensors.iter().map(Matrix::len).sum()
     }
 
-    /// Writes every tensor back into `module`'s parameters (visit order).
+    /// Writes every tensor back into `model`'s parameters (visit order).
     ///
     /// # Errors
     ///
     /// Fails without modifying anything if the parameter count or any
     /// shape disagrees — restoring into the wrong architecture is a
     /// deployment bug, not a recoverable condition to paper over.
-    pub fn restore(&self, module: &mut dyn Module) -> Result<(), CheckpointError> {
+    pub fn restore(&self, model: &mut dyn Params) -> Result<(), CheckpointError> {
         // Validation pass (no writes).
         let mut shapes = Vec::new();
-        module.visit_params(&mut |p| shapes.push(p.value.shape()));
+        model.visit_params(&mut |p| shapes.push(p.value.shape()));
         if shapes.len() != self.tensors.len() {
             return Err(CheckpointError::ParamCountMismatch {
                 expected: self.tensors.len(),
@@ -131,7 +131,7 @@ impl Checkpoint {
         }
         // Write pass.
         let mut idx = 0;
-        module.visit_params(&mut |p| {
+        model.visit_params(&mut |p| {
             p.value = self.tensors[idx].clone();
             idx += 1;
         });
@@ -194,8 +194,8 @@ impl Checkpoint {
     }
 
     /// Convenience: capture + serialize.
-    pub fn save(module: &mut dyn Module) -> Vec<u8> {
-        Self::capture(module).to_bytes()
+    pub fn save(model: &mut dyn Params) -> Vec<u8> {
+        Self::capture(model).to_bytes()
     }
 
     /// Convenience: parse + restore.
@@ -204,25 +204,20 @@ impl Checkpoint {
     ///
     /// Returns [`CheckpointError`] on a malformed stream or an
     /// architecture mismatch.
-    pub fn load(bytes: &[u8], module: &mut dyn Module) -> Result<(), CheckpointError> {
-        Self::from_bytes(bytes)?.restore(module)
+    pub fn load(bytes: &[u8], model: &mut dyn Params) -> Result<(), CheckpointError> {
+        Self::from_bytes(bytes)?.restore(model)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Linear, Relu, Sequential};
+    use crate::{Gelu, Linear, Mlp, Module, Tape};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn net(seed: u64) -> Sequential {
-        let mut rng = StdRng::seed_from_u64(seed);
-        Sequential::new(vec![
-            Box::new(Linear::new(3, 5, &mut rng)),
-            Box::new(Relu::new()),
-            Box::new(Linear::new(5, 2, &mut rng)),
-        ])
+    fn net(seed: u64) -> Mlp {
+        Mlp::new(3, &[5, 2], &mut StdRng::seed_from_u64(seed))
     }
 
     #[test]
@@ -230,13 +225,14 @@ mod tests {
         let mut a = net(1);
         let mut b = net(2);
         let x = Matrix::from_fn(4, 3, |r, c| (r + c) as f32 * 0.3);
-        let before = a.forward(&x);
-        assert!(!before.allclose(&b.forward(&x), 1e-6), "nets must differ");
+        let before = a.forward(&x, &mut Tape::inference());
+        let forward = |net: &Mlp| net.forward(&x, &mut Tape::inference());
+        assert!(!before.allclose(&forward(&b), 1e-6), "nets must differ");
 
         let bytes = Checkpoint::save(&mut a);
         Checkpoint::load(&bytes, &mut b).unwrap();
         assert!(
-            before.allclose(&b.forward(&x), 0.0),
+            before.allclose(&forward(&b), 0.0),
             "restored net must match"
         );
     }
@@ -255,11 +251,7 @@ mod tests {
         let mut a = net(1);
         let ckpt = Checkpoint::capture(&mut a);
         let mut rng = StdRng::seed_from_u64(3);
-        let mut wrong_shape = Sequential::new(vec![
-            Box::new(Linear::new(3, 6, &mut rng)),
-            Box::new(Relu::new()),
-            Box::new(Linear::new(6, 2, &mut rng)),
-        ]);
+        let mut wrong_shape = Mlp::new(3, &[6, 2], &mut rng);
         assert!(matches!(
             ckpt.restore(&mut wrong_shape),
             Err(CheckpointError::ShapeMismatch { tensor: 0, .. })
@@ -313,7 +305,7 @@ mod tests {
 
     #[test]
     fn empty_module_round_trips() {
-        let mut empty = Sequential::new(vec![Box::new(Relu::new())]);
+        let mut empty = Gelu;
         let bytes = Checkpoint::save(&mut empty);
         Checkpoint::load(&bytes, &mut empty).unwrap();
         assert!(Checkpoint::capture(&mut empty).is_empty());

@@ -1,6 +1,6 @@
 //! Fully-connected layer.
 
-use crate::{Module, Param};
+use crate::{Module, Param, Params, Tape};
 use rand::Rng;
 use secemb_tensor::{Matrix, XavierInit};
 
@@ -13,7 +13,6 @@ use secemb_tensor::{Matrix, XavierInit};
 pub struct Linear {
     weight: Param,
     bias: Param,
-    input_cache: Option<Matrix>,
 }
 
 impl Linear {
@@ -22,7 +21,6 @@ impl Linear {
         Linear {
             weight: Param::new(XavierInit.sample(out_features, in_features, rng)),
             bias: Param::new(Matrix::zeros(1, out_features)),
-            input_cache: None,
         }
     }
 
@@ -41,7 +39,6 @@ impl Linear {
         Linear {
             weight: Param::new(weight),
             bias: Param::new(bias),
-            input_cache: None,
         }
     }
 
@@ -69,62 +66,52 @@ impl Linear {
     pub fn param_count(&self) -> usize {
         self.weight.len() + self.bias.len()
     }
-
-    /// A copy holding the weights only — no gradient, optimizer moments or
-    /// forward cache — for serving a trained layer.
-    pub fn frozen(&self) -> Linear {
-        Linear::from_parts(self.weight.value.clone(), self.bias.value.clone())
-    }
-
-    /// Forward without caching — for inference-only paths.
-    pub fn apply(&self, input: &Matrix) -> Matrix {
-        let mut out = input.matmul_transpose_b(&self.weight.value);
-        out.add_row_broadcast(self.bias.value.row(0));
-        out
-    }
 }
 
-impl Module for Linear {
-    fn forward(&mut self, input: &Matrix) -> Matrix {
-        self.input_cache = Some(input.clone());
-        self.apply(input)
-    }
-
-    fn backward(&mut self, grad_output: &Matrix) -> Matrix {
-        let input = self
-            .input_cache
-            .as_ref()
-            .expect("Linear::backward before forward");
-        // dW = grad_outᵀ · x   (out × in)
-        let dw = grad_output.transpose_a_matmul(input);
-        self.weight.accumulate_grad(&dw);
-        // db = column sums of grad_out
-        let db = Matrix::from_vec(1, grad_output.cols(), grad_output.column_sums());
-        self.bias.accumulate_grad(&db);
-        // dx = grad_out · W    (batch × in)
-        grad_output.matmul(&self.weight.value)
-    }
-
+impl Params for Linear {
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         f(&mut self.weight);
         f(&mut self.bias);
     }
 }
 
+impl Module for Linear {
+    fn forward(&self, input: &Matrix, tape: &mut Tape) -> Matrix {
+        tape.record(input);
+        let mut out = input.matmul_transpose_b(&self.weight.value);
+        out.add_row_broadcast(self.bias.value.row(0));
+        out
+    }
+
+    fn backward(&self, tape: &mut Tape, grad_output: &Matrix, grads: &mut [Matrix]) -> Matrix {
+        let input = tape.pop();
+        // dW = grad_outᵀ · x   (out × in)
+        grads[0] += &grad_output.transpose_a_matmul(&input);
+        // db = column sums of grad_out
+        grads[1] += &Matrix::from_vec(1, grad_output.cols(), grad_output.column_sums());
+        // dx = grad_out · W    (batch × in)
+        grad_output.matmul(&self.weight.value)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Grads;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    fn run(l: &Linear, x: &Matrix) -> Matrix {
+        l.forward(x, &mut Tape::inference())
+    }
 
     #[test]
     fn forward_matches_manual() {
         let w = Matrix::from_vec(2, 3, vec![1., 0., 0., 0., 1., 0.]);
         let b = Matrix::from_vec(1, 2, vec![10., 20.]);
-        let mut l = Linear::from_parts(w, b);
+        let l = Linear::from_parts(w, b);
         let x = Matrix::from_vec(1, 3, vec![1., 2., 3.]);
-        let y = l.forward(&x);
-        assert_eq!(y.as_slice(), &[11., 22.]);
+        assert_eq!(run(&l, &x).as_slice(), &[11., 22.]);
         assert_eq!(l.in_features(), 3);
         assert_eq!(l.out_features(), 2);
     }
@@ -135,9 +122,12 @@ mod tests {
         let mut l = Linear::new(4, 3, &mut rng);
         let x = Matrix::from_fn(2, 4, |r, c| (r as f32 - c as f32) * 0.3);
         // Scalar objective: sum of outputs.
-        let y = l.forward(&x);
+        let mut tape = Tape::training();
+        let y = l.forward(&x, &mut tape);
         let ones = Matrix::full(y.rows(), y.cols(), 1.0);
-        let dx = l.backward(&ones);
+        let mut grads = Grads::zeros(&mut l);
+        let dx = l.backward(&mut tape, &ones, &mut grads);
+        assert!(tape.is_empty());
 
         let h = 1e-3f32;
         // Check dX by finite differences.
@@ -146,7 +136,7 @@ mod tests {
             xp.as_mut_slice()[i] += h;
             let mut xm = x.clone();
             xm.as_mut_slice()[i] -= h;
-            let fd = ((l.apply(&xp).sum() - l.apply(&xm).sum()) / (2.0 * h as f64)) as f32;
+            let fd = ((run(&l, &xp).sum() - run(&l, &xm).sum()) / (2.0 * h as f64)) as f32;
             assert!(
                 (dx.as_slice()[i] - fd).abs() < 1e-2,
                 "dx[{i}] {} vs {fd}",
@@ -162,28 +152,23 @@ mod tests {
             wm.as_mut_slice()[i] -= h;
             let lp = Linear::from_parts(wp, l.bias.value.clone());
             let lm = Linear::from_parts(wm, l.bias.value.clone());
-            let fd = ((lp.apply(&x).sum() - lm.apply(&x).sum()) / (2.0 * h as f64)) as f32;
+            let fd = ((run(&lp, &x).sum() - run(&lm, &x).sum()) / (2.0 * h as f64)) as f32;
             assert!(
-                (l.weight.grad().unwrap().as_slice()[i] - fd).abs() < 1e-2,
+                (grads[0].as_slice()[i] - fd).abs() < 1e-2,
                 "dW[{i}] {} vs {fd}",
-                l.weight.grad().unwrap().as_slice()[i]
+                grads[0].as_slice()[i]
             );
         }
         // Bias grad is the batch size for a sum objective.
-        assert!(l
-            .bias
-            .grad()
-            .unwrap()
-            .as_slice()
-            .iter()
-            .all(|&g| (g - 2.0).abs() < 1e-5));
+        assert!(grads[1].as_slice().iter().all(|&g| (g - 2.0).abs() < 1e-5));
     }
 
     #[test]
     #[should_panic(expected = "before forward")]
     fn backward_without_forward_panics() {
         let mut rng = StdRng::seed_from_u64(0);
-        let mut l = Linear::new(2, 2, &mut rng);
-        l.backward(&Matrix::zeros(1, 2));
+        let l = Linear::new(2, 2, &mut rng);
+        let mut grads = [Matrix::zeros(2, 2), Matrix::zeros(1, 2)];
+        l.backward(&mut Tape::training(), &Matrix::zeros(1, 2), &mut grads);
     }
 }

@@ -1,238 +1,173 @@
-//! Layer composition ([`Sequential`]) and [`LayerNorm`].
+//! A ReLU multi-layer perceptron.
 
-use crate::{Module, Param};
-use secemb_tensor::Matrix;
+use crate::{Linear, Module, Param, Params, Tape};
+use rand::Rng;
+use secemb_tensor::{ops, Matrix};
 
-/// A chain of modules applied in order.
+/// A multi-layer perceptron: `Linear → ReLU → … → Linear` (no activation
+/// after the last layer).
 ///
-/// ```
-/// use secemb_nn::{Linear, Module, Relu, Sequential};
-/// use rand::{rngs::StdRng, SeedableRng};
-/// let mut rng = StdRng::seed_from_u64(0);
-/// let mut mlp = Sequential::new(vec![
-///     Box::new(Linear::new(8, 16, &mut rng)),
-///     Box::new(Relu::new()),
-///     Box::new(Linear::new(16, 4, &mut rng)),
-/// ]);
-/// let x = secemb_tensor::Matrix::zeros(2, 8);
-/// assert_eq!(mlp.forward(&x).shape(), (2, 4));
-/// ```
-pub struct Sequential {
-    layers: Vec<Box<dyn Module>>,
+/// The ReLU is the branchless `secemb_obliv::ct_relu` kernel, applied in
+/// place, so the one forward is the secure serving path and the training
+/// path alike. It equals `max(x, 0)` up to the sign of zero.
+#[derive(Clone, Debug)]
+pub struct Mlp {
+    layers: Vec<Linear>,
 }
 
-impl Sequential {
-    /// Composes `layers` in order.
-    pub fn new(layers: Vec<Box<dyn Module>>) -> Self {
-        Sequential { layers }
+impl Mlp {
+    /// Builds an MLP mapping `input` features through `widths` (the last
+    /// width is the output size).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `widths` is empty.
+    pub fn new(input: usize, widths: &[usize], rng: &mut impl Rng) -> Self {
+        assert!(!widths.is_empty(), "Mlp: need at least one layer");
+        let mut layers = Vec::with_capacity(widths.len());
+        let mut prev = input;
+        for &w in widths {
+            layers.push(Linear::new(prev, w, rng));
+            prev = w;
+        }
+        Mlp { layers }
     }
 
-    /// Number of layers.
-    pub fn len(&self) -> usize {
-        self.layers.len()
+    /// Input feature count.
+    pub fn in_features(&self) -> usize {
+        self.layers[0].in_features()
     }
 
-    /// Whether the chain is empty.
-    pub fn is_empty(&self) -> bool {
-        self.layers.is_empty()
+    /// Output feature count.
+    pub fn out_features(&self) -> usize {
+        self.layers.last().unwrap().out_features()
+    }
+
+    /// Scalar parameters across all layers.
+    pub fn param_count(&self) -> usize {
+        self.layers.iter().map(Linear::param_count).sum()
+    }
+
+    /// Parameter tensors (a weight and a bias per layer): the length of
+    /// this MLP's slice of a [`crate::Grads`].
+    pub fn param_tensors(&self) -> usize {
+        2 * self.layers.len()
     }
 }
 
-impl std::fmt::Debug for Sequential {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Sequential({} layers)", self.layers.len())
+impl Params for Mlp {
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        for l in &mut self.layers {
+            l.visit_params(f);
+        }
     }
 }
 
-impl Module for Sequential {
-    fn forward(&mut self, input: &Matrix) -> Matrix {
-        let mut x = input.clone();
-        for layer in &mut self.layers {
-            x = layer.forward(&x);
+impl Module for Mlp {
+    fn forward(&self, input: &Matrix, tape: &mut Tape) -> Matrix {
+        let mut x = self.layers[0].forward(input, tape);
+        for layer in &self.layers[1..] {
+            secemb_obliv::ct_relu_slice(x.as_mut_slice());
+            x = layer.forward(&x, tape);
         }
         x
     }
 
-    fn backward(&mut self, grad_output: &Matrix) -> Matrix {
+    fn backward(&self, tape: &mut Tape, grad_output: &Matrix, grads: &mut [Matrix]) -> Matrix {
         let mut g = grad_output.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g);
+        let layers = self.layers.iter().zip(grads.chunks_exact_mut(2));
+        for (i, (layer, grads)) in layers.enumerate().rev() {
+            // A hidden layer's recorded input is the ReLU's output, which
+            // is positive exactly where the ReLU's input was.
+            let mask = (i > 0).then(|| ops::relu_grad_mask(tape.last()));
+            g = layer.backward(tape, &g, grads);
+            if let Some(mask) = mask {
+                g = g.hadamard(&mask);
+            }
         }
         g
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        for layer in &mut self.layers {
-            layer.visit_params(f);
-        }
-    }
-}
-
-/// Per-row layer normalization with learnable scale and shift.
-#[derive(Clone, Debug)]
-pub struct LayerNorm {
-    gamma: Param,
-    beta: Param,
-    eps: f32,
-    cache: Option<LnCache>,
-}
-
-#[derive(Clone, Debug)]
-struct LnCache {
-    input: Matrix,
-    stats: Vec<(f32, f32)>, // (mean, inv_std) per row
-}
-
-impl LayerNorm {
-    /// Creates a layer with `gamma = 1`, `beta = 0`.
-    pub fn new(dim: usize) -> Self {
-        LayerNorm {
-            gamma: Param::new(Matrix::full(1, dim, 1.0)),
-            beta: Param::new(Matrix::zeros(1, dim)),
-            eps: 1e-5,
-            cache: None,
-        }
-    }
-
-    /// Normalized feature dimension.
-    pub fn dim(&self) -> usize {
-        self.gamma.value.cols()
-    }
-
-    /// Cache-free normalization (serving path).
-    pub fn apply(&self, input: &Matrix) -> Matrix {
-        secemb_tensor::ops::layer_norm_rows(
-            input,
-            self.gamma.value.row(0),
-            self.beta.value.row(0),
-            self.eps,
-        )
-        .0
-    }
-}
-
-impl Module for LayerNorm {
-    fn forward(&mut self, input: &Matrix) -> Matrix {
-        let (out, stats) = secemb_tensor::ops::layer_norm_rows(
-            input,
-            self.gamma.value.row(0),
-            self.beta.value.row(0),
-            self.eps,
-        );
-        self.cache = Some(LnCache {
-            input: input.clone(),
-            stats,
-        });
-        out
-    }
-
-    fn backward(&mut self, grad_output: &Matrix) -> Matrix {
-        let cache = self
-            .cache
-            .as_ref()
-            .expect("LayerNorm::backward before forward");
-        let d = self.dim();
-        let n = d as f32;
-        let mut dx = Matrix::zeros(grad_output.rows(), d);
-        let mut dgamma = vec![0.0f32; d];
-        let mut dbeta = vec![0.0f32; d];
-        for r in 0..grad_output.rows() {
-            let (mean, inv_std) = cache.stats[r];
-            let x = cache.input.row(r);
-            let dy = grad_output.row(r);
-            let gamma = self.gamma.value.row(0);
-            // x̂ and the two row means needed by the closed-form gradient.
-            let mut sum_dyg = 0.0f32;
-            let mut sum_dyg_xhat = 0.0f32;
-            let mut xhat = vec![0.0f32; d];
-            for i in 0..d {
-                xhat[i] = (x[i] - mean) * inv_std;
-                let dyg = dy[i] * gamma[i];
-                sum_dyg += dyg;
-                sum_dyg_xhat += dyg * xhat[i];
-                dgamma[i] += dy[i] * xhat[i];
-                dbeta[i] += dy[i];
-            }
-            let m1 = sum_dyg / n;
-            let m2 = sum_dyg_xhat / n;
-            let out = dx.row_mut(r);
-            for i in 0..d {
-                let dyg = dy[i] * gamma[i];
-                out[i] = inv_std * (dyg - m1 - xhat[i] * m2);
-            }
-        }
-        self.gamma.accumulate_grad(&Matrix::from_vec(1, d, dgamma));
-        self.beta.accumulate_grad(&Matrix::from_vec(1, d, dbeta));
-        dx
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        f(&mut self.gamma);
-        f(&mut self.beta);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Linear, Relu};
+    use crate::{count_params, Grads};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     #[test]
-    fn sequential_composes() {
+    fn forward_records_nothing_for_inference_and_matches_training() {
         let mut rng = StdRng::seed_from_u64(0);
-        let mut s = Sequential::new(vec![
-            Box::new(Linear::new(3, 5, &mut rng)),
-            Box::new(Relu::new()),
-            Box::new(Linear::new(5, 2, &mut rng)),
-        ]);
-        assert_eq!(s.len(), 3);
-        let x = Matrix::from_fn(4, 3, |r, c| (r + c) as f32 * 0.1);
-        let y = s.forward(&x);
-        assert_eq!(y.shape(), (4, 2));
-        let dx = s.backward(&Matrix::full(4, 2, 1.0));
-        assert_eq!(dx.shape(), (4, 3));
-        assert_eq!(crate::count_params(&mut s), 3 * 5 + 5 + 5 * 2 + 2);
+        let mlp = Mlp::new(4, &[8, 8, 2], &mut rng);
+        let x = Matrix::from_fn(3, 4, |r, c| (r as f32 - c as f32) * 0.4);
+        let mut tape = Tape::training();
+        let trained = mlp.forward(&x, &mut tape);
+        assert_eq!(tape.pop_many(3).len(), 3, "one record per layer");
+        assert!(tape.is_empty());
+        let mut inference = Tape::inference();
+        assert_eq!(trained, mlp.forward(&x, &mut inference));
+        assert!(inference.is_empty());
+        assert_eq!(mlp.in_features(), 4);
+        assert_eq!(mlp.out_features(), 2);
     }
 
     #[test]
-    fn layernorm_gradient_check() {
-        let mut ln = LayerNorm::new(4);
-        // Non-trivial gamma/beta so their gradients are exercised.
-        ln.gamma.value = Matrix::from_vec(1, 4, vec![0.5, 1.5, -1.0, 2.0]);
-        ln.beta.value = Matrix::from_vec(1, 4, vec![0.1, -0.2, 0.3, 0.0]);
-        let x = Matrix::from_vec(2, 4, vec![0.5, -1.0, 2.0, 0.3, 1.1, 0.0, -0.7, 0.9]);
-        ln.forward(&x);
-        let dx = ln.backward(&Matrix::full(2, 4, 1.0));
-
-        let objective = |ln: &mut LayerNorm, x: &Matrix| ln.forward(x).sum();
-        let h = 1e-3f32;
+    fn gradient_check() {
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut mlp = Mlp::new(3, &[6, 1], &mut rng);
+        let x = Matrix::from_fn(2, 3, |r, c| ((r * 3 + c) as f32 * 0.3).cos());
+        let mut tape = Tape::training();
+        mlp.forward(&x, &mut tape);
+        let mut grads = Grads::zeros(&mut mlp);
+        let dx = mlp.backward(&mut tape, &Matrix::full(2, 1, 1.0), &mut grads);
+        assert!(tape.is_empty());
+        let apply = |x: &Matrix| mlp.forward(x, &mut Tape::inference()).sum();
+        let h = 1e-2f32;
         for i in 0..x.len() {
             let mut xp = x.clone();
             xp.as_mut_slice()[i] += h;
             let mut xm = x.clone();
             xm.as_mut_slice()[i] -= h;
-            let fd =
-                ((objective(&mut ln, &xp) - objective(&mut ln, &xm)) / (2.0 * h as f64)) as f32;
+            let fd = ((apply(&xp) - apply(&xm)) / (2.0 * h as f64)) as f32;
             assert!(
                 (dx.as_slice()[i] - fd).abs() < 2e-2,
-                "dx[{i}] = {} vs fd {fd}",
+                "dx[{i}] {} vs {fd}",
                 dx.as_slice()[i]
             );
         }
+        assert_eq!(grads.len(), mlp.param_tensors());
+        assert_eq!(count_params(&mut mlp), mlp.param_count());
     }
 
     #[test]
-    fn layernorm_param_grads() {
-        let mut ln = LayerNorm::new(3);
-        let x = Matrix::from_vec(1, 3, vec![1.0, 2.0, 4.0]);
-        ln.forward(&x);
-        ln.backward(&Matrix::full(1, 3, 1.0));
-        // dbeta = sum of dy = 1 each.
-        assert_eq!(ln.beta.grad().unwrap().as_slice(), &[1.0, 1.0, 1.0]);
-        // dgamma = dy * xhat; xhat sums to ~0.
-        let s: f32 = ln.gamma.grad().unwrap().as_slice().iter().sum();
-        assert!(s.abs() < 1e-4);
+    fn relu_masks_the_gradient_where_its_input_was_not_positive() {
+        // Identity first layer with a bias that pushes two of three units
+        // below zero: only the positive unit passes gradient back.
+        let first = Linear::from_parts(
+            Matrix::eye(3),
+            Matrix::from_vec(1, 3, vec![-5.0, 0.5, -5.0]),
+        );
+        let second = Linear::from_parts(Matrix::full(1, 3, 1.0), Matrix::zeros(1, 1));
+        let mut mlp = Mlp {
+            layers: vec![first, second],
+        };
+        let x = Matrix::from_vec(1, 3, vec![1.0, 1.0, 1.0]);
+        let mut tape = Tape::training();
+        assert_eq!(mlp.forward(&x, &mut tape).as_slice(), &[1.5]);
+        let mut grads = Grads::zeros(&mut mlp);
+        let dx = mlp.backward(&mut tape, &Matrix::full(1, 1, 1.0), &mut grads);
+        assert_eq!(dx.as_slice(), &[0.0, 1.0, 0.0]);
+    }
+
+    #[test]
+    fn single_layer_is_linear() {
+        let mut rng = StdRng::seed_from_u64(2);
+        let mlp = Mlp::new(2, &[3], &mut rng);
+        let x = Matrix::from_vec(1, 2, vec![-5.0, -6.0]);
+        // No ReLU on the only layer: negatives pass through.
+        let y = mlp.forward(&x, &mut Tape::inference());
+        assert_eq!(y.shape(), (1, 3));
+        assert_eq!(y, mlp.layers[0].forward(&x, &mut Tape::inference()));
     }
 }

@@ -1,68 +1,23 @@
-//! Trainable parameters with inline gradient and optimizer state.
+//! Trainable parameters and the gradients a trainer keeps for them.
 
+use crate::Params;
 use secemb_tensor::Matrix;
 
-/// A trainable tensor: value, accumulated gradient, and optimizer moments.
+/// A trainable tensor: its value, and nothing else.
 ///
-/// The moment buffers live inside the parameter so that optimizers can
-/// stay stateless and parameter traversal order never needs to be stable
-/// across steps. Only the value is allocated up front: the gradient
-/// appears when training first accumulates into it ([`Param::grad_mut`]),
-/// the moments when an optimizer first steps it, so a parameter that is
-/// only served holds its weights and nothing else.
+/// Gradients live in a trainer's [`Grads`] and optimizer moments in the
+/// optimizer, so a module that is served holds its weights and nothing
+/// more, and a copy of it copies only those.
 #[derive(Clone, Debug)]
 pub struct Param {
     /// Current value.
     pub value: Matrix,
-    /// Accumulated gradient (same shape as `value`), once training has
-    /// touched it.
-    pub(crate) grad: Option<Matrix>,
-    /// First moment (momentum SGD, Adam), once an optimizer has stepped
-    /// a gradient.
-    pub(crate) m: Option<Matrix>,
-    /// Second moment (Adam).
-    pub(crate) v: Option<Matrix>,
 }
 
 impl Param {
     /// Wraps an initial value.
     pub fn new(value: Matrix) -> Self {
-        Param {
-            value,
-            grad: None,
-            m: None,
-            v: None,
-        }
-    }
-
-    /// The accumulated gradient, or `None` if training never touched it
-    /// (which an optimizer treats as a zero gradient).
-    pub fn grad(&self) -> Option<&Matrix> {
-        self.grad.as_ref()
-    }
-
-    /// The accumulated gradient, allocated as zeros of the value's shape
-    /// on first use.
-    pub fn grad_mut(&mut self) -> &mut Matrix {
-        let (r, c) = self.value.shape();
-        self.grad.get_or_insert_with(|| Matrix::zeros(r, c))
-    }
-
-    /// Resets the accumulated gradient to zero (an unallocated gradient
-    /// stays unallocated).
-    pub fn zero_grad(&mut self) {
-        if let Some(grad) = &mut self.grad {
-            grad.as_mut_slice().fill(0.0);
-        }
-    }
-
-    /// Frees the gradient and the optimizer moments, keeping the value —
-    /// for a parameter handed from training to serving. Training it again
-    /// starts from fresh (zero) moments.
-    pub fn release_training_state(&mut self) {
-        self.grad = None;
-        self.m = None;
-        self.v = None;
+        Param { value }
     }
 
     /// Number of scalar elements.
@@ -74,52 +29,54 @@ impl Param {
     pub fn is_empty(&self) -> bool {
         self.value.is_empty()
     }
+}
 
-    /// Accumulates `delta` into the gradient.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ.
-    pub fn accumulate_grad(&mut self, delta: &Matrix) {
-        assert_eq!(self.value.shape(), delta.shape(), "accumulate_grad shape");
-        for (g, &d) in (self.grad_mut().as_mut_slice().iter_mut()).zip(delta.as_slice()) {
-            *g += d;
-        }
+/// The gradients of a model's parameters, owned by whoever trains it:
+/// one matrix per [`Param`], in [`Params::visit_params`] order.
+///
+/// Each layer's backward accumulates into its own slice of them (a
+/// `Linear` takes two: weight, then bias), and an
+/// [`crate::Optimizer`] reads them by the same index.
+#[derive(Clone, Debug)]
+pub struct Grads(Vec<Matrix>);
+
+impl Grads {
+    /// Zero gradients shaped like `model`'s parameters.
+    pub fn zeros(model: &mut dyn Params) -> Self {
+        let mut grads = Vec::new();
+        model.visit_params(&mut |p| grads.push(Matrix::zeros(p.value.rows(), p.value.cols())));
+        Grads(grads)
+    }
+}
+
+impl std::ops::Deref for Grads {
+    type Target = [Matrix];
+
+    fn deref(&self) -> &[Matrix] {
+        &self.0
+    }
+}
+
+impl std::ops::DerefMut for Grads {
+    fn deref_mut(&mut self) -> &mut [Matrix] {
+        &mut self.0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Linear;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     #[test]
-    fn zero_grad_clears() {
-        let mut p = Param::new(Matrix::full(2, 2, 1.0));
-        p.accumulate_grad(&Matrix::full(2, 2, 3.0));
-        p.accumulate_grad(&Matrix::full(2, 2, 2.0));
-        assert_eq!(p.grad().unwrap().as_slice(), &[5.0; 4]);
-        p.zero_grad();
-        assert_eq!(p.grad().unwrap().as_slice(), &[0.0; 4]);
-        assert_eq!(p.len(), 4);
-    }
-
-    #[test]
-    fn training_state_is_allocated_on_first_use_and_released() {
-        let mut p = Param::new(Matrix::full(2, 3, 1.0));
-        assert!(p.grad().is_none());
-        p.zero_grad();
-        assert!(p.grad().is_none(), "zero_grad allocates nothing");
-        assert_eq!(p.grad_mut().shape(), (2, 3));
-        assert_eq!(p.grad().unwrap().as_slice(), &[0.0; 6]);
-        p.release_training_state();
-        assert!(p.grad().is_none() && p.m.is_none() && p.v.is_none());
-        assert_eq!(p.value.as_slice(), &[1.0; 6]);
-    }
-
-    #[test]
-    #[should_panic(expected = "accumulate_grad shape")]
-    fn shape_mismatch_panics() {
-        let mut p = Param::new(Matrix::zeros(2, 2));
-        p.accumulate_grad(&Matrix::zeros(1, 2));
+    fn grads_follow_visit_order_and_shapes() {
+        let mut layer = Linear::new(3, 2, &mut StdRng::seed_from_u64(0));
+        let grads = Grads::zeros(&mut layer);
+        let shapes: Vec<_> = grads.iter().map(Matrix::shape).collect();
+        assert_eq!(shapes, [(2, 3), (1, 2)]);
+        assert!(grads.iter().all(|g| g.as_slice().iter().all(|&v| v == 0.0)));
+        assert_eq!(Param::new(Matrix::zeros(2, 2)).len(), 4);
     }
 }

@@ -178,9 +178,11 @@ fn requests_racing_gossip_see_no_mixed_plan() {
     let router = start_router(&[&s0, &s1], None);
 
     // Drive lookups through the router from a background thread while
-    // plans churn through gossip rounds.
+    // plans churn through gossip rounds. The first push waits for the
+    // driver's first reply, so the swaps always race a live driver.
     let addr = router.addr();
     let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let (first_reply, driver_running) = std::sync::mpsc::channel();
     let driver = {
         let stop = Arc::clone(&stop);
         std::thread::spawn(move || {
@@ -192,11 +194,17 @@ fn requests_racing_gossip_see_no_mixed_plan() {
                         .generate(table, &[1, 2, 3], None)
                         .expect("driver generate");
                     served += 1;
+                    if served == 1 {
+                        first_reply.send(()).expect("the test waits for it");
+                    }
                 }
             }
             served
         })
     };
+    driver_running
+        .recv()
+        .expect("the driver stopped before its first reply");
 
     let mut operator = Client::connect(s0.addr()).expect("connect b0");
     for version in 1..=4u64 {

@@ -38,6 +38,7 @@ use crate::stats::ServerStats;
 use secemb::hybrid::AllocationPlan;
 use secemb::{measure_cost, EmbeddingGenerator, GeneratorSpec, Technique};
 use secemb_enclave::CostModel;
+use secemb_obliv::{cmp, Choice};
 use secemb_oram::AccessStats;
 use secemb_telemetry::{
     Counter, Gauge, Registry, SpanCollector, SpanRecord, Stage, StageBreakdown, TraceCtx,
@@ -780,7 +781,7 @@ impl Engine {
             .ok_or(RejectReason::UnknownTable)?;
         let rows = shard.config.spec.rows();
         let n = request.indices.len();
-        if n == 0 || request.indices.iter().any(|&i| i >= rows) {
+        if n == 0 || any_out_of_range(&request.indices, rows) {
             return Err(RejectReason::BadRequest);
         }
         if let Some(update) = &request.update {
@@ -1098,6 +1099,16 @@ impl Drop for Engine {
     }
 }
 
+/// Whether any of `indices` falls outside a `rows`-row table. The
+/// indices are secret, so every one is compared in constant time and the
+/// verdicts are folded before anything branches: the work does not depend
+/// on where (or whether) a bad index sits. The folded verdict is public —
+/// the request is rejected on it.
+fn any_out_of_range(indices: &[u64], rows: u64) -> bool {
+    let bad = (indices.iter()).fold(Choice::FALSE, |bad, &i| bad | cmp::ge_u64(i, rows));
+    bad.to_bool()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1142,6 +1153,35 @@ mod tests {
         let response = engine.call(Request::new(0, vec![3, 63, 0]));
         let out = response.embeddings().expect("accepted");
         assert_eq!(out, &reference.generate_batch(&[3, 63, 0]));
+    }
+
+    #[test]
+    fn range_check_gives_todays_verdicts_wherever_the_bad_index_sits() {
+        let rows = 64;
+        let cases: [&[u64]; 5] = [
+            &[],
+            &[64, 1, 2, 3],
+            &[1, 2, 3, u64::MAX],
+            &[0, 1, 62, 63],
+            &[63],
+        ];
+        for indices in cases {
+            let early_exit = indices.iter().any(|&i| i >= rows);
+            assert_eq!(any_out_of_range(indices, rows), early_exit, "{indices:?}");
+        }
+        // Through admission: an empty request and a bad index first or
+        // last are refused alike; in-range indices are served.
+        let engine = Engine::start(EngineConfig::new(vec![fast_table()]));
+        for indices in [vec![], vec![64, 1, 2], vec![1, 2, 64]] {
+            assert_eq!(
+                engine.call(Request::new(0, indices)).rejection(),
+                Some(RejectReason::BadRequest)
+            );
+        }
+        assert!(engine
+            .call(Request::new(0, vec![1, 2, 63]))
+            .embeddings()
+            .is_some());
     }
 
     #[test]

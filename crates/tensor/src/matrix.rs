@@ -369,6 +369,21 @@ impl Matrix {
     }
 }
 
+/// `self += rhs`, element-wise (how a backward pass accumulates a
+/// gradient).
+///
+/// # Panics
+///
+/// Panics on shape mismatch.
+impl std::ops::AddAssign<&Matrix> for Matrix {
+    fn add_assign(&mut self, rhs: &Matrix) {
+        assert_eq!(self.shape(), rhs.shape(), "add_assign: shape mismatch");
+        for (a, &b) in self.data.iter_mut().zip(&rhs.data) {
+            *a += b;
+        }
+    }
+}
+
 impl fmt::Debug for Matrix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Matrix({}x{})", self.rows, self.cols)?;
@@ -451,6 +466,20 @@ mod tests {
     #[should_panic(expected = "inner dimensions")]
     fn matmul_shape_mismatch() {
         Matrix::zeros(2, 3).matmul(&Matrix::zeros(2, 3));
+    }
+
+    #[test]
+    fn add_assign_accumulates() {
+        let mut g = Matrix::full(2, 2, 3.0);
+        g += &Matrix::full(2, 2, 2.0);
+        assert_eq!(g.as_slice(), &[5.0; 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "add_assign: shape mismatch")]
+    fn add_assign_shape_mismatch() {
+        let mut g = Matrix::zeros(2, 2);
+        g += &Matrix::zeros(1, 2);
     }
 
     #[test]

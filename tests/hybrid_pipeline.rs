@@ -27,7 +27,7 @@ fn all_dhe_model(spec: &CriteoSpec) -> Dlrm {
 fn every_allocation_preserves_model_outputs() {
     let spec = spec();
     let gen = SyntheticCtr::new(spec.clone(), 1);
-    let mut model = all_dhe_model(&spec);
+    let model = all_dhe_model(&spec);
     let batch = gen.batch(5, &mut StdRng::seed_from_u64(2));
     let reference = model.forward(&batch);
 
