@@ -244,15 +244,17 @@ fn main() {
     config.tracing =
         (args.trace_sample > 0).then(|| TraceSettings::new(&args.trace_host, args.trace_sample));
 
-    eprintln!(
-        "building {} table(s) and probing costs...",
-        args.specs.len()
-    );
+    eprintln!("building {} table(s)...", args.specs.len());
     let engine = Arc::new(Engine::start(config));
     for (id, info) in engine.tables().iter().enumerate() {
         eprintln!(
-            "  table {id}: {} rows x {} dim, {} ({:.0} ns/query)",
-            info.rows, info.dim, info.technique, info.per_query_ns
+            "  table {id}: {} rows x {} dim, {}, built in {:.2} ms ({:.0} ns/query, {} cost)",
+            info.rows,
+            info.dim,
+            info.technique,
+            info.build_seconds * 1e3,
+            info.per_query_ns,
+            info.cost.label()
         );
     }
 

@@ -53,7 +53,7 @@ use crate::persist::ProfileArtifact;
 use crate::reprofile::{reprofile, ReprofileConfig};
 use secemb::hybrid::{AllocationPlan, Crossovers, PlannedTable};
 use secemb::Technique;
-use secemb_serve::Engine;
+use secemb_serve::{CostSource, Engine, TableInfo};
 use secemb_telemetry::{Counter, Gauge, Registry};
 use std::path::PathBuf;
 use std::sync::{mpsc, Arc};
@@ -323,7 +323,9 @@ pub struct AdaptiveController {
 impl AdaptiveController {
     /// A controller defending `initial_threshold` (the offline profile's
     /// two-way crossover) over `engine`'s tables. Detector baselines
-    /// start at the engine's startup per-query cost estimates.
+    /// start at the engine's per-query cost estimates, except where a
+    /// table's cost is still its prior: that detector learns its baseline
+    /// from the table's first served samples ([`DriftDetector::learning`]).
     pub fn new(engine: Arc<Engine>, initial_threshold: u64, config: AdaptConfig) -> Self {
         Self::with_crossovers(engine, Crossovers::two_way(initial_threshold), config)
     }
@@ -341,7 +343,7 @@ impl AdaptiveController {
         let detectors: Vec<DriftDetector> = engine
             .tables()
             .iter()
-            .map(|t| DriftDetector::new(config.drift, t.per_query_ns))
+            .map(|t| detector_for(config.drift, t))
             .collect();
         let registry = engine.metrics();
         let table_gauges = (0..detectors.len())
@@ -494,10 +496,11 @@ impl AdaptiveController {
                     rows: info.rows,
                     technique,
                     // A table keeping its technique keeps serving the same
-                    // kernel, so the drift EWMA is the best cost estimate;
-                    // a flipped table's cost is unknown until the freshly
-                    // built generator is probed at apply time.
-                    per_query_ns: if technique == info.technique {
+                    // kernel, so the drift EWMA is the best cost estimate
+                    // once the detector has a baseline; a flipped table's
+                    // cost is unknown until its freshly built generator has
+                    // served, and one still learning keeps what it has.
+                    per_query_ns: if technique == info.technique && !detector.is_learning() {
                         detector.ewma_ns()
                     } else {
                         -1.0
@@ -528,11 +531,12 @@ impl AdaptiveController {
                 };
             }
         };
-        // Re-arm every detector against the applied plan's costs (probed
-        // values for flipped tables), and discard samples that straddled
-        // the swap. The swap rebased every table's baseline, so every
-        // trigger enters its cooldown — dwell credit earned against the
-        // pre-swap baseline would fire on stale evidence.
+        // Re-arm every detector against the applied plan's costs (a
+        // flipped table's detector learns its baseline afresh), and
+        // discard samples that straddled the swap. The swap rebased every
+        // table's baseline, so every trigger enters its cooldown — dwell
+        // credit earned against the pre-swap baseline would fire on stale
+        // evidence.
         for trigger in &mut self.triggers {
             trigger.start_cooldown(now);
         }
@@ -542,7 +546,7 @@ impl AdaptiveController {
             .zip(&applied)
             .any(|(before, after)| before.technique != after.technique);
         for (info, detector) in applied.iter().zip(&mut self.detectors) {
-            detector.rebase(info.per_query_ns.max(1.0));
+            *detector = detector_for(self.config.drift, info);
         }
         for table in 0..self.detectors.len() {
             let _ = self.engine.drain_samples(table);
@@ -602,6 +606,16 @@ impl AdaptiveController {
             })
             .expect("spawn controller thread");
         ControllerHandle { stop, thread }
+    }
+}
+
+/// The detector for a table costed as `info` says: against its cost, or
+/// learning its baseline while that cost is a prior.
+fn detector_for(config: DriftConfig, info: &TableInfo) -> DriftDetector {
+    let baseline_ns = info.per_query_ns.max(1.0);
+    match info.cost {
+        CostSource::Prior => DriftDetector::learning(config, baseline_ns),
+        _ => DriftDetector::new(config, baseline_ns),
     }
 }
 

@@ -9,6 +9,12 @@
 //! negative when pressure lifts. Working in log space makes the test
 //! scale-free — a 2× shift trips it equally fast at 200 ns or 200 µs
 //! baselines, matching how co-location moves costs by *factors* (Fig. 8).
+//!
+//! A table whose cost is still its technique's prior (nothing measured
+//! it yet) gets a detector that *learns* its baseline from its first
+//! [`DriftConfig::min_samples`] samples instead ([`DriftDetector::learning`]):
+//! a prior is an estimate from shape, and a served cost that merely
+//! differs from it is no drift.
 
 /// Detector tuning.
 #[derive(Clone, Copy, Debug)]
@@ -49,6 +55,8 @@ pub struct DriftDetector {
     cusum_up: f64,
     cusum_down: f64,
     samples_seen: usize,
+    /// While the baseline is being learned: the samples so far.
+    learning: Option<Vec<f64>>,
 }
 
 impl DriftDetector {
@@ -72,13 +80,43 @@ impl DriftDetector {
             cusum_up: 0.0,
             cusum_down: 0.0,
             samples_seen: 0,
+            learning: None,
         }
+    }
+
+    /// A detector that takes the median of its first
+    /// [`DriftConfig::min_samples`] samples as its baseline and tests only
+    /// the samples after them. `provisional_ns` (a prior) stands in for
+    /// the baseline in [`baseline_ns`](Self::baseline_ns) and the EWMA
+    /// until then; nothing is tested against it.
+    ///
+    /// # Panics
+    ///
+    /// As [`new`](Self::new).
+    pub fn learning(config: DriftConfig, provisional_ns: f64) -> Self {
+        let mut detector = Self::new(config, provisional_ns);
+        detector.learning = Some(Vec::new());
+        detector
+    }
+
+    /// Whether the baseline is still being learned.
+    pub fn is_learning(&self) -> bool {
+        self.learning.is_some()
     }
 
     /// Feeds one per-query service-time sample (nanoseconds).
     /// Non-positive and non-finite samples are ignored.
     pub fn observe(&mut self, sample_ns: f64) {
         if !(sample_ns > 0.0 && sample_ns.is_finite()) {
+            return;
+        }
+        if let Some(seen) = &mut self.learning {
+            seen.push(sample_ns);
+            if seen.len() >= self.config.min_samples.max(1) {
+                seen.sort_by(f64::total_cmp);
+                let median = seen[seen.len() / 2];
+                self.rebase(median);
+            }
             return;
         }
         let a = self.config.alpha;
@@ -155,6 +193,7 @@ impl DriftDetector {
         self.cusum_up = 0.0;
         self.cusum_down = 0.0;
         self.samples_seen = 0;
+        self.learning = None;
     }
 }
 
@@ -272,6 +311,30 @@ mod tests {
             d.observe(4000.0);
         }
         assert!(!d.drifted());
+    }
+
+    #[test]
+    fn a_learning_detector_tests_only_after_its_own_baseline() {
+        // A prior 100x off the served cost: a detector against it would
+        // trip at once; a learning one takes the served cost as baseline.
+        let mut d = DriftDetector::learning(quick(), 10.0);
+        for _ in 0..3 {
+            d.observe(1000.0);
+        }
+        assert!(d.is_learning() && !d.drifted());
+        assert_eq!(d.baseline_ns(), 10.0, "the prior stands in meanwhile");
+        d.observe(1100.0);
+        assert!(!d.is_learning());
+        assert_eq!(d.baseline_ns(), 1000.0, "the median of the first four");
+        for _ in 0..100 {
+            d.observe(1000.0);
+        }
+        assert!(!d.drifted());
+        // Then real drift against the learned baseline trips as usual.
+        for _ in 0..10 {
+            d.observe(3000.0);
+        }
+        assert!(d.drifted());
     }
 
     #[test]

@@ -286,7 +286,7 @@ fn three_way_cell(rows: [u64; 2]) {
         DIM,
         crossovers,
         &rows,
-        &[-1.0, -1.0], // probe both costs at apply time
+        &[-1.0, -1.0], // both costs unknown: priors, learned once served
         BATCH,
         1,
     );

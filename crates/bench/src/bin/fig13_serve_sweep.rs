@@ -89,12 +89,16 @@ fn main() {
     );
     config.telemetry = telemetry;
 
-    eprintln!("building tables and probing costs...");
+    eprintln!("building tables...");
     let engine = Arc::new(Engine::start(config));
     for (id, info) in engine.tables().iter().enumerate() {
         println!(
-            "table {id}: {} rows x {} dim, {} ({:.0} ns/query)",
-            info.rows, info.dim, info.technique, info.per_query_ns
+            "table {id}: {} rows x {} dim, {} ({:.0} ns/query, {} cost)",
+            info.rows,
+            info.dim,
+            info.technique,
+            info.per_query_ns,
+            info.cost.label()
         );
     }
     let server = Server::start(Arc::clone(&engine), "127.0.0.1:0").expect("bind ephemeral port");

@@ -3,7 +3,8 @@
 
 use crate::hash::UniversalHashFamily;
 use crate::{EmbeddingGenerator, Technique};
-use rand::{Rng, SeedableRng};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use secemb_nn::{Mlp, Module, Param, Params, Tape};
 use secemb_tensor::Matrix;
 use secemb_trace::tracer::{self, regions};
@@ -127,12 +128,12 @@ impl Dhe {
     ///
     /// Panics if the configuration is invalid, or if a layer's parameter
     /// bytes do not fit the tracer's `u32` event length.
-    pub fn new(config: DheConfig, rng: &mut impl Rng) -> Self {
+    pub fn new(config: DheConfig, rng: &mut StdRng) -> Self {
         config.validate();
         let hash = UniversalHashFamily::new(
             config.k,
             config.buckets,
-            &mut rand::rngs::StdRng::seed_from_u64(config.hash_seed),
+            &mut StdRng::seed_from_u64(config.hash_seed),
         );
         let widths: Vec<usize> = config.hidden.iter().chain([&config.dim]).copied().collect();
         // Before any layer is allocated: a layer too large to report is

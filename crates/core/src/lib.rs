@@ -59,6 +59,4 @@ pub use hash::UniversalHashFamily;
 pub use lookup::IndexLookup;
 pub use oram_table::OramTable;
 pub use scan_table::LinearScan;
-pub use spec::{
-    measure_cost, median_ns, probe_indices, CostEstimate, GeneratorSpec, SpecParseError, Weights,
-};
+pub use spec::{median_ns, probe_indices, GeneratorSpec, SpecParseError, Weights};

@@ -1,12 +1,14 @@
-//! Declarative generator construction and online cost estimation — the
-//! pieces a serving layer needs to stand up backends and reason about
-//! their latency.
+//! Declarative generator construction and the cost a served table starts
+//! from — the pieces a serving layer needs to stand up backends and reason
+//! about their latency.
 
 use crate::hybrid::choose_technique;
 use crate::{Dhe, DheConfig, EmbeddingGenerator, IndexLookup, LinearScan, OramTable, Technique};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use secemb_tensor::Matrix;
+use rand::SeedableRng;
+use secemb_oram::OramConfig;
+use secemb_tensor::init::UniformDraws;
+use secemb_tensor::{fill_uniform, Matrix};
 use std::fmt;
 use std::str::FromStr;
 use std::time::Instant;
@@ -160,11 +162,13 @@ pub enum Weights {
     Dhe(Dhe),
     /// Synthetic weights drawn from the RNG [`Technique::build`] is
     /// handed, for every technique: a `rows × dim` table of uniform
-    /// `[-1, 1)` draws in row-major order, or a Varied DHE for such a
-    /// table. A tree ORAM draws each row straight into its slot, so the
-    /// table never exists outside the tree, and its controller then draws
-    /// from where the table's draws end — the same table and the same
-    /// controller as drawing the table first.
+    /// `[-1, 1)` draws in row-major order ([`fill_uniform`]), or a Varied
+    /// DHE for such a table. A tree ORAM draws each row straight into its
+    /// slot from a stream staged 16 KiB at a time, so the table never
+    /// exists outside the tree, and its controller's RNG *jumps* past the
+    /// table's draws ([`StdRng::advance`]) rather than making and
+    /// discarding them — the same table and the same controller as drawing
+    /// the table first.
     Drawn {
         /// Table rows.
         rows: u64,
@@ -173,26 +177,26 @@ pub enum Weights {
     },
 }
 
-/// One synthetic weight.
-fn draw(rng: &mut StdRng) -> f32 {
-    rng.gen_range(-1.0f32..1.0)
-}
-
-/// The `fill(id, slot)` callback of a drawn `rows × dim` table: it draws
-/// row `id`'s bit patterns from a copy of `rng`, rows in id order, and
-/// `rng` skips the table's draws, so the controller seeded with it draws
-/// from where drawing the whole table first would have left it.
+/// The `fill(id, slot)` callback of a drawn `rows × dim` table: it hands
+/// out row `id`'s bit patterns from a [`UniformDraws`] stream of the
+/// table's draws, rows in id order, and jumps `rng` past the table, so
+/// the controller seeded with it draws from where drawing the whole table
+/// first would have left it.
 fn drawn_rows(rows: u64, dim: usize, rng: &mut StdRng) -> impl FnMut(u64, &mut [u32]) {
-    let mut table_rng = rng.clone();
-    for _ in 0..rows * dim as u64 {
-        draw(rng);
-    }
+    let total = rows * dim as u64;
+    let mut draws = UniformDraws::new(rng.clone(), -1.0, 1.0, total);
+    rng.advance(total);
     let mut next = 0;
-    move |id, words| {
+    move |id, mut words: &mut [u32]| {
         assert_eq!(id, next, "drawn rows are filled in id order");
         next += 1;
-        for w in words {
-            *w = draw(&mut table_rng).to_bits();
+        while !words.is_empty() {
+            let staged = draws.take(words.len());
+            let (row, rest) = words.split_at_mut(staged.len());
+            for (w, v) in row.iter_mut().zip(staged) {
+                *w = v.to_bits();
+            }
+            words = rest;
         }
     }
 }
@@ -227,7 +231,8 @@ impl Technique {
                 plain @ (Technique::IndexLookup | Technique::LinearScan),
                 Weights::Drawn { rows, dim },
             ) => {
-                let table = Matrix::from_fn(rows as usize, dim, |_, _| draw(&mut rng));
+                let mut table = Matrix::zeros(rows as usize, dim);
+                fill_uniform(&mut rng, -1.0, 1.0, table.as_mut_slice());
                 plain.build(Weights::Table(table), rng)
             }
             (
@@ -314,46 +319,67 @@ impl FromStr for GeneratorSpec {
     }
 }
 
-/// A measured per-query cost, the basis of serving-time admission control.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CostEstimate {
-    /// Median wall-clock nanoseconds per single query, measured at the
-    /// probe batch size (amortized).
-    pub per_query_ns: f64,
-    /// Batch size the probe ran at.
-    pub probe_batch: usize,
-}
+impl Technique {
+    /// The work one query of a `rows × dim` table costs, from public shape
+    /// alone (Table I as a number): `dim` words copied for a lookup,
+    /// `rows · dim` words read for a scan, the words of every bucket on
+    /// one path of the tree and of its position-map trees for a tree ORAM,
+    /// and the Varied decoder's multiply-adds for DHE.
+    pub fn predicted_work(self, rows: u64, dim: usize) -> f64 {
+        match self {
+            Technique::IndexLookup => dim as f64,
+            Technique::LinearScan => rows as f64 * dim as f64,
+            Technique::PathOram => path_words(rows, &OramConfig::path(dim)),
+            Technique::CircuitOram | Technique::LaOram => {
+                path_words(rows, &OramConfig::circuit(dim))
+            }
+            Technique::Dhe => DheConfig::varied(dim, rows).param_count() as f64,
+        }
+    }
 
-impl CostEstimate {
-    /// Estimated nanoseconds to generate a batch of `n` queries.
-    pub fn batch_ns(&self, n: usize) -> f64 {
-        self.per_query_ns * n as f64
+    /// The per-query admission cost a served table starts from, before it
+    /// has served a batch: [`predicted_work`](Self::predicted_work) times
+    /// a checked-in price per unit of work. The prices are per-query costs
+    /// at batch 8 divided by the predicted work, measured on a 2-vCPU
+    /// AVX-512 Xeon VM at the benchmark's shapes (EXPERIMENTS.md,
+    /// "Start-up"); a serving engine replaces the prior with what its
+    /// first batches measure.
+    pub fn prior_cost_ns(self, rows: u64, dim: usize) -> f64 {
+        let ns_per_unit = match self {
+            Technique::IndexLookup => PRICE_LOOKUP_NS,
+            Technique::LinearScan => PRICE_SCAN_NS,
+            Technique::PathOram => PRICE_PATH_NS,
+            Technique::CircuitOram | Technique::LaOram => PRICE_CIRCUIT_NS,
+            Technique::Dhe => PRICE_DHE_NS,
+        };
+        ns_per_unit * self.predicted_work(rows, dim)
     }
 }
 
-/// Probes `generator` with a few warm batches and returns the median
-/// amortized per-query cost.
-///
-/// # Panics
-///
-/// Panics if `probe_batch` or `repeats` is zero.
-pub fn measure_cost(
-    generator: &mut dyn EmbeddingGenerator,
-    probe_batch: usize,
-    repeats: usize,
-) -> CostEstimate {
-    assert!(probe_batch > 0, "measure_cost: zero probe batch");
-    assert!(repeats > 0, "measure_cost: zero repeats");
-    let indices = probe_indices(probe_batch, generator.num_embeddings());
-    // One warm-up batch to fault in lazily-touched state (ORAM paths,
-    // DHE activations) before timing.
-    std::hint::black_box(generator.generate_batch(&indices));
-    let batch_ns = median_ns(repeats, || {
-        std::hint::black_box(generator.generate_batch(&indices));
-    });
-    CostEstimate {
-        per_query_ns: batch_ns / probe_batch as f64,
-        probe_batch,
+/// Nanoseconds per word copied by a lookup.
+const PRICE_LOOKUP_NS: f64 = 0.25;
+/// Nanoseconds per table word a scan reads.
+const PRICE_SCAN_NS: f64 = 0.04;
+/// Nanoseconds per path word of a Path ORAM access.
+const PRICE_PATH_NS: f64 = 50.0;
+/// Nanoseconds per path word of a Circuit ORAM access.
+const PRICE_CIRCUIT_NS: f64 = 1.5;
+/// Nanoseconds per decoder multiply-add of a DHE query.
+const PRICE_DHE_NS: f64 = 0.06;
+
+/// Words in the buckets on one root-to-leaf path of a `rows`-block tree
+/// and, recursively, of its position-map trees — the recursion
+/// [`crate::footprint::tree_oram_bytes`] sizes.
+fn path_words(rows: u64, config: &OramConfig) -> f64 {
+    let leaves = secemb_oram::tree_leaves(rows, config.bucket_size);
+    let levels = u64::from(64 - (leaves - 1).leading_zeros()) + 1;
+    let own = (levels * config.bucket_size as u64 * config.block_bytes() / 4) as f64;
+    if rows <= config.recursion_threshold {
+        own
+    } else {
+        let mut inner = *config;
+        inner.block_words = config.posmap_fanout;
+        own + path_words(rows.div_ceil(config.posmap_fanout as u64), &inner)
     }
 }
 
@@ -520,22 +546,22 @@ mod tests {
     }
 
     #[test]
-    fn cost_probe_scales_with_table() {
-        let mut small = GeneratorSpec::Scan { rows: 64, dim: 16 }.build(0);
-        let mut large = GeneratorSpec::Scan {
-            rows: 16384,
-            dim: 16,
+    fn priors_grow_with_the_shape() {
+        for technique in Technique::ALL {
+            let small = technique.prior_cost_ns(4096, 16);
+            assert!(small > 0.0, "{technique}");
+            assert!(
+                technique.prior_cost_ns(4096, 64) > small,
+                "{technique}: dim"
+            );
+            if technique != Technique::IndexLookup {
+                assert!(
+                    technique.prior_cost_ns(1 << 22, 16) > small,
+                    "{technique}: rows"
+                );
+            }
         }
-        .build(0);
-        let cs = measure_cost(small.as_mut(), 8, 3);
-        let cl = measure_cost(large.as_mut(), 8, 3);
-        assert!(cs.per_query_ns > 0.0);
-        assert!(
-            cl.per_query_ns > cs.per_query_ns * 10.0,
-            "scan cost must track table size: {} vs {}",
-            cs.per_query_ns,
-            cl.per_query_ns
-        );
-        assert_eq!(cl.batch_ns(2), cl.per_query_ns * 2.0);
+        // A scan reads the table; the work is its words.
+        assert_eq!(Technique::LinearScan.predicted_work(100, 8), 800.0);
     }
 }

@@ -169,7 +169,7 @@ impl Worker {
                 w.dhe
                     .clone()
                     .unwrap_or_else(|| DheConfig::new(w.dim, 256, vec![128, 64])),
-                &mut rand::rngs::mock::StepRng::new(1, 7),
+                &mut StdRng::seed_from_u64(1),
             )),
             other => panic!("co-location workloads are scan/DHE only, got {other}"),
         };

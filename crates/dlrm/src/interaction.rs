@@ -78,11 +78,10 @@ impl DotInteraction {
             let mut col = dim;
             for i in 0..v {
                 for j in (i + 1)..v {
+                    // Every pair, whatever its gradient: `g` derives from
+                    // secret rows, so nothing may branch on it.
                     let g = grad_output.row(b)[col];
                     col += 1;
-                    if g == 0.0 {
-                        continue;
-                    }
                     for d in 0..dim {
                         let vi = vectors[i].get(b, d);
                         let vj = vectors[j].get(b, d);

@@ -1,7 +1,7 @@
 //! The trainable DLRM.
 
 use crate::interaction::DotInteraction;
-use rand::Rng;
+use rand::rngs::StdRng;
 use secemb::{Dhe, DheConfig};
 use secemb_data::{CriteoSample, CriteoSpec};
 use secemb_nn::{
@@ -128,7 +128,7 @@ impl Dlrm {
     ///
     /// Panics if the spec's bottom MLP does not end at the embedding
     /// dimension.
-    pub fn new(spec: CriteoSpec, kind: &EmbeddingKind, rng: &mut impl Rng) -> Self {
+    pub fn new(spec: CriteoSpec, kind: &EmbeddingKind, rng: &mut StdRng) -> Self {
         let kinds: Vec<EmbeddingKind> = spec.table_sizes.iter().map(|_| kind.clone()).collect();
         Self::with_kinds(spec, &kinds, rng)
     }
@@ -140,7 +140,7 @@ impl Dlrm {
     ///
     /// Panics if `kinds.len()` differs from the sparse feature count, or
     /// the bottom MLP does not end at the embedding dimension.
-    pub fn with_kinds(spec: CriteoSpec, kinds: &[EmbeddingKind], rng: &mut impl Rng) -> Self {
+    pub fn with_kinds(spec: CriteoSpec, kinds: &[EmbeddingKind], rng: &mut StdRng) -> Self {
         assert_eq!(
             kinds.len(),
             spec.table_sizes.len(),

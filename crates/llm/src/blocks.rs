@@ -1,6 +1,6 @@
 //! Transformer blocks: pre-norm attention + GeLU feed-forward.
 
-use rand::Rng;
+use rand::rngs::StdRng;
 use secemb_nn::{CausalSelfAttention, Gelu, LayerNorm, Linear, Module, Param, Params, Tape};
 use secemb_tensor::Matrix;
 
@@ -13,7 +13,7 @@ pub struct FeedForward {
 
 impl FeedForward {
     /// Creates the feed-forward for model width `dim`.
-    pub fn new(dim: usize, rng: &mut impl Rng) -> Self {
+    pub fn new(dim: usize, rng: &mut StdRng) -> Self {
         FeedForward {
             up: Linear::new(dim, 4 * dim, rng),
             down: Linear::new(4 * dim, dim, rng),
@@ -64,7 +64,7 @@ impl Block {
     /// # Panics
     ///
     /// Panics if `dim` is not divisible by `heads`.
-    pub fn new(dim: usize, heads: usize, rng: &mut impl Rng) -> Self {
+    pub fn new(dim: usize, heads: usize, rng: &mut StdRng) -> Self {
         Block {
             ln1: LayerNorm::new(dim),
             attn: CausalSelfAttention::new(dim, heads, rng),

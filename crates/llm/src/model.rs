@@ -1,7 +1,7 @@
 //! The trainable GPT.
 
 use crate::blocks::Block;
-use rand::Rng;
+use rand::rngs::StdRng;
 use secemb::{Dhe, DheConfig};
 use secemb_nn::{
     cross_entropy_loss, Embedding, Grads, LayerNorm, Linear, Module, Optimizer, Param, Params, Tape,
@@ -118,7 +118,7 @@ impl Gpt {
     ///
     /// Panics on an invalid config, or if a DHE kind's `dim` differs from
     /// the model width.
-    pub fn new(config: GptConfig, kind: &TokenEmbeddingKind, rng: &mut impl Rng) -> Self {
+    pub fn new(config: GptConfig, kind: &TokenEmbeddingKind, rng: &mut StdRng) -> Self {
         config.validate();
         let (embedding, head) = match kind {
             TokenEmbeddingKind::Table => (

@@ -1,7 +1,7 @@
 //! Multi-head causal self-attention with a hand-derived backward pass.
 
 use crate::{Linear, Module, Param, Params, Tape};
-use rand::Rng;
+use rand::rngs::StdRng;
 use secemb_tensor::{ops, Matrix};
 
 /// Multi-head causal self-attention over a single sequence.
@@ -32,7 +32,7 @@ impl CausalSelfAttention {
     /// # Panics
     ///
     /// Panics if `dim` is not divisible by `heads`.
-    pub fn new(dim: usize, heads: usize, rng: &mut impl Rng) -> Self {
+    pub fn new(dim: usize, heads: usize, rng: &mut StdRng) -> Self {
         assert!(
             heads > 0 && dim.is_multiple_of(heads),
             "dim must divide into heads"

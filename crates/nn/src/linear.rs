@@ -1,7 +1,7 @@
 //! Fully-connected layer.
 
 use crate::{Module, Param, Params, Tape};
-use rand::Rng;
+use rand::rngs::StdRng;
 use secemb_tensor::{Matrix, XavierInit};
 
 /// An affine layer `y = x·Wᵀ + b` with `W: out × in`.
@@ -17,7 +17,7 @@ pub struct Linear {
 
 impl Linear {
     /// Creates a layer with Xavier-initialized weights and zero bias.
-    pub fn new(in_features: usize, out_features: usize, rng: &mut impl Rng) -> Self {
+    pub fn new(in_features: usize, out_features: usize, rng: &mut StdRng) -> Self {
         Linear {
             weight: Param::new(XavierInit.sample(out_features, in_features, rng)),
             bias: Param::new(Matrix::zeros(1, out_features)),

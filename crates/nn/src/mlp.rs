@@ -1,7 +1,7 @@
 //! A ReLU multi-layer perceptron.
 
 use crate::{Linear, Module, Param, Params, Tape};
-use rand::Rng;
+use rand::rngs::StdRng;
 use secemb_tensor::{ops, Matrix};
 
 /// A multi-layer perceptron: `Linear → ReLU → … → Linear` (no activation
@@ -22,7 +22,7 @@ impl Mlp {
     /// # Panics
     ///
     /// Panics if `widths` is empty.
-    pub fn new(input: usize, widths: &[usize], rng: &mut impl Rng) -> Self {
+    pub fn new(input: usize, widths: &[usize], rng: &mut StdRng) -> Self {
         assert!(!widths.is_empty(), "Mlp: need at least one layer");
         let mut layers = Vec::with_capacity(widths.len());
         let mut prev = input;

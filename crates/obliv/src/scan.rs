@@ -7,7 +7,7 @@
 //! - the paper's **linear scan** embedding generation (§IV-A1, §V-A2), and
 //! - the **oblivious argmax** used for greedy LLM decoding (§V-C).
 
-use crate::isa::Isa;
+use crate::isa::{Isa, Kernels};
 use crate::{cmp, select};
 use std::sync::OnceLock;
 
@@ -108,15 +108,12 @@ pub fn scan_copy_rows_at(
 /// The instantiation of [`kernel_body`] compiled for `isa` — only if this
 /// CPU runs that level, which is what makes [`run`] sound.
 fn kernel(isa: Isa) -> Option<Kernel> {
-    if !isa.available() {
-        return None;
-    }
-    Some(match isa {
+    isa.pick(&Kernels {
+        baseline: kernel_baseline,
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => kernel_avx2,
+        avx2: kernel_avx2,
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx512f => kernel_avx512f,
-        _ => kernel_baseline,
+        avx512f: kernel_avx512f,
     })
 }
 

@@ -9,10 +9,13 @@
 //! to [`BatchPolicy::max_batch`] queries and runs it as one batch: an
 //! idle worker dispatches at once, a busy one drains what arrived while
 //! it computed — batch composition is a function of arrival times and
-//! public shape only. Admission control uses a profiled per-query cost
-//! to predict queue delay and sheds load *explicitly*: a request the
-//! server cannot serve in time is answered `Rejected`, never silently
-//! dropped and never allowed to grow the queue without bound.
+//! public shape only. Admission control uses a per-query cost to predict
+//! queue delay and sheds load *explicitly*: a request the server cannot
+//! serve in time is answered `Rejected`, never silently dropped and never
+//! allowed to grow the queue without bound. Nothing is timed at start-up:
+//! a shard's cost starts from a prior that is a function of its public
+//! shape ([`Technique::prior_cost_ns`]), and the worker replaces it with
+//! the measured cost of its first [`LEARN_BATCHES`] served batches.
 //!
 //! # Live reallocation
 //!
@@ -36,7 +39,7 @@ use crate::lock_unpoisoned;
 use crate::request::{RejectReason, Request, Response};
 use crate::stats::ServerStats;
 use secemb::hybrid::AllocationPlan;
-use secemb::{measure_cost, EmbeddingGenerator, GeneratorSpec, Technique};
+use secemb::{EmbeddingGenerator, GeneratorSpec, Technique};
 use secemb_enclave::CostModel;
 use secemb_obliv::{cmp, Choice};
 use secemb_oram::AccessStats;
@@ -56,6 +59,10 @@ use std::time::Instant;
 /// cost).
 const SAMPLE_CAP: usize = 4096;
 
+/// Served batches whose median per-query cost replaces a shard's prior
+/// (the start-up probe it replaces timed three batches of eight).
+pub const LEARN_BATCHES: usize = 3;
+
 /// One table the engine serves.
 #[derive(Clone, Copy, Debug)]
 pub struct TableConfig {
@@ -66,13 +73,14 @@ pub struct TableConfig {
     /// Bounded queue length, in *requests*. Submissions beyond it are
     /// rejected `QueueFull`.
     pub queue_capacity: usize,
-    /// Per-query cost override in nanoseconds; when `None` the engine
-    /// probes the built generator at startup ([`measure_cost`]).
+    /// Per-query cost override in nanoseconds, never relearned; when
+    /// `None` the shard starts from its technique's prior and learns its
+    /// cost from its first served batches ([`CostSource`]).
     pub cost_override_ns: Option<f64>,
 }
 
 impl TableConfig {
-    /// A table with default seed, queue bound and probed cost.
+    /// A table with default seed, queue bound and learned cost.
     pub fn new(spec: GeneratorSpec) -> Self {
         TableConfig {
             spec,
@@ -90,10 +98,6 @@ pub struct EngineConfig {
     pub tables: Vec<TableConfig>,
     /// Coalescing policy, shared by every shard.
     pub policy: BatchPolicy,
-    /// Batch size of the startup cost probe.
-    pub probe_batch: usize,
-    /// Repetitions of the startup cost probe.
-    pub probe_repeats: usize,
     /// Whether the metrics registry records (default true). With
     /// telemetry off the registry hands out inert handles — the code
     /// path is identical, only the atomic stores are skipped — and
@@ -135,8 +139,6 @@ impl EngineConfig {
         EngineConfig {
             tables,
             policy: BatchPolicy::default(),
-            probe_batch: 8,
-            probe_repeats: 3,
             telemetry: true,
             tracing: None,
         }
@@ -154,9 +156,40 @@ pub struct TableInfo {
     pub technique: Technique,
     /// Per-query cost used for admission, nanoseconds.
     pub per_query_ns: f64,
+    /// Where `per_query_ns` came from.
+    pub cost: CostSource,
+    /// Wall-clock seconds the serving generator took to build (its
+    /// weights drawn or its tree filled) — a function of public shape.
+    pub build_seconds: f64,
     /// Whether the serving generator has an oblivious write path
     /// (requests with update payloads are admitted only when true).
     pub supports_updates: bool,
+}
+
+/// Where a shard's admission cost came from.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CostSource {
+    /// [`TableConfig::cost_override_ns`]; never relearned.
+    Override,
+    /// The technique's prior ([`Technique::prior_cost_ns`]): the shard has
+    /// not yet served [`LEARN_BATCHES`] batches on this generator.
+    Prior,
+    /// The median per-query cost of the generator's first served batches.
+    Learned,
+    /// The cost an applied [`AllocationPlan`] gave it.
+    Planned,
+}
+
+impl CostSource {
+    /// A lowercase name for logs.
+    pub fn label(self) -> &'static str {
+        match self {
+            CostSource::Override => "override",
+            CostSource::Prior => "prior",
+            CostSource::Learned => "learned",
+            CostSource::Planned => "planned",
+        }
+    }
 }
 
 /// Error from [`Engine::apply_plan`].
@@ -230,6 +263,9 @@ struct Slot {
     /// Probe baselines of `generator`'s cumulative access counters;
     /// restarted with it on a swap.
     acc: ProbeAccumulator,
+    /// While the shard's cost is a prior: the per-query costs of the
+    /// batches served so far ([`learn`]). `None` once the cost is known.
+    learning: Option<Vec<f64>>,
     /// Test hook: panic inside the next dispatched batch (see
     /// [`Engine::inject_worker_panic`]).
     poisoned: bool,
@@ -263,8 +299,11 @@ struct Shard {
     /// Whether the active generator accepts update payloads — checked
     /// lock-free at admission, flipped under the swap lock.
     supports_updates: Arc<AtomicBool>,
-    /// Full metadata (infrequent reads; updated under the swap lock).
+    /// Full metadata (infrequent reads; updated under the swap lock, and
+    /// by the worker when it learns the cost).
     info: Arc<Mutex<TableInfo>>,
+    /// `engine_table_build_seconds{table}`.
+    build_seconds: Arc<Gauge>,
     /// Recent per-query service-time samples exported to drift detectors.
     samples: Arc<Mutex<SampleRing>>,
     /// Original build parameters, kept so a reallocation can rebuild the
@@ -345,8 +384,6 @@ pub struct Engine {
     /// The most recently applied plan (`None` until the first
     /// [`Engine::apply_plan`]); served to peers over `PlanPull`.
     active_plan: Mutex<Option<AllocationPlan>>,
-    probe_batch: usize,
-    probe_repeats: usize,
     /// Per-request span buffer (inert unless `EngineConfig::tracing`
     /// was set).
     spans: Arc<SpanCollector>,
@@ -364,6 +401,9 @@ struct WorkerSetup {
     batches: Arc<Counter>,
     probes: WorkerProbes,
     samples: Arc<Mutex<SampleRing>>,
+    /// The shard's admission cost and metadata, for the learned cost.
+    cost_ns_bits: Arc<AtomicU64>,
+    info: Arc<Mutex<TableInfo>>,
     policy: BatchPolicy,
     alive: Arc<AtomicBool>,
     spans: Arc<SpanCollector>,
@@ -495,8 +535,8 @@ impl WorkerProbes {
 }
 
 impl Engine {
-    /// Builds every table, probes per-query costs, and starts one worker
-    /// thread per shard.
+    /// Builds every table, prices each at its override or its prior, and
+    /// starts one worker thread per shard.
     ///
     /// # Panics
     ///
@@ -518,26 +558,40 @@ impl Engine {
         let mut workers = Vec::with_capacity(config.tables.len());
         for (id, t) in config.tables.iter().enumerate() {
             assert!(t.queue_capacity > 0, "table {id}: zero queue capacity");
-            let mut generator = t.spec.build(t.seed);
-            let per_query_ns = t.cost_override_ns.unwrap_or_else(|| {
-                measure_cost(generator.as_mut(), config.probe_batch, config.probe_repeats)
-                    .per_query_ns
-            });
+            let (generator, build_seconds) = timed_build(t.spec, t.seed);
+            let technique = generator.technique();
+            let supports_updates = generator.supports_updates();
+            let (per_query_ns, cost) = match t.cost_override_ns {
+                Some(ns) => (ns, CostSource::Override),
+                None => (
+                    technique.prior_cost_ns(t.spec.rows(), t.spec.dim()),
+                    CostSource::Prior,
+                ),
+            };
             let info = TableInfo {
                 rows: t.spec.rows(),
                 dim: t.spec.dim(),
-                technique: generator.technique(),
+                technique,
                 per_query_ns,
-                supports_updates: generator.supports_updates(),
+                cost,
+                build_seconds,
+                supports_updates,
             };
+            let table = id.to_string();
+            let build_gauge =
+                registry.gauge_with("engine_table_build_seconds", &[("table", &table)]);
+            build_gauge.set(build_seconds);
             let (tx, rx) = mpsc::channel::<Job>();
             let queued = Arc::new(AtomicUsize::new(0));
             let pending = Arc::new(AtomicU64::new(0));
             let samples = Arc::new(Mutex::new(SampleRing::new()));
             let alive = Arc::new(AtomicBool::new(true));
+            let cost_ns_bits = Arc::new(AtomicU64::new(per_query_ns.to_bits()));
+            let info = Arc::new(Mutex::new(info));
             let gate: Arc<EpochGate> = Arc::new(RwLock::new(Mutex::new(Slot {
                 generator,
                 acc: ProbeAccumulator::default(),
+                learning: (cost == CostSource::Prior).then(Vec::new),
                 poisoned: false,
             })));
             workers.push(spawn_worker(WorkerSetup {
@@ -550,6 +604,8 @@ impl Engine {
                 batches: stats.register_worker(id),
                 probes: WorkerProbes::new(&registry, id),
                 samples: Arc::clone(&samples),
+                cost_ns_bits: Arc::clone(&cost_ns_bits),
+                info: Arc::clone(&info),
                 policy: config.policy,
                 alive: Arc::clone(&alive),
                 spans: Arc::clone(&spans),
@@ -560,9 +616,10 @@ impl Engine {
                 gate,
                 alive,
                 pending_queries: pending,
-                cost_ns_bits: Arc::new(AtomicU64::new(per_query_ns.to_bits())),
-                supports_updates: Arc::new(AtomicBool::new(info.supports_updates)),
-                info: Arc::new(Mutex::new(info)),
+                cost_ns_bits,
+                supports_updates: Arc::new(AtomicBool::new(supports_updates)),
+                info,
+                build_seconds: build_gauge,
                 samples,
                 config: *t,
             });
@@ -574,8 +631,6 @@ impl Engine {
             plan_version: AtomicU64::new(0),
             swap_lock: Mutex::new(()),
             active_plan: Mutex::new(None),
-            probe_batch: config.probe_batch,
-            probe_repeats: config.probe_repeats,
             spans,
             workers: Mutex::new(workers),
         }
@@ -680,11 +735,12 @@ impl Engine {
     /// whatever the plan asks, with its cost; [`Self::active_plan`] says so.
     ///
     /// Admission-control costs switch to the plan's estimates in the same
-    /// critical section; a planned cost `<= 0` (unknown) is probed here on
-    /// a freshly built generator before the swap is published, and keeps
-    /// the current cost where nothing was built. On return every shard
-    /// serves the new plan; an idle or dead worker is swapped where it
-    /// sits, not waited on.
+    /// critical section. A planned cost `<= 0` (unknown) puts a freshly
+    /// built generator on its technique's prior, which its worker then
+    /// learns from served batches as at start-up, and keeps the current
+    /// cost where nothing was built. On return every shard serves the new
+    /// plan; an idle or dead worker is swapped where it sits, not waited
+    /// on.
     ///
     /// Returns the new epoch.
     ///
@@ -707,46 +763,55 @@ impl Engine {
         // Held across the builds: which tables need one depends on the
         // techniques the previous plan left in place.
         let _swap = lock_unpoisoned(&self.swap_lock);
-        // Build (and if necessary probe) every replacement off the gate —
-        // construction can take seconds for large ORAM tables and must
-        // not stall serving.
+        // Build every replacement off the gate — construction can take
+        // seconds for large ORAM tables and must not stall serving.
         let mut staged = Vec::with_capacity(self.shards.len());
         // The plan as applied: what `active_plan` reports.
         let mut applied = plan.clone();
         for (planned, shard) in applied.tables.iter_mut().zip(&self.shards) {
             let mut info = *lock_unpoisoned(&shard.info);
-            if info.supports_updates && planned.technique != info.technique {
+            let moved_writable = info.supports_updates && planned.technique != info.technique;
+            if moved_writable {
                 planned.technique = info.technique;
                 planned.per_query_ns = info.per_query_ns;
             }
-            let mut replacement = (planned.technique != info.technique).then(|| {
-                GeneratorSpec::with_technique(info.rows, info.dim, planned.technique)
-                    .build(shard.config.seed)
+            let replacement = (planned.technique != info.technique).then(|| {
+                let spec = GeneratorSpec::with_technique(info.rows, info.dim, planned.technique);
+                timed_build(spec, shard.config.seed)
             });
-            if planned.per_query_ns > 0.0 {
-                info.per_query_ns = planned.per_query_ns;
-            } else if let Some(generator) = replacement.as_mut() {
-                info.per_query_ns =
-                    measure_cost(generator.as_mut(), self.probe_batch, self.probe_repeats)
-                        .per_query_ns;
-            }
-            if let Some(generator) = &replacement {
+            let cost = if planned.per_query_ns > 0.0 && !moved_writable {
+                Some((planned.per_query_ns, CostSource::Planned))
+            } else {
+                (replacement.as_ref()).map(|_| {
+                    let prior = planned.technique.prior_cost_ns(info.rows, info.dim);
+                    (prior, CostSource::Prior)
+                })
+            };
+            if let Some((generator, build_seconds)) = &replacement {
                 info.technique = generator.technique();
                 info.supports_updates = generator.supports_updates();
+                info.build_seconds = *build_seconds;
             }
-            staged.push((replacement, info));
+            staged.push((replacement, info, cost));
         }
         // Outlives the gates below: generators are freed only after
         // serving has resumed.
         let mut retired = Vec::new();
         let epoch = self.epoch.load(Ordering::SeqCst) + 1;
-        for (shard, (replacement, info)) in self.shards.iter().zip(staged) {
+        for (shard, (replacement, mut info, cost)) in self.shards.iter().zip(staged) {
             let mut gate = shard.gate.write().unwrap_or_else(PoisonError::into_inner);
-            if let Some(generator) = replacement {
-                let slot = gate.get_mut().unwrap_or_else(PoisonError::into_inner);
+            let slot = gate.get_mut().unwrap_or_else(PoisonError::into_inner);
+            if let Some((generator, build_seconds)) = replacement {
                 retired.push(std::mem::replace(&mut slot.generator, generator));
                 slot.acc.reset();
+                shard.build_seconds.set(build_seconds);
                 self.stats.record_swap_applied(epoch);
+            }
+            // Read under the gate: the worker learns a cost only inside it.
+            let current = *lock_unpoisoned(&shard.info);
+            (info.per_query_ns, info.cost) = cost.unwrap_or((current.per_query_ns, current.cost));
+            if cost.is_some() {
+                slot.learning = (info.cost == CostSource::Prior).then(Vec::new);
             }
             shard
                 .cost_ns_bits
@@ -892,6 +957,28 @@ impl Engine {
     }
 }
 
+/// Builds `spec`'s generator, timing the build.
+fn timed_build(spec: GeneratorSpec, seed: u64) -> (Box<dyn EmbeddingGenerator + Send>, f64) {
+    let t0 = Instant::now();
+    let generator = spec.build(seed);
+    (generator, t0.elapsed().as_secs_f64())
+}
+
+/// Folds one served batch's per-query cost into a shard still on its
+/// prior; once [`LEARN_BATCHES`] are in, returns their median (at least
+/// 1 ns), which replaces the prior until the next plan.
+fn learn(learning: &mut Option<Vec<f64>>, per_query_ns: f64) -> Option<f64> {
+    let seen = learning.as_mut()?;
+    seen.push(per_query_ns);
+    if seen.len() < LEARN_BATCHES {
+        return None;
+    }
+    seen.sort_by(f64::total_cmp);
+    let median = seen[seen.len() / 2];
+    *learning = None;
+    Some(median.max(1.0))
+}
+
 /// Answers `DeadlineExceeded` for every job in `jobs` whose deadline has
 /// passed, returning the still-live remainder.
 fn shed_stale(jobs: Vec<Job>, pending: &AtomicU64, stats: &ServerStats) -> Vec<Job> {
@@ -916,6 +1003,8 @@ fn spawn_worker(setup: WorkerSetup) -> JoinHandle<()> {
         batches,
         probes,
         samples,
+        cost_ns_bits,
+        info,
         policy,
         alive,
         spans,
@@ -999,10 +1088,15 @@ fn spawn_worker(setup: WorkerSetup) -> JoinHandle<()> {
             // Export the amortized service cost of this batch as one
             // drift sample: the same per-query quantity admission control
             // budgets with, measured under live co-location conditions.
-            lock_unpoisoned(&samples).push(
-                generated.saturating_duration_since(dispatch).as_nanos() as f64
-                    / total_queries as f64,
-            );
+            let per_query_ns = generated.saturating_duration_since(dispatch).as_nanos() as f64
+                / total_queries as f64;
+            lock_unpoisoned(&samples).push(per_query_ns);
+            if let Some(learned) = learn(&mut slot.learning, per_query_ns) {
+                cost_ns_bits.store(learned.to_bits(), Ordering::SeqCst);
+                let mut info = lock_unpoisoned(&info);
+                info.per_query_ns = learned;
+                info.cost = CostSource::Learned;
+            }
             let batch_jobs = live.len();
             let technique = slot.generator.technique();
             let [dequeued, dispatch, generated] =
@@ -1225,11 +1319,67 @@ mod tests {
     }
 
     #[test]
-    fn probed_cost_is_positive() {
+    fn a_shard_starts_from_a_prior_that_grows_with_its_shape() {
+        let engine = Engine::start(EngineConfig::new(vec![
+            TableConfig::new(GeneratorSpec::Scan { rows: 64, dim: 8 }),
+            TableConfig::new(GeneratorSpec::Scan { rows: 4096, dim: 8 }),
+            TableConfig::new(GeneratorSpec::Scan {
+                rows: 4096,
+                dim: 64,
+            }),
+        ]));
+        let infos = engine.tables();
+        for info in &infos {
+            assert_eq!(info.cost, CostSource::Prior);
+            assert!(info.per_query_ns > 0.0);
+            assert_eq!(
+                info.per_query_ns,
+                Technique::LinearScan.prior_cost_ns(info.rows, info.dim)
+            );
+            assert!(info.build_seconds > 0.0);
+        }
+        assert!(infos[1].per_query_ns > infos[0].per_query_ns, "rows");
+        assert!(infos[2].per_query_ns > infos[1].per_query_ns, "dim");
+        // Nothing served, nothing learned.
+        assert!(engine.drain_samples(0).is_empty());
+        let text = engine.render_metrics();
+        assert!(
+            text.contains("engine_table_build_seconds{table=\"2\"}"),
+            "{text}"
+        );
+    }
+
+    /// The cost a shard settles on is its served batches' own: the median
+    /// per-query sample of its first `LEARN_BATCHES` batches, which the
+    /// drift feed carries too — and an override is never relearned.
+    #[test]
+    fn a_shards_cost_becomes_its_served_batches_cost() {
         let mut table = fast_table();
         table.cost_override_ns = None;
-        let engine = Engine::start(EngineConfig::new(vec![table]));
-        assert!(engine.tables()[0].per_query_ns > 0.0);
+        let engine = Engine::start(EngineConfig::new(vec![table, fast_table()]));
+        for i in 0..LEARN_BATCHES as u64 {
+            assert_eq!(engine.tables()[0].cost, CostSource::Prior, "batch {i}");
+            for t in 0..2 {
+                assert!(engine
+                    .call(Request::new(t, vec![i, i + 1]))
+                    .embeddings()
+                    .is_some());
+            }
+        }
+        let mut served = engine.drain_samples(0);
+        assert_eq!(served.len(), LEARN_BATCHES, "one sample per lone request");
+        served.sort_by(f64::total_cmp);
+        let info = engine.tables()[0];
+        assert_eq!(info.cost, CostSource::Learned);
+        assert_eq!(info.per_query_ns, served[LEARN_BATCHES / 2].max(1.0));
+        // Held: more batches do not move it.
+        engine.call(Request::new(0, vec![5]));
+        assert_eq!(engine.tables()[0].per_query_ns, info.per_query_ns);
+        let fixed = engine.tables()[1];
+        assert_eq!(
+            (fixed.cost, fixed.per_query_ns),
+            (CostSource::Override, 1_000.0)
+        );
     }
 
     #[test]
@@ -1290,12 +1440,23 @@ mod tests {
     }
 
     #[test]
-    fn unknown_plan_cost_is_probed_at_apply() {
+    fn unknown_plan_cost_starts_a_rebuilt_shard_on_its_prior() {
         let engine = Engine::start(EngineConfig::new(vec![fast_table()]));
         let mut plan = plan_for(&engine, 1, &[Technique::Dhe]);
-        plan.tables[0].per_query_ns = -1.0; // unknown: probe at apply
+        plan.tables[0].per_query_ns = -1.0; // unknown: prior, then learned
         engine.apply_plan(&plan).expect("valid plan");
-        assert!(engine.tables()[0].per_query_ns > 0.0);
+        let info = engine.tables()[0];
+        assert_eq!(info.cost, CostSource::Prior);
+        assert_eq!(info.per_query_ns, Technique::Dhe.prior_cost_ns(64, 8));
+        for i in 0..LEARN_BATCHES as u64 {
+            assert!(engine.call(Request::new(0, vec![i])).embeddings().is_some());
+        }
+        assert_eq!(engine.tables()[0].cost, CostSource::Learned);
+        // Unknown again, nothing rebuilt: the learned cost stays.
+        let learned = engine.tables()[0].per_query_ns;
+        engine.apply_plan(&plan).expect("valid plan");
+        assert_eq!(engine.tables()[0].per_query_ns, learned);
+        assert_eq!(engine.tables()[0].cost, CostSource::Learned);
     }
 
     #[test]
@@ -1563,9 +1724,12 @@ mod tests {
     fn laoram_exports_do_not_reveal_duplicate_indices() {
         use secemb_telemetry::MetricValue;
         /// Values distributed alike for every index stream but drawn
-        /// differently, exempt with their reasons. None: every export is
-        /// a fixed function of the window sizes.
-        const EXEMPT: [(&str, &str); 0] = [];
+        /// differently, exempt with their reasons. Every other export is a
+        /// fixed function of the window sizes.
+        const EXEMPT: [(&str, &str); 1] = [(
+            "engine_table_build_seconds",
+            "a wall-clock timing of the build, taken before any index arrives",
+        )];
         const W: u64 = 8;
         let start = || {
             Engine::start(EngineConfig::new(vec![TableConfig {

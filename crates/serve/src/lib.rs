@@ -84,7 +84,10 @@ pub(crate) fn lock_unpoisoned<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGua
 
 pub use batcher::{execute_batch, BatchPolicy};
 pub use client::{Client, RemoteTable};
-pub use engine::{Engine, EngineConfig, PlanError, TableConfig, TableInfo, Ticket, TraceSettings};
+pub use engine::{
+    CostSource, Engine, EngineConfig, PlanError, TableConfig, TableInfo, Ticket, TraceSettings,
+    LEARN_BATCHES,
+};
 pub use gather::{merge_parts, Fill, Gather, Landed};
 pub use reactor::{FrameReactor, ReactorConfig, ReplySender};
 pub use request::{RejectReason, Request, Response};

@@ -121,7 +121,6 @@ fn stale_requests_are_rejected_not_dropped() {
         cost_override_ns: Some(0.0),
     }]);
     config.policy = BatchPolicy { max_batch: 4 };
-    config.probe_repeats = 1;
     let engine = Engine::start(config);
 
     // Three no-deadline requests occupy the worker for several scans...

@@ -23,7 +23,7 @@
 //!
 //! The memory trace is a function of `(m, n, k)` alone.
 
-use secemb_obliv::isa::Isa;
+use secemb_obliv::isa::{Isa, Kernels};
 use std::sync::OnceLock;
 
 /// Accumulator lanes per output element. Part of the arithmetic, not a
@@ -87,23 +87,19 @@ pub fn gemm_nt_at(
     }
 }
 
-/// One compiled instantiation of [`kernel_body`]. `unsafe` because the
-/// `#[target_feature]` ones may only be called on a CPU with that feature;
-/// values of this type come from [`kernel`] alone.
-type Kernel = unsafe fn(&[f32], &[f32], usize, usize, usize, &mut [f32]);
+/// One compiled instantiation of [`kernel_body`], called through
+/// [`crate::run_kernel`]: `(a, b, m, n, k, out)`.
+type Kernel = unsafe fn((&[f32], &[f32], usize, usize, usize, &mut [f32]));
 
 /// The instantiation compiled for `isa` — only if this CPU runs that
-/// level, which is what makes [`run`] sound.
+/// level, which is what makes calling it sound.
 fn kernel(isa: Isa) -> Option<Kernel> {
-    if !isa.available() {
-        return None;
-    }
-    Some(match isa {
+    isa.pick(&Kernels {
+        baseline: kernel_baseline,
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => kernel_avx2,
+        avx2: kernel_avx2,
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx512f => kernel_avx512,
-        _ => kernel_baseline,
+        avx512f: kernel_avx512,
     })
 }
 
@@ -112,15 +108,7 @@ fn run(kernel: Kernel, a: &[f32], b: &[f32], m: usize, n: usize, k: usize, out: 
     assert_eq!(a.len(), m * k, "gemm_nt: a is not m x k");
     assert_eq!(b.len(), n * k, "gemm_nt: b is not n x k");
     assert_eq!(out.len(), m * n, "gemm_nt: out is not m x n");
-    // SAFETY: `kernel` came from `gemm::kernel`, which hands out a
-    // `#[target_feature]` instantiation only after `Isa::available`
-    // (`is_x86_feature_detected!`) confirmed those features on the running
-    // CPU (the baseline one needs none). The body is safe Rust, so the CPU
-    // features are the kernel's only precondition.
-    #[allow(unsafe_code)]
-    unsafe {
-        kernel(a, b, m, n, k, out)
-    }
+    crate::run_kernel(kernel, (a, b, m, n, k, out));
 }
 
 // The instantiations stay out of line so each is a symbol of its own: CI
@@ -133,21 +121,21 @@ fn run(kernel: Kernel, a: &[f32], b: &[f32], m: usize, n: usize, k: usize, out: 
 // kernel"); within a level the candidates differ by about a tenth.
 
 #[inline(never)]
-fn kernel_baseline(a: &[f32], b: &[f32], m: usize, n: usize, k: usize, out: &mut [f32]) {
+fn kernel_baseline((a, b, m, n, k, out): (&[f32], &[f32], usize, usize, usize, &mut [f32])) {
     kernel_body::<2, 2>(a, b, m, n, k, out);
 }
 
 #[cfg(target_arch = "x86_64")]
 #[inline(never)]
 #[target_feature(enable = "avx2")]
-fn kernel_avx2(a: &[f32], b: &[f32], m: usize, n: usize, k: usize, out: &mut [f32]) {
+fn kernel_avx2((a, b, m, n, k, out): (&[f32], &[f32], usize, usize, usize, &mut [f32])) {
     kernel_body::<2, 4>(a, b, m, n, k, out);
 }
 
 #[cfg(target_arch = "x86_64")]
 #[inline(never)]
 #[target_feature(enable = "avx512f,avx512vl")]
-fn kernel_avx512(a: &[f32], b: &[f32], m: usize, n: usize, k: usize, out: &mut [f32]) {
+fn kernel_avx512((a, b, m, n, k, out): (&[f32], &[f32], usize, usize, usize, &mut [f32])) {
     kernel_body::<4, 6>(a, b, m, n, k, out);
 }
 

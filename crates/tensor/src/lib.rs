@@ -29,16 +29,32 @@
 //! assert_eq!(c, a);
 //! ```
 
-// `deny`, not `forbid`: the one exception is the call through the cached
-// ISA dispatch pointer in `gemm::run`, `#[allow]`ed there.
+// `deny`, not `forbid`: the one exception is the call of an ISA-dispatched
+// kernel in `run_kernel`, `#[allow]`ed there.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 #[doc(hidden)]
 pub mod gemm;
-mod init;
+pub mod init;
 mod matrix;
 pub mod ops;
 
-pub use init::{normal_init, XavierInit};
+pub use init::{fill_uniform, normal_init, XavierInit};
 pub use matrix::Matrix;
+
+/// Calls a kernel instantiation — the crate's one call of a
+/// `#[target_feature]` function. Every `kernel` passed here is what
+/// `Isa::pick` returned for its level, the GEMM's (`gemm::kernel`) or the
+/// uniform fill's (`init::kernel`).
+fn run_kernel<A>(kernel: unsafe fn(A), args: A) {
+    // SAFETY: `Isa::pick` hands out a `#[target_feature]` instantiation
+    // only after `Isa::available` (`is_x86_feature_detected!`) confirmed
+    // those features on the running CPU (the baseline one needs none).
+    // Every body is safe Rust, so the CPU features are the kernel's only
+    // precondition.
+    #[allow(unsafe_code)]
+    unsafe {
+        kernel(args)
+    }
+}

@@ -1,9 +1,12 @@
 //! Property-based tests for the matrix kernels.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use secemb_obliv::isa::Isa;
 use secemb_tensor::gemm::{dot, gemm_nt_at};
-use secemb_tensor::{ops, Matrix};
+use secemb_tensor::init::{fill_uniform_at, UniformDraws, FILL_MIN};
+use secemb_tensor::{fill_uniform, ops, Matrix};
 
 fn matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
     prop::collection::vec(-10.0f32..10.0, rows * cols)
@@ -167,5 +170,69 @@ proptest! {
         let out = Matrix::from_vec(m, k, a).matmul_transpose_b(&Matrix::from_vec(n, k, b));
         prop_assert_eq!(out.shape(), (m, n));
         prop_assert_eq!(bits(out.as_slice()), expected);
+    }
+}
+
+/// `len` scalar `gen_range(lo..hi)` draws: the stream every fill must
+/// reproduce, and the generator where they leave it.
+fn scalar_draws(seed: u64, lo: f32, hi: f32, len: usize) -> (Vec<u32>, StdRng) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let bits = (0..len).map(|_| rng.gen_range(lo..hi).to_bits()).collect();
+    (bits, rng)
+}
+
+#[test]
+fn fill_uniform_is_bit_identical_to_scalar_draws() {
+    let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+    let (lo, hi) = (-0.75f32, 1.25f32);
+    // Around the threshold, with every tail of 0–7, and short fills.
+    let lens = (0..8)
+        .flat_map(|tail| {
+            [
+                FILL_MIN - 8 + tail,
+                FILL_MIN + tail,
+                FILL_MIN + 8 * 64 + tail,
+            ]
+        })
+        .chain([0, 1, 7, 8, 9, 8 * 64 + 3, 1000]);
+    for (seed, len) in lens.enumerate() {
+        let (expected, end) = scalar_draws(seed as u64, lo, hi, len);
+        for isa in Isa::ALL {
+            let mut rng = StdRng::seed_from_u64(seed as u64);
+            let mut out = vec![f32::from_bits(0xdead_beef); len];
+            if !fill_uniform_at(isa, &mut rng, lo, hi, &mut out) {
+                static ONCE: [std::sync::Once; 3] = [const { std::sync::Once::new() }; 3];
+                ONCE[isa as usize].call_once(|| println!("host lacks {isa:?}: not tested"));
+                continue;
+            }
+            assert_eq!(bits(&out), expected, "{isa:?}, {len} draws");
+            assert_eq!(rng, end, "{isa:?}, {len} draws: the generator's end state");
+        }
+        // The dispatched entry point, scalar below the threshold.
+        let mut rng = StdRng::seed_from_u64(seed as u64);
+        let mut out = vec![0.0; len];
+        fill_uniform(&mut rng, lo, hi, &mut out);
+        assert_eq!(bits(&out), expected, "fill_uniform, {len} draws");
+        assert_eq!(rng, end, "fill_uniform, {len} draws");
+    }
+}
+
+#[test]
+fn uniform_draws_hand_out_the_scalar_stream() {
+    // Short, exactly chunked, and chunked with a partial last chunk;
+    // taken in row-sized pieces that straddle the chunks.
+    for (total, row) in [(1000, 7), (FILL_MIN, 64), (FILL_MIN + 4096 * 3 + 17, 60)] {
+        let (expected, _) = scalar_draws(5, -1.0, 1.0, total);
+        let mut draws = UniformDraws::new(StdRng::seed_from_u64(5), -1.0, 1.0, total as u64);
+        let mut got = Vec::with_capacity(total);
+        while got.len() < total {
+            let want = row.min(total - got.len());
+            let mut piece = Vec::new();
+            while piece.len() < want {
+                piece.extend(draws.take(want - piece.len()).iter().map(|v| v.to_bits()));
+            }
+            got.extend(piece);
+        }
+        assert_eq!(got, expected, "{total} draws in rows of {row}");
     }
 }
