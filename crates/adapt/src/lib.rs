@@ -37,6 +37,8 @@
 //! machine-wide costs), never on which indices were queried, and each
 //! generator's access-pattern guarantees hold within every epoch.
 
+#![forbid(unsafe_code)]
+
 pub mod controller;
 pub mod drift;
 pub mod persist;

@@ -52,6 +52,10 @@ pub fn bce_with_logits_loss(logits: &Matrix, targets: &Matrix) -> (f64, Matrix) 
 /// Returns the mean negative log-likelihood and the gradient
 /// `(softmax - onehot) / batch`.
 ///
+/// Not oblivious: it reads and writes each row at its target class. Its
+/// callers, the LLM's fine-tuning and perplexity evaluation (Fig. 14),
+/// are an accuracy experiment outside the protected path.
+///
 /// # Panics
 ///
 /// Panics if `targets.len() != logits.rows()`, on any out-of-range target,

@@ -44,7 +44,7 @@
 //! assert_eq!(oram.read(17), vec![99u32; 8]);
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod block;

@@ -29,6 +29,8 @@
 //! (`start_unix_ns`/`end_unix_ns`), which is comparable across hosts up
 //! to wall-clock skew. No quantity in a report mixes the two.
 
+#![forbid(unsafe_code)]
+
 pub mod join;
 pub mod parse;
 pub mod report;
